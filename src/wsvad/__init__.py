@@ -1,6 +1,6 @@
 """Weakly-supervised video anomaly detection on pre-extracted snippet features."""
 
-from .attention import SoftSelection, TsaConfig, kappa_from_ratio, topk_score, tsa_backward, tsa_forward
+from .attention import SoftSelection, TsaConfig, kappa_from_ratio, topk_score, tsa_forward
 from .autograd import Tensor, backward, no_grad
 from .evaluate import EvalReport, ScoreTimeline, evaluate_manifest, infer_video, unfold_scores
 from .features import (

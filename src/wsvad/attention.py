@@ -1,15 +1,19 @@
 """Temporal self-attention over snippet features.
 
 A shallow scorer maps each snippet to a relevance score in (0, 1). The
-top-k nominator perturbs the score vector with Gaussian noise, takes the
-hard top-k per sample, one-hot encodes each rank, and averages the samples
-into a row-stochastic soft-selection matrix. Fusing that matrix with the
-input reduces to scaling every snippet by its inclusion probability.
+top-k nominator perturbs the score vector with Gaussian noise and takes the
+hard top-k per sample; averaging the samples' one-hot ranks gives a
+row-stochastic soft-selection matrix. Fusing that matrix with the input
+reduces to scaling every snippet by its inclusion probability, the fraction
+of samples that selected it, so only the inclusion is computed.
 
 The selection is made differentiable by the Monte-Carlo smoothed-perturbation
-estimator: with per-sample inclusion indicators v_m and standard-normal draws
-z_m, the Jacobian of the expected selection w.r.t. the scores is estimated by
-mean(v_m z_m^T) / sigma, reusing the forward draws.
+estimator (Berthet et al., 2020): with per-sample inclusion indicators v_m and
+standard-normal draws z_m, the Jacobian of the inclusion w.r.t. the scores is
+estimated by mean(v_m z_m^T) / sigma, reusing the forward draws. The score
+gradient is computed directly as mean(c_m z_m) / sigma with
+c_m = v_m . grad_incl, the upstream inclusion gradient summed over the
+snippets sample m selected.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .nn import MLP, mlp_init, mlp_forward
 
 SCORER_HIDDEN = (512, 256)
 
-_ESTIMATORS = ("perturbed", "straight_through")
-
 
 @dataclass(frozen=True)
 class TsaConfig:
@@ -33,7 +35,6 @@ class TsaConfig:
     ratio: float = 0.7  # fraction of snippets to keep
     sigma_noise: float = 0.05  # scale of the score perturbation
     seed: int = 0
-    estimator: str = "perturbed"
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
@@ -42,8 +43,6 @@ class TsaConfig:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
         if self.sigma_noise <= 0.0:
             raise ValueError(f"sigma_noise must be positive, got {self.sigma_noise}")
-        if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}")
 
 
 def kappa_from_ratio(t_len: int, ratio: float) -> int:
@@ -57,23 +56,32 @@ def kappa_from_ratio(t_len: int, ratio: float) -> int:
 
 @dataclass
 class SoftSelection:
-    """Monte-Carlo average of per-rank one-hot selections, plus the saved
-    draws needed to differentiate through it."""
+    """Per-snippet inclusion probabilities of a perturbed top-k, plus the
+    saved draws needed to differentiate through it."""
 
-    vhat: np.ndarray  # (kappa, T) row-stochastic
-    inclusion: np.ndarray  # (T,) column sums of vhat, exact at kappa == T
+    inclusion: np.ndarray  # (T,) fraction of samples selecting each snippet, exact at kappa == T
     indices: np.ndarray  # (M, kappa) per-sample selected indices, rank order
     noise: np.ndarray  # (M, T) standard-normal draws
     sigma: float
-    num_samples: int
+
+    @property
+    def num_samples(self) -> int:
+        return self.indices.shape[0]
 
     @property
     def kappa(self) -> int:
-        return self.vhat.shape[0]
+        return self.indices.shape[1]
 
     @property
     def t_len(self) -> int:
-        return self.vhat.shape[1]
+        return self.noise.shape[1]
+
+    @property
+    def vhat(self) -> np.ndarray:
+        """Row-stochastic (kappa, T) average of the per-rank one-hot selections."""
+        v = np.zeros((self.kappa, self.t_len), dtype=np.float64)
+        np.add.at(v, (np.arange(self.kappa)[None, :], self.indices), 1.0)
+        return v / self.num_samples
 
     def sample_inclusion(self) -> np.ndarray:
         """Per-sample 0/1 inclusion indicators, shape (M, T)."""
@@ -88,20 +96,17 @@ class SoftSelection:
         v = self.sample_inclusion()
         return (v.T @ self.noise) / (self.num_samples * self.sigma)
 
-    def grad_scores(self, grad_vhat: np.ndarray, estimator: str = "perturbed") -> np.ndarray:
-        """Backpropagate a (kappa, T) gradient on vhat to the score vector.
+    def grad_scores(self, grad_incl: np.ndarray) -> np.ndarray:
+        """Backpropagate a (T,) gradient on the inclusion to the score vector.
 
         Selecting everything makes the selection constant, so the gradient is
-        exactly zero; an unperturbed selection falls back to the
-        straight-through rule (upstream gradient on the selected entries).
+        exactly zero there.
         """
         if self.kappa == self.t_len:
             return np.zeros(self.t_len, dtype=np.float64)
-        if estimator == "straight_through" or self.sigma == 0.0:
-            return (grad_vhat * self.vhat).sum(axis=0)
-        # per-sample weight: upstream gradient summed over the selected entries
-        rank_idx = np.arange(self.kappa)[None, :]
-        c = grad_vhat[rank_idx, self.indices].sum(axis=1)  # (M,)
+        if self.sigma == 0.0:
+            raise ValueError("grad_scores undefined for unperturbed selection")
+        c = grad_incl[self.indices].sum(axis=1)  # (M,) summed in rank order
         return (self.noise.T @ c) / (self.num_samples * self.sigma)
 
 
@@ -118,8 +123,8 @@ def topk_score(
 
     Clones the score vector ``num_samples`` times, adds Gaussian noise of
     scale ``sigma``, takes each sample's top-``kappa`` indices by descending
-    perturbed score (ties to the lower index), one-hot encodes each rank and
-    averages the samples.
+    perturbed score (ties to the lower index) and counts how often each
+    snippet was selected.
     """
     w = np.asarray(omega, dtype=np.float64).reshape(-1)
     t_len = w.size
@@ -147,44 +152,13 @@ def topk_score(
     order = np.argsort(-perturbed, axis=1, kind="stable")
     indices = order[:, :kappa]
 
-    counts = np.stack(
-        [np.bincount(indices[:, k], minlength=t_len) for k in range(kappa)]
-    )
-    vhat = counts / num_samples
-    inclusion = counts.sum(axis=0) / num_samples
-    return SoftSelection(
-        vhat=vhat,
-        inclusion=inclusion,
-        indices=indices,
-        noise=z,
-        sigma=float(sigma),
-        num_samples=num_samples,
-    )
+    inclusion = np.bincount(indices.ravel(), minlength=t_len) / num_samples
+    return SoftSelection(inclusion=inclusion, indices=indices, noise=z, sigma=float(sigma))
 
 
 def make_scorer(d: int, rng: np.random.Generator, hidden: tuple[int, ...] = SCORER_HIDDEN) -> MLP:
     """The snippet relevance scorer: d -> hidden -> 1, ReLU inside, sigmoid out."""
     return mlp_init((d, *hidden, 1), rng)
-
-
-def tsa_backward(
-    grad_fhat: np.ndarray,
-    features: np.ndarray,
-    selection: SoftSelection,
-    estimator: str = "perturbed",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the fused output w.r.t. the raw features (direct path)
-    and the score vector (through the smoothed selection).
-
-    The score gradient must still be chained through the scorer to reach its
-    parameters; the feature gradient returned here covers only the direct
-    multiplication path.
-    """
-    grad_features = selection.inclusion[:, None] * grad_fhat
-    grad_incl = np.sum(grad_fhat * features, axis=1, dtype=np.float64)
-    grad_vhat = np.broadcast_to(grad_incl, (selection.kappa, selection.t_len))
-    grad_omega = selection.grad_scores(grad_vhat, estimator=estimator)
-    return grad_features, grad_omega
 
 
 def tsa_fuse(
@@ -212,10 +186,11 @@ def tsa_fuse(
     fused = scale[:, None] * features.data
 
     def vjp(g):
-        grad_features, grad_omega = tsa_backward(g, features.data, selection, cfg.estimator)
+        grad_incl = np.sum(g * features.data, axis=1, dtype=np.float64)
+        grad_omega = selection.grad_scores(grad_incl)
         return (
             grad_omega.astype(omega.data.dtype).reshape(omega.shape),
-            grad_features.astype(features.data.dtype),
+            (selection.inclusion[:, None] * g).astype(features.data.dtype),
         )
 
     fhat = ag.custom_op("tsa_select", fused, (omega, features), vjp)

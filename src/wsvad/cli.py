@@ -60,10 +60,14 @@ def _train_once(manifest_path: Path, cfg: TrainConfig):
 
 
 def _eval_model(model, test_manifest_path: Path, seed: int, gt_path: Path | None = None):
+    """Returns the report, the timelines and the ground truth it was scored against."""
     manifest = load_manifest(test_manifest_path)
     gt_file = gt_path or (test_manifest_path.parent / GROUND_TRUTH_FILENAME)
     ground_truth = load_ground_truth(gt_file)
-    return evaluate_manifest(manifest, test_manifest_path.parent, model, ground_truth, eval_seed=seed)
+    report, timelines, _ = evaluate_manifest(
+        manifest, test_manifest_path.parent, model, ground_truth, eval_seed=seed
+    )
+    return report, timelines, ground_truth
 
 
 def _write_train_log(path: Path, log: list[dict]) -> None:
@@ -130,10 +134,9 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     gt_path = Path(args.ground_truth) if args.ground_truth else None
-    report, timelines, _ = _eval_model(model, Path(args.manifest), args.seed, gt_path)
+    report, timelines, ground_truth = _eval_model(model, Path(args.manifest), args.seed, gt_path)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    gt_file = gt_path or (Path(args.manifest).parent / GROUND_TRUTH_FILENAME)
-    write_frame_csv(out / "frame_scores.csv", timelines, load_ground_truth(gt_file))
+    write_frame_csv(out / "frame_scores.csv", timelines, ground_truth)
     print(
         f"AUC@ROC {report.auc_roc:.4f}  AUC@PR {report.auc_pr:.4f}  "
         f"({report.num_frames} frames, {report.wall_clock_sec:.2f}s)"

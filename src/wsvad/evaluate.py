@@ -31,10 +31,15 @@ class ScoreTimeline:
     """Per-snippet and per-frame anomaly scores for one video."""
 
     video_id: str
+    label: int  # video-level weak label
     snippet_scores: np.ndarray  # (T_k,) in (0, 1)
     snippet_binary: np.ndarray  # (T_k,) in {0, 1}
     frame_scores: np.ndarray  # (N,) continuous
     frame_binary: np.ndarray  # (N,) in {0, 1}
+
+    @property
+    def frame_count(self) -> int:
+        return self.frame_scores.size
 
 
 @dataclass
@@ -107,6 +112,7 @@ def infer_video(
     binary = (snippet >= BINARY_THRESHOLD).astype(np.uint8)
     return ScoreTimeline(
         video_id=record.video_id,
+        label=record.label,
         snippet_scores=snippet,
         snippet_binary=binary,
         frame_scores=unfold_scores(snippet, record.snippet_len, record.frame_count),
@@ -124,6 +130,29 @@ def frame_labels(frame_count: int, intervals: list[tuple[int, int]]) -> np.ndarr
     return mask
 
 
+def video_frame_labels(
+    videos: list[VideoRecord] | list[ScoreTimeline],
+    ground_truth: dict[str, list[tuple[int, int]]],
+) -> list[np.ndarray]:
+    """Frame masks for each video, in order, from the ground-truth intervals.
+
+    A normal video absent from the ground truth is all-normal. An abnormal
+    video without intervals, or a ground-truth id that names no listed
+    video, raises ValueError naming the id.
+    """
+    listed = {v.video_id for v in videos}
+    unknown = sorted(set(ground_truth) - listed)
+    if unknown:
+        raise ValueError(f"ground truth names video '{unknown[0]}', which is not in the manifest")
+    masks = []
+    for v in videos:
+        intervals = ground_truth.get(v.video_id, [])
+        if v.label == 1 and not intervals:
+            raise ValueError(f"abnormal video '{v.video_id}' has no ground-truth intervals")
+        masks.append(frame_labels(v.frame_count, intervals))
+    return masks
+
+
 def evaluate_manifest(
     manifest: DatasetManifest,
     base_dir: str | Path,
@@ -137,17 +166,16 @@ def evaluate_manifest(
     """
     started = time.perf_counter()
     records = load_records(manifest, base_dir)
+    all_labels = video_frame_labels(records, ground_truth)
     timelines: list[ScoreTimeline] = []
-    all_scores, all_binary, all_labels = [], [], []
+    all_scores, all_binary = [], []
     per_video: list[dict] = []
     for idx, rec in enumerate(records):
         rng = np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
         tl = infer_video(rec, model, rng)
-        labels = frame_labels(rec.frame_count, ground_truth.get(rec.video_id, []))
         timelines.append(tl)
         all_scores.append(tl.frame_scores)
         all_binary.append(tl.frame_binary)
-        all_labels.append(labels)
         per_video.append(
             {
                 "id": rec.video_id,
@@ -191,8 +219,7 @@ def write_frame_csv(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_idx", "score", "binary", "label"])
-        for tl in timelines:
-            labels = frame_labels(tl.frame_scores.size, ground_truth.get(tl.video_id, []))
+        for tl, labels in zip(timelines, video_frame_labels(timelines, ground_truth)):
             for i in range(tl.frame_scores.size):
                 writer.writerow(
                     [tl.video_id, i, repr(float(tl.frame_scores[i])), int(tl.frame_binary[i]), int(labels[i])]

@@ -171,11 +171,19 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             split=str(doc["split"]),
             videos=videos,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed manifest field ({exc})") from exc
+    seen: set[str] = set()
     for v in manifest.videos:
+        if not isinstance(v.video_id, str):
+            raise FormatError(f"{path}: video id {v.video_id!r} is not a string")
         if v.label not in (0, 1):
             raise FormatError(f"{path}: video '{v.video_id}' has non-binary label {v.label}")
+        if v.frame_count < 1:
+            raise FormatError(f"{path}: video '{v.video_id}' has frame_count {v.frame_count} < 1")
+        if v.video_id in seen:
+            raise FormatError(f"{path}: duplicate video id '{v.video_id}'")
+        seen.add(v.video_id)
     return manifest
 
 

@@ -4,14 +4,15 @@ Checkpoints are a versioned binary: magic ``VADC`` | version u32 |
 header-length u32 | JSON header (architecture + attention settings) |
 tensor count u32 | per tensor: name length u32, name bytes, ndim u32,
 dims u32 each, float32 payload. Same little-endian number layout as the
-feature files.
+feature files. The header's ``tsa.estimator`` field is always "perturbed",
+the only selection gradient there is; it is kept so the format stays fixed.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .nn import MLP, ConvModule, conv_module_forward, conv_module_init, mlp_forw
 
 CHECKPOINT_MAGIC = b"VADC"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_ESTIMATOR = "perturbed"
 
 CLASSIFIER_HIDDEN = (128, 32)
 CLASSIFIER_DROPOUT = 0.7
@@ -98,7 +100,7 @@ def save_checkpoint(model: Model, path) -> None:
             "ratio": model.tsa.ratio,
             "sigma_noise": model.tsa.sigma_noise,
             "seed": model.tsa.seed,
-            "estimator": model.tsa.estimator,
+            "estimator": CHECKPOINT_ESTIMATOR,
         },
         "tsa_enabled": model.tsa_enabled,
     }
@@ -118,6 +120,29 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(struct.pack("<I", data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
             fh.write(data.tobytes())
+
+
+def _model_from_header(header: dict, path) -> Model:
+    if tuple(header["classifier_hidden"]) != CLASSIFIER_HIDDEN:
+        raise FormatError(
+            f"{path}: unsupported classifier layout {header['classifier_hidden']}"
+        )
+    tsa_fields = dict(header["tsa"])
+    estimator = tsa_fields.pop("estimator", CHECKPOINT_ESTIMATOR)
+    if estimator != CHECKPOINT_ESTIMATOR:
+        raise FormatError(f"{path}: unsupported selection estimator {estimator!r}")
+    expected = sorted(f.name for f in fields(TsaConfig))
+    if sorted(tsa_fields) != expected:
+        raise FormatError(f"{path}: attention header fields {sorted(tsa_fields)}, expected {expected}")
+    model = init_model(
+        d=int(header["d"]),
+        tsa=TsaConfig(**tsa_fields),
+        seed_seq=np.random.SeedSequence(0),
+        tsa_enabled=bool(header["tsa_enabled"]),
+        scorer_hidden=tuple(header["scorer_hidden"]),
+    )
+    model.classifier.dropout_p = float(header["classifier_dropout"])
+    return model
 
 
 def load_checkpoint(path) -> Model:
@@ -151,20 +176,15 @@ def load_checkpoint(path) -> Model:
             off += size
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    if off != len(view):
+        raise FormatError(f"{path}: {len(view) - off} trailing bytes after the last tensor")
 
-    if tuple(header["classifier_hidden"]) != CLASSIFIER_HIDDEN:
-        raise FormatError(
-            f"{path}: unsupported classifier layout {header['classifier_hidden']}"
-        )
-    tsa = TsaConfig(**header["tsa"])
-    model = init_model(
-        d=int(header["d"]),
-        tsa=tsa,
-        seed_seq=np.random.SeedSequence(0),
-        tsa_enabled=bool(header["tsa_enabled"]),
-        scorer_hidden=tuple(header["scorer_hidden"]),
-    )
-    model.classifier.dropout_p = float(header["classifier_dropout"])
+    try:
+        model = _model_from_header(header, path)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or malformed header field ({exc!r})") from exc
     params = model.named_params()
     if set(params) != set(tensors):
         missing = set(params) ^ set(tensors)
@@ -174,5 +194,7 @@ def load_checkpoint(path) -> Model:
             raise FormatError(
                 f"{path}: tensor '{name}' has shape {tensors[name].shape}, expected {p.data.shape}"
             )
+        if not np.all(np.isfinite(tensors[name])):
+            raise FormatError(f"{path}: tensor '{name}' holds NaN or Inf")
         p.data = tensors[name]
     return model

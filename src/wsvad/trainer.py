@@ -96,18 +96,24 @@ def build_batch(
     return BatchLayout(bags=bags, labels=labels, video_ids=ids)
 
 
+def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
+    """Indices of the alpha rows with the largest float64 Euclidean magnitude,
+    largest first, ties to the lower index. Rows run along the second-to-last
+    axis; leading axes are batch axes."""
+    mags = np.linalg.norm(np.asarray(feats, dtype=np.float64), axis=-1)
+    return np.argsort(-mags, axis=-1, kind="stable")[..., :alpha]
+
+
 def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
     """Mean of the alpha rows with the largest Euclidean magnitude.
 
     The selection itself is treated as constant, so gradients flow only into
-    the selected rows. Magnitude ties resolve to the lower row index.
+    the selected rows.
     """
     t_len = feats.shape[0]
     if not 1 <= alpha <= t_len:
         raise ValueError(f"alpha must be in [1, {t_len}], got {alpha}")
-    mags = np.linalg.norm(feats.data.astype(np.float64), axis=1)
-    chosen = np.argsort(-mags, kind="stable")[:alpha]
-    return ag.gather_rows(feats, chosen).mean(axis=0)
+    return ag.gather_rows(feats, top_alpha_rows(feats.data, alpha)).mean(axis=0)
 
 
 def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
@@ -122,9 +128,7 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
 def _video_score(scores: Tensor, ctx: Tensor, alpha: int) -> Tensor:
     """Mean score of the video's top-alpha snippets (ranked by context-feature
     magnitude, like the margin term), clipped away from {0, 1}."""
-    mags = np.linalg.norm(ctx.data.astype(np.float64), axis=1)
-    chosen = np.argsort(-mags, kind="stable")[: min(alpha, scores.shape[0])]
-    return ag.gather_rows(scores, chosen).mean().clip(BCE_EPS, 1.0 - BCE_EPS)
+    return ag.gather_rows(scores, top_alpha_rows(ctx.data, alpha)).mean().clip(BCE_EPS, 1.0 - BCE_EPS)
 
 
 def dmt_loss(
@@ -287,8 +291,7 @@ def theorem1_probe(
     pos[:, :eps, :] += anomaly_shift * direction
 
     def top_alpha_norms(bags: np.ndarray) -> np.ndarray:
-        mags = np.linalg.norm(bags, axis=2)
-        order = np.argsort(-mags, axis=1, kind="stable")
+        order = top_alpha_rows(bags, max(alphas))
         ranked = np.take_along_axis(bags, order[:, :, None], axis=1)
         sums = np.cumsum(ranked, axis=1)
         cols = [np.linalg.norm(sums[:, a - 1, :] / a, axis=1) for a in alphas]

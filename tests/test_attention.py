@@ -10,7 +10,6 @@ from wsvad.attention import (
     kappa_from_ratio,
     make_scorer,
     topk_score,
-    tsa_backward,
     tsa_forward,
     tsa_fuse,
 )
@@ -62,6 +61,14 @@ class TestTopkStructure:
                 if kappa == t_len:
                     noisy = topk_score(omega, kappa, 40, 0.5, rng)
                     assert np.all(noisy.inclusion == 1.0)
+
+    def test_vhat_column_sums_are_inclusion(self):
+        """With M a power of two every count / M is exact, and so is every sum."""
+        rng = np.random.default_rng(16)
+        for t_len in range(1, 9):
+            for kappa in range(1, t_len + 1):
+                sel = topk_score(rng.uniform(0, 1, t_len), kappa, 64, 0.1, rng)
+                assert np.array_equal(sel.vhat.sum(axis=0), sel.inclusion)
 
     def test_tie_break_lower_index(self):
         sel = topk_score(np.array([0.5, 0.9, 0.9, 0.1]), 2, 3, 0.0)
@@ -190,20 +197,33 @@ class TestTsaForward:
             TsaConfig(ratio=0.0)
         with pytest.raises(ValueError):
             TsaConfig(sigma_noise=0.0)
-        with pytest.raises(ValueError):
-            TsaConfig(estimator="magic")
 
 
 class TestSelectionGradient:
     def test_full_selection_gradient_exactly_zero(self):
         rng = np.random.default_rng(10)
-        feats = rng.normal(size=(6, 4))
-        omega = rng.uniform(0, 1, 6)
-        sel = topk_score(omega, 6, 100, 0.2, rng)
         grad_fhat = rng.normal(size=(6, 4))
-        grad_features, grad_omega = tsa_backward(grad_fhat, feats, sel)
-        assert np.all(grad_omega == 0.0)
-        np.testing.assert_allclose(grad_features, grad_fhat, atol=1e-12)
+        cfg = TsaConfig(num_samples=100, ratio=1.0, sigma_noise=0.2)
+        with ag.using_dtype(np.float64):
+            feats = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+            omega = Tensor(rng.uniform(0, 1, (6, 1)), requires_grad=True)
+            fhat, _ = tsa_fuse(feats, omega, cfg, rng)
+            ag.backward((fhat * Tensor(grad_fhat)).sum())
+        assert np.all(omega.grad == 0.0)
+        np.testing.assert_allclose(feats.grad, grad_fhat, atol=1e-12)
+
+    def test_grad_scores_is_jacobian_transpose_product(self):
+        rng = np.random.default_rng(15)
+        for t_len, kappa in [(6, 3), (9, 1), (16, 11)]:
+            sel = topk_score(rng.uniform(0, 1, t_len), kappa, 300, 0.2, rng)
+            g = rng.normal(size=t_len)
+            expect = sel.inclusion_jacobian().T @ g
+            assert max_rel_err(sel.grad_scores(g), expect, abs_floor=1e-300) < 1e-12
+
+    def test_unperturbed_selection_has_no_gradient(self):
+        sel = topk_score(np.array([0.9, 0.1, 0.7, 0.3]), 2, 10, 0.0)
+        with pytest.raises(ValueError, match="unperturbed"):
+            sel.grad_scores(np.ones(4))
 
     def test_jacobian_matches_fd_of_expectation(self):
         """Estimator vs central differences of the sampled inclusion under
@@ -242,14 +262,6 @@ class TestSelectionGradient:
         assert np.ptp(diag) < 3 * tol
         assert np.ptp(off) < 3 * tol
 
-    def test_straight_through_matches_selected_entries(self):
-        omega = np.array([0.9, 0.1, 0.7, 0.3])
-        sel = topk_score(omega, 2, 10, 0.0)
-        grad_vhat = np.arange(8.0).reshape(2, 4)
-        got = sel.grad_scores(grad_vhat, estimator="straight_through")
-        # rank 0 selects index 0, rank 1 selects index 2
-        assert got.tolist() == [0.0, 0.0, 6.0, 0.0]
-
     def test_gradient_flows_into_scorer_and_features(self):
         rng = np.random.default_rng(13)
         feats = Tensor(rng.normal(size=(10, 6)).astype(np.float32), requires_grad=True)
@@ -268,7 +280,7 @@ class TestSelectionGradient:
         rng = np.random.default_rng(14)
         feats64 = rng.normal(size=(6, 4))
         w64 = rng.normal(size=(4, 1))
-        cfg = TsaConfig(num_samples=4, ratio=1.0, sigma_noise=1.0, estimator="straight_through")
+        cfg = TsaConfig(num_samples=4, ratio=1.0, sigma_noise=1.0)
         zeros = np.zeros((4, 6))
 
         def loss_value(f_arr, w_arr):

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wsvad import cli
+from wsvad.attention import TsaConfig
 from wsvad.cli import main
+from wsvad.model import init_model, save_checkpoint
 
 GEN_FLAGS = [
     "--d", "8", "--delta", "4", "--n-normal", "6", "--n-abnormal", "6",
@@ -126,6 +129,43 @@ class TestTrainEval:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_ckpt") / "checkpoint.vadc"
+    save_checkpoint(init_model(8, TsaConfig(), np.random.SeedSequence(0)), path)
+    return path
+
+
+class TestEvalGroundTruth:
+    def _eval(self, dataset, checkpoint, out, *extra):
+        return main([
+            "eval", "--manifest", str(dataset / "test" / "manifest.json"),
+            "--checkpoint", str(checkpoint), "--out", str(out), "--seed", "0", *extra,
+        ])
+
+    def test_ground_truth_read_once(self, dataset, untrained_checkpoint, tmp_path, monkeypatch):
+        calls = []
+        real = cli.load_ground_truth
+        monkeypatch.setattr(cli, "load_ground_truth", lambda path: calls.append(path) or real(path))
+        assert self._eval(dataset, untrained_checkpoint, tmp_path / "ev") == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("defect", ["abnormal_without_intervals", "unknown_id"])
+    def test_bad_ground_truth_exits_one_naming_the_id(self, dataset, untrained_checkpoint, tmp_path, capsys, defect):
+        gt = json.loads((dataset / "test" / "ground_truth.json").read_text())
+        if defect == "unknown_id":
+            vid = "ghost_0000"
+            gt[vid] = [[0, 4]]
+        else:
+            vid = next(k for k, spans in sorted(gt.items()) if spans)
+            del gt[vid]
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(json.dumps(gt))
+        code = self._eval(dataset, untrained_checkpoint, tmp_path / "ev", "--ground-truth", str(gt_path))
+        assert code == 1
+        assert f"'{vid}'" in capsys.readouterr().err
 
 
 class TestSweepAndAblate:

@@ -10,6 +10,7 @@ from wsvad.evaluate import (
     frame_labels,
     infer_video,
     unfold_scores,
+    video_frame_labels,
     write_frame_csv,
 )
 from wsvad.features import VideoRecord, load_records, temporal_normalize
@@ -192,12 +193,41 @@ class TestEvaluateManifest:
                 separated += 1
         assert separated >= 0.9 * len(abnormal)
 
+    def test_normal_video_absent_from_ground_truth_is_all_normal(self, small_dataset):
+        tmp, test_m, gt = small_dataset
+        records = load_records(test_m, tmp / "test")
+        normal = next(r for r in records if r.label == 0)
+        trimmed = {vid: spans for vid, spans in gt.items() if vid != normal.video_id}
+        masks = video_frame_labels(records, trimmed)
+        assert [m.tolist() for m in masks] == [m.tolist() for m in video_frame_labels(records, gt)]
+        assert not masks[records.index(normal)].any()
+
+    @pytest.mark.parametrize("abnormal_gt", ["missing", "empty"])
+    def test_abnormal_video_without_intervals_rejected(self, small_dataset, abnormal_gt):
+        tmp, test_m, gt = small_dataset
+        vid = next(v.video_id for v in test_m.videos if v.label == 1)
+        bad = {k: v for k, v in gt.items() if k != vid}
+        if abnormal_gt == "empty":
+            bad[vid] = []
+        with pytest.raises(ValueError, match=f"abnormal video '{vid}'"):
+            evaluate_manifest(test_m, tmp / "test", fresh_model(), bad)
+
+    def test_unknown_ground_truth_id_rejected(self, small_dataset, tmp_path):
+        tmp, test_m, gt = small_dataset
+        bad = {**gt, "ghost_0001": [(0, 4)]}
+        with pytest.raises(ValueError, match="'ghost_0001'"):
+            evaluate_manifest(test_m, tmp / "test", fresh_model(), bad)
+        _, timelines, _ = evaluate_manifest(test_m, tmp / "test", fresh_model(), gt)
+        with pytest.raises(ValueError, match="'ghost_0001'"):
+            write_frame_csv(tmp_path / "frames.csv", timelines, bad)
+
     def test_frame_csv_written(self, small_dataset, tmp_path):
         tmp, test_m, gt = small_dataset
         model = fresh_model()
-        _, timelines, _ = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=0)
+        _, timelines, labels = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=0)
         out = tmp_path / "frames.csv"
         write_frame_csv(out, timelines, gt)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "video_id,frame_idx,score,binary,label"
         assert len(lines) == 1 + sum(tl.frame_scores.size for tl in timelines)
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == labels.tolist()

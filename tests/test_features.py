@@ -171,6 +171,31 @@ class TestManifest:
         with pytest.raises(FormatError):
             load_manifest(path)
 
+    def test_duplicate_video_id_rejected(self, tmp_path):
+        manifest = _write_split(tmp_path)
+        manifest.videos[1].video_id = manifest.videos[0].video_id
+        save_manifest(manifest, tmp_path / "manifest.json")
+        with pytest.raises(FormatError, match="duplicate video id 'v0'"):
+            load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("frames", [0, -5])
+    def test_nonpositive_frame_count_rejected(self, tmp_path, frames):
+        manifest = _write_split(tmp_path)
+        manifest.videos[1].frame_count = frames
+        save_manifest(manifest, tmp_path / "manifest.json")
+        with pytest.raises(FormatError, match="'v1' has frame_count"):
+            load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("field, value", [("frame_count", "many"), ("id", ["v", 0])])
+    def test_malformed_video_field_rejected(self, tmp_path, field, value):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_manifest(path)
+
     def test_single_class_train_split_rejected(self, tmp_path):
         manifest = _write_split(tmp_path)
         manifest.videos = [v for v in manifest.videos if v.label == 0]

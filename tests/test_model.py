@@ -1,5 +1,8 @@
 """Model assembly and checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,34 @@ def small_model(seed=0, **tsa_kw):
     return init_model(
         8, TsaConfig(seed=seed, **tsa_kw), np.random.SeedSequence(seed), scorer_hidden=(12, 6)
     )
+
+
+def read_header(path) -> dict:
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12 : 12 + header_len])
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the checkpoint's decoded JSON header and write it back."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    new = json.dumps(edit(read_header(path))).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :])
+
+
+def edited(doc, *keys, value=None):
+    """A copy of ``doc`` with the entry at key path ``keys`` set to ``value``,
+    or removed when ``value`` is None."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    if value is None:
+        del inner[keys[-1]]
+    else:
+        inner[keys[-1]] = value
+    return doc
 
 
 class TestCheckpoint:
@@ -61,6 +92,66 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        model = small_model()
+        model.named_params()["conv.conv1.w"].data[0, 0, 0] = bad
+        path = tmp_path / "model.vadc"
+        save_checkpoint(model, path)
+        with pytest.raises(FormatError, match="NaN or Inf"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: edited(h, "d"),
+            lambda h: edited(h, "classifier_hidden"),
+            lambda h: edited(h, "tsa"),
+            lambda h: edited(h, "tsa", "ratio"),
+            lambda h: edited(h, "tsa_enabled"),
+            lambda h: edited(h, "tsa", "bogus", value=1),
+            lambda h: edited(h, "d", value="wide"),
+            lambda h: edited(h, "scorer_hidden", value=5),
+            lambda h: edited(h, "tsa", value=[1, 2]),
+            lambda h: edited(h, "tsa", "num_samples", value="many"),
+            lambda h: edited(h, "tsa", "sigma_noise", value=-0.5),
+            lambda h: [h],
+        ],
+        ids=[
+            "no-d", "no-classifier_hidden", "no-tsa", "no-tsa.ratio", "no-tsa_enabled",
+            "extra-tsa-field", "d-not-int", "scorer_hidden-not-list", "tsa-not-object",
+            "num_samples-not-int", "negative-sigma", "header-not-object",
+        ],
+    )
+    def test_missing_or_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_header_estimator_is_fixed(self, tmp_path):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, lambda h: edited(h, "tsa", "estimator", value="straight_through"))
+        with pytest.raises(FormatError, match="estimator"):
+            load_checkpoint(path)
+
+    def test_header_without_estimator_loads(self, tmp_path):
+        model = small_model(seed=2)
+        path = tmp_path / "model.vadc"
+        save_checkpoint(model, path)
+        assert read_header(path)["tsa"]["estimator"] == "perturbed"
+        rewrite_header(path, lambda h: edited(h, "tsa", "estimator"))
+        assert load_checkpoint(path).tsa == model.tsa
 
 
 class TestScoreBag:
