@@ -189,6 +189,7 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
+        """Matrix transpose; on a batch of matrices it swaps the last two axes."""
         return _transpose(self)
 
     def backward(self) -> None:
@@ -240,12 +241,22 @@ def _mul_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product: (m, k) @ (k, n), or over a leading batch axis,
+    (B, m, k) @ (B, k, n) and (B, m, k) @ (k, n) (b shared by every batch)."""
+    if (a.ndim, b.ndim) not in ((2, 2), (3, 3), (3, 2)):
+        raise ShapeError(f"matmul: expected rank-2 or batched rank-3 operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2] or (b.ndim == 3 and a.shape[0] != b.shape[0]):
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
-    vjp = lambda g: (g @ b.data.T, a.data.T @ g)
+    if a.ndim == 3 and b.ndim == 2:
+        # one GEMM over the stacked rows; b's gradient sums over the batch
+        flat = a.data.reshape(-1, a.shape[-1])
+
+        def vjp(g):
+            g2 = g.reshape(flat.shape[0], -1)
+            return ((g2 @ b.data.T).reshape(a.shape), flat.T @ g2)
+
+        return _from_op("matmul", (flat @ b.data).reshape(*a.shape[:-1], b.shape[1]), (a, b), vjp)
+    vjp = lambda g: (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g)
     return _from_op("matmul", a.data @ b.data, (a, b), vjp)
 
 
@@ -361,43 +372,54 @@ def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def _transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected rank-2 input, got {a.shape}")
-    return _from_op("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
+    """Swap the last two axes of a matrix or a batch of matrices."""
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"transpose: expected rank-2 or rank-3 input, got {a.shape}")
+    out = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
+    return _from_op("transpose", out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
+def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1, bags: int = 1) -> Tensor:
     """Temporal cross-correlation with holes, zero-padded to preserve length.
 
-    x is (T, c_in), w is (k, c_in, c_out) with k odd; output is (T, c_out).
+    x is (bags * T, c_in): ``bags`` bags of T snippets stacked along the rows,
+    each zero-padded on its own so that no tap reaches into a neighbouring
+    bag. w is (k, c_in, c_out) with k odd; the output is (bags * T, c_out).
+    The forward and both vector-Jacobian products are one GEMM each over the
+    im2col matrix, whose row for snippet t holds the k taps' input rows.
     """
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d_dilated: expected (T,c_in) and (k,c_in,c_out), got {x.shape}, {w.shape}")
-    k, c_in, _ = w.shape
+    k, c_in, c_out = w.shape
     if k % 2 == 0:
         raise ShapeError(f"conv1d_dilated: kernel size must be odd, got {k}")
     if dilation < 1:
         raise ValueError(f"conv1d_dilated: dilation must be >= 1, got {dilation}")
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d_dilated: channel mismatch, x has {x.shape[1]}, w expects {c_in}")
+    if bags < 1 or x.shape[0] % bags != 0:
+        raise ShapeError(f"conv1d_dilated: {x.shape[0]} rows do not split into {bags} equal bags")
 
-    t_len = x.shape[0]
+    rows = x.shape[0]
+    t_len = rows // bags
     pad = (k - 1) // 2 * dilation
-    xpad = np.zeros((t_len + 2 * pad, c_in), dtype=x.data.dtype)
-    xpad[pad : pad + t_len] = x.data
-    # windows[j] is the input slice seen by tap j: shape (k, T, c_in)
-    windows = np.stack([xpad[j * dilation : j * dilation + t_len] for j in range(k)])
-    out = np.einsum("jti,jio->to", windows, w.data)
+    xpad = np.zeros((bags, t_len + 2 * pad, c_in), dtype=x.data.dtype)
+    xpad[:, pad : pad + t_len] = x.data.reshape(bags, t_len, c_in)
+    # cols[b, t, j] is xpad[b, t + j * dilation], the row that tap j reads
+    sb, st, sc = xpad.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xpad, (bags, t_len, k, c_in), (sb, st, dilation * st, sc), writeable=False
+    ).reshape(rows, k * c_in)
+    w2 = w.data.reshape(k * c_in, c_out)
 
     def vjp(g):
-        gw = np.einsum("jti,to->jio", windows, g)
-        gwin = np.einsum("to,jio->jti", g, w.data)
+        gcols = (g @ w2.T).reshape(bags, t_len, k, c_in)
         gpad = np.zeros_like(xpad)
         for j in range(k):
-            gpad[j * dilation : j * dilation + t_len] += gwin[j]
-        return (gpad[pad : pad + t_len], gw)
+            gpad[:, j * dilation : j * dilation + t_len] += gcols[:, :, j]
+        return (gpad[:, pad : pad + t_len].reshape(rows, c_in), (cols.T @ g).reshape(k, c_in, c_out))
 
-    return _from_op("conv1d_dilated", out, (x, w), vjp)
+    return _from_op("conv1d_dilated", cols @ w2, (x, w), vjp)
 
 
 def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .attention import TsaConfig
-from .evaluate import evaluate_manifest, write_frame_csv
-from .features import load_manifest
+from .evaluate import evaluate_manifest, evaluate_records, write_frame_csv
+from .features import load_manifest, load_records
 from .model import load_checkpoint, save_checkpoint
 from .synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, generate_synthetic, load_ground_truth
 from .trainer import TrainConfig, train
@@ -106,10 +106,13 @@ def _cmd_train(args) -> int:
 
     val_fn = None
     if args.val_manifest:
+        # loaded once; every validation scores the same records
         val_path = Path(args.val_manifest)
+        val_records = load_records(load_manifest(val_path), val_path.parent)
+        val_truth = load_ground_truth(val_path.parent / GROUND_TRUTH_FILENAME)
 
         def val_fn(model):
-            report, _, _ = _eval_model(model, val_path, args.seed)
+            report, _, _ = evaluate_records(val_records, model, val_truth, eval_seed=args.seed)
             return report.auc_roc
 
     manifest = load_manifest(Path(args.manifest))

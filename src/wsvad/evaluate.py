@@ -149,7 +149,10 @@ def video_frame_labels(
         intervals = ground_truth.get(v.video_id, [])
         if v.label == 1 and not intervals:
             raise ValueError(f"abnormal video '{v.video_id}' has no ground-truth intervals")
-        masks.append(frame_labels(v.frame_count, intervals))
+        try:
+            masks.append(frame_labels(v.frame_count, intervals))
+        except ValueError as exc:
+            raise ValueError(f"video '{v.video_id}': {exc}") from None
     return masks
 
 
@@ -160,12 +163,25 @@ def evaluate_manifest(
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], np.ndarray]:
-    """Score every video in manifest order and compute frame-level metrics.
+    """Load and score every video in manifest order and compute frame-level
+    metrics.
 
     Returns the report, all timelines, and the concatenated frame labels.
     """
     started = time.perf_counter()
-    records = load_records(manifest, base_dir)
+    result = evaluate_records(load_records(manifest, base_dir), model, ground_truth, eval_seed)
+    result[0].wall_clock_sec = time.perf_counter() - started
+    return result
+
+
+def evaluate_records(
+    records: list[VideoRecord],
+    model: Model,
+    ground_truth: dict[str, list[tuple[int, int]]],
+    eval_seed: int = 0,
+) -> tuple[EvalReport, list[ScoreTimeline], np.ndarray]:
+    """``evaluate_manifest`` over records already loaded."""
+    started = time.perf_counter()
     all_labels = video_frame_labels(records, ground_truth)
     timelines: list[ScoreTimeline] = []
     all_scores, all_binary = [], []

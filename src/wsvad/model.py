@@ -26,6 +26,7 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_ESTIMATOR = "perturbed"
 
 CLASSIFIER_HIDDEN = (128, 32)
+CONV_KERNEL = 3
 CLASSIFIER_DROPOUT = 0.7
 
 
@@ -57,7 +58,7 @@ def init_model(
     return Model(
         d=d,
         scorer=make_scorer(d, np.random.default_rng(scorer_seq), scorer_hidden),
-        conv=conv_module_init(d, np.random.default_rng(conv_seq)),
+        conv=conv_module_init(d, np.random.default_rng(conv_seq), CONV_KERNEL),
         classifier=mlp_init(
             (d, *CLASSIFIER_HIDDEN, 1), np.random.default_rng(clf_seq), CLASSIFIER_DROPOUT
         ),
@@ -122,11 +123,40 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(data.tobytes())
 
 
-def _model_from_header(header: dict, path) -> Model:
-    if tuple(header["classifier_hidden"]) != CLASSIFIER_HIDDEN:
+def _int_list(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(v) is int and v > 0 for v in value):
+        raise ValueError(f"{what} must be a list of positive integers, got {value!r}")
+    return tuple(value)
+
+
+def param_shapes(d: int, scorer_hidden: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+    """The shape of every named parameter of ``init_model(d, ...)``, computed
+    without allocating it."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, dims in (("scorer", (d, *scorer_hidden, 1)), ("classifier", (d, *CLASSIFIER_HIDDEN, 1))):
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes[f"{prefix}.{i}.w"] = (fan_in, fan_out)
+            shapes[f"{prefix}.{i}.b"] = (fan_out,)
+    c = d // 4
+    for i in range(3):
+        shapes[f"conv.conv{i}.w"] = (CONV_KERNEL, d, c)
+        shapes[f"conv.conv{i}.b"] = (c,)
+    for name in ("theta", "phi", "g"):
+        shapes[f"conv.attn.{name}"] = (d, c)
+    return shapes
+
+
+def _init_args(header: dict, path) -> dict:
+    """Validate a checkpoint header; returns ``init_model``'s keyword arguments."""
+    if _int_list(header["classifier_hidden"], "classifier_hidden") != CLASSIFIER_HIDDEN:
         raise FormatError(
             f"{path}: unsupported classifier layout {header['classifier_hidden']}"
         )
+    if header["conv_kernel"] != CONV_KERNEL:
+        raise FormatError(f"{path}: unsupported conv kernel {header['conv_kernel']!r}")
+    d = header["d"]
+    if type(d) is not int or d < 4 or d % 4 != 0:
+        raise FormatError(f"{path}: feature width d must be a positive multiple of 4, got {d!r}")
     tsa_fields = dict(header["tsa"])
     estimator = tsa_fields.pop("estimator", CHECKPOINT_ESTIMATOR)
     if estimator != CHECKPOINT_ESTIMATOR:
@@ -134,18 +164,51 @@ def _model_from_header(header: dict, path) -> Model:
     expected = sorted(f.name for f in fields(TsaConfig))
     if sorted(tsa_fields) != expected:
         raise FormatError(f"{path}: attention header fields {sorted(tsa_fields)}, expected {expected}")
-    model = init_model(
-        d=int(header["d"]),
+    return dict(
+        d=d,
         tsa=TsaConfig(**tsa_fields),
-        seed_seq=np.random.SeedSequence(0),
         tsa_enabled=bool(header["tsa_enabled"]),
-        scorer_hidden=tuple(header["scorer_hidden"]),
+        scorer_hidden=_int_list(header["scorer_hidden"], "scorer_hidden"),
     )
-    model.classifier.dropout_p = float(header["classifier_dropout"])
-    return model
+
+
+def _read_tensors(view: memoryview, off: int, shapes: dict[str, tuple[int, ...]], path) -> dict[str, np.ndarray]:
+    """Read the tensor table at ``off``; each tensor's name and shape are
+    checked against ``shapes`` before its payload is copied."""
+    (count,) = struct.unpack_from("<I", view, off)
+    off += 4
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", view, off)
+        off += 4
+        name = bytes(view[off : off + name_len]).decode("utf-8")
+        off += name_len
+        (ndim,) = struct.unpack_from("<I", view, off)
+        off += 4
+        shape = struct.unpack_from(f"<{ndim}I", view, off)
+        off += 4 * ndim
+        if name not in shapes or name in tensors:
+            raise FormatError(f"{path}: unexpected or repeated tensor '{name}'")
+        if shape != shapes[name]:
+            raise FormatError(f"{path}: tensor '{name}' has shape {shape}, expected {shapes[name]}")
+        size = int(np.prod(shape, dtype=np.int64))
+        arr = np.frombuffer(view, dtype="<f4", count=size, offset=off).reshape(shape).astype(np.float32)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: tensor '{name}' holds NaN or Inf")
+        tensors[name] = arr
+        off += 4 * size
+    if off != len(view):
+        raise FormatError(f"{path}: {len(view) - off} trailing bytes after the last tensor")
+    missing = sorted(set(shapes) - set(tensors))
+    if missing:
+        raise FormatError(f"{path}: parameter set mismatch, missing {missing[:4]}")
+    return tensors
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint. The header fixes every tensor's shape, and each
+    tensor is checked against it before the model is built, so a file can
+    only cost memory in proportion to its own size."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -154,47 +217,26 @@ def load_checkpoint(path) -> Model:
     version, header_len = struct.unpack_from("<II", view, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
     try:
-        header = json.loads(bytes(view[off : off + header_len]).decode("utf-8"))
-        off += header_len
-        (count,) = struct.unpack_from("<I", view, off)
-        off += 4
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", view, off)
-            off += 4
-            name = bytes(view[off : off + name_len]).decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<I", view, off)
-            off += 4
-            shape = struct.unpack_from(f"<{ndim}I", view, off)
-            off += 4 * ndim
-            size = int(np.prod(shape, dtype=np.int64)) * 4
-            arr = np.frombuffer(view, dtype="<f4", count=int(np.prod(shape, dtype=np.int64)), offset=off)
-            tensors[name] = arr.reshape(shape).astype(np.float32)
-            off += size
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-    if off != len(view):
-        raise FormatError(f"{path}: {len(view) - off} trailing bytes after the last tensor")
-
+        header = json.loads(bytes(view[12 : 12 + header_len]).decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: truncated or corrupt checkpoint header ({exc})") from exc
     try:
-        model = _model_from_header(header, path)
+        init_args = _init_args(header, path)
+        dropout = float(header["classifier_dropout"])
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed header field ({exc!r})") from exc
-    params = model.named_params()
-    if set(params) != set(tensors):
-        missing = set(params) ^ set(tensors)
-        raise FormatError(f"{path}: parameter set mismatch ({sorted(missing)[:4]}...)")
-    for name, p in params.items():
-        if p.data.shape != tensors[name].shape:
-            raise FormatError(
-                f"{path}: tensor '{name}' has shape {tensors[name].shape}, expected {p.data.shape}"
-            )
-        if not np.all(np.isfinite(tensors[name])):
-            raise FormatError(f"{path}: tensor '{name}' holds NaN or Inf")
+    try:
+        tensors = _read_tensors(view, 12 + header_len, param_shapes(init_args["d"], init_args["scorer_hidden"]), path)
+    except FormatError:
+        raise
+    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    # every shape now matches the file, so this allocates no more than it holds
+    model = init_model(seed_seq=np.random.SeedSequence(0), **init_args)
+    model.classifier.dropout_p = dropout
+    for name, p in model.named_params().items():
         p.data = tensors[name]
     return model

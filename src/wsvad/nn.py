@@ -116,16 +116,25 @@ def conv_module_init(d: int, rng: np.random.Generator, kernel: int = 3) -> ConvM
     return ConvModule(conv_w, conv_b, w_theta, w_phi, w_g, kernel=kernel)
 
 
-def conv_module_forward(mod: ConvModule, x: Tensor) -> Tensor:
-    """Apply the context block to one bag of features, (T, d) -> (T, d)."""
+def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1) -> Tensor:
+    """Apply the context block to ``bags`` bags of T snippets stacked along
+    the rows, (bags * T, d) -> (bags * T, d).
+
+    Bags do not see each other: every conv pads each bag on its own, and the
+    attention branch is a batched (bags, T, T) product.
+    """
     if x.ndim != 2 or x.shape[1] != mod.width:
         raise ag.ShapeError(f"conv module expects (T, {mod.width}), got {x.shape}")
+    rows = x.shape[0]
+    # conv1d_dilated checks that the rows split into equal bags
     branches = [
-        ag.conv1d_dilated(x, w, dil) + b
+        ag.conv1d_dilated(x, w, dil, bags) + b
         for w, b, dil in zip(mod.conv_w, mod.conv_b, mod.dilations)
     ]
-    theta = ag.matmul(x, mod.w_theta)
-    phi = ag.matmul(x, mod.w_phi)
+    x3 = x.reshape(bags, rows // bags, mod.width)
+    theta = ag.matmul(x3, mod.w_theta)
+    phi = ag.matmul(x3, mod.w_phi)
     attn = ag.softmax(ag.matmul(theta, phi.T), axis=-1)
-    branches.append(ag.matmul(attn, ag.matmul(x, mod.w_g)))
+    context = ag.matmul(attn, ag.matmul(x3, mod.w_g))
+    branches.append(context.reshape(rows, context.shape[2]))
     return ag.concat(branches, axis=1) + x

@@ -18,6 +18,7 @@ import numpy as np
 from .features import (
     MANIFEST_VERSION,
     DatasetManifest,
+    FormatError,
     ManifestEntry,
     save_features,
     save_manifest,
@@ -151,10 +152,28 @@ def _write_video(
 
 
 def load_ground_truth(path: str | Path) -> dict[str, list[tuple[int, int]]]:
-    """Read the per-video [start, end) abnormal frame intervals."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return {vid: [(int(a), int(b)) for a, b in spans] for vid, spans in doc.items()}
+    """Read the per-video [start, end) abnormal frame intervals.
+
+    The file is a JSON object mapping each video id to a list of
+    [start, end] integer pairs; anything else raises FormatError naming the
+    file and, where there is one, the video.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected an object mapping video ids to intervals")
+    out: dict[str, list[tuple[int, int]]] = {}
+    for vid, spans in doc.items():
+        if not isinstance(spans, list) or not all(
+            isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)
+            for span in spans
+        ):
+            raise FormatError(f"{path}: video '{vid}' needs a list of [start, end] integer pairs, got {spans!r}")
+        out[vid] = [(a, b) for a, b in spans]
+    return out
 
 
 def harder_config(cfg: SyntheticConfig | None = None) -> SyntheticConfig:

@@ -169,27 +169,27 @@ def _batch_forward(
 ) -> tuple[list[Tensor], list[Tensor]]:
     """Train-mode forward over a whole batch.
 
-    The scorer and classifier are row-wise, so they run once on the stacked
-    bags; attention nomination and the context module stay per-bag.
+    The scorer, the context module and the classifier each run once on the
+    stacked (2B * T, d) bags; attention nomination stays per bag. Returns
+    each bag's context features and snippet scores for the per-bag loss.
     """
     n = len(batch.bags)
     t_len = batch.bags[0].shape[0]
     rows = [np.arange(i * t_len, (i + 1) * t_len) for i in range(n)]
+    stacked = Tensor(np.concatenate([bag.data for bag in batch.bags], axis=0))
 
     if model.tsa_enabled:
-        stacked = Tensor(np.concatenate([bag.data for bag in batch.bags], axis=0))
         omega_all = mlp_forward(model.scorer, stacked)
         fused = [
             tsa_fuse(bag, ag.gather_rows(omega_all, rows[i]), model.tsa, noise_rng)[0]
             for i, bag in enumerate(batch.bags)
         ]
-    else:
-        fused = list(batch.bags)
+        stacked = ag.concat(fused, axis=0)
 
-    ctx_feats = [conv_module_forward(model.conv, h) for h in fused]
-    ctx_all = ag.concat(ctx_feats, axis=0) if n > 1 else ctx_feats[0]
+    ctx_all = conv_module_forward(model.conv, stacked, n)
     u_all = mlp_forward(model.classifier, ctx_all, train=True, rng=drop_rng)
-    scores = [ag.gather_rows(u_all, rows[i]) for i in range(n)]
+    ctx_feats = [ag.gather_rows(ctx_all, r) for r in rows]
+    scores = [ag.gather_rows(u_all, r) for r in rows]
     return ctx_feats, scores
 
 
@@ -226,17 +226,20 @@ def train(
     opt = Adam(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     log: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        batch = build_batch(records, cfg.batch_bags, cfg.t_len, batch_rng)
-        ctx_feats, scores = _batch_forward(model, batch, noise_rng, drop_rng)
-        loss = dmt_loss(ctx_feats, scores, batch.labels, cfg)
-        loss_val = loss.item()
-        ag.backward(loss)
-        opt.step()
-        opt.zero_grad()
+        try:
+            batch = build_batch(records, cfg.batch_bags, cfg.t_len, batch_rng)
+            ctx_feats, scores = _batch_forward(model, batch, noise_rng, drop_rng)
+            loss = dmt_loss(ctx_feats, scores, batch.labels, cfg)
+            loss_val = loss.item()
+            ag.backward(loss)
+            opt.step()
+            opt.zero_grad()
 
-        row = {"epoch": epoch, "loss": loss_val}
-        if val_fn is not None and val_every > 0 and epoch % val_every == 0:
-            row["val_auc"] = float(val_fn(model))
+            row = {"epoch": epoch, "loss": loss_val}
+            if val_fn is not None and val_every > 0 and epoch % val_every == 0:
+                row["val_auc"] = float(val_fn(model))
+        except ag.NumericsError as exc:
+            raise ag.NumericsError(f"epoch {epoch}: {exc}") from exc
         log.append(row)
     return TrainResult(model=model, log=log)
 

@@ -101,6 +101,78 @@ class TestConv1dDilated:
                 [x, w],
             )
 
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("bags", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    def test_stacked_bags_match_reference_per_bag(self, dilation, bags, t_len):
+        # at dilation 4 a bag of 1 or 2 snippets is shorter than the padding,
+        # so any tap that crossed a bag boundary would pick up a neighbour
+        rng = np.random.default_rng(dilation * 100 + bags * 10 + t_len)
+        x = rng.normal(size=(bags * t_len, 3))
+        w = rng.normal(size=(3, 3, 2))
+        with ag.using_dtype(np.float64):
+            got = conv1d_dilated(Tensor(x), Tensor(w), dilation, bags).data
+        want = np.concatenate(
+            [ref_conv1d_dilated(x[b * t_len : (b + 1) * t_len], w, dilation) for b in range(bags)]
+        )
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dilation,t_len", [(1, 3), (2, 3), (4, 2), (4, 1)])
+    def test_stacked_grad_matches_finite_differences(self, dilation, t_len):
+        rng = np.random.default_rng(40 + dilation + t_len)
+        bags = 3
+        x = rng.normal(size=(bags * t_len, 2))
+        w = rng.normal(size=(3, 2, 3))
+        check_grads(
+            lambda tx, tw: l2_norm(conv1d_dilated(tx, tw, dilation, bags)),
+            lambda xx, xw: float(np.linalg.norm(np.concatenate(
+                [ref_conv1d_dilated(xx[b * t_len : (b + 1) * t_len], xw, dilation) for b in range(bags)]
+            ))),
+            [x, w],
+        )
+
+    def test_rows_must_split_into_bags(self):
+        with pytest.raises(ShapeError, match="bags"):
+            conv1d_dilated(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 1, 1))), 1, 2)
+
+
+class TestBatchedMatrixOps:
+    def test_batched_matmul_matches_per_matrix_products(self):
+        rng = np.random.default_rng(11)
+        a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2))
+        with ag.using_dtype(np.float64):
+            np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, [a[i] @ b[i] for i in range(3)], atol=1e-12)
+            np.testing.assert_allclose(matmul(Tensor(a), Tensor(w)).data, [a[i] @ w for i in range(3)], atol=1e-12)
+
+    def test_batched_matmul_grads(self):
+        rng = np.random.default_rng(12)
+        a, b, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3)), rng.normal(size=(4, 2))
+        check_grads(
+            lambda ta, tb: l2_norm(matmul(ta, tb)),
+            lambda xa, xb: float(np.linalg.norm(xa @ xb)),
+            [a, b],
+        )
+        check_grads(
+            lambda ta, tw: l2_norm(matmul(ta, tw)),
+            lambda xa, xw: float(np.linalg.norm(xa @ xw)),
+            [a, w],
+        )
+
+    def test_batched_transpose_grad(self):
+        rng = np.random.default_rng(13)
+        a, c = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))
+        check_grads(
+            lambda ta, tc: l2_norm(ta.T * tc),
+            lambda xa, xc: float(np.linalg.norm(np.swapaxes(xa, 1, 2) * xc)),
+            [a, c],
+        )
+
+    def test_batch_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 1))))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 1))))
+
 
 class TestElementwise:
     def test_sigmoid_symmetry_point(self):

@@ -1,18 +1,48 @@
 """The benchmark's tracer wraps module-level library names by their string
-names; a refactor that drops or renames one must fail here, not only under
+names; a refactor that drops or renames one, or that changes what the traced
+benchmark checks count, must fail here, not only under
 ``benchmarks/run.py --trace 1``."""
 
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+import pytest
+
+from wsvad import trainer
+from wsvad.attention import TsaConfig
+from wsvad.synthetic import SyntheticConfig, generate_synthetic
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def test_tracer_wraps_and_restores_every_library_name():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCHMARKS / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_every_library_name(spans):
     tracer = spans.Tracer()
     with tracer:
         assert tracer._originals
     assert tracer.restored()
+
+
+def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
+    d, t_len, b = 8, 4, 2
+    manifest, _ = generate_synthetic(
+        SyntheticConfig(n_normal=3, n_abnormal=3, d=d, snippet_len=4, frame_range=(40, 80), seed=3), tmp_path
+    )
+    cfg = trainer.TrainConfig(t_len=t_len, batch_bags=b, epochs=1, tsa=TsaConfig(num_samples=8), seed=1)
+    with spans.Tracer() as tracer:
+        trainer.train(manifest, tmp_path / "train", cfg)
+    assert tracer.restored()
+    # the benchmark's exact check: 2B bags of T rows through 3 branches,
+    # kernel 3, d -> d/4
+    assert tracer.counts[("train", "autograd.conv1d_flop")] == 2 * b * t_len * 3 * 2 * 3 * d * (d // 4)
+    calls = spans.call_counts(tracer.spans, "train")
+    assert calls["nn.conv_module"] == 1
+    assert calls["autograd.conv1d_dilated"] == 3
+    assert len(tracer.epoch_nodes) == 1

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsvad import cli
+from wsvad import cli, evaluate
 from wsvad.attention import TsaConfig
 from wsvad.cli import main
+from wsvad.features import load_manifest
 from wsvad.model import init_model, save_checkpoint
+from wsvad.trainer import train
 
 GEN_FLAGS = [
     "--d", "8", "--delta", "4", "--n-normal", "6", "--n-abnormal", "6",
@@ -166,6 +168,56 @@ class TestEvalGroundTruth:
         code = self._eval(dataset, untrained_checkpoint, tmp_path / "ev", "--ground-truth", str(gt_path))
         assert code == 1
         assert f"'{vid}'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("intervals", [5, [[1, 2, 3]], [[0, 100000]]])
+    def test_malformed_ground_truth_exits_one_naming_the_video(
+        self, dataset, untrained_checkpoint, tmp_path, capsys, intervals
+    ):
+        gt = json.loads((dataset / "test" / "ground_truth.json").read_text())
+        vid = sorted(gt)[0]
+        gt[vid] = intervals
+        gt_path = tmp_path / "gt.json"
+        gt_path.write_text(json.dumps(gt))
+        code = self._eval(dataset, untrained_checkpoint, tmp_path / "ev", "--ground-truth", str(gt_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"video '{vid}'" in err
+        if intervals != [[0, 100000]]:
+            assert "gt.json" in err
+
+
+class TestValidation:
+    def test_validation_split_loaded_once(self, dataset, tmp_path, monkeypatch):
+        """Each validation scores records loaded once up front; the logged
+        AUCs equal a fresh evaluation of the model at that epoch."""
+        test_dir = dataset / "test"
+        args = cli.build_parser().parse_args([
+            "train", "--manifest", str(dataset / "train" / "manifest.json"),
+            "--out", str(tmp_path / "x"), "--seed", "1", *FAST_TRAIN, "--epochs", "5",
+        ])
+        expected = train(
+            load_manifest(dataset / "train" / "manifest.json"), dataset / "train", cli._train_config(args),
+            val_fn=lambda model: cli._eval_model(model, test_dir / "manifest.json", 1)[0].auc_roc,
+            val_every=1,
+        )
+
+        loads = []
+        for module in (cli, evaluate):
+            real = module.load_records
+            monkeypatch.setattr(
+                module, "load_records", lambda m, base, real=real: loads.append(Path(base)) or real(m, base)
+            )
+        out = tmp_path / "run"
+        code = main([
+            "train", "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out),
+            "--seed", "1", *FAST_TRAIN, "--epochs", "5",
+            "--val-manifest", str(test_dir / "manifest.json"), "--val-every", "1",
+        ])
+        assert code == 0
+        assert loads == [test_dir]
+        rows = (out / "train_log.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [repr(r["val_auc"]) for r in expected.log]
 
 
 class TestSweepAndAblate:

@@ -212,6 +212,13 @@ class TestEvaluateManifest:
         with pytest.raises(ValueError, match=f"abnormal video '{vid}'"):
             evaluate_manifest(test_m, tmp / "test", fresh_model(), bad)
 
+    def test_out_of_range_interval_names_the_video(self, small_dataset):
+        tmp, test_m, gt = small_dataset
+        video = test_m.videos[0]
+        bad = {**gt, video.video_id: [(0, video.frame_count + 1)]}
+        with pytest.raises(ValueError, match=f"video '{video.video_id}': interval"):
+            evaluate_manifest(test_m, tmp / "test", fresh_model(), bad)
+
     def test_unknown_ground_truth_id_rejected(self, small_dataset, tmp_path):
         tmp, test_m, gt = small_dataset
         bad = {**gt, "ghost_0001": [(0, 4)]}

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from wsvad.attention import TsaConfig
 from wsvad.autograd import Tensor, no_grad
 from wsvad.features import FormatError
-from wsvad.model import init_model, load_checkpoint, save_checkpoint, score_bag
+from wsvad.model import init_model, load_checkpoint, param_shapes, save_checkpoint, score_bag
 
 
 def small_model(seed=0, **tsa_kw):
@@ -152,6 +153,45 @@ class TestCheckpoint:
         assert read_header(path)["tsa"]["estimator"] == "perturbed"
         rewrite_header(path, lambda h: edited(h, "tsa", "estimator"))
         assert load_checkpoint(path).tsa == model.tsa
+
+
+    @pytest.mark.parametrize("d,hidden", [(8, (12, 6)), (16, (5,)), (4, ())])
+    def test_param_shapes_match_init_model(self, d, hidden):
+        model = init_model(d, TsaConfig(), np.random.SeedSequence(0), scorer_hidden=hidden)
+        want = {name: p.data.shape for name, p in model.named_params().items()}
+        assert param_shapes(d, hidden) == want
+
+    def test_header_claiming_a_large_width_allocates_nothing_first(self, tmp_path):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, lambda h: edited(h, "d", value=1024))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="shape"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a d=1024 model would take 15 MB; the file itself is a few kB
+        assert peak < 256 * 1024, peak
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: edited(h, "d", value=6),
+            lambda h: edited(h, "d", value=0),
+            lambda h: edited(h, "conv_kernel", value=5),
+            lambda h: edited(h, "conv_kernel"),
+            lambda h: edited(h, "scorer_hidden", value=[12, -6]),
+        ],
+        ids=["d-not-multiple-of-4", "d-zero", "other-kernel", "no-kernel", "negative-hidden"],
+    )
+    def test_header_layout_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
 
 class TestScoreBag:

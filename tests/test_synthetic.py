@@ -1,12 +1,13 @@
 """Synthetic dataset generator: determinism, planted masks, validation."""
 
 import filecmp
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsvad.features import load_manifest, load_records
+from wsvad.features import FormatError, load_manifest, load_records
 from wsvad.synthetic import (
     SyntheticConfig,
     generate_synthetic,
@@ -134,3 +135,35 @@ class TestValidation:
         hard = harder_config(base)
         assert hard.anomaly_shift < base.anomaly_shift
         assert hard.n_normal < base.n_normal
+
+
+class TestLoadGroundTruth:
+    @pytest.mark.parametrize(
+        "doc,vid",
+        [
+            ({"v": 5}, "v"),
+            ({"v": [[1, 2, 3]]}, "v"),
+            ({"ok": [[0, 4]], "v": [[1]]}, "v"),
+            ({"v": [[0, "4"]]}, "v"),
+            ({"v": [[0.5, 4]]}, "v"),
+            ({"v": [5, 6]}, "v"),
+            ({"v": None}, "v"),
+        ],
+    )
+    def test_malformed_intervals_name_file_and_video(self, tmp_path, doc, vid):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"gt.json: video '{vid}'"):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("text", ["[[0, 4]]", "{", "7"])
+    def test_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "gt.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="gt.json"):
+            load_ground_truth(path)
+
+    def test_well_formed_file_round_trips(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text('{"a": [[0, 4], [8, 12]], "b": []}')
+        assert load_ground_truth(path) == {"a": [(0, 4), (8, 12)], "b": []}

@@ -223,6 +223,25 @@ class TestConvModule:
             permuted = [conv_module_forward(mod, bags[i]).data for i in perm]
             for j, i in enumerate(perm):
                 np.testing.assert_array_equal(permuted[j], outs[i])
+        # the same bags stacked and run as one batch
+        stacked = conv_module_forward(mod, ag.concat(bags, axis=0), len(bags)).data
+        np.testing.assert_allclose(stacked, np.concatenate(outs), rtol=1e-6, atol=1e-6)
+
+    def test_stacked_batch_grad_matches_per_bag(self):
+        rng = np.random.default_rng(6)
+        arrays = [rng.normal(size=(2, 8)) for _ in range(3)]
+        with ag.using_dtype(np.float64):
+            mod = conv_module_init(8, np.random.default_rng(7))
+            bags = [Tensor(a, requires_grad=True) for a in arrays]
+            per_bag = [conv_module_forward(mod, b) for b in bags]
+            ag.backward(ag.l2_norm(ag.concat(per_bag, axis=0)))
+            want = [b.grad.copy() for b in bags] + [p.grad.copy() for p in mod.named_params("m").values()]
+            ag.zero_grad(mod.named_params("m").values())
+            x = Tensor(np.concatenate(arrays), requires_grad=True)
+            ag.backward(ag.l2_norm(conv_module_forward(mod, x, 3)))
+            got = list(np.split(x.grad, 3)) + [p.grad for p in mod.named_params("m").values()]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, atol=1e-12)
 
     def test_gradcheck_against_engine_fd(self):
         rng = np.random.default_rng(4)
@@ -261,6 +280,21 @@ class TestTrainLoop:
         want = reference.named_params()
         for name in want:
             np.testing.assert_array_equal(got[name].data, want[name].data)
+
+    def test_numerics_error_names_the_epoch(self, tmp_path):
+        _, manifest = make_records(tmp_path)
+        cfg = TrainConfig(t_len=8, batch_bags=2, epochs=5, seed=3)
+
+        def poison_after_epoch_two(model):
+            # val_fn runs at the end of each epoch; a NaN weight breaks the next forward
+            calls.append(1)
+            if len(calls) == 2:
+                model.classifier.weights[0].data[0, 0] = np.nan
+            return 0.0
+
+        calls = []
+        with pytest.raises(ag.NumericsError, match=r"^epoch 3: non-finite values"):
+            train(manifest, tmp_path / "train", cfg, val_fn=poison_after_epoch_two, val_every=1)
 
     def test_loss_decreases(self, tmp_path):
         _, manifest = make_records(tmp_path, n_normal=20, n_abnormal=20)
