@@ -57,57 +57,60 @@ def kappa_from_ratio(t_len: int, ratio: float) -> int:
 @dataclass
 class SoftSelection:
     """Per-snippet inclusion probabilities of a perturbed top-k, plus the
-    saved draws needed to differentiate through it."""
+    saved draws needed to differentiate through it.
 
-    inclusion: np.ndarray  # (T,) fraction of samples selecting each snippet, exact at kappa == T
-    indices: np.ndarray  # (M, kappa) per-sample selected indices, rank order
-    noise: np.ndarray  # (M, T) standard-normal draws
+    A selection over several bags carries a leading bag axis on every array
+    (written ``...`` below); a one-bag selection has none.
+    """
+
+    inclusion: np.ndarray  # (..., T) fraction of samples selecting each snippet, exact at kappa == T
+    indices: np.ndarray  # (..., M, kappa) per-sample selected indices, rank order
+    noise: np.ndarray  # (..., M, T) standard-normal draws
     sigma: float
 
     @property
     def num_samples(self) -> int:
-        return self.indices.shape[0]
+        return self.indices.shape[-2]
 
     @property
     def kappa(self) -> int:
-        return self.indices.shape[1]
+        return self.indices.shape[-1]
 
     @property
     def t_len(self) -> int:
-        return self.noise.shape[1]
+        return self.noise.shape[-1]
 
     @property
     def vhat(self) -> np.ndarray:
-        """Row-stochastic (kappa, T) average of the per-rank one-hot selections."""
-        v = np.zeros((self.kappa, self.t_len), dtype=np.float64)
-        np.add.at(v, (np.arange(self.kappa)[None, :], self.indices), 1.0)
-        return v / self.num_samples
+        """Row-stochastic (..., kappa, T) average of the per-rank one-hot selections."""
+        return (self.indices[..., None] == np.arange(self.t_len)).sum(axis=-3) / self.num_samples
 
     def sample_inclusion(self) -> np.ndarray:
-        """Per-sample 0/1 inclusion indicators, shape (M, T)."""
-        v = np.zeros((self.num_samples, self.t_len), dtype=np.float64)
-        np.put_along_axis(v, self.indices, 1.0, axis=1)
+        """Per-sample 0/1 inclusion indicators, shape (..., M, T)."""
+        v = np.zeros(self.noise.shape, dtype=np.float64)
+        np.put_along_axis(v, self.indices, 1.0, axis=-1)
         return v
 
     def inclusion_jacobian(self) -> np.ndarray:
-        """Estimated d(inclusion)/d(scores), shape (T, T)."""
+        """Estimated d(inclusion)/d(scores), shape (..., T, T)."""
         if self.sigma == 0.0:
             raise ValueError("inclusion_jacobian undefined for unperturbed selection")
         v = self.sample_inclusion()
-        return (v.T @ self.noise) / (self.num_samples * self.sigma)
+        return (np.swapaxes(v, -1, -2) @ self.noise) / (self.num_samples * self.sigma)
 
     def grad_scores(self, grad_incl: np.ndarray) -> np.ndarray:
-        """Backpropagate a (T,) gradient on the inclusion to the score vector.
+        """Backpropagate a (..., T) gradient on the inclusion to the scores.
 
         Selecting everything makes the selection constant, so the gradient is
         exactly zero there.
         """
         if self.kappa == self.t_len:
-            return np.zeros(self.t_len, dtype=np.float64)
+            return np.zeros(self.inclusion.shape, dtype=np.float64)
         if self.sigma == 0.0:
             raise ValueError("grad_scores undefined for unperturbed selection")
-        c = grad_incl[self.indices].sum(axis=1)  # (M,) summed in rank order
-        return (self.noise.T @ c) / (self.num_samples * self.sigma)
+        # c[..., m]: the gradient summed over the snippets sample m selected, in rank order
+        c = np.take_along_axis(grad_incl[..., None, :], self.indices, axis=-1).sum(axis=-1)
+        return (c[..., None, :] @ self.noise)[..., 0, :] / (self.num_samples * self.sigma)
 
 
 def topk_score(
@@ -118,6 +121,7 @@ def topk_score(
     rng: np.random.Generator | None = None,
     *,
     noise: np.ndarray | None = None,
+    bags: int | None = None,
 ) -> SoftSelection:
     """Perturbed top-k nominator.
 
@@ -125,9 +129,17 @@ def topk_score(
     scale ``sigma``, takes each sample's top-``kappa`` indices by descending
     perturbed score (ties to the lower index) and counts how often each
     snippet was selected.
+
+    ``omega`` holds one bag's T scores in any shape, or with ``bags`` given,
+    ``bags`` bags of T scores one after another; the selection's arrays then
+    carry a leading bag axis, and the noise is drawn as one (bags, M, T)
+    array, the same stream as ``bags`` one-bag draws in order.
     """
-    w = np.asarray(omega, dtype=np.float64).reshape(-1)
-    t_len = w.size
+    w = np.asarray(omega, dtype=np.float64)
+    if bags is not None and (bags < 1 or w.size % bags != 0):
+        raise ValueError(f"{w.size} scores do not split into {bags} equal bags")
+    w = w.reshape(-1) if bags is None else w.reshape(bags, -1)
+    t_len = w.shape[-1]
     if t_len < 1:
         raise ValueError("empty score vector")
     if not 1 <= kappa <= t_len:
@@ -137,22 +149,23 @@ def topk_score(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
 
+    shape = (*w.shape[:-1], num_samples, t_len)
     if noise is not None:
         z = np.asarray(noise, dtype=np.float64)
-        if z.shape != (num_samples, t_len):
-            raise ValueError(f"noise must have shape {(num_samples, t_len)}, got {z.shape}")
+        if z.shape != shape:
+            raise ValueError(f"noise must have shape {shape}, got {z.shape}")
     elif sigma == 0.0:
-        z = np.zeros((num_samples, t_len))
+        z = np.zeros(shape)
     else:
         if rng is None:
             raise ValueError("an rng is required when sigma > 0 and no noise is supplied")
-        z = rng.standard_normal((num_samples, t_len))
+        z = rng.standard_normal(shape)
 
-    perturbed = w[None, :] + sigma * z
-    order = np.argsort(-perturbed, axis=1, kind="stable")
-    indices = order[:, :kappa]
-
-    inclusion = np.bincount(indices.ravel(), minlength=t_len) / num_samples
+    perturbed = w[..., None, :] + sigma * z
+    indices = np.argsort(-perturbed, axis=-1, kind="stable")[..., :kappa]
+    # every bag's counts in one bincount: bag i's snippets are numbered from i * T
+    flat = indices.reshape(-1, num_samples * kappa) + t_len * np.arange(w.size // t_len)[:, None]
+    inclusion = np.bincount(flat.ravel(), minlength=w.size).reshape(w.shape) / num_samples
     return SoftSelection(inclusion=inclusion, indices=indices, noise=z, sigma=float(sigma))
 
 
@@ -168,29 +181,36 @@ def tsa_fuse(
     rng: np.random.Generator | None = None,
     *,
     noise: np.ndarray | None = None,
+    bags: int | None = None,
 ) -> tuple[Tensor, SoftSelection]:
     """Nominate the top-kappa from precomputed scores and reweigh the features.
 
+    ``features`` is (T, d) for one bag, or with ``bags`` given, ``bags`` bags
+    of T snippets stacked along the rows; ``omega`` holds one score per row.
+    Each bag keeps its own top-kappa, all drawn in one ``topk_score`` call.
     Cloning the selection over feature channels, multiplying elementwise and
     summing over ranks collapses to scaling each snippet by its inclusion
     probability, which is how the fusion is computed.
     """
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ag.ShapeError(f"expected (T, d) features, got {features.shape}")
-    t_len = features.shape[0]
-    kappa = kappa_from_ratio(t_len, cfg.ratio)
+    rows = features.shape[0]
+    n = 1 if bags is None else bags
+    if features.ndim != 2 or rows < 1 or n < 1 or rows % n != 0:
+        raise ag.ShapeError(f"expected {n} bags of (T, d) features stacked along the rows, got {features.shape}")
+    if omega.data.size != rows:
+        raise ag.ShapeError(f"expected one score per snippet, got {omega.shape} for {rows} snippets")
+    kappa = kappa_from_ratio(rows // n, cfg.ratio)
     selection = topk_score(
-        omega.data, kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise
+        omega.data, kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise, bags=bags
     )
-    scale = selection.inclusion.astype(features.data.dtype)
-    fused = scale[:, None] * features.data
+    incl = selection.inclusion.reshape(rows, 1)
+    fused = incl.astype(features.data.dtype) * features.data
 
     def vjp(g):
         grad_incl = np.sum(g * features.data, axis=1, dtype=np.float64)
-        grad_omega = selection.grad_scores(grad_incl)
+        grad_omega = selection.grad_scores(grad_incl.reshape(selection.inclusion.shape))
         return (
             grad_omega.astype(omega.data.dtype).reshape(omega.shape),
-            (selection.inclusion[:, None] * g).astype(features.data.dtype),
+            (incl * g).astype(features.data.dtype),
         )
 
     fhat = ag.custom_op("tsa_select", fused, (omega, features), vjp)

@@ -307,9 +307,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _reduce(a: Tensor, axis: int | None, kind: str) -> Tensor:
-    if axis not in (None, 0):
-        raise ShapeError(f"{kind}: only full or axis-0 reductions are supported")
-    n = a.data.size if axis is None else a.shape[0]
+    if axis is not None and not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"{kind}: axis {axis} out of range for shape {a.shape}")
+    n = a.data.size if axis is None else a.shape[axis]
     if n == 0:
         raise ShapeError(f"{kind}: empty reduction")
     total = np.sum(a.data, axis=axis, dtype=np.float64)
@@ -320,22 +320,22 @@ def _reduce(a: Tensor, axis: int | None, kind: str) -> Tensor:
     def vjp(g):
         if axis is None:
             return (np.full(a.shape, g * scale, dtype=a.data.dtype),)
-        return (np.broadcast_to(g * scale, a.shape).astype(a.data.dtype),)
+        return (np.broadcast_to(np.expand_dims(g * scale, axis), a.shape).astype(a.data.dtype),)
 
     return _from_op(kind, total, (a,), vjp)
 
 
-def l2_norm(a: Tensor) -> Tensor:
-    """Euclidean norm of all entries, as a scalar tensor."""
-    sq = np.sum(np.square(a.data, dtype=np.float64))
-    norm = np.sqrt(sq)
+def l2_norm(a: Tensor, axis: int | None = None) -> Tensor:
+    """Euclidean norm of all entries as a scalar tensor, or along ``axis``
+    (``axis=-1`` gives one norm per row). A zero norm has zero gradient."""
+    norm = np.sqrt(np.sum(np.square(a.data, dtype=np.float64), axis=axis, keepdims=True))
 
     def vjp(g):
-        if norm == 0.0:
-            return (np.zeros_like(a.data),)
-        return ((g * (a.data / norm)).astype(a.data.dtype),)
+        unit = np.divide(a.data, norm, out=np.zeros(a.shape), where=norm > 0)
+        return ((np.reshape(g, norm.shape) * unit).astype(a.data.dtype),)
 
-    return _from_op("l2_norm", norm, (a,), vjp)
+    out = norm.reshape(()) if axis is None else np.squeeze(norm, axis)
+    return _from_op("l2_norm", out, (a,), vjp)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -475,7 +475,8 @@ def backward(loss: Tensor) -> None:
             if parent.grad is None:
                 parent.grad = np.array(g, dtype=parent.data.dtype, copy=True)
             else:
-                parent.grad = parent.grad + g.astype(parent.data.dtype)
+                # the first gradient was copied above, so later ones add in place
+                np.add(parent.grad, g, out=parent.grad, casting="same_kind")
         node._consumed = True
         node._rec = None
 

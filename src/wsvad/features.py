@@ -154,11 +154,12 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     try:
         videos = [
             ManifestEntry(v["id"], v["path"], int(v["label"]), int(v["frame_count"]))
@@ -171,12 +172,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             split=str(doc["split"]),
             videos=videos,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: missing or malformed manifest field ({exc})") from exc
     seen: set[str] = set()
     for v in manifest.videos:
         if not isinstance(v.video_id, str):
             raise FormatError(f"{path}: video id {v.video_id!r} is not a string")
+        if not isinstance(v.path, str):
+            raise FormatError(f"{path}: video '{v.video_id}' has non-string path {v.path!r}")
         if v.label not in (0, 1):
             raise FormatError(f"{path}: video '{v.video_id}' has non-binary label {v.label}")
         if v.frame_count < 1:

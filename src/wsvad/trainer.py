@@ -1,7 +1,8 @@
 """Difference-maximization training over bags of snippet features.
 
-Each mini-batch holds B normal bags followed by B abnormal bags. Bags pass
-through attention (optional), the temporal context module, and the snippet
+Each mini-batch holds B normal bags followed by B abnormal bags, stacked
+along the rows so that a training step is one graph. Bags pass through
+attention (optional), the temporal context module, and the snippet
 classifier; the loss pushes the top-alpha feature magnitude of each abnormal
 bag above its paired normal bag by a margin, plus a binary cross-entropy on
 video scores (each video scored by the mean classifier output of its
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,13 +72,23 @@ class BatchLayout:
             raise ValueError("batch layout violated: expected B normal bags then B abnormal")
 
 
+class TrainingVideo(NamedTuple):
+    """A training video with its features already resized to the bag length."""
+
+    video_id: str
+    label: int
+    features: np.ndarray  # (t_len, d)
+
+
 def build_batch(
-    records: list[VideoRecord], batch_bags: int, t_len: int, rng: np.random.Generator
+    records: Sequence[VideoRecord | TrainingVideo], batch_bags: int, t_len: int, rng: np.random.Generator
 ) -> BatchLayout:
     """Sample B normal and B abnormal videos and resize each to t_len snippets.
 
     Sampling is without replacement per class when the class has at least B
-    videos, with replacement otherwise.
+    videos, with replacement otherwise. A video that already has t_len
+    snippets (a ``TrainingVideo``, which ``train`` builds once per run) is
+    used as it is.
     """
     normal = [r for r in records if r.label == 0]
     abnormal = [r for r in records if r.label == 1]
@@ -90,7 +102,8 @@ def build_batch(
         chosen = rng.choice(len(pool), size=batch_bags, replace=len(pool) < batch_bags)
         for j in chosen:
             rec = pool[int(j)]
-            bags.append(Tensor(temporal_normalize(rec.features, t_len)))
+            feats = rec.features if rec.features.shape[0] == t_len else temporal_normalize(rec.features, t_len)
+            bags.append(Tensor(feats))
             ids.append(rec.video_id)
     labels = np.repeat([0, 1], batch_bags)
     return BatchLayout(bags=bags, labels=labels, video_ids=ids)
@@ -104,16 +117,35 @@ def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
     return np.argsort(-mags, axis=-1, kind="stable")[..., :alpha]
 
 
+def _stacked_top_rows(feats: np.ndarray, bags: int, alpha: int) -> np.ndarray:
+    """(bags, alpha) stacked-row indices of each bag's top-alpha rows, for
+    ``bags`` bags of T rows stacked in a (bags * T, d) array."""
+    if feats.ndim != 2 or bags < 1 or feats.shape[0] % bags != 0:
+        raise ag.ShapeError(f"{feats.shape} features do not split into {bags} equal bags")
+    t_len = feats.shape[0] // bags
+    if not 1 <= alpha <= t_len:
+        raise ValueError(f"alpha must be in [1, {t_len}], got {alpha}")
+    return top_alpha_rows(feats.reshape(bags, t_len, -1), alpha) + t_len * np.arange(bags)[:, None]
+
+
+def _top_alpha_means(x: Tensor, rows: np.ndarray) -> Tensor:
+    """(bags, width) mean of each bag's ``rows`` (bags, alpha) of x."""
+    bags, alpha = rows.shape
+    return ag.gather_rows(x, rows.ravel()).reshape(bags, alpha, x.shape[1]).mean(axis=1)
+
+
 def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
-    """Mean of the alpha rows with the largest Euclidean magnitude.
+    """Mean of the alpha rows with the largest Euclidean magnitude, (T, d) -> (d,).
 
     The selection itself is treated as constant, so gradients flow only into
     the selected rows.
     """
-    t_len = feats.shape[0]
-    if not 1 <= alpha <= t_len:
-        raise ValueError(f"alpha must be in [1, {t_len}], got {alpha}")
-    return ag.gather_rows(feats, top_alpha_rows(feats.data, alpha)).mean(axis=0)
+    return _top_alpha_means(feats, _stacked_top_rows(feats.data, 1, alpha)).reshape(feats.shape[1])
+
+
+def _magnitudes(feats: Tensor, rows: np.ndarray) -> Tensor:
+    """(bags,) norm of each bag's top-alpha mean feature."""
+    return ag.l2_norm(_top_alpha_means(feats, rows), axis=-1)
 
 
 def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
@@ -122,43 +154,44 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
         raise ag.ShapeError(
             f"feature widths disagree: {bag_pos.shape[1]} vs {bag_neg.shape[1]}"
         )
-    return ag.l2_norm(top_alpha_mean(bag_pos, alpha)) - ag.l2_norm(top_alpha_mean(bag_neg, alpha))
+    pos = _magnitudes(bag_pos, _stacked_top_rows(bag_pos.data, 1, alpha))
+    neg = _magnitudes(bag_neg, _stacked_top_rows(bag_neg.data, 1, alpha))
+    return (pos - neg).reshape()
 
 
-def _video_score(scores: Tensor, ctx: Tensor, alpha: int) -> Tensor:
-    """Mean score of the video's top-alpha snippets (ranked by context-feature
-    magnitude, like the margin term), clipped away from {0, 1}."""
-    return ag.gather_rows(scores, top_alpha_rows(ctx.data, alpha)).mean().clip(BCE_EPS, 1.0 - BCE_EPS)
+def dmt_loss(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) -> Tensor:
+    """Margin hinge on paired bag separabilities plus video-level BCE.
 
-
-def dmt_loss(
-    ctx_feats: list[Tensor],
-    scores: list[Tensor],
-    labels: np.ndarray,
-    cfg: TrainConfig,
-) -> Tensor:
-    """Margin hinge on paired bag separabilities plus video-level BCE."""
-    b = len(ctx_feats) // 2
-    if len(ctx_feats) != 2 * b or b == 0 or len(scores) != 2 * b:
-        raise ValueError("expected 2*B context features and scores")
+    ``ctx`` (2B * T, d) and ``scores`` (2B * T, 1) hold 2B bags of T snippets
+    stacked along the rows, B normal bags then B abnormal, as ``labels`` (2B,)
+    says; normal bag i is paired with abnormal bag B + i. Each bag's top-alpha
+    snippets by context-feature magnitude give both its magnitude for the
+    margin term and its video score (their mean snippet score, clipped away
+    from {0, 1}) for the BCE term.
+    """
+    labels = np.asarray(labels)
+    n = labels.size
+    b = n // 2
+    if n != 2 * b or b == 0 or scores.shape != (ctx.shape[0], 1):
+        raise ValueError(
+            f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {n} labels"
+        )
     if not (np.all(labels[:b] == 0) and np.all(labels[b:] == 1)):
         raise ValueError("batch layout violated: expected B normal bags then B abnormal")
+    rows = _stacked_top_rows(ctx.data, n, cfg.alpha)
 
-    hinge_sum = None
-    for i in range(b):
-        sep = separability(ctx_feats[b + i], ctx_feats[i], cfg.alpha)
-        hinge = (cfg.margin - sep).relu()
-        hinge_sum = hinge if hinge_sum is None else hinge_sum + hinge
-    margin_term = hinge_sum * (1.0 / b)
+    # per pair: margin minus separability (abnormal minus normal magnitude)
+    shortfall = ag.matmul(Tensor([[1.0, -1.0]]), _magnitudes(ctx, rows).reshape(2, b)) + cfg.margin
+    margin_term = shortfall.relu().mean()
 
-    bce_sum = None
-    for j, u in enumerate(scores):
-        s = _video_score(u, ctx_feats[j], cfg.alpha)
-        nll = -(s.log()) if labels[j] == 1 else -((1.0 - s).log())
-        bce_sum = nll if bce_sum is None else bce_sum + nll
-    bce_term = bce_sum * (1.0 / (2 * b))
+    video = _top_alpha_means(scores, rows).clip(BCE_EPS, 1.0 - BCE_EPS)  # (2B, 1)
+    # likelihood of each bag's label: s for abnormal, 1 - s for normal
+    y = labels.astype(np.float64)[:, None]
+    likelihood = video * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)
+    mean_log_likelihood = likelihood.log().mean()
 
-    return margin_term * cfg.w_margin + bce_term * cfg.w_bce
+    # the BCE term is the negative mean log-likelihood
+    return margin_term * cfg.w_margin + mean_log_likelihood * -cfg.w_bce
 
 
 def _batch_forward(
@@ -166,31 +199,19 @@ def _batch_forward(
     batch: BatchLayout,
     noise_rng: np.random.Generator,
     drop_rng: np.random.Generator,
-) -> tuple[list[Tensor], list[Tensor]]:
-    """Train-mode forward over a whole batch.
+) -> tuple[Tensor, Tensor]:
+    """Train-mode forward over a whole batch as one graph.
 
-    The scorer, the context module and the classifier each run once on the
-    stacked (2B * T, d) bags; attention nomination stays per bag. Returns
-    each bag's context features and snippet scores for the per-bag loss.
+    The scorer, attention nomination, the context module and the classifier
+    each run once on the stacked (2B * T, d) bags. Returns the stacked
+    context features (2B * T, d) and snippet scores (2B * T, 1).
     """
     n = len(batch.bags)
-    t_len = batch.bags[0].shape[0]
-    rows = [np.arange(i * t_len, (i + 1) * t_len) for i in range(n)]
-    stacked = Tensor(np.concatenate([bag.data for bag in batch.bags], axis=0))
-
+    x = Tensor(np.concatenate([bag.data for bag in batch.bags], axis=0))
     if model.tsa_enabled:
-        omega_all = mlp_forward(model.scorer, stacked)
-        fused = [
-            tsa_fuse(bag, ag.gather_rows(omega_all, rows[i]), model.tsa, noise_rng)[0]
-            for i, bag in enumerate(batch.bags)
-        ]
-        stacked = ag.concat(fused, axis=0)
-
-    ctx_all = conv_module_forward(model.conv, stacked, n)
-    u_all = mlp_forward(model.classifier, ctx_all, train=True, rng=drop_rng)
-    ctx_feats = [ag.gather_rows(ctx_all, r) for r in rows]
-    scores = [ag.gather_rows(u_all, r) for r in rows]
-    return ctx_feats, scores
+        x, _ = tsa_fuse(x, mlp_forward(model.scorer, x), model.tsa, noise_rng, bags=n)
+    ctx = conv_module_forward(model.conv, x, n)
+    return ctx, mlp_forward(model.classifier, ctx, train=True, rng=drop_rng)
 
 
 @dataclass
@@ -213,7 +234,11 @@ def train(
     value is logged as ``val_auc`` every ``val_every`` epochs.
     """
     require_both_classes(manifest)
-    records = load_records(manifest, base_dir)
+    # each video is resized once, and its native-length features are not kept
+    videos = [
+        TrainingVideo(r.video_id, r.label, temporal_normalize(r.features, cfg.t_len))
+        for r in load_records(manifest, base_dir)
+    ]
     d = manifest.d
 
     root = np.random.SeedSequence(cfg.seed)
@@ -227,9 +252,9 @@ def train(
     log: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         try:
-            batch = build_batch(records, cfg.batch_bags, cfg.t_len, batch_rng)
-            ctx_feats, scores = _batch_forward(model, batch, noise_rng, drop_rng)
-            loss = dmt_loss(ctx_feats, scores, batch.labels, cfg)
+            batch = build_batch(videos, cfg.batch_bags, cfg.t_len, batch_rng)
+            ctx, scores = _batch_forward(model, batch, noise_rng, drop_rng)
+            loss = dmt_loss(ctx, scores, batch.labels, cfg)
             loss_val = loss.item()
             ag.backward(loss)
             opt.step()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from wsvad import autograd as ag
+from wsvad.trainer import BCE_EPS
 
 FD_H = 1e-4
 
@@ -61,6 +62,38 @@ def check_grads(build, reference, arrays, h: float = FD_H, tol: float = 1e-3) ->
 
 
 # -- independent numpy references for the engine ops ---------------------------
+
+
+def stack(bags: list) -> ag.Tensor:
+    """Stack per-bag tensors along the rows, the layout ``dmt_loss`` takes."""
+    return ag.concat(bags, axis=0)
+
+
+def ref_dmt_loss(ctx_feats: list, scores: list, labels: np.ndarray, cfg) -> ag.Tensor:
+    """The loss written bag by bag: a Python loop over the pairs for the
+    margin hinge and over the bags for the BCE, each bag's top-alpha rows
+    gathered on their own. Takes per-bag (T, d) and (T, 1) tensors."""
+    b = len(ctx_feats) // 2
+
+    def top_rows(ctx):
+        mags = np.linalg.norm(ctx.data.astype(np.float64), axis=1)
+        return np.argsort(-mags, kind="stable")[: cfg.alpha]
+
+    def magnitude(ctx):
+        return ag.l2_norm(ag.gather_rows(ctx, top_rows(ctx)).mean(axis=0))
+
+    hinge_sum = None
+    for i in range(b):
+        hinge = (cfg.margin - (magnitude(ctx_feats[b + i]) - magnitude(ctx_feats[i]))).relu()
+        hinge_sum = hinge if hinge_sum is None else hinge_sum + hinge
+    bce_sum = None
+    for j, u in enumerate(scores):
+        s = ag.gather_rows(u, top_rows(ctx_feats[j])).mean().clip(BCE_EPS, 1.0 - BCE_EPS)
+        nll = -(s.log()) if labels[j] == 1 else -((1.0 - s).log())
+        bce_sum = nll if bce_sum is None else bce_sum + nll
+    margin_term = hinge_sum * (1.0 / b)
+    bce_term = bce_sum * (1.0 / (2 * b))
+    return margin_term * cfg.w_margin + bce_term * cfg.w_bce
 
 
 def ref_conv1d_dilated(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:

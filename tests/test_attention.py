@@ -317,3 +317,69 @@ class TestSelectionGradient:
 
         assert max_rel_err(analytic_f, fd_f) < 1e-3
         assert max_rel_err(analytic_w, fd_w) < 1e-3  # both exactly zero
+
+
+class TestBatchedSelection:
+    """``tsa_fuse(..., bags=n)`` over stacked bags against n one-bag calls
+    drawing from the same random stream."""
+
+    def _bags(self, n=3, t_len=7, d=5, seed=16):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, t_len, d)), rng.uniform(0, 1, (n, t_len, 1)), rng.normal(size=(n, t_len, d))
+
+    def test_stacked_matches_per_bag(self):
+        feats, omega, upstream = self._bags()
+        n, t_len, d = feats.shape
+        cfg = TsaConfig(num_samples=40, ratio=0.5, sigma_noise=0.2)
+        with ag.using_dtype(np.float64):
+            x = Tensor(feats.reshape(n * t_len, d), requires_grad=True)
+            w = Tensor(omega.reshape(n * t_len, 1), requires_grad=True)
+            fhat, sel = tsa_fuse(x, w, cfg, np.random.default_rng(5), bags=n)
+            ag.backward((fhat * Tensor(upstream.reshape(n * t_len, d))).sum())
+
+            rng = np.random.default_rng(5)
+            for i in range(n):
+                xi = Tensor(feats[i], requires_grad=True)
+                wi = Tensor(omega[i], requires_grad=True)
+                fi, si = tsa_fuse(xi, wi, cfg, rng)
+                ag.backward((fi * Tensor(upstream[i])).sum())
+                rows = slice(i * t_len, (i + 1) * t_len)
+                assert np.array_equal(sel.inclusion[i], si.inclusion)
+                assert np.array_equal(sel.indices[i], si.indices)
+                assert np.array_equal(fhat.data[rows], fi.data)
+                assert max_rel_err(x.grad[rows], xi.grad) < 1e-6
+                assert max_rel_err(w.grad[rows], wi.grad) < 1e-6
+
+    def test_selection_arrays_carry_the_bag_axis(self):
+        feats, omega, _ = self._bags(n=2, t_len=6)
+        cfg = TsaConfig(num_samples=16, ratio=0.5, sigma_noise=0.1)
+        _, sel = tsa_fuse(Tensor(feats.reshape(12, 5)), Tensor(omega.reshape(12, 1)), cfg, np.random.default_rng(0), bags=2)
+        assert sel.inclusion.shape == (2, 6)
+        assert sel.indices.shape == (2, 16, 3)
+        assert sel.noise.shape == (2, 16, 6)
+        assert sel.vhat.shape == (2, 3, 6)
+        assert sel.sample_inclusion().shape == (2, 16, 6)
+        assert sel.inclusion_jacobian().shape == (2, 6, 6)
+        assert (sel.num_samples, sel.kappa, sel.t_len) == (16, 3, 6)
+        for i in range(2):
+            one = topk_score(omega[i], 3, 16, 0.1, noise=sel.noise[i])
+            assert np.array_equal(sel.vhat[i], one.vhat)
+            g = np.random.default_rng(i).normal(size=6)
+            assert max_rel_err(sel.grad_scores(np.stack([g, g]))[i], one.grad_scores(g), abs_floor=1e-300) < 1e-12
+
+    def test_one_bag_batch_equals_unbatched_call(self):
+        feats, omega, _ = self._bags(n=1)
+        cfg = TsaConfig(num_samples=20, ratio=0.7, sigma_noise=0.1)
+        x, w = Tensor(feats[0]), Tensor(omega[0])
+        f1, s1 = tsa_fuse(x, w, cfg, np.random.default_rng(3), bags=1)
+        f0, s0 = tsa_fuse(x, w, cfg, np.random.default_rng(3))
+        assert np.array_equal(f1.data, f0.data)
+        assert np.array_equal(s1.inclusion[0], s0.inclusion)
+        assert s0.inclusion.shape == (7,)
+
+    def test_rows_must_split_into_bags(self):
+        cfg = TsaConfig(num_samples=4)
+        with pytest.raises(ag.ShapeError):
+            tsa_fuse(Tensor(np.ones((7, 2))), Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=2)
+        with pytest.raises(ag.ShapeError, match="one score per snippet"):
+            tsa_fuse(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 1))), cfg, np.random.default_rng(0), bags=2)

@@ -230,6 +230,31 @@ class TestBackward:
         backward(y.sum())
         assert x.grad.tolist() == [2.0, 2.0]
 
+    def test_shared_vjp_output_is_not_aliased(self):
+        """add's vjp hands the same array to both parents; accumulating into
+        one parent's gradient afterwards must not change the other's."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        z = a * 3.0
+        y = a + b  # created after z, so its vjp runs first
+        backward((z + y).sum())
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.tolist() == [4.0, 4.0]
+        assert b.grad.tolist() == [1.0, 1.0]
+
+    def test_accumulation_keeps_dtype_and_casts_down(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ag.custom_op("f64", x.data, (x, x), lambda g: (g.astype(np.float64), g.astype(np.float64) * 2.0))
+        backward(y.sum())
+        assert x.grad.dtype == np.float32
+        assert x.grad.tolist() == [3.0, 3.0]
+
+    def test_accumulated_gradient_is_still_checked(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ag.custom_op("bad", x.data, (x, x), lambda g: (g, np.full_like(g, np.inf)))
+        with pytest.raises(NumericsError, match=r"grad\[bad\]"):
+            backward(y.sum())
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
@@ -327,6 +352,42 @@ class TestStructuralOps:
             lambda xx: float(xx.mean(axis=0).sum() + xx.sum() * 0.5),
             [x],
         )
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_axis_reduction_grads(self, axis):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=np.delete(np.array(x.shape), axis % 3))
+        check_grads(
+            lambda tx: l2_norm(tx.mean(axis=axis) * Tensor(w)) + l2_norm(tx.sum(axis=axis)),
+            lambda xx: float(np.linalg.norm(xx.mean(axis=axis) * w) + np.linalg.norm(xx.sum(axis=axis))),
+            [x],
+        )
+
+    def test_axis_reduction_out_of_range(self):
+        with pytest.raises(ShapeError, match="axis 2"):
+            Tensor(np.ones((2, 3))).sum(axis=2)
+
+    def test_row_norm_values_and_grads(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 5, 4))
+        np.testing.assert_allclose(l2_norm(Tensor(x), axis=-1).data, np.linalg.norm(x, axis=-1), rtol=1e-6)
+        w = rng.normal(size=(3, 5))
+        check_grads(
+            lambda tx: (l2_norm(tx, axis=-1) * Tensor(w)).sum(),
+            lambda xx: float((np.linalg.norm(xx, axis=-1) * w).sum()),
+            [x],
+        )
+
+    def test_row_norm_matches_full_norm_per_row(self):
+        x = np.random.default_rng(10).normal(size=(4, 6)).astype(np.float32)
+        rows = l2_norm(Tensor(x), axis=-1).data
+        assert rows.tolist() == [l2_norm(Tensor(r)).item() for r in x]
+
+    def test_zero_row_has_zero_gradient(self):
+        x = Tensor([[0.0, 0.0], [3.0, 4.0]], requires_grad=True)
+        backward(l2_norm(x, axis=-1).sum())
+        np.testing.assert_array_equal(x.grad, np.float32([[0.0, 0.0], [0.6, 0.8]]))
 
 
 class TestNumericsContract:

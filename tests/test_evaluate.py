@@ -1,11 +1,14 @@
 """Inference at native length, score unfolding, and report assembly."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from wsvad.attention import TsaConfig
 from wsvad.evaluate import (
     EvalReport,
+    ScoreTimeline,
     evaluate_manifest,
     frame_labels,
     infer_video,
@@ -238,3 +241,40 @@ class TestEvaluateManifest:
         assert lines[0] == "video_id,frame_idx,score,binary,label"
         assert len(lines) == 1 + sum(tl.frame_scores.size for tl in timelines)
         assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == labels.tolist()
+
+
+def ref_write_frame_csv(path, timelines, ground_truth):
+    """One ``csv.writer`` row per frame: the byte layout the writer must keep."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["video_id", "frame_idx", "score", "binary", "label"])
+        for tl, labels in zip(timelines, video_frame_labels(timelines, ground_truth)):
+            for i in range(tl.frame_scores.size):
+                writer.writerow([tl.video_id, i, repr(float(tl.frame_scores[i])), int(tl.frame_binary[i]), int(labels[i])])
+
+
+class TestFrameCsvBytes:
+    def test_byte_identical_to_per_frame_writer(self, tmp_path):
+        rng = np.random.default_rng(30)
+        ids = ['we,ird"id', "", "two words", "line\nbreak", "cr\rid", "plain"]
+        timelines, gt = [], {}
+        for k, vid in enumerate(ids):
+            frames = int(rng.integers(1, 90))
+            snippets = rng.uniform(0, 1, -(-frames // 8))
+            snippets[: min(4, snippets.size)] = [1e-7, -0.0, 0.0, 1.0 - 1e-7][: min(4, snippets.size)]
+            scores = unfold_scores(snippets, 8, frames)
+            binary = (scores >= 0.5).astype(np.uint8)
+            label = k % 2
+            if label:
+                gt[vid] = [(0, frames // 2), (frames - 1, frames)]
+            timelines.append(ScoreTimeline(vid, label, snippets, (snippets >= 0.5).astype(np.uint8), scores, binary))
+        write_frame_csv(tmp_path / "fast.csv", timelines, gt)
+        ref_write_frame_csv(tmp_path / "ref.csv", timelines, gt)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_evaluated_timelines_byte_identical(self, small_dataset, tmp_path):
+        tmp, test_m, gt = small_dataset
+        _, timelines, _ = evaluate_manifest(test_m, tmp / "test", fresh_model(), gt, eval_seed=0)
+        write_frame_csv(tmp_path / "fast.csv", timelines, gt)
+        ref_write_frame_csv(tmp_path / "ref.csv", timelines, gt)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -196,6 +196,32 @@ class TestManifest:
         with pytest.raises(FormatError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("value", [7, None, ["feats/v0.vadf"]])
+    def test_non_string_path_rejected(self, tmp_path, value):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][0]["path"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'v0' has non-string path"):
+            load_manifest(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b'"v0"', b'"v\xe8"'))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_manifest(path)
+
+    def test_infinite_number_rejected(self, tmp_path):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][0]["frame_count"] = 1e999  # json writes Infinity
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_manifest(path)
+
     def test_single_class_train_split_rejected(self, tmp_path):
         manifest = _write_split(tmp_path)
         manifest.videos = [v for v in manifest.videos if v.label == 0]

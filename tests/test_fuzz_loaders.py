@@ -1,0 +1,87 @@
+"""Corrupted input files: every loader either loads or raises FormatError.
+
+Each file is truncated at every byte offset, hit with seeded single-bit
+flips, and spliced with a second valid file of its kind (a prefix of one
+joined to a suffix of the other). Any exception other than FormatError (a
+bare UnicodeDecodeError, struct.error, KeyError, ...) fails the test and
+names the corruption.
+"""
+
+import numpy as np
+import pytest
+
+from wsvad.attention import TsaConfig
+from wsvad.features import (
+    DatasetManifest,
+    FormatError,
+    ManifestEntry,
+    load_features,
+    load_manifest,
+    save_features,
+    save_manifest,
+)
+from wsvad.model import init_model, load_checkpoint, save_checkpoint
+
+FLIPS = 3000
+SPLICES = 500
+
+
+def _vadc(path, seed):
+    model = init_model(4, TsaConfig(num_samples=8 + seed), np.random.SeedSequence(seed), scorer_hidden=(3 + seed,))
+    save_checkpoint(model, path)
+
+
+def _vadf(path, seed):
+    save_features(np.random.default_rng(seed).normal(size=(6 + seed, 4)).astype(np.float32), path)
+
+
+def _manifest(path, seed):
+    videos = [ManifestEntry(f"vid{i}", f"feats/vid{i}.vadf", i % 2, 40 + 7 * i) for i in range(4 + seed)]
+    save_manifest(DatasetManifest(version=1, d=8, snippet_len=4, split="train", videos=videos), path)
+
+
+def _corruptions(blob: bytes, other: bytes, seed: int):
+    """Every truncation, FLIPS seeded single-bit flips, then SPLICES seeded
+    splices of ``blob`` with ``other``."""
+    for cut in range(len(blob)):
+        yield f"truncated to {cut} bytes", blob[:cut]
+    rng = np.random.default_rng(seed)
+    for _ in range(FLIPS):
+        pos = int(rng.integers(len(blob)))
+        bit = int(rng.integers(8))
+        flipped = bytearray(blob)
+        flipped[pos] ^= 1 << bit
+        yield f"bit {bit} of byte {pos} flipped", bytes(flipped)
+    for _ in range(SPLICES):
+        head, tail = int(rng.integers(len(blob) + 1)), int(rng.integers(len(other) + 1))
+        yield f"first {head} bytes spliced to the other file from byte {tail}", blob[:head] + other[tail:]
+
+
+@pytest.mark.parametrize(
+    "write, load, name",
+    [
+        (_vadc, load_checkpoint, "model.vadc"),
+        (_vadf, load_features, "feats.vadf"),
+        (_manifest, load_manifest, "manifest.json"),
+    ],
+    ids=["checkpoint", "features", "manifest"],
+)
+def test_corrupt_file_loads_or_raises_format_error(tmp_path, write, load, name):
+    path = tmp_path / name
+    write(path, 1)
+    other = path.read_bytes()
+    write(path, 0)
+    blob = path.read_bytes()
+    loaded = rejected = 0
+    for what, corrupt in _corruptions(blob, other, seed=len(blob)):
+        path.write_bytes(corrupt)
+        try:
+            load(path)
+        except FormatError:
+            rejected += 1
+        except Exception as exc:  # noqa: BLE001 - any other type is the failure under test
+            pytest.fail(f"{name} {what}: {type(exc).__name__}: {exc}")
+        else:
+            loaded += 1
+    assert rejected >= len(blob)  # no truncation loads
+    assert loaded > 0  # some flips hit payload bytes and still load

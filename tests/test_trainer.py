@@ -8,13 +8,15 @@ import pytest
 from wsvad import autograd as ag
 from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
-from wsvad.features import load_records
+from wsvad import trainer as trainer_module
+from wsvad.features import load_records, temporal_normalize
 from wsvad.model import init_model
 from wsvad.nn import conv_module_forward, conv_module_init, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
     BatchLayout,
     TrainConfig,
+    TrainingVideo,
     build_batch,
     dmt_loss,
     separability,
@@ -23,7 +25,7 @@ from wsvad.trainer import (
     train,
 )
 
-from helpers import max_rel_err
+from helpers import engine_grads, max_rel_err, ref_dmt_loss, stack
 
 
 def make_records(tmp_path, **kw):
@@ -73,6 +75,29 @@ class TestBuildBatch:
         only_normal = [r for r in records if r.label == 0]
         with pytest.raises(ValueError, match="both classes"):
             build_batch(only_normal, 2, 8, np.random.default_rng(0))
+
+    def test_presized_videos_give_the_same_batches(self, tmp_path):
+        records, _ = make_records(tmp_path)
+        videos = [TrainingVideo(r.video_id, r.label, temporal_normalize(r.features, 8)) for r in records]
+        a_rng, b_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(10):
+            a = build_batch(records, 3, 8, a_rng)
+            b = build_batch(videos, 3, 8, b_rng)
+            assert a.video_ids == b.video_ids
+            for x, y in zip(a.bags, b.bags):
+                assert np.array_equal(x.data, y.data)
+
+    def test_training_resizes_each_video_once(self, tmp_path, monkeypatch):
+        records, manifest = make_records(tmp_path)
+        calls = []
+
+        def counting(features, t_out):
+            calls.append(t_out)
+            return temporal_normalize(features, t_out)
+
+        monkeypatch.setattr(trainer_module, "temporal_normalize", counting)
+        train(manifest, tmp_path / "train", TrainConfig(t_len=8, batch_bags=2, epochs=5, seed=0))
+        assert calls == [8] * len(records)
 
     def test_sampling_with_replacement_when_scarce(self, tmp_path):
         records, _ = make_records(tmp_path, n_normal=1, n_abnormal=1)
@@ -149,7 +174,7 @@ class TestDmtLoss:
         ctx_pos = Tensor(np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
         u_neg = Tensor(np.array([[0.2], [0.6], [0.4], [0.3]]))
         u_pos = Tensor(np.array([[0.9], [0.1], [0.2], [0.5]]))
-        loss = dmt_loss([ctx_neg, ctx_pos], [u_neg, u_pos], np.array([0, 1]), loss_cfg())
+        loss = dmt_loss(stack([ctx_neg, ctx_pos]), stack([u_neg, u_pos]), np.array([0, 1]), loss_cfg())
         # top-1 magnitudes: |[0,2]| = 2 and |[3,4]| = 5 -> hinge = 4 - (5-2) = 1
         # video scores (top-1 snippet by magnitude): 0.6 and 0.9
         expected = 1.0 + (-math.log(1.0 - 0.6) - math.log(0.9)) / 2.0
@@ -160,13 +185,13 @@ class TestDmtLoss:
         ctx_pos = Tensor(100.0 * np.ones((4, 2), dtype=np.float32))
         u_neg = Tensor(np.full((4, 1), 1e-7, dtype=np.float32))
         u_pos = Tensor(np.full((4, 1), 1.0 - 1e-7, dtype=np.float32))
-        loss = dmt_loss([ctx_neg, ctx_pos], [u_neg, u_pos], np.array([0, 1]), loss_cfg())
+        loss = dmt_loss(stack([ctx_neg, ctx_pos]), stack([u_neg, u_pos]), np.array([0, 1]), loss_cfg())
         assert 0.0 <= loss.item() < 1e-4
 
     def test_identical_bags_margin_exact(self):
         x = Tensor(np.random.default_rng(5).normal(size=(4, 2)).astype(np.float32))
         u = Tensor(np.full((4, 1), 0.5, dtype=np.float32))
-        loss = dmt_loss([x, x], [u, u], np.array([0, 1]), loss_cfg(w_bce=0.0))
+        loss = dmt_loss(stack([x, x]), stack([u, u]), np.array([0, 1]), loss_cfg(w_bce=0.0))
         assert loss.item() == 4.0
 
     def test_non_negative(self):
@@ -175,7 +200,7 @@ class TestDmtLoss:
             ctx = [Tensor(rng.normal(size=(4, 2)).astype(np.float32)) for _ in range(4)]
             u = [Tensor(rng.uniform(0.01, 0.99, size=(4, 1)).astype(np.float32)) for _ in range(4)]
             cfg = loss_cfg(batch_bags=2, margin=float(rng.uniform(0, 10)))
-            loss = dmt_loss(ctx, u, np.array([0, 0, 1, 1]), cfg)
+            loss = dmt_loss(stack(ctx), stack(u), np.array([0, 0, 1, 1]), cfg)
             assert loss.item() >= 0.0
 
     def test_batch_order_invariance(self):
@@ -187,18 +212,67 @@ class TestDmtLoss:
         u = [Tensor(rng.uniform(0.2, 0.8, size=(5, 1)).astype(np.float32)) for _ in range(2 * b)]
         labels = np.repeat([0, 1], b)
         cfg = loss_cfg(batch_bags=b, margin=1000.0)  # far from saturation
-        base = dmt_loss(ctx, u, labels, cfg).item()
+        base = dmt_loss(stack(ctx), stack(u), labels, cfg).item()
         perm_n = rng.permutation(b)
         perm_a = b + rng.permutation(b)
         order = np.concatenate([perm_n, perm_a])
-        shuffled = dmt_loss([ctx[i] for i in order], [u[i] for i in order], labels, cfg).item()
+        shuffled = dmt_loss(stack([ctx[i] for i in order]), stack([u[i] for i in order]), labels, cfg).item()
         assert abs(base - shuffled) < 1e-6 * max(1.0, abs(base))
 
     def test_layout_violation_rejected(self):
         x = Tensor(np.ones((4, 2), dtype=np.float32))
         u = Tensor(np.full((4, 1), 0.5, dtype=np.float32))
         with pytest.raises(ValueError, match="layout"):
-            dmt_loss([x, x], [u, u], np.array([1, 0]), loss_cfg())
+            dmt_loss(stack([x, x]), stack([u, u]), np.array([1, 0]), loss_cfg())
+
+
+class TestStackedLoss:
+    """The stacked loss against the bag-by-bag reference in helpers."""
+
+    @pytest.mark.parametrize("b, t_len, d, alpha", [(1, 4, 2, 1), (2, 5, 3, 3), (4, 7, 6, 2), (3, 6, 4, 6)])
+    def test_matches_per_bag_reference(self, b, t_len, d, alpha):
+        rng = np.random.default_rng(100 + b)
+        labels = np.repeat([0, 1], b)
+        for trial in range(5):
+            ctx = rng.normal(size=(2 * b, t_len, d)).astype(np.float32) * (1.0 + trial)
+            u = rng.uniform(0.01, 0.99, size=(2 * b, t_len, 1)).astype(np.float32)
+            # a margin inside the spread of separabilities leaves some hinges active, some not
+            cfg = loss_cfg(t_len=t_len, batch_bags=b, alpha=alpha, margin=float(rng.uniform(0, 2 * d)),
+                           w_margin=float(rng.uniform(0.5, 2)), w_bce=float(rng.uniform(0.5, 2)))
+
+            ctx_s = Tensor(ctx.reshape(-1, d), requires_grad=True)
+            u_s = Tensor(u.reshape(-1, 1), requires_grad=True)
+            got = dmt_loss(ctx_s, u_s, labels, cfg)
+            ag.backward(got)
+
+            ctx_b = [Tensor(c, requires_grad=True) for c in ctx]
+            u_b = [Tensor(v, requires_grad=True) for v in u]
+            want = ref_dmt_loss(ctx_b, u_b, labels, cfg)
+            ag.backward(want)
+
+            assert max_rel_err(got.data, want.data) < 1e-6
+            grads = lambda ts: np.concatenate([t.grad if t.grad is not None else np.zeros_like(t.data) for t in ts])
+            assert max_rel_err(ctx_s.grad, grads(ctx_b)) < 1e-6
+            assert max_rel_err(u_s.grad, grads(u_b)) < 1e-6
+
+    def test_one_bag_helpers_agree_with_the_stacked_loss(self):
+        """separability feeds the hinge: with the BCE off and every hinge
+        active, the loss is margin minus the mean separability."""
+        rng = np.random.default_rng(12)
+        ctx = [Tensor(rng.normal(size=(5, 3)).astype(np.float32)) for _ in range(4)]
+        u = [Tensor(np.full((5, 1), 0.5, dtype=np.float32)) for _ in range(4)]
+        cfg = loss_cfg(t_len=5, batch_bags=2, alpha=2, margin=100.0, w_bce=0.0)
+        seps = [separability(ctx[2 + i], ctx[i], 2).item() for i in range(2)]
+        loss = dmt_loss(stack(ctx), stack(u), np.array([0, 0, 1, 1]), cfg).item()
+        assert abs(loss - (100.0 - np.mean(seps))) < 1e-5
+
+    def test_rows_must_split_into_bags(self):
+        x = Tensor(np.ones((7, 2), dtype=np.float32))
+        u = Tensor(np.full((7, 1), 0.5, dtype=np.float32))
+        with pytest.raises(ag.ShapeError):
+            dmt_loss(x, u, np.array([0, 1]), loss_cfg())
+        with pytest.raises(ValueError, match="scores"):
+            dmt_loss(Tensor(np.ones((8, 2))), u, np.array([0, 1]), loss_cfg())
 
 
 class TestConvModule:
@@ -376,7 +450,7 @@ class TestEndToEndGradientIntegrity:
                     ctx = conv_module_forward(model.conv, fhat)
                     ctx_feats.append(ctx)
                     scores.append(mlp_forward(model.classifier, ctx))
-                return dmt_loss(ctx_feats, scores, labels, cfg)
+                return dmt_loss(stack(ctx_feats), stack(scores), labels, cfg)
 
             loss = forward()
             ag.backward(loss)
