@@ -21,7 +21,6 @@ from .synthetic import SyntheticConfig, generate_synthetic, load_ground_truth
 from .trainer import (
     BatchLayout,
     TrainConfig,
-    TrainingVideo,
     build_batch,
     dmt_loss,
     separability,

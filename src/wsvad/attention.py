@@ -136,9 +136,7 @@ def topk_score(
     array, the same stream as ``bags`` one-bag draws in order.
     """
     w = np.asarray(omega, dtype=np.float64)
-    if bags is not None and (bags < 1 or w.size % bags != 0):
-        raise ValueError(f"{w.size} scores do not split into {bags} equal bags")
-    w = w.reshape(-1) if bags is None else w.reshape(bags, -1)
+    w = w.reshape(-1) if bags is None else w.reshape(bags, ag.bag_length(w.size, bags))
     t_len = w.shape[-1]
     if t_len < 1:
         raise ValueError("empty score vector")
@@ -164,7 +162,8 @@ def topk_score(
     perturbed = w[..., None, :] + sigma * z
     indices = np.argsort(-perturbed, axis=-1, kind="stable")[..., :kappa]
     # every bag's counts in one bincount: bag i's snippets are numbered from i * T
-    flat = indices.reshape(-1, num_samples * kappa) + t_len * np.arange(w.size // t_len)[:, None]
+    # (adding the offsets makes the one contiguous copy that bincount needs)
+    flat = indices + (t_len * np.arange(w.size // t_len)).reshape(*w.shape[:-1], 1, 1)
     inclusion = np.bincount(flat.ravel(), minlength=w.size).reshape(w.shape) / num_samples
     return SoftSelection(inclusion=inclusion, indices=indices, noise=z, sigma=float(sigma))
 
@@ -192,13 +191,12 @@ def tsa_fuse(
     summing over ranks collapses to scaling each snippet by its inclusion
     probability, which is how the fusion is computed.
     """
+    if features.ndim != 2:
+        raise ag.ShapeError(f"expected (T, d) features stacked along the rows, got {features.shape}")
     rows = features.shape[0]
-    n = 1 if bags is None else bags
-    if features.ndim != 2 or rows < 1 or n < 1 or rows % n != 0:
-        raise ag.ShapeError(f"expected {n} bags of (T, d) features stacked along the rows, got {features.shape}")
     if omega.data.size != rows:
         raise ag.ShapeError(f"expected one score per snippet, got {omega.shape} for {rows} snippets")
-    kappa = kappa_from_ratio(rows // n, cfg.ratio)
+    kappa = kappa_from_ratio(ag.bag_length(rows, 1 if bags is None else bags), cfg.ratio)
     selection = topk_score(
         omega.data, kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise, bags=bags
     )

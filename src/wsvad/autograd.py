@@ -25,6 +25,7 @@ __all__ = [
     "NumericsError",
     "ShapeError",
     "backward",
+    "bag_length",
     "concat",
     "conv1d_dilated",
     "default_dtype",
@@ -46,6 +47,13 @@ class ShapeError(ValueError):
 
 class NumericsError(FloatingPointError):
     """A NaN or Inf appeared in a forward value or a gradient."""
+
+
+def bag_length(rows: int, bags: int) -> int:
+    """Rows per bag of ``bags`` equal bags stacked along ``rows`` rows."""
+    if bags < 1 or rows % bags != 0:
+        raise ShapeError(f"{rows} rows do not split into {bags} equal bags")
+    return rows // bags
 
 
 class GraphConsumedError(RuntimeError):
@@ -397,11 +405,8 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1, bags: int = 1) -> Te
         raise ValueError(f"conv1d_dilated: dilation must be >= 1, got {dilation}")
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d_dilated: channel mismatch, x has {x.shape[1]}, w expects {c_in}")
-    if bags < 1 or x.shape[0] % bags != 0:
-        raise ShapeError(f"conv1d_dilated: {x.shape[0]} rows do not split into {bags} equal bags")
-
     rows = x.shape[0]
-    t_len = rows // bags
+    t_len = bag_length(rows, bags)
     pad = (k - 1) // 2 * dilation
     xpad = np.zeros((bags, t_len + 2 * pad, c_in), dtype=x.data.dtype)
     xpad[:, pad : pad + t_len] = x.data.reshape(bags, t_len, c_in)

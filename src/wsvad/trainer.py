@@ -86,9 +86,7 @@ def build_batch(
     """Sample B normal and B abnormal videos and resize each to t_len snippets.
 
     Sampling is without replacement per class when the class has at least B
-    videos, with replacement otherwise. A video that already has t_len
-    snippets (a ``TrainingVideo``, which ``train`` builds once per run) is
-    used as it is.
+    videos, with replacement otherwise.
     """
     normal = [r for r in records if r.label == 0]
     abnormal = [r for r in records if r.label == 1]
@@ -102,8 +100,7 @@ def build_batch(
         chosen = rng.choice(len(pool), size=batch_bags, replace=len(pool) < batch_bags)
         for j in chosen:
             rec = pool[int(j)]
-            feats = rec.features if rec.features.shape[0] == t_len else temporal_normalize(rec.features, t_len)
-            bags.append(Tensor(feats))
+            bags.append(Tensor(temporal_normalize(rec.features, t_len)))
             ids.append(rec.video_id)
     labels = np.repeat([0, 1], batch_bags)
     return BatchLayout(bags=bags, labels=labels, video_ids=ids)
@@ -120,9 +117,9 @@ def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
 def _stacked_top_rows(feats: np.ndarray, bags: int, alpha: int) -> np.ndarray:
     """(bags, alpha) stacked-row indices of each bag's top-alpha rows, for
     ``bags`` bags of T rows stacked in a (bags * T, d) array."""
-    if feats.ndim != 2 or bags < 1 or feats.shape[0] % bags != 0:
-        raise ag.ShapeError(f"{feats.shape} features do not split into {bags} equal bags")
-    t_len = feats.shape[0] // bags
+    if feats.ndim != 2:
+        raise ag.ShapeError(f"expected (T, d) features stacked along the rows, got {feats.shape}")
+    t_len = ag.bag_length(feats.shape[0], bags)
     if not 1 <= alpha <= t_len:
         raise ValueError(f"alpha must be in [1, {t_len}], got {alpha}")
     return top_alpha_rows(feats.reshape(bags, t_len, -1), alpha) + t_len * np.arange(bags)[:, None]

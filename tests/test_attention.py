@@ -383,3 +383,6 @@ class TestBatchedSelection:
             tsa_fuse(Tensor(np.ones((7, 2))), Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=2)
         with pytest.raises(ag.ShapeError, match="one score per snippet"):
             tsa_fuse(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 1))), cfg, np.random.default_rng(0), bags=2)
+        for bags in (0, 2):
+            with pytest.raises(ag.ShapeError, match="equal bags"):
+                topk_score(np.ones(7), 1, 4, 0.1, np.random.default_rng(0), bags=bags)
