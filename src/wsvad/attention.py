@@ -2,10 +2,11 @@
 
 A shallow scorer maps each snippet to a relevance score in (0, 1). The
 top-k nominator perturbs the score vector with Gaussian noise and takes the
-hard top-k per sample; averaging the samples' one-hot ranks gives a
-row-stochastic soft-selection matrix. Fusing that matrix with the input
-reduces to scaling every snippet by its inclusion probability, the fraction
-of samples that selected it, so only the inclusion is computed.
+hard top-k per sample, by a partial selection rather than a sort; averaging
+the samples' one-hot ranks gives a row-stochastic soft-selection matrix.
+Fusing that matrix with the input reduces to scaling every snippet by its
+inclusion probability, the fraction of samples that selected it, so only the
+inclusion is computed.
 
 The selection is made differentiable by the Monte-Carlo smoothed-perturbation
 estimator (Berthet et al., 2020): with per-sample inclusion indicators v_m and
@@ -60,25 +61,32 @@ class SoftSelection:
     saved draws needed to differentiate through it.
 
     A selection over several bags carries a leading bag axis on every array
-    (written ``...`` below); a one-bag selection has none.
+    (written ``...`` below); a one-bag selection has none. The rank order of
+    each sample's picks (``indices``, ``vhat``) is not kept; it is recomputed
+    from ``scores`` and ``noise`` when asked for.
     """
 
-    inclusion: np.ndarray  # (..., T) fraction of samples selecting each snippet, exact at kappa == T
-    indices: np.ndarray  # (..., M, kappa) per-sample selected indices, rank order
+    inclusion: np.ndarray  # (..., T) fraction of samples selecting each snippet, exact counts over M
+    selected: np.ndarray  # (..., M, T) bool, whether sample m kept snippet t
+    scores: np.ndarray  # (..., T) unperturbed float64 scores
     noise: np.ndarray  # (..., M, T) standard-normal draws
     sigma: float
+    kappa: int
 
     @property
     def num_samples(self) -> int:
-        return self.indices.shape[-2]
-
-    @property
-    def kappa(self) -> int:
-        return self.indices.shape[-1]
+        return self.noise.shape[-2]
 
     @property
     def t_len(self) -> int:
         return self.noise.shape[-1]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(..., M, kappa) per-sample selected indices in rank order: descending
+        perturbed score, ties to the lower index."""
+        perturbed = _perturb(self.scores, self.noise, self.sigma)
+        return np.argsort(-perturbed, axis=-1, kind="stable")[..., : self.kappa]
 
     @property
     def vhat(self) -> np.ndarray:
@@ -87,9 +95,7 @@ class SoftSelection:
 
     def sample_inclusion(self) -> np.ndarray:
         """Per-sample 0/1 inclusion indicators, shape (..., M, T)."""
-        v = np.zeros(self.noise.shape, dtype=np.float64)
-        np.put_along_axis(v, self.indices, 1.0, axis=-1)
-        return v
+        return self.selected.astype(np.float64)
 
     def inclusion_jacobian(self) -> np.ndarray:
         """Estimated d(inclusion)/d(scores), shape (..., T, T)."""
@@ -108,9 +114,14 @@ class SoftSelection:
             return np.zeros(self.inclusion.shape, dtype=np.float64)
         if self.sigma == 0.0:
             raise ValueError("grad_scores undefined for unperturbed selection")
-        # c[..., m]: the gradient summed over the snippets sample m selected, in rank order
-        c = np.take_along_axis(grad_incl[..., None, :], self.indices, axis=-1).sum(axis=-1)
+        # c[..., m]: the gradient summed over the snippets sample m selected
+        c = (self.selected @ grad_incl[..., None])[..., 0]
         return (c[..., None, :] @ self.noise)[..., 0, :] / (self.num_samples * self.sigma)
+
+
+def _perturb(scores: np.ndarray, noise: np.ndarray, sigma: float) -> np.ndarray:
+    """(..., M, T) perturbed scores: every sample's copy of the scores plus its noise."""
+    return scores[..., None, :] + sigma * noise
 
 
 def topk_score(
@@ -126,7 +137,7 @@ def topk_score(
     """Perturbed top-k nominator.
 
     Clones the score vector ``num_samples`` times, adds Gaussian noise of
-    scale ``sigma``, takes each sample's top-``kappa`` indices by descending
+    scale ``sigma``, takes each sample's top-``kappa`` snippets by descending
     perturbed score (ties to the lower index) and counts how often each
     snippet was selected.
 
@@ -159,13 +170,19 @@ def topk_score(
             raise ValueError("an rng is required when sigma > 0 and no noise is supplied")
         z = rng.standard_normal(shape)
 
-    perturbed = w[..., None, :] + sigma * z
-    indices = np.argsort(-perturbed, axis=-1, kind="stable")[..., :kappa]
-    # every bag's counts in one bincount: bag i's snippets are numbered from i * T
-    # (adding the offsets makes the one contiguous copy that bincount needs)
-    flat = indices + (t_len * np.arange(w.size // t_len)).reshape(*w.shape[:-1], 1, 1)
-    inclusion = np.bincount(flat.ravel(), minlength=w.size).reshape(w.shape) / num_samples
-    return SoftSelection(inclusion=inclusion, indices=indices, noise=z, sigma=float(sigma))
+    perturbed = _perturb(w, z, sigma)
+    # the set a stable descending sort puts first, without the sort: every score
+    # above the sample's kappa-th largest, then the scores equal to it, lowest index
+    # first (an int32 running count is a third of the cost of the default int64 one)
+    kth = np.partition(perturbed, t_len - kappa, axis=-1)[..., t_len - kappa, None]
+    above = perturbed > kth
+    tied = perturbed == kth
+    room = kappa - np.count_nonzero(above, axis=-1, keepdims=True)
+    selected = above | (tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= room))
+    inclusion = np.count_nonzero(selected, axis=-2) / num_samples
+    return SoftSelection(
+        inclusion=inclusion, selected=selected, scores=w, noise=z, sigma=float(sigma), kappa=kappa
+    )
 
 
 def make_scorer(d: int, rng: np.random.Generator, hidden: tuple[int, ...] = SCORER_HIDDEN) -> MLP:

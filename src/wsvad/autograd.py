@@ -269,8 +269,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _from_op("relu", np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
+    # np.maximum(-0.0, 0) is +0.0, as np.where(a > 0, a, 0) gives; the mask is only built for backward
+    return _from_op("relu", np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def _sigmoid(a: Tensor) -> Tensor:

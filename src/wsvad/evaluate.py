@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -236,23 +235,31 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _frame_rows(tl: ScoreTimeline, labels: np.ndarray):
-    """One video's CSV rows, byte for byte what ``csv.writer`` writes for
-    ``[video_id, i, repr(float(score)), binary, label]`` per frame. Each run of
-    equal scores (the frames of one snippet) is formatted once."""
+def _frame_runs(tl: ScoreTimeline, labels: np.ndarray, idx: list[str]):
+    """One video's CSV text, byte for byte what ``csv.writer`` writes for
+    ``[video_id, i, repr(float(score)), binary, label]`` per frame, one piece
+    per run of frames that share the score bits, the binary value and the
+    label. ``idx`` holds the frame indices as text, at least one per frame."""
     scores = np.asarray(tl.frame_scores, dtype=np.float64)
-    bits = scores.view(np.uint64)  # runs split on any bit change, so -0.0 and 0.0 stay apart
-    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    runs = np.diff(np.r_[starts, scores.size]).tolist()
-    texts = [repr(x) for x in scores[starts].tolist()]
-    per_frame = itertools.chain.from_iterable(itertools.repeat(t, n) for t, n in zip(texts, runs))
-    prefix = _csv_field(tl.video_id)
-    return (
-        f"{prefix},{i},{text},{b},{y}\r\n"
-        for i, text, b, y in zip(
-            itertools.count(), per_frame, tl.frame_binary.astype(int).tolist(), labels.astype(int).tolist()
+    binary = np.asarray(tl.frame_binary).astype(int)
+    labels = np.asarray(labels).astype(int)
+    n = scores.size
+    if binary.size != n or labels.size != n:
+        raise ValueError(
+            f"video '{tl.video_id}': {n} frame scores, {binary.size} binary values and {labels.size} labels"
         )
-    )
+    if n == 0:
+        return
+    bits = scores.view(np.uint64)  # runs split on any bit change, so -0.0 and 0.0 stay apart
+    change = (bits[1:] != bits[:-1]) | (binary[1:] != binary[:-1]) | (labels[1:] != labels[:-1])
+    starts = np.flatnonzero(np.r_[True, change])
+    ends = np.r_[starts[1:], n]
+    head = _csv_field(tl.video_id) + ","
+    for s, e, x, b, y in zip(
+        starts.tolist(), ends.tolist(), scores[starts].tolist(), binary[starts].tolist(), labels[starts].tolist()
+    ):
+        tail = f",{x!r},{b},{y}\r\n"
+        yield head + (tail + head).join(idx[s:e]) + tail
 
 
 def write_frame_csv(
@@ -260,11 +267,14 @@ def write_frame_csv(
     timelines: list[ScoreTimeline],
     ground_truth: dict[str, list[tuple[int, int]]],
 ) -> None:
-    """Per-frame scores as CSV: video_id, frame_idx, score, binary, label."""
+    """Per-frame scores as CSV: video_id, frame_idx, score, binary, label.
+
+    Raises ValueError naming the video when its frame scores, binary values
+    and labels differ in length.
+    """
+    idx = list(map(str, range(max((tl.frame_count for tl in timelines), default=0))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["video_id", "frame_idx", "score", "binary", "label"])
         for tl, labels in zip(timelines, video_frame_labels(timelines, ground_truth)):
-            rows = _frame_rows(tl, labels)
-            # a few hundred rows per write: joining a whole long video raised peak memory
-            while chunk := "".join(itertools.islice(rows, 256)):
-                fh.write(chunk)
+            for run in _frame_runs(tl, labels, idx):
+                fh.write(run)

@@ -18,6 +18,8 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"scores and labels disagree in length: {s.shape} vs {y.shape}")
     if s.size == 0:
         raise ValueError("empty input")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be binary")
     return s, y.astype(np.float64)

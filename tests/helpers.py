@@ -179,3 +179,25 @@ def ref_unfold(values: np.ndarray, snippet_len: int, frame_count: int) -> np.nda
         idx = min(f // snippet_len, len(values) - 1)
         out[f] = values[idx]
     return out
+
+
+def ref_topk(scores: np.ndarray, kappa: int, noise: np.ndarray, sigma: float):
+    """Perturbed top-k by a stable descending argsort, one sample at a time.
+
+    ``noise`` is (..., M, T) and ``scores`` holds the matching (..., T) bags.
+    Returns (indices (..., M, kappa) in rank order, inclusion (..., T),
+    per-sample 0/1 inclusion (..., M, T), vhat (..., kappa, T))."""
+    m, t_len = noise.shape[-2:]
+    lead = noise.shape[:-2]
+    w = np.asarray(scores, dtype=np.float64).reshape(*lead, t_len)
+    indices = np.empty((*lead, m, kappa), dtype=np.intp)
+    v = np.zeros(noise.shape)
+    counts = np.zeros((*lead, kappa, t_len))
+    for pos in np.ndindex(*lead, m):
+        bag = pos[:-1]
+        order = np.argsort(-(w[bag] + sigma * noise[pos]), kind="stable")[:kappa]
+        indices[pos] = order
+        v[pos][order] = 1.0
+        for rank, t in enumerate(order):
+            counts[(*bag, rank, t)] += 1.0
+    return indices, v.sum(axis=-2) / m, v, counts / m

@@ -15,7 +15,7 @@ from wsvad.attention import (
 )
 from wsvad.autograd import Tensor
 
-from helpers import max_rel_err
+from helpers import max_rel_err, ref_topk
 
 
 class TestKappaFromRatio:
@@ -78,6 +78,29 @@ class TestTopkStructure:
     def test_all_equal_scores_tie_break(self):
         sel = topk_score(np.zeros(5), 3, 2, 0.0)
         assert [int(np.argmax(r)) for r in sel.vhat] == [0, 1, 2]
+
+    @pytest.mark.parametrize("bags", [None, 3])
+    @pytest.mark.parametrize("kind", ["quarters", "all_equal"])
+    @pytest.mark.parametrize("t_len", [2, 7])
+    def test_selection_equals_stable_argsort_on_ties(self, bags, kind, t_len):
+        """Ties between perturbed scores fall to the lower index, exactly as a
+        stable descending argsort picks them."""
+        rng = np.random.default_rng(t_len * 10 + (bags or 1))
+        m = 24
+        lead = () if bags is None else (bags,)
+        if kind == "quarters":
+            # quarter-valued scores plus quarter-scaled integer noise: many exact ties
+            omega = np.round(rng.uniform(0, 1, (*lead, t_len)) * 4) / 4
+            z, sigma = rng.integers(-2, 3, (*lead, m, t_len)).astype(np.float64), 0.25
+        else:
+            omega, z, sigma = np.full((*lead, t_len), 0.5), np.zeros((*lead, m, t_len)), 0.0
+        for kappa in (1, t_len - 1, t_len):
+            sel = topk_score(omega, kappa, m, sigma, noise=z, bags=bags)
+            indices, inclusion, v, vhat = ref_topk(omega, kappa, z, sigma)
+            assert np.array_equal(sel.indices, indices)
+            assert np.array_equal(sel.inclusion, inclusion)
+            assert np.array_equal(sel.sample_inclusion(), v)
+            assert np.array_equal(sel.vhat, vhat)
 
     def test_kappa_out_of_range(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,19 @@ class TestElementwise:
         assert Tensor([-3.0]).relu().data[0] == 0.0
         assert Tensor([3.0]).relu().data[0] == 3.0
 
+    def test_relu_signed_zeros_and_gradient_at_zero(self):
+        # odd lengths and offsets reach both the vector loop and its scalar tail
+        base = np.array([-0.0, 0.0, -2.5, 1.25, -0.0, 3.0, 0.0, -1e-30, 7.0], dtype=np.float32)
+        x = np.tile(base, 37)[3:]
+        t = Tensor(x, requires_grad=True)
+        out = t.relu()
+        backward(out.sum())
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == np.where(x > 0, x, 0).astype(np.float32).tobytes()
+        assert not np.signbit(out.data).any()
+        assert np.array_equal(t.grad, (x > 0).astype(np.float32))
+        assert np.all(t.grad[x == 0] == 0.0)
+
     def test_l2_norm_hand_value(self):
         assert l2_norm(Tensor([3.0, 4.0])).item() == 5.0
 

@@ -278,3 +278,34 @@ class TestFrameCsvBytes:
         write_frame_csv(tmp_path / "fast.csv", timelines, gt)
         ref_write_frame_csv(tmp_path / "ref.csv", timelines, gt)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_timeline_list_writes_header_only(self, tmp_path):
+        write_frame_csv(tmp_path / "fast.csv", [], {})
+        ref_write_frame_csv(tmp_path / "ref.csv", [], {})
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == b"video_id,frame_idx,score,binary,label\r\n"
+
+    def test_longest_video_last(self, tmp_path):
+        timelines = []
+        for k, frames in enumerate([3, 1, 40, 2, 301]):
+            scores = unfold_scores(np.linspace(0.1, 0.9, -(-frames // 4)), 4, frames)
+            binary = (scores >= 0.5).astype(np.uint8)
+            timelines.append(ScoreTimeline(f"v{k}", 0, scores[::4], binary[::4], scores, binary))
+        write_frame_csv(tmp_path / "fast.csv", timelines, {})
+        ref_write_frame_csv(tmp_path / "ref.csv", timelines, {})
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_binary_and_label_flip_inside_a_run_of_equal_scores(self, tmp_path):
+        scores = np.full(20, 0.625)
+        binary = np.array([0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
+        tl = ScoreTimeline("v", 1, scores[:1], binary[:1], scores, binary)
+        gt = {"v": [(3, 9), (15, 16)]}
+        write_frame_csv(tmp_path / "fast.csv", [tl], gt)
+        ref_write_frame_csv(tmp_path / "ref.csv", [tl], gt)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_length_mismatch_names_the_video(self, tmp_path):
+        ok = ScoreTimeline("fine", 0, np.full(1, 0.2), np.zeros(1), np.full(4, 0.2), np.zeros(4))
+        short = ScoreTimeline("short-binary", 0, np.full(1, 0.2), np.zeros(1), np.full(4, 0.2), np.zeros(3))
+        with pytest.raises(ValueError, match="short-binary"):
+            write_frame_csv(tmp_path / "fast.csv", [ok, short], {})

@@ -93,3 +93,11 @@ class TestAucPr:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             auc_pr([0.3, 0.4], [0, 2])
+
+
+@pytest.mark.parametrize("metric", [auc_roc, auc_pr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(metric, bad):
+    # unchecked, a NaN is ranked like any score and yields a number (auc_roc 0.5, auc_pr 0.75)
+    with pytest.raises(ValueError, match="finite"):
+        metric([0.1, bad, 0.9, 0.2], [0, 1, 1, 0])
