@@ -239,12 +239,14 @@ def tsa_forward(
     rng: np.random.Generator | None = None,
     *,
     noise: np.ndarray | None = None,
+    bags: int | None = None,
 ) -> tuple[Tensor, SoftSelection, Tensor]:
     """Score snippets, nominate the top-kappa, and reweigh the features.
 
-    Returns the attention features (T, d), the soft selection, and the raw
-    scores (T, 1).
+    ``features`` and ``bags`` are as in ``tsa_fuse``. Returns the attention
+    features and the raw scores, one row each per input row, and the soft
+    selection.
     """
     omega = mlp_forward(scorer, features)
-    fhat, selection = tsa_fuse(features, omega, cfg, rng, noise=noise)
+    fhat, selection = tsa_fuse(features, omega, cfg, rng, noise=noise, bags=bags)
     return fhat, selection, omega

@@ -18,18 +18,23 @@ from .trainer import TrainConfig, train
 
 CHECKPOINT_FILENAME = "checkpoint.vadc"
 
+# every flag's default is read off the config it fills
+GEN_DEFAULTS = SyntheticConfig()
+TRAIN_DEFAULTS = TrainConfig()
+
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=8, metavar="B", help="bags per class; the batch holds 2*B")
-    p.add_argument("--t", type=int, default=32, help="snippets per bag after resizing")
-    p.add_argument("--r", type=float, default=0.7, help="fraction of snippets the attention keeps")
-    p.add_argument("--alpha", type=int, default=3)
-    p.add_argument("--margin", type=float, default=100.0)
-    p.add_argument("--sigma-noise", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=100, metavar="M")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--weight-decay", type=float, default=0.005)
+    c, tsa = TRAIN_DEFAULTS, TRAIN_DEFAULTS.tsa
+    p.add_argument("--epochs", type=int, default=c.epochs)
+    p.add_argument("--batch", type=int, default=c.batch_bags, metavar="B", help="bags per class; the batch holds 2*B")
+    p.add_argument("--t", type=int, default=c.t_len, help="snippets per bag after resizing")
+    p.add_argument("--r", type=float, default=tsa.ratio, help="fraction of snippets the attention keeps")
+    p.add_argument("--alpha", type=int, default=c.alpha)
+    p.add_argument("--margin", type=float, default=c.margin)
+    p.add_argument("--sigma-noise", type=float, default=tsa.sigma_noise)
+    p.add_argument("--samples", type=int, default=tsa.num_samples, metavar="M")
+    p.add_argument("--lr", type=float, default=c.lr)
+    p.add_argument("--weight-decay", type=float, default=c.weight_decay)
     p.add_argument("--no-tsa", action="store_true", help="disable the attention stage")
 
 
@@ -79,8 +84,8 @@ def _write_train_log(path: Path, log: list[dict]) -> None:
             writer.writerow([row["epoch"], repr(row["loss"]), "" if val is None else repr(val)])
 
 
-def _cmd_gen(args) -> int:
-    cfg = SyntheticConfig(
+def _synthetic_config(args) -> SyntheticConfig:
+    return SyntheticConfig(
         n_normal=args.n_normal,
         n_abnormal=args.n_abnormal,
         d=args.d,
@@ -91,6 +96,10 @@ def _cmd_gen(args) -> int:
         noise_std=args.noise_std,
         seed=args.seed,
     )
+
+
+def _cmd_gen(args) -> int:
+    cfg = _synthetic_config(args)
     train_m, test_m = generate_synthetic(cfg, args.out)
     print(
         f"wrote {len(train_m.videos)} train and {len(test_m.videos)} test videos "
@@ -100,6 +109,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.val_manifest and args.val_every < 1:
+        raise ValueError(f"--val-manifest needs --val-every >= 1, got {args.val_every}")
+    if args.val_every and not args.val_manifest:
+        raise ValueError(f"--val-every {args.val_every} needs --val-manifest")
     cfg = _train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,26 +215,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    g = GEN_DEFAULTS
     p = sub.add_parser("gen", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d", type=int, default=32)
-    p.add_argument("--delta", type=int, default=16, help="frames per snippet")
-    p.add_argument("--n-normal", type=int, default=100)
-    p.add_argument("--n-abnormal", type=int, default=100)
-    p.add_argument("--frames", type=int, nargs=2, default=[128, 512], metavar=("LO", "HI"))
-    p.add_argument("--eps", type=int, nargs=2, default=[2, 5], metavar=("LO", "HI"),
+    p.add_argument("--seed", type=int, default=g.seed)
+    p.add_argument("--d", type=int, default=g.d)
+    p.add_argument("--delta", type=int, default=g.snippet_len, help="frames per snippet")
+    p.add_argument("--n-normal", type=int, default=g.n_normal)
+    p.add_argument("--n-abnormal", type=int, default=g.n_abnormal)
+    p.add_argument("--frames", type=int, nargs=2, default=list(g.frame_range), metavar=("LO", "HI"))
+    p.add_argument("--eps", type=int, nargs=2, default=list(g.eps_range), metavar=("LO", "HI"),
                    help="planted abnormal snippets per abnormal video")
-    p.add_argument("--shift", type=float, default=1.5)
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--shift", type=float, default=g.anomaly_shift)
+    p.add_argument("--noise-std", type=float, default=g.noise_std)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train", help="fit a detector and write a checkpoint")
     p.add_argument("--manifest", required=True, help="path to the train manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
     p.add_argument("--val-manifest", default=None)
-    p.add_argument("--val-every", type=int, default=0)
+    p.add_argument("--val-every", type=int, default=0, help="epochs between validations; needs --val-manifest")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -238,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="train manifest.json")
     p.add_argument("--test-manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
     p.add_argument("--r-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_sweep_r)

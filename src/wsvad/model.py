@@ -70,21 +70,25 @@ def init_model(
 def score_bag(
     model: Model,
     features: Tensor,
+    bags: int | None = None,
     *,
     train: bool = False,
     tsa_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
 ):
-    """Run one (T, d) bag through the full pipeline.
+    """The detector's forward pass, for training and eval alike.
 
-    Returns (snippet scores (T, 1), context features (T, d), soft selection
-    or None when attention is disabled).
+    ``features`` is one (T, d) bag, or with ``bags`` given, ``bags`` bags of
+    T snippets stacked along the rows; every stage keeps the bags apart.
+    Returns (snippet scores (rows, 1), context features (rows, d), soft
+    selection or None when attention is disabled); the selection has a
+    leading bag axis exactly when ``bags`` is given.
     """
     selection = None
     h = features
     if model.tsa_enabled:
-        h, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng)
-    ctx = conv_module_forward(model.conv, h)
+        h, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
+    ctx = conv_module_forward(model.conv, h, 1 if bags is None else bags)
     scores = mlp_forward(model.classifier, ctx, train=train, rng=dropout_rng)
     return scores, ctx, selection
 

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import autograd as ag
-from .attention import TsaConfig, tsa_fuse
+from .attention import TsaConfig
 from .autograd import Tensor
-from .features import DatasetManifest, VideoRecord, load_records, require_both_classes, temporal_normalize
-from .model import Model, init_model
-from .nn import conv_module_forward, mlp_forward
+from .features import DatasetManifest, load_records, require_both_classes, temporal_normalize
+from .model import Model, init_model, score_bag
 from .optim import Adam
+
+# No call site here: benchmarks/spans.py looks these names up on this module.
+from .attention import tsa_fuse  # noqa: F401
+from .nn import conv_module_forward, mlp_forward  # noqa: F401
 
 BCE_EPS = 1e-6
 
@@ -54,56 +56,33 @@ class TrainConfig:
 
 @dataclass
 class BatchLayout:
-    """2B bags, normal first. All bags share one (T, d) shape."""
+    """2B bags of T snippets stacked along the rows, the B normal bags first."""
 
-    bags: list[Tensor]
+    features: Tensor  # (2B * T, d)
     labels: np.ndarray  # (2B,) of {0, 1}
-    video_ids: list[str]
-
-    @property
-    def pairs(self) -> int:
-        return len(self.bags) // 2
-
-    def __post_init__(self) -> None:
-        b = len(self.bags) // 2
-        if len(self.bags) != 2 * b or b == 0:
-            raise ValueError("batch must hold an even, positive number of bags")
-        if not (np.all(self.labels[:b] == 0) and np.all(self.labels[b:] == 1)):
-            raise ValueError("batch layout violated: expected B normal bags then B abnormal")
-
-
-class TrainingVideo(NamedTuple):
-    """A training video with its features already resized to the bag length."""
-
-    video_id: str
-    label: int
-    features: np.ndarray  # (t_len, d)
+    videos: np.ndarray  # (2B,) index of each bag's video in the training array
 
 
 def build_batch(
-    records: Sequence[VideoRecord | TrainingVideo], batch_bags: int, t_len: int, rng: np.random.Generator
+    videos: np.ndarray, labels: np.ndarray, batch_bags: int, rng: np.random.Generator
 ) -> BatchLayout:
-    """Sample B normal and B abnormal videos and resize each to t_len snippets.
+    """Draw B normal and B abnormal bags from ``videos`` (N, T, d), whose
+    classes ``labels`` (N,) gives, and gather them with one ``np.take``.
 
     Sampling is without replacement per class when the class has at least B
     videos, with replacement otherwise.
     """
-    normal = [r for r in records if r.label == 0]
-    abnormal = [r for r in records if r.label == 1]
-    if not normal or not abnormal:
+    labels = np.asarray(labels)
+    normal, abnormal = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    if not normal.size or not abnormal.size:
         raise ValueError(
-            f"training needs both classes ({len(normal)} normal, {len(abnormal)} abnormal)"
+            f"training needs both classes ({normal.size} normal, {abnormal.size} abnormal)"
         )
-    bags: list[Tensor] = []
-    ids: list[str] = []
-    for pool in (normal, abnormal):
-        chosen = rng.choice(len(pool), size=batch_bags, replace=len(pool) < batch_bags)
-        for j in chosen:
-            rec = pool[int(j)]
-            bags.append(Tensor(temporal_normalize(rec.features, t_len)))
-            ids.append(rec.video_id)
-    labels = np.repeat([0, 1], batch_bags)
-    return BatchLayout(bags=bags, labels=labels, video_ids=ids)
+    drawn = np.concatenate(
+        [pool[rng.choice(pool.size, size=batch_bags, replace=pool.size < batch_bags)] for pool in (normal, abnormal)]
+    )
+    features = np.take(videos, drawn, axis=0).reshape(-1, videos.shape[-1])
+    return BatchLayout(features=Tensor(features), labels=np.repeat([0, 1], batch_bags), videos=drawn)
 
 
 def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
@@ -191,26 +170,6 @@ def dmt_loss(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) 
     return margin_term * cfg.w_margin + mean_log_likelihood * -cfg.w_bce
 
 
-def _batch_forward(
-    model: Model,
-    batch: BatchLayout,
-    noise_rng: np.random.Generator,
-    drop_rng: np.random.Generator,
-) -> tuple[Tensor, Tensor]:
-    """Train-mode forward over a whole batch as one graph.
-
-    The scorer, attention nomination, the context module and the classifier
-    each run once on the stacked (2B * T, d) bags. Returns the stacked
-    context features (2B * T, d) and snippet scores (2B * T, 1).
-    """
-    n = len(batch.bags)
-    x = Tensor(np.concatenate([bag.data for bag in batch.bags], axis=0))
-    if model.tsa_enabled:
-        x, _ = tsa_fuse(x, mlp_forward(model.scorer, x), model.tsa, noise_rng, bags=n)
-    ctx = conv_module_forward(model.conv, x, n)
-    return ctx, mlp_forward(model.classifier, ctx, train=True, rng=drop_rng)
-
-
 @dataclass
 class TrainResult:
     model: Model
@@ -231,16 +190,18 @@ def train(
     value is logged as ``val_auc`` every ``val_every`` epochs.
     """
     require_both_classes(manifest)
-    # each video is resized once, and its native-length features are not kept
-    videos = [
-        TrainingVideo(r.video_id, r.label, temporal_normalize(r.features, cfg.t_len))
-        for r in load_records(manifest, base_dir)
-    ]
-    d = manifest.d
+    # each video is resized once into one (N, T, d) array, then the records
+    # and their native-length features are dropped
+    records = load_records(manifest, base_dir)
+    videos = np.empty((len(records), cfg.t_len, manifest.d), dtype=np.float32)
+    for i, r in enumerate(records):
+        videos[i] = temporal_normalize(r.features, cfg.t_len)
+    labels = np.array([r.label for r in records])
+    del records
 
     root = np.random.SeedSequence(cfg.seed)
     init_seq, batch_seq, noise_seq, drop_seq = root.spawn(4)
-    model = init_model(d, cfg.tsa, init_seq, tsa_enabled=cfg.tsa_enabled)
+    model = init_model(manifest.d, cfg.tsa, init_seq, tsa_enabled=cfg.tsa_enabled)
     batch_rng = np.random.default_rng(batch_seq)
     noise_rng = np.random.default_rng(noise_seq)
     drop_rng = np.random.default_rng(drop_seq)
@@ -249,8 +210,10 @@ def train(
     log: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
         try:
-            batch = build_batch(videos, cfg.batch_bags, cfg.t_len, batch_rng)
-            ctx, scores = _batch_forward(model, batch, noise_rng, drop_rng)
+            batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
+            scores, ctx, _ = score_bag(
+                model, batch.features, 2 * cfg.batch_bags, train=True, tsa_rng=noise_rng, dropout_rng=drop_rng
+            )
             loss = dmt_loss(ctx, scores, batch.labels, cfg)
             loss_val = loss.item()
             ag.backward(loss)

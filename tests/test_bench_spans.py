@@ -44,6 +44,10 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
     assert tracer.counts[("train", "autograd.conv1d_flop")] == 2 * b * t_len * 3 * 2 * 3 * d * (d // 4)
     calls = spans.call_counts(tracer.spans, "train")
     assert calls["nn.conv_module"] == 1
+    # the traced benchmark's per-layer times read these spans; a forward
+    # routed around every wrapped name would leave them missing
+    for name in ("attention.tsa_fuse", "attention.scorer", "nn.classifier"):
+        assert calls[name] == 1, name
     assert calls["autograd.conv1d_dilated"] == 3
     # one graph over the stacked batch: scorer 9 nodes (3 layers of matmul,
     # bias, activation), attention 1, context module 17, classifier 11

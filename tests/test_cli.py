@@ -12,7 +12,8 @@ from wsvad.attention import TsaConfig
 from wsvad.cli import main
 from wsvad.features import load_manifest
 from wsvad.model import init_model, save_checkpoint
-from wsvad.trainer import train
+from wsvad.synthetic import SyntheticConfig
+from wsvad.trainer import TrainConfig, train
 
 GEN_FLAGS = [
     "--d", "8", "--delta", "4", "--n-normal", "6", "--n-abnormal", "6",
@@ -53,6 +54,26 @@ class TestGen:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """Each flag's default comes from the config field it fills, so a
+    subcommand given only its required flags builds the default configs."""
+
+    def parse(self, *argv):
+        return cli.build_parser().parse_args(list(argv))
+
+    def test_gen(self):
+        assert cli._synthetic_config(self.parse("gen", "--out", "o")) == SyntheticConfig()
+
+    @pytest.mark.parametrize("command", ["train", "sweep-r"])
+    def test_train_and_sweep_r(self, command):
+        argv = ["--manifest", "m", "--out", "o"] + (["--test-manifest", "t"] if command == "sweep-r" else [])
+        assert cli._train_config(self.parse(command, *argv)) == TrainConfig()
+
+    def test_ablate(self):
+        args = self.parse("ablate", "--manifest", "m", "--test-manifest", "t", "--out", "o")
+        assert cli._train_config(args, seed=TrainConfig().seed) == TrainConfig()
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +239,24 @@ class TestValidation:
         assert loads == [test_dir]
         rows = (out / "train_log.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == [repr(r["val_auc"]) for r in expected.log]
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--val-manifest", "VAL"], ["--val-manifest", "VAL", "--val-every", "-2"], ["--val-every", "2"]]
+    )
+    def test_validation_flags_must_come_together(self, dataset, tmp_path, capsys, flags):
+        """A validation split that is never scored, or a validation period
+        with nothing to score, is an error rather than an empty column."""
+        val = str(dataset / "test" / "manifest.json")
+        out = tmp_path / "run"
+        code = main([
+            "train", "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out),
+            *FAST_TRAIN, *[val if f == "VAL" else f for f in flags],
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--val-manifest" in err and "--val-every" in err
+        assert not out.exists()
 
 
 class TestSweepAndAblate:

@@ -212,3 +212,23 @@ class TestScoreBag:
             scores, _, sel = score_bag(model, feats, tsa_rng=np.random.default_rng(0))
         assert np.all((scores.data > 0) & (scores.data < 1))
         assert sel is not None and sel.vhat.shape[1] == 10
+
+    @pytest.mark.parametrize("tsa_enabled", [True, False])
+    def test_stacked_bags_match_one_bag_calls(self, tsa_enabled):
+        """Training's forward over n stacked bags equals n one-bag eval calls
+        drawing from the same rng stream in order."""
+        model = small_model(num_samples=16)
+        model.tsa_enabled = tsa_enabled
+        n, t_len = 3, 7
+        x = np.random.default_rng(4).normal(size=(n * t_len, 8)).astype(np.float32)
+        with no_grad():
+            scores, ctx, sel = score_bag(model, Tensor(x), bags=n, tsa_rng=np.random.default_rng(9))
+            rng = np.random.default_rng(9)
+            singles = [score_bag(model, Tensor(bag), tsa_rng=rng) for bag in x.reshape(n, t_len, 8)]
+        np.testing.assert_allclose(scores.data, np.concatenate([s.data for s, _, _ in singles]), atol=1e-6)
+        np.testing.assert_allclose(ctx.data, np.concatenate([c.data for _, c, _ in singles]), atol=1e-6)
+        if tsa_enabled:
+            assert sel.inclusion.shape == (n, t_len)
+            assert np.array_equal(sel.inclusion, np.stack([s.inclusion for _, _, s in singles]))
+        else:
+            assert sel is None and all(s is None for _, _, s in singles)

@@ -14,9 +14,7 @@ from wsvad.model import init_model
 from wsvad.nn import conv_module_forward, conv_module_init, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
-    BatchLayout,
     TrainConfig,
-    TrainingVideo,
     build_batch,
     dmt_loss,
     separability,
@@ -45,67 +43,68 @@ def make_records(tmp_path, **kw):
     return load_records(train_m, tmp_path / "train"), train_m
 
 
+def resized(records, t_len):
+    """The (N, T, d) training array and (N,) labels ``train`` builds."""
+    return np.stack([temporal_normalize(r.features, t_len) for r in records]), np.array([r.label for r in records])
+
+
 class TestBuildBatch:
     def test_layout_contract(self, tmp_path):
         records, _ = make_records(tmp_path)
+        videos, labels = resized(records, 8)
         for seed in range(5):
-            batch = build_batch(records, 4, 8, np.random.default_rng(seed))
-            assert len(batch.bags) == 8
+            batch = build_batch(videos, labels, 4, np.random.default_rng(seed))
             assert np.all(batch.labels == np.repeat([0, 1], 4))
-            assert all(bag.shape == (8, 8) for bag in batch.bags)
+            assert np.array_equal(labels[batch.videos], batch.labels)
+            # six videos per class: four drawn without replacement
+            assert len(set(batch.videos[:4])) == 4 and len(set(batch.videos[4:])) == 4
+            assert batch.features.shape == (8 * 8, 8)
+            assert np.array_equal(batch.features.data, videos[batch.videos].reshape(64, 8))
 
     def test_single_pair_is_deterministic(self, tmp_path):
         records, _ = make_records(tmp_path, n_normal=1, n_abnormal=1)
-        a = build_batch(records, 1, 6, np.random.default_rng(0))
-        b = build_batch(records, 1, 6, np.random.default_rng(123))
-        assert a.video_ids == b.video_ids
-        assert np.array_equal(a.bags[0].data, b.bags[0].data)
+        videos, labels = resized(records, 6)
+        a = build_batch(videos, labels, 1, np.random.default_rng(0))
+        b = build_batch(videos, labels, 1, np.random.default_rng(123))
+        assert np.array_equal(a.videos, b.videos)
+        assert np.array_equal(a.features.data, b.features.data)
 
     def test_replayed_stream_matches(self, tmp_path):
         records, _ = make_records(tmp_path)
+        videos, labels = resized(records, 8)
 
         def draws(seed, n=500):
             rng = np.random.default_rng(seed)
-            return [tuple(build_batch(records, 2, 8, rng).video_ids) for _ in range(n)]
+            return [tuple(build_batch(videos, labels, 2, rng).videos) for _ in range(n)]
 
         assert draws(42) == draws(42)
 
     def test_missing_class_rejected(self, tmp_path):
         records, _ = make_records(tmp_path)
-        only_normal = [r for r in records if r.label == 0]
+        videos, labels = resized(records, 8)
+        normal = labels == 0
         with pytest.raises(ValueError, match="both classes"):
-            build_batch(only_normal, 2, 8, np.random.default_rng(0))
-
-    def test_presized_videos_give_the_same_batches(self, tmp_path):
-        records, _ = make_records(tmp_path)
-        videos = [TrainingVideo(r.video_id, r.label, temporal_normalize(r.features, 8)) for r in records]
-        a_rng, b_rng = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(10):
-            a = build_batch(records, 3, 8, a_rng)
-            b = build_batch(videos, 3, 8, b_rng)
-            assert a.video_ids == b.video_ids
-            for x, y in zip(a.bags, b.bags):
-                assert np.array_equal(x.data, y.data)
+            build_batch(videos[normal], labels[normal], 2, np.random.default_rng(0))
 
     def test_training_resizes_each_video_once(self, tmp_path, monkeypatch):
         records, manifest = make_records(tmp_path)
         calls = []
 
         def counting(features, t_out):
-            if features.shape[0] != t_out:
-                calls.append(features.shape[0])
+            calls.append(features.shape[0])
             return temporal_normalize(features, t_out)
 
         monkeypatch.setattr(trainer_module, "temporal_normalize", counting)
         train(manifest, tmp_path / "train", TrainConfig(t_len=8, batch_bags=2, epochs=5, seed=0))
-        # only the once-per-video resize changes a length; build_batch's calls are copies
-        assert calls == [r.features.shape[0] for r in records if r.features.shape[0] != 8]
-        assert len(calls) > 0
+        assert calls == [r.features.shape[0] for r in records]
 
     def test_sampling_with_replacement_when_scarce(self, tmp_path):
         records, _ = make_records(tmp_path, n_normal=1, n_abnormal=1)
-        batch = build_batch(records, 4, 8, np.random.default_rng(0))
-        assert len(batch.bags) == 8  # 1 video per class reused
+        videos, labels = resized(records, 8)
+        batch = build_batch(videos, labels, 4, np.random.default_rng(0))
+        # 1 video per class reused
+        assert batch.videos.tolist() == [np.flatnonzero(labels == 0)[0]] * 4 + [np.flatnonzero(labels == 1)[0]] * 4
+        assert batch.features.shape == (8 * 8, 8)
 
 
 class TestTopAlphaMean:
