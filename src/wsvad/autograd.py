@@ -94,9 +94,10 @@ def no_grad():
 
 
 def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    # fast path: a finite float64 sum certifies every entry; a non-finite sum
-    # may be accumulator overflow, so only then pay for the exact scan
-    total = arr.sum(dtype=np.float64)
+    # fast path: a finite sum in the array's own dtype certifies every entry;
+    # a non-finite sum may be accumulator overflow, so only then pay for the
+    # exact scan
+    total = arr.sum()
     if not np.isfinite(total) and not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by '{name}' (shape {arr.shape})")
     return arr

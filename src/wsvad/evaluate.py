@@ -3,8 +3,14 @@
 Test videos keep their native snippet count (no temporal resizing); snippet
 scores are unfolded to frame length by repeating each score snippet_len
 times, padding any remainder with the final score. The report's primary
-metrics are computed on the continuous unfolded scores; rounded binary
-scores are kept as the detection artifact and scored separately.
+metrics are frame-level ROC/PR areas of the continuous scores; rounded
+binary scores are kept as the detection artifact and scored separately.
+
+A frame score is its snippet's score, so the metrics are computed over
+weighted snippet runs rather than frames: each snippet contributes one
+entry per label it covers, weighted by its frame count under that label.
+The counts are exact integers, so the areas are bit-identical to the
+frame-level definition on the unfolded arrays.
 """
 
 from __future__ import annotations
@@ -75,6 +81,27 @@ class EvalReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def snippet_lengths(num_snippets: int, snippet_len: int, frame_count: int) -> np.ndarray:
+    """Frames each snippet covers, in order.
+
+    Every snippet covers snippet_len frames except the last, which takes the
+    remainder: fewer when the snippets overshoot the frame count (possibly
+    none), more when they fall short.
+    """
+    if num_snippets < 1:
+        raise ValueError("no snippet scores to unfold")
+    if snippet_len < 1 or frame_count < 1:
+        raise ValueError("snippet_len and frame_count must be positive")
+    if frame_count < snippet_len * (num_snippets - 1):
+        raise ValueError(
+            f"inconsistent unfold: {num_snippets} snippets of {snippet_len} frames "
+            f"cannot map onto {frame_count} frames"
+        )
+    lengths = np.full(num_snippets, snippet_len, dtype=np.int64)
+    lengths[-1] = frame_count - snippet_len * (num_snippets - 1)
+    return lengths
+
+
 def unfold_scores(values: np.ndarray, snippet_len: int, frame_count: int) -> np.ndarray:
     """Expand per-snippet values to per-frame values.
 
@@ -83,19 +110,7 @@ def unfold_scores(values: np.ndarray, snippet_len: int, frame_count: int) -> np.
     is padded with the final value.
     """
     v = np.asarray(values).ravel()
-    if v.size < 1:
-        raise ValueError("no snippet scores to unfold")
-    if snippet_len < 1 or frame_count < 1:
-        raise ValueError("snippet_len and frame_count must be positive")
-    if frame_count < snippet_len * (v.size - 1):
-        raise ValueError(
-            f"inconsistent unfold: {v.size} snippets of {snippet_len} frames "
-            f"cannot map onto {frame_count} frames"
-        )
-    out = np.repeat(v, snippet_len)[:frame_count]
-    if out.size < frame_count:
-        out = np.concatenate([out, np.full(frame_count - out.size, v[-1], dtype=v.dtype)])
-    return out
+    return np.repeat(v, snippet_lengths(v.size, snippet_len, frame_count))
 
 
 def infer_video(
@@ -181,18 +196,35 @@ def evaluate_records(
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], np.ndarray]:
-    """``evaluate_manifest`` over records already loaded."""
+    """``evaluate_manifest`` over records already loaded.
+
+    The metrics are computed over weighted snippet entries: each snippet
+    gives one entry per label, weighted by its frame count under that label
+    (zero-weight entries dropped), which scores the same as the unfolded
+    frame arrays.
+    """
+    if not records:
+        raise ValueError("no videos to evaluate: the split is empty")
     started = time.perf_counter()
     all_labels = video_frame_labels(records, ground_truth)
     timelines: list[ScoreTimeline] = []
-    all_scores, all_binary = [], []
+    runs: list[tuple[np.ndarray, ...]] = []  # (score, binary, label, weight) per entry
     per_video: list[dict] = []
-    for idx, rec in enumerate(records):
+    for idx, (rec, labels) in enumerate(zip(records, all_labels)):
         rng = np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
         tl = infer_video(rec, model, rng)
         timelines.append(tl)
-        all_scores.append(tl.frame_scores)
-        all_binary.append(tl.frame_binary)
+        lengths = snippet_lengths(tl.snippet_scores.size, rec.snippet_len, rec.frame_count)
+        # abnormal frames per snippet, from the mask's running count at each snippet's last frame
+        positive = np.diff(np.cumsum(labels, dtype=np.int64)[np.cumsum(lengths) - 1], prepend=0)
+        runs.append(
+            (
+                np.tile(tl.snippet_scores, 2),
+                np.tile(tl.snippet_binary, 2),
+                np.repeat(np.array([1, 0], dtype=np.uint8), lengths.size),
+                np.concatenate((positive, lengths - positive)),
+            )
+        )
         per_video.append(
             {
                 "id": rec.video_id,
@@ -202,13 +234,14 @@ def evaluate_records(
                 "max_score": float(tl.frame_scores.max()),
             }
         )
-    scores = np.concatenate(all_scores)
-    binary = np.concatenate(all_binary)
+    scores, binary, run_labels, weights = (np.concatenate(col) for col in zip(*runs))
+    kept = weights > 0
+    scores, binary, run_labels, weights = scores[kept], binary[kept], run_labels[kept], weights[kept]
     labels = np.concatenate(all_labels)
     report = EvalReport(
-        auc_roc=auc_roc(scores, labels),
-        auc_pr=auc_pr(scores, labels),
-        auc_roc_binary=auc_roc(binary, labels),
+        auc_roc=auc_roc(scores, run_labels, weights),
+        auc_pr=auc_pr(scores, run_labels, weights),
+        auc_roc_binary=auc_roc(binary, run_labels, weights),
         num_videos=len(records),
         num_frames=int(labels.size),
         positive_frames=int(labels.sum()),

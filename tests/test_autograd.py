@@ -427,6 +427,14 @@ class TestNumericsContract:
         with pytest.raises(NumericsError, match="bad_grad"):
             backward(out.sum())
 
+    def test_finite_input_whose_sum_overflows_accepted(self):
+        # the float32 sum of these finite entries is inf, so only the exact
+        # fallback scan can tell them from a non-finite input
+        big = np.full(4, 3e38, np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.sum())
+            assert np.array_equal(Tensor(big).data, big)
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):

@@ -207,6 +207,20 @@ class TestEvalGroundTruth:
         if intervals != [[0, 100000]]:
             assert "gt.json" in err
 
+    def test_empty_split_exits_one_saying_so(self, dataset, untrained_checkpoint, tmp_path, capsys):
+        manifest = json.loads((dataset / "test" / "manifest.json").read_text())
+        manifest["videos"] = []
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.json").write_text(json.dumps(manifest))
+        (empty / "ground_truth.json").write_text("{}")
+        code = main([
+            "eval", "--manifest", str(empty / "manifest.json"),
+            "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
+        ])
+        assert code == 1
+        assert "ValueError: no videos to evaluate" in capsys.readouterr().err
+
 
 class TestValidation:
     def test_validation_split_loaded_once(self, dataset, tmp_path, monkeypatch):

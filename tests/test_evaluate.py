@@ -10,13 +10,16 @@ from wsvad.evaluate import (
     EvalReport,
     ScoreTimeline,
     evaluate_manifest,
+    evaluate_records,
     frame_labels,
     infer_video,
+    snippet_lengths,
     unfold_scores,
     video_frame_labels,
     write_frame_csv,
 )
 from wsvad.features import VideoRecord, load_records, temporal_normalize
+from wsvad.metrics import auc_pr, auc_roc
 from wsvad.model import init_model
 from wsvad.synthetic import SyntheticConfig, generate_synthetic, load_ground_truth
 
@@ -67,6 +70,43 @@ class TestUnfoldScores:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             unfold_scores(np.array([]), 4, 8)
+
+
+# (values, snippet_len, frame_count): every regime of TestUnfoldScores, plus
+# frame_count == snippet_len * (T - 1), where the last snippet covers no frame
+UNFOLD_CASES = [
+    ([1.0, 0.0], 16, 32),
+    ([1.0], 16, 20),
+    ([0.1, 0.7, 0.3], 1, 3),
+    ([0.2, 0.9], 16, 20),
+    ([0.3, 0.9, 0.1, 0.5], 4, 15),
+    ([0.1, 0.2, 0.3], 16, 32),
+    ([0.4], 1, 1),
+]
+
+
+class TestSnippetLengths:
+    @pytest.mark.parametrize("values, delta, frames", UNFOLD_CASES)
+    def test_repeat_by_lengths_is_unfold(self, values, delta, frames):
+        values = np.array(values)
+        lengths = snippet_lengths(values.size, delta, frames)
+        assert lengths.sum() == frames
+        assert (lengths[:-1] == delta).all() and lengths[-1] >= 0
+        np.testing.assert_array_equal(np.repeat(values, lengths), unfold_scores(values, delta, frames))
+        np.testing.assert_array_equal(np.repeat(values, lengths), ref_unfold(values, delta, frames))
+
+    def test_last_snippet_may_cover_no_frame(self):
+        assert snippet_lengths(3, 16, 32).tolist() == [16, 16, 0]
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [((3, 16, 16), "inconsistent"), ((0, 4, 8), "no snippet"), ((2, 0, 8), "positive"), ((2, 4, 0), "positive")],
+    )
+    def test_errors_match_unfold(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            snippet_lengths(*args)
+        with pytest.raises(ValueError, match=match):
+            unfold_scores(np.zeros(args[0]), *args[1:])
 
 
 class TestFrameLabels:
@@ -241,6 +281,68 @@ class TestEvaluateManifest:
         assert lines[0] == "video_id,frame_idx,score,binary,label"
         assert len(lines) == 1 + sum(tl.frame_scores.size for tl in timelines)
         assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == labels.tolist()
+
+
+class TestSnippetRunMetrics:
+    """The report's areas come from weighted snippet entries; they must equal
+    the frame-level definition exactly, also where a label boundary falls
+    inside a snippet."""
+
+    DELTA = 4
+    # (frame_count, label, intervals): boundaries mid-snippet, partial last snippets
+    VIDEOS = [
+        (30, 1, [(3, 9), (14, 15), (29, 30)]),
+        (23, 1, [(1, 2), (5, 22)]),
+        (17, 0, []),
+        (13, 1, [(0, 13)]),
+        (9, 0, []),
+        (41, 1, [(6, 7), (10, 11), (18, 37)]),
+    ]
+
+    def records_and_truth(self, d=8):
+        rng = np.random.default_rng(4)
+        records, gt = [], {}
+        for k, (frames, label, intervals) in enumerate(self.VIDEOS):
+            t_k = -(-frames // self.DELTA)
+            features = rng.normal(size=(t_k, d)).astype(np.float32)
+            records.append(VideoRecord(f"v{k}", label, frames, self.DELTA, features))
+            if intervals:
+                gt[f"v{k}"] = intervals
+        return records, gt
+
+    @pytest.mark.parametrize("tsa", [True, False])
+    def test_report_equals_frame_level_oracle(self, tsa):
+        records, gt = self.records_and_truth()
+        assert any(frames % self.DELTA for frames, _, _ in self.VIDEOS)
+        model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=tsa)
+        report, timelines, labels = evaluate_records(records, model, gt, eval_seed=2)
+        scores = np.concatenate([tl.frame_scores for tl in timelines])
+        binary = np.concatenate([tl.frame_binary for tl in timelines])
+        oracle_labels = np.concatenate([frame_labels(f, iv) for f, _, iv in self.VIDEOS])
+        np.testing.assert_array_equal(labels, oracle_labels)
+        assert report.auc_roc == auc_roc(scores, oracle_labels)
+        assert report.auc_pr == auc_pr(scores, oracle_labels)
+        assert report.auc_roc_binary == auc_roc(binary, oracle_labels)
+        assert report.num_frames == oracle_labels.size
+        assert report.positive_frames == int(oracle_labels.sum())
+
+    def test_tied_snippet_scores_across_videos(self):
+        """Copies of one video score alike under attention off, so a tie group
+        holds entries of several snippets, videos and labels at once."""
+        records, gt = self.records_and_truth()
+        base = records[0]
+        twins = [VideoRecord(f"t{k}", 1, base.frame_count, self.DELTA, base.features) for k in range(3)]
+        twin_gt = {"t0": [(0, 2)], "t1": [(2, 30)], "t2": [(5, 6), (9, 11)]}
+        model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=False)
+        report, timelines, labels = evaluate_records(records + twins, model, {**gt, **twin_gt})
+        scores = np.concatenate([tl.frame_scores for tl in timelines])
+        assert np.unique(scores).size < scores.size // self.DELTA
+        assert report.auc_roc == auc_roc(scores, labels)
+        assert report.auc_pr == auc_pr(scores, labels)
+
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match="no videos to evaluate"):
+            evaluate_records([], fresh_model(), {})
 
 
 def ref_write_frame_csv(path, timelines, ground_truth):

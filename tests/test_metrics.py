@@ -101,3 +101,47 @@ def test_non_finite_scores_rejected(metric, bad):
     # unchecked, a NaN is ranked like any score and yields a number (auc_roc 0.5, auc_pr 0.75)
     with pytest.raises(ValueError, match="finite"):
         metric([0.1, bad, 0.9, 0.2], [0, 1, 1, 0])
+
+
+class TestWeights:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 1), st.integers(1, 6)),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_equals_repeated_entries(self, entries):
+        """Integer weights keep every count exact, so the weighted areas are
+        bit-identical to the unweighted ones on the repeated entries."""
+        scores = np.array([s for s, _, _ in entries]) / 4.0  # five levels: tie-heavy
+        labels = np.array([y for _, y, _ in entries])
+        weights = np.array([w for _, _, w in entries])
+        rep_scores, rep_labels = np.repeat(scores, weights), np.repeat(labels, weights)
+        if labels.any():
+            assert auc_pr(scores, labels, weights) == auc_pr(rep_scores, rep_labels)
+        if labels.any() and not labels.all():
+            assert auc_roc(scores, labels, weights) == auc_roc(rep_scores, rep_labels)
+
+    def test_unit_weights_change_nothing(self):
+        scores, labels = random_instance(np.random.default_rng(5))
+        ones = np.ones(scores.size)
+        assert auc_roc(scores, labels, ones) == auc_roc(scores, labels)
+        assert auc_pr(scores, labels, ones) == auc_pr(scores, labels)
+
+    @pytest.mark.parametrize("metric", [auc_roc, auc_pr])
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([1, 0, 2, 1], "positive"),
+            ([1, -1, 2, 1], "positive"),
+            ([1, np.nan, 2, 1], "finite"),
+            ([1, np.inf, 2, 1], "finite"),
+            ([1, 2, 1], "length"),
+            ([1, 2, 1, 1, 1], "length"),
+        ],
+    )
+    def test_bad_weights_rejected(self, metric, weights, match):
+        with pytest.raises(ValueError, match=match):
+            metric([0.1, 0.4, 0.9, 0.2], [0, 1, 1, 0], weights)
