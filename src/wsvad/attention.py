@@ -225,7 +225,7 @@ def tsa_fuse(
         grad_omega = selection.grad_scores(grad_incl.reshape(selection.inclusion.shape))
         return (
             grad_omega.astype(omega.data.dtype).reshape(omega.shape),
-            (incl * g).astype(features.data.dtype),
+            (incl * g).astype(features.data.dtype) if features.requires_grad else None,
         )
 
     fhat = ag.custom_op("tsa_select", fused, (omega, features), vjp)

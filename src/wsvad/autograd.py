@@ -2,8 +2,17 @@
 
 Values are stored in float32 by default (switchable via `using_dtype`, mainly
 so gradient checks can run the whole graph in float64); reductions always
-accumulate in float64. Every op validates shapes up front and rejects
-non-finite values instead of letting them propagate.
+accumulate in float64. Every op validates shapes up front.
+
+No NaN or Inf gets past the engine; the first value to go non-finite raises
+`NumericsError` naming the op that produced it. `Tensor` construction and
+every op output are checked, except where `_SKIPS` says the value is finite
+by construction: an op in it that receives checked inputs and needs no cast
+to the storage dtype (structural moves, relu, clip, and sigmoid and softmax,
+whose values lie in [0, 1]) cannot make a non-finite value. Every gradient is
+checked once it is final in its tensor's dtype, after the cast and after
+accumulation, except a single uncast contribution from a vjp that only moves
+or masks its own, already checked, incoming gradient.
 
 The graph is the linked structure of op records hanging off each output
 tensor; creation order is a topological order, and `backward` walks the
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -101,6 +111,24 @@ def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(total) and not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by '{name}' (shape {arr.shape})")
     return arr
+
+
+# Checks an op skips because, given checked inputs, the value is finite by
+# construction: (its forward output, the gradients its vjp hands on). Every op
+# not listed, and every custom op, is checked both ways.
+_SKIPS: dict[str, tuple[bool, bool]] = {
+    "reshape": (True, True),
+    "transpose": (True, True),
+    "concat": (True, True),
+    "relu": (True, True),
+    "clip": (True, True),
+    "gather_rows": (True, False),  # the scatter-add vjp can overflow
+    "sigmoid": (True, False),
+    "softmax": (True, False),
+    "add": (False, True),  # same shape; the bias add sums its gradient
+    "add_scalar": (False, True),
+}
+_CHECK_ALL = (False, False)
 
 
 class _Record:
@@ -211,7 +239,11 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = _ensure_finite(op, np.asarray(data, dtype=_DTYPE))
+    arr = np.asarray(data, dtype=_DTYPE)
+    # a cast to the storage dtype can overflow whatever the op computed
+    if arr is not data or not _SKIPS.get(op, _CHECK_ALL)[0]:
+        _ensure_finite(op, arr)
+    out.data = arr
     out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out.grad = None
     out._rec = _Record(op, parents, vjp) if out.requires_grad else None
@@ -229,7 +261,7 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     # row-broadcast bias: (T, d) + (d,)
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         vjp = lambda g: (g, np.sum(g, axis=0, dtype=np.float64).astype(g.dtype))
-        return _from_op("add", a.data + b.data, (a, b), vjp)
+        return _from_op("add_bias", a.data + b.data, (a, b), vjp)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -240,7 +272,7 @@ def _add_scalar(a: Tensor, c: float) -> Tensor:
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    vjp = lambda g: (g * b.data, g * a.data)
+    vjp = lambda g: (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
     return _from_op("mul", a.data * b.data, (a, b), vjp)
 
 
@@ -262,10 +294,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def vjp(g):
             g2 = g.reshape(flat.shape[0], -1)
-            return ((g2 @ b.data.T).reshape(a.shape), flat.T @ g2)
+            return (
+                (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                flat.T @ g2 if b.requires_grad else None,
+            )
 
         return _from_op("matmul", (flat @ b.data).reshape(*a.shape[:-1], b.shape[1]), (a, b), vjp)
-    vjp = lambda g: (g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g)
+
+    def vjp(g):
+        return (
+            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
+        )
+
     return _from_op("matmul", a.data @ b.data, (a, b), vjp)
 
 
@@ -279,7 +320,7 @@ def _sigmoid(a: Tensor) -> Tensor:
     z = np.exp(-np.abs(a.data.astype(np.float64)))
     out = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     vjp = lambda g: (g * (out * (1.0 - out)).astype(g.dtype),)
-    return _from_op("sigmoid", out, (a,), vjp)
+    return _from_op("sigmoid", out.astype(_DTYPE), (a,), vjp)
 
 
 def _log(a: Tensor) -> Tensor:
@@ -289,6 +330,8 @@ def _log(a: Tensor) -> Tensor:
 
 
 def _clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    if math.isnan(lo) or math.isnan(hi):
+        raise NumericsError(f"clip: NaN bound in [{lo}, {hi}]")
     mask = (a.data >= lo) & (a.data <= hi)
     return _from_op("clip", np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
@@ -312,7 +355,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         s = out.astype(g.dtype)
         return (s * (g - np.sum(g * s, axis=axis, keepdims=True)),)
 
-    return _from_op("softmax", out, (a,), vjp)
+    return _from_op("softmax", out.astype(_DTYPE), (a,), vjp)
 
 
 def _reduce(a: Tensor, axis: int | None, kind: str) -> Tensor:
@@ -419,11 +462,14 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1, bags: int = 1) -> Te
     w2 = w.data.reshape(k * c_in, c_out)
 
     def vjp(g):
+        gw = (cols.T @ g).reshape(k, c_in, c_out) if w.requires_grad else None
+        if not x.requires_grad:
+            return (None, gw)
         gcols = (g @ w2.T).reshape(bags, t_len, k, c_in)
         gpad = np.zeros_like(xpad)
         for j in range(k):
             gpad[:, j * dilation : j * dilation + t_len] += gcols[:, :, j]
-        return (gpad[:, pad : pad + t_len].reshape(rows, c_in), (cols.T @ g).reshape(k, c_in, c_out))
+        return (gpad[:, pad : pad + t_len].reshape(rows, c_in), gw)
 
     return _from_op("conv1d_dilated", cols @ w2, (x, w), vjp)
 
@@ -432,19 +478,34 @@ def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Calla
     """Wire an externally computed forward value into the graph.
 
     vjp receives the output gradient and must return one gradient (or None)
-    per parent.
+    per parent. It must not write into the gradient it receives: the engine
+    hands interior gradients on without copying, so that array may also be
+    another tensor's gradient. Return None for a parent that needs no
+    gradient (``requires_grad`` false) rather than computing one nobody reads.
+    The output and every gradient are checked for NaN and Inf, so ``op`` may
+    not reuse the name of a built-in op that skips a check.
     """
+    if op in _SKIPS:
+        raise ValueError(f"custom_op: '{op}' is the name of a built-in op")
     return _from_op(op, data, parents, vjp)
 
 
 # -- backward ------------------------------------------------------------------
 
 
+def _own_copy(g: np.ndarray, dtype) -> np.ndarray:
+    """A leaf's private gradient buffer, which later contributions (and later
+    backward calls) add into in place."""
+    return np.array(g, dtype=dtype, copy=True)
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
     Gradients accumulate additively across fan-out and across calls (clear
-    with `zero_grad`). The traversed records are consumed.
+    with `zero_grad`). The traversed records are consumed. A leaf's gradient
+    is its own array; an interior tensor's gradient may be a vjp's output or
+    a view of another tensor's gradient, and is not to be written into.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -473,16 +534,25 @@ def backward(loss: Tensor) -> None:
         rec = node._rec
         if rec is None:
             continue
+        passes_on = _SKIPS.get(rec.op, _CHECK_ALL)[1]
         grads = rec.vjp(node.grad)
         for parent, g in zip(rec.parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            _ensure_finite(f"grad[{rec.op}]", np.asarray(g))
+            g = np.asarray(g)
+            dtype = parent.data.dtype
+            # node.grad was checked, and handing it on uncast keeps it finite
+            finite = passes_on and parent.grad is None and g.dtype == dtype
+            # a leaf owns its gradient and adds into it in place; an interior
+            # tensor takes g as it is, so no vjp may write into its gradient
             if parent.grad is None:
-                parent.grad = np.array(g, dtype=parent.data.dtype, copy=True)
-            else:
-                # the first gradient was copied above, so later ones add in place
+                parent.grad = _own_copy(g, dtype) if parent._rec is None else g.astype(dtype, copy=False)
+            elif parent._rec is None:
                 np.add(parent.grad, g, out=parent.grad, casting="same_kind")
+            else:
+                parent.grad = (parent.grad + g).astype(dtype, copy=False)
+            if not finite:
+                _ensure_finite(f"grad[{rec.op}]", parent.grad)
         node._consumed = True
         node._rec = None
 

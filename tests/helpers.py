@@ -6,6 +6,8 @@ numpy reference function, or the engine itself run under a float64 context.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from wsvad import autograd as ag
@@ -59,6 +61,28 @@ def check_grads(build, reference, arrays, h: float = FD_H, tol: float = 1e-3) ->
     worst = max(max_rel_err(g, f) for g, f in zip(grads, fd))
     assert worst < tol, f"gradient mismatch: max rel err {worst}"
     return worst
+
+
+@contextlib.contextmanager
+def read_only_gradients():
+    """Hand every vjp recorded inside the block a read-only view of its
+    incoming gradient, so that a vjp writing into that array raises
+    ``ValueError`` when ``backward`` runs it."""
+    inner = ag._from_op
+
+    def from_op(op, data, parents, vjp):
+        def guarded(g):
+            view = np.asarray(g).view()
+            view.flags.writeable = False
+            return vjp(view)
+
+        return inner(op, data, parents, guarded)
+
+    ag._from_op = from_op
+    try:
+        yield
+    finally:
+        ag._from_op = inner
 
 
 # -- independent numpy references for the engine ops ---------------------------

@@ -295,6 +295,15 @@ class TestSelectionGradient:
         assert feats.grad is not None and np.any(feats.grad != 0)
         assert all(w.grad is not None for w in scorer.weights)
 
+    def test_constant_features_get_no_gradient_computed(self):
+        rng = np.random.default_rng(13)
+        feats = Tensor(rng.normal(size=(10, 6)))
+        omega = Tensor(rng.uniform(size=(10, 1)), requires_grad=True)
+        cfg = TsaConfig(num_samples=8, ratio=0.5, sigma_noise=0.2, seed=0)
+        fhat, _ = tsa_fuse(feats, omega, cfg, np.random.default_rng(21))
+        grad_omega, grad_feats = fhat._rec.vjp(np.ones(fhat.shape, np.float32))
+        assert grad_omega.shape == omega.shape and grad_feats is None
+
     def test_engine_gradcheck_at_full_selection(self):
         """Deterministic end-to-end check through the attention node: at
         kappa=T the selection is the constant identity, so every analytic

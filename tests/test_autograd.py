@@ -24,6 +24,7 @@ from helpers import (
     engine_grads,
     fd_grads,
     max_rel_err,
+    read_only_gradients,
     ref_conv1d_dilated,
     ref_sigmoid,
     ref_softmax,
@@ -434,6 +435,200 @@ class TestNumericsContract:
         with np.errstate(over="ignore"):
             assert not np.isfinite(big.sum())
             assert np.array_equal(Tensor(big).data, big)
+
+
+BIG = np.float32(3.4e38)  # near the float32 maximum, 3.4028e38
+EXTREME = np.array([[BIG, -BIG, BIG], [-BIG, BIG, -BIG]], np.float32)
+
+
+def inject(t, grad):
+    """A scalar loss whose gradient with respect to t is ``grad``."""
+    return ag.custom_op("inject", np.zeros(()), (t,), lambda g: (grad,))
+
+
+# every op whose forward value the engine does not check, on extreme input
+FINITE_OUTPUT = {
+    "reshape": lambda t: t.reshape(3, 2),
+    "transpose": lambda t: t.T,
+    "gather_rows": lambda t: gather_rows(t, np.array([1, 0, 1, 1])),
+    "concat": lambda t: concat([t, t], axis=0),
+    "relu": lambda t: t.relu(),
+    "clip": lambda t: t.clip(-np.inf, np.inf),
+    "sigmoid": lambda t: t.sigmoid(),
+    "softmax": lambda t: softmax(t),
+}
+
+# every op whose vjp output the engine does not check, on extreme gradients
+PASSED_ON_GRAD = {
+    "reshape": lambda t: t.reshape(3, 2),
+    "transpose": lambda t: t.T,
+    "concat": lambda t: concat([Tensor(np.zeros((2, 1))), t], axis=1),
+    "relu": lambda t: t.relu(),
+    "clip": lambda t: t.clip(-1.0, np.inf),
+    "add": lambda t: t + Tensor(np.ones((2, 3))),
+    "add_scalar": lambda t: t + 1.0,
+}
+
+
+class TestFiniteByConstruction:
+    """The checks `_SKIPS` lets an op skip cannot let a NaN or Inf through:
+    extreme finite inputs and gradients still give finite values."""
+
+    def test_every_skipped_check_has_a_case(self):
+        assert set(FINITE_OUTPUT) == {op for op, (out, _) in ag._SKIPS.items() if out}
+        assert set(PASSED_ON_GRAD) == {op for op, (_, grad) in ag._SKIPS.items() if grad}
+
+    @pytest.mark.parametrize("op", sorted(FINITE_OUTPUT))
+    def test_output_of_extreme_input_is_finite(self, op):
+        out = FINITE_OUTPUT[op](Tensor(EXTREME, requires_grad=True))
+        assert out._rec.op == op
+        assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("op", sorted(PASSED_ON_GRAD))
+    def test_extreme_gradient_passed_on_is_finite(self, op):
+        x = Tensor(EXTREME, requires_grad=True)
+        mid = x * 1.0  # an interior tensor: its gradient is passed on uncopied
+        y = PASSED_ON_GRAD[op](mid)
+        assert y._rec.op == op
+        grad = np.where(np.arange(y.data.size) % 2, -BIG, BIG).reshape(y.shape)
+        with np.errstate(over="ignore"):  # the checks' float32 sums overflow before the exact scan
+            backward(inject(y, grad))
+        assert np.isfinite(mid.grad).all() and np.abs(mid.grad).max() == BIG
+        assert np.isfinite(x.grad).all()
+
+    def test_output_cast_to_a_narrower_dtype_is_checked(self):
+        with ag.using_dtype(np.float64):
+            wide = Tensor([1e39])
+        with pytest.raises(NumericsError, match="'reshape'"), np.errstate(over="ignore"):
+            wide.reshape(1, 1)
+
+    def test_gradient_cast_to_a_narrower_dtype_is_checked(self):
+        x = Tensor([1.0], requires_grad=True)
+        with ag.using_dtype(np.float64):
+            y = x.reshape(1, 1)
+        with pytest.raises(NumericsError, match=r"grad\[reshape\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((1, 1), 1e39)))
+
+    def test_clip_with_nan_bound_rejected(self):
+        with pytest.raises(NumericsError, match="clip"):
+            Tensor([1.0]).clip(np.nan, 1.0)
+
+    def test_custom_op_may_not_borrow_a_skipping_name(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError, match="relu"):
+            ag.custom_op("relu", x.data, (x,), lambda g: (g,))
+
+
+class TestChecksThatStay:
+    """Ops outside `_SKIPS` can turn finite values non-finite, so their
+    outputs and gradients are checked."""
+
+    def test_matmul_overflow_rejected(self):
+        with pytest.raises(NumericsError, match="'matmul'"), np.errstate(over="ignore"):
+            matmul(Tensor([[BIG, BIG]]), Tensor([[2.0], [2.0]]))
+
+    def test_matmul_gradient_overflow_rejected(self):
+        x = Tensor([[1.0, 1.0]], requires_grad=True)
+        y = matmul(x, Tensor([[4.0], [4.0]]))
+        with pytest.raises(NumericsError, match=r"grad\[matmul\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((1, 1), BIG, np.float32)))
+
+    def test_bias_add_overflow_rejected(self):
+        with pytest.raises(NumericsError, match="'add_bias'"), np.errstate(over="ignore"):
+            Tensor([[BIG]]) + Tensor([BIG])
+
+    def test_bias_gradient_overflow_rejected(self):
+        """The bias gradient sums the rows' gradients, which can overflow."""
+        bias = Tensor([0.0], requires_grad=True)
+        y = Tensor(np.zeros((2, 1))) + bias
+        with pytest.raises(NumericsError, match=r"grad\[add_bias\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((2, 1), BIG, np.float32)))
+
+    def test_scatter_add_overflow_rejected(self):
+        x = Tensor(np.zeros((2, 1)), requires_grad=True)
+        y = gather_rows(x, np.array([0, 0]))
+        with pytest.raises(NumericsError, match=r"grad\[gather_rows\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((2, 1), BIG, np.float32)))
+
+    def test_softmax_gradient_overflow_rejected(self):
+        x = Tensor([[np.log(3.0), 0.0]], requires_grad=True)  # softmax [0.75, 0.25]
+        y = softmax(x)
+        with pytest.raises(NumericsError, match=r"grad\[softmax\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.array([[BIG, -BIG]], np.float32)))
+
+
+class TestFinalGradientChecks:
+    """A gradient is checked as stored, in its tensor's dtype and after
+    accumulation, so overflow in the cast or the sum is caught too."""
+
+    def test_gradient_that_overflows_in_the_cast_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ag.custom_op("wide", x.data, (x,), lambda g: (np.full(g.shape, 1e39),))
+        with pytest.raises(NumericsError, match=r"grad\[wide\]"), np.errstate(over="ignore"):
+            backward(y.sum())
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_accumulation_that_overflows_rejected(self, interior):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        target = x * 1.0 if interior else x
+        big = lambda g: np.full_like(g, 3e38)
+        y = ag.custom_op("twice", target.data, (target, target), lambda g: (big(g), big(g)))
+        with pytest.raises(NumericsError, match=r"grad\[twice\]"), np.errstate(over="ignore"):
+            backward(y.sum())
+
+    def test_interior_gradient_is_passed_on_and_leaf_gradient_owned(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        mid = x * 1.0
+        flat = mid.reshape(2)
+        g = np.array([3.0, 4.0], np.float32)
+        backward(inject(flat, g))
+        assert flat.grad is g
+        assert np.shares_memory(mid.grad, g)
+        assert not np.shares_memory(x.grad, g)
+        assert x.grad.tolist() == [[3.0, 4.0]]
+
+
+class TestUnneededProducts:
+    """A vjp returns None for an operand that needs no gradient."""
+
+    @pytest.mark.parametrize("const", [0, 1])
+    @pytest.mark.parametrize(
+        "op, a_shape, b_shape",
+        [
+            pytest.param(matmul, (2, 3), (3, 4), id="matmul"),
+            pytest.param(matmul, (2, 2, 3), (2, 3, 4), id="batched_matmul"),
+            pytest.param(matmul, (2, 2, 3), (3, 4), id="shared_matmul"),
+            pytest.param(lambda x, w: conv1d_dilated(x, w, 2), (4, 2), (3, 2, 2), id="conv1d_dilated"),
+            pytest.param(lambda a, b: a * b, (2, 3), (2, 3), id="mul"),
+        ],
+    )
+    def test_product_skipped(self, op, a_shape, b_shape, const):
+        a = Tensor(np.ones(a_shape), requires_grad=const != 0)
+        b = Tensor(np.ones(b_shape), requires_grad=const != 1)
+        y = op(a, b)
+        grads = y._rec.vjp(np.ones(y.shape, np.float32))
+        assert grads[const] is None
+        assert grads[1 - const].shape == (b_shape, a_shape)[const]
+
+
+class TestVjpsLeaveTheirGradientAlone:
+    """No vjp writes into the gradient it receives: `backward` hands an
+    interior tensor's gradient on without copying it."""
+
+    def test_read_only_wrapper_catches_a_write(self):
+        def doubling(g):
+            g *= 2.0
+            return (g,)
+
+        with read_only_gradients():
+            x = Tensor([1.0], requires_grad=True)
+            y = ag.custom_op("doubling", (x * 1.0).data, (x,), doubling)
+        with pytest.raises(ValueError, match="read-only"):
+            backward(y.sum())
+
+    def test_gradient_sweep_with_read_only_gradients(self):
+        with read_only_gradients():
+            assert run_gradient_sweep(instances=4) < 1e-3
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ from wsvad.trainer import (
     train,
 )
 
-from helpers import engine_grads, max_rel_err, ref_dmt_loss, stack
+from helpers import engine_grads, max_rel_err, read_only_gradients, ref_dmt_loss, stack
 
 
 def make_records(tmp_path, **kw):
@@ -419,6 +419,62 @@ class TestTrainLoop:
             TrainConfig(alpha=40, t_len=32)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+class TestTrainingStepCost:
+    """One step at the acceptance shape (d=32, T=16, B=8)."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("step")
+        manifest, _ = generate_synthetic(SyntheticConfig(n_normal=8, n_abnormal=8, seed=3), root)
+        return manifest, root / "train"
+
+    def test_nodes_checks_and_copies_are_pinned(self, manifest, monkeypatch):
+        """A change that adds finiteness checks or gradient copies to a
+        training step, or nodes to its graph, must change these on purpose."""
+        counts = dict(nodes=0, checks=0, copies=0)
+        ensure_finite, own_copy, backward = ag._ensure_finite, ag._own_copy, ag.backward
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def counting_backward(loss):
+            seen, stack_ = set(), [loss]
+            while stack_:
+                t = stack_.pop()
+                if id(t) not in seen and t._rec is not None:
+                    seen.add(id(t))
+                    stack_.extend(t._rec.parents)
+            counts["nodes"] += len(seen)
+            backward(loss)
+
+        monkeypatch.setattr(ag, "_ensure_finite", counting("checks", ensure_finite))
+        monkeypatch.setattr(ag, "_own_copy", counting("copies", own_copy))
+        monkeypatch.setattr(ag, "backward", counting_backward)
+
+        def run(epochs):
+            counts.update(nodes=0, checks=0, copies=0)
+            train(*manifest, TrainConfig(t_len=16, batch_bags=8, epochs=epochs, seed=1))
+            return dict(counts)
+
+        one, two = run(1), run(2)
+        per_step = {key: two[key] - one[key] for key in counts}
+        # 44 forward checks and 64 gradient checks; one copy per parameter
+        assert per_step == dict(nodes=58, checks=108, copies=21)
+
+    def test_no_vjp_writes_into_its_incoming_gradient(self, manifest):
+        cfg = TrainConfig(t_len=16, batch_bags=8, epochs=2, seed=1)
+        with read_only_gradients():
+            guarded = train(*manifest, cfg)
+        plain = train(*manifest, cfg)
+        assert guarded.log == plain.log
+        for name, p in plain.model.named_params().items():
+            assert np.array_equal(guarded.model.named_params()[name].data, p.data), name
 
 
 class TestEndToEndGradientIntegrity:
