@@ -2,8 +2,12 @@
 
 A shallow scorer maps each snippet to a relevance score in (0, 1). The
 top-k nominator perturbs the score vector with Gaussian noise and takes the
-hard top-k per sample, by a partial selection rather than a sort; averaging
-the samples' one-hot ranks gives a row-stochastic soft-selection matrix.
+hard top-k per sample, by a partial selection rather than a sort: a sample
+keeps every snippet whose perturbed score is at least its kappa-th largest,
+which is exactly the top-k unless ties at that value overfill it; only such
+samples then keep their lowest-index ties, as a stable descending sort would.
+Averaging the samples' one-hot ranks gives a row-stochastic soft-selection
+matrix.
 Fusing that matrix with the input reduces to scaling every snippet by its
 inclusion probability, the fraction of samples that selected it, so only the
 inclusion is computed.
@@ -121,7 +125,9 @@ class SoftSelection:
 
 def _perturb(scores: np.ndarray, noise: np.ndarray, sigma: float) -> np.ndarray:
     """(..., M, T) perturbed scores: every sample's copy of the scores plus its noise."""
-    return scores[..., None, :] + sigma * noise
+    perturbed = sigma * noise
+    perturbed += scores[..., None, :]
+    return perturbed
 
 
 def topk_score(
@@ -172,13 +178,17 @@ def topk_score(
 
     perturbed = _perturb(w, z, sigma)
     # the set a stable descending sort puts first, without the sort: every score
-    # above the sample's kappa-th largest, then the scores equal to it, lowest index
-    # first (an int32 running count is a third of the cost of the default int64 one)
+    # at or above the sample's kappa-th largest, and where ties at the kappa-th
+    # overfill that, only the lowest-index ties that fit (an int32 running count
+    # is a third of the cost of the default int64 one)
     kth = np.partition(perturbed, t_len - kappa, axis=-1)[..., t_len - kappa, None]
-    above = perturbed > kth
-    tied = perturbed == kth
-    room = kappa - np.count_nonzero(above, axis=-1, keepdims=True)
-    selected = above | (tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= room))
+    selected = perturbed >= kth
+    over = np.count_nonzero(selected, axis=-1) > kappa
+    if over.any():
+        p, k = perturbed[over], kth[over]
+        above, tied = p > k, p == k
+        room = kappa - np.count_nonzero(above, axis=-1, keepdims=True)
+        selected[over] = above | (tied & (np.cumsum(tied, axis=-1, dtype=np.int32) <= room))
     inclusion = np.count_nonzero(selected, axis=-2) / num_samples
     return SoftSelection(
         inclusion=inclusion, selected=selected, scores=w, noise=z, sigma=float(sigma), kappa=kappa

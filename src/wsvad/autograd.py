@@ -2,7 +2,9 @@
 
 Values are stored in float32 by default (switchable via `using_dtype`, mainly
 so gradient checks can run the whole graph in float64); reductions always
-accumulate in float64. Every op validates shapes up front.
+accumulate in float64. Softmax computes in the storage dtype, in one buffer,
+and only its denominator accumulates in float64. Every op validates shapes up
+front.
 
 No NaN or Inf gets past the engine; the first value to go non-finite raises
 `NumericsError` naming the op that produced it. `Tensor` construction and
@@ -347,15 +349,20 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tenso
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data.astype(np.float64) - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    """Softmax in the input's dtype, computed in one buffer. A shift that
+    overflows to -inf exponentiates to exactly 0; the row max gives exp(0) = 1,
+    so the float64-accumulated denominator is at least 1 and every value lies
+    in [0, 1]."""
+    with np.errstate(over="ignore"):
+        out = a.data - np.max(a.data, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True, dtype=np.float64).astype(out.dtype)
 
     def vjp(g):
-        s = out.astype(g.dtype)
+        s = out.astype(g.dtype, copy=False)
         return (s * (g - np.sum(g * s, axis=axis, keepdims=True)),)
 
-    return _from_op("softmax", out.astype(_DTYPE), (a,), vjp)
+    return _from_op("softmax", out, (a,), vjp)
 
 
 def _reduce(a: Tensor, axis: int | None, kind: str) -> Tensor:

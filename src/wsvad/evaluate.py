@@ -241,7 +241,7 @@ def evaluate_records(
     report = EvalReport(
         auc_roc=auc_roc(scores, run_labels, weights),
         auc_pr=auc_pr(scores, run_labels, weights),
-        auc_roc_binary=auc_roc(binary, run_labels, weights),
+        auc_roc_binary=binary_auc_roc(binary, run_labels, weights),
         num_videos=len(records),
         num_frames=int(labels.size),
         positive_frames=int(labels.sum()),
@@ -258,6 +258,17 @@ def evaluate_records(
         wall_clock_sec=time.perf_counter() - started,
     )
     return report, timelines, labels
+
+
+def binary_auc_roc(binary: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
+    """``auc_roc`` of 0/1 scores from their four (binary, label) weight totals.
+
+    The totals of integer weights are exact, so this returns the same bits as
+    ``auc_roc(binary, labels, weights)`` without sorting the entries.
+    """
+    totals = np.bincount(2 * np.asarray(binary, dtype=np.intp) + labels, weights=weights)
+    cell = np.flatnonzero(totals)
+    return auc_roc(cell // 2, cell % 2, totals[cell])
 
 
 def _csv_field(text: str) -> str:
@@ -309,5 +320,4 @@ def write_frame_csv(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["video_id", "frame_idx", "score", "binary", "label"])
         for tl, labels in zip(timelines, video_frame_labels(timelines, ground_truth)):
-            for run in _frame_runs(tl, labels, idx):
-                fh.write(run)
+            fh.write("".join(_frame_runs(tl, labels, idx)))

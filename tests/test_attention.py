@@ -102,6 +102,25 @@ class TestTopkStructure:
             assert np.array_equal(sel.sample_inclusion(), v)
             assert np.array_equal(sel.vhat, vhat)
 
+    def test_tie_fixup_touches_only_overfilled_samples(self):
+        """One batched call mixes samples whose exact ties at the kappa-th score
+        overfill kappa with tie-free samples; both kinds match the stable argsort."""
+        rng = np.random.default_rng(41)
+        bags, m, t_len, kappa, sigma = 3, 16, 9, 4, 0.25
+        omega = np.round(rng.uniform(0, 1, (bags, t_len)) * 4) / 4
+        z = rng.standard_normal((bags, m, t_len))
+        z[:, ::2] = rng.integers(-2, 3, (bags, m // 2, t_len))  # quarter steps: exact ties
+        perturbed = omega[:, None, :] + sigma * z
+        kth = -np.sort(-perturbed, axis=-1)[..., kappa - 1, None]
+        overfilled = np.count_nonzero(perturbed >= kth, axis=-1) > kappa
+        assert overfilled.any() and not overfilled.all()
+
+        sel = topk_score(omega, kappa, m, sigma, noise=z, bags=bags)
+        indices, inclusion, v, _ = ref_topk(omega, kappa, z, sigma)
+        assert np.array_equal(sel.selected, v.astype(bool))
+        assert np.array_equal(sel.inclusion, inclusion)
+        assert np.array_equal(sel.indices, indices)
+
     def test_kappa_out_of_range(self):
         with pytest.raises(ValueError):
             topk_score(np.zeros(4), 5, 10, 0.1, np.random.default_rng(0))

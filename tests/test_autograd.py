@@ -1,5 +1,8 @@
 """Engine ops: frozen hand values, gradient soundness, graph discipline."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -335,6 +338,34 @@ class TestStructuralOps:
             [x, w],
         )
 
+    def test_softmax_at_eval_length_matches_float64_reference(self):
+        """Computed in float32 with a float64 denominator, a T=512 attention
+        softmax over logits up to +-30 stays within 1e-6 of the float64 value."""
+        x = np.random.default_rng(6).uniform(-30.0, 30.0, (2, 512, 512)).astype(np.float32)
+        out = softmax(Tensor(x)).data
+        assert out.dtype == np.float32
+        assert max_rel_err(out, ref_softmax(x.astype(np.float64))) <= 1e-6
+
+    def test_softmax_in_float64_mode_is_the_reference(self):
+        x = np.random.default_rng(7).normal(scale=10.0, size=(3, 64, 64))
+        with ag.using_dtype(np.float64):
+            out = softmax(Tensor(x)).data
+        assert out.dtype == np.float64
+        assert np.array_equal(out, ref_softmax(x))
+
+    def test_softmax_allocates_only_its_output(self):
+        """No float64 or per-step temporaries: the peak is one output buffer
+        plus row-sized scratch."""
+        x = Tensor(np.random.default_rng(8).normal(size=(1, 512, 512)))
+        with ag.no_grad():
+            tracemalloc.start()
+            try:
+                out = softmax(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes
+
     def test_gather_rows_grad_scatter_adds(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         out = gather_rows(x, np.array([0, 0, 2]))
@@ -480,7 +511,9 @@ class TestFiniteByConstruction:
 
     @pytest.mark.parametrize("op", sorted(FINITE_OUTPUT))
     def test_output_of_extreme_input_is_finite(self, op):
-        out = FINITE_OUTPUT[op](Tensor(EXTREME, requires_grad=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow on the way is a RuntimeWarning
+            out = FINITE_OUTPUT[op](Tensor(EXTREME, requires_grad=True))
         assert out._rec.op == op
         assert np.isfinite(out.data).all()
 

@@ -9,6 +9,7 @@ from wsvad.attention import TsaConfig
 from wsvad.evaluate import (
     EvalReport,
     ScoreTimeline,
+    binary_auc_roc,
     evaluate_manifest,
     evaluate_records,
     frame_labels,
@@ -339,6 +340,20 @@ class TestSnippetRunMetrics:
         assert np.unique(scores).size < scores.size // self.DELTA
         assert report.auc_roc == auc_roc(scores, labels)
         assert report.auc_pr == auc_pr(scores, labels)
+
+    def test_binary_auc_from_totals_equals_entry_sort(self):
+        """Four (binary, label) totals score the same bits as sorting every
+        weighted entry, with some cells empty and every entry tied to others."""
+        rng = np.random.default_rng(12)
+        for case in range(200):
+            n = int(rng.integers(2, 60))
+            binary = (rng.random(n) < rng.choice([0.0, 0.3, 1.0])).astype(np.uint8)
+            labels = (rng.random(n) < 0.5).astype(np.uint8)
+            labels[:2] = [0, 1]
+            weights = rng.integers(1, 1000, n).astype(np.int64)
+            assert binary_auc_roc(binary, labels, weights) == auc_roc(binary, labels, weights), case
+        with pytest.raises(ValueError, match="one positive and one negative"):
+            binary_auc_roc(np.array([0, 1], np.uint8), np.array([1, 1], np.uint8), np.array([3, 4]))
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="no videos to evaluate"):
