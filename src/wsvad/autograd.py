@@ -6,12 +6,22 @@ accumulate in float64. Softmax computes in the storage dtype, in one buffer,
 and only its denominator accumulates in float64. Every op validates shapes up
 front.
 
+A layer of the detector is one op: `linear` is a dense layer with its bias and
+activation, `conv1d_dilated` takes its branch's bias, and `nonlocal_attention`
+is the embedded-Gaussian attention branch. Each computes in place what it can
+and gives the same values and float32 gradients, bit for bit, as the chain of
+single ops it replaces.
+
 No NaN or Inf gets past the engine; the first value to go non-finite raises
 `NumericsError` naming the op that produced it. `Tensor` construction and
 every op output are checked, except where `_SKIPS` says the value is finite
 by construction: an op in it that receives checked inputs and needs no cast
 to the storage dtype (structural moves, relu, clip, and sigmoid and softmax,
-whose values lie in [0, 1]) cannot make a non-finite value. Every gradient is
+whose values lie in [0, 1]) cannot make a non-finite value. `linear` is in it
+because it checks its pre-activation itself, and no activation makes a finite
+value non-finite. A fused op checks one value where its chain checked several,
+a value that any earlier non-finite one reaches: the conv output after the
+bias, and the attention logits, which cover theta and phi. Every gradient is
 checked once it is final in its tensor's dtype, after the cast and after
 accumulation, except a single uncast contribution from a vjp that only moves
 or masks its own, already checked, incoming gradient.
@@ -44,8 +54,10 @@ __all__ = [
     "dropout",
     "gather_rows",
     "l2_norm",
+    "linear",
     "matmul",
     "no_grad",
+    "nonlocal_attention",
     "softmax",
     "tensor",
     "using_dtype",
@@ -110,7 +122,7 @@ def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
     # a non-finite sum may be accumulator overflow, so only then pay for the
     # exact scan
     total = arr.sum()
-    if not np.isfinite(total) and not np.isfinite(arr).all():
+    if not math.isfinite(total) and not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by '{name}' (shape {arr.shape})")
     return arr
 
@@ -119,6 +131,7 @@ def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
 # construction: (its forward output, the gradients its vjp hands on). Every op
 # not listed, and every custom op, is checked both ways.
 _SKIPS: dict[str, tuple[bool, bool]] = {
+    "linear": (True, False),  # checks its pre-activation, before the activation
     "reshape": (True, True),
     "transpose": (True, True),
     "concat": (True, True),
@@ -257,13 +270,17 @@ def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callab
 # -- elementwise and structural ops -------------------------------------------
 
 
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """Gradient of a bias broadcast over the rows: the rows' float64 sum."""
+    return np.sum(g, axis=0, dtype=np.float64).astype(g.dtype)
+
+
 def _add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         return _from_op("add", a.data + b.data, (a, b), lambda g: (g, g))
     # row-broadcast bias: (T, d) + (d,)
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        vjp = lambda g: (g, np.sum(g, axis=0, dtype=np.float64).astype(g.dtype))
-        return _from_op("add_bias", a.data + b.data, (a, b), vjp)
+        return _from_op("add_bias", a.data + b.data, (a, b), lambda g: (g, _bias_grad(g)))
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -312,15 +329,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op("matmul", a.data @ b.data, (a, b), vjp)
 
 
+_ACTIVATIONS = (None, "relu", "sigmoid")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """A dense layer as one op: ``act(x @ w + b)`` for x (rows, k), w (k, n)
+    and b (n,), where ``act`` is "relu", "sigmoid" or None.
+
+    The bias is added into the product in place and the pre-activation is
+    checked there, once: a check after the activation would miss a -inf that
+    ReLU turns into 0, and no activation makes a finite value non-finite.
+    The values and gradients are those of matmul, bias add and activation
+    run as three ops, bit for bit.
+    """
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {x.shape}, {w.shape}, {b.shape}")
+    if act not in _ACTIVATIONS:
+        raise ValueError(f"linear: activation must be one of {_ACTIVATIONS}, got {act!r}")
+    out = np.asarray(x.data @ w.data, dtype=_DTYPE)
+    out += b.data
+    _ensure_finite("linear", out)
+    if act == "relu":
+        np.maximum(out, 0, out=out)
+    elif act == "sigmoid":
+        s = _sigmoid64(out)
+        out = s.astype(_DTYPE)
+
+    def vjp(g):
+        if act == "relu":
+            g = g * (out > 0)  # out > 0 exactly where the pre-activation is
+        elif act == "sigmoid":
+            g = g * (s * (1.0 - s)).astype(g.dtype)
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            _bias_grad(g) if b.requires_grad else None,
+        )
+
+    return _from_op("linear", out, (x, w, b), vjp)
+
+
 def _relu(a: Tensor) -> Tensor:
     # np.maximum(-0.0, 0) is +0.0, as np.where(a > 0, a, 0) gives; the mask is only built for backward
     return _from_op("relu", np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
+def _sigmoid64(a: np.ndarray) -> np.ndarray:
+    """Sigmoid in float64, stable: exp(-|x|) never overflows."""
+    z = np.exp(-np.abs(a.astype(np.float64)))
+    return np.where(a >= 0, 1.0, z) / (1.0 + z)
+
+
 def _sigmoid(a: Tensor) -> Tensor:
-    # stable: exp(-|x|) never overflows
-    z = np.exp(-np.abs(a.data.astype(np.float64)))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = _sigmoid64(a.data)
     vjp = lambda g: (g * (out * (1.0 - out)).astype(g.dtype),)
     return _from_op("sigmoid", out.astype(_DTYPE), (a,), vjp)
 
@@ -348,21 +409,27 @@ def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tenso
     return _from_op("dropout", a.data * scale, (a,), lambda g: (g * scale,))
 
 
+def _softmax_into(out: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of ``a`` written into ``out``, which may be ``a`` itself."""
+    with np.errstate(over="ignore"):
+        np.subtract(a, np.max(a, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True, dtype=np.float64).astype(out.dtype)
+    return out
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    s = out.astype(g.dtype, copy=False)
+    return s * (g - np.sum(g * s, axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax in the input's dtype, computed in one buffer. A shift that
     overflows to -inf exponentiates to exactly 0; the row max gives exp(0) = 1,
     so the float64-accumulated denominator is at least 1 and every value lies
     in [0, 1]."""
-    with np.errstate(over="ignore"):
-        out = a.data - np.max(a.data, axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True, dtype=np.float64).astype(out.dtype)
-
-    def vjp(g):
-        s = out.astype(g.dtype, copy=False)
-        return (s * (g - np.sum(g * s, axis=axis, keepdims=True)),)
-
-    return _from_op("softmax", out, (a,), vjp)
+    out = _softmax_into(np.empty_like(a.data), a.data, axis)
+    return _from_op("softmax", out, (a,), lambda g: (_softmax_grad(out, g, axis),))
 
 
 def _reduce(a: Tensor, axis: int | None, kind: str) -> Tensor:
@@ -438,14 +505,18 @@ def _transpose(a: Tensor) -> Tensor:
     return _from_op("transpose", out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1, bags: int = 1) -> Tensor:
+def conv1d_dilated(
+    x: Tensor, w: Tensor, dilation: int = 1, bags: int = 1, bias: Tensor | None = None
+) -> Tensor:
     """Temporal cross-correlation with holes, zero-padded to preserve length.
 
     x is (bags * T, c_in): ``bags`` bags of T snippets stacked along the rows,
     each zero-padded on its own so that no tap reaches into a neighbouring
     bag. w is (k, c_in, c_out) with k odd; the output is (bags * T, c_out).
     The forward and both vector-Jacobian products are one GEMM each over the
-    im2col matrix, whose row for snippet t holds the k taps' input rows.
+    im2col matrix, whose row for snippet t holds the k taps' input rows. A
+    ``bias`` (c_out,) is added into the output in place, before the output's
+    check, with the values and gradients of a separate bias add.
     """
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d_dilated: expected (T,c_in) and (k,c_in,c_out), got {x.shape}, {w.shape}")
@@ -456,29 +527,100 @@ def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1, bags: int = 1) -> Te
         raise ValueError(f"conv1d_dilated: dilation must be >= 1, got {dilation}")
     if x.shape[1] != c_in:
         raise ShapeError(f"conv1d_dilated: channel mismatch, x has {x.shape[1]}, w expects {c_in}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"conv1d_dilated: bias must be ({c_out},), got {bias.shape}")
     rows = x.shape[0]
     t_len = bag_length(rows, bags)
     pad = (k - 1) // 2 * dilation
     xpad = np.zeros((bags, t_len + 2 * pad, c_in), dtype=x.data.dtype)
     xpad[:, pad : pad + t_len] = x.data.reshape(bags, t_len, c_in)
-    # cols[b, t, j] is xpad[b, t + j * dilation], the row that tap j reads
+    # cols[b, t, j] is xpad[b, t + j * dilation], the row that tap j reads (a
+    # strided view made by the ndarray constructor, a third of as_strided's cost)
     sb, st, sc = xpad.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xpad, (bags, t_len, k, c_in), (sb, st, dilation * st, sc), writeable=False
-    ).reshape(rows, k * c_in)
+    cols = np.ndarray((bags, t_len, k, c_in), xpad.dtype, xpad, 0, (sb, st, dilation * st, sc))
+    cols = cols.reshape(rows, k * c_in)
     w2 = w.data.reshape(k * c_in, c_out)
 
-    def vjp(g):
-        gw = (cols.T @ g).reshape(k, c_in, c_out) if w.requires_grad else None
-        if not x.requires_grad:
-            return (None, gw)
-        gcols = (g @ w2.T).reshape(bags, t_len, k, c_in)
-        gpad = np.zeros_like(xpad)
-        for j in range(k):
-            gpad[:, j * dilation : j * dilation + t_len] += gcols[:, :, j]
-        return (gpad[:, pad : pad + t_len].reshape(rows, c_in), gw)
+    out = np.asarray(cols @ w2, dtype=_DTYPE)
+    parents = (x, w)
+    if bias is not None:
+        out += bias.data
+        parents = (x, w, bias)
 
-    return _from_op("conv1d_dilated", cols @ w2, (x, w), vjp)
+    def vjp(g):
+        gx = None
+        if x.requires_grad:
+            gcols = (g @ w2.T).reshape(bags, t_len, k, c_in)
+            gpad = np.zeros_like(xpad)
+            for j in range(k):
+                gpad[:, j * dilation : j * dilation + t_len] += gcols[:, :, j]
+            gx = gpad[:, pad : pad + t_len].reshape(rows, c_in)
+        gw = (cols.T @ g).reshape(k, c_in, c_out) if w.requires_grad else None
+        gb = _bias_grad(g) if bias is not None and bias.requires_grad else None
+        return (gx, gw, gb)[: len(parents)]
+
+    return _from_op("conv1d_dilated", out, parents, vjp)
+
+
+def nonlocal_attention(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, bags: int = 1) -> Tensor:
+    """Embedded-Gaussian non-local attention as one op, (bags * T, d) ->
+    (bags * T, c): per bag, softmax(theta phi^T) g with theta = x w_theta,
+    phi = x w_phi and g = x w_g, for the ``bags`` bags of T rows stacked in
+    x. Bags do not see each other: the (bags, T, T) products are batched.
+
+    The softmax is taken in the logits' own buffer. The logits are checked,
+    which covers theta and phi (a non-finite entry of either makes its whole
+    row or column of logits non-finite), and so is the output, which covers
+    g the same way. The output needs its check: its rows are convex
+    combinations of g's rows, but the rounded softmax weights can sum to a
+    little over 1, enough to overflow a combination of values near the
+    float32 maximum. Values and gradients are those of the five matmuls,
+    transpose and softmax run as single ops, bit for bit; x's gradient adds
+    its g, phi and theta parts in that order.
+    """
+    if x.ndim != 2 or any(p.ndim != 2 or p.shape[0] != x.shape[1] for p in (w_theta, w_phi, w_g)):
+        raise ShapeError(
+            f"nonlocal_attention: expected (rows, d) and (d, c) weights, got {x.shape}, "
+            f"{w_theta.shape}, {w_phi.shape}, {w_g.shape}"
+        )
+    if w_theta.shape != w_phi.shape:
+        raise ShapeError(f"nonlocal_attention: theta {w_theta.shape} and phi {w_phi.shape} disagree")
+    rows = x.shape[0]
+    t_len = bag_length(rows, bags)
+
+    def project(w: Tensor) -> np.ndarray:
+        return np.asarray(x.data @ w.data, dtype=_DTYPE).reshape(bags, t_len, -1)
+
+    theta = project(w_theta)
+    phi_t = np.ascontiguousarray(np.swapaxes(project(w_phi), -1, -2))
+    attn = np.asarray(theta @ phi_t, dtype=_DTYPE)
+    _ensure_finite("nonlocal_attention", attn)
+    _softmax_into(attn, attn, -1)
+    g_proj = project(w_g)
+    out = (attn @ g_proj).reshape(rows, -1)
+
+    def vjp(g):
+        g3 = g.reshape(bags, t_len, -1)
+        gx = g_theta_w = g_phi_w = g_g_w = None
+        if x.requires_grad or w_g.requires_grad:
+            gg = (np.swapaxes(attn, -1, -2) @ g3).reshape(rows, -1)
+            gx = gg @ w_g.data.T if x.requires_grad else None
+            g_g_w = x.data.T @ gg if w_g.requires_grad else None
+        if x.requires_grad or w_theta.requires_grad or w_phi.requires_grad:
+            g_logits = _softmax_grad(attn, g3 @ np.swapaxes(g_proj, -1, -2), -1)
+            if x.requires_grad or w_phi.requires_grad:
+                gphi = np.swapaxes(np.swapaxes(theta, -1, -2) @ g_logits, -1, -2).reshape(rows, -1)
+                if x.requires_grad:
+                    gx += gphi @ w_phi.data.T
+                g_phi_w = x.data.T @ gphi if w_phi.requires_grad else None
+            if x.requires_grad or w_theta.requires_grad:
+                gtheta = (g_logits @ np.swapaxes(phi_t, -1, -2)).reshape(rows, -1)
+                if x.requires_grad:
+                    gx += gtheta @ w_theta.data.T
+                g_theta_w = x.data.T @ gtheta if w_theta.requires_grad else None
+        return (gx, g_theta_w, g_phi_w, g_g_w)
+
+    return _from_op("nonlocal_attention", out, (x, w_theta, w_phi, w_g), vjp)
 
 
 def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:

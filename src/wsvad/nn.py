@@ -55,18 +55,14 @@ def mlp_forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Apply the MLP row-wise to a (T, d_in) tensor, returning (T, d_out)."""
+    """Apply the MLP row-wise to a (T, d_in) tensor, returning (T, d_out):
+    one `linear` op per layer, plus dropout after each hidden layer."""
     h = x
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = ag.matmul(h, w) + b
-        if i < last:
-            h = h.relu()
-            if mlp.dropout_p > 0.0:
-                h = ag.dropout(h, mlp.dropout_p, train, rng)
-        else:
-            h = h.sigmoid()
-    return h
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        h = ag.linear(h, w, b, "relu")
+        if mlp.dropout_p > 0.0:
+            h = ag.dropout(h, mlp.dropout_p, train, rng)
+    return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid")
 
 
 @dataclass
@@ -121,20 +117,14 @@ def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1) -> Tensor:
     the rows, (bags * T, d) -> (bags * T, d).
 
     Bags do not see each other: every conv pads each bag on its own, and the
-    attention branch is a batched (bags, T, T) product.
+    attention branch is a batched (bags, T, T) product. Each branch is one op.
     """
     if x.ndim != 2 or x.shape[1] != mod.width:
         raise ag.ShapeError(f"conv module expects (T, {mod.width}), got {x.shape}")
-    rows = x.shape[0]
     # conv1d_dilated checks that the rows split into equal bags
     branches = [
-        ag.conv1d_dilated(x, w, dil, bags) + b
+        ag.conv1d_dilated(x, w, dil, bags, bias=b)
         for w, b, dil in zip(mod.conv_w, mod.conv_b, mod.dilations)
     ]
-    x3 = x.reshape(bags, rows // bags, mod.width)
-    theta = ag.matmul(x3, mod.w_theta)
-    phi = ag.matmul(x3, mod.w_phi)
-    attn = ag.softmax(ag.matmul(theta, phi.T), axis=-1)
-    context = ag.matmul(attn, ag.matmul(x3, mod.w_g))
-    branches.append(context.reshape(rows, context.shape[2]))
+    branches.append(ag.nonlocal_attention(x, mod.w_theta, mod.w_phi, mod.w_g, bags))
     return ag.concat(branches, axis=1) + x

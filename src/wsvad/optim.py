@@ -30,24 +30,39 @@ class Adam:
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self) -> None:
-        """Apply one update to every parameter that has a gradient."""
+        """Apply one update to every parameter that has a gradient.
+
+        The moments and ``p.data`` are updated in place, through one two-slot
+        scratch array per parameter; each ufunc rounds as the textbook
+        expression does, so the values are the same bits. An array a
+        parameter was built on without a copy changes with it; a read-only
+        one is replaced by a private copy first.
+        """
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            if p.grad.shape != self._m[name].shape:
-                raise ShapeError(
-                    f"adam: shape of '{name}' drifted from {self._m[name].shape} to {p.grad.shape}"
-                )
+            m, v = self._m[name], self._v[name]
+            if p.grad.shape != m.shape:
+                raise ShapeError(f"adam: shape of '{name}' drifted from {m.shape} to {p.grad.shape}")
+            if not p.data.flags.writeable:
+                p.data = p.data.copy()
+            s, t = np.empty((2, *m.shape), dtype=m.dtype)
             g = p.grad
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * np.square(g)
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - update.astype(p.data.dtype)
+                g = np.add(g, np.multiply(p.data, self.weight_decay, out=t), out=t)
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g^2
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
+            v *= self.beta2
+            v += np.multiply(np.square(g, out=s), 1.0 - self.beta2, out=s)
+            # p -= (lr / bc1) * m / (sqrt(v / bc2) + eps)
+            np.multiply(m, self.lr / bc1, out=s)
+            np.sqrt(np.divide(v, bc2, out=t), out=t)
+            t += self.eps
+            p.data -= np.divide(s, t, out=s)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -18,7 +18,9 @@ from wsvad.autograd import (
     dropout,
     gather_rows,
     l2_norm,
+    linear,
     matmul,
+    nonlocal_attention,
     softmax,
 )
 
@@ -176,6 +178,179 @@ class TestBatchedMatrixOps:
             matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 1))))
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 1))))
+
+
+# -- fused ops against the single-op chains they replace ------------------------
+
+
+def unfused_linear(x, w, b, act):
+    h = matmul(x, w) + b
+    return h if act is None else getattr(h, act)()
+
+
+def unfused_conv(x, w, dilation, bags, bias):
+    return conv1d_dilated(x, w, dilation, bags) + bias
+
+
+def unfused_nonlocal(x, w_theta, w_phi, w_g, bags):
+    """The context module's attention branch as single ops."""
+    rows = x.shape[0]
+    x3 = x.reshape(bags, rows // bags, x.shape[1])
+    attn = softmax(matmul(matmul(x3, w_theta), matmul(x3, w_phi).T), axis=-1)
+    context = matmul(attn, matmul(x3, w_g))
+    return context.reshape(rows, context.shape[2])
+
+
+def ref_linear(x, w, b, act):
+    h = x @ w + b
+    return {None: h, "relu": np.maximum(h, 0.0), "sigmoid": ref_sigmoid(h)}[act]
+
+
+def ref_nonlocal(x, w_theta, w_phi, w_g, bags):
+    x3 = x.reshape(bags, -1, x.shape[1])
+    theta, phi, g = x3 @ w_theta, x3 @ w_phi, x3 @ w_g
+    return (ref_softmax(theta @ np.swapaxes(phi, 1, 2)) @ g).reshape(x.shape[0], -1)
+
+
+def run_float32(build, arrays, upstream, grad_mask):
+    """Forward ``build`` on float32 leaves (``grad_mask`` says which require
+    grad), backprop ``upstream`` into its output, and return the output, the
+    op record's name and the leaves' gradients (None where not required)."""
+    leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, grad_mask)]
+    out = build(*leaves)
+    op = out._rec.op
+    backward(inject(out, upstream))
+    return out.data, op, [leaf.grad for leaf in leaves]
+
+
+def assert_same_bits(fused, unfused, arrays, grad_mask, op):
+    rng = np.random.default_rng(99)
+    with ag.no_grad():
+        shape = fused(*[Tensor(a) for a in arrays]).shape
+    upstream = rng.normal(size=shape).astype(np.float32)
+    out, fused_op, grads = run_float32(fused, arrays, upstream, grad_mask)
+    want, _, want_grads = run_float32(unfused, arrays, upstream, grad_mask)
+    assert fused_op == op
+    assert out.tobytes() == want.tobytes()
+    for i, (g, w) in enumerate(zip(grads, want_grads)):
+        assert (g is None) == (w is None), i
+        if g is not None:
+            assert g.dtype == np.float32 and g.tobytes() == w.tobytes(), i
+
+
+def grad_masks(n):
+    """Every operand requiring grad, then each operand off in turn."""
+    return [(True,) * n] + [tuple(j != i for j in range(n)) for i in range(n)]
+
+
+def linear_inputs(seed, rows=7, k=5, n=4):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(rows, k)).astype(np.float32), rng.normal(size=(k, n)).astype(np.float32),
+            rng.normal(size=n).astype(np.float32)]
+
+
+def nonlocal_inputs(seed, bags, t_len=5, d=6, c=3):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(bags * t_len, d)).astype(np.float32)] + [
+        (rng.normal(size=(d, c)) * 0.7).astype(np.float32) for _ in range(3)
+    ]
+
+
+class TestFusedOps:
+    """`linear`, conv with bias and `nonlocal_attention` give the values and
+    float32 gradients of the single-op chains they replace, bit for bit, and
+    pass the float64 gradient check."""
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    @pytest.mark.parametrize("mask", grad_masks(3))
+    def test_linear_same_bits_as_the_chain(self, act, mask):
+        arrays = linear_inputs(1)
+        arrays[0][0, :] = 0.0  # a row with pre-activation exactly the bias
+        assert_same_bits(
+            lambda x, w, b: linear(x, w, b, act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, mask, "linear"
+        )
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    def test_linear_gradcheck(self, act):
+        check_grads(
+            lambda x, w, b: l2_norm(linear(x, w, b, act)),
+            lambda x, w, b: float(np.linalg.norm(ref_linear(x, w, b, act))),
+            [a.astype(np.float64) for a in linear_inputs(2)],
+        )
+
+    @pytest.mark.parametrize("bags", [1, 3])
+    @pytest.mark.parametrize("mask", grad_masks(3))
+    def test_conv_with_bias_same_bits_as_the_chain(self, bags, mask):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=(bags * 4, 3)).astype(np.float32), rng.normal(size=(3, 3, 2)).astype(np.float32),
+                  rng.normal(size=2).astype(np.float32)]
+        assert_same_bits(
+            lambda x, w, b: conv1d_dilated(x, w, 2, bags, bias=b),
+            lambda x, w, b: unfused_conv(x, w, 2, bags, b),
+            arrays, mask, "conv1d_dilated",
+        )
+
+    def test_conv_with_bias_gradcheck(self):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(6, 2)), rng.normal(size=(3, 2, 3)), rng.normal(size=3)
+        check_grads(
+            lambda tx, tw, tb: l2_norm(conv1d_dilated(tx, tw, 2, 2, bias=tb)),
+            lambda xx, xw, xb: float(np.linalg.norm(np.concatenate(
+                [ref_conv1d_dilated(xx[i * 3 : (i + 1) * 3], xw, 2) for i in range(2)]) + xb)),
+            [x, w, b],
+        )
+
+    def test_conv_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match="bias"):
+            conv1d_dilated(Tensor(np.ones((4, 1))), Tensor(np.ones((3, 1, 2))), 1, bias=Tensor(np.ones(3)))
+
+    @pytest.mark.parametrize("bags", [1, 3])
+    @pytest.mark.parametrize("mask", grad_masks(4))
+    def test_nonlocal_same_bits_as_the_chain(self, bags, mask):
+        arrays = nonlocal_inputs(5, bags)
+        assert_same_bits(
+            lambda *t: nonlocal_attention(*t, bags), lambda *t: unfused_nonlocal(*t, bags), arrays, mask,
+            "nonlocal_attention",
+        )
+
+    @pytest.mark.parametrize("bags", [1, 2])
+    def test_nonlocal_gradcheck(self, bags):
+        check_grads(
+            lambda *t: l2_norm(nonlocal_attention(*t, bags)),
+            lambda *a: float(np.linalg.norm(ref_nonlocal(*a, bags))),
+            [a.astype(np.float64) for a in nonlocal_inputs(6, bags, t_len=3, d=4, c=2)],
+        )
+
+    def test_nonlocal_keeps_bags_apart(self):
+        x, wt, wp, wg = nonlocal_inputs(7, 3)
+        with ag.using_dtype(np.float64):
+            got = nonlocal_attention(Tensor(x), Tensor(wt), Tensor(wp), Tensor(wg), 3).data
+        want = np.concatenate([ref_nonlocal(x[i * 5 : (i + 1) * 5].astype(np.float64), wt, wp, wg, 1) for i in range(3)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_unneeded_products_skipped(self):
+        arrays = nonlocal_inputs(8, 2)
+        for mask in grad_masks(4)[1:]:
+            y = nonlocal_attention(*[Tensor(a, requires_grad=r) for a, r in zip(arrays, mask)], 2)
+            grads = y._rec.vjp(np.ones(y.shape, np.float32))
+            assert [g is None for g in grads] == [not r for r in mask]
+        for mask in grad_masks(3)[1:]:
+            y = linear(*[Tensor(a, requires_grad=r) for a, r in zip(linear_inputs(9), mask)], "relu")
+            grads = y._rec.vjp(np.ones(y.shape, np.float32))
+            assert [g is None for g in grads] == [not r for r in mask]
+
+    def test_shapes_and_activation_checked(self):
+        x, w, b = (Tensor(a) for a in linear_inputs(10))
+        with pytest.raises(ShapeError):
+            linear(x, w, Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            linear(x, w.T, b)
+        with pytest.raises(ValueError, match="tanh"):
+            linear(x, w, b, "tanh")
+        with pytest.raises(ShapeError, match="bags"):
+            nonlocal_attention(*(Tensor(a) for a in nonlocal_inputs(11, 1)), 2)
+        with pytest.raises(ShapeError, match="disagree"):
+            nonlocal_attention(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
 
 
 class TestElementwise:
@@ -479,6 +654,8 @@ def inject(t, grad):
 
 # every op whose forward value the engine does not check, on extreme input
 FINITE_OUTPUT = {
+    # the pre-activation, checked inside the op, is +-BIG here
+    "linear": lambda t: linear(t, Tensor(np.eye(3)), Tensor(np.zeros(3)), "relu"),
     "reshape": lambda t: t.reshape(3, 2),
     "transpose": lambda t: t.T,
     "gather_rows": lambda t: gather_rows(t, np.array([1, 0, 1, 1])),
@@ -575,6 +752,61 @@ class TestChecksThatStay:
         bias = Tensor([0.0], requires_grad=True)
         y = Tensor(np.zeros((2, 1))) + bias
         with pytest.raises(NumericsError, match=r"grad\[add_bias\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((2, 1), BIG, np.float32)))
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_linear_pre_activation_overflow_rejected(self, act, sign):
+        """Checked before the activation: ReLU would turn -inf into 0 and
+        sigmoid would turn +-inf into 1 or 0."""
+        w = Tensor([[2.0 * sign], [2.0 * sign]])
+        with pytest.raises(NumericsError, match="'linear'"), np.errstate(over="ignore"):
+            linear(Tensor([[BIG, BIG]]), w, Tensor([0.0]), act)
+
+    def test_linear_bias_overflow_rejected(self):
+        with pytest.raises(NumericsError, match="'linear'"), np.errstate(over="ignore"):
+            linear(Tensor([[BIG]]), Tensor([[1.0]]), Tensor([BIG]), "relu")
+
+    @pytest.mark.parametrize("operand", [0, 1, 2])
+    def test_linear_gradient_overflow_rejected(self, operand):
+        """x's and w's gradients are products and b's sums the rows; each
+        overflows on its own here."""
+        arrays = [np.full((2, 2), 4.0, np.float32), np.full((2, 1), 4.0, np.float32), np.zeros(1, np.float32)]
+        leaves = [Tensor(a, requires_grad=i == operand) for i, a in enumerate(arrays)]
+        y = linear(*leaves)
+        with pytest.raises(NumericsError, match=r"grad\[linear\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((2, 1), BIG, np.float32)))
+
+    def test_conv_bias_overflow_rejected(self):
+        with pytest.raises(NumericsError, match="'conv1d_dilated'"), np.errstate(over="ignore"):
+            conv1d_dilated(Tensor([[BIG]]), Tensor([[[1.0]]]), bias=Tensor([BIG]))
+
+    def test_conv_bias_gradient_overflow_rejected(self):
+        bias = Tensor([0.0], requires_grad=True)
+        y = conv1d_dilated(Tensor(np.zeros((2, 1))), Tensor([[[1.0]]]), bias=bias)
+        with pytest.raises(NumericsError, match=r"grad\[conv1d_dilated\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((2, 1), BIG, np.float32)))
+
+    def test_nonlocal_logit_overflow_rejected(self):
+        """theta and phi are finite (1e20); their product is not."""
+        one = Tensor([[1.0]])
+        with pytest.raises(NumericsError, match="'nonlocal_attention'"), np.errstate(over="ignore"):
+            nonlocal_attention(Tensor([[1e20], [1.0]]), one, one, one)
+
+    def test_nonlocal_output_overflow_rejected(self):
+        """Uniform weights over 23 rows of g at the float32 maximum: each
+        output row is a convex combination of finite values, yet the rounded
+        weights and the float32 sums overflow it, so the output is checked."""
+        top = np.finfo(np.float32).max
+        zero = Tensor([[0.0]])
+        with pytest.raises(NumericsError, match="'nonlocal_attention'"), np.errstate(over="ignore"):
+            nonlocal_attention(Tensor(np.ones((23, 1))), zero, zero, Tensor([[top]]))
+
+    def test_nonlocal_gradient_overflow_rejected(self):
+        x = Tensor([[1.0], [2.0]])
+        w_g = Tensor([[1.0]], requires_grad=True)
+        y = nonlocal_attention(x, Tensor([[1.0]]), Tensor([[1.0]]), w_g)
+        with pytest.raises(NumericsError, match=r"grad\[nonlocal_attention\]"), np.errstate(over="ignore"):
             backward(inject(y, np.full((2, 1), BIG, np.float32)))
 
     def test_scatter_add_overflow_rejected(self):

@@ -49,7 +49,8 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
     for name in ("attention.tsa_fuse", "attention.scorer", "nn.classifier"):
         assert calls[name] == 1, name
     assert calls["autograd.conv1d_dilated"] == 3
-    # one graph over the stacked batch: scorer 9 nodes (3 layers of matmul,
-    # bias, activation), attention 1, context module 17, classifier 11
-    # (with dropout), loss 20
-    assert tracer.epoch_nodes == [58]
+    # one graph over the stacked batch: scorer 3 nodes (one linear per
+    # layer), attention 1, context module 6 (3 convs with bias,
+    # nonlocal_attention, concat, residual add), classifier 5 (3 linear,
+    # 2 dropout), loss 20
+    assert tracer.epoch_nodes == [35]

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wsvad import autograd as ag
 from wsvad.attention import TsaConfig
 from wsvad.autograd import Tensor, no_grad
 from wsvad.features import FormatError
@@ -232,3 +233,32 @@ class TestScoreBag:
             assert np.array_equal(sel.inclusion, np.stack([s.inclusion for _, _, s in singles]))
         else:
             assert sel is None and all(s is None for _, _, s in singles)
+
+    @pytest.mark.parametrize("tsa_enabled", [True, False])
+    def test_eval_cost_per_video_is_pinned(self, tsa_enabled, monkeypatch):
+        """One no-grad (T, d) bag, as eval scores each video: one op and one
+        check per layer, where the attention branch checks its logits and its
+        output. A change that adds ops or checks to eval's path must change
+        these on purpose."""
+        model = small_model()
+        model.tsa_enabled = tsa_enabled
+        feats = Tensor(np.random.default_rng(5).normal(size=(20, 8)).astype(np.float32))
+        counts = dict(ops=0, checks=0)
+        from_op, ensure_finite = ag._from_op, ag._ensure_finite
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ag, "_from_op", counting("ops", from_op))
+        monkeypatch.setattr(ag, "_ensure_finite", counting("checks", ensure_finite))
+        with no_grad():
+            score_bag(model, feats, tsa_rng=np.random.default_rng(0))
+        # scorer 3 linear + tsa_select 1 (attention on only); context module
+        # 3 convs + nonlocal_attention (2 checks) + concat (unchecked) +
+        # residual add; classifier 3 linear (dropout is off)
+        scorer = 4 if tsa_enabled else 0
+        assert counts == dict(ops=scorer + 6 + 3, checks=scorer + 6 + 3)

@@ -1,4 +1,4 @@
-"""Optimizer behavior against a hand-rolled single-step reference."""
+"""Optimizer behavior against hand-rolled references."""
 
 import numpy as np
 import pytest
@@ -91,3 +91,57 @@ def test_params_without_grad_are_skipped():
     p.grad = np.array([1.0], dtype=np.float32)
     opt.step()
     assert float(q.data[0]) == 2.0
+
+
+def textbook_adam(params, grads, moments, t, lr, b1, b2, eps, wd):
+    """One Adam step as plain array expressions in the storage dtype, each
+    making a fresh array; the in-place optimizer must match it bit for bit."""
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        if g is None:
+            out[name] = p
+            continue
+        if wd:
+            g = g + wd * p
+        m, v = moments[name]
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * np.square(g)
+        moments[name] = (m, v)
+        update = (lr / (1.0 - b1**t)) * m / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        out[name] = p - update.astype(p.dtype)
+    return out
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.005])
+def test_in_place_steps_match_the_textbook_bits(wd):
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3,), "k": (3, 4, 2), "idle": (5,)}
+    params = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for k, s in shapes.items()}
+    opt = Adam(params, lr=0.01, weight_decay=wd)
+    ref = {k: p.data.copy() for k, p in params.items()}
+    moments = {k: (np.zeros_like(a), np.zeros_like(a)) for k, a in ref.items()}
+    for t in range(1, 6):
+        grads = {k: None if k == "idle" else rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        for k, p in params.items():
+            p.grad = None if grads[k] is None else grads[k].copy()
+        opt.step()
+        ref = textbook_adam(ref, grads, moments, t, 0.01, 0.9, 0.999, 1e-8, wd)
+        for k, p in params.items():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == ref[k].tobytes(), (k, t)
+            if grads[k] is not None:
+                # the gradient is read, never written
+                assert p.grad.tobytes() == grads[k].tobytes()
+
+
+def test_read_only_parameter_gets_a_private_copy():
+    frozen = np.array([1.0, -2.0], dtype=np.float32)
+    frozen.flags.writeable = False
+    p = Tensor(frozen, requires_grad=True)
+    opt = Adam({"p": p}, lr=0.1)
+    p.grad = np.array([1.0, 1.0], dtype=np.float32)
+    opt.step()
+    assert frozen.tolist() == [1.0, -2.0]
+    assert p.data is not frozen and p.data.flags.writeable
+    assert np.all(p.data < frozen)

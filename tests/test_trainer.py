@@ -464,8 +464,17 @@ class TestTrainingStepCost:
 
         one, two = run(1), run(2)
         per_step = {key: two[key] - one[key] for key in counts}
-        # 44 forward checks and 64 gradient checks; one copy per parameter
-        assert per_step == dict(nodes=58, checks=108, copies=21)
+        # nodes: scorer 3 linear, attention 1, context module 6 (3 convs
+        # with bias, nonlocal_attention, concat, residual add), classifier 5
+        # (3 linear, 2 dropout), loss 20.
+        # 32 forward checks: the batch tensor 1, scorer 3, attention 1,
+        # context module 6 (3 convs, the attention's logits and output, the
+        # residual add), classifier 5 (3 linear, 2 dropout), loss 16.
+        # 45 gradient checks: loss 12, classifier 11 (3 per linear, 1 per
+        # dropout), context module 13 (3 per conv, 4 from nonlocal_attention),
+        # attention 1, scorer 8 (no gradient for the constant batch).
+        # One copy per parameter.
+        assert per_step == dict(nodes=35, checks=77, copies=21)
 
     def test_no_vjp_writes_into_its_incoming_gradient(self, manifest):
         cfg = TrainConfig(t_len=16, batch_bags=8, epochs=2, seed=1)
