@@ -118,10 +118,10 @@ def no_grad():
 
 
 def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    # fast path: a finite sum in the array's own dtype certifies every entry;
-    # a non-finite sum may be accumulator overflow, so only then pay for the
-    # exact scan
-    total = arr.sum()
+    # fast path: a finite sum of squares in the array's own dtype certifies
+    # every entry; a non-finite one may be accumulator overflow, so only then
+    # pay for the exact scan. np.vdot (BLAS) emits no overflow RuntimeWarning.
+    total = np.vdot(arr, arr)
     if not math.isfinite(total) and not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by '{name}' (shape {arr.shape})")
     return arr

@@ -1,16 +1,17 @@
 """Frame-level inference and evaluation.
 
-Test videos keep their native snippet count (no temporal resizing); snippet
-scores are unfolded to frame length by repeating each score snippet_len
-times, padding any remainder with the final score. The report's primary
-metrics are frame-level ROC/PR areas of the continuous scores; rounded
-binary scores are kept as the detection artifact and scored separately.
+Test videos keep their native snippet count (no temporal resizing). A frame's
+score is its snippet's score: each snippet covers snippet_len frames and the
+last takes the remainder (``snippet_lengths``), so eval keeps only snippet
+arrays, plus one frame label mask per video. The report's primary metrics
+are frame-level ROC/PR areas of the continuous scores; rounded binary scores
+are kept as the detection artifact and scored separately.
 
-A frame score is its snippet's score, so the metrics are computed over
-weighted snippet runs rather than frames: each snippet contributes one
-entry per label it covers, weighted by its frame count under that label.
-The counts are exact integers, so the areas are bit-identical to the
-frame-level definition on the unfolded arrays.
+The metrics are computed over weighted snippet runs rather than frames: each
+snippet contributes one entry per label it covers, weighted by its frame
+count under that label. The counts are exact integers, so the areas are
+bit-identical to the frame-level definition on the unfolded arrays. The frame
+CSV, too, is written from the snippet scores and the masks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +36,21 @@ BINARY_THRESHOLD = 0.5
 
 @dataclass
 class ScoreTimeline:
-    """Per-snippet and per-frame anomaly scores for one video."""
+    """One video's snippet scores; its frame scores are derived from them."""
 
     video_id: str
     label: int  # video-level weak label
     snippet_scores: np.ndarray  # (T_k,) in (0, 1)
-    snippet_binary: np.ndarray  # (T_k,) in {0, 1}
-    frame_scores: np.ndarray  # (N,) continuous
-    frame_binary: np.ndarray  # (N,) in {0, 1}
+    snippet_len: int
+    frame_count: int
 
     @property
-    def frame_count(self) -> int:
-        return self.frame_scores.size
+    def snippet_binary(self) -> np.ndarray:  # (T_k,) in {0, 1}
+        return (self.snippet_scores >= BINARY_THRESHOLD).astype(np.uint8)
+
+    @property
+    def frame_scores(self) -> np.ndarray:  # (frame_count,), unfolded anew on each access
+        return unfold_scores(self.snippet_scores, self.snippet_len, self.frame_count)
 
 
 @dataclass
@@ -66,18 +70,7 @@ class EvalReport:
     def to_json(self) -> str:
         """Deterministic serialization; timing is deliberately excluded so
         identical runs produce identical bytes."""
-        doc = {
-            "auc_roc": self.auc_roc,
-            "auc_pr": self.auc_pr,
-            "auc_roc_binary": self.auc_roc_binary,
-            "num_videos": self.num_videos,
-            "num_frames": self.num_frames,
-            "positive_frames": self.positive_frames,
-            "eval_seed": self.eval_seed,
-            "pr_convention": self.pr_convention,
-            "config": self.config,
-            "per_video": self.per_video,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock_sec"}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -124,15 +117,12 @@ def infer_video(
         )
     with ag.no_grad():
         scores, _, _ = score_bag(model, Tensor(record.features), train=False, tsa_rng=rng)
-    snippet = scores.data.reshape(-1).astype(np.float64)
-    binary = (snippet >= BINARY_THRESHOLD).astype(np.uint8)
     return ScoreTimeline(
         video_id=record.video_id,
         label=record.label,
-        snippet_scores=snippet,
-        snippet_binary=binary,
-        frame_scores=unfold_scores(snippet, record.snippet_len, record.frame_count),
-        frame_binary=unfold_scores(binary, record.snippet_len, record.frame_count),
+        snippet_scores=scores.data.reshape(-1).astype(np.float64),
+        snippet_len=record.snippet_len,
+        frame_count=record.frame_count,
     )
 
 
@@ -147,7 +137,7 @@ def frame_labels(frame_count: int, intervals: list[tuple[int, int]]) -> np.ndarr
 
 
 def video_frame_labels(
-    videos: list[VideoRecord] | list[ScoreTimeline],
+    videos: list[VideoRecord],
     ground_truth: dict[str, list[tuple[int, int]]],
 ) -> list[np.ndarray]:
     """Frame masks for each video, in order, from the ground-truth intervals.
@@ -178,11 +168,11 @@ def evaluate_manifest(
     model: Model,
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
-) -> tuple[EvalReport, list[ScoreTimeline], np.ndarray]:
+) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
     """Load and score every video in manifest order and compute frame-level
     metrics.
 
-    Returns the report, all timelines, and the concatenated frame labels.
+    Returns the report, all timelines, and each video's frame label mask.
     """
     started = time.perf_counter()
     result = evaluate_records(load_records(manifest, base_dir), model, ground_truth, eval_seed)
@@ -195,24 +185,28 @@ def evaluate_records(
     model: Model,
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
-) -> tuple[EvalReport, list[ScoreTimeline], np.ndarray]:
+) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
     """``evaluate_manifest`` over records already loaded.
 
     The metrics are computed over weighted snippet entries: each snippet
     gives one entry per label, weighted by its frame count under that label
     (zero-weight entries dropped), which scores the same as the unfolded
-    frame arrays.
+    frame arrays. A ``NumericsError`` in a video's forward pass is re-raised
+    with the video's id in front.
     """
     if not records:
         raise ValueError("no videos to evaluate: the split is empty")
     started = time.perf_counter()
-    all_labels = video_frame_labels(records, ground_truth)
+    masks = video_frame_labels(records, ground_truth)
     timelines: list[ScoreTimeline] = []
     runs: list[tuple[np.ndarray, ...]] = []  # (score, binary, label, weight) per entry
     per_video: list[dict] = []
-    for idx, (rec, labels) in enumerate(zip(records, all_labels)):
+    for idx, (rec, labels) in enumerate(zip(records, masks)):
         rng = np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
-        tl = infer_video(rec, model, rng)
+        try:
+            tl = infer_video(rec, model, rng)
+        except ag.NumericsError as exc:
+            raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
         timelines.append(tl)
         lengths = snippet_lengths(tl.snippet_scores.size, rec.snippet_len, rec.frame_count)
         # abnormal frames per snippet, from the mask's running count at each snippet's last frame
@@ -225,26 +219,26 @@ def evaluate_records(
                 np.concatenate((positive, lengths - positive)),
             )
         )
+        frame_scores = tl.frame_scores
         per_video.append(
             {
                 "id": rec.video_id,
                 "label": rec.label,
                 "frames": rec.frame_count,
-                "mean_score": float(tl.frame_scores.mean()),
-                "max_score": float(tl.frame_scores.max()),
+                "mean_score": float(frame_scores.mean()),
+                "max_score": float(frame_scores.max()),
             }
         )
     scores, binary, run_labels, weights = (np.concatenate(col) for col in zip(*runs))
     kept = weights > 0
     scores, binary, run_labels, weights = scores[kept], binary[kept], run_labels[kept], weights[kept]
-    labels = np.concatenate(all_labels)
     report = EvalReport(
         auc_roc=auc_roc(scores, run_labels, weights),
         auc_pr=auc_pr(scores, run_labels, weights),
         auc_roc_binary=binary_auc_roc(binary, run_labels, weights),
         num_videos=len(records),
-        num_frames=int(labels.size),
-        positive_frames=int(labels.sum()),
+        num_frames=sum(m.size for m in masks),
+        positive_frames=sum(int(np.count_nonzero(m)) for m in masks),
         eval_seed=eval_seed,
         pr_convention="average_precision",
         config={
@@ -257,7 +251,7 @@ def evaluate_records(
         per_video=per_video,
         wall_clock_sec=time.perf_counter() - started,
     )
-    return report, timelines, labels
+    return report, timelines, masks
 
 
 def binary_auc_roc(binary: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
@@ -282,42 +276,37 @@ def _csv_field(text: str) -> str:
 def _frame_runs(tl: ScoreTimeline, labels: np.ndarray, idx: list[str]):
     """One video's CSV text, byte for byte what ``csv.writer`` writes for
     ``[video_id, i, repr(float(score)), binary, label]`` per frame, one piece
-    per run of frames that share the score bits, the binary value and the
-    label. ``idx`` holds the frame indices as text, at least one per frame."""
-    scores = np.asarray(tl.frame_scores, dtype=np.float64)
-    binary = np.asarray(tl.frame_binary).astype(int)
-    labels = np.asarray(labels).astype(int)
-    n = scores.size
-    if binary.size != n or labels.size != n:
-        raise ValueError(
-            f"video '{tl.video_id}': {n} frame scores, {binary.size} binary values and {labels.size} labels"
-        )
-    if n == 0:
-        return
-    bits = scores.view(np.uint64)  # runs split on any bit change, so -0.0 and 0.0 stay apart
-    change = (bits[1:] != bits[:-1]) | (binary[1:] != binary[:-1]) | (labels[1:] != labels[:-1])
-    starts = np.flatnonzero(np.r_[True, change])
-    ends = np.r_[starts[1:], n]
+    per run of frames that share a snippet and a label. ``idx`` holds the
+    frame indices as text, at least one per frame."""
+    n, step, last = tl.frame_count, tl.snippet_len, tl.snippet_scores.size - 1
+    if labels.size != n:
+        raise ValueError(f"video '{tl.video_id}': {n} frames but {labels.size} labels")
+    cut = np.r_[True, labels[1:] != labels[:-1]]
+    cut[: last * step + 1 : step] = True  # snippet starts; a last snippet without frames has none
+    starts = np.flatnonzero(cut)
+    # every snippet but the last covers snippet_len frames
+    snippet = np.minimum(starts // step, last)
     head = _csv_field(tl.video_id) + ","
     for s, e, x, b, y in zip(
-        starts.tolist(), ends.tolist(), scores[starts].tolist(), binary[starts].tolist(), labels[starts].tolist()
+        starts.tolist(),
+        np.r_[starts[1:], n].tolist(),
+        tl.snippet_scores[snippet].tolist(),
+        tl.snippet_binary[snippet].tolist(),
+        labels[starts].tolist(),
     ):
         tail = f",{x!r},{b},{y}\r\n"
         yield head + (tail + head).join(idx[s:e]) + tail
 
 
-def write_frame_csv(
-    path: str | Path,
-    timelines: list[ScoreTimeline],
-    ground_truth: dict[str, list[tuple[int, int]]],
-) -> None:
+def write_frame_csv(path: str | Path, timelines: list[ScoreTimeline], masks: list[np.ndarray]) -> None:
     """Per-frame scores as CSV: video_id, frame_idx, score, binary, label.
 
-    Raises ValueError naming the video when its frame scores, binary values
-    and labels differ in length.
+    ``masks`` are the timelines' frame labels, as ``evaluate_records`` returns
+    them; a mask whose length is not its video's frame count is a ValueError
+    naming the video.
     """
     idx = list(map(str, range(max((tl.frame_count for tl in timelines), default=0))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["video_id", "frame_idx", "score", "binary", "label"])
-        for tl, labels in zip(timelines, video_frame_labels(timelines, ground_truth)):
+        for tl, labels in zip(timelines, masks, strict=True):
             fh.write("".join(_frame_runs(tl, labels, idx)))

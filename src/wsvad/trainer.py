@@ -197,6 +197,7 @@ def train(
     for i, r in enumerate(records):
         videos[i] = temporal_normalize(r.features, cfg.t_len)
     labels = np.array([r.label for r in records])
+    ids = [r.video_id for r in records]
     del records
 
     root = np.random.SeedSequence(cfg.seed)
@@ -209,6 +210,7 @@ def train(
     opt = Adam(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     log: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
+        batch = None
         try:
             batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
             scores, ctx, _ = score_bag(
@@ -224,7 +226,10 @@ def train(
             if val_fn is not None and val_every > 0 and epoch % val_every == 0:
                 row["val_auc"] = float(val_fn(model))
         except ag.NumericsError as exc:
-            raise ag.NumericsError(f"epoch {epoch}: {exc}") from exc
+            where = f"epoch {epoch}"
+            if batch is not None:
+                where += ": batch videos " + ", ".join(f"'{ids[i]}'" for i in batch.videos)
+            raise ag.NumericsError(f"{where}: {exc}") from exc
         log.append(row)
     return TrainResult(model=model, log=log)
 

@@ -3,13 +3,17 @@ names; a refactor that drops or renames one, or that changes what the traced
 benchmark checks count, must fail here, not only under
 ``benchmarks/run.py --trace 1``."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wsvad import trainer
+from wsvad import cli, trainer
 from wsvad.attention import TsaConfig
+from wsvad.model import init_model, save_checkpoint
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -54,3 +58,22 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
     # nonlocal_attention, concat, residual add), classifier 5 (3 linear,
     # 2 dropout), loss 20
     assert tracer.epoch_nodes == [35]
+
+
+def test_traced_eval_counts_match_the_manifest(spans, tmp_path):
+    _, test_m = generate_synthetic(
+        SyntheticConfig(n_normal=3, n_abnormal=3, d=8, snippet_len=4, frame_range=(40, 80), seed=3), tmp_path
+    )
+    checkpoint = tmp_path / "checkpoint.vadc"
+    save_checkpoint(init_model(8, TsaConfig(num_samples=8), np.random.SeedSequence(0)), checkpoint)
+    test_dir = tmp_path / "test"
+    argv = ["eval", "--manifest", str(test_dir / "manifest.json"), "--checkpoint", str(checkpoint),
+            "--out", str(tmp_path / "ev")]
+    with spans.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        tracer.phase = "eval"
+        assert cli.main(argv) == 0
+    assert tracer.restored()
+    # the benchmark's exact eval checks, and the bytes it reports as read
+    assert tracer.counts[("eval", "evaluate.videos")] == len(test_m.videos)
+    assert tracer.counts[("eval", "evaluate.frames")] == sum(v.frame_count for v in test_m.videos)
+    assert tracer.counts[("eval", "features.bytes_read")] == sum((test_dir / v.path).stat().st_size for v in test_m.videos)

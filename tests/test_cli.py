@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from wsvad import cli, evaluate
 from wsvad.attention import TsaConfig
 from wsvad.cli import main
-from wsvad.features import load_manifest
+from wsvad.features import load_features, load_manifest, save_features
 from wsvad.model import init_model, save_checkpoint
 from wsvad.synthetic import SyntheticConfig
 from wsvad.trainer import TrainConfig, train
@@ -220,6 +221,50 @@ class TestEvalGroundTruth:
         ])
         assert code == 1
         assert "ValueError: no videos to evaluate" in capsys.readouterr().err
+
+
+def poison_one_row(split_dir: Path, video: int = 0) -> str:
+    """Set one feature row of a video to 3e37, a finite float32 the loader
+    accepts but the forward pass overflows on; returns the video's id."""
+    entry = load_manifest(split_dir / "manifest.json").videos[video]
+    feats = load_features(split_dir / entry.path)
+    feats[feats.shape[0] // 2] = 3e37
+    save_features(feats, split_dir / entry.path)
+    return entry.video_id
+
+
+class TestLocatedNumericsErrors:
+    """A forward pass that overflows exits 1 naming where: the video in eval,
+    the epoch and the batch's videos in training. The overflowing ops still
+    warn, so the warnings are silenced around the call."""
+
+    def test_eval_names_the_video(self, tmp_path, untrained_checkpoint, capsys):
+        data = gen(tmp_path, "ds")
+        vid = poison_one_row(data / "test", video=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "eval", "--manifest", str(data / "test" / "manifest.json"),
+                "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
+            ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: NumericsError: video '{vid}': non-finite values produced by ")
+
+    def test_train_names_the_epoch_and_the_batch(self, tmp_path, capsys):
+        data = gen(tmp_path, "ds")
+        vid = poison_one_row(data / "train")
+        # --batch 6 draws every one of the 6 videos of each class each epoch
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "train", "--manifest", str(data / "train" / "manifest.json"),
+                "--out", str(tmp_path / "run"), "--seed", "1", *FAST_TRAIN, "--batch", "6",
+            ])
+        assert code == 1
+        err = capsys.readouterr().err
+        found = re.match(r"error: NumericsError: epoch \d+: batch videos (.*?): non-finite values produced by ", err)
+        assert found, err
+        batch = found.group(1).split(", ")
+        assert len(batch) == 12 and f"'{vid}'" in batch
 
 
 class TestValidation:

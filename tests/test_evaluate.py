@@ -144,8 +144,8 @@ class TestInferVideo:
         assert tl.snippet_scores.shape == (rec.num_snippets,)
         assert np.all((tl.snippet_scores > 0) & (tl.snippet_scores < 1))
         assert set(np.unique(tl.snippet_binary)) <= {0, 1}
+        assert tl.frame_count == rec.frame_count and tl.snippet_len == rec.snippet_len
         assert tl.frame_scores.shape == (rec.frame_count,)
-        assert tl.frame_binary.shape == (rec.frame_count,)
 
     def test_frame_scores_piecewise_constant(self, small_dataset):
         tmp, test_m, _ = small_dataset
@@ -189,13 +189,19 @@ class TestEvaluateManifest:
     def test_report_fields_and_determinism(self, small_dataset):
         tmp, test_m, gt = small_dataset
         model = fresh_model()
-        r1, tl1, labels = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=1)
+        r1, tl1, masks = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=1)
         r2, _, _ = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=1)
         assert 0.0 <= r1.auc_roc <= 1.0 and 0.0 <= r1.auc_pr <= 1.0
         assert 0.0 <= r1.auc_roc_binary <= 1.0
         assert r1.num_videos == 12
+        labels = np.concatenate(masks)
+        assert [m.size for m in masks] == [tl.frame_count for tl in tl1]
         assert r1.num_frames == labels.size
         assert r1.positive_frames == int(labels.sum())
+        # a timeline keeps snippet arrays only; frame arrays are derived
+        for tl in tl1:
+            held = [v for v in vars(tl).values() if isinstance(v, np.ndarray)]
+            assert held and all(v.size <= tl.snippet_scores.size for v in held)
         assert r1.to_json() == r2.to_json()
         assert "wall_clock" not in r1.to_json()
         assert r1.wall_clock_sec > 0
@@ -268,20 +274,17 @@ class TestEvaluateManifest:
         bad = {**gt, "ghost_0001": [(0, 4)]}
         with pytest.raises(ValueError, match="'ghost_0001'"):
             evaluate_manifest(test_m, tmp / "test", fresh_model(), bad)
-        _, timelines, _ = evaluate_manifest(test_m, tmp / "test", fresh_model(), gt)
-        with pytest.raises(ValueError, match="'ghost_0001'"):
-            write_frame_csv(tmp_path / "frames.csv", timelines, bad)
 
     def test_frame_csv_written(self, small_dataset, tmp_path):
         tmp, test_m, gt = small_dataset
         model = fresh_model()
-        _, timelines, labels = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=0)
+        _, timelines, masks = evaluate_manifest(test_m, tmp / "test", model, gt, eval_seed=0)
         out = tmp_path / "frames.csv"
-        write_frame_csv(out, timelines, gt)
+        write_frame_csv(out, timelines, masks)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "video_id,frame_idx,score,binary,label"
-        assert len(lines) == 1 + sum(tl.frame_scores.size for tl in timelines)
-        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == labels.tolist()
+        assert len(lines) == 1 + sum(tl.frame_count for tl in timelines)
+        assert [int(line.rsplit(",", 1)[1]) for line in lines[1:]] == np.concatenate(masks).tolist()
 
 
 class TestSnippetRunMetrics:
@@ -316,11 +319,11 @@ class TestSnippetRunMetrics:
         records, gt = self.records_and_truth()
         assert any(frames % self.DELTA for frames, _, _ in self.VIDEOS)
         model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=tsa)
-        report, timelines, labels = evaluate_records(records, model, gt, eval_seed=2)
-        scores = np.concatenate([tl.frame_scores for tl in timelines])
-        binary = np.concatenate([tl.frame_binary for tl in timelines])
+        report, timelines, masks = evaluate_records(records, model, gt, eval_seed=2)
+        scores = np.concatenate([ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count) for tl in timelines])
+        binary = (scores >= 0.5).astype(np.uint8)
         oracle_labels = np.concatenate([frame_labels(f, iv) for f, _, iv in self.VIDEOS])
-        np.testing.assert_array_equal(labels, oracle_labels)
+        np.testing.assert_array_equal(np.concatenate(masks), oracle_labels)
         assert report.auc_roc == auc_roc(scores, oracle_labels)
         assert report.auc_pr == auc_pr(scores, oracle_labels)
         assert report.auc_roc_binary == auc_roc(binary, oracle_labels)
@@ -335,8 +338,9 @@ class TestSnippetRunMetrics:
         twins = [VideoRecord(f"t{k}", 1, base.frame_count, self.DELTA, base.features) for k in range(3)]
         twin_gt = {"t0": [(0, 2)], "t1": [(2, 30)], "t2": [(5, 6), (9, 11)]}
         model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=False)
-        report, timelines, labels = evaluate_records(records + twins, model, {**gt, **twin_gt})
-        scores = np.concatenate([tl.frame_scores for tl in timelines])
+        report, timelines, masks = evaluate_records(records + twins, model, {**gt, **twin_gt})
+        scores = np.concatenate([ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count) for tl in timelines])
+        labels = np.concatenate(masks)
         assert np.unique(scores).size < scores.size // self.DELTA
         assert report.auc_roc == auc_roc(scores, labels)
         assert report.auc_pr == auc_pr(scores, labels)
@@ -360,69 +364,72 @@ class TestSnippetRunMetrics:
             evaluate_records([], fresh_model(), {})
 
 
-def ref_write_frame_csv(path, timelines, ground_truth):
-    """One ``csv.writer`` row per frame: the byte layout the writer must keep."""
+def ref_write_frame_csv(path, timelines, masks):
+    """One ``csv.writer`` row per frame, from the snippet scores unfolded frame
+    by frame: the byte layout the writer must keep."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["video_id", "frame_idx", "score", "binary", "label"])
-        for tl, labels in zip(timelines, video_frame_labels(timelines, ground_truth)):
-            for i in range(tl.frame_scores.size):
-                writer.writerow([tl.video_id, i, repr(float(tl.frame_scores[i])), int(tl.frame_binary[i]), int(labels[i])])
+        for tl, labels in zip(timelines, masks):
+            scores = ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count)
+            for i in range(tl.frame_count):
+                writer.writerow([tl.video_id, i, repr(float(scores[i])), int(scores[i] >= 0.5), int(labels[i])])
+
+
+def assert_csv_matches_oracle(tmp_path, timelines, masks):
+    write_frame_csv(tmp_path / "fast.csv", timelines, masks)
+    ref_write_frame_csv(tmp_path / "ref.csv", timelines, masks)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestFrameCsvBytes:
     def test_byte_identical_to_per_frame_writer(self, tmp_path):
         rng = np.random.default_rng(30)
         ids = ['we,ird"id', "", "two words", "line\nbreak", "cr\rid", "plain"]
-        timelines, gt = [], {}
+        timelines, masks = [], []
         for k, vid in enumerate(ids):
             frames = int(rng.integers(1, 90))
             snippets = rng.uniform(0, 1, -(-frames // 8))
             snippets[: min(4, snippets.size)] = [1e-7, -0.0, 0.0, 1.0 - 1e-7][: min(4, snippets.size)]
-            scores = unfold_scores(snippets, 8, frames)
-            binary = (scores >= 0.5).astype(np.uint8)
             label = k % 2
-            if label:
-                gt[vid] = [(0, frames // 2), (frames - 1, frames)]
-            timelines.append(ScoreTimeline(vid, label, snippets, (snippets >= 0.5).astype(np.uint8), scores, binary))
-        write_frame_csv(tmp_path / "fast.csv", timelines, gt)
-        ref_write_frame_csv(tmp_path / "ref.csv", timelines, gt)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            timelines.append(ScoreTimeline(vid, label, snippets, 8, frames))
+            masks.append(frame_labels(frames, [(0, frames // 2), (frames - 1, frames)] if label else []))
+        # a last snippet that covers no frame, then one that covers 13 frames
+        # with label changes past its first 8, each with overlapping and
+        # adjacent intervals
+        for vid, snippets, frames, intervals in [
+            ("zero-last", [0.7, 0.2, 0.9], 16, [(2, 6), (4, 9), (9, 12), (12, 14)]),
+            ("long-last", [0.3, 0.5], 21, [(2, 6), (4, 9), (17, 19), (19, 20)]),
+        ]:
+            timelines.append(ScoreTimeline(vid, 1, np.array(snippets), 8, frames))
+            masks.append(frame_labels(frames, intervals))
+        assert_csv_matches_oracle(tmp_path, timelines, masks)
 
     def test_evaluated_timelines_byte_identical(self, small_dataset, tmp_path):
         tmp, test_m, gt = small_dataset
-        _, timelines, _ = evaluate_manifest(test_m, tmp / "test", fresh_model(), gt, eval_seed=0)
-        write_frame_csv(tmp_path / "fast.csv", timelines, gt)
-        ref_write_frame_csv(tmp_path / "ref.csv", timelines, gt)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        _, timelines, masks = evaluate_manifest(test_m, tmp / "test", fresh_model(), gt, eval_seed=0)
+        assert_csv_matches_oracle(tmp_path, timelines, masks)
 
     def test_empty_timeline_list_writes_header_only(self, tmp_path):
-        write_frame_csv(tmp_path / "fast.csv", [], {})
-        ref_write_frame_csv(tmp_path / "ref.csv", [], {})
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_csv_matches_oracle(tmp_path, [], [])
         assert (tmp_path / "fast.csv").read_bytes() == b"video_id,frame_idx,score,binary,label\r\n"
 
     def test_longest_video_last(self, tmp_path):
-        timelines = []
-        for k, frames in enumerate([3, 1, 40, 2, 301]):
-            scores = unfold_scores(np.linspace(0.1, 0.9, -(-frames // 4)), 4, frames)
-            binary = (scores >= 0.5).astype(np.uint8)
-            timelines.append(ScoreTimeline(f"v{k}", 0, scores[::4], binary[::4], scores, binary))
-        write_frame_csv(tmp_path / "fast.csv", timelines, {})
-        ref_write_frame_csv(tmp_path / "ref.csv", timelines, {})
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        frame_counts = [3, 1, 40, 2, 301]
+        timelines = [
+            ScoreTimeline(f"v{k}", 0, np.linspace(0.1, 0.9, -(-frames // 4)), 4, frames)
+            for k, frames in enumerate(frame_counts)
+        ]
+        assert_csv_matches_oracle(tmp_path, timelines, [np.zeros(frames, np.uint8) for frames in frame_counts])
 
-    def test_binary_and_label_flip_inside_a_run_of_equal_scores(self, tmp_path):
-        scores = np.full(20, 0.625)
-        binary = np.array([0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
-        tl = ScoreTimeline("v", 1, scores[:1], binary[:1], scores, binary)
-        gt = {"v": [(3, 9), (15, 16)]}
-        write_frame_csv(tmp_path / "fast.csv", [tl], gt)
-        ref_write_frame_csv(tmp_path / "ref.csv", [tl], gt)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    def test_label_flips_inside_a_run_of_equal_scores(self, tmp_path):
+        # every snippet scores alike, so only the snippet starts and the
+        # label changes, some of them mid-snippet, cut the pieces
+        tl = ScoreTimeline("v", 1, np.full(5, 0.625), 4, 20)
+        assert_csv_matches_oracle(tmp_path, [tl], [frame_labels(20, [(3, 9), (15, 16)])])
 
     def test_length_mismatch_names_the_video(self, tmp_path):
-        ok = ScoreTimeline("fine", 0, np.full(1, 0.2), np.zeros(1), np.full(4, 0.2), np.zeros(4))
-        short = ScoreTimeline("short-binary", 0, np.full(1, 0.2), np.zeros(1), np.full(4, 0.2), np.zeros(3))
-        with pytest.raises(ValueError, match="short-binary"):
-            write_frame_csv(tmp_path / "fast.csv", [ok, short], {})
+        ok = ScoreTimeline("fine", 0, np.full(1, 0.2), 4, 4)
+        short = ScoreTimeline("short-mask", 0, np.full(1, 0.2), 4, 4)
+        with pytest.raises(ValueError, match="video 'short-mask': 4 frames but 3 labels"):
+            write_frame_csv(tmp_path / "fast.csv", [ok, short], [np.zeros(4, np.uint8), np.zeros(3, np.uint8)])

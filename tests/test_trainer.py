@@ -9,7 +9,7 @@ from wsvad import autograd as ag
 from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
-from wsvad.features import load_records, temporal_normalize
+from wsvad.features import load_features, load_records, save_features, temporal_normalize
 from wsvad.model import init_model
 from wsvad.nn import conv_module_forward, conv_module_init, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
@@ -369,8 +369,19 @@ class TestTrainLoop:
             return 0.0
 
         calls = []
-        with pytest.raises(ag.NumericsError, match=r"^epoch 3: non-finite values"):
+        with pytest.raises(ag.NumericsError, match=r"^epoch 3: batch videos '[^']+'(, '[^']+'){3}: non-finite values"):
             train(manifest, tmp_path / "train", cfg, val_fn=poison_after_epoch_two, val_every=1)
+
+    def test_non_finite_features_name_the_epoch(self, tmp_path):
+        # the batch tensor itself is rejected, so there is no batch to name
+        _, manifest = make_records(tmp_path)
+        entry = manifest.videos[0]
+        feats = load_features(tmp_path / "train" / entry.path)
+        feats[0, 0] = np.nan
+        save_features(feats, tmp_path / "train" / entry.path)
+        cfg = TrainConfig(t_len=8, batch_bags=6, epochs=2, seed=3)
+        with pytest.raises(ag.NumericsError, match=r"^epoch 1: non-finite values produced by 'tensor'"):
+            train(manifest, tmp_path / "train", cfg)
 
     def test_loss_decreases(self, tmp_path):
         _, manifest = make_records(tmp_path, n_normal=20, n_abnormal=20)
