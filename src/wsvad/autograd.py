@@ -35,6 +35,7 @@ by `backward`; reusing it raises `GraphConsumedError`.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -46,6 +47,7 @@ __all__ = [
     "GraphConsumedError",
     "NumericsError",
     "ShapeError",
+    "all_finite",
     "backward",
     "bag_length",
     "concat",
@@ -58,6 +60,7 @@ __all__ = [
     "matmul",
     "no_grad",
     "nonlocal_attention",
+    "pin_malloc_thresholds",
     "softmax",
     "tensor",
     "using_dtype",
@@ -117,12 +120,49 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
+# glibc's <malloc.h> parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_PINNED = False
+
+
+def pin_malloc_thresholds() -> None:
+    """Keep the heap's freed pages mapped for the rest of the process (glibc only).
+
+    A training step frees megabytes of temporaries at once. glibc then trims
+    the top of the heap back to the kernel, and the next step faults it back
+    in. This pins, once per process, the two thresholds glibc otherwise adapts
+    on its own: M_MMAP_THRESHOLD at 32 MiB, glibc's dynamic maximum, and
+    M_TRIM_THRESHOLD at 64 MiB, twice that, as glibc's own rule sets it. Both
+    are needed: any mallopt call switches the adaptation off, so with only the
+    trim threshold set every array of 128 KiB or more is mmapped again.
+    Values do not change. Where there is no glibc mallopt it does nothing.
+    """
+    global _MALLOC_PINNED
+    if _MALLOC_PINNED:
+        return
+    _MALLOC_PINNED = True
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    # the parameter numbers above are glibc's
+    if hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version"):
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite, without a numpy warning."""
     # fast path: a finite sum of squares in the array's own dtype certifies
     # every entry; a non-finite one may be accumulator overflow, so only then
     # pay for the exact scan. np.vdot (BLAS) emits no overflow RuntimeWarning.
-    total = np.vdot(arr, arr)
-    if not math.isfinite(total) and not np.isfinite(arr).all():
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not all_finite(arr):
         raise NumericsError(f"non-finite values produced by '{name}' (shape {arr.shape})")
     return arr
 

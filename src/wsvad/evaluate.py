@@ -192,8 +192,12 @@ def evaluate_records(
     gives one entry per label, weighted by its frame count under that label
     (zero-weight entries dropped), which scores the same as the unfolded
     frame arrays. A ``NumericsError`` in a video's forward pass is re-raised
-    with the video's id in front.
+    with the video's id in front. The videos are scored under one
+    ``np.errstate`` that silences overflow and invalid-value warnings: the
+    engine checks every value the forward pass makes, so nothing warns before
+    that error.
     """
+    ag.pin_malloc_thresholds()
     if not records:
         raise ValueError("no videos to evaluate: the split is empty")
     started = time.perf_counter()
@@ -201,34 +205,35 @@ def evaluate_records(
     timelines: list[ScoreTimeline] = []
     runs: list[tuple[np.ndarray, ...]] = []  # (score, binary, label, weight) per entry
     per_video: list[dict] = []
-    for idx, (rec, labels) in enumerate(zip(records, masks)):
-        rng = np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
-        try:
-            tl = infer_video(rec, model, rng)
-        except ag.NumericsError as exc:
-            raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
-        timelines.append(tl)
-        lengths = snippet_lengths(tl.snippet_scores.size, rec.snippet_len, rec.frame_count)
-        # abnormal frames per snippet, from the mask's running count at each snippet's last frame
-        positive = np.diff(np.cumsum(labels, dtype=np.int64)[np.cumsum(lengths) - 1], prepend=0)
-        runs.append(
-            (
-                np.tile(tl.snippet_scores, 2),
-                np.tile(tl.snippet_binary, 2),
-                np.repeat(np.array([1, 0], dtype=np.uint8), lengths.size),
-                np.concatenate((positive, lengths - positive)),
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (rec, labels) in enumerate(zip(records, masks)):
+            rng = np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
+            try:
+                tl = infer_video(rec, model, rng)
+            except ag.NumericsError as exc:
+                raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
+            timelines.append(tl)
+            lengths = snippet_lengths(tl.snippet_scores.size, rec.snippet_len, rec.frame_count)
+            # abnormal frames per snippet, from the mask's running count at each snippet's last frame
+            positive = np.diff(np.cumsum(labels, dtype=np.int64)[np.cumsum(lengths) - 1], prepend=0)
+            runs.append(
+                (
+                    np.tile(tl.snippet_scores, 2),
+                    np.tile(tl.snippet_binary, 2),
+                    np.repeat(np.array([1, 0], dtype=np.uint8), lengths.size),
+                    np.concatenate((positive, lengths - positive)),
+                )
             )
-        )
-        frame_scores = tl.frame_scores
-        per_video.append(
-            {
-                "id": rec.video_id,
-                "label": rec.label,
-                "frames": rec.frame_count,
-                "mean_score": float(frame_scores.mean()),
-                "max_score": float(frame_scores.max()),
-            }
-        )
+            frame_scores = tl.frame_scores
+            per_video.append(
+                {
+                    "id": rec.video_id,
+                    "label": rec.label,
+                    "frames": rec.frame_count,
+                    "mean_score": float(frame_scores.mean()),
+                    "max_score": float(frame_scores.max()),
+                }
+            )
     scores, binary, run_labels, weights = (np.concatenate(col) for col in zip(*runs))
     kept = weights > 0
     scores, binary, run_labels, weights = scores[kept], binary[kept], run_labels[kept], weights[kept]

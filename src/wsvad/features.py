@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autograd import all_finite
+
 FEATURE_MAGIC = b"VADF"
 FEATURE_VERSION = 1
 MANIFEST_VERSION = 1
@@ -86,7 +88,8 @@ def save_features(features: np.ndarray, path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Read a feature file back into a (T_k, d) float32 matrix."""
+    """Read a feature file back into a (T_k, d) float32 matrix; a NaN or Inf
+    value is a FormatError naming the file."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -102,7 +105,10 @@ def load_features(path: str | Path) -> np.ndarray:
         raise FormatError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(t_k, d).astype(np.float32)
+    feats = np.frombuffer(payload, dtype="<f4").reshape(t_k, d).astype(np.float32)
+    if not all_finite(feats):
+        raise FormatError(f"{path}: feature values hold NaN or Inf")
+    return feats
 
 
 def temporal_normalize(features: np.ndarray, t_out: int) -> np.ndarray:
@@ -160,24 +166,27 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+
+    def integer(obj: dict, key: str, where: str = "") -> int:
+        value = obj[key]
+        if type(value) is not int:  # not a float, a bool or a string
+            raise FormatError(f"{path}: {where}non-integer {key} {value!r}")
+        return value
+
     try:
-        videos = [
-            ManifestEntry(v["id"], v["path"], int(v["label"]), int(v["frame_count"]))
-            for v in doc["videos"]
-        ]
-        manifest = DatasetManifest(
-            version=int(doc["version"]),
-            d=int(doc["d"]),
-            snippet_len=int(doc["snippet_len"]),
-            split=str(doc["split"]),
-            videos=videos,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        version, d, snippet_len = (integer(doc, key) for key in ("version", "d", "snippet_len"))
+        split = str(doc["split"])
+        videos = []
+        for v in doc["videos"]:
+            if not isinstance(v["id"], str):
+                raise FormatError(f"{path}: video id {v['id']!r} is not a string")
+            where = f"video '{v['id']}' has "
+            videos.append(ManifestEntry(v["id"], v["path"], integer(v, "label", where), integer(v, "frame_count", where)))
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: missing or malformed manifest field ({exc})") from exc
+    manifest = DatasetManifest(version=version, d=d, snippet_len=snippet_len, split=split, videos=videos)
     seen: set[str] = set()
     for v in manifest.videos:
-        if not isinstance(v.video_id, str):
-            raise FormatError(f"{path}: video id {v.video_id!r} is not a string")
         if not isinstance(v.path, str):
             raise FormatError(f"{path}: video '{v.video_id}' has non-string path {v.path!r}")
         if v.label not in (0, 1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attention import SCORER_HIDDEN, TsaConfig, make_scorer, tsa_forward
-from .autograd import Tensor
+from .autograd import Tensor, all_finite
 from .features import FormatError
 from .nn import MLP, ConvModule, conv_module_forward, conv_module_init, mlp_forward, mlp_init
 
@@ -197,7 +197,7 @@ def _read_tensors(view: memoryview, off: int, shapes: dict[str, tuple[int, ...]]
             raise FormatError(f"{path}: tensor '{name}' has shape {shape}, expected {shapes[name]}")
         size = int(np.prod(shape, dtype=np.int64))
         arr = np.frombuffer(view, dtype="<f4", count=size, offset=off).reshape(shape).astype(np.float32)
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise FormatError(f"{path}: tensor '{name}' holds NaN or Inf")
         tensors[name] = arr
         off += 4 * size

@@ -187,8 +187,12 @@ def train(
     """Fit the detector on one training split. Fully determined by cfg.seed.
 
     ``val_fn``, when given, is called with the current model and its return
-    value is logged as ``val_auc`` every ``val_every`` epochs.
+    value is logged as ``val_auc`` every ``val_every`` epochs. The epochs run
+    under one ``np.errstate`` that silences overflow and invalid-value
+    warnings: the engine checks every value they make, so a non-finite one
+    still raises a located ``NumericsError``, and nothing warns before it.
     """
+    ag.pin_malloc_thresholds()
     require_both_classes(manifest)
     # each video is resized once into one (N, T, d) array, then the records
     # and their native-length features are dropped
@@ -209,28 +213,29 @@ def train(
 
     opt = Adam(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     log: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
-        batch = None
-        try:
-            batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
-            scores, ctx, _ = score_bag(
-                model, batch.features, 2 * cfg.batch_bags, train=True, tsa_rng=noise_rng, dropout_rng=drop_rng
-            )
-            loss = dmt_loss(ctx, scores, batch.labels, cfg)
-            loss_val = loss.item()
-            ag.backward(loss)
-            opt.step()
-            opt.zero_grad()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            batch = None
+            try:
+                batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
+                scores, ctx, _ = score_bag(
+                    model, batch.features, 2 * cfg.batch_bags, train=True, tsa_rng=noise_rng, dropout_rng=drop_rng
+                )
+                loss = dmt_loss(ctx, scores, batch.labels, cfg)
+                loss_val = loss.item()
+                ag.backward(loss)
+                opt.step()
+                opt.zero_grad()
 
-            row = {"epoch": epoch, "loss": loss_val}
-            if val_fn is not None and val_every > 0 and epoch % val_every == 0:
-                row["val_auc"] = float(val_fn(model))
-        except ag.NumericsError as exc:
-            where = f"epoch {epoch}"
-            if batch is not None:
-                where += ": batch videos " + ", ".join(f"'{ids[i]}'" for i in batch.videos)
-            raise ag.NumericsError(f"{where}: {exc}") from exc
-        log.append(row)
+                row = {"epoch": epoch, "loss": loss_val}
+                if val_fn is not None and val_every > 0 and epoch % val_every == 0:
+                    row["val_auc"] = float(val_fn(model))
+            except ag.NumericsError as exc:
+                where = f"epoch {epoch}"
+                if batch is not None:
+                    where += ": batch videos " + ", ".join(f"'{ids[i]}'" for i in batch.videos)
+                raise ag.NumericsError(f"{where}: {exc}") from exc
+            log.append(row)
     return TrainResult(model=model, log=log)
 
 

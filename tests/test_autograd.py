@@ -1,6 +1,7 @@
 """Engine ops: frozen hand values, gradient soundness, graph discipline."""
 
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -912,6 +913,54 @@ class TestDeterminism:
         l2, gx2, gw2 = run()
         assert l1 == l2
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+class TestPinMallocThresholds:
+    """The helper runs against stand-ins for ``ctypes.CDLL(None)``."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Opens the stand-in queued next; returns (queue, names opened)."""
+        queue, names = [], []
+        monkeypatch.setattr(ag, "_MALLOC_PINNED", False)
+        monkeypatch.setattr(ag.ctypes, "CDLL", lambda name: names.append(name) or queue.pop(0))
+        return queue, names
+
+    @staticmethod
+    def libc(calls: list, glibc: bool = True) -> types.SimpleNamespace:
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        lib = types.SimpleNamespace(mallopt=mallopt)
+        if glibc:
+            lib.gnu_get_libc_version = lambda: b"2.36"
+        return lib
+
+    def test_sets_both_thresholds_once_per_process(self, opened):
+        queue, names = opened
+        calls = []
+        queue.append(self.libc(calls))
+        ag.pin_malloc_thresholds()
+        ag.pin_malloc_thresholds()
+        assert names == [None]
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_without_mallopt_does_nothing(self, opened):
+        queue, names = opened
+        queue.append(types.SimpleNamespace())
+        ag.pin_malloc_thresholds()
+        ag.pin_malloc_thresholds()
+        assert names == [None]
+
+    def test_leaves_another_libcs_mallopt_alone(self, opened):
+        # its parameter numbers need not be glibc's
+        queue, _ = opened
+        calls = []
+        queue.append(self.libc(calls, glibc=False))
+        ag.pin_malloc_thresholds()
+        assert calls == []
 
 
 class TestGradientSoundnessSweep:

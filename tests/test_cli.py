@@ -235,17 +235,16 @@ def poison_one_row(split_dir: Path, video: int = 0) -> str:
 
 class TestLocatedNumericsErrors:
     """A forward pass that overflows exits 1 naming where: the video in eval,
-    the epoch and the batch's videos in training. The overflowing ops still
-    warn, so the warnings are silenced around the call."""
+    the epoch and the batch's videos in training. No numpy warning comes
+    first (pytest turns every RuntimeWarning into an error)."""
 
     def test_eval_names_the_video(self, tmp_path, untrained_checkpoint, capsys):
         data = gen(tmp_path, "ds")
         vid = poison_one_row(data / "test", video=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([
-                "eval", "--manifest", str(data / "test" / "manifest.json"),
-                "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
-            ])
+        code = main([
+            "eval", "--manifest", str(data / "test" / "manifest.json"),
+            "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
+        ])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: NumericsError: video '{vid}': non-finite values produced by ")
@@ -254,11 +253,10 @@ class TestLocatedNumericsErrors:
         data = gen(tmp_path, "ds")
         vid = poison_one_row(data / "train")
         # --batch 6 draws every one of the 6 videos of each class each epoch
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([
-                "train", "--manifest", str(data / "train" / "manifest.json"),
-                "--out", str(tmp_path / "run"), "--seed", "1", *FAST_TRAIN, "--batch", "6",
-            ])
+        code = main([
+            "train", "--manifest", str(data / "train" / "manifest.json"),
+            "--out", str(tmp_path / "run"), "--seed", "1", *FAST_TRAIN, "--batch", "6",
+        ])
         assert code == 1
         err = capsys.readouterr().err
         found = re.match(r"error: NumericsError: epoch \d+: batch videos (.*?): non-finite values produced by ", err)

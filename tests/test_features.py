@@ -48,6 +48,22 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="payload"):
             load_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_path(self, tmp_path, value):
+        feats = np.ones((3, 2), dtype=np.float32)
+        feats[2, 1] = value
+        path = tmp_path / "odd.vadf"
+        save_features(feats, path)
+        with pytest.raises(FormatError, match="odd.vadf: feature values hold NaN or Inf"):
+            load_features(path)
+
+    def test_huge_finite_values_load(self, tmp_path):
+        # their sum of squares overflows float32; every value is still finite
+        feats = np.full((3, 2), 3.4e38, dtype=np.float32)
+        path = tmp_path / "huge.vadf"
+        save_features(feats, path)
+        assert np.array_equal(load_features(path), feats)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.vadf"
         path.write_bytes(b"VADF\x01")
@@ -204,6 +220,31 @@ class TestManifest:
         doc["videos"][0]["path"] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="'v0' has non-string path"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("label", 0.9), ("label", "1"), ("label", True), ("frame_count", 40.7), ("frame_count", True)],
+    )
+    def test_non_integer_video_field_rejected(self, tmp_path, field, value):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][1][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"manifest.json: video 'v1' has non-integer {field} "):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("d", 32.9), ("d", 4.0), ("version", "1"), ("snippet_len", True), ("snippet_len", None)]
+    )
+    def test_non_integer_header_field_rejected(self, tmp_path, field, value):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"manifest.json: non-integer {field} "):
             load_manifest(path)
 
     def test_invalid_utf8_rejected(self, tmp_path):

@@ -1,6 +1,8 @@
 """Batch assembly, the difference-maximization loss, and the training loop."""
 
 import math
+import platform
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from wsvad import autograd as ag
 from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
-from wsvad.features import load_features, load_records, save_features, temporal_normalize
+from wsvad.features import FormatError, load_features, load_records, save_features, temporal_normalize
 from wsvad.model import init_model
 from wsvad.nn import conv_module_forward, conv_module_init, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
@@ -372,15 +374,15 @@ class TestTrainLoop:
         with pytest.raises(ag.NumericsError, match=r"^epoch 3: batch videos '[^']+'(, '[^']+'){3}: non-finite values"):
             train(manifest, tmp_path / "train", cfg, val_fn=poison_after_epoch_two, val_every=1)
 
-    def test_non_finite_features_name_the_epoch(self, tmp_path):
-        # the batch tensor itself is rejected, so there is no batch to name
+    def test_non_finite_features_name_the_file(self, tmp_path):
+        # rejected at load, before any epoch
         _, manifest = make_records(tmp_path)
         entry = manifest.videos[0]
         feats = load_features(tmp_path / "train" / entry.path)
         feats[0, 0] = np.nan
         save_features(feats, tmp_path / "train" / entry.path)
         cfg = TrainConfig(t_len=8, batch_bags=6, epochs=2, seed=3)
-        with pytest.raises(ag.NumericsError, match=r"^epoch 1: non-finite values produced by 'tensor'"):
+        with pytest.raises(FormatError, match=re.escape(entry.path) + ": feature values hold NaN or Inf"):
             train(manifest, tmp_path / "train", cfg)
 
     def test_loss_decreases(self, tmp_path):
@@ -486,6 +488,21 @@ class TestTrainingStepCost:
         # attention 1, scorer 8 (no gradient for the constant batch).
         # One copy per parameter.
         assert per_step == dict(nodes=35, checks=77, copies=21)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+    def test_steps_do_not_page_fault(self, manifest):
+        """Freed temporaries stay mapped, so a step faults almost no pages
+        back in (about 780 minor faults per step with glibc's adaptive
+        thresholds)."""
+        import resource  # Unix only
+
+        def faults(epochs):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(*manifest, TrainConfig(t_len=16, batch_bags=8, epochs=epochs, seed=1))
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        short = faults(2)
+        assert (faults(12) - short) / 10 <= 64
 
     def test_no_vjp_writes_into_its_incoming_gradient(self, manifest):
         cfg = TrainConfig(t_len=16, batch_bags=8, epochs=2, seed=1)
