@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .nn import MLP, mlp_init, mlp_forward
+from .nn import MLP, mlp_forward
 
 SCORER_HIDDEN = (512, 256)
 
@@ -193,11 +193,6 @@ def topk_score(
     return SoftSelection(
         inclusion=inclusion, selected=selected, scores=w, noise=z, sigma=float(sigma), kappa=kappa
     )
-
-
-def make_scorer(d: int, rng: np.random.Generator, hidden: tuple[int, ...] = SCORER_HIDDEN) -> MLP:
-    """The snippet relevance scorer: d -> hidden -> 1, ReLU inside, sigmoid out."""
-    return mlp_init((d, *hidden, 1), rng)
 
 
 def tsa_fuse(

@@ -62,7 +62,6 @@ __all__ = [
     "nonlocal_attention",
     "pin_malloc_thresholds",
     "softmax",
-    "tensor",
     "using_dtype",
     "zero_grad",
 ]
@@ -286,10 +285,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
@@ -667,10 +662,12 @@ def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Calla
     """Wire an externally computed forward value into the graph.
 
     vjp receives the output gradient and must return one gradient (or None)
-    per parent. It must not write into the gradient it receives: the engine
-    hands interior gradients on without copying, so that array may also be
-    another tensor's gradient. Return None for a parent that needs no
-    gradient (``requires_grad`` false) rather than computing one nobody reads.
+    per parent. No gradient is written into once set, by the engine or by a
+    vjp: the engine hands gradients on without copying, so the array a vjp
+    receives may also be another tensor's gradient, and the array it returns
+    may become a parent's gradient as it is. Return None for a parent that
+    needs no gradient (``requires_grad`` false) rather than computing one
+    nobody reads.
     The output and every gradient are checked for NaN and Inf, so ``op`` may
     not reuse the name of a built-in op that skips a check.
     """
@@ -682,19 +679,15 @@ def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Calla
 # -- backward ------------------------------------------------------------------
 
 
-def _own_copy(g: np.ndarray, dtype) -> np.ndarray:
-    """A leaf's private gradient buffer, which later contributions (and later
-    backward calls) add into in place."""
-    return np.array(g, dtype=dtype, copy=True)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
     Gradients accumulate additively across fan-out and across calls (clear
-    with `zero_grad`). The traversed records are consumed. A leaf's gradient
-    is its own array; an interior tensor's gradient may be a vjp's output or
-    a view of another tensor's gradient, and is not to be written into.
+    with `zero_grad`). The traversed records are consumed. A tensor's first
+    gradient is the vjp's output as returned (cast if needed), which may be
+    a view of another tensor's gradient; every later contribution is summed
+    out of place. No gradient is written into once set, by the engine or by
+    a vjp, so an array read from ``.grad`` keeps its value.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -732,12 +725,9 @@ def backward(loss: Tensor) -> None:
             dtype = parent.data.dtype
             # node.grad was checked, and handing it on uncast keeps it finite
             finite = passes_on and parent.grad is None and g.dtype == dtype
-            # a leaf owns its gradient and adds into it in place; an interior
-            # tensor takes g as it is, so no vjp may write into its gradient
+            # g may be held elsewhere, so it is taken as it is and never added into
             if parent.grad is None:
-                parent.grad = _own_copy(g, dtype) if parent._rec is None else g.astype(dtype, copy=False)
-            elif parent._rec is None:
-                np.add(parent.grad, g, out=parent.grad, casting="same_kind")
+                parent.grad = g.astype(dtype, copy=False)
             else:
                 parent.grad = (parent.grad + g).astype(dtype, copy=False)
             if not finite:

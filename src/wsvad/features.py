@@ -175,7 +175,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     try:
         version, d, snippet_len = (integer(doc, key) for key in ("version", "d", "snippet_len"))
-        split = str(doc["split"])
+        split = doc["split"]
+        if version != MANIFEST_VERSION:
+            raise FormatError(f"{path}: unsupported manifest version {version}")
+        for key, value in (("d", d), ("snippet_len", snippet_len)):
+            if value < 1:
+                raise FormatError(f"{path}: {key} {value} < 1")
+        if not isinstance(split, str):
+            raise FormatError(f"{path}: split {split!r} is not a string")
         videos = []
         for v in doc["videos"]:
             if not isinstance(v["id"], str):

@@ -1,5 +1,10 @@
 """Full detector: scorer + temporal context module + snippet classifier.
 
+`param_shapes` is the one table of the detector's parameter names and shapes.
+`init_model` fills it with fan-based uniform weights and zero biases,
+`load_checkpoint` with a file's checked arrays, and both build the model from
+it through `_assemble`.
+
 Checkpoints are a versioned binary: magic ``VADC`` | version u32 |
 header-length u32 | JSON header (architecture + attention settings) |
 tensor count u32 | per tensor: name length u32, name bytes, ndim u32,
@@ -11,15 +16,16 @@ the only selection gradient there is; it is kept so the format stays fixed.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import SCORER_HIDDEN, TsaConfig, make_scorer, tsa_forward
+from .attention import SCORER_HIDDEN, TsaConfig, tsa_forward
 from .autograd import Tensor, all_finite
 from .features import FormatError
-from .nn import MLP, ConvModule, conv_module_forward, conv_module_init, mlp_forward, mlp_init
+from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
 
 CHECKPOINT_MAGIC = b"VADC"
 CHECKPOINT_VERSION = 1
@@ -38,13 +44,56 @@ class Model:
     classifier: MLP
     tsa: TsaConfig
     tsa_enabled: bool = True
+    _params: dict[str, Tensor] = field(kw_only=True, repr=False, compare=False)
 
     def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.scorer.named_params("scorer"))
-        out.update(self.conv.named_params("conv"))
-        out.update(self.classifier.named_params("classifier"))
-        return out
+        """A copy of the parameter table the model was built from."""
+        return dict(self._params)
+
+
+def param_shapes(d: int, scorer_hidden: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+    """The detector's parameter table: every parameter's name and shape, in
+    the order ``init_model`` draws each block's weights; the 1-D entries are
+    biases. The context module splits the width into four branches, so ``d``
+    must be a positive multiple of 4."""
+    if d < 4 or d % 4 != 0:
+        raise ValueError(f"feature width d must be a positive multiple of 4, got {d!r}")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, dims in (("scorer", (d, *scorer_hidden, 1)), ("classifier", (d, *CLASSIFIER_HIDDEN, 1))):
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes[f"{prefix}.{i}.w"] = (fan_in, fan_out)
+            shapes[f"{prefix}.{i}.b"] = (fan_out,)
+    c = d // 4
+    for i in range(3):
+        shapes[f"conv.conv{i}.w"] = (CONV_KERNEL, d, c)
+        shapes[f"conv.conv{i}.b"] = (c,)
+    for name in ("theta", "phi", "g"):
+        shapes[f"conv.attn.{name}"] = (d, c)
+    return shapes
+
+
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform float32 weights for a (..., fan_in, fan_out) kernel.
+    Every leading axis counts as receptive field, so a (k, c_in, c_out) conv
+    kernel has fan-in k * c_in and fan-out k * c_out."""
+    receptive = math.prod(shape[:-2])
+    bound = float(np.sqrt(6.0 / (receptive * shape[-2] + receptive * shape[-1])))
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+
+def _assemble(d: int, arrays: dict[str, np.ndarray], tsa: TsaConfig, tsa_enabled: bool, dropout: float) -> Model:
+    """Build a model from one array per ``param_shapes`` entry."""
+    p = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+
+    def mlp(prefix: str, dropout_p: float = 0.0) -> MLP:
+        layers = range(sum(name.startswith(f"{prefix}.") for name in p) // 2)
+        return MLP([p[f"{prefix}.{i}.w"] for i in layers], [p[f"{prefix}.{i}.b"] for i in layers], dropout_p)
+
+    conv = ConvModule(
+        [p[f"conv.conv{i}.w"] for i in range(3)], [p[f"conv.conv{i}.b"] for i in range(3)],
+        *(p[f"conv.attn.{name}"] for name in ("theta", "phi", "g")),
+    )
+    return Model(d, mlp("scorer"), conv, mlp("classifier", dropout), tsa, tsa_enabled, _params=p)
 
 
 def init_model(
@@ -54,17 +103,14 @@ def init_model(
     tsa_enabled: bool = True,
     scorer_hidden: tuple[int, ...] = SCORER_HIDDEN,
 ) -> Model:
-    scorer_seq, conv_seq, clf_seq = seed_seq.spawn(3)
-    return Model(
-        d=d,
-        scorer=make_scorer(d, np.random.default_rng(scorer_seq), scorer_hidden),
-        conv=conv_module_init(d, np.random.default_rng(conv_seq), CONV_KERNEL),
-        classifier=mlp_init(
-            (d, *CLASSIFIER_HIDDEN, 1), np.random.default_rng(clf_seq), CLASSIFIER_DROPOUT
-        ),
-        tsa=tsa,
-        tsa_enabled=tsa_enabled,
-    )
+    """A fresh detector. The scorer, the context module and the classifier
+    each draw their weights in table order from their own spawned stream."""
+    rngs = dict(zip(("scorer", "conv", "classifier"), map(np.random.default_rng, seed_seq.spawn(3))))
+    arrays = {
+        name: np.zeros(shape, np.float32) if len(shape) == 1 else xavier_uniform(rngs[name.split(".")[0]], shape)
+        for name, shape in param_shapes(d, scorer_hidden).items()
+    }
+    return _assemble(d, arrays, tsa, tsa_enabled, CLASSIFIER_DROPOUT)
 
 
 def score_bag(
@@ -133,34 +179,29 @@ def _int_list(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def param_shapes(d: int, scorer_hidden: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-    """The shape of every named parameter of ``init_model(d, ...)``, computed
-    without allocating it."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for prefix, dims in (("scorer", (d, *scorer_hidden, 1)), ("classifier", (d, *CLASSIFIER_HIDDEN, 1))):
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            shapes[f"{prefix}.{i}.w"] = (fan_in, fan_out)
-            shapes[f"{prefix}.{i}.b"] = (fan_out,)
-    c = d // 4
-    for i in range(3):
-        shapes[f"conv.conv{i}.w"] = (CONV_KERNEL, d, c)
-        shapes[f"conv.conv{i}.b"] = (c,)
-    for name in ("theta", "phi", "g"):
-        shapes[f"conv.attn.{name}"] = (d, c)
-    return shapes
+_JSON_KINDS = {int: "an integer", bool: "a boolean", float: "a finite number"}
+
+
+def _typed(fields_: dict, key: str, kind: type, path, where: str = ""):
+    """``fields_[key]`` if it has JSON type ``kind``: an int for int, a bool
+    for bool, and a finite int or float (never a bool) for float."""
+    value = fields_[key]
+    ok = type(value) in (int, float) and math.isfinite(value) if kind is float else type(value) is kind
+    if not ok:
+        raise FormatError(f"{path}: header field '{where}{key}' must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _init_args(header: dict, path) -> dict:
-    """Validate a checkpoint header; returns ``init_model``'s keyword arguments."""
+    """Validate a checkpoint header; returns ``_assemble``'s arguments other
+    than the arrays, plus ``scorer_hidden``."""
     if _int_list(header["classifier_hidden"], "classifier_hidden") != CLASSIFIER_HIDDEN:
-        raise FormatError(
-            f"{path}: unsupported classifier layout {header['classifier_hidden']}"
-        )
-    if header["conv_kernel"] != CONV_KERNEL:
+        raise FormatError(f"{path}: unsupported classifier layout {header['classifier_hidden']}")
+    if _typed(header, "conv_kernel", int, path) != CONV_KERNEL:
         raise FormatError(f"{path}: unsupported conv kernel {header['conv_kernel']!r}")
-    d = header["d"]
-    if type(d) is not int or d < 4 or d % 4 != 0:
-        raise FormatError(f"{path}: feature width d must be a positive multiple of 4, got {d!r}")
+    dropout = _typed(header, "classifier_dropout", float, path)
+    if not 0.0 <= dropout < 1.0:
+        raise FormatError(f"{path}: header field 'classifier_dropout' must be in [0, 1), got {dropout!r}")
     tsa_fields = dict(header["tsa"])
     estimator = tsa_fields.pop("estimator", CHECKPOINT_ESTIMATOR)
     if estimator != CHECKPOINT_ESTIMATOR:
@@ -168,17 +209,21 @@ def _init_args(header: dict, path) -> dict:
     expected = sorted(f.name for f in fields(TsaConfig))
     if sorted(tsa_fields) != expected:
         raise FormatError(f"{path}: attention header fields {sorted(tsa_fields)}, expected {expected}")
+    for f in fields(TsaConfig):
+        _typed(tsa_fields, f.name, type(f.default), path, "tsa.")
     return dict(
-        d=d,
+        d=_typed(header, "d", int, path),
         tsa=TsaConfig(**tsa_fields),
-        tsa_enabled=bool(header["tsa_enabled"]),
+        tsa_enabled=_typed(header, "tsa_enabled", bool, path),
+        dropout=float(dropout),
         scorer_hidden=_int_list(header["scorer_hidden"], "scorer_hidden"),
     )
 
 
 def _read_tensors(view: memoryview, off: int, shapes: dict[str, tuple[int, ...]], path) -> dict[str, np.ndarray]:
     """Read the tensor table at ``off``; each tensor's name and shape are
-    checked against ``shapes`` before its payload is copied."""
+    checked against ``shapes`` before its payload is copied. Returns the
+    arrays in table order."""
     (count,) = struct.unpack_from("<I", view, off)
     off += 4
     tensors: dict[str, np.ndarray] = {}
@@ -206,13 +251,13 @@ def _read_tensors(view: memoryview, off: int, shapes: dict[str, tuple[int, ...]]
     missing = sorted(set(shapes) - set(tensors))
     if missing:
         raise FormatError(f"{path}: parameter set mismatch, missing {missing[:4]}")
-    return tensors
+    return {name: tensors[name] for name in shapes}
 
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint. The header fixes every tensor's shape, and each
-    tensor is checked against it before the model is built, so a file can
-    only cost memory in proportion to its own size."""
+    tensor is checked against it before the model is built from the file's
+    arrays, so a file can only cost memory in proportion to its own size."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -226,21 +271,16 @@ def load_checkpoint(path) -> Model:
     except (ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated or corrupt checkpoint header ({exc})") from exc
     try:
-        init_args = _init_args(header, path)
-        dropout = float(header["classifier_dropout"])
+        args = _init_args(header, path)
+        shapes = param_shapes(args["d"], args.pop("scorer_hidden"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed header field ({exc!r})") from exc
     try:
-        tensors = _read_tensors(view, 12 + header_len, param_shapes(init_args["d"], init_args["scorer_hidden"]), path)
+        arrays = _read_tensors(view, 12 + header_len, shapes, path)
     except FormatError:
         raise
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-    # every shape now matches the file, so this allocates no more than it holds
-    model = init_model(seed_seq=np.random.SeedSequence(0), **init_args)
-    model.classifier.dropout_p = dropout
-    for name, p in model.named_params().items():
-        p.data = tensors[name]
-    return model
+    return _assemble(arrays=arrays, **args)

@@ -1,23 +1,19 @@
 """Network building blocks: MLP scorers and the temporal context module.
 
-Parameters are plain tensors grouped in small dataclasses; `named_params`
-flattens them into an ordered dict for the optimizer and checkpointing.
-Weights use fan-based uniform init, biases start at zero.
+Each block is a small dataclass of parameter tensors plus its forward pass.
+The blocks declare no shapes and draw no weights: `model.param_shapes` is the
+one table of the detector's parameters, and `model` builds every block from
+arrays filled in by that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-
-
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 @dataclass
@@ -31,21 +27,6 @@ class MLP:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
-
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}.{i}.w"] = w
-            out[f"{prefix}.{i}.b"] = b
-        return out
-
-
-def mlp_init(dims: tuple[int, ...], rng: np.random.Generator, dropout_p: float = 0.0) -> MLP:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(Tensor(xavier_uniform(rng, (fan_in, fan_out), fan_in, fan_out), requires_grad=True))
-        biases.append(Tensor(np.zeros(fan_out, dtype=np.float32), requires_grad=True))
-    return MLP(weights, biases, dropout_p)
 
 
 def mlp_forward(
@@ -69,8 +50,8 @@ def mlp_forward(
 class ConvModule:
     """Temporal context block: parallel dilated convolutions plus one
     embedded-Gaussian self-attention branch, concatenated back to the input
-    width with a residual connection. Requires the feature width to be
-    divisible by four (three conv branches + attention, d/4 channels each).
+    width with a residual connection. The kernel size and the width come
+    from the conv weights.
     """
 
     conv_w: list[Tensor]
@@ -79,37 +60,14 @@ class ConvModule:
     w_phi: Tensor
     w_g: Tensor
     dilations: tuple[int, ...] = (1, 2, 4)
-    kernel: int = field(default=3)
 
     @property
     def width(self) -> int:
         return self.conv_w[0].shape[1]
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            out[f"{prefix}.conv{i}.w"] = w
-            out[f"{prefix}.conv{i}.b"] = b
-        out[f"{prefix}.attn.theta"] = self.w_theta
-        out[f"{prefix}.attn.phi"] = self.w_phi
-        out[f"{prefix}.attn.g"] = self.w_g
-        return out
-
-
-def conv_module_init(d: int, rng: np.random.Generator, kernel: int = 3) -> ConvModule:
-    if d % 4 != 0:
-        raise ValueError(f"feature width must be divisible by 4, got {d}")
-    c = d // 4
-    conv_w, conv_b = [], []
-    for _ in range(3):
-        conv_w.append(
-            Tensor(xavier_uniform(rng, (kernel, d, c), kernel * d, kernel * c), requires_grad=True)
-        )
-        conv_b.append(Tensor(np.zeros(c, dtype=np.float32), requires_grad=True))
-    w_theta = Tensor(xavier_uniform(rng, (d, c), d, c), requires_grad=True)
-    w_phi = Tensor(xavier_uniform(rng, (d, c), d, c), requires_grad=True)
-    w_g = Tensor(xavier_uniform(rng, (d, c), d, c), requires_grad=True)
-    return ConvModule(conv_w, conv_b, w_theta, w_phi, w_g, kernel=kernel)
+    @property
+    def kernel(self) -> int:
+        return self.conv_w[0].shape[0]
 
 
 def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1) -> Tensor:

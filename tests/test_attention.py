@@ -8,14 +8,26 @@ from wsvad.attention import (
     SoftSelection,
     TsaConfig,
     kappa_from_ratio,
-    make_scorer,
     topk_score,
     tsa_forward,
     tsa_fuse,
 )
 from wsvad.autograd import Tensor
+from wsvad.model import xavier_uniform
+from wsvad.nn import MLP
 
 from helpers import max_rel_err, ref_topk
+
+
+def scorer_mlp(d, seed, hidden):
+    """A d -> hidden -> 1 scorer built directly from arrays: Glorot-uniform
+    weights drawn layer by layer from one stream, zero biases."""
+    rng = np.random.default_rng(seed)
+    dims = (d, *hidden, 1)
+    return MLP(
+        [Tensor(xavier_uniform(rng, shape), requires_grad=True) for shape in zip(dims[:-1], dims[1:])],
+        [Tensor(np.zeros(n, np.float32), requires_grad=True) for n in dims[1:]],
+    )
 
 
 class TestKappaFromRatio:
@@ -172,7 +184,7 @@ class TestTopkStructure:
 
 class TestTsaForward:
     def _scorer(self, d=6, seed=0):
-        return make_scorer(d, np.random.default_rng(seed), hidden=(16, 8))
+        return scorer_mlp(d, seed, (16, 8))
 
     def test_identity_at_full_selection(self):
         rng = np.random.default_rng(5)
@@ -307,7 +319,7 @@ class TestSelectionGradient:
     def test_gradient_flows_into_scorer_and_features(self):
         rng = np.random.default_rng(13)
         feats = Tensor(rng.normal(size=(10, 6)).astype(np.float32), requires_grad=True)
-        scorer = make_scorer(6, np.random.default_rng(3), hidden=(12, 6))
+        scorer = scorer_mlp(6, 3, (12, 6))
         cfg = TsaConfig(num_samples=64, ratio=0.5, sigma_noise=0.2, seed=0)
         fhat, _, _ = tsa_forward(feats, scorer, cfg, np.random.default_rng(21))
         ag.backward(ag.l2_norm(fhat))

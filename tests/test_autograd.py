@@ -435,6 +435,18 @@ class TestBackward:
         assert a.grad.tolist() == [4.0, 4.0]
         assert b.grad.tolist() == [1.0, 1.0]
 
+    def test_second_backward_leaves_held_gradient_unchanged(self):
+        """No gradient is written into once set: a second backward into the
+        same leaves sums out of place, so the array read after the first call
+        keeps its value while the gradient doubles."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, -1.0], requires_grad=True)
+        backward((x * w).sum())
+        held_x, held_w = x.grad, w.grad
+        backward((x * w).sum())
+        assert held_x.tolist() == [3.0, -1.0] and held_w.tolist() == [1.0, 2.0]
+        assert x.grad.tolist() == [6.0, -2.0] and w.grad.tolist() == [2.0, 4.0]
+
     def test_accumulation_keeps_dtype_and_casts_down(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = ag.custom_op("f64", x.data, (x, x), lambda g: (g.astype(np.float64), g.astype(np.float64) * 2.0))
@@ -844,6 +856,8 @@ class TestFinalGradientChecks:
             backward(y.sum())
 
     def test_interior_gradient_is_passed_on_and_leaf_gradient_owned(self):
+        """Gradients are handed on uncopied; the leaf's is the scalar mul's
+        own product, so it holds no view of the injected array."""
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         mid = x * 1.0
         flat = mid.reshape(2)

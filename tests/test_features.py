@@ -247,6 +247,28 @@ class TestManifest:
         with pytest.raises(FormatError, match=rf"manifest.json: non-integer {field} "):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("version", 2, "unsupported manifest version 2"),
+            ("version", 0, "unsupported manifest version 0"),
+            ("snippet_len", 0, "snippet_len 0 < 1"),
+            ("d", 0, "d 0 < 1"),
+            ("d", -4, "d -4 < 1"),
+            ("split", [1, 2], r"split \[1, 2\] is not a string"),
+            ("split", None, "split None is not a string"),
+        ],
+        ids=["version-2", "version-0", "snippet_len-0", "d-0", "d-negative", "split-list", "split-null"],
+    )
+    def test_invalid_header_value_rejected(self, tmp_path, field, value, message):
+        _write_split(tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"manifest.json: {message}"):
+            load_manifest(path)
+
     def test_invalid_utf8_rejected(self, tmp_path):
         _write_split(tmp_path)
         path = tmp_path / "manifest.json"

@@ -1,5 +1,6 @@
 """Model assembly and checkpoint round-trips."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -140,6 +141,43 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("classifier_dropout",), float("nan")),
+            (("classifier_dropout",), 1.5),
+            (("classifier_dropout",), -0.25),
+            (("classifier_dropout",), True),
+            (("tsa", "num_samples"), 1.5),
+            (("tsa", "num_samples"), True),
+            (("tsa", "seed"), "a"),
+            (("tsa", "ratio"), True),
+            (("tsa", "sigma_noise"), float("inf")),
+            (("tsa_enabled",), "no"),
+            (("tsa_enabled",), 1),
+            (("conv_kernel",), 3.0),
+            (("d",), 8.0),
+        ],
+        ids=[
+            "dropout-nan", "dropout-1.5", "dropout-negative", "dropout-bool", "num_samples-float",
+            "num_samples-bool", "seed-string", "ratio-bool", "sigma-inf", "tsa_enabled-string",
+            "tsa_enabled-int", "kernel-float", "d-float",
+        ],
+    )
+    def test_header_field_of_wrong_json_type_named(self, tmp_path, keys, value):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, lambda h: edited(h, *keys, value=value))
+        with pytest.raises(FormatError, match=rf"model\.vadc: header field '{'.'.join(keys)}' must be"):
+            load_checkpoint(path)
+
+    def test_integer_header_values_load_as_numbers(self, tmp_path):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, lambda h: edited(edited(h, "classifier_dropout", value=0), "tsa", "ratio", value=1))
+        loaded = load_checkpoint(path)
+        assert loaded.classifier.dropout_p == 0.0 and loaded.tsa.ratio == 1
+
     def test_header_estimator_is_fixed(self, tmp_path):
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
@@ -161,6 +199,47 @@ class TestCheckpoint:
         model = init_model(d, TsaConfig(), np.random.SeedSequence(0), scorer_hidden=hidden)
         want = {name: p.data.shape for name, p in model.named_params().items()}
         assert param_shapes(d, hidden) == want
+
+    def test_init_stream_is_pinned(self):
+        """Every seeded output starts from these bits; a change to how
+        ``init_model`` draws its weights must change this digest on purpose."""
+        model = init_model(32, TsaConfig(), np.random.SeedSequence(0))
+        digest = hashlib.sha256()
+        for name, p in sorted(model.named_params().items()):
+            digest.update(name.encode())
+            digest.update(p.data.tobytes())
+        assert digest.hexdigest() == "b9b39c42f57c0fb4d90d794f4c2787c3a7d1bc504c0174aa65b3c1e90dfbfa4b"
+
+    def test_named_params_is_a_copy_of_the_table(self):
+        model = small_model()
+        table = model.named_params()
+        assert list(table) == list(param_shapes(8, (12, 6)))
+        table.clear()
+        assert model.named_params()["conv.attn.g"] is model.conv.w_g
+
+    def test_load_makes_no_random_draw(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(seed=6), path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+        load_checkpoint(path)
+
+    def test_load_peak_memory_is_bounded_by_file_size(self, tmp_path):
+        """The file's bytes plus the model built from them, and nothing more."""
+        path = tmp_path / "model.vadc"
+        save_checkpoint(init_model(32, TsaConfig(), np.random.SeedSequence(0)), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size, peak / size
 
     def test_header_claiming_a_large_width_allocates_nothing_first(self, tmp_path):
         path = tmp_path / "model.vadc"

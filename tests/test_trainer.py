@@ -13,7 +13,7 @@ from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
 from wsvad.features import FormatError, load_features, load_records, save_features, temporal_normalize
 from wsvad.model import init_model
-from wsvad.nn import conv_module_forward, conv_module_init, mlp_forward
+from wsvad.nn import conv_module_forward, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
     TrainConfig,
@@ -279,21 +279,30 @@ class TestStackedLoss:
             dmt_loss(Tensor(np.ones((8, 2))), u, np.array([0, 1]), loss_cfg())
 
 
+def conv_module(seed):
+    """The context module of a freshly initialised width-8 detector."""
+    return init_model(8, TsaConfig(), np.random.SeedSequence(seed)).conv
+
+
+def conv_params(mod):
+    return [*mod.conv_w, *mod.conv_b, mod.w_theta, mod.w_phi, mod.w_g]
+
+
 class TestConvModule:
     def test_zero_init_is_identity(self):
-        mod = conv_module_init(8, np.random.default_rng(0))
-        for t in [*mod.conv_w, *mod.conv_b, mod.w_theta, mod.w_phi, mod.w_g]:
+        mod = conv_module(0)
+        for t in conv_params(mod):
             t.data = np.zeros_like(t.data)
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)).astype(np.float32))
         out = conv_module_forward(mod, x)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_width_must_divide_by_four(self):
-        with pytest.raises(ValueError):
-            conv_module_init(6, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="multiple of 4"):
+            init_model(6, TsaConfig(), np.random.SeedSequence(0))
 
     def test_per_bag_independence(self):
-        mod = conv_module_init(8, np.random.default_rng(2))
+        mod = conv_module(2)
         rng = np.random.default_rng(3)
         bags = [Tensor(rng.normal(size=(4, 8)).astype(np.float32)) for _ in range(3)]
         outs = [conv_module_forward(mod, b).data for b in bags]
@@ -309,15 +318,15 @@ class TestConvModule:
         rng = np.random.default_rng(6)
         arrays = [rng.normal(size=(2, 8)) for _ in range(3)]
         with ag.using_dtype(np.float64):
-            mod = conv_module_init(8, np.random.default_rng(7))
+            mod = conv_module(7)
             bags = [Tensor(a, requires_grad=True) for a in arrays]
             per_bag = [conv_module_forward(mod, b) for b in bags]
             ag.backward(ag.l2_norm(ag.concat(per_bag, axis=0)))
-            want = [b.grad.copy() for b in bags] + [p.grad.copy() for p in mod.named_params("m").values()]
-            ag.zero_grad(mod.named_params("m").values())
+            want = [b.grad.copy() for b in bags] + [p.grad.copy() for p in conv_params(mod)]
+            ag.zero_grad(conv_params(mod))
             x = Tensor(np.concatenate(arrays), requires_grad=True)
             ag.backward(ag.l2_norm(conv_module_forward(mod, x, 3)))
-            got = list(np.split(x.grad, 3)) + [p.grad for p in mod.named_params("m").values()]
+            got = list(np.split(x.grad, 3)) + [p.grad for p in conv_params(mod)]
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-12)
 
@@ -326,7 +335,7 @@ class TestConvModule:
         x64 = rng.normal(size=(4, 8))
 
         with ag.using_dtype(np.float64):
-            mod = conv_module_init(8, np.random.default_rng(5))
+            mod = conv_module(5)
             x = Tensor(x64, requires_grad=True)
             ag.backward(ag.l2_norm(conv_module_forward(mod, x)))
             analytic = x.grad.copy()
@@ -443,11 +452,11 @@ class TestTrainingStepCost:
         manifest, _ = generate_synthetic(SyntheticConfig(n_normal=8, n_abnormal=8, seed=3), root)
         return manifest, root / "train"
 
-    def test_nodes_checks_and_copies_are_pinned(self, manifest, monkeypatch):
-        """A change that adds finiteness checks or gradient copies to a
-        training step, or nodes to its graph, must change these on purpose."""
-        counts = dict(nodes=0, checks=0, copies=0)
-        ensure_finite, own_copy, backward = ag._ensure_finite, ag._own_copy, ag.backward
+    def test_nodes_and_checks_are_pinned(self, manifest, monkeypatch):
+        """A change that adds finiteness checks to a training step, or nodes
+        to its graph, must change these on purpose."""
+        counts = dict(nodes=0, checks=0)
+        ensure_finite, backward = ag._ensure_finite, ag.backward
 
         def counting(key, fn):
             def wrapper(*args):
@@ -467,11 +476,10 @@ class TestTrainingStepCost:
             backward(loss)
 
         monkeypatch.setattr(ag, "_ensure_finite", counting("checks", ensure_finite))
-        monkeypatch.setattr(ag, "_own_copy", counting("copies", own_copy))
         monkeypatch.setattr(ag, "backward", counting_backward)
 
         def run(epochs):
-            counts.update(nodes=0, checks=0, copies=0)
+            counts.update(nodes=0, checks=0)
             train(*manifest, TrainConfig(t_len=16, batch_bags=8, epochs=epochs, seed=1))
             return dict(counts)
 
@@ -486,8 +494,7 @@ class TestTrainingStepCost:
         # 45 gradient checks: loss 12, classifier 11 (3 per linear, 1 per
         # dropout), context module 13 (3 per conv, 4 from nonlocal_attention),
         # attention 1, scorer 8 (no gradient for the constant batch).
-        # One copy per parameter.
-        assert per_step == dict(nodes=35, checks=77, copies=21)
+        assert per_step == dict(nodes=35, checks=77)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
