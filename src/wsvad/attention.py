@@ -23,6 +23,7 @@ snippets sample m selected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class TsaConfig:
             raise ValueError("num_samples must be >= 1")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-        if self.sigma_noise <= 0.0:
-            raise ValueError(f"sigma_noise must be positive, got {self.sigma_noise}")
+        if not 0.0 < self.sigma_noise < math.inf:
+            raise ValueError(f"sigma_noise must be positive and finite, got {self.sigma_noise}")
 
 
 def kappa_from_ratio(t_len: int, ratio: float) -> int:

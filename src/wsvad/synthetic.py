@@ -58,10 +58,10 @@ class SyntheticConfig:
         elo, ehi = self.eps_range
         if not 1 <= elo <= ehi:
             raise ValueError(f"bad eps_range {self.eps_range}")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
-        if self.anomaly_shift < 0:
-            raise ValueError("anomaly_shift must be non-negative")
+        if not 0.0 < self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be positive and finite, got {self.noise_std}")
+        if not 0.0 <= self.anomaly_shift < math.inf:
+            raise ValueError(f"anomaly_shift must be non-negative and finite, got {self.anomaly_shift}")
         # anomalies are planted on whole snippets, so the shortest video must
         # fit eps_range[1] complete snippets
         if lo // self.snippet_len < ehi:

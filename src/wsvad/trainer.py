@@ -11,6 +11,7 @@ top-alpha snippets, ranked by feature magnitude like the margin term).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +51,10 @@ class TrainConfig:
             raise ValueError("t_len, batch_bags and epochs must be positive")
         if not 1 <= self.alpha <= self.t_len:
             raise ValueError(f"alpha must be in [1, {self.t_len}], got {self.alpha}")
-        if self.lr < 0 or self.weight_decay < 0 or self.margin < 0:
-            raise ValueError("lr, weight_decay and margin must be non-negative")
+        for name in ("lr", "weight_decay", "margin", "w_margin", "w_bce"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass

@@ -135,6 +135,30 @@ def ref_conv1d_dilated(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarra
     return out
 
 
+def ref_conv1d_dilated_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray, dilation: int, bags: int):
+    """The im2col-and-scatter vjp of ``conv1d_dilated`` that the tap-layout
+    GEMMs replaced: (gx, gw, gb) for x (bags * T, c_in), w (k, c_in, c_out)
+    and the output gradient g (bags * T, c_out), in g's dtype. gx scatters
+    the column gradient ``g @ w.T`` tap by tap into a zeroed padded buffer,
+    and gw is ``cols.T @ g`` over the im2col matrix."""
+    k, c_in, c_out = w.shape
+    rows = x.shape[0]
+    t_len = rows // bags
+    pad = (k - 1) // 2 * dilation
+    xpad = np.zeros((bags, t_len + 2 * pad, c_in), dtype=x.dtype)
+    xpad[:, pad : pad + t_len] = x.reshape(bags, t_len, c_in)
+    cols = np.stack([xpad[:, j * dilation : j * dilation + t_len] for j in range(k)], axis=2).reshape(rows, k * c_in)
+    w2 = w.reshape(k * c_in, c_out)
+    gcols = (g @ w2.T).reshape(bags, t_len, k, c_in)
+    gpad = np.zeros_like(xpad)
+    for j in range(k):
+        gpad[:, j * dilation : j * dilation + t_len] += gcols[:, :, j]
+    gx = gpad[:, pad : pad + t_len].reshape(rows, c_in)
+    gw = (cols.T @ g).reshape(k, c_in, c_out)
+    gb = np.sum(g, axis=0, dtype=np.float64).astype(g.dtype)
+    return gx, gw, gb
+
+
 def ref_softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

@@ -252,6 +252,11 @@ class TestTsaForward:
         with pytest.raises(ValueError):
             TsaConfig(sigma_noise=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_sigma_noise_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="sigma_noise"):
+            TsaConfig(sigma_noise=value)
+
 
 class TestSelectionGradient:
     def test_full_selection_gradient_exactly_zero(self):

@@ -32,6 +32,7 @@ from helpers import (
     max_rel_err,
     read_only_gradients,
     ref_conv1d_dilated,
+    ref_conv1d_dilated_vjp,
     ref_sigmoid,
     ref_softmax,
 )
@@ -141,6 +142,51 @@ class TestConv1dDilated:
     def test_rows_must_split_into_bags(self):
         with pytest.raises(ShapeError, match="bags"):
             conv1d_dilated(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 1, 1))), 1, 2)
+
+
+class TestConvBackward:
+    """The tap-layout vjp gives the retired im2col-and-scatter vjp's float32
+    gradients up to rounding, and the forward keeps nothing for it."""
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("bags", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 2, 5, 16])
+    @pytest.mark.parametrize("mask", [(True,) * 3, (False, True, True), (True, False, True), (True, True, False)])
+    def test_matches_the_im2col_vjp(self, dilation, bags, t_len, mask):
+        # the padding is the dilation at k = 3, so T 1 (every dilation) and
+        # T 2 (dilations 2 and 4) put whole taps outside the bag
+        rng = np.random.default_rng(1000 * dilation + 100 * bags + t_len)
+        x = rng.normal(size=(bags * t_len, 6)).astype(np.float32)
+        w = rng.normal(size=(3, 6, 4)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        g = rng.normal(size=(bags * t_len, 4)).astype(np.float32)
+        leaves = [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), mask)]
+        backward(inject(conv1d_dilated(*leaves[:2], dilation, bags, bias=leaves[2]), g))
+        for leaf, want, needed in zip(leaves, ref_conv1d_dilated_vjp(x, w, g, dilation, bags), mask):
+            if not needed:
+                assert leaf.grad is None
+                continue
+            assert leaf.grad.dtype == np.float32 and leaf.grad.shape == want.shape
+            assert leaf.grad.flags.c_contiguous
+            np.testing.assert_allclose(leaf.grad, want, rtol=1e-5, atol=1e-5)
+
+    def test_forward_keeps_no_im2col_matrix(self):
+        """A grad-enabled forward leaves only its output and graph behind:
+        no im2col matrix (rows * k * c_in) and no padded input (about
+        rows * c_in), each far larger than the output at c_out = 2."""
+        rng = np.random.default_rng(6)
+        rows, k, c_in = 64, 3, 256
+        x = Tensor(rng.normal(size=(rows, c_in)), requires_grad=True)
+        w = Tensor(rng.normal(size=(k, c_in, 2)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = conv1d_dilated(x, w, 2, 2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y._rec is not None
+        assert kept < rows * c_in * x.data.itemsize // 2 < rows * k * c_in * x.data.itemsize
 
 
 class TestBatchedMatrixOps:
@@ -270,6 +316,27 @@ class TestFusedOps:
         assert_same_bits(
             lambda x, w, b: linear(x, w, b, act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, mask, "linear"
         )
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    def test_one_column_linear_same_bits_as_the_chain(self, act):
+        arrays = linear_inputs(12, rows=9, k=6, n=1)
+        arrays[0][0, :] = 0.0
+        assert_same_bits(
+            lambda x, w, b: linear(x, w, b, act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, (True,) * 3,
+            "linear",
+        )
+
+    def test_one_column_input_gradient_keeps_the_gemm_signed_zeros(self):
+        """A zero output gradient times a negative weight is -0.0 in a bare
+        broadcast but +0.0 out of the K=1 GEMM; x's gradient has the GEMM's
+        bits, as the classifier's gradient is exactly zero outside the
+        top-alpha rows."""
+        w = np.array([[-1.5], [0.0], [-0.0], [2.0], [3e-30]], np.float32)
+        g = np.array([[0.0], [-0.0], [1.0], [-2.5], [1e-20], [0.0]], np.float32)
+        x = Tensor(np.ones((6, 5)), requires_grad=True)
+        backward(inject(linear(x, Tensor(w), Tensor(np.zeros(1))), g))
+        assert x.grad.tobytes() == (g @ w.T).tobytes()
+        assert not np.signbit(x.grad[0]).any() and not np.signbit(x.grad[1]).any()
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     def test_linear_gradcheck(self, act):

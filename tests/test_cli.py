@@ -265,6 +265,23 @@ class TestLocatedNumericsErrors:
         assert len(batch) == 12 and f"'{vid}'" in batch
 
 
+class TestBadOptions:
+    @pytest.mark.parametrize("flag, field", [("--sigma-noise", "sigma_noise"), ("--margin", "margin")])
+    def test_nan_option_exits_one_naming_it(self, dataset, tmp_path, capsys, flag, field):
+        """A NaN option is rejected, naming the config field it fills, before
+        training starts, not blamed on the first batch's videos once it has
+        made a gradient non-finite."""
+        out = tmp_path / "run"
+        code = main([
+            "train", "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out),
+            *FAST_TRAIN, flag, "nan",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {field} must be ") and err.endswith(", got nan\n"), err
+        assert not out.exists()
+
+
 class TestValidation:
     def test_validation_split_loaded_once(self, dataset, tmp_path, monkeypatch):
         """Each validation scores records loaded once up front; the logged

@@ -122,6 +122,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             small_cfg(n_normal=0)
 
+    @pytest.mark.parametrize("field", ["noise_std", "anomaly_shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_noise_and_shift_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: value})
+
     def test_manifest_headers_consistent(self, tmp_path):
         cfg = small_cfg()
         train_m, test_m = generate_synthetic(cfg, tmp_path)
