@@ -44,7 +44,7 @@ class TsaConfig:
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+            raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
         if not 0.0 < self.sigma_noise < math.inf:

@@ -29,7 +29,11 @@ or masks its own, already checked, incoming gradient.
 The graph is the linked structure of op records hanging off each output
 tensor; creation order is a topological order, and `backward` walks the
 reachable records exactly once in reverse creation order. A graph is consumed
-by `backward`; reusing it raises `GraphConsumedError`.
+by `backward`; reusing it raises `GraphConsumedError`. Only the caller's
+references keep a consumed node alive: `backward` lets go of each node, with
+its value, gradient and vjp closure, as soon as that node's vjp has handed its
+gradients on, so a node the caller does not hold is freed then, while every
+tensor the caller holds keeps its `.grad`.
 """
 
 from __future__ import annotations
@@ -722,6 +726,12 @@ def backward(loss: Tensor) -> None:
     a view of another tensor's gradient; every later contribution is summed
     out of place. No gradient is written into once set, by the engine or by
     a vjp, so an array read from ``.grad`` keeps its value.
+
+    Each node is let go as soon as its vjp has run, latest first: a tensor
+    the caller holds keeps its ``.grad``, and a node it does not hold is
+    freed then, value, gradient and vjp closure, before the next vjp
+    allocates. A caller that wants the step's peak memory low holds no
+    intermediate output across the call.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -744,9 +754,11 @@ def backward(loss: Tensor) -> None:
         if node._rec is not None:
             stack.extend(node._rec.parents)
 
-    nodes.sort(key=lambda t: t._id, reverse=True)
+    # popped latest first, so the list lets go of each node as it is reached
+    nodes.sort(key=lambda t: t._id)
     loss.grad = np.ones_like(loss.data)
-    for node in nodes:
+    while nodes:
+        node = nodes.pop()
         rec = node._rec
         if rec is None:
             continue
@@ -768,6 +780,9 @@ def backward(loss: Tensor) -> None:
                 _ensure_finite(f"grad[{rec.op}]", parent.grad)
         node._consumed = True
         node._rec = None
+        # unless the caller holds the node, this frees its value, gradient and
+        # vjp closure before the next vjp allocates
+        node = rec = grads = parent = g = None
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

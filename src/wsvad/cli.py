@@ -38,25 +38,61 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-tsa", action="store_true", help="disable the attention stage")
 
 
+# the flag that sets each config field, so an option error names the flag
+TRAIN_FLAGS = {
+    "t_len": "--t",
+    "batch_bags": "--batch",
+    "epochs": "--epochs",
+    "lr": "--lr",
+    "weight_decay": "--weight-decay",
+    "alpha": "--alpha",
+    "margin": "--margin",
+    "num_samples": "--samples",
+    "ratio": "--r",
+    "sigma_noise": "--sigma-noise",
+}
+
+
 def _train_config(args, *, seed: int | None = None, ratio: float | None = None, tsa_enabled: bool | None = None) -> TrainConfig:
+    """The training config the flags ask for; ``ratio``, when given, comes
+    from ``--r-grid`` and is named so in an error."""
     use_seed = args.seed if seed is None else seed
-    return TrainConfig(
-        t_len=args.t,
-        batch_bags=args.batch,
-        epochs=args.epochs,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        alpha=args.alpha,
-        margin=args.margin,
-        tsa=TsaConfig(
-            num_samples=args.samples,
-            ratio=args.r if ratio is None else ratio,
-            sigma_noise=args.sigma_noise,
+    try:
+        return TrainConfig(
+            t_len=args.t,
+            batch_bags=args.batch,
+            epochs=args.epochs,
+            lr=args.lr,
+            weight_decay=args.weight_decay,
+            alpha=args.alpha,
+            margin=args.margin,
+            tsa=TsaConfig(
+                num_samples=args.samples,
+                ratio=args.r if ratio is None else ratio,
+                sigma_noise=args.sigma_noise,
+                seed=use_seed,
+            ),
+            tsa_enabled=(not args.no_tsa) if tsa_enabled is None else tsa_enabled,
             seed=use_seed,
-        ),
-        tsa_enabled=(not args.no_tsa) if tsa_enabled is None else tsa_enabled,
-        seed=use_seed,
-    )
+        )
+    except ValueError as exc:
+        # every config check's message starts with the field it rejects
+        field, _, rest = str(exc).partition(" ")
+        flag = "--r-grid" if field == "ratio" and ratio is not None else TRAIN_FLAGS.get(field)
+        if flag is None:
+            raise
+        raise ValueError(f"{flag} {rest}") from None
+
+
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The non-empty comma-separated list of ``kind`` values a flag gives."""
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    try:
+        if items:
+            return [kind(x) for x in items]
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} takes a non-empty comma-separated list of {kind.__name__} values, got {text!r}")
 
 
 def _train_once(manifest_path: Path, cfg: TrainConfig):
@@ -157,12 +193,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep_r(args) -> int:
-    grid = [float(x) for x in args.r_grid.split(",") if x]
+    grid = _parse_list(args.r_grid, "--r-grid", float)
+    # every config is checked before the first run
+    cfgs = [_train_config(args, ratio=r) for r in grid]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for r in grid:
-        cfg = _train_config(args, ratio=r)
+    for r, cfg in zip(grid, cfgs):
         result = _train_once(Path(args.manifest), cfg)
         report, _, _ = _eval_model(result.model, Path(args.test_manifest), args.seed)
         rows.append((r, report.auc_roc, report.auc_pr))
@@ -178,7 +215,8 @@ def _cmd_sweep_r(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    seeds = [int(x) for x in args.seeds.split(",") if x]
+    seeds = _parse_list(args.seeds, "--seeds", int)
+    _train_config(args, seed=seeds[0])  # the flags are checked before the first run
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

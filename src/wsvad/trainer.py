@@ -47,8 +47,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t_len < 1 or self.batch_bags < 1 or self.epochs < 1:
-            raise ValueError("t_len, batch_bags and epochs must be positive")
+        for name in ("t_len", "batch_bags", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 1 <= self.alpha <= self.t_len:
             raise ValueError(f"alpha must be in [1, {self.t_len}], got {self.alpha}")
         for name in ("lr", "weight_decay", "margin", "w_margin", "w_bce"):
@@ -221,10 +222,12 @@ def train(
             batch = None
             try:
                 batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
-                scores, ctx, _ = score_bag(
+                scores, ctx, selection = score_bag(
                     model, batch.features, 2 * cfg.batch_bags, train=True, tsa_rng=noise_rng, dropout_rng=drop_rng
                 )
                 loss = dmt_loss(ctx, scores, batch.labels, cfg)
+                # backward frees each node it is done with unless it is held here
+                del scores, ctx, selection
                 loss_val = loss.item()
                 ag.backward(loss)
                 opt.step()

@@ -3,6 +3,7 @@
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -562,6 +563,36 @@ class TestBackward:
         c = probe(b, "c")
         backward(c.sum())
         assert calls == ["c", "b", "a"]
+
+    @pytest.mark.parametrize("hold_b", [False, True])
+    def test_nodes_are_freed_once_consumed_unless_held(self, hold_b):
+        """In x -> a -> b -> loss, b's value and gradient are gone by the time
+        a's vjp runs, unless the caller holds b: then b keeps its gradient,
+        and its consumed graph cannot be run backward again."""
+        refs, alive = [], []
+
+        def vjp_a(g):
+            alive.extend(ref() is not None for ref in refs)
+            return (g * 2.0,)
+
+        def vjp_b(g):
+            refs.append(weakref.ref(g))
+            return (g * 3.0,)
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        a = ag.custom_op("double", x.data * 2.0, (x,), vjp_a)
+        b = ag.custom_op("triple", a.data * 3.0, (a,), vjp_b)
+        refs.append(weakref.ref(b.data))
+        loss = b.sum()
+        held = b if hold_b else None
+        del a, b
+        backward(loss)
+        assert alive == [hold_b, hold_b]
+        assert x.grad.tolist() == [6.0, 6.0] and loss.grad == 1.0
+        if hold_b:
+            assert held.grad.tolist() == [1.0, 1.0]
+            with pytest.raises(GraphConsumedError):
+                backward((held * 2.0).sum())
 
     def test_composite_graph_matches_finite_differences(self):
         rng = np.random.default_rng(3)

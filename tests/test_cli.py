@@ -265,12 +265,27 @@ class TestLocatedNumericsErrors:
         assert len(batch) == 12 and f"'{vid}'" in batch
 
 
+# (flag, bad value, the message that follows the flag)
+OPTION_ERRORS = [
+    ("--t", "0", "must be positive, got 0"),
+    ("--batch", "0", "must be positive, got 0"),
+    ("--epochs", "0", "must be positive, got 0"),
+    ("--alpha", "9", "must be in [1, 8], got 9"),
+    ("--lr", "-1", "must be non-negative and finite, got -1.0"),
+    ("--weight-decay", "inf", "must be non-negative and finite, got inf"),
+    ("--margin", "-1", "must be non-negative and finite, got -1.0"),
+    ("--samples", "0", "must be >= 1, got 0"),
+    ("--r", "2", "must be in (0, 1], got 2.0"),
+    ("--sigma-noise", "0", "must be positive and finite, got 0.0"),
+]
+
+
 class TestBadOptions:
     @pytest.mark.parametrize("flag, field", [("--sigma-noise", "sigma_noise"), ("--margin", "margin")])
     def test_nan_option_exits_one_naming_it(self, dataset, tmp_path, capsys, flag, field):
-        """A NaN option is rejected, naming the config field it fills, before
-        training starts, not blamed on the first batch's videos once it has
-        made a gradient non-finite."""
+        """A NaN option is rejected, naming the flag rather than the config
+        field it fills, before training starts, not blamed on the first
+        batch's videos once it has made a gradient non-finite."""
         out = tmp_path / "run"
         code = main([
             "train", "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out),
@@ -278,7 +293,68 @@ class TestBadOptions:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: ValueError: {field} must be ") and err.endswith(", got nan\n"), err
+        assert err.startswith(f"error: ValueError: {flag} must be ") and err.endswith(", got nan\n"), err
+        assert f" {field} " not in err
+        assert not out.exists()
+
+    # sweep-r takes its ratios from --r-grid, so --r is checked by train and ablate only
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            (command, *case)
+            for command in ("train", "sweep-r", "ablate")
+            for case in OPTION_ERRORS
+            if (command, case[0]) != ("sweep-r", "--r")
+        ],
+    )
+    def test_option_error_names_the_flag(self, dataset, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "run"
+        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out)]
+        if command != "train":
+            argv += ["--test-manifest", str(dataset / "test" / "manifest.json")]
+        assert main([*argv, *FAST_TRAIN, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {flag} {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("ablate", "--seeds", ","),
+            ("ablate", "--seeds", ""),
+            ("ablate", "--seeds", "1,x"),
+            ("ablate", "--seeds", "0.5"),
+            ("sweep-r", "--r-grid", ""),
+            ("sweep-r", "--r-grid", " , "),
+            ("sweep-r", "--r-grid", "0.5,half"),
+        ],
+    )
+    def test_bad_list_exits_one_naming_the_flag(self, dataset, tmp_path, capsys, command, flag, value):
+        """An empty or malformed list is an error before any run, not a
+        mean over no seeds or a header-only CSV."""
+        out = tmp_path / "run"
+        code = main([
+            command, "--manifest", str(dataset / "train" / "manifest.json"),
+            "--test-manifest", str(dataset / "test" / "manifest.json"), "--out", str(out),
+            *FAST_TRAIN, flag, value,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: {flag} takes a non-empty comma-separated list of " + (
+            f"{'int' if flag == '--seeds' else 'float'} values, got {value!r}\n"
+        ), err
+        assert not out.exists()
+
+    def test_out_of_range_grid_ratio_names_the_grid(self, dataset, tmp_path, capsys):
+        """Each ratio of the grid is checked before the first run, and an
+        error names --r-grid, not --r."""
+        out = tmp_path / "run"
+        code = main([
+            "sweep-r", "--manifest", str(dataset / "train" / "manifest.json"),
+            "--test-manifest", str(dataset / "test" / "manifest.json"), "--out", str(out),
+            *FAST_TRAIN, "--r-grid", "0.5,1.5",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: --r-grid must be in (0, 1], got 1.5\n"
         assert not out.exists()
 
 
