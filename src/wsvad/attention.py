@@ -65,10 +65,10 @@ class SoftSelection:
     """Per-snippet inclusion probabilities of a perturbed top-k, plus the
     saved draws needed to differentiate through it.
 
-    A selection over several bags carries a leading bag axis on every array
-    (written ``...`` below); a one-bag selection has none. The rank order of
-    each sample's picks (``indices``, ``vhat``) is not kept; it is recomputed
-    from ``scores`` and ``noise`` when asked for.
+    A selection from ``tsa_fuse``, or from ``topk_score`` given ``bags``,
+    carries a leading bag axis on every array (written ``...`` below). The
+    rank order of each sample's picks (``indices``, ``vhat``) is not kept;
+    it is recomputed from ``scores`` and ``noise`` when asked for.
     """
 
     inclusion: np.ndarray  # (..., T) fraction of samples selecting each snippet, exact counts over M
@@ -203,13 +203,13 @@ def tsa_fuse(
     rng: np.random.Generator | None = None,
     *,
     noise: np.ndarray | None = None,
-    bags: int | None = None,
+    bags: int = 1,
 ) -> tuple[Tensor, SoftSelection]:
     """Nominate the top-kappa from precomputed scores and reweigh the features.
 
-    ``features`` is (T, d) for one bag, or with ``bags`` given, ``bags`` bags
-    of T snippets stacked along the rows; ``omega`` holds one score per row.
-    Each bag keeps its own top-kappa, all drawn in one ``topk_score`` call.
+    ``features`` holds ``bags`` bags of T snippets stacked along the rows and
+    ``omega`` one score per row. Each bag keeps its own top-kappa, all drawn
+    in one ``topk_score`` call; ``noise`` and the selection have a bag axis.
     Cloning the selection over feature channels, multiplying elementwise and
     summing over ranks collapses to scaling each snippet by its inclusion
     probability, which is how the fusion is computed.
@@ -219,7 +219,7 @@ def tsa_fuse(
     rows = features.shape[0]
     if omega.data.size != rows:
         raise ag.ShapeError(f"expected one score per snippet, got {omega.shape} for {rows} snippets")
-    kappa = kappa_from_ratio(ag.bag_length(rows, 1 if bags is None else bags), cfg.ratio)
+    kappa = kappa_from_ratio(ag.bag_length(rows, bags), cfg.ratio)
     selection = topk_score(
         omega.data, kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise, bags=bags
     )
@@ -244,8 +244,7 @@ def tsa_forward(
     cfg: TsaConfig,
     rng: np.random.Generator | None = None,
     *,
-    noise: np.ndarray | None = None,
-    bags: int | None = None,
+    bags: int = 1,
 ) -> tuple[Tensor, SoftSelection, Tensor]:
     """Score snippets, nominate the top-kappa, and reweigh the features.
 
@@ -254,5 +253,5 @@ def tsa_forward(
     selection.
     """
     omega = mlp_forward(scorer, features)
-    fhat, selection = tsa_fuse(features, omega, cfg, rng, noise=noise, bags=bags)
+    fhat, selection = tsa_fuse(features, omega, cfg, rng, bags=bags)
     return fhat, selection, omega

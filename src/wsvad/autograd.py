@@ -42,7 +42,7 @@ import contextlib
 import ctypes
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "bag_length",
     "concat",
     "conv1d_dilated",
-    "default_dtype",
     "dropout",
     "gather_rows",
     "l2_norm",
@@ -67,7 +66,6 @@ __all__ = [
     "pin_malloc_thresholds",
     "softmax",
     "using_dtype",
-    "zero_grad",
 ]
 
 
@@ -93,10 +91,6 @@ class GraphConsumedError(RuntimeError):
 _DTYPE = np.float32
 _GRAD_ENABLED = True
 _ids = itertools.count()
-
-
-def default_dtype() -> np.dtype:
-    return np.dtype(_DTYPE)
 
 
 @contextlib.contextmanager
@@ -287,9 +281,6 @@ class Tensor:
         """Matrix transpose; on a batch of matrices it swaps the last two axes."""
         return _transpose(self)
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
@@ -447,11 +438,12 @@ def _clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _from_op("clip", np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def dropout(a: Tensor, p: float, train: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when not training. The mask is saved for backward."""
+def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout, drawn from ``rng``; the identity when ``rng`` is None
+    or ``p`` is 0. The mask is saved for backward."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if rng is None or p == 0.0:
         return a
     scale = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
     return _from_op("dropout", a.data * scale, (a,), lambda g: (g * scale,))
@@ -720,8 +712,8 @@ def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Calla
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
-    Gradients accumulate additively across fan-out and across calls (clear
-    with `zero_grad`). The traversed records are consumed. A tensor's first
+    Gradients accumulate additively across fan-out and across calls (reset
+    `.grad` to None). The traversed records are consumed. A tensor's first
     gradient is the vjp's output as returned (cast if needed), which may be
     a view of another tensor's gradient; every later contribution is summed
     out of place. No gradient is written into once set, by the engine or by
@@ -783,8 +775,3 @@ def backward(loss: Tensor) -> None:
         # unless the caller holds the node, this frees its value, gradient and
         # vjp closure before the next vjp allocates
         node = rec = grads = parent = g = None
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

@@ -23,19 +23,19 @@ GEN_DEFAULTS = SyntheticConfig()
 TRAIN_DEFAULTS = TrainConfig()
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, *, ratio: bool = True) -> None:
     c, tsa = TRAIN_DEFAULTS, TRAIN_DEFAULTS.tsa
     p.add_argument("--epochs", type=int, default=c.epochs)
     p.add_argument("--batch", type=int, default=c.batch_bags, metavar="B", help="bags per class; the batch holds 2*B")
     p.add_argument("--t", type=int, default=c.t_len, help="snippets per bag after resizing")
-    p.add_argument("--r", type=float, default=tsa.ratio, help="fraction of snippets the attention keeps")
+    if ratio:  # sweep-r takes its ratios from --r-grid
+        p.add_argument("--r", type=float, default=tsa.ratio, help="fraction of snippets the attention keeps")
     p.add_argument("--alpha", type=int, default=c.alpha)
     p.add_argument("--margin", type=float, default=c.margin)
     p.add_argument("--sigma-noise", type=float, default=tsa.sigma_noise)
     p.add_argument("--samples", type=int, default=tsa.num_samples, metavar="M")
     p.add_argument("--lr", type=float, default=c.lr)
     p.add_argument("--weight-decay", type=float, default=c.weight_decay)
-    p.add_argument("--no-tsa", action="store_true", help="disable the attention stage")
 
 
 # the flag that sets each config field, so an option error names the flag
@@ -50,12 +50,30 @@ TRAIN_FLAGS = {
     "num_samples": "--samples",
     "ratio": "--r",
     "sigma_noise": "--sigma-noise",
+    "seed": "--seed",
+}
+GEN_FLAGS = {
+    "n_normal": "--n-normal",
+    "n_abnormal": "--n-abnormal",
+    "d": "--d",
+    "snippet_len": "--delta",
+    "frame_range": "--frames",
+    "eps_range": "--eps",
+    "anomaly_shift": "--shift",
+    "noise_std": "--noise-std",
+    "seed": "--seed",
 }
 
 
-def _train_config(args, *, seed: int | None = None, ratio: float | None = None, tsa_enabled: bool | None = None) -> TrainConfig:
-    """The training config the flags ask for; ``ratio``, when given, comes
-    from ``--r-grid`` and is named so in an error."""
+def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
+    """``exc`` naming the flag: every config check's message starts with the field."""
+    field, _, rest = str(exc).partition(" ")
+    return ValueError(f"{flags[field]} {rest}") if field in flags else exc
+
+
+def _train_config(args, *, seed: int | None = None, ratio: float | None = None, tsa_enabled: bool = True) -> TrainConfig:
+    """The training config the flags ask for; a ``seed`` or ``ratio`` given
+    here comes from ``--seeds`` or ``--r-grid``, and an error names it so."""
     use_seed = args.seed if seed is None else seed
     try:
         return TrainConfig(
@@ -72,16 +90,12 @@ def _train_config(args, *, seed: int | None = None, ratio: float | None = None, 
                 sigma_noise=args.sigma_noise,
                 seed=use_seed,
             ),
-            tsa_enabled=(not args.no_tsa) if tsa_enabled is None else tsa_enabled,
+            tsa_enabled=tsa_enabled,
             seed=use_seed,
         )
     except ValueError as exc:
-        # every config check's message starts with the field it rejects
-        field, _, rest = str(exc).partition(" ")
-        flag = "--r-grid" if field == "ratio" and ratio is not None else TRAIN_FLAGS.get(field)
-        if flag is None:
-            raise
-        raise ValueError(f"{flag} {rest}") from None
+        flags = {**TRAIN_FLAGS, "seed": "--seed" if seed is None else "--seeds", "ratio": "--r" if ratio is None else "--r-grid"}
+        raise _flag_error(exc, flags) from None
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
@@ -117,17 +131,20 @@ def _write_train_log(path: Path, log: list[dict]) -> None:
 
 
 def _synthetic_config(args) -> SyntheticConfig:
-    return SyntheticConfig(
-        n_normal=args.n_normal,
-        n_abnormal=args.n_abnormal,
-        d=args.d,
-        snippet_len=args.delta,
-        frame_range=(args.frames[0], args.frames[1]),
-        eps_range=(args.eps[0], args.eps[1]),
-        anomaly_shift=args.shift,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    try:
+        return SyntheticConfig(
+            n_normal=args.n_normal,
+            n_abnormal=args.n_abnormal,
+            d=args.d,
+            snippet_len=args.delta,
+            frame_range=(args.frames[0], args.frames[1]),
+            eps_range=(args.eps[0], args.eps[1]),
+            anomaly_shift=args.shift,
+            noise_std=args.noise_std,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _flag_error(exc, GEN_FLAGS) from None
 
 
 def _cmd_gen(args) -> int:
@@ -145,7 +162,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"--val-manifest needs --val-every >= 1, got {args.val_every}")
     if args.val_every and not args.val_manifest:
         raise ValueError(f"--val-every {args.val_every} needs --val-manifest")
-    cfg = _train_config(args)
+    cfg = _train_config(args, tsa_enabled=not args.no_tsa)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -178,6 +195,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model = load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,15 +235,15 @@ def _cmd_sweep_r(args) -> int:
 
 def _cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
-    _train_config(args, seed=seeds[0])  # the flags are checked before the first run
+    # every config is checked before the first run
+    cfgs = {(seed, on): _train_config(args, seed=seed, tsa_enabled=on) for seed in seeds for on in (True, False)}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed in seeds:
         aucs = {}
         for enabled in (True, False):
-            cfg = _train_config(args, seed=seed, tsa_enabled=enabled)
-            result = _train_once(Path(args.manifest), cfg)
+            result = _train_once(Path(args.manifest), cfgs[seed, enabled])
             report, _, _ = _eval_model(result.model, Path(args.test_manifest), seed)
             aucs[enabled] = report.auc_roc
         rows.append((seed, aucs[True], aucs[False], aucs[True] - aucs[False]))
@@ -271,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-manifest", default=None)
     p.add_argument("--val-every", type=int, default=0, help="epochs between validations; needs --val-manifest")
     _add_train_flags(p)
+    p.add_argument("--no-tsa", action="store_true", help="disable the attention stage")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a test split against frame ground truth")
@@ -288,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
     p.add_argument("--r-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    _add_train_flags(p)
+    _add_train_flags(p, ratio=False)
     p.set_defaults(func=_cmd_sweep_r)
 
     p = sub.add_parser("ablate", help="paired attention on/off runs over seeds")
@@ -299,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=_cmd_ablate)
 
+    for p in sub.choices.values():  # no abbreviations: `sweep-r --r` is not `--r-grid`
+        p.allow_abbrev = False
     return parser
 
 

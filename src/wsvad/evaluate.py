@@ -116,7 +116,7 @@ def infer_video(
             f"checkpoint expects {model.d}"
         )
     with ag.no_grad():
-        scores, _, _ = score_bag(model, Tensor(record.features), train=False, tsa_rng=rng)
+        scores, _, _ = score_bag(model, Tensor(record.features), tsa_rng=rng)
     return ScoreTimeline(
         video_id=record.video_id,
         label=record.label,

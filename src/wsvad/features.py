@@ -116,8 +116,7 @@ def temporal_normalize(features: np.ndarray, t_out: int) -> np.ndarray:
 
     Rows are averaged over contiguous non-overlapping chunks when shrinking
     (row i covers input rows [floor(T_k*i/t_out), floor(T_k*(i+1)/t_out))),
-    and repeated by nearest lower index when growing. The T_k == t_out case
-    returns the input unchanged.
+    and repeated by nearest lower index when growing.
     """
     feats = np.asarray(features)
     if feats.ndim != 2 or feats.shape[0] == 0:
@@ -125,8 +124,6 @@ def temporal_normalize(features: np.ndarray, t_out: int) -> np.ndarray:
     if t_out < 1:
         raise ValueError(f"target length must be positive, got {t_out}")
     t_in = feats.shape[0]
-    if t_in == t_out:
-        return feats.astype(np.float32, copy=True)
     wide = feats.astype(np.float64)
     out = np.empty((t_out, feats.shape[1]), dtype=np.float32)
     for i in range(t_out):

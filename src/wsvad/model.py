@@ -116,26 +116,24 @@ def init_model(
 def score_bag(
     model: Model,
     features: Tensor,
-    bags: int | None = None,
+    bags: int = 1,
     *,
-    train: bool = False,
     tsa_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
 ):
     """The detector's forward pass, for training and eval alike.
 
-    ``features`` is one (T, d) bag, or with ``bags`` given, ``bags`` bags of
-    T snippets stacked along the rows; every stage keeps the bags apart.
-    Returns (snippet scores (rows, 1), context features (rows, d), soft
-    selection or None when attention is disabled); the selection has a
-    leading bag axis exactly when ``bags`` is given.
+    ``features`` holds ``bags`` bags of T snippets stacked along the rows;
+    every stage keeps them apart, and the classifier drops out exactly when
+    ``dropout_rng`` is given. Returns (snippet scores (rows, 1), context
+    features (rows, d), soft selection or None when attention is disabled).
     """
     selection = None
     h = features
     if model.tsa_enabled:
         h, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
-    ctx = conv_module_forward(model.conv, h, 1 if bags is None else bags)
-    scores = mlp_forward(model.classifier, ctx, train=train, rng=dropout_rng)
+    ctx = conv_module_forward(model.conv, h, bags)
+    scores = mlp_forward(model.classifier, ctx, rng=dropout_rng)
     return scores, ctx, selection
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 
+CONV_DILATIONS = (1, 2, 4)  # one parallel conv branch each
+
 
 @dataclass
 class MLP:
@@ -33,16 +35,13 @@ def mlp_forward(
     mlp: MLP,
     x: Tensor,
     *,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Apply the MLP row-wise to a (T, d_in) tensor, returning (T, d_out):
-    one `linear` op per layer, plus dropout after each hidden layer."""
+    """Apply the MLP row-wise to a (T, d_in) tensor, returning (T, d_out): one
+    `linear` op per layer, and dropout after each hidden layer given ``rng``."""
     h = x
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        h = ag.linear(h, w, b, "relu")
-        if mlp.dropout_p > 0.0:
-            h = ag.dropout(h, mlp.dropout_p, train, rng)
+        h = ag.dropout(ag.linear(h, w, b, "relu"), mlp.dropout_p, rng)
     return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid")
 
 
@@ -59,7 +58,6 @@ class ConvModule:
     w_theta: Tensor
     w_phi: Tensor
     w_g: Tensor
-    dilations: tuple[int, ...] = (1, 2, 4)
 
     @property
     def width(self) -> int:
@@ -82,7 +80,7 @@ def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1) -> Tensor:
     # conv1d_dilated checks that the rows split into equal bags
     branches = [
         ag.conv1d_dilated(x, w, dil, bags, bias=b)
-        for w, b, dil in zip(mod.conv_w, mod.conv_b, mod.dilations)
+        for w, b, dil in zip(mod.conv_w, mod.conv_b, CONV_DILATIONS)
     ]
     branches.append(ag.nonlocal_attention(x, mod.w_theta, mod.w_phi, mod.w_g, bags))
     return ag.concat(branches, axis=1) + x

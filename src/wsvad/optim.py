@@ -6,6 +6,8 @@ import numpy as np
 
 from .autograd import ShapeError, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam. Weight decay is classic L2: added to the raw gradient
@@ -16,14 +18,10 @@ class Adam:
         self,
         params: dict[str, Tensor],
         lr: float = 0.001,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -39,8 +37,8 @@ class Adam:
         one is replaced by a private copy first.
         """
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -54,14 +52,14 @@ class Adam:
             if self.weight_decay:
                 g = np.add(g, np.multiply(p.data, self.weight_decay, out=t), out=t)
             # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g^2
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            v += np.multiply(np.square(g, out=s), 1.0 - self.beta2, out=s)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=s)
+            v *= BETA2
+            v += np.multiply(np.square(g, out=s), 1.0 - BETA2, out=s)
             # p -= (lr / bc1) * m / (sqrt(v / bc2) + eps)
             np.multiply(m, self.lr / bc1, out=s)
             np.sqrt(np.divide(v, bc2, out=t), out=t)
-            t += self.eps
+            t += EPS
             p.data -= np.divide(s, t, out=s)
 
     def zero_grad(self) -> None:

@@ -48,26 +48,25 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_normal < 1 or self.n_abnormal < 1:
-            raise ValueError("each split needs at least one normal and one abnormal video")
-        if self.d < 1 or self.snippet_len < 1:
-            raise ValueError("d and snippet_len must be positive")
-        lo, hi = self.frame_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad frame_range {self.frame_range}")
-        elo, ehi = self.eps_range
-        if not 1 <= elo <= ehi:
-            raise ValueError(f"bad eps_range {self.eps_range}")
+        for name in ("n_normal", "n_abnormal", "d", "snippet_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("frame_range", "eps_range"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"{name} must satisfy 1 <= LO <= HI, got {getattr(self, name)}")
         if not 0.0 < self.noise_std < math.inf:
             raise ValueError(f"noise_std must be positive and finite, got {self.noise_std}")
         if not 0.0 <= self.anomaly_shift < math.inf:
             raise ValueError(f"anomaly_shift must be non-negative and finite, got {self.anomaly_shift}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # anomalies are planted on whole snippets, so the shortest video must
         # fit eps_range[1] complete snippets
-        if lo // self.snippet_len < ehi:
+        if self.frame_range[0] // self.snippet_len < self.eps_range[1]:
             raise ValueError(
-                f"eps_range {self.eps_range} cannot fit: {lo} frames give only "
-                f"{lo // self.snippet_len} complete snippets of length {self.snippet_len}"
+                f"eps_range {self.eps_range} cannot fit: {self.frame_range[0]} frames give only "
+                f"{self.frame_range[0] // self.snippet_len} complete snippets of length {self.snippet_len}"
             )
 
 

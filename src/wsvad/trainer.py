@@ -50,6 +50,8 @@ class TrainConfig:
         for name in ("t_len", "batch_bags", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.alpha <= self.t_len:
             raise ValueError(f"alpha must be in [1, {self.t_len}], got {self.alpha}")
         for name in ("lr", "weight_decay", "margin", "w_margin", "w_bce"):
@@ -223,7 +225,7 @@ def train(
             try:
                 batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
                 scores, ctx, selection = score_bag(
-                    model, batch.features, 2 * cfg.batch_bags, train=True, tsa_rng=noise_rng, dropout_rng=drop_rng
+                    model, batch.features, 2 * cfg.batch_bags, tsa_rng=noise_rng, dropout_rng=drop_rng
                 )
                 loss = dmt_loss(ctx, scores, batch.labels, cfg)
                 # backward frees each node it is done with unless it is held here
@@ -273,7 +275,6 @@ def theorem1_probe(
     alphas: list[int],
     trials: int,
     anomaly_shift: float,
-    noise_std: float = 1.0,
     seed: int = 0,
 ) -> ProbeResult:
     """Empirical expected separability of raw bags as a function of alpha.
@@ -290,8 +291,8 @@ def theorem1_probe(
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
 
-    neg = rng.normal(0.0, noise_std, size=(trials, t_len, d))
-    pos = rng.normal(0.0, noise_std, size=(trials, t_len, d))
+    neg = rng.normal(0.0, 1.0, size=(trials, t_len, d))
+    pos = rng.normal(0.0, 1.0, size=(trials, t_len, d))
     pos[:, :eps, :] += anomaly_shift * direction
 
     def top_alpha_norms(bags: np.ndarray) -> np.ndarray:

@@ -203,7 +203,7 @@ class TestTsaForward:
         sel = topk_score(omega.data, 4, 10, 0.0)
         scale = sel.inclusion[:, None]
         expect = scale * feats.data
-        fhat, _ = tsa_fuse(feats, omega, cfg, noise=np.zeros((10, 8)))
+        fhat, _ = tsa_fuse(feats, omega, cfg, noise=np.zeros((1, 10, 8)))
         np.testing.assert_allclose(fhat.data, expect.astype(np.float32), atol=0)
         assert np.all(fhat.data[4:] == 0.0)
         np.testing.assert_array_equal(fhat.data[:4], feats.data[:4])
@@ -349,7 +349,7 @@ class TestSelectionGradient:
         feats64 = rng.normal(size=(6, 4))
         w64 = rng.normal(size=(4, 1))
         cfg = TsaConfig(num_samples=4, ratio=1.0, sigma_noise=1.0)
-        zeros = np.zeros((4, 6))
+        zeros = np.zeros((1, 4, 6))
 
         def loss_value(f_arr, w_arr):
             with ag.using_dtype(np.float64), ag.no_grad():
@@ -412,8 +412,8 @@ class TestBatchedSelection:
                 fi, si = tsa_fuse(xi, wi, cfg, rng)
                 ag.backward((fi * Tensor(upstream[i])).sum())
                 rows = slice(i * t_len, (i + 1) * t_len)
-                assert np.array_equal(sel.inclusion[i], si.inclusion)
-                assert np.array_equal(sel.indices[i], si.indices)
+                assert np.array_equal(sel.inclusion[i], si.inclusion[0])
+                assert np.array_equal(sel.indices[i], si.indices[0])
                 assert np.array_equal(fhat.data[rows], fi.data)
                 assert max_rel_err(x.grad[rows], xi.grad) < 1e-6
                 assert max_rel_err(w.grad[rows], wi.grad) < 1e-6
@@ -438,12 +438,11 @@ class TestBatchedSelection:
     def test_one_bag_batch_equals_unbatched_call(self):
         feats, omega, _ = self._bags(n=1)
         cfg = TsaConfig(num_samples=20, ratio=0.7, sigma_noise=0.1)
-        x, w = Tensor(feats[0]), Tensor(omega[0])
-        f1, s1 = tsa_fuse(x, w, cfg, np.random.default_rng(3), bags=1)
-        f0, s0 = tsa_fuse(x, w, cfg, np.random.default_rng(3))
-        assert np.array_equal(f1.data, f0.data)
+        f1, s1 = tsa_fuse(Tensor(feats[0]), Tensor(omega[0]), cfg, np.random.default_rng(3))
+        s0 = topk_score(omega[0], 4, 20, 0.1, np.random.default_rng(3))
+        assert np.array_equal(f1.data, s0.inclusion[:, None].astype(np.float32) * feats[0].astype(np.float32))
         assert np.array_equal(s1.inclusion[0], s0.inclusion)
-        assert s0.inclusion.shape == (7,)
+        assert (s1.inclusion.shape, s0.inclusion.shape) == ((1, 7), (7,))
 
     def test_rows_must_split_into_bags(self):
         cfg = TsaConfig(num_samples=4)

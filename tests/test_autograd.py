@@ -460,18 +460,18 @@ class TestElementwise:
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(8.0))
-        assert dropout(x, 0.5, train=False, rng=None) is x
+        assert dropout(x, 0.5, rng=None) is x
 
     def test_dropout_train_masks_and_rescales(self):
         x = Tensor(np.ones((100, 10)))
-        out = dropout(x, 0.7, train=True, rng=np.random.default_rng(0))
+        out = dropout(x, 0.7, rng=np.random.default_rng(0))
         values = set(np.unique(out.data).tolist())
         assert values <= {0.0, np.float32(1.0 / 0.3)}
         assert 0.2 < np.mean(out.data == 0.0) < 0.95
 
     def test_dropout_bad_p(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, train=True, rng=np.random.default_rng(0))
+            dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
 
 
 class TestBackward:
@@ -1016,7 +1016,7 @@ class TestDeterminism:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            h = dropout(matmul(x, w).relu(), 0.5, train=True, rng=np.random.default_rng(5))
+            h = dropout(matmul(x, w).relu(), 0.5, rng=np.random.default_rng(5))
             loss = l2_norm(h)
             backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, outputs, exit codes, reproducibility."""
 
+import argparse
 import filecmp
 import json
 import re
@@ -56,6 +57,26 @@ class TestGen:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, values, message",
+        [
+            ("--n-normal", ["0"], "must be positive, got 0"),
+            ("--n-abnormal", ["0"], "must be positive, got 0"),
+            ("--d", ["0"], "must be positive, got 0"),
+            ("--delta", ["0"], "must be positive, got 0"),
+            ("--frames", ["50", "10"], "must satisfy 1 <= LO <= HI, got (50, 10)"),
+            ("--eps", ["3", "1"], "must satisfy 1 <= LO <= HI, got (3, 1)"),
+            ("--shift", ["-1"], "must be non-negative and finite, got -1.0"),
+            ("--noise-std", ["0"], "must be positive and finite, got 0.0"),
+            ("--seed", ["-1"], "must be non-negative, got -1"),
+        ],
+    )
+    def test_option_error_names_the_flag(self, tmp_path, capsys, flag, values, message):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), *GEN_FLAGS, flag, *values]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {flag} {message}\n"
+        assert not out.exists()
+
 
 class TestDefaults:
     """Each flag's default comes from the config field it fills, so a
@@ -70,7 +91,9 @@ class TestDefaults:
     @pytest.mark.parametrize("command", ["train", "sweep-r"])
     def test_train_and_sweep_r(self, command):
         argv = ["--manifest", "m", "--out", "o"] + (["--test-manifest", "t"] if command == "sweep-r" else [])
-        assert cli._train_config(self.parse(command, *argv)) == TrainConfig()
+        # sweep-r has no --r; each run's ratio comes from --r-grid
+        ratio = TrainConfig().tsa.ratio if command == "sweep-r" else None
+        assert cli._train_config(self.parse(command, *argv), ratio=ratio) == TrainConfig()
 
     def test_ablate(self):
         args = self.parse("ablate", "--manifest", "m", "--test-manifest", "t", "--out", "o")
@@ -277,6 +300,7 @@ OPTION_ERRORS = [
     ("--samples", "0", "must be >= 1, got 0"),
     ("--r", "2", "must be in (0, 1], got 2.0"),
     ("--sigma-noise", "0", "must be positive and finite, got 0.0"),
+    ("--seed", "-1", "must be non-negative, got -1"),
 ]
 
 
@@ -297,14 +321,15 @@ class TestBadOptions:
         assert f" {field} " not in err
         assert not out.exists()
 
-    # sweep-r takes its ratios from --r-grid, so --r is checked by train and ablate only
+    # sweep-r takes its ratios from --r-grid, so --r is checked by train and
+    # ablate only; ablate takes --seeds, checked with eval's --seed below
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
             (command, *case)
             for command in ("train", "sweep-r", "ablate")
             for case in OPTION_ERRORS
-            if (command, case[0]) != ("sweep-r", "--r")
+            if (command, case[0]) not in {("sweep-r", "--r"), ("ablate", "--seed")}
         ],
     )
     def test_option_error_names_the_flag(self, dataset, tmp_path, capsys, command, flag, value, message):
@@ -344,6 +369,29 @@ class TestBadOptions:
         ), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [("eval", "--seed"), ("ablate", "--seeds")])
+    def test_negative_seed_names_the_flag(self, dataset, untrained_checkpoint, tmp_path, capsys, command, flag):
+        """A negative seed is an error naming the flag before anything is
+        written, not numpy's unlocated one from the first generator it seeds."""
+        out = tmp_path / "run"
+        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out), flag, "-1"]
+        if command == "eval":
+            argv += ["--checkpoint", str(untrained_checkpoint)]
+        else:
+            argv += ["--test-manifest", str(dataset / "test" / "manifest.json"), *FAST_TRAIN]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {flag} must be non-negative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("sweep-r", "--r"), ("sweep-r", "--no-tsa"), ("ablate", "--no-tsa")])
+    def test_flag_the_command_would_ignore_is_a_usage_error(self, capsys, command, flag):
+        """sweep-r takes its ratios from --r-grid and ablate runs the attention
+        both on and off, so neither accepts a flag it would drop; nor may
+        `--r` pass as an abbreviation of `--r-grid`."""
+        argv = [command, "--manifest", "m", "--test-manifest", "t", "--out", "o", flag]
+        assert main(argv + (["0.5"] if flag == "--r" else [])) == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
     def test_out_of_range_grid_ratio_names_the_grid(self, dataset, tmp_path, capsys):
         """Each ratio of the grid is checked before the first run, and an
         error names --r-grid, not --r."""
@@ -356,6 +404,53 @@ class TestBadOptions:
         assert code == 1
         assert capsys.readouterr().err == "error: ValueError: --r-grid must be in (0, 1], got 1.5\n"
         assert not out.exists()
+
+
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+# a valid value for each training flag, none of them the default
+FLAG_VALUES = {
+    "t_len": "5", "batch_bags": "3", "epochs": "2", "lr": "0.002", "weight_decay": "0.01", "alpha": "2",
+    "margin": "50", "num_samples": "7", "ratio": "0.5", "sigma_noise": "0.1", "seed": "4",
+}
+
+
+class TestFlagsReachTheConfig:
+    """Every training flag a command accepts is in the config its first run
+    trains with; a flag it accepts and drops fails here."""
+
+    def first_config(self, dataset, tmp_path, monkeypatch, command, *flags) -> TrainConfig:
+        configs = []
+
+        def stop(manifest, base_dir, cfg, **kwargs):
+            configs.append(cfg)
+            raise RuntimeError("stop before training")
+
+        monkeypatch.setattr(cli, "train", stop)
+        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(tmp_path / "run")]
+        if command != "train":
+            argv += ["--test-manifest", str(dataset / "test" / "manifest.json")]
+        assert main([*argv, *flags]) == 1
+        return configs[0]
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            (command, field)
+            for command in ("train", "sweep-r", "ablate")
+            for field, flag in cli.TRAIN_FLAGS.items()
+            if flag in SUBCOMMANDS[command]._option_string_actions
+        ],
+    )
+    def test_flag_reaches_the_config(self, dataset, tmp_path, monkeypatch, capsys, command, field):
+        cfg = self.first_config(dataset, tmp_path, monkeypatch, command, cli.TRAIN_FLAGS[field], FLAG_VALUES[field])
+        assert capsys.readouterr().err == "error: RuntimeError: stop before training\n"
+        owner, default = (cfg, TrainConfig()) if hasattr(cfg, field) else (cfg.tsa, TrainConfig().tsa)
+        value = getattr(owner, field)
+        assert value == type(value)(FLAG_VALUES[field]) != getattr(default, field)
+
+    def test_no_tsa_reaches_the_config(self, dataset, tmp_path, monkeypatch, capsys):
+        assert not self.first_config(dataset, tmp_path, monkeypatch, "train", "--no-tsa").tsa_enabled
+        capsys.readouterr()
 
 
 class TestValidation:

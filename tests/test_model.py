@@ -291,7 +291,7 @@ class TestScoreBag:
         with no_grad():
             scores, _, sel = score_bag(model, feats, tsa_rng=np.random.default_rng(0))
         assert np.all((scores.data > 0) & (scores.data < 1))
-        assert sel is not None and sel.vhat.shape[1] == 10
+        assert sel is not None and sel.vhat.shape[::2] == (1, 10)
 
     @pytest.mark.parametrize("tsa_enabled", [True, False])
     def test_stacked_bags_match_one_bag_calls(self, tsa_enabled):
@@ -309,7 +309,7 @@ class TestScoreBag:
         np.testing.assert_allclose(ctx.data, np.concatenate([c.data for _, c, _ in singles]), atol=1e-6)
         if tsa_enabled:
             assert sel.inclusion.shape == (n, t_len)
-            assert np.array_equal(sel.inclusion, np.stack([s.inclusion for _, _, s in singles]))
+            assert np.array_equal(sel.inclusion, np.concatenate([s.inclusion for _, _, s in singles]))
         else:
             assert sel is None and all(s is None for _, _, s in singles)
 

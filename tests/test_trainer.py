@@ -324,7 +324,8 @@ class TestConvModule:
             per_bag = [conv_module_forward(mod, b) for b in bags]
             ag.backward(ag.l2_norm(ag.concat(per_bag, axis=0)))
             want = [b.grad.copy() for b in bags] + [p.grad.copy() for p in conv_params(mod)]
-            ag.zero_grad(conv_params(mod))
+            for p in conv_params(mod):
+                p.grad = None
             x = Tensor(np.concatenate(arrays), requires_grad=True)
             ag.backward(ag.l2_norm(conv_module_forward(mod, x, 3)))
             got = list(np.split(x.grad, 3)) + [p.grad for p in conv_params(mod)]
@@ -581,7 +582,7 @@ class TestEndToEndGradientIntegrity:
             margin=2.0,
             tsa=TsaConfig(num_samples=3, ratio=1.0, sigma_noise=0.5, seed=0),
         )
-        zeros = np.zeros((3, 4))
+        zeros = np.zeros((1, 3, 4))
 
         with ag.using_dtype(np.float64):
             model = init_model(4, cfg.tsa, np.random.SeedSequence(17), scorer_hidden=(6, 5))
