@@ -65,8 +65,8 @@ class SoftSelection:
     """Per-snippet inclusion probabilities of a perturbed top-k, plus the
     saved draws needed to differentiate through it.
 
-    A selection from ``tsa_fuse``, or from ``topk_score`` given ``bags``,
-    carries a leading bag axis on every array (written ``...`` below). The
+    A selection from ``tsa_fuse``, or from ``topk_score`` given bags along
+    leading axes, carries them on every array (written ``...`` below). The
     rank order of each sample's picks (``indices``, ``vhat``) is not kept;
     it is recomputed from ``scores`` and ``noise`` when asked for.
     """
@@ -139,7 +139,6 @@ def topk_score(
     rng: np.random.Generator | None = None,
     *,
     noise: np.ndarray | None = None,
-    bags: int | None = None,
 ) -> SoftSelection:
     """Perturbed top-k nominator.
 
@@ -148,16 +147,15 @@ def topk_score(
     perturbed score (ties to the lower index) and counts how often each
     snippet was selected.
 
-    ``omega`` holds one bag's T scores in any shape, or with ``bags`` given,
-    ``bags`` bags of T scores one after another; the selection's arrays then
-    carry a leading bag axis, and the noise is drawn as one (bags, M, T)
-    array, the same stream as ``bags`` one-bag draws in order.
+    ``omega`` (..., T) holds one bag's T scores along its last axis; any
+    leading axes are bags, which the selection's arrays keep in front. The
+    noise is drawn as one (..., M, T) array, the same stream as one-bag
+    draws in order.
     """
     w = np.asarray(omega, dtype=np.float64)
-    w = w.reshape(-1) if bags is None else w.reshape(bags, ag.bag_length(w.size, bags))
+    if w.ndim == 0 or w.shape[-1] < 1:
+        raise ValueError(f"expected scores along a non-empty last axis, got shape {w.shape}")
     t_len = w.shape[-1]
-    if t_len < 1:
-        raise ValueError("empty score vector")
     if not 1 <= kappa <= t_len:
         raise ValueError(f"kappa must be in [1, {t_len}], got {kappa}")
     if num_samples < 1:
@@ -220,9 +218,7 @@ def tsa_fuse(
     if omega.data.size != rows:
         raise ag.ShapeError(f"expected one score per snippet, got {omega.shape} for {rows} snippets")
     kappa = kappa_from_ratio(ag.bag_length(rows, bags), cfg.ratio)
-    selection = topk_score(
-        omega.data, kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise, bags=bags
-    )
+    selection = topk_score(omega.data.reshape(bags, -1), kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise)
     incl = selection.inclusion.reshape(rows, 1)
     fused = incl.astype(features.data.dtype) * features.data
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,55 +19,62 @@ from .trainer import TrainConfig, train
 
 CHECKPOINT_FILENAME = "checkpoint.vadc"
 
-# every flag's default is read off the config it fills
-GEN_DEFAULTS = SyntheticConfig()
+# One row per config flag: (flag, the config field it fills, argparse
+# extras). The parser reads each default off the config and its type off
+# that default, and an option error names the row's flag.
+GEN_FLAGS = (
+    ("--seed", "seed", {}),
+    ("--d", "d", {}),
+    ("--delta", "snippet_len", dict(help="frames per snippet")),
+    ("--n-normal", "n_normal", {}),
+    ("--n-abnormal", "n_abnormal", {}),
+    ("--frames", "frame_range", dict(nargs=2, metavar=("LO", "HI"))),
+    ("--eps", "eps_range", dict(nargs=2, metavar=("LO", "HI"), help="planted abnormal snippets per abnormal video")),
+    ("--shift", "anomaly_shift", {}),
+    ("--noise-std", "noise_std", {}),
+)
+TRAIN_FLAGS = (
+    ("--epochs", "epochs", {}),
+    ("--batch", "batch_bags", dict(metavar="B", help="bags per class; the batch holds 2*B")),
+    ("--t", "t_len", dict(help="snippets per bag after resizing")),
+    ("--r", "ratio", dict(help="fraction of snippets the attention keeps")),
+    ("--alpha", "alpha", {}),
+    ("--margin", "margin", {}),
+    ("--sigma-noise", "sigma_noise", {}),
+    ("--samples", "num_samples", dict(metavar="M")),
+    ("--lr", "lr", {}),
+    ("--weight-decay", "weight_decay", {}),
+)
 TRAIN_DEFAULTS = TrainConfig()
+TSA_FIELDS = {f.name for f in fields(TsaConfig)}
 
 
-def _add_train_flags(p: argparse.ArgumentParser, *, ratio: bool = True) -> None:
-    c, tsa = TRAIN_DEFAULTS, TRAIN_DEFAULTS.tsa
-    p.add_argument("--epochs", type=int, default=c.epochs)
-    p.add_argument("--batch", type=int, default=c.batch_bags, metavar="B", help="bags per class; the batch holds 2*B")
-    p.add_argument("--t", type=int, default=c.t_len, help="snippets per bag after resizing")
-    if ratio:  # sweep-r takes its ratios from --r-grid
-        p.add_argument("--r", type=float, default=tsa.ratio, help="fraction of snippets the attention keeps")
-    p.add_argument("--alpha", type=int, default=c.alpha)
-    p.add_argument("--margin", type=float, default=c.margin)
-    p.add_argument("--sigma-noise", type=float, default=tsa.sigma_noise)
-    p.add_argument("--samples", type=int, default=tsa.num_samples, metavar="M")
-    p.add_argument("--lr", type=float, default=c.lr)
-    p.add_argument("--weight-decay", type=float, default=c.weight_decay)
+def _add_flags(p: argparse.ArgumentParser, table, defaults: dict, *, skip: str | None = None) -> None:
+    """Add each table flag but ``skip``; ``defaults`` maps each config field
+    to its default, whose type (or its items' type) the flag parses to."""
+    for flag, name, extras in table:
+        if flag != skip:
+            default = defaults[name]
+            kind = type(default[0] if isinstance(default, tuple) else default)
+            p.add_argument(flag, type=kind, default=default, **extras)
 
 
-# the flag that sets each config field, so an option error names the flag
-TRAIN_FLAGS = {
-    "t_len": "--t",
-    "batch_bags": "--batch",
-    "epochs": "--epochs",
-    "lr": "--lr",
-    "weight_decay": "--weight-decay",
-    "alpha": "--alpha",
-    "margin": "--margin",
-    "num_samples": "--samples",
-    "ratio": "--r",
-    "sigma_noise": "--sigma-noise",
-    "seed": "--seed",
-}
-GEN_FLAGS = {
-    "n_normal": "--n-normal",
-    "n_abnormal": "--n-abnormal",
-    "d": "--d",
-    "snippet_len": "--delta",
-    "frame_range": "--frames",
-    "eps_range": "--eps",
-    "anomaly_shift": "--shift",
-    "noise_std": "--noise-std",
-    "seed": "--seed",
-}
+def _flag_values(args, table) -> dict:
+    """The value of each table flag the command has, keyed by its config
+    field; a two-value flag parses to a list, and the config holds a tuple."""
+    values = {}
+    for flag, name, _ in table:
+        dest = flag.lstrip("-").replace("-", "_")
+        if dest in args:
+            value = getattr(args, dest)
+            values[name] = tuple(value) if isinstance(value, list) else value
+    return values
 
 
-def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
-    """``exc`` naming the flag: every config check's message starts with the field."""
+def _flag_error(exc: ValueError, table, **named: str) -> ValueError:
+    """``exc`` naming the flag: every config check's message starts with the
+    field, and ``named`` gives the flag of a field set from outside the table."""
+    flags = {name: flag for flag, name, _ in table} | named
     field, _, rest = str(exc).partition(" ")
     return ValueError(f"{flags[field]} {rest}") if field in flags else exc
 
@@ -75,27 +83,15 @@ def _train_config(args, *, seed: int | None = None, ratio: float | None = None, 
     """The training config the flags ask for; a ``seed`` or ``ratio`` given
     here comes from ``--seeds`` or ``--r-grid``, and an error names it so."""
     use_seed = args.seed if seed is None else seed
+    values = _flag_values(args, TRAIN_FLAGS)
+    if ratio is not None:
+        values["ratio"] = ratio
+    tsa = {name: values.pop(name) for name in TSA_FIELDS & values.keys()}
     try:
-        return TrainConfig(
-            t_len=args.t,
-            batch_bags=args.batch,
-            epochs=args.epochs,
-            lr=args.lr,
-            weight_decay=args.weight_decay,
-            alpha=args.alpha,
-            margin=args.margin,
-            tsa=TsaConfig(
-                num_samples=args.samples,
-                ratio=args.r if ratio is None else ratio,
-                sigma_noise=args.sigma_noise,
-                seed=use_seed,
-            ),
-            tsa_enabled=tsa_enabled,
-            seed=use_seed,
-        )
+        return TrainConfig(**values, tsa=TsaConfig(**tsa, seed=use_seed), tsa_enabled=tsa_enabled, seed=use_seed)
     except ValueError as exc:
-        flags = {**TRAIN_FLAGS, "seed": "--seed" if seed is None else "--seeds", "ratio": "--r" if ratio is None else "--r-grid"}
-        raise _flag_error(exc, flags) from None
+        named = dict(seed="--seed" if seed is None else "--seeds", ratio="--r" if ratio is None else "--r-grid")
+        raise _flag_error(exc, TRAIN_FLAGS, **named) from None
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
@@ -109,9 +105,10 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
     raise ValueError(f"{flag} takes a non-empty comma-separated list of {kind.__name__} values, got {text!r}")
 
 
-def _train_once(manifest_path: Path, cfg: TrainConfig):
-    manifest = load_manifest(manifest_path)
-    return train(manifest, manifest_path.parent, cfg)
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _eval_model(model, test_manifest_path: Path, seed: int, gt_path: Path | None = None):
@@ -121,28 +118,34 @@ def _eval_model(model, test_manifest_path: Path, seed: int, gt_path: Path | None
     return evaluate_manifest(manifest, test_manifest_path.parent, model, ground_truth, eval_seed=seed)
 
 
-def _write_train_log(path: Path, log: list[dict]) -> None:
+def _load_split(manifest_path: Path):
+    """A split's records and ground truth, loaded once for repeated evaluation."""
+    records = load_records(load_manifest(manifest_path), manifest_path.parent)
+    return records, load_ground_truth(manifest_path.parent / GROUND_TRUTH_FILENAME)
+
+
+def _train_and_eval(args, cfgs: list[TrainConfig]):
+    """Train on ``--manifest`` with each config in turn and yield the report
+    of that model on ``--test-manifest``, evaluated with the run's seed."""
+    manifest_path = Path(args.manifest)
+    manifest = load_manifest(manifest_path)
+    test_records, test_truth = _load_split(Path(args.test_manifest))
+    for cfg in cfgs:
+        model = train(manifest, manifest_path.parent, cfg).model
+        yield evaluate_records(test_records, model, test_truth, eval_seed=cfg.seed)[0]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Each value is written as its repr, None as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "val_auc"])
-        for row in log:
-            val = row.get("val_auc")
-            writer.writerow([row["epoch"], repr(row["loss"]), "" if val is None else repr(val)])
+        writer.writerow(header)
+        writer.writerows(["" if v is None else repr(v) for v in row] for row in rows)
 
 
 def _synthetic_config(args) -> SyntheticConfig:
     try:
-        return SyntheticConfig(
-            n_normal=args.n_normal,
-            n_abnormal=args.n_abnormal,
-            d=args.d,
-            snippet_len=args.delta,
-            frame_range=(args.frames[0], args.frames[1]),
-            eps_range=(args.eps[0], args.eps[1]),
-            anomaly_shift=args.shift,
-            noise_std=args.noise_std,
-            seed=args.seed,
-        )
+        return SyntheticConfig(**_flag_values(args, GEN_FLAGS))
     except ValueError as exc:
         raise _flag_error(exc, GEN_FLAGS) from None
 
@@ -163,15 +166,11 @@ def _cmd_train(args) -> int:
     if args.val_every and not args.val_manifest:
         raise ValueError(f"--val-every {args.val_every} needs --val-manifest")
     cfg = _train_config(args, tsa_enabled=not args.no_tsa)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
 
     val_fn = None
     if args.val_manifest:
-        # loaded once; every validation scores the same records
-        val_path = Path(args.val_manifest)
-        val_records = load_records(load_manifest(val_path), val_path.parent)
-        val_truth = load_ground_truth(val_path.parent / GROUND_TRUTH_FILENAME)
+        val_records, val_truth = _load_split(Path(args.val_manifest))
 
         def val_fn(model):
             report, _, _ = evaluate_records(val_records, model, val_truth, eval_seed=args.seed)
@@ -186,7 +185,8 @@ def _cmd_train(args) -> int:
         val_every=args.val_every,
     )
     save_checkpoint(result.model, out / CHECKPOINT_FILENAME)
-    _write_train_log(out / "train_log.csv", result.log)
+    log = [(row["epoch"], row["loss"], row.get("val_auc")) for row in result.log]
+    _write_csv(out / "train_log.csv", ["epoch", "loss", "val_auc"], log)
     print(
         f"trained {cfg.epochs} epochs; loss {result.log[0]['loss']:.4f} -> "
         f"{result.log[-1]['loss']:.4f}; checkpoint at {out / CHECKPOINT_FILENAME}"
@@ -198,8 +198,7 @@ def _cmd_eval(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model = load_checkpoint(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     gt_path = Path(args.ground_truth) if args.ground_truth else None
     report, timelines, masks = _eval_model(model, Path(args.manifest), args.seed, gt_path)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -215,19 +214,12 @@ def _cmd_sweep_r(args) -> int:
     grid = _parse_list(args.r_grid, "--r-grid", float)
     # every config is checked before the first run
     cfgs = [_train_config(args, ratio=r) for r in grid]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     rows = []
-    for r, cfg in zip(grid, cfgs):
-        result = _train_once(Path(args.manifest), cfg)
-        report, _, _ = _eval_model(result.model, Path(args.test_manifest), args.seed)
+    for r, report in zip(grid, _train_and_eval(args, cfgs)):
         rows.append((r, report.auc_roc, report.auc_pr))
         print(f"r={r:.2f}  AUC@ROC {report.auc_roc:.4f}  AUC@PR {report.auc_pr:.4f}")
-    with open(out / "sweep_r.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "auc_roc", "auc_pr"])
-        for r, roc, pr in rows:
-            writer.writerow([repr(r), repr(roc), repr(pr)])
+    _write_csv(out / "sweep_r.csv", ["r", "auc_roc", "auc_pr"], rows)
     best = max(rows, key=lambda row: row[1])
     print(f"best r={best[0]:.2f} with AUC@ROC {best[1]:.4f}")
     return 0
@@ -235,27 +227,16 @@ def _cmd_sweep_r(args) -> int:
 
 def _cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
-    # every config is checked before the first run
-    cfgs = {(seed, on): _train_config(args, seed=seed, tsa_enabled=on) for seed in seeds for on in (True, False)}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every config is checked before the first run; each seed trains with the attention on, then off
+    cfgs = [_train_config(args, seed=seed, tsa_enabled=on) for seed in seeds for on in (True, False)]
+    out = _out_dir(args)
+    reports = _train_and_eval(args, cfgs)
     rows = []
     for seed in seeds:
-        aucs = {}
-        for enabled in (True, False):
-            result = _train_once(Path(args.manifest), cfgs[seed, enabled])
-            report, _, _ = _eval_model(result.model, Path(args.test_manifest), seed)
-            aucs[enabled] = report.auc_roc
-        rows.append((seed, aucs[True], aucs[False], aucs[True] - aucs[False]))
-        print(
-            f"seed={seed}  attention on {aucs[True]:.4f}  off {aucs[False]:.4f}  "
-            f"delta {aucs[True] - aucs[False]:+.4f}"
-        )
-    with open(out / "ablate.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "auc_tsa_on", "auc_tsa_off", "delta"])
-        for seed, on, off, delta in rows:
-            writer.writerow([seed, repr(on), repr(off), repr(delta)])
+        on, off = next(reports).auc_roc, next(reports).auc_roc
+        rows.append((seed, on, off, on - off))
+        print(f"seed={seed}  attention on {on:.4f}  off {off:.4f}  delta {on - off:+.4f}")
+    _write_csv(out / "ablate.csv", ["seed", "auc_tsa_on", "auc_tsa_off", "delta"], rows)
     mean_delta = float(np.mean([row[3] for row in rows]))
     print(f"mean delta over {len(seeds)} seeds: {mean_delta:+.4f}")
     return 0
@@ -267,20 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weakly-supervised video anomaly detection on snippet features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    train_defaults = vars(TRAIN_DEFAULTS) | vars(TRAIN_DEFAULTS.tsa)
 
-    g = GEN_DEFAULTS
     p = sub.add_parser("gen", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=g.seed)
-    p.add_argument("--d", type=int, default=g.d)
-    p.add_argument("--delta", type=int, default=g.snippet_len, help="frames per snippet")
-    p.add_argument("--n-normal", type=int, default=g.n_normal)
-    p.add_argument("--n-abnormal", type=int, default=g.n_abnormal)
-    p.add_argument("--frames", type=int, nargs=2, default=list(g.frame_range), metavar=("LO", "HI"))
-    p.add_argument("--eps", type=int, nargs=2, default=list(g.eps_range), metavar=("LO", "HI"),
-                   help="planted abnormal snippets per abnormal video")
-    p.add_argument("--shift", type=float, default=g.anomaly_shift)
-    p.add_argument("--noise-std", type=float, default=g.noise_std)
+    _add_flags(p, GEN_FLAGS, vars(SyntheticConfig()))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train", help="fit a detector and write a checkpoint")
@@ -289,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
     p.add_argument("--val-manifest", default=None)
     p.add_argument("--val-every", type=int, default=0, help="epochs between validations; needs --val-manifest")
-    _add_train_flags(p)
+    _add_flags(p, TRAIN_FLAGS, train_defaults)
     p.add_argument("--no-tsa", action="store_true", help="disable the attention stage")
     p.set_defaults(func=_cmd_train)
 
@@ -308,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=TRAIN_DEFAULTS.seed)
     p.add_argument("--r-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    _add_train_flags(p, ratio=False)
+    _add_flags(p, TRAIN_FLAGS, train_defaults, skip="--r")  # each run's ratio comes from --r-grid
     p.set_defaults(func=_cmd_sweep_r)
 
     p = sub.add_parser("ablate", help="paired attention on/off runs over seeds")
@@ -316,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", default="0,1,2,3,4")
-    _add_train_flags(p)
+    _add_flags(p, TRAIN_FLAGS, train_defaults)
     p.set_defaults(func=_cmd_ablate)
 
     for p in sub.choices.values():  # no abbreviations: `sweep-r --r` is not `--r-grid`

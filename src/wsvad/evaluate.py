@@ -200,7 +200,6 @@ def evaluate_records(
     ag.pin_malloc_thresholds()
     if not records:
         raise ValueError("no videos to evaluate: the split is empty")
-    started = time.perf_counter()
     masks = video_frame_labels(records, ground_truth)
     timelines: list[ScoreTimeline] = []
     runs: list[tuple[np.ndarray, ...]] = []  # (score, binary, label, weight) per entry
@@ -254,7 +253,6 @@ def evaluate_records(
             "d": model.d,
         },
         per_video=per_video,
-        wall_clock_sec=time.perf_counter() - started,
     )
     return report, timelines, masks
 

@@ -138,19 +138,14 @@ def score_bag(
 
 
 def save_checkpoint(model: Model, path) -> None:
+    tsa = {f.name: getattr(model.tsa, f.name) for f in fields(TsaConfig)}  # the fields _init_args reads back
     header = {
         "d": model.d,
         "scorer_hidden": list(model.scorer.dims[1:-1]),
         "classifier_hidden": list(model.classifier.dims[1:-1]),
         "classifier_dropout": model.classifier.dropout_p,
         "conv_kernel": model.conv.kernel,
-        "tsa": {
-            "num_samples": model.tsa.num_samples,
-            "ratio": model.tsa.ratio,
-            "sigma_noise": model.tsa.sigma_noise,
-            "seed": model.tsa.seed,
-            "estimator": CHECKPOINT_ESTIMATOR,
-        },
+        "tsa": {**tsa, "estimator": CHECKPOINT_ESTIMATOR},
         "tsa_enabled": model.tsa_enabled,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -109,11 +109,8 @@ def _generate_split(
         video_id = f"{split}_anom_{i:04d}"
         frames = int(rng.integers(cfg.frame_range[0], cfg.frame_range[1] + 1))
         eps = int(rng.integers(cfg.eps_range[0], cfg.eps_range[1] + 1))
+        # SyntheticConfig guarantees whole >= eps_range[1] >= eps
         whole = frames // cfg.snippet_len
-        if eps > whole:
-            raise ValueError(
-                f"{video_id}: {eps} abnormal snippets do not fit {whole} complete snippets"
-            )
         start = int(rng.integers(0, whole - eps + 1))
         feats = _normal_snippets(cfg, rng, frames)
         feats[start : start + eps] += (cfg.anomaly_shift * direction).astype(np.float32)

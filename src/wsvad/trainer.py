@@ -40,8 +40,6 @@ class TrainConfig:
     weight_decay: float = 0.005
     alpha: int = 3  # top instances per bag in the loss
     margin: float = 100.0
-    w_margin: float = 1.0
-    w_bce: float = 1.0
     tsa: TsaConfig = field(default_factory=TsaConfig)
     tsa_enabled: bool = True
     seed: int = 0
@@ -54,7 +52,7 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.alpha <= self.t_len:
             raise ValueError(f"alpha must be in [1, {self.t_len}], got {self.alpha}")
-        for name in ("lr", "weight_decay", "margin", "w_margin", "w_bce"):
+        for name in ("lr", "weight_decay", "margin"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
@@ -142,7 +140,13 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
 
 
 def dmt_loss(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) -> Tensor:
-    """Margin hinge on paired bag separabilities plus video-level BCE.
+    """Margin hinge on paired bag separabilities plus video-level BCE."""
+    margin_term, bce_term = dmt_terms(ctx, scores, labels, cfg)
+    return margin_term + bce_term
+
+
+def dmt_terms(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) -> tuple[Tensor, Tensor]:
+    """The two terms of ``dmt_loss``: the mean margin hinge and the BCE.
 
     ``ctx`` (2B * T, d) and ``scores`` (2B * T, 1) hold 2B bags of T snippets
     stacked along the rows, B normal bags then B abnormal, as ``labels`` (2B,)
@@ -170,10 +174,8 @@ def dmt_loss(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) 
     # likelihood of each bag's label: s for abnormal, 1 - s for normal
     y = labels.astype(np.float64)[:, None]
     likelihood = video * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)
-    mean_log_likelihood = likelihood.log().mean()
-
     # the BCE term is the negative mean log-likelihood
-    return margin_term * cfg.w_margin + mean_log_likelihood * -cfg.w_bce
+    return margin_term, -likelihood.log().mean()
 
 
 @dataclass
@@ -257,10 +259,6 @@ class ProbeResult:
     @property
     def mean(self) -> np.ndarray:
         return self.samples.mean(axis=0)
-
-    @property
-    def stderr(self) -> np.ndarray:
-        return self.samples.std(axis=0, ddof=1) / np.sqrt(self.samples.shape[0])
 
     def paired_diff(self, i: int, j: int) -> tuple[float, float]:
         """Mean and standard error of samples[:, i] - samples[:, j]."""

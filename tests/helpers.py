@@ -117,7 +117,7 @@ def ref_dmt_loss(ctx_feats: list, scores: list, labels: np.ndarray, cfg) -> ag.T
         bce_sum = nll if bce_sum is None else bce_sum + nll
     margin_term = hinge_sum * (1.0 / b)
     bce_term = bce_sum * (1.0 / (2 * b))
-    return margin_term * cfg.w_margin + bce_term * cfg.w_bce
+    return margin_term + bce_term
 
 
 def ref_conv1d_dilated(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:

@@ -107,7 +107,7 @@ class TestTopkStructure:
         else:
             omega, z, sigma = np.full((*lead, t_len), 0.5), np.zeros((*lead, m, t_len)), 0.0
         for kappa in (1, t_len - 1, t_len):
-            sel = topk_score(omega, kappa, m, sigma, noise=z, bags=bags)
+            sel = topk_score(omega, kappa, m, sigma, noise=z)
             indices, inclusion, v, vhat = ref_topk(omega, kappa, z, sigma)
             assert np.array_equal(sel.indices, indices)
             assert np.array_equal(sel.inclusion, inclusion)
@@ -127,7 +127,7 @@ class TestTopkStructure:
         overfilled = np.count_nonzero(perturbed >= kth, axis=-1) > kappa
         assert overfilled.any() and not overfilled.all()
 
-        sel = topk_score(omega, kappa, m, sigma, noise=z, bags=bags)
+        sel = topk_score(omega, kappa, m, sigma, noise=z)
         indices, inclusion, v, _ = ref_topk(omega, kappa, z, sigma)
         assert np.array_equal(sel.selected, v.astype(bool))
         assert np.array_equal(sel.inclusion, inclusion)
@@ -200,7 +200,7 @@ class TestTsaForward:
         scorer = self._scorer()
         omega = Tensor(np.linspace(0.9, 0.1, 8).reshape(8, 1))
         cfg = TsaConfig(num_samples=10, ratio=0.5, sigma_noise=0.05, seed=0)
-        sel = topk_score(omega.data, 4, 10, 0.0)
+        sel = topk_score(omega.data[:, 0], 4, 10, 0.0)
         scale = sel.inclusion[:, None]
         expect = scale * feats.data
         fhat, _ = tsa_fuse(feats, omega, cfg, noise=np.zeros((1, 10, 8)))
@@ -430,7 +430,7 @@ class TestBatchedSelection:
         assert sel.inclusion_jacobian().shape == (2, 6, 6)
         assert (sel.num_samples, sel.kappa, sel.t_len) == (16, 3, 6)
         for i in range(2):
-            one = topk_score(omega[i], 3, 16, 0.1, noise=sel.noise[i])
+            one = topk_score(omega[i, :, 0], 3, 16, 0.1, noise=sel.noise[i])
             assert np.array_equal(sel.vhat[i], one.vhat)
             g = np.random.default_rng(i).normal(size=6)
             assert max_rel_err(sel.grad_scores(np.stack([g, g]))[i], one.grad_scores(g), abs_floor=1e-300) < 1e-12
@@ -439,17 +439,20 @@ class TestBatchedSelection:
         feats, omega, _ = self._bags(n=1)
         cfg = TsaConfig(num_samples=20, ratio=0.7, sigma_noise=0.1)
         f1, s1 = tsa_fuse(Tensor(feats[0]), Tensor(omega[0]), cfg, np.random.default_rng(3))
-        s0 = topk_score(omega[0], 4, 20, 0.1, np.random.default_rng(3))
+        s0 = topk_score(omega[0, :, 0], 4, 20, 0.1, np.random.default_rng(3))
         assert np.array_equal(f1.data, s0.inclusion[:, None].astype(np.float32) * feats[0].astype(np.float32))
         assert np.array_equal(s1.inclusion[0], s0.inclusion)
         assert (s1.inclusion.shape, s0.inclusion.shape) == ((1, 7), (7,))
 
+    @pytest.mark.parametrize("omega", [np.float64(0.5), np.zeros(0), np.zeros((2, 0))])
+    def test_scores_need_a_non_empty_last_axis(self, omega):
+        with pytest.raises(ValueError, match="non-empty last axis"):
+            topk_score(omega, 1, 4, 0.1, np.random.default_rng(0))
+
     def test_rows_must_split_into_bags(self):
         cfg = TsaConfig(num_samples=4)
-        with pytest.raises(ag.ShapeError):
-            tsa_fuse(Tensor(np.ones((7, 2))), Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=2)
-        with pytest.raises(ag.ShapeError, match="one score per snippet"):
-            tsa_fuse(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 1))), cfg, np.random.default_rng(0), bags=2)
         for bags in (0, 2):
             with pytest.raises(ag.ShapeError, match="equal bags"):
-                topk_score(np.ones(7), 1, 4, 0.1, np.random.default_rng(0), bags=bags)
+                tsa_fuse(Tensor(np.ones((7, 2))), Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=bags)
+        with pytest.raises(ag.ShapeError, match="one score per snippet"):
+            tsa_fuse(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 1))), cfg, np.random.default_rng(0), bags=2)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, outputs, exit codes, reproducibility."""
 
 import argparse
+import dataclasses
 import filecmp
 import json
 import re
@@ -22,6 +23,11 @@ GEN_FLAGS = [
     "--frames", "40", "80", "--eps", "2", "3", "--shift", "3.0",
 ]
 FAST_TRAIN = ["--epochs", "8", "--batch", "2", "--t", "8", "--samples", "16"]
+# a valid value for each gen flag, none of them the default
+GEN_FLAG_VALUES = {
+    "seed": 4, "d": 12, "snippet_len": 8, "n_normal": 3, "n_abnormal": 5,
+    "frame_range": (200, 300), "eps_range": (1, 4), "anomaly_shift": 2.5, "noise_std": 0.5,
+}
 
 
 def gen(tmp_path, name, seed="9"):
@@ -76,6 +82,24 @@ class TestGen:
         assert main(["gen", "--out", str(out), *GEN_FLAGS, flag, *values]) == 1
         assert capsys.readouterr().err == f"error: ValueError: {flag} {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [row[:2] for row in cli.GEN_FLAGS], ids=[row[1] for row in cli.GEN_FLAGS])
+    def test_flag_reaches_the_config(self, tmp_path, monkeypatch, capsys, flag, field):
+        """Every gen flag fills its own config field and no other; a flag the
+        parser accepts and drops fails here."""
+        configs = []
+
+        def stop(cfg, out_dir):
+            configs.append(cfg)
+            raise RuntimeError("stop before generating")
+
+        monkeypatch.setattr(cli, "generate_synthetic", stop)
+        value = GEN_FLAG_VALUES[field]
+        argv = [str(v) for v in value] if isinstance(value, tuple) else [str(value)]
+        assert main(["gen", "--out", str(tmp_path / "ds"), flag, *argv]) == 1
+        assert capsys.readouterr().err == "error: RuntimeError: stop before generating\n"
+        assert configs == [dataclasses.replace(SyntheticConfig(), **{field: value})]
+        assert configs[0] != SyntheticConfig()
 
 
 class TestDefaults:
@@ -412,6 +436,8 @@ FLAG_VALUES = {
     "t_len": "5", "batch_bags": "3", "epochs": "2", "lr": "0.002", "weight_decay": "0.01", "alpha": "2",
     "margin": "50", "num_samples": "7", "ratio": "0.5", "sigma_noise": "0.1", "seed": "4",
 }
+# the flag of each training field: the table's, and --seed, which fills both seeds
+TRAIN_FLAG_OF = {field: flag for flag, field, _ in cli.TRAIN_FLAGS} | {"seed": "--seed"}
 
 
 class TestFlagsReachTheConfig:
@@ -437,12 +463,12 @@ class TestFlagsReachTheConfig:
         [
             (command, field)
             for command in ("train", "sweep-r", "ablate")
-            for field, flag in cli.TRAIN_FLAGS.items()
+            for field, flag in TRAIN_FLAG_OF.items()
             if flag in SUBCOMMANDS[command]._option_string_actions
         ],
     )
     def test_flag_reaches_the_config(self, dataset, tmp_path, monkeypatch, capsys, command, field):
-        cfg = self.first_config(dataset, tmp_path, monkeypatch, command, cli.TRAIN_FLAGS[field], FLAG_VALUES[field])
+        cfg = self.first_config(dataset, tmp_path, monkeypatch, command, TRAIN_FLAG_OF[field], FLAG_VALUES[field])
         assert capsys.readouterr().err == "error: RuntimeError: stop before training\n"
         owner, default = (cfg, TrainConfig()) if hasattr(cfg, field) else (cfg.tsa, TrainConfig().tsa)
         value = getattr(owner, field)
@@ -530,6 +556,28 @@ class TestSweepAndAblate:
         assert lines[0] == "seed,auc_tsa_on,auc_tsa_off,delta"
         assert len(lines) == 3
         assert "mean delta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep-r", "ablate"])
+    def test_test_split_loaded_once(self, dataset, tmp_path, monkeypatch, capsys, command):
+        """Every run is evaluated on records and ground truth loaded once."""
+        flags = ["--r-grid", "0.5,1.0"] if command == "sweep-r" else ["--seeds", "0,1"]
+        loads = []
+        for module in (cli, evaluate):
+            real = module.load_records
+            monkeypatch.setattr(
+                module, "load_records", lambda m, base, real=real: loads.append(Path(base)) or real(m, base)
+            )
+        gt_reads = []
+        real_gt = cli.load_ground_truth
+        monkeypatch.setattr(cli, "load_ground_truth", lambda path: gt_reads.append(path) or real_gt(path))
+        code = main([
+            command, "--manifest", str(dataset / "train" / "manifest.json"),
+            "--test-manifest", str(dataset / "test" / "manifest.json"),
+            "--out", str(tmp_path / "run"), *flags, *FAST_TRAIN,
+        ])
+        assert code == 0
+        capsys.readouterr()
+        assert loads == [dataset / "test"] and len(gt_reads) == 1
 
 
 class TestUsageErrors:

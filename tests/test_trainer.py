@@ -20,6 +20,7 @@ from wsvad.trainer import (
     TrainConfig,
     build_batch,
     dmt_loss,
+    dmt_terms,
     separability,
     theorem1_probe,
     top_alpha_mean,
@@ -196,8 +197,8 @@ class TestDmtLoss:
     def test_identical_bags_margin_exact(self):
         x = Tensor(np.random.default_rng(5).normal(size=(4, 2)).astype(np.float32))
         u = Tensor(np.full((4, 1), 0.5, dtype=np.float32))
-        loss = dmt_loss(stack([x, x]), stack([u, u]), np.array([0, 1]), loss_cfg(w_bce=0.0))
-        assert loss.item() == 4.0
+        margin_term, _ = dmt_terms(stack([x, x]), stack([u, u]), np.array([0, 1]), loss_cfg())
+        assert margin_term.item() == 4.0
 
     def test_non_negative(self):
         rng = np.random.default_rng(6)
@@ -242,8 +243,7 @@ class TestStackedLoss:
             ctx = rng.normal(size=(2 * b, t_len, d)).astype(np.float32) * (1.0 + trial)
             u = rng.uniform(0.01, 0.99, size=(2 * b, t_len, 1)).astype(np.float32)
             # a margin inside the spread of separabilities leaves some hinges active, some not
-            cfg = loss_cfg(t_len=t_len, batch_bags=b, alpha=alpha, margin=float(rng.uniform(0, 2 * d)),
-                           w_margin=float(rng.uniform(0.5, 2)), w_bce=float(rng.uniform(0.5, 2)))
+            cfg = loss_cfg(t_len=t_len, batch_bags=b, alpha=alpha, margin=float(rng.uniform(0, 2 * d)))
 
             ctx_s = Tensor(ctx.reshape(-1, d), requires_grad=True)
             u_s = Tensor(u.reshape(-1, 1), requires_grad=True)
@@ -261,15 +261,15 @@ class TestStackedLoss:
             assert max_rel_err(u_s.grad, grads(u_b)) < 1e-6
 
     def test_one_bag_helpers_agree_with_the_stacked_loss(self):
-        """separability feeds the hinge: with the BCE off and every hinge
-        active, the loss is margin minus the mean separability."""
+        """separability feeds the hinge: with every hinge active, the margin
+        term is margin minus the mean separability."""
         rng = np.random.default_rng(12)
         ctx = [Tensor(rng.normal(size=(5, 3)).astype(np.float32)) for _ in range(4)]
         u = [Tensor(np.full((5, 1), 0.5, dtype=np.float32)) for _ in range(4)]
-        cfg = loss_cfg(t_len=5, batch_bags=2, alpha=2, margin=100.0, w_bce=0.0)
+        cfg = loss_cfg(t_len=5, batch_bags=2, alpha=2, margin=100.0)
         seps = [separability(ctx[2 + i], ctx[i], 2).item() for i in range(2)]
-        loss = dmt_loss(stack(ctx), stack(u), np.array([0, 0, 1, 1]), cfg).item()
-        assert abs(loss - (100.0 - np.mean(seps))) < 1e-5
+        margin_term, _ = dmt_terms(stack(ctx), stack(u), np.array([0, 0, 1, 1]), cfg)
+        assert abs(margin_term.item() - (100.0 - np.mean(seps))) < 1e-5
 
     def test_rows_must_split_into_bags(self):
         x = Tensor(np.ones((7, 2), dtype=np.float32))
@@ -449,7 +449,7 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=rf"^{field} must be positive, got 0$"):
             TrainConfig(**{field: 0})
 
-    @pytest.mark.parametrize("field", ["lr", "weight_decay", "margin", "w_margin", "w_bce"])
+    @pytest.mark.parametrize("field", ["lr", "weight_decay", "margin"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_weights_must_be_non_negative_and_finite(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
@@ -502,14 +502,14 @@ class TestTrainingStepCost:
         per_step = {key: two[key] - one[key] for key in counts}
         # nodes: scorer 3 linear, attention 1, context module 6 (3 convs
         # with bias, nonlocal_attention, concat, residual add), classifier 5
-        # (3 linear, 2 dropout), loss 20.
-        # 32 forward checks: the batch tensor 1, scorer 3, attention 1,
+        # (3 linear, 2 dropout), loss 19.
+        # 31 forward checks: the batch tensor 1, scorer 3, attention 1,
         # context module 6 (3 convs, the attention's logits and output, the
-        # residual add), classifier 5 (3 linear, 2 dropout), loss 16.
-        # 45 gradient checks: loss 12, classifier 11 (3 per linear, 1 per
+        # residual add), classifier 5 (3 linear, 2 dropout), loss 15.
+        # 44 gradient checks: loss 11, classifier 11 (3 per linear, 1 per
         # dropout), context module 13 (3 per conv, 4 from nonlocal_attention),
         # attention 1, scorer 8 (no gradient for the constant batch).
-        assert per_step == dict(nodes=35, checks=77)
+        assert per_step == dict(nodes=34, checks=75)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
