@@ -170,7 +170,6 @@ def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
 _SKIPS: dict[str, tuple[bool, bool]] = {
     "linear": (True, False),  # checks its pre-activation, before the activation
     "reshape": (True, True),
-    "transpose": (True, True),
     "concat": (True, True),
     "relu": (True, True),
     "clip": (True, True),
@@ -276,11 +275,6 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         return _reshape(self, shape)
 
-    @property
-    def T(self) -> "Tensor":
-        """Matrix transpose; on a batch of matrices it swaps the last two axes."""
-        return _transpose(self)
-
 
 def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
@@ -331,29 +325,16 @@ def _mul_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (m, k) @ (k, n), or over a leading batch axis,
-    (B, m, k) @ (B, k, n) and (B, m, k) @ (k, n) (b shared by every batch)."""
-    if (a.ndim, b.ndim) not in ((2, 2), (3, 3), (3, 2)):
-        raise ShapeError(f"matmul: expected rank-2 or batched rank-3 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2] or (b.ndim == 3 and a.shape[0] != b.shape[0]):
+    """Matrix product (m, k) @ (k, n)."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: expected rank-2 operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 2:
-        # one GEMM over the stacked rows; b's gradient sums over the batch
-        flat = a.data.reshape(-1, a.shape[-1])
-
-        def vjp(g):
-            g2 = g.reshape(flat.shape[0], -1)
-            return (
-                (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                flat.T @ g2 if b.requires_grad else None,
-            )
-
-        return _from_op("matmul", (flat @ b.data).reshape(*a.shape[:-1], b.shape[1]), (a, b), vjp)
 
     def vjp(g):
         return (
-            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
-            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
+            g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None,
         )
 
     return _from_op("matmul", a.data @ b.data, (a, b), vjp)
@@ -505,7 +486,8 @@ def l2_norm(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of a rank-2 tensor; backward scatter-adds into the source."""
+    """The rows ``idx`` of a rank-2 tensor, an index array of any shape, as an
+    ``idx.shape + (width,)`` tensor; backward scatter-adds into the source."""
     if a.ndim != 2:
         raise ShapeError(f"gather_rows: expected rank-2 input, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
@@ -535,14 +517,6 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
 
 def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _from_op("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def _transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a matrix or a batch of matrices."""
-    if a.ndim not in (2, 3):
-        raise ShapeError(f"transpose: expected rank-2 or rank-3 input, got {a.shape}")
-    out = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
-    return _from_op("transpose", out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def _taps_of_output_grad(g: np.ndarray, bags: int, k: int, dilation: int) -> np.ndarray:
@@ -639,9 +613,10 @@ def nonlocal_attention(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, b
     g the same way. The output needs its check: its rows are convex
     combinations of g's rows, but the rounded softmax weights can sum to a
     little over 1, enough to overflow a combination of values near the
-    float32 maximum. Values and gradients are those of the five matmuls,
-    transpose and softmax run as single ops, bit for bit; x's gradient adds
-    its g, phi and theta parts in that order.
+    float32 maximum. Values and gradients are those of the single-op chain
+    ``unfused_nonlocal`` in ``tests/test_autograd.py`` (five matmuls, a
+    transpose and a softmax), bit for bit; x's gradient adds its g, phi and
+    theta parts in that order.
     """
     if x.ndim != 2 or any(p.ndim != 2 or p.shape[0] != x.shape[1] for p in (w_theta, w_phi, w_g)):
         raise ShapeError(

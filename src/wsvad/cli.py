@@ -125,14 +125,19 @@ def _load_split(manifest_path: Path):
 
 
 def _train_and_eval(args, cfgs: list[TrainConfig]):
-    """Train on ``--manifest`` with each config in turn and yield the report
-    of that model on ``--test-manifest``, evaluated with the run's seed."""
+    """Load ``--manifest`` and the ``--test-manifest`` split now, and return
+    a generator that trains with each config in turn and yields the report
+    of that model on the test split, evaluated with the run's seed."""
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
     test_records, test_truth = _load_split(Path(args.test_manifest))
-    for cfg in cfgs:
-        model = train(manifest, manifest_path.parent, cfg).model
-        yield evaluate_records(test_records, model, test_truth, eval_seed=cfg.seed)[0]
+
+    def reports():
+        for cfg in cfgs:
+            model = train(manifest, manifest_path.parent, cfg).model
+            yield evaluate_records(test_records, model, test_truth, eval_seed=cfg.seed)[0]
+
+    return reports()
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -166,7 +171,7 @@ def _cmd_train(args) -> int:
     if args.val_every and not args.val_manifest:
         raise ValueError(f"--val-every {args.val_every} needs --val-manifest")
     cfg = _train_config(args, tsa_enabled=not args.no_tsa)
-    out = _out_dir(args)
+    manifest = load_manifest(Path(args.manifest))
 
     val_fn = None
     if args.val_manifest:
@@ -176,7 +181,7 @@ def _cmd_train(args) -> int:
             report, _, _ = evaluate_records(val_records, model, val_truth, eval_seed=args.seed)
             return report.auc_roc
 
-    manifest = load_manifest(Path(args.manifest))
+    out = _out_dir(args)
     result = train(
         manifest,
         Path(args.manifest).parent,
@@ -198,9 +203,9 @@ def _cmd_eval(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model = load_checkpoint(args.checkpoint)
-    out = _out_dir(args)
     gt_path = Path(args.ground_truth) if args.ground_truth else None
     report, timelines, masks = _eval_model(model, Path(args.manifest), args.seed, gt_path)
+    out = _out_dir(args)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     write_frame_csv(out / "frame_scores.csv", timelines, masks)
     print(
@@ -214,9 +219,10 @@ def _cmd_sweep_r(args) -> int:
     grid = _parse_list(args.r_grid, "--r-grid", float)
     # every config is checked before the first run
     cfgs = [_train_config(args, ratio=r) for r in grid]
+    reports = _train_and_eval(args, cfgs)
     out = _out_dir(args)
     rows = []
-    for r, report in zip(grid, _train_and_eval(args, cfgs)):
+    for r, report in zip(grid, reports):
         rows.append((r, report.auc_roc, report.auc_pr))
         print(f"r={r:.2f}  AUC@ROC {report.auc_roc:.4f}  AUC@PR {report.auc_pr:.4f}")
     _write_csv(out / "sweep_r.csv", ["r", "auc_roc", "auc_pr"], rows)
@@ -229,8 +235,8 @@ def _cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     # every config is checked before the first run; each seed trains with the attention on, then off
     cfgs = [_train_config(args, seed=seed, tsa_enabled=on) for seed in seeds for on in (True, False)]
-    out = _out_dir(args)
     reports = _train_and_eval(args, cfgs)
+    out = _out_dir(args)
     rows = []
     for seed in seeds:
         on, off = next(reports).auc_roc, next(reports).auc_roc

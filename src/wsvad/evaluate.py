@@ -7,11 +7,11 @@ arrays, plus one frame label mask per video. The report's primary metrics
 are frame-level ROC/PR areas of the continuous scores; rounded binary scores
 are kept as the detection artifact and scored separately.
 
-The metrics are computed over weighted snippet runs rather than frames: each
-snippet contributes one entry per label it covers, weighted by its frame
-count under that label. The counts are exact integers, so the areas are
-bit-identical to the frame-level definition on the unfolded arrays. The frame
-CSV, too, is written from the snippet scores and the masks.
+The metrics are computed over runs of frames rather than frames: each run of
+frames that share a snippet and a label is one entry, weighted by its frame
+count. The counts are exact integers, so the areas are bit-identical to the
+frame-level definition on the unfolded arrays. The frame CSV is written from
+the same runs.
 """
 
 from __future__ import annotations
@@ -188,11 +188,11 @@ def evaluate_records(
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
     """``evaluate_manifest`` over records already loaded.
 
-    The metrics are computed over weighted snippet entries: each snippet
-    gives one entry per label, weighted by its frame count under that label
-    (zero-weight entries dropped), which scores the same as the unfolded
-    frame arrays. A ``NumericsError`` in a video's forward pass is re-raised
-    with the video's id in front. The videos are scored under one
+    The metrics are computed over weighted entries, one per run of frames
+    that share a snippet and a label (``frame_runs``), weighted by the run's
+    frame count, which scores the same as the unfolded frame arrays. A
+    ``NumericsError`` in a video's forward pass is re-raised with the video's
+    id in front. The videos are scored under one
     ``np.errstate`` that silences overflow and invalid-value warnings: the
     engine checks every value the forward pass makes, so nothing warns before
     that error.
@@ -202,7 +202,7 @@ def evaluate_records(
         raise ValueError("no videos to evaluate: the split is empty")
     masks = video_frame_labels(records, ground_truth)
     timelines: list[ScoreTimeline] = []
-    runs: list[tuple[np.ndarray, ...]] = []  # (score, binary, label, weight) per entry
+    runs: list[tuple[np.ndarray, ...]] = []  # (score, label, weight) per entry
     per_video: list[dict] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (rec, labels) in enumerate(zip(records, masks)):
@@ -212,17 +212,8 @@ def evaluate_records(
             except ag.NumericsError as exc:
                 raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
             timelines.append(tl)
-            lengths = snippet_lengths(tl.snippet_scores.size, rec.snippet_len, rec.frame_count)
-            # abnormal frames per snippet, from the mask's running count at each snippet's last frame
-            positive = np.diff(np.cumsum(labels, dtype=np.int64)[np.cumsum(lengths) - 1], prepend=0)
-            runs.append(
-                (
-                    np.tile(tl.snippet_scores, 2),
-                    np.tile(tl.snippet_binary, 2),
-                    np.repeat(np.array([1, 0], dtype=np.uint8), lengths.size),
-                    np.concatenate((positive, lengths - positive)),
-                )
-            )
+            start, stop, snippet = frame_runs(tl, labels)
+            runs.append((tl.snippet_scores[snippet], labels[start], stop - start))
             frame_scores = tl.frame_scores
             per_video.append(
                 {
@@ -233,13 +224,11 @@ def evaluate_records(
                     "max_score": float(frame_scores.max()),
                 }
             )
-    scores, binary, run_labels, weights = (np.concatenate(col) for col in zip(*runs))
-    kept = weights > 0
-    scores, binary, run_labels, weights = scores[kept], binary[kept], run_labels[kept], weights[kept]
+    scores, run_labels, weights = (np.concatenate(col) for col in zip(*runs))
     report = EvalReport(
         auc_roc=auc_roc(scores, run_labels, weights),
         auc_pr=auc_pr(scores, run_labels, weights),
-        auc_roc_binary=binary_auc_roc(binary, run_labels, weights),
+        auc_roc_binary=binary_auc_roc(scores >= BINARY_THRESHOLD, run_labels, weights),
         num_videos=len(records),
         num_frames=sum(m.size for m in masks),
         positive_frames=sum(int(np.count_nonzero(m)) for m in masks),
@@ -276,26 +265,34 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _frame_runs(tl: ScoreTimeline, labels: np.ndarray, idx: list[str]):
-    """One video's CSV text, byte for byte what ``csv.writer`` writes for
-    ``[video_id, i, repr(float(score)), binary, label]`` per frame, one piece
-    per run of frames that share a snippet and a label. ``idx`` holds the
-    frame indices as text, at least one per frame."""
+def frame_runs(tl: ScoreTimeline, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One video's frames cut into runs that share a snippet and a label, in
+    frame order: each run's first frame, its stop (one past its last frame)
+    and its snippet. ``labels`` is the video's frame mask; a length other
+    than the frame count is a ValueError naming the video."""
     n, step, last = tl.frame_count, tl.snippet_len, tl.snippet_scores.size - 1
     if labels.size != n:
         raise ValueError(f"video '{tl.video_id}': {n} frames but {labels.size} labels")
     cut = np.r_[True, labels[1:] != labels[:-1]]
     cut[: last * step + 1 : step] = True  # snippet starts; a last snippet without frames has none
-    starts = np.flatnonzero(cut)
+    start = np.flatnonzero(cut)
     # every snippet but the last covers snippet_len frames
-    snippet = np.minimum(starts // step, last)
+    return start, np.r_[start[1:], n], np.minimum(start // step, last)
+
+
+def _frame_csv(tl: ScoreTimeline, labels: np.ndarray, idx: list[str]):
+    """One video's CSV text, byte for byte what ``csv.writer`` writes for
+    ``[video_id, i, repr(float(score)), binary, label]`` per frame, one piece
+    per run of ``frame_runs``. ``idx`` holds the frame indices as text, at
+    least one per frame."""
+    start, stop, snippet = frame_runs(tl, labels)
     head = _csv_field(tl.video_id) + ","
     for s, e, x, b, y in zip(
-        starts.tolist(),
-        np.r_[starts[1:], n].tolist(),
+        start.tolist(),
+        stop.tolist(),
         tl.snippet_scores[snippet].tolist(),
         tl.snippet_binary[snippet].tolist(),
-        labels[starts].tolist(),
+        labels[start].tolist(),
     ):
         tail = f",{x!r},{b},{y}\r\n"
         yield head + (tail + head).join(idx[s:e]) + tail
@@ -312,4 +309,4 @@ def write_frame_csv(path: str | Path, timelines: list[ScoreTimeline], masks: lis
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["video_id", "frame_idx", "score", "binary", "label"])
         for tl, labels in zip(timelines, masks, strict=True):
-            fh.write("".join(_frame_runs(tl, labels, idx)))
+            fh.write("".join(_frame_csv(tl, labels, idx)))

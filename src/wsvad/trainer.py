@@ -110,8 +110,7 @@ def _stacked_top_rows(feats: np.ndarray, bags: int, alpha: int) -> np.ndarray:
 
 def _top_alpha_means(x: Tensor, rows: np.ndarray) -> Tensor:
     """(bags, width) mean of each bag's ``rows`` (bags, alpha) of x."""
-    bags, alpha = rows.shape
-    return ag.gather_rows(x, rows.ravel()).reshape(bags, alpha, x.shape[1]).mean(axis=1)
+    return ag.gather_rows(x, rows).mean(axis=1)
 
 
 def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:

@@ -120,6 +120,46 @@ def ref_dmt_loss(ctx_feats: list, scores: list, labels: np.ndarray, cfg) -> ag.T
     return margin_term + bce_term
 
 
+# -- batched matrix ops for the unfused chains ----------------------------------
+#
+# The engine's matmul is rank-2 only. These test-only ops carry the batched
+# forms the single-op non-local chain needs, so that the fused op is still
+# checked against a graph that ``backward`` walks.
+
+
+def shared_matmul(a: ag.Tensor, w: ag.Tensor) -> ag.Tensor:
+    """(B, m, k) @ (k, n), w shared by every batch: one GEMM over the stacked
+    rows, so w's gradient sums over the batch."""
+    flat = a.data.reshape(-1, a.shape[-1])
+
+    def vjp(g):
+        g2 = g.reshape(flat.shape[0], -1)
+        return (
+            (g2 @ w.data.T).reshape(a.shape) if a.requires_grad else None,
+            flat.T @ g2 if w.requires_grad else None,
+        )
+
+    return ag.custom_op("shared_matmul", (flat @ w.data).reshape(*a.shape[:-1], w.shape[1]), (a, w), vjp)
+
+
+def batched_matmul(a: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
+    """(B, m, k) @ (B, k, n), one product per batch."""
+
+    def vjp(g):
+        return (
+            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
+        )
+
+    return ag.custom_op("batched_matmul", a.data @ b.data, (a, b), vjp)
+
+
+def swap_last_axes(a: ag.Tensor) -> ag.Tensor:
+    """Each matrix of a batch transposed."""
+    out = np.ascontiguousarray(np.swapaxes(a.data, -1, -2))
+    return ag.custom_op("swap_last_axes", out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+
+
 def ref_conv1d_dilated(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
     """Loop-based dilated cross-correlation with symmetric zero padding."""
     k, c_in, c_out = w.shape

@@ -1,5 +1,6 @@
 """Engine ops: frozen hand values, gradient soundness, graph discipline."""
 
+import re
 import tracemalloc
 import types
 import warnings
@@ -27,6 +28,7 @@ from wsvad.autograd import (
 )
 
 from helpers import (
+    batched_matmul,
     check_grads,
     engine_grads,
     fd_grads,
@@ -36,6 +38,8 @@ from helpers import (
     ref_conv1d_dilated_vjp,
     ref_sigmoid,
     ref_softmax,
+    shared_matmul,
+    swap_last_axes,
 )
 
 
@@ -191,23 +195,27 @@ class TestConvBackward:
 
 
 class TestBatchedMatrixOps:
+    """The test-only batched products the unfused chains run on, and the
+    engine's matmul, which takes none."""
+
     def test_batched_matmul_matches_per_matrix_products(self):
         rng = np.random.default_rng(11)
         a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 2))
         with ag.using_dtype(np.float64):
-            np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data, [a[i] @ b[i] for i in range(3)], atol=1e-12)
-            np.testing.assert_allclose(matmul(Tensor(a), Tensor(w)).data, [a[i] @ w for i in range(3)], atol=1e-12)
+            batched, shared = batched_matmul(Tensor(a), Tensor(b)), shared_matmul(Tensor(a), Tensor(w))
+        np.testing.assert_allclose(batched.data, [a[i] @ b[i] for i in range(3)], atol=1e-12)
+        np.testing.assert_allclose(shared.data, [a[i] @ w for i in range(3)], atol=1e-12)
 
     def test_batched_matmul_grads(self):
         rng = np.random.default_rng(12)
         a, b, w = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3)), rng.normal(size=(4, 2))
         check_grads(
-            lambda ta, tb: l2_norm(matmul(ta, tb)),
+            lambda ta, tb: l2_norm(batched_matmul(ta, tb)),
             lambda xa, xb: float(np.linalg.norm(xa @ xb)),
             [a, b],
         )
         check_grads(
-            lambda ta, tw: l2_norm(matmul(ta, tw)),
+            lambda ta, tw: l2_norm(shared_matmul(ta, tw)),
             lambda xa, xw: float(np.linalg.norm(xa @ xw)),
             [a, w],
         )
@@ -216,16 +224,18 @@ class TestBatchedMatrixOps:
         rng = np.random.default_rng(13)
         a, c = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))
         check_grads(
-            lambda ta, tc: l2_norm(ta.T * tc),
+            lambda ta, tc: l2_norm(swap_last_axes(ta) * tc),
             lambda xa, xc: float(np.linalg.norm(np.swapaxes(xa, 1, 2) * xc)),
             [a, c],
         )
 
     def test_batch_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 1))))
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 1))))
+        # only (m, k) @ (k, n): a rank-3 operand is rejected, even where a
+        # batched product would be defined
+        pairs = [((2, 3, 4), (3, 4, 1)), ((3, 4), (2, 4, 1)), ((2, 3, 4), (2, 4, 1)), ((2, 3, 4), (4, 1))]
+        for a_shape, b_shape in pairs:
+            with pytest.raises(ShapeError, match=re.escape(f"rank-2 operands, got {a_shape} @ {b_shape}")):
+                matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 # -- fused ops against the single-op chains they replace ------------------------
@@ -244,8 +254,8 @@ def unfused_nonlocal(x, w_theta, w_phi, w_g, bags):
     """The context module's attention branch as single ops."""
     rows = x.shape[0]
     x3 = x.reshape(bags, rows // bags, x.shape[1])
-    attn = softmax(matmul(matmul(x3, w_theta), matmul(x3, w_phi).T), axis=-1)
-    context = matmul(attn, matmul(x3, w_g))
+    attn = softmax(batched_matmul(shared_matmul(x3, w_theta), swap_last_axes(shared_matmul(x3, w_phi))), axis=-1)
+    context = batched_matmul(attn, shared_matmul(x3, w_g))
     return context.reshape(rows, context.shape[2])
 
 
@@ -413,7 +423,7 @@ class TestFusedOps:
         with pytest.raises(ShapeError):
             linear(x, w, Tensor(np.ones(3)))
         with pytest.raises(ShapeError):
-            linear(x, w.T, b)
+            linear(x, Tensor(w.data.T), b)
         with pytest.raises(ValueError, match="tanh"):
             linear(x, w, b, "tanh")
         with pytest.raises(ShapeError, match="bags"):
@@ -657,6 +667,12 @@ class TestStructuralOps:
         out = gather_rows(x, np.array([0, 0, 2]))
         backward(out.sum())
         assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+        # a (bags, alpha) index gives (bags, alpha, width), as the loss gathers
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        out = gather_rows(x, np.array([[0, 2], [0, 0]]))
+        assert out.data.tolist() == [[[0.0, 1.0], [4.0, 5.0]], [[0.0, 1.0], [0.0, 1.0]]]
+        backward((out * Tensor(np.arange(1.0, 9.0).reshape(2, 2, 2))).sum())
+        assert x.grad.tolist() == [[13.0, 16.0], [0.0, 0.0], [3.0, 4.0]]
 
     def test_concat_grad_slices(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -670,7 +686,7 @@ class TestStructuralOps:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 4))
         check_grads(
-            lambda tx: l2_norm(tx.T.reshape(12)),
+            lambda tx: l2_norm(swap_last_axes(tx).reshape(12)),
             lambda xx: float(np.linalg.norm(xx.T.reshape(12))),
             [x],
         )
@@ -769,7 +785,6 @@ FINITE_OUTPUT = {
     # the pre-activation, checked inside the op, is +-BIG here
     "linear": lambda t: linear(t, Tensor(np.eye(3)), Tensor(np.zeros(3)), "relu"),
     "reshape": lambda t: t.reshape(3, 2),
-    "transpose": lambda t: t.T,
     "gather_rows": lambda t: gather_rows(t, np.array([1, 0, 1, 1])),
     "concat": lambda t: concat([t, t], axis=0),
     "relu": lambda t: t.relu(),
@@ -781,7 +796,6 @@ FINITE_OUTPUT = {
 # every op whose vjp output the engine does not check, on extreme gradients
 PASSED_ON_GRAD = {
     "reshape": lambda t: t.reshape(3, 2),
-    "transpose": lambda t: t.T,
     "concat": lambda t: concat([Tensor(np.zeros((2, 1))), t], axis=1),
     "relu": lambda t: t.relu(),
     "clip": lambda t: t.clip(-1.0, np.inf),
@@ -975,8 +989,8 @@ class TestUnneededProducts:
         "op, a_shape, b_shape",
         [
             pytest.param(matmul, (2, 3), (3, 4), id="matmul"),
-            pytest.param(matmul, (2, 2, 3), (2, 3, 4), id="batched_matmul"),
-            pytest.param(matmul, (2, 2, 3), (3, 4), id="shared_matmul"),
+            pytest.param(batched_matmul, (2, 2, 3), (2, 3, 4), id="batched_matmul"),
+            pytest.param(shared_matmul, (2, 2, 3), (3, 4), id="shared_matmul"),
             pytest.param(lambda x, w: conv1d_dilated(x, w, 2), (4, 2), (3, 2, 2), id="conv1d_dilated"),
             pytest.param(lambda a, b: a * b, (2, 3), (2, 3), id="mul"),
         ],

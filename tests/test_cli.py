@@ -202,6 +202,32 @@ class TestTrainEval:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--manifest", "MISSING", "--checkpoint", "CKPT"],
+            ["eval", "--manifest", "TEST", "--checkpoint", "CKPT", "--ground-truth", "MISSING"],
+            ["train", "--manifest", "MISSING"],
+            ["train", "--manifest", "TRAIN", "--val-manifest", "MISSING", "--val-every", "1"],
+            ["sweep-r", "--manifest", "TRAIN", "--test-manifest", "MISSING"],
+            ["ablate", "--manifest", "MISSING", "--test-manifest", "TEST"],
+        ],
+        ids=["eval", "eval-ground-truth", "train", "train-val", "sweep-r", "ablate"],
+    )
+    def test_missing_input_leaves_no_out(self, dataset, untrained_checkpoint, tmp_path, capsys, argv):
+        """A command that cannot read its inputs exits 1 before it makes --out."""
+        paths = {
+            "TRAIN": dataset / "train" / "manifest.json",
+            "TEST": dataset / "test" / "manifest.json",
+            "CKPT": untrained_checkpoint,
+            "MISSING": tmp_path / "nope.json",
+        }
+        out = tmp_path / "out"
+        assert main([*(str(paths.get(a, a)) for a in argv), "--out", str(out)]) == 1
+        assert "nope.json" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def untrained_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_ckpt") / "checkpoint.vadc"

@@ -502,14 +502,14 @@ class TestTrainingStepCost:
         per_step = {key: two[key] - one[key] for key in counts}
         # nodes: scorer 3 linear, attention 1, context module 6 (3 convs
         # with bias, nonlocal_attention, concat, residual add), classifier 5
-        # (3 linear, 2 dropout), loss 19.
+        # (3 linear, 2 dropout), loss 17.
         # 31 forward checks: the batch tensor 1, scorer 3, attention 1,
         # context module 6 (3 convs, the attention's logits and output, the
         # residual add), classifier 5 (3 linear, 2 dropout), loss 15.
         # 44 gradient checks: loss 11, classifier 11 (3 per linear, 1 per
         # dropout), context module 13 (3 per conv, 4 from nonlocal_attention),
         # attention 1, scorer 8 (no gradient for the constant batch).
-        assert per_step == dict(nodes=34, checks=75)
+        assert per_step == dict(nodes=32, checks=75)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
