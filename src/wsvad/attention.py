@@ -10,7 +10,9 @@ Averaging the samples' one-hot ranks gives a row-stochastic soft-selection
 matrix.
 Fusing that matrix with the input reduces to scaling every snippet by its
 inclusion probability, the fraction of samples that selected it, so only the
-inclusion is computed.
+inclusion is computed. The scaled features are never formed: the context
+module is linear in its input rows, so it scales its own projections of the
+raw features by the inclusion instead.
 
 The selection is made differentiable by the Monte-Carlo smoothed-perturbation
 estimator (Berthet et al., 2020): with per-sample inclusion indicators v_m and
@@ -203,14 +205,18 @@ def tsa_fuse(
     noise: np.ndarray | None = None,
     bags: int = 1,
 ) -> tuple[Tensor, SoftSelection]:
-    """Nominate the top-kappa from precomputed scores and reweigh the features.
+    """Nominate the top-kappa from precomputed scores; returns each
+    snippet's inclusion as a (rows, 1) tensor, and the selection.
 
     ``features`` holds ``bags`` bags of T snippets stacked along the rows and
     ``omega`` one score per row. Each bag keeps its own top-kappa, all drawn
     in one ``topk_score`` call; ``noise`` and the selection have a bag axis.
     Cloning the selection over feature channels, multiplying elementwise and
     summing over ranks collapses to scaling each snippet by its inclusion
-    probability, which is how the fusion is computed.
+    probability, so the fused features are ``inclusion * features``. They are
+    not formed here: the layers after the attention are linear in their
+    input rows, so they apply the inclusion to their own projections
+    (``nn.conv_module_forward``'s ``scale``).
     """
     if features.ndim != 2:
         raise ag.ShapeError(f"expected (T, d) features stacked along the rows, got {features.shape}")
@@ -219,19 +225,13 @@ def tsa_fuse(
         raise ag.ShapeError(f"expected one score per snippet, got {omega.shape} for {rows} snippets")
     kappa = kappa_from_ratio(ag.bag_length(rows, bags), cfg.ratio)
     selection = topk_score(omega.data.reshape(bags, -1), kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise)
-    incl = selection.inclusion.reshape(rows, 1)
-    fused = incl.astype(features.data.dtype) * features.data
 
     def vjp(g):
-        grad_incl = np.sum(g * features.data, axis=1, dtype=np.float64)
-        grad_omega = selection.grad_scores(grad_incl.reshape(selection.inclusion.shape))
-        return (
-            grad_omega.astype(omega.data.dtype).reshape(omega.shape),
-            (incl * g).astype(features.data.dtype) if features.requires_grad else None,
-        )
+        grad_omega = selection.grad_scores(g.astype(np.float64).reshape(selection.inclusion.shape))
+        return (grad_omega.astype(omega.data.dtype).reshape(omega.shape),)
 
-    fhat = ag.custom_op("tsa_select", fused, (omega, features), vjp)
-    return fhat, selection
+    incl = ag.custom_op("tsa_select", selection.inclusion.reshape(rows, 1), (omega,), vjp)
+    return incl, selection
 
 
 def tsa_forward(
@@ -242,12 +242,12 @@ def tsa_forward(
     *,
     bags: int = 1,
 ) -> tuple[Tensor, SoftSelection, Tensor]:
-    """Score snippets, nominate the top-kappa, and reweigh the features.
+    """Score snippets and nominate the top-kappa.
 
-    ``features`` and ``bags`` are as in ``tsa_fuse``. Returns the attention
-    features and the raw scores, one row each per input row, and the soft
-    selection.
+    ``features`` and ``bags`` are as in ``tsa_fuse``. Returns each snippet's
+    inclusion (rows, 1), the soft selection, and the raw scores, one row per
+    input row.
     """
     omega = mlp_forward(scorer, features)
-    fhat, selection = tsa_fuse(features, omega, cfg, rng, bags=bags)
-    return fhat, selection, omega
+    incl, selection = tsa_fuse(features, omega, cfg, rng, bags=bags)
+    return incl, selection, omega

@@ -181,7 +181,6 @@ def _cmd_train(args) -> int:
             report, _, _ = evaluate_records(val_records, model, val_truth, eval_seed=args.seed)
             return report.auc_roc
 
-    out = _out_dir(args)
     result = train(
         manifest,
         Path(args.manifest).parent,
@@ -189,6 +188,8 @@ def _cmd_train(args) -> int:
         val_fn=val_fn,
         val_every=args.val_every,
     )
+    # made only now: training reads the feature files, and any of them may be missing
+    out = _out_dir(args)
     save_checkpoint(result.model, out / CHECKPOINT_FILENAME)
     log = [(row["epoch"], row["loss"], row.get("val_auc")) for row in result.log]
     _write_csv(out / "train_log.csv", ["epoch", "loss", "val_auc"], log)
@@ -220,12 +221,12 @@ def _cmd_sweep_r(args) -> int:
     # every config is checked before the first run
     cfgs = [_train_config(args, ratio=r) for r in grid]
     reports = _train_and_eval(args, cfgs)
-    out = _out_dir(args)
     rows = []
     for r, report in zip(grid, reports):
         rows.append((r, report.auc_roc, report.auc_pr))
         print(f"r={r:.2f}  AUC@ROC {report.auc_roc:.4f}  AUC@PR {report.auc_pr:.4f}")
-    _write_csv(out / "sweep_r.csv", ["r", "auc_roc", "auc_pr"], rows)
+    # after the runs, each of which reads the training feature files
+    _write_csv(_out_dir(args) / "sweep_r.csv", ["r", "auc_roc", "auc_pr"], rows)
     best = max(rows, key=lambda row: row[1])
     print(f"best r={best[0]:.2f} with AUC@ROC {best[1]:.4f}")
     return 0
@@ -236,13 +237,13 @@ def _cmd_ablate(args) -> int:
     # every config is checked before the first run; each seed trains with the attention on, then off
     cfgs = [_train_config(args, seed=seed, tsa_enabled=on) for seed in seeds for on in (True, False)]
     reports = _train_and_eval(args, cfgs)
-    out = _out_dir(args)
     rows = []
     for seed in seeds:
         on, off = next(reports).auc_roc, next(reports).auc_roc
         rows.append((seed, on, off, on - off))
         print(f"seed={seed}  attention on {on:.4f}  off {off:.4f}  delta {on - off:+.4f}")
-    _write_csv(out / "ablate.csv", ["seed", "auc_tsa_on", "auc_tsa_off", "delta"], rows)
+    # after the runs, each of which reads the training feature files
+    _write_csv(_out_dir(args) / "ablate.csv", ["seed", "auc_tsa_on", "auc_tsa_off", "delta"], rows)
     mean_delta = float(np.mean([row[3] for row in rows]))
     print(f"mean delta over {len(seeds)} seeds: {mean_delta:+.4f}")
     return 0

@@ -128,11 +128,10 @@ def score_bag(
     ``dropout_rng`` is given. Returns (snippet scores (rows, 1), context
     features (rows, d), soft selection or None when attention is disabled).
     """
-    selection = None
-    h = features
+    incl = selection = None
     if model.tsa_enabled:
-        h, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
-    ctx = conv_module_forward(model.conv, h, bags)
+        incl, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
+    ctx = conv_module_forward(model.conv, features, bags, scale=incl)
     scores = mlp_forward(model.classifier, ctx, rng=dropout_rng)
     return scores, ctx, selection
 

@@ -68,19 +68,23 @@ class ConvModule:
         return self.conv_w[0].shape[0]
 
 
-def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1) -> Tensor:
-    """Apply the context block to ``bags`` bags of T snippets stacked along
-    the rows, (bags * T, d) -> (bags * T, d).
+def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1, scale: Tensor | None = None) -> Tensor:
+    """Apply the context block to ``scale * x``: ``bags`` bags of T snippets
+    stacked along the rows, (bags * T, d) -> (bags * T, d).
 
-    Bags do not see each other: every conv pads each bag on its own, and the
-    attention branch is a batched (bags, T, T) product. Each branch is one op.
+    x is the constant feature batch and ``scale`` (bags * T, 1), when given,
+    each snippet's attention inclusion. Every branch is linear in its input
+    rows, so each applies the scale after its own projection; the residual
+    adds ``scale * x``. Bags do not see each other: every conv pads each bag
+    on its own, and the attention branch is a batched (bags, T, T) product.
+    Each branch is one op.
     """
     if x.ndim != 2 or x.shape[1] != mod.width:
         raise ag.ShapeError(f"conv module expects (T, {mod.width}), got {x.shape}")
     # conv1d_dilated checks that the rows split into equal bags
     branches = [
-        ag.conv1d_dilated(x, w, dil, bags, bias=b)
+        ag.conv1d_dilated(x, w, dil, bags, bias=b, scale=scale)
         for w, b, dil in zip(mod.conv_w, mod.conv_b, CONV_DILATIONS)
     ]
-    branches.append(ag.nonlocal_attention(x, mod.w_theta, mod.w_phi, mod.w_g, bags))
-    return ag.concat(branches, axis=1) + x
+    branches.append(ag.nonlocal_attention(x, mod.w_theta, mod.w_phi, mod.w_g, bags, scale=scale))
+    return ag.concat(branches, axis=1) + (x if scale is None else x * scale)

@@ -93,7 +93,8 @@ def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
     """Indices of the alpha rows with the largest float64 Euclidean magnitude,
     largest first, ties to the lower index. Rows run along the second-to-last
     axis; leading axes are batch axes."""
-    mags = np.linalg.norm(np.asarray(feats, dtype=np.float64), axis=-1)
+    # np.linalg.norm's float64 sum of squares, without a float64 copy of feats
+    mags = np.sqrt(np.sum(np.square(feats, dtype=np.float64), axis=-1))
     return np.argsort(-mags, axis=-1, kind="stable")[..., :alpha]
 
 

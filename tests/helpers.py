@@ -11,6 +11,7 @@ import contextlib
 import numpy as np
 
 from wsvad import autograd as ag
+from wsvad.autograd import softmax
 from wsvad.trainer import BCE_EPS
 
 FD_H = 1e-4
@@ -160,6 +161,62 @@ def swap_last_axes(a: ag.Tensor) -> ag.Tensor:
     return ag.custom_op("swap_last_axes", out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
+def unfused_nonlocal(x, w_theta, w_phi, w_g, bags, scale=None):
+    """The context module's attention branch as single ops: each projection
+    one shared-weight product, scaled by its own row-scale ``mul`` when a
+    ``scale`` is given, then a transpose, two batched products and a softmax.
+    x may require grad here."""
+    rows, width = x.shape
+    x3 = x.reshape(bags, rows // bags, width)
+
+    def project(w):
+        h = shared_matmul(x3, w)
+        if scale is None:
+            return h
+        return (h.reshape(rows, w.shape[1]) * scale).reshape(bags, rows // bags, w.shape[1])
+
+    attn = softmax(batched_matmul(project(w_theta), swap_last_axes(project(w_phi))), axis=-1)
+    context = batched_matmul(attn, project(w_g))
+    return context.reshape(rows, context.shape[2])
+
+
+# -- the context branches on the scaled input -----------------------------------
+#
+# The branches run on the scaled features ``scale * x`` and differentiate them
+# through a (rows, d) input gradient, with an im2col conv: a reference for the
+# engine's ops, which scale their projections instead.
+
+
+def im2col_conv1d(x: ag.Tensor, w: ag.Tensor, dilation: int, bags: int) -> ag.Tensor:
+    """The dilated conv over stacked bags as one GEMM over the im2col matrix
+    of x, with ``ref_conv1d_dilated_vjp`` as its vjp. x may require grad."""
+    k, c_in, c_out = w.shape
+    rows = x.shape[0]
+    t_len = rows // bags
+    pad = (k - 1) // 2 * dilation
+    xpad = np.zeros((bags, t_len + 2 * pad, c_in), dtype=x.data.dtype)
+    xpad[:, pad : pad + t_len] = x.data.reshape(bags, t_len, c_in)
+    cols = np.stack([xpad[:, j * dilation : j * dilation + t_len] for j in range(k)], axis=2).reshape(rows, k * c_in)
+
+    def vjp(g):
+        gx, gw, _ = ref_conv1d_dilated_vjp(x.data, w.data, g, dilation, bags)
+        return (gx if x.requires_grad else None, gw if w.requires_grad else None)
+
+    return ag.custom_op("im2col_conv1d", cols @ w.data.reshape(k * c_in, c_out), (x, w), vjp)
+
+
+def input_scaled_conv(x: np.ndarray, w, dilation: int, bags: int, bias, scale):
+    """A conv branch on the scaled input: the im2col conv of ``scale * x``
+    plus the bias."""
+    return im2col_conv1d(ag.Tensor(x) * scale, w, dilation, bags) + bias
+
+
+def input_scaled_nonlocal(x: np.ndarray, w_theta, w_phi, w_g, bags: int, scale):
+    """The attention branch on the scaled input: the single-op chain on
+    ``scale * x``."""
+    return unfused_nonlocal(ag.Tensor(x) * scale, w_theta, w_phi, w_g, bags)
+
+
 def ref_conv1d_dilated(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
     """Loop-based dilated cross-correlation with symmetric zero padding."""
     k, c_in, c_out = w.shape
@@ -176,11 +233,11 @@ def ref_conv1d_dilated(x: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarra
 
 
 def ref_conv1d_dilated_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray, dilation: int, bags: int):
-    """The im2col-and-scatter vjp of ``conv1d_dilated`` that the tap-layout
-    GEMMs replaced: (gx, gw, gb) for x (bags * T, c_in), w (k, c_in, c_out)
-    and the output gradient g (bags * T, c_out), in g's dtype. gx scatters
-    the column gradient ``g @ w.T`` tap by tap into a zeroed padded buffer,
-    and gw is ``cols.T @ g`` over the im2col matrix."""
+    """The im2col-and-scatter vjp of a dilated conv over stacked bags:
+    (gx, gw, gb) for x (bags * T, c_in), w (k, c_in, c_out) and the output
+    gradient g (bags * T, c_out), in g's dtype. gx scatters the column
+    gradient ``g @ w.T`` tap by tap into a zeroed padded buffer, and gw is
+    ``cols.T @ g`` over the im2col matrix."""
     k, c_in, c_out = w.shape
     rows = x.shape[0]
     t_len = rows // bags

@@ -183,6 +183,10 @@ class TestTopkStructure:
 
 
 class TestTsaForward:
+    """The attention returns each snippet's inclusion as a (rows, 1) tensor;
+    the fused features are ``inclusion * features``, which the context
+    module forms after its projections."""
+
     def _scorer(self, d=6, seed=0):
         return scorer_mlp(d, seed, (16, 8))
 
@@ -190,23 +194,24 @@ class TestTsaForward:
         rng = np.random.default_rng(5)
         feats = Tensor(rng.normal(size=(9, 6)).astype(np.float32))
         cfg = TsaConfig(num_samples=50, ratio=1.0, sigma_noise=0.3, seed=0)
-        fhat, sel, _ = tsa_forward(feats, self._scorer(), cfg, np.random.default_rng(1))
-        np.testing.assert_allclose(fhat.data, feats.data, atol=1e-6)
-        assert np.all(sel.inclusion == 1.0)
+        incl, sel, _ = tsa_forward(feats, self._scorer(), cfg, np.random.default_rng(1))
+        assert incl.shape == (9, 1) and incl.data.dtype == np.float32
+        assert np.all(incl.data == 1.0) and np.all(sel.inclusion == 1.0)
+        # so the fused features are the features, bit for bit
+        assert np.array_equal((feats * incl).data, feats.data)
 
     def test_hard_selection_zeroes_unselected_rows(self):
         rng = np.random.default_rng(6)
         feats = Tensor(rng.normal(size=(8, 6)).astype(np.float32))
-        scorer = self._scorer()
         omega = Tensor(np.linspace(0.9, 0.1, 8).reshape(8, 1))
         cfg = TsaConfig(num_samples=10, ratio=0.5, sigma_noise=0.05, seed=0)
         sel = topk_score(omega.data[:, 0], 4, 10, 0.0)
-        scale = sel.inclusion[:, None]
-        expect = scale * feats.data
-        fhat, _ = tsa_fuse(feats, omega, cfg, noise=np.zeros((1, 10, 8)))
-        np.testing.assert_allclose(fhat.data, expect.astype(np.float32), atol=0)
-        assert np.all(fhat.data[4:] == 0.0)
-        np.testing.assert_array_equal(fhat.data[:4], feats.data[:4])
+        incl, _ = tsa_fuse(feats, omega, cfg, noise=np.zeros((1, 10, 8)))
+        assert np.array_equal(incl.data, sel.inclusion[:, None].astype(np.float32))
+        assert incl.data[:4].tolist() == [[1.0]] * 4 and incl.data[4:].tolist() == [[0.0]] * 4
+        fused = (feats * incl).data
+        assert np.all(fused[4:] == 0.0)
+        np.testing.assert_array_equal(fused[:4], feats.data[:4])
 
     def test_clone_multiply_sum_route_matches_column_scaling(self):
         """Explicitly cloning the selection over channels, multiplying, and
@@ -261,15 +266,14 @@ class TestTsaForward:
 class TestSelectionGradient:
     def test_full_selection_gradient_exactly_zero(self):
         rng = np.random.default_rng(10)
-        grad_fhat = rng.normal(size=(6, 4))
+        grad_incl = rng.normal(size=(6, 1))
         cfg = TsaConfig(num_samples=100, ratio=1.0, sigma_noise=0.2)
         with ag.using_dtype(np.float64):
-            feats = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+            feats = Tensor(rng.normal(size=(6, 4)))
             omega = Tensor(rng.uniform(0, 1, (6, 1)), requires_grad=True)
-            fhat, _ = tsa_fuse(feats, omega, cfg, rng)
-            ag.backward((fhat * Tensor(grad_fhat)).sum())
+            incl, _ = tsa_fuse(feats, omega, cfg, rng)
+            ag.backward((incl * Tensor(grad_incl)).sum())
         assert np.all(omega.grad == 0.0)
-        np.testing.assert_allclose(feats.grad, grad_fhat, atol=1e-12)
 
     def test_grad_scores_is_jacobian_transpose_product(self):
         rng = np.random.default_rng(15)
@@ -322,23 +326,29 @@ class TestSelectionGradient:
         assert np.ptp(off) < 3 * tol
 
     def test_gradient_flows_into_scorer_and_features(self):
+        """Through the inclusion into the scorer, and into features that
+        require grad through the fusion ``features * inclusion`` and the
+        scorer."""
         rng = np.random.default_rng(13)
         feats = Tensor(rng.normal(size=(10, 6)).astype(np.float32), requires_grad=True)
         scorer = scorer_mlp(6, 3, (12, 6))
         cfg = TsaConfig(num_samples=64, ratio=0.5, sigma_noise=0.2, seed=0)
-        fhat, _, _ = tsa_forward(feats, scorer, cfg, np.random.default_rng(21))
-        ag.backward(ag.l2_norm(fhat))
+        incl, _, _ = tsa_forward(feats, scorer, cfg, np.random.default_rng(21))
+        ag.backward(ag.l2_norm(feats * incl))
         assert feats.grad is not None and np.any(feats.grad != 0)
-        assert all(w.grad is not None for w in scorer.weights)
+        assert all(w.grad is not None and np.any(w.grad != 0) for w in scorer.weights)
 
     def test_constant_features_get_no_gradient_computed(self):
+        """The features are not a parent of the selection: its one gradient
+        is the scores'."""
         rng = np.random.default_rng(13)
-        feats = Tensor(rng.normal(size=(10, 6)))
+        feats = Tensor(rng.normal(size=(10, 6)), requires_grad=True)
         omega = Tensor(rng.uniform(size=(10, 1)), requires_grad=True)
         cfg = TsaConfig(num_samples=8, ratio=0.5, sigma_noise=0.2, seed=0)
-        fhat, _ = tsa_fuse(feats, omega, cfg, np.random.default_rng(21))
-        grad_omega, grad_feats = fhat._rec.vjp(np.ones(fhat.shape, np.float32))
-        assert grad_omega.shape == omega.shape and grad_feats is None
+        incl, _ = tsa_fuse(feats, omega, cfg, np.random.default_rng(21))
+        assert incl._rec.op == "tsa_select" and incl._rec.parents == (omega,)
+        (grad_omega,) = incl._rec.vjp(np.ones(incl.shape, np.float32))
+        assert grad_omega.shape == omega.shape
 
     def test_engine_gradcheck_at_full_selection(self):
         """Deterministic end-to-end check through the attention node: at
@@ -355,15 +365,15 @@ class TestSelectionGradient:
             with ag.using_dtype(np.float64), ag.no_grad():
                 feats = Tensor(f_arr)
                 omega = ag.matmul(feats, Tensor(w_arr)).sigmoid()
-                fhat, _ = tsa_fuse(feats, omega, cfg, noise=zeros)
-                return float(ag.l2_norm(fhat).data)
+                incl, _ = tsa_fuse(feats, omega, cfg, noise=zeros)
+                return float(ag.l2_norm(feats * incl).data)
 
         with ag.using_dtype(np.float64):
             feats = Tensor(feats64, requires_grad=True)
             w = Tensor(w64, requires_grad=True)
             omega = ag.matmul(feats, w).sigmoid()
-            fhat, _ = tsa_fuse(feats, omega, cfg, noise=zeros)
-            ag.backward(ag.l2_norm(fhat))
+            incl, _ = tsa_fuse(feats, omega, cfg, noise=zeros)
+            ag.backward(ag.l2_norm(feats * incl))
             analytic_f = feats.grad.copy()
             analytic_w = w.grad if w.grad is not None else np.zeros_like(w64)
 
@@ -400,22 +410,21 @@ class TestBatchedSelection:
         n, t_len, d = feats.shape
         cfg = TsaConfig(num_samples=40, ratio=0.5, sigma_noise=0.2)
         with ag.using_dtype(np.float64):
-            x = Tensor(feats.reshape(n * t_len, d), requires_grad=True)
+            x = Tensor(feats.reshape(n * t_len, d))
             w = Tensor(omega.reshape(n * t_len, 1), requires_grad=True)
-            fhat, sel = tsa_fuse(x, w, cfg, np.random.default_rng(5), bags=n)
-            ag.backward((fhat * Tensor(upstream.reshape(n * t_len, d))).sum())
+            incl, sel = tsa_fuse(x, w, cfg, np.random.default_rng(5), bags=n)
+            ag.backward((x * incl * Tensor(upstream.reshape(n * t_len, d))).sum())
 
             rng = np.random.default_rng(5)
             for i in range(n):
-                xi = Tensor(feats[i], requires_grad=True)
+                xi = Tensor(feats[i])
                 wi = Tensor(omega[i], requires_grad=True)
-                fi, si = tsa_fuse(xi, wi, cfg, rng)
-                ag.backward((fi * Tensor(upstream[i])).sum())
+                incl_i, si = tsa_fuse(xi, wi, cfg, rng)
+                ag.backward((xi * incl_i * Tensor(upstream[i])).sum())
                 rows = slice(i * t_len, (i + 1) * t_len)
                 assert np.array_equal(sel.inclusion[i], si.inclusion[0])
                 assert np.array_equal(sel.indices[i], si.indices[0])
-                assert np.array_equal(fhat.data[rows], fi.data)
-                assert max_rel_err(x.grad[rows], xi.grad) < 1e-6
+                assert np.array_equal(incl.data[rows], incl_i.data)
                 assert max_rel_err(w.grad[rows], wi.grad) < 1e-6
 
     def test_selection_arrays_carry_the_bag_axis(self):
@@ -438,9 +447,9 @@ class TestBatchedSelection:
     def test_one_bag_batch_equals_unbatched_call(self):
         feats, omega, _ = self._bags(n=1)
         cfg = TsaConfig(num_samples=20, ratio=0.7, sigma_noise=0.1)
-        f1, s1 = tsa_fuse(Tensor(feats[0]), Tensor(omega[0]), cfg, np.random.default_rng(3))
+        incl, s1 = tsa_fuse(Tensor(feats[0]), Tensor(omega[0]), cfg, np.random.default_rng(3))
         s0 = topk_score(omega[0, :, 0], 4, 20, 0.1, np.random.default_rng(3))
-        assert np.array_equal(f1.data, s0.inclusion[:, None].astype(np.float32) * feats[0].astype(np.float32))
+        assert np.array_equal(incl.data, s0.inclusion[:, None].astype(np.float32))
         assert np.array_equal(s1.inclusion[0], s0.inclusion)
         assert (s1.inclusion.shape, s0.inclusion.shape) == ((1, 7), (7,))
 

@@ -32,14 +32,16 @@ from helpers import (
     check_grads,
     engine_grads,
     fd_grads,
+    input_scaled_conv,
+    input_scaled_nonlocal,
     max_rel_err,
     read_only_gradients,
     ref_conv1d_dilated,
-    ref_conv1d_dilated_vjp,
     ref_sigmoid,
     ref_softmax,
     shared_matmul,
     swap_last_axes,
+    unfused_nonlocal,
 )
 
 
@@ -104,14 +106,16 @@ class TestConv1dDilated:
             np.testing.assert_allclose(got, ref_conv1d_dilated(x, w, dilation), atol=1e-12)
 
     def test_grad_matches_finite_differences(self):
+        # x is a constant; the weights and the row scale get gradients
         rng = np.random.default_rng(2)
-        for dilation in (1, 2):
+        for dilation in (1, 2, 4):
             x = rng.normal(size=(5, 2))
             w = rng.normal(size=(3, 2, 2))
+            s = rng.uniform(0.2, 1.5, size=(5, 1))
             check_grads(
-                lambda tx, tw, d=dilation: conv1d_dilated(tx, tw, d).sum(),
-                lambda xx, xw, d=dilation: float(ref_conv1d_dilated(xx, xw, d).sum()),
-                [x, w],
+                lambda tw, ts, d=dilation: conv1d_dilated(Tensor(x), tw, d, scale=ts).sum(),
+                lambda xw, xs, d=dilation: float(ref_conv1d_dilated(xs * x, xw, d).sum()),
+                [w, s],
             )
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
@@ -136,22 +140,29 @@ class TestConv1dDilated:
         bags = 3
         x = rng.normal(size=(bags * t_len, 2))
         w = rng.normal(size=(3, 2, 3))
+        s = rng.uniform(0.2, 1.5, size=(bags * t_len, 1))
         check_grads(
-            lambda tx, tw: l2_norm(conv1d_dilated(tx, tw, dilation, bags)),
-            lambda xx, xw: float(np.linalg.norm(np.concatenate(
-                [ref_conv1d_dilated(xx[b * t_len : (b + 1) * t_len], xw, dilation) for b in range(bags)]
+            lambda tw, ts: l2_norm(conv1d_dilated(Tensor(x), tw, dilation, bags, scale=ts)),
+            lambda xw, xs: float(np.linalg.norm(np.concatenate(
+                [ref_conv1d_dilated((xs * x)[b * t_len : (b + 1) * t_len], xw, dilation) for b in range(bags)]
             ))),
-            [x, w],
+            [w, s],
         )
 
     def test_rows_must_split_into_bags(self):
         with pytest.raises(ShapeError, match="bags"):
             conv1d_dilated(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 1, 1))), 1, 2)
 
+    def test_scale_shape_checked(self):
+        with pytest.raises(ShapeError, match=re.escape("scale must be (4, 1), got (4,)")):
+            conv1d_dilated(Tensor(np.ones((4, 1))), Tensor(np.ones((3, 1, 1))), scale=Tensor(np.ones(4)))
+
 
 class TestConvBackward:
-    """The tap-layout vjp gives the retired im2col-and-scatter vjp's float32
-    gradients up to rounding, and the forward keeps nothing for it."""
+    """The conv of ``scale * x``, scaled after its GEMM, gives the values and
+    float32 gradients of the route that scaled the input first (an im2col
+    conv with the im2col-and-scatter vjp, kept in ``tests/helpers.py``) up
+    to rounding, and its forward keeps only the tap products P."""
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("bags", [1, 3])
@@ -159,39 +170,91 @@ class TestConvBackward:
     @pytest.mark.parametrize("mask", [(True,) * 3, (False, True, True), (True, False, True), (True, True, False)])
     def test_matches_the_im2col_vjp(self, dilation, bags, t_len, mask):
         # the padding is the dilation at k = 3, so T 1 (every dilation) and
-        # T 2 (dilations 2 and 4) put whole taps outside the bag
+        # T 2 (dilations 2 and 4) put whole taps outside the bag; mask says
+        # which of w, b and the scale require grad
         rng = np.random.default_rng(1000 * dilation + 100 * bags + t_len)
         x = rng.normal(size=(bags * t_len, 6)).astype(np.float32)
         w = rng.normal(size=(3, 6, 4)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
+        s = rng.uniform(0.0, 1.0, size=(bags * t_len, 1)).astype(np.float32)
+        s[0] = 0.0  # a row the selection dropped
         g = rng.normal(size=(bags * t_len, 4)).astype(np.float32)
-        leaves = [Tensor(a, requires_grad=r) for a, r in zip((x, w, b), mask)]
-        backward(inject(conv1d_dilated(*leaves[:2], dilation, bags, bias=leaves[2]), g))
-        for leaf, want, needed in zip(leaves, ref_conv1d_dilated_vjp(x, w, g, dilation, bags), mask):
+        got = [Tensor(a, requires_grad=r) for a, r in zip((w, b, s), mask)]
+        y = conv1d_dilated(Tensor(x), got[0], dilation, bags, bias=got[1], scale=got[2])
+        backward(inject(y, g))
+        want = [Tensor(a, requires_grad=r) for a, r in zip((w, b, s), mask)]
+        y_ref = input_scaled_conv(x, want[0], dilation, bags, want[1], want[2])
+        backward(inject(y_ref, g))
+        np.testing.assert_allclose(y.data, y_ref.data, rtol=1e-5, atol=1e-5)
+        for leaf, ref, needed in zip(got, want, mask):
             if not needed:
                 assert leaf.grad is None
                 continue
-            assert leaf.grad.dtype == np.float32 and leaf.grad.shape == want.shape
+            assert leaf.grad.dtype == np.float32 and leaf.grad.shape == ref.grad.shape
             assert leaf.grad.flags.c_contiguous
-            np.testing.assert_allclose(leaf.grad, want, rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(leaf.grad, ref.grad, rtol=1e-5, atol=1e-5)
 
     def test_forward_keeps_no_im2col_matrix(self):
-        """A grad-enabled forward leaves only its output and graph behind:
-        no im2col matrix (rows * k * c_in) and no padded input (about
-        rows * c_in), each far larger than the output at c_out = 2."""
+        """A grad-enabled forward leaves only its output, the tap products P
+        (rows * k * c_out) and the graph behind: no im2col matrix
+        (rows * k * c_in) and no padded input (about rows * c_in), each far
+        larger than P at c_out = 2."""
         rng = np.random.default_rng(6)
         rows, k, c_in = 64, 3, 256
-        x = Tensor(rng.normal(size=(rows, c_in)), requires_grad=True)
+        x = Tensor(rng.normal(size=(rows, c_in)))
         w = Tensor(rng.normal(size=(k, c_in, 2)), requires_grad=True)
+        s = Tensor(rng.uniform(size=(rows, 1)), requires_grad=True)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            y = conv1d_dilated(x, w, 2, 2)
+            y = conv1d_dilated(x, w, 2, 2, scale=s)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert y._rec is not None
         assert kept < rows * c_in * x.data.itemsize // 2 < rows * k * c_in * x.data.itemsize
+
+    @pytest.mark.parametrize("op", ["conv", "nonlocal"])
+    @pytest.mark.parametrize("d", [32, 512])
+    def test_context_branches_match_the_input_scaled_route(self, op, d):
+        """At the detector's widths (d -> d/4, 16 bags of 32 snippets, each
+        scale an inclusion in [0, 1] with hard zeros and ones), the values,
+        the weight gradients and the scale gradient stay within float32
+        rounding of scaling the input first."""
+        rng = np.random.default_rng(d + (op == "nonlocal"))
+        bags, t_len, c = 16, 32, d // 4
+        rows = bags * t_len
+        x = rng.normal(size=(rows, d)).astype(np.float32)
+        s = rng.integers(0, 101, size=(rows, 1)).astype(np.float32) / 100  # M = 100 samples
+        s[:4] = [[0.0], [1.0], [0.0], [1.0]]
+        g = rng.normal(size=(rows, c)).astype(np.float32)
+        if op == "conv":
+            bound = np.sqrt(6.0 / (3 * d + 3 * c))
+            arrays = [rng.uniform(-bound, bound, size=(3, d, c)), np.zeros(c)]
+            fused = lambda w, b, sc: conv1d_dilated(Tensor(x), w, 2, bags, bias=b, scale=sc)
+            reference = lambda w, b, sc: input_scaled_conv(x, w, 2, bags, b, sc)
+        else:
+            bound = np.sqrt(6.0 / (d + c))
+            arrays = [rng.uniform(-bound, bound, size=(d, c)) for _ in range(3)]
+            fused = lambda wt, wp, wg, sc: nonlocal_attention(Tensor(x), wt, wp, wg, bags, scale=sc)
+            reference = lambda wt, wp, wg, sc: input_scaled_nonlocal(x, wt, wp, wg, bags, sc)
+        runs = []
+        for build in (fused, reference):
+            leaves = [Tensor(a.astype(np.float32), requires_grad=True) for a in arrays + [s]]
+            y = build(*leaves)
+            backward(inject(y, g))
+            runs.append([y.data] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*runs):
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+    @pytest.mark.parametrize("op", ["conv", "nonlocal"])
+    def test_input_that_requires_grad_rejected(self, op):
+        x = Tensor(np.ones((4, 4)), requires_grad=True)
+        with pytest.raises(ValueError, match="x must be a constant"):
+            if op == "conv":
+                conv1d_dilated(x, Tensor(np.ones((3, 4, 1))))
+            else:
+                nonlocal_attention(x, *(Tensor(np.ones((4, 1))) for _ in range(3)))
 
 
 class TestBatchedMatrixOps:
@@ -246,17 +309,8 @@ def unfused_linear(x, w, b, act):
     return h if act is None else getattr(h, act)()
 
 
-def unfused_conv(x, w, dilation, bags, bias):
-    return conv1d_dilated(x, w, dilation, bags) + bias
-
-
-def unfused_nonlocal(x, w_theta, w_phi, w_g, bags):
-    """The context module's attention branch as single ops."""
-    rows = x.shape[0]
-    x3 = x.reshape(bags, rows // bags, x.shape[1])
-    attn = softmax(batched_matmul(shared_matmul(x3, w_theta), swap_last_axes(shared_matmul(x3, w_phi))), axis=-1)
-    context = batched_matmul(attn, shared_matmul(x3, w_g))
-    return context.reshape(rows, context.shape[2])
+def unfused_conv(x, w, dilation, bags, bias, scale):
+    return conv1d_dilated(x, w, dilation, bags, scale=scale) + bias
 
 
 def ref_linear(x, w, b, act):
@@ -308,16 +362,20 @@ def linear_inputs(seed, rows=7, k=5, n=4):
 
 
 def nonlocal_inputs(seed, bags, t_len=5, d=6, c=3):
+    """x, then w_theta, w_phi, w_g and a row scale with a hard 0 and 1."""
     rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 1.0, size=(bags * t_len, 1)).astype(np.float32)
+    s[:2] = [[0.0], [1.0]]
     return [rng.normal(size=(bags * t_len, d)).astype(np.float32)] + [
         (rng.normal(size=(d, c)) * 0.7).astype(np.float32) for _ in range(3)
-    ]
+    ] + [s]
 
 
 class TestFusedOps:
     """`linear`, conv with bias and `nonlocal_attention` give the values and
     float32 gradients of the single-op chains they replace, bit for bit, and
-    pass the float64 gradient check."""
+    pass the float64 gradient check. The conv and the attention take a
+    constant x, so their gradients are the weights' and the row scale's."""
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     @pytest.mark.parametrize("mask", grad_masks(3))
@@ -360,24 +418,29 @@ class TestFusedOps:
     @pytest.mark.parametrize("bags", [1, 3])
     @pytest.mark.parametrize("mask", grad_masks(3))
     def test_conv_with_bias_same_bits_as_the_chain(self, bags, mask):
+        # mask says which of w, b and the scale require grad
         rng = np.random.default_rng(3)
-        arrays = [rng.normal(size=(bags * 4, 3)).astype(np.float32), rng.normal(size=(3, 3, 2)).astype(np.float32),
-                  rng.normal(size=2).astype(np.float32)]
+        x = Tensor(rng.normal(size=(bags * 4, 3)).astype(np.float32))
+        arrays = [rng.normal(size=(3, 3, 2)).astype(np.float32), rng.normal(size=2).astype(np.float32),
+                  rng.uniform(size=(bags * 4, 1)).astype(np.float32)]
         assert_same_bits(
-            lambda x, w, b: conv1d_dilated(x, w, 2, bags, bias=b),
-            lambda x, w, b: unfused_conv(x, w, 2, bags, b),
+            lambda w, b, s: conv1d_dilated(x, w, 2, bags, bias=b, scale=s),
+            lambda w, b, s: unfused_conv(x, w, 2, bags, b, s),
             arrays, mask, "conv1d_dilated",
         )
 
     def test_conv_with_bias_gradcheck(self):
         rng = np.random.default_rng(4)
-        x, w, b = rng.normal(size=(6, 2)), rng.normal(size=(3, 2, 3)), rng.normal(size=3)
-        check_grads(
-            lambda tx, tw, tb: l2_norm(conv1d_dilated(tx, tw, 2, 2, bias=tb)),
-            lambda xx, xw, xb: float(np.linalg.norm(np.concatenate(
-                [ref_conv1d_dilated(xx[i * 3 : (i + 1) * 3], xw, 2) for i in range(2)]) + xb)),
-            [x, w, b],
-        )
+        for bags in (1, 2):
+            for dilation in (1, 2, 4):
+                x = rng.normal(size=(bags * 3, 2))
+                w, b, s = rng.normal(size=(3, 2, 3)), rng.normal(size=3), rng.uniform(0.2, 1.5, size=(bags * 3, 1))
+                check_grads(
+                    lambda tw, tb, ts: l2_norm(conv1d_dilated(Tensor(x), tw, dilation, bags, bias=tb, scale=ts)),
+                    lambda xw, xb, xs: float(np.linalg.norm(np.concatenate(
+                        [ref_conv1d_dilated((xs * x)[i * 3 : (i + 1) * 3], xw, dilation) for i in range(bags)]) + xb)),
+                    [w, b, s],
+                )
 
     def test_conv_bias_shape_checked(self):
         with pytest.raises(ShapeError, match="bias"):
@@ -386,31 +449,36 @@ class TestFusedOps:
     @pytest.mark.parametrize("bags", [1, 3])
     @pytest.mark.parametrize("mask", grad_masks(4))
     def test_nonlocal_same_bits_as_the_chain(self, bags, mask):
-        arrays = nonlocal_inputs(5, bags)
+        # mask says which of w_theta, w_phi, w_g and the scale require grad
+        x, *arrays = nonlocal_inputs(5, bags)
         assert_same_bits(
-            lambda *t: nonlocal_attention(*t, bags), lambda *t: unfused_nonlocal(*t, bags), arrays, mask,
-            "nonlocal_attention",
+            lambda *t: nonlocal_attention(Tensor(x), *t[:3], bags, scale=t[3]),
+            lambda *t: unfused_nonlocal(Tensor(x), *t[:3], bags, scale=t[3]),
+            arrays, mask, "nonlocal_attention",
         )
 
     @pytest.mark.parametrize("bags", [1, 2])
     def test_nonlocal_gradcheck(self, bags):
+        x, *arrays = (a.astype(np.float64) for a in nonlocal_inputs(6, bags, t_len=3, d=4, c=2))
         check_grads(
-            lambda *t: l2_norm(nonlocal_attention(*t, bags)),
-            lambda *a: float(np.linalg.norm(ref_nonlocal(*a, bags))),
-            [a.astype(np.float64) for a in nonlocal_inputs(6, bags, t_len=3, d=4, c=2)],
+            lambda wt, wp, wg, s: l2_norm(nonlocal_attention(Tensor(x), wt, wp, wg, bags, scale=s)),
+            lambda wt, wp, wg, s: float(np.linalg.norm(ref_nonlocal(s * x, wt, wp, wg, bags))),
+            arrays,
         )
 
     def test_nonlocal_keeps_bags_apart(self):
-        x, wt, wp, wg = nonlocal_inputs(7, 3)
+        x, wt, wp, wg, s = nonlocal_inputs(7, 3)
         with ag.using_dtype(np.float64):
-            got = nonlocal_attention(Tensor(x), Tensor(wt), Tensor(wp), Tensor(wg), 3).data
-        want = np.concatenate([ref_nonlocal(x[i * 5 : (i + 1) * 5].astype(np.float64), wt, wp, wg, 1) for i in range(3)])
+            got = nonlocal_attention(Tensor(x), Tensor(wt), Tensor(wp), Tensor(wg), 3, scale=Tensor(s)).data
+        sx = s.astype(np.float64) * x
+        want = np.concatenate([ref_nonlocal(sx[i * 5 : (i + 1) * 5], wt, wp, wg, 1) for i in range(3)])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_unneeded_products_skipped(self):
-        arrays = nonlocal_inputs(8, 2)
+        x, *arrays = nonlocal_inputs(8, 2)
         for mask in grad_masks(4)[1:]:
-            y = nonlocal_attention(*[Tensor(a, requires_grad=r) for a, r in zip(arrays, mask)], 2)
+            leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, mask)]
+            y = nonlocal_attention(Tensor(x), *leaves[:3], 2, scale=leaves[3])
             grads = y._rec.vjp(np.ones(y.shape, np.float32))
             assert [g is None for g in grads] == [not r for r in mask]
         for mask in grad_masks(3)[1:]:
@@ -427,7 +495,9 @@ class TestFusedOps:
         with pytest.raises(ValueError, match="tanh"):
             linear(x, w, b, "tanh")
         with pytest.raises(ShapeError, match="bags"):
-            nonlocal_attention(*(Tensor(a) for a in nonlocal_inputs(11, 1)), 2)
+            nonlocal_attention(*(Tensor(a) for a in nonlocal_inputs(11, 1)[:4]), 2)
+        with pytest.raises(ShapeError, match="scale must be"):
+            nonlocal_attention(*(Tensor(a) for a in nonlocal_inputs(11, 1)[:4]), scale=Tensor(np.ones((4, 1))))
         with pytest.raises(ShapeError, match="disagree"):
             nonlocal_attention(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
 
@@ -467,6 +537,16 @@ class TestElementwise:
     def test_mul_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Tensor(np.ones(3)) * Tensor(np.ones(4))
+        # a row scale is (rows, 1) on the right only
+        for a, b in (((2, 3), (3, 1)), ((2, 1), (2, 3)), ((2, 3), (2,))):
+            with pytest.raises(ShapeError):
+                Tensor(np.ones(a)) * Tensor(np.ones(b))
+
+    def test_row_scale_values_and_grads(self):
+        rng = np.random.default_rng(17)
+        a, s = rng.normal(size=(4, 3)), rng.normal(size=(4, 1))
+        assert np.array_equal((Tensor(a) * Tensor(s)).data, a.astype(np.float32) * s.astype(np.float32))
+        check_grads(lambda ta, ts: l2_norm(ta * ts), lambda xa, xs: float(np.linalg.norm(xa * xs)), [a, s])
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(8.0))
@@ -913,6 +993,26 @@ class TestChecksThatStay:
         with pytest.raises(NumericsError, match=r"grad\[conv1d_dilated\]"), np.errstate(over="ignore"):
             backward(inject(y, np.full((2, 1), BIG, np.float32)))
 
+    @pytest.mark.parametrize("op", ["conv", "nonlocal"])
+    def test_scale_gradient_overflow_rejected(self, op):
+        """The scale's gradient sums a row of products, which can overflow."""
+        s = Tensor(np.ones((2, 1)), requires_grad=True)
+        x = Tensor(np.full((2, 2), 4.0))
+        if op == "conv":
+            y = conv1d_dilated(x, Tensor(np.ones((1, 2, 2))), scale=s)
+            name = "conv1d_dilated"
+        else:
+            y = nonlocal_attention(x, Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1))), Tensor(np.ones((2, 2))), scale=s)
+            name = "nonlocal_attention"
+        with pytest.raises(NumericsError, match=rf"grad\[{name}\]"), np.errstate(over="ignore", invalid="ignore"):
+            backward(inject(y, np.full((2, 2), BIG, np.float32)))
+
+    def test_row_scale_gradient_overflow_rejected(self):
+        s = Tensor(np.ones((2, 1)), requires_grad=True)
+        y = Tensor(np.full((2, 2), 4.0)) * s
+        with pytest.raises(NumericsError, match=r"grad\[mul\]"), np.errstate(over="ignore"):
+            backward(inject(y, np.full((2, 2), BIG, np.float32)))
+
     def test_nonlocal_logit_overflow_rejected(self):
         """theta and phi are finite (1e20); their product is not."""
         one = Tensor([[1.0]])
@@ -991,8 +1091,12 @@ class TestUnneededProducts:
             pytest.param(matmul, (2, 3), (3, 4), id="matmul"),
             pytest.param(batched_matmul, (2, 2, 3), (2, 3, 4), id="batched_matmul"),
             pytest.param(shared_matmul, (2, 2, 3), (3, 4), id="shared_matmul"),
-            pytest.param(lambda x, w: conv1d_dilated(x, w, 2), (4, 2), (3, 2, 2), id="conv1d_dilated"),
+            pytest.param(
+                lambda w, s: conv1d_dilated(Tensor(np.ones((4, 2))), w, 2, scale=s), (3, 2, 2), (4, 1),
+                id="conv1d_dilated",
+            ),
             pytest.param(lambda a, b: a * b, (2, 3), (2, 3), id="mul"),
+            pytest.param(lambda a, b: a * b, (2, 3), (2, 1), id="mul_rows"),
         ],
     )
     def test_product_skipped(self, op, a_shape, b_shape, const):
@@ -1110,9 +1214,10 @@ def run_gradient_sweep(instances: int, seed: int = 1234) -> float:
 
         x = rng.normal(size=(4, 2))
         w = rng.normal(size=(3, 2, 2))
+        sc = rng.uniform(0.2, 1.5, size=(4, 1))
         worst = max(worst, check_grads(
-            lambda tx, tw: l2_norm(conv1d_dilated(tx, tw, 2)),
-            lambda xx, xw: float(np.linalg.norm(ref_conv1d_dilated(xx, xw, 2))), [x, w]))
+            lambda tw, ts: l2_norm(conv1d_dilated(Tensor(x), tw, 2, scale=ts)),
+            lambda xw, xs: float(np.linalg.norm(ref_conv1d_dilated(xs * x, xw, 2))), [w, sc]))
 
         u = rng.normal(size=(5,))
         v = rng.normal(size=(5,))

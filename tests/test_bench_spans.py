@@ -54,10 +54,10 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
         assert calls[name] == 1, name
     assert calls["autograd.conv1d_dilated"] == 3
     # one graph over the stacked batch: scorer 3 nodes (one linear per
-    # layer), attention 1, context module 6 (3 convs with bias,
-    # nonlocal_attention, concat, residual add), classifier 5 (3 linear,
-    # 2 dropout), loss 17
-    assert tracer.epoch_nodes == [32]
+    # layer), attention 1, context module 7 (3 convs with bias,
+    # nonlocal_attention, concat, the residual's row scale and its add),
+    # classifier 5 (3 linear, 2 dropout), loss 17
+    assert tracer.epoch_nodes == [33]
 
 
 def test_traced_eval_counts_match_the_manifest(spans, tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import filecmp
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -211,20 +212,33 @@ class TestTrainEval:
             ["train", "--manifest", "TRAIN", "--val-manifest", "MISSING", "--val-every", "1"],
             ["sweep-r", "--manifest", "TRAIN", "--test-manifest", "MISSING"],
             ["ablate", "--manifest", "MISSING", "--test-manifest", "TEST"],
+            ["train", "--manifest", "BROKEN"],
+            ["sweep-r", "--manifest", "BROKEN", "--test-manifest", "TEST"],
+            ["ablate", "--manifest", "BROKEN", "--test-manifest", "TEST"],
         ],
-        ids=["eval", "eval-ground-truth", "train", "train-val", "sweep-r", "ablate"],
+        ids=["eval", "eval-ground-truth", "train", "train-val", "sweep-r", "ablate", "train-features",
+             "sweep-r-features", "ablate-features"],
     )
     def test_missing_input_leaves_no_out(self, dataset, untrained_checkpoint, tmp_path, capsys, argv):
-        """A command that cannot read its inputs exits 1 before it makes --out."""
+        """A command that cannot read its inputs exits 1 before it makes --out.
+        BROKEN is a training split whose manifest names a feature file that
+        is not there; only training reads it."""
         paths = {
             "TRAIN": dataset / "train" / "manifest.json",
             "TEST": dataset / "test" / "manifest.json",
             "CKPT": untrained_checkpoint,
             "MISSING": tmp_path / "nope.json",
+            "BROKEN": tmp_path / "broken" / "manifest.json",
         }
+        missing = "nope.json"
+        if "BROKEN" in argv:
+            shutil.copytree(dataset / "train", tmp_path / "broken")
+            gone = load_manifest(paths["BROKEN"]).videos[-1].path
+            (tmp_path / "broken" / gone).unlink()
+            missing = gone
         out = tmp_path / "out"
         assert main([*(str(paths.get(a, a)) for a in argv), "--out", str(out)]) == 1
-        assert "nope.json" in capsys.readouterr().err
+        assert missing in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -336,8 +336,9 @@ class TestScoreBag:
         monkeypatch.setattr(ag, "_ensure_finite", counting("checks", ensure_finite))
         with no_grad():
             score_bag(model, feats, tsa_rng=np.random.default_rng(0))
-        # scorer 3 linear + tsa_select 1 (attention on only); context module
-        # 3 convs + nonlocal_attention (2 checks) + concat (unchecked) +
-        # residual add; classifier 3 linear (dropout is off)
-        scorer = 4 if tsa_enabled else 0
-        assert counts == dict(ops=scorer + 6 + 3, checks=scorer + 6 + 3)
+        # scorer 3 linear + tsa_select 1 + the residual's row scale 1
+        # (attention on only); context module 3 convs + nonlocal_attention
+        # (2 checks) + concat (unchecked) + residual add; classifier 3
+        # linear (dropout is off)
+        attention = 5 if tsa_enabled else 0
+        assert counts == dict(ops=attention + 6 + 3, checks=attention + 6 + 3)

@@ -294,9 +294,13 @@ class TestConvModule:
         mod = conv_module(0)
         for t in conv_params(mod):
             t.data = np.zeros_like(t.data)
-        x = Tensor(np.random.default_rng(1).normal(size=(5, 8)).astype(np.float32))
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(5, 8)).astype(np.float32))
         out = conv_module_forward(mod, x)
         np.testing.assert_array_equal(out.data, x.data)
+        # with a scale, the identity of the scaled features
+        s = rng.uniform(size=(5, 1)).astype(np.float32)
+        np.testing.assert_array_equal(conv_module_forward(mod, x, scale=Tensor(s)).data, x.data * s)
 
     def test_width_must_divide_by_four(self):
         with pytest.raises(ValueError, match="multiple of 4"):
@@ -318,42 +322,46 @@ class TestConvModule:
     def test_stacked_batch_grad_matches_per_bag(self):
         rng = np.random.default_rng(6)
         arrays = [rng.normal(size=(2, 8)) for _ in range(3)]
+        scales = [rng.uniform(size=(2, 1)) for _ in range(3)]
         with ag.using_dtype(np.float64):
             mod = conv_module(7)
-            bags = [Tensor(a, requires_grad=True) for a in arrays]
-            per_bag = [conv_module_forward(mod, b) for b in bags]
+            per_scale = [Tensor(s, requires_grad=True) for s in scales]
+            per_bag = [conv_module_forward(mod, Tensor(a), scale=s) for a, s in zip(arrays, per_scale)]
             ag.backward(ag.l2_norm(ag.concat(per_bag, axis=0)))
-            want = [b.grad.copy() for b in bags] + [p.grad.copy() for p in conv_params(mod)]
+            want = [s.grad.copy() for s in per_scale] + [p.grad.copy() for p in conv_params(mod)]
             for p in conv_params(mod):
                 p.grad = None
-            x = Tensor(np.concatenate(arrays), requires_grad=True)
-            ag.backward(ag.l2_norm(conv_module_forward(mod, x, 3)))
-            got = list(np.split(x.grad, 3)) + [p.grad for p in conv_params(mod)]
+            scale = Tensor(np.concatenate(scales), requires_grad=True)
+            ag.backward(ag.l2_norm(conv_module_forward(mod, Tensor(np.concatenate(arrays)), 3, scale=scale)))
+            got = list(np.split(scale.grad, 3)) + [p.grad for p in conv_params(mod)]
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-12)
 
     def test_gradcheck_against_engine_fd(self):
+        """The scale's gradient through every branch and the residual."""
         rng = np.random.default_rng(4)
         x64 = rng.normal(size=(4, 8))
+        s64 = rng.uniform(size=(4, 1))
 
         with ag.using_dtype(np.float64):
             mod = conv_module(5)
-            x = Tensor(x64, requires_grad=True)
-            ag.backward(ag.l2_norm(conv_module_forward(mod, x)))
-            analytic = x.grad.copy()
+            x = Tensor(x64)
+            scale = Tensor(s64, requires_grad=True)
+            ag.backward(ag.l2_norm(conv_module_forward(mod, x, scale=scale)))
+            analytic = scale.grad.copy()
 
             def value(arr):
                 with ag.no_grad():
-                    return float(ag.l2_norm(conv_module_forward(mod, Tensor(arr))).data)
+                    return float(ag.l2_norm(conv_module_forward(mod, x, scale=Tensor(arr))).data)
 
             h = 1e-5
-            fd = np.zeros_like(x64)
-            for i in range(x64.size):
-                xp = x64.copy()
-                xp.flat[i] += h
-                xm = x64.copy()
-                xm.flat[i] -= h
-                fd.flat[i] = (value(xp) - value(xm)) / (2 * h)
+            fd = np.zeros_like(s64)
+            for i in range(s64.size):
+                sp = s64.copy()
+                sp.flat[i] += h
+                sm = s64.copy()
+                sm.flat[i] -= h
+                fd.flat[i] = (value(sp) - value(sm)) / (2 * h)
         assert max_rel_err(analytic, fd) < 1e-3
 
 
@@ -500,16 +508,19 @@ class TestTrainingStepCost:
 
         one, two = run(1), run(2)
         per_step = {key: two[key] - one[key] for key in counts}
-        # nodes: scorer 3 linear, attention 1, context module 6 (3 convs
-        # with bias, nonlocal_attention, concat, residual add), classifier 5
-        # (3 linear, 2 dropout), loss 17.
-        # 31 forward checks: the batch tensor 1, scorer 3, attention 1,
-        # context module 6 (3 convs, the attention's logits and output, the
-        # residual add), classifier 5 (3 linear, 2 dropout), loss 15.
-        # 44 gradient checks: loss 11, classifier 11 (3 per linear, 1 per
-        # dropout), context module 13 (3 per conv, 4 from nonlocal_attention),
-        # attention 1, scorer 8 (no gradient for the constant batch).
-        assert per_step == dict(nodes=32, checks=75)
+        # nodes: scorer 3 linear, attention 1, context module 7 (3 convs
+        # with bias, nonlocal_attention, concat, the residual's row scale
+        # and its add), classifier 5 (3 linear, 2 dropout), loss 17.
+        # 32 forward checks: the batch tensor 1, scorer 3, attention 1,
+        # context module 7 (3 convs, the attention's logits and output, the
+        # residual's row scale and its add), classifier 5 (3 linear, 2
+        # dropout), loss 15.
+        # 45 gradient checks: loss 11, classifier 11 (3 per linear, 1 per
+        # dropout), context module 14 (3 per conv and 4 from
+        # nonlocal_attention, their weights, biases and scale, and 1 from
+        # the residual's row scale), attention 1, scorer 8 (no gradient for
+        # the constant batch).
+        assert per_step == dict(nodes=33, checks=77)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
@@ -527,13 +538,20 @@ class TestTrainingStepCost:
         assert (faults(12) - short) / 10 <= 64
 
     def test_paper_shape_step_memory_is_pinned(self, tmp_path, monkeypatch):
-        """Each step at the paper's shape (d=512, T=32, B=8) peaks 12.7 MiB of
+        """Each step at the paper's shape (d=512, T=32, B=8) peaks 13.8 MiB of
         traced memory above what training holds before its first step (the
-        model, the Adam moments and the training array). Holding every walked
-        node until backward returns, and the forward outputs across backward,
-        took it to 18.9 MiB. Earlier still, the im2col vjp, which kept each
-        conv branch's im2col matrix and padded input from forward to
-        backward, read 29.6 MiB above its step's own start."""
+        model, the Adam moments and the training array). The peak is the
+        loss's top-alpha ranking, with the whole forward held. Applying the
+        attention's inclusion after the context module's projections keeps
+        each conv branch's tap products P (not scale * P) and the attention
+        branch's unscaled projections for the scale's gradient, 3 MiB more
+        than the scaled input the context module used to take; ranking the
+        rows without a float64 copy of the context features saves 2 MiB.
+        Before both it read 12.7 MiB. Holding every walked node until
+        backward returns, and the forward outputs across backward, took it to
+        18.9 MiB. Earlier still, the im2col vjp, which kept each conv
+        branch's im2col matrix and padded input from forward to backward,
+        read 29.6 MiB above its step's own start."""
         manifest, _ = generate_synthetic(SyntheticConfig(n_normal=8, n_abnormal=8, d=512, seed=3), tmp_path)
         peaks, base = [], []
 
@@ -592,8 +610,8 @@ class TestEndToEndGradientIntegrity:
                 for arr in bags64:
                     bag = Tensor(arr)
                     omega = mlp_forward(model.scorer, bag)
-                    fhat, _ = tsa_fuse(bag, omega, cfg.tsa, noise=zeros)
-                    ctx = conv_module_forward(model.conv, fhat)
+                    incl, _ = tsa_fuse(bag, omega, cfg.tsa, noise=zeros)
+                    ctx = conv_module_forward(model.conv, bag, scale=incl)
                     ctx_feats.append(ctx)
                     scores.append(mlp_forward(model.classifier, ctx))
                 return dmt_loss(stack(ctx_feats), stack(scores), labels, cfg)
