@@ -26,6 +26,7 @@ snippets sample m selected.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .autograd import Tensor
 from .nn import MLP, mlp_forward
 
 SCORER_HIDDEN = (512, 256)
+
+# one generator for a whole call, or one per bag (see ``topk_score``)
+Rngs = np.random.Generator | Sequence[np.random.Generator]
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def topk_score(
     kappa: int,
     num_samples: int,
     sigma: float,
-    rng: np.random.Generator | None = None,
+    rng: Rngs | None = None,
     *,
     noise: np.ndarray | None = None,
 ) -> SoftSelection:
@@ -150,9 +154,11 @@ def topk_score(
     snippet was selected.
 
     ``omega`` (..., T) holds one bag's T scores along its last axis; any
-    leading axes are bags, which the selection's arrays keep in front. The
-    noise is drawn as one (..., M, T) array, the same stream as one-bag
-    draws in order.
+    leading axes are bags, which the selection's arrays keep in front. One
+    generator draws the noise as one (..., M, T) array, the same stream as
+    one-bag draws in order; a sequence of generators, one per bag in C
+    order, draws each bag's (M, T) from its own, as a one-bag call with that
+    generator would (a length other than the bag count is a ValueError).
     """
     w = np.asarray(omega, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] < 1:
@@ -166,6 +172,10 @@ def topk_score(
         raise ValueError("sigma must be non-negative")
 
     shape = (*w.shape[:-1], num_samples, t_len)
+    bags = math.prod(w.shape[:-1])
+    per_bag = rng is not None and not isinstance(rng, np.random.Generator)
+    if per_bag and len(rng) != bags:
+        raise ValueError(f"expected one generator per bag ({bags}), got {len(rng)}")
     if noise is not None:
         z = np.asarray(noise, dtype=np.float64)
         if z.shape != shape:
@@ -175,7 +185,12 @@ def topk_score(
     else:
         if rng is None:
             raise ValueError("an rng is required when sigma > 0 and no noise is supplied")
-        z = rng.standard_normal(shape)
+        if per_bag:
+            z = np.empty(shape)
+            for bag_rng, bag in zip(rng, z.reshape(bags, num_samples, t_len)):
+                bag_rng.standard_normal(out=bag)
+        else:
+            z = rng.standard_normal(shape)
 
     perturbed = _perturb(w, z, sigma)
     # the set a stable descending sort puts first, without the sort: every score
@@ -200,7 +215,7 @@ def tsa_fuse(
     features: Tensor,
     omega: Tensor,
     cfg: TsaConfig,
-    rng: np.random.Generator | None = None,
+    rng: Rngs | None = None,
     *,
     noise: np.ndarray | None = None,
     bags: int = 1,
@@ -238,7 +253,7 @@ def tsa_forward(
     features: Tensor,
     scorer: MLP,
     cfg: TsaConfig,
-    rng: np.random.Generator | None = None,
+    rng: Rngs | None = None,
     *,
     bags: int = 1,
 ) -> tuple[Tensor, SoftSelection, Tensor]:
@@ -248,6 +263,6 @@ def tsa_forward(
     inclusion (rows, 1), the soft selection, and the raw scores, one row per
     input row.
     """
-    omega = mlp_forward(scorer, features)
+    omega = mlp_forward(scorer, features, bags=bags)
     incl, selection = tsa_fuse(features, omega, cfg, rng, bags=bags)
     return incl, selection, omega

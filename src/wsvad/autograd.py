@@ -6,6 +6,10 @@ accumulate in float64. Softmax computes in the storage dtype, in one buffer,
 and only its denominator accumulates in float64. Every op validates shapes up
 front.
 
+Without gradients, an op over stacked bags gives each bag the bits it gets
+alone (`_product`): eval scores a batch of videos and each video's scores are
+those it gets on its own.
+
 A layer of the detector is one op: `linear` is a dense layer with its bias and
 activation, `conv1d_dilated` takes its branch's bias, and `nonlocal_attention`
 is the embedded-Gaussian attention branch. Each computes in place what it can
@@ -348,6 +352,27 @@ def _mul_scalar(a: Tensor, c: float) -> Tensor:
     return _from_op("mul_scalar", a.data * c, (a,), lambda g: (g * c,))
 
 
+def _product(x: np.ndarray, w: np.ndarray, bags: int = 1) -> np.ndarray:
+    """``x @ w`` for x (rows, k) holding ``bags`` equal bags and w
+    (..., k, n): (..., rows, n).
+
+    Without gradients each bag is its own BLAS call, through numpy's batched
+    matmul, so it gets exactly the bits it gets alone. In one product over
+    all rows a bag's values would depend on the bags stacked with it, since
+    BLAS picks its kernel by the row count: an (m, k) @ (k, 1) product
+    rounds its tail rows differently, a single row goes to the
+    matrix-vector kernel, and OpenBLAS takes some shapes of up to
+    m * n * k = 1e6 to a small-matrix SGEMM kernel. With gradients the
+    product is one GEMM over all rows, which at the paper shape takes half
+    the time of sixteen 32-row ones.
+    """
+    t_len = bag_length(x.shape[0], bags)
+    if bags == 1 or _GRAD_ENABLED:
+        return x @ w  # the operator: a call to np.matmul costs 2 us more
+    per_bag = x.reshape(bags, t_len, -1) @ w[..., None, :, :]  # (..., bags, T, n)
+    return per_bag.reshape(*w.shape[:-2], x.shape[0], w.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product (m, k) @ (k, n)."""
     if a.ndim != 2 or b.ndim != 2:
@@ -367,9 +392,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _ACTIVATIONS = (None, "relu", "sigmoid")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 1) -> Tensor:
     """A dense layer as one op: ``act(x @ w + b)`` for x (rows, k), w (k, n)
-    and b (n,), where ``act`` is "relu", "sigmoid" or None.
+    and b (n,), where ``act`` is "relu", "sigmoid" or None. The rows hold
+    ``bags`` equal bags, which only ``_product`` reads.
 
     The bias is added into the product in place and the pre-activation is
     checked there, once: a check after the activation would miss a -inf that
@@ -381,7 +407,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
         raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {x.shape}, {w.shape}, {b.shape}")
     if act not in _ACTIVATIONS:
         raise ValueError(f"linear: activation must be one of {_ACTIVATIONS}, got {act!r}")
-    out = np.asarray(x.data @ w.data, dtype=_DTYPE)
+    out = np.asarray(_product(x.data, w.data, bags), dtype=_DTYPE)
     out += b.data
     _ensure_finite("linear", out)
     if act == "relu":
@@ -643,8 +669,7 @@ def conv1d_dilated(
     if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"conv1d_dilated: bias must be ({c_out},), got {bias.shape}")
     s = _row_scale("conv1d_dilated", x, scale)
-    bag_length(x.shape[0], bags)  # the rows must split into equal bags
-    p = np.asarray(np.matmul(x.data, w.data), dtype=_DTYPE)
+    p = np.asarray(_product(x.data, w.data, bags), dtype=_DTYPE)  # checks that the rows split into bags
     out = _sum_of_taps(p if s is None else p * s, bags, dilation)
     # only the scale's gradient reads P
     kept = p if scale is not None and scale.requires_grad else None
@@ -706,7 +731,7 @@ def nonlocal_attention(
     t_len = bag_length(rows, bags)
 
     def project(w: Tensor) -> np.ndarray:
-        return np.asarray(x.data @ w.data, dtype=_DTYPE)
+        return np.asarray(_product(x.data, w.data, bags), dtype=_DTYPE)
 
     def scaled(u: np.ndarray) -> np.ndarray:
         """A projection scaled and split into bags."""

@@ -1,6 +1,9 @@
 """Frame-level inference and evaluation.
 
-Test videos keep their native snippet count (no temporal resizing). A frame's
+Test videos keep their native snippet count (no temporal resizing). The
+videos that share a snippet count are scored as one multi-bag batch
+(``eval_batches``), each drawing its attention noise from its own stream,
+and every video's scores are the bits it gets scored alone. A frame's
 score is its snippet's score: each snippet covers snippet_len frames and the
 last takes the remainder (``snippet_lengths``), so eval keeps only snippet
 arrays, plus one frame label mask per video. The report's primary metrics
@@ -32,6 +35,9 @@ from .metrics import auc_pr, auc_roc
 from .model import Model, score_bag
 
 BINARY_THRESHOLD = 0.5
+# most rows eval stacks into one forward pass: a paper-shape training batch,
+# 2 * 8 bags of 32 snippets
+EVAL_BATCH_ROWS = 512
 
 
 @dataclass
@@ -106,21 +112,34 @@ def unfold_scores(values: np.ndarray, snippet_len: int, frame_count: int) -> np.
     return np.repeat(v, snippet_lengths(v.size, snippet_len, frame_count))
 
 
-def infer_video(
-    record: VideoRecord, model: Model, rng: np.random.Generator
-) -> ScoreTimeline:
-    """Score one video at its native snippet count (dropout off)."""
+def _check_width(record: VideoRecord, model: Model) -> None:
     if record.features.shape[1] != model.d:
         raise ValueError(
             f"video '{record.video_id}' has width {record.features.shape[1]}, "
             f"checkpoint expects {model.d}"
         )
-    with ag.no_grad():
-        scores, _, _ = score_bag(model, Tensor(record.features), tsa_rng=rng)
+
+
+def infer_video(
+    record: VideoRecord, model: Model, rng: np.random.Generator, *, scores: np.ndarray | None = None
+) -> ScoreTimeline:
+    """One video's timeline at its native snippet count (dropout off).
+
+    ``scores``, the video's T scores from a batch that ``evaluate_records``
+    scored, are used as given; without them the video is scored alone,
+    drawing its attention noise from ``rng``. A video's scores are the same
+    bits either way.
+    """
+    if scores is None:
+        _check_width(record, model)
+        with ag.no_grad():
+            scores = score_bag(model, Tensor(record.features), tsa_rng=rng)[0].data
+    if scores.size != record.num_snippets:
+        raise ValueError(f"video '{record.video_id}': {scores.size} scores for {record.num_snippets} snippets")
     return ScoreTimeline(
         video_id=record.video_id,
         label=record.label,
-        snippet_scores=scores.data.reshape(-1).astype(np.float64),
+        snippet_scores=scores.reshape(-1).astype(np.float64),
         snippet_len=record.snippet_len,
         frame_count=record.frame_count,
     )
@@ -180,6 +199,52 @@ def evaluate_manifest(
     return result
 
 
+def eval_batches(records: list[VideoRecord]) -> list[list[int]]:
+    """The record indices of each batch eval scores in one forward pass.
+
+    The videos of one snippet count, in manifest order, are cut into batches
+    of at most ``EVAL_BATCH_ROWS`` rows and at least one video; the counts
+    come in the order of their first video.
+    """
+    groups: dict[int, list[int]] = {}
+    for idx, rec in enumerate(records):
+        groups.setdefault(rec.num_snippets, []).append(idx)
+    batches = []
+    for t_len, group in groups.items():
+        size = max(1, EVAL_BATCH_ROWS // t_len)
+        batches.extend(group[i : i + size] for i in range(0, len(group), size))
+    return batches
+
+
+def _video_rng(eval_seed: int, idx: int) -> np.random.Generator:
+    """The attention noise stream of the ``idx``-th video of a split."""
+    return np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
+
+
+def _score_batch(records: list[VideoRecord], batch: list[int], model: Model, eval_seed: int) -> list[ScoreTimeline]:
+    """Timelines of the videos ``batch`` indexes, all of one snippet count,
+    scored as one multi-bag forward pass in which each bag draws its noise
+    from its own video's stream. A ``NumericsError`` scores the videos again
+    one at a time, from fresh streams, and is re-raised with the id of the
+    video that raises it in front."""
+    recs = [records[i] for i in batch]
+    rngs = [_video_rng(eval_seed, i) for i in batch]
+    try:
+        with ag.no_grad():
+            stacked = Tensor(np.concatenate([rec.features for rec in recs]))
+            rows = score_bag(model, stacked, len(recs), tsa_rng=rngs)[0].data.reshape(len(recs), -1)
+    except ag.NumericsError:
+        rngs = [_video_rng(eval_seed, i) for i in batch]
+        rows = [None] * len(recs)
+    timelines = []
+    for rec, rng, video_scores in zip(recs, rngs, rows):
+        try:
+            timelines.append(infer_video(rec, model, rng, scores=video_scores))
+        except ag.NumericsError as exc:
+            raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
+    return timelines
+
+
 def evaluate_records(
     records: list[VideoRecord],
     model: Model,
@@ -188,42 +253,43 @@ def evaluate_records(
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
     """``evaluate_manifest`` over records already loaded.
 
-    The metrics are computed over weighted entries, one per run of frames
-    that share a snippet and a label (``frame_runs``), weighted by the run's
-    frame count, which scores the same as the unfolded frame arrays. A
-    ``NumericsError`` in a video's forward pass is re-raised with the video's
-    id in front. The videos are scored under one
-    ``np.errstate`` that silences overflow and invalid-value warnings: the
-    engine checks every value the forward pass makes, so nothing warns before
-    that error.
+    The videos are scored in ``eval_batches``, each batch one ``score_bag``
+    call over its videos stacked as bags, and each video's timeline is the
+    same bits as ``infer_video`` alone with its stream gives. The metrics
+    are computed over weighted entries, one per run of frames that share a
+    snippet and a label (``frame_runs``), weighted by the run's frame count,
+    which scores the same as the unfolded frame arrays. A ``NumericsError``
+    in a video's forward pass is re-raised with the video's id in front.
+    The videos are scored under one ``np.errstate`` that silences overflow
+    and invalid-value warnings: the engine checks every value the forward
+    pass makes, so nothing warns before that error.
     """
     ag.pin_malloc_thresholds()
     if not records:
         raise ValueError("no videos to evaluate: the split is empty")
     masks = video_frame_labels(records, ground_truth)
-    timelines: list[ScoreTimeline] = []
+    for rec in records:
+        _check_width(rec, model)
+    scored: dict[int, ScoreTimeline] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in eval_batches(records):
+            scored.update(zip(batch, _score_batch(records, batch, model, eval_seed)))
+    timelines = [scored[idx] for idx in range(len(records))]
     runs: list[tuple[np.ndarray, ...]] = []  # (score, label, weight) per entry
     per_video: list[dict] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for idx, (rec, labels) in enumerate(zip(records, masks)):
-            rng = np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
-            try:
-                tl = infer_video(rec, model, rng)
-            except ag.NumericsError as exc:
-                raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
-            timelines.append(tl)
-            start, stop, snippet = frame_runs(tl, labels)
-            runs.append((tl.snippet_scores[snippet], labels[start], stop - start))
-            frame_scores = tl.frame_scores
-            per_video.append(
-                {
-                    "id": rec.video_id,
-                    "label": rec.label,
-                    "frames": rec.frame_count,
-                    "mean_score": float(frame_scores.mean()),
-                    "max_score": float(frame_scores.max()),
-                }
-            )
+    for tl, labels in zip(timelines, masks):
+        start, stop, snippet = frame_runs(tl, labels)
+        runs.append((tl.snippet_scores[snippet], labels[start], stop - start))
+        frame_scores = tl.frame_scores
+        per_video.append(
+            {
+                "id": tl.video_id,
+                "label": tl.label,
+                "frames": tl.frame_count,
+                "mean_score": float(frame_scores.mean()),
+                "max_score": float(frame_scores.max()),
+            }
+        )
     scores, run_labels, weights = (np.concatenate(col) for col in zip(*runs))
     report = EvalReport(
         auc_roc=auc_roc(scores, run_labels, weights),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import SCORER_HIDDEN, TsaConfig, tsa_forward
+from .attention import SCORER_HIDDEN, Rngs, TsaConfig, tsa_forward
 from .autograd import Tensor, all_finite
 from .features import FormatError
 from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
@@ -118,7 +118,7 @@ def score_bag(
     features: Tensor,
     bags: int = 1,
     *,
-    tsa_rng: np.random.Generator | None = None,
+    tsa_rng: Rngs | None = None,
     dropout_rng: np.random.Generator | None = None,
 ):
     """The detector's forward pass, for training and eval alike.
@@ -132,7 +132,7 @@ def score_bag(
     if model.tsa_enabled:
         incl, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
     ctx = conv_module_forward(model.conv, features, bags, scale=incl)
-    scores = mlp_forward(model.classifier, ctx, rng=dropout_rng)
+    scores = mlp_forward(model.classifier, ctx, rng=dropout_rng, bags=bags)
     return scores, ctx, selection
 
 

@@ -36,13 +36,15 @@ def mlp_forward(
     x: Tensor,
     *,
     rng: np.random.Generator | None = None,
+    bags: int = 1,
 ) -> Tensor:
-    """Apply the MLP row-wise to a (T, d_in) tensor, returning (T, d_out): one
-    `linear` op per layer, and dropout after each hidden layer given ``rng``."""
+    """Apply the MLP row-wise to a (rows, d_in) tensor of ``bags`` stacked
+    bags, returning (rows, d_out): one `linear` op per layer, and dropout
+    after each hidden layer given ``rng``."""
     h = x
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        h = ag.dropout(ag.linear(h, w, b, "relu"), mlp.dropout_p, rng)
-    return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid")
+        h = ag.dropout(ag.linear(h, w, b, "relu", bags), mlp.dropout_p, rng)
+    return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid", bags)
 
 
 @dataclass

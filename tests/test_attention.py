@@ -465,3 +465,21 @@ class TestBatchedSelection:
                 tsa_fuse(Tensor(np.ones((7, 2))), Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=bags)
         with pytest.raises(ag.ShapeError, match="one score per snippet"):
             tsa_fuse(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 1))), cfg, np.random.default_rng(0), bags=2)
+
+    def test_one_generator_per_bag_selects_as_one_bag_calls(self):
+        """A list of generators, one per bag, draws each bag's noise from its
+        own: the selection is exactly that of one-bag calls with each."""
+        _, omega, _ = self._bags(n=3, t_len=9)
+        scores = omega[..., 0]
+        got = topk_score(scores, 4, 30, 0.2, [np.random.default_rng(s) for s in (7, 8, 9)])
+        for i, s in enumerate((7, 8, 9)):
+            one = topk_score(scores[i], 4, 30, 0.2, np.random.default_rng(s))
+            assert np.array_equal(got.noise[i], one.noise)
+            assert np.array_equal(got.selected[i], one.selected)
+            assert np.array_equal(got.inclusion[i], one.inclusion)
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_generator_list_needs_one_per_bag(self, count):
+        scores = np.zeros((3, 5))
+        with pytest.raises(ValueError, match=rf"one generator per bag \(3\), got {count}"):
+            topk_score(scores, 2, 4, 0.1, [np.random.default_rng(i) for i in range(count)])

@@ -301,6 +301,53 @@ class TestBatchedMatrixOps:
                 matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
+class TestBagLocalProducts:
+    """Without gradients, an op over stacked bags gives every bag the bits it
+    gets alone, at shapes where BLAS picks its kernel by the row count: one
+    row (matrix-vector), one column (tail rows), and m * n * k up to 1e6 at
+    k = 512 (OpenBLAS's small-matrix SGEMM). With gradients the product is
+    one GEMM over all rows."""
+
+    BAGS = 6
+
+    def stack(self, seed, t_len, k):
+        return np.random.default_rng(seed).normal(size=(self.BAGS * t_len, k)).astype(np.float32)
+
+    @pytest.mark.parametrize("t_len, k, n", [(1, 32, 8), (1, 128, 32), (7, 256, 1), (3, 512, 512), (5, 512, 128)])
+    def test_linear(self, t_len, k, n):
+        x = self.stack(t_len + k + n, t_len, k)
+        w, b = Tensor(np.random.default_rng(k).normal(size=(k, n))), Tensor(np.linspace(-1, 1, n))
+        with ag.no_grad():
+            stacked = linear(Tensor(x), w, b, "relu", self.BAGS).data
+            alone = [linear(Tensor(bag), w, b, "relu").data for bag in x.reshape(self.BAGS, t_len, k)]
+        assert stacked.tobytes() == np.concatenate(alone).tobytes()
+        assert np.array_equal(linear(Tensor(x), w, b, "relu", self.BAGS).data, linear(Tensor(x), w, b, "relu").data)
+
+    @pytest.mark.parametrize("t_len", [1, 5])
+    def test_context_ops(self, t_len):
+        x = self.stack(t_len, t_len, 512)
+        rng = np.random.default_rng(1)
+        w_conv = Tensor(rng.normal(size=(3, 512, 128)) / 20)
+        w_attn = [Tensor(rng.normal(size=(512, 128)) / 20) for _ in range(3)]
+        scale = rng.uniform(size=(self.BAGS * t_len, 1))
+        ops = [
+            lambda xs, s, bags: conv1d_dilated(xs, w_conv, 2, bags, scale=s),
+            lambda xs, s, bags: nonlocal_attention(xs, *w_attn, bags, scale=s),
+        ]
+        with ag.no_grad():
+            for op in ops:
+                stacked = op(Tensor(x), Tensor(scale), self.BAGS).data
+                alone = [
+                    op(Tensor(x[i * t_len : (i + 1) * t_len]), Tensor(scale[i * t_len : (i + 1) * t_len]), 1).data
+                    for i in range(self.BAGS)
+                ]
+                assert stacked.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_linear_rows_must_split_into_bags(self):
+        with pytest.raises(ShapeError, match="equal bags"):
+            linear(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)), bags=2)
+
+
 # -- fused ops against the single-op chains they replace ------------------------
 
 

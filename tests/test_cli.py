@@ -326,15 +326,21 @@ class TestLocatedNumericsErrors:
     first (pytest turns every RuntimeWarning into an error)."""
 
     def test_eval_names_the_video(self, tmp_path, untrained_checkpoint, capsys):
-        data = gen(tmp_path, "ds")
-        vid = poison_one_row(data / "test", video=3)
-        code = main([
-            "eval", "--manifest", str(data / "test" / "manifest.json"),
-            "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: NumericsError: video '{vid}': non-finite values produced by ")
+        """Eval scores the videos of one snippet count as one batch; a batch
+        that overflows is scored again one video at a time, so the error
+        names the video whether it is first or last in its batch or alone."""
+        for video, batch_size in [(3, 2), (11, 3), (1, 1)]:
+            data = gen(tmp_path, f"ds{video}")
+            counts = [-(-v.frame_count // 4) for v in load_manifest(data / "test" / "manifest.json").videos]
+            assert counts.count(counts[video]) == batch_size  # --delta 4
+            vid = poison_one_row(data / "test", video=video)
+            code = main([
+                "eval", "--manifest", str(data / "test" / "manifest.json"),
+                "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / f"ev{video}"), "--seed", "0",
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: NumericsError: video '{vid}': non-finite values produced by ")
 
     def test_train_names_the_epoch_and_the_batch(self, tmp_path, capsys):
         data = gen(tmp_path, "ds")

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from wsvad import evaluate
 from wsvad.attention import TsaConfig
 from wsvad.evaluate import (
     EvalReport,
@@ -433,3 +434,66 @@ class TestFrameCsvBytes:
         short = ScoreTimeline("short-mask", 0, np.full(1, 0.2), 4, 4)
         with pytest.raises(ValueError, match="video 'short-mask': 4 frames but 3 labels"):
             write_frame_csv(tmp_path / "fast.csv", [ok, short], [np.zeros(4, np.uint8), np.zeros(3, np.uint8)])
+
+
+def split_of(counts: list[int], d: int, snippet_len: int = 4):
+    """Records of the given snippet counts, normal and abnormal in turn,
+    and their ground truth."""
+    rng = np.random.default_rng(len(counts) + d)
+    records, gt = [], {}
+    for k, t_len in enumerate(counts):
+        features = rng.normal(size=(t_len, d)).astype(np.float32)
+        records.append(VideoRecord(f"v{k}", k % 2, t_len * snippet_len, snippet_len, features))
+        if k % 2:
+            gt[f"v{k}"] = [(0, snippet_len)]
+    return records, gt
+
+
+class TestBatchedEval:
+    """``evaluate_records`` scores the videos of one snippet count as one
+    multi-bag forward pass, and no video's scores can tell."""
+
+    @pytest.mark.parametrize("tsa", [True, False])
+    @pytest.mark.parametrize(
+        "d, counts",
+        [
+            # five 130-snippet videos make two batches, of three and two
+            (8, [1, 7, 1, 130, 16, 7, 130, 1, 130, 16, 130, 130, 7]),
+            (512, [1, 5, 12, 33, 5, 1, 12, 33, 12, 5]),
+        ],
+    )
+    def test_every_timeline_is_the_video_alone(self, d, counts, tsa):
+        records, gt = split_of(counts, d)
+        model = init_model(d, TsaConfig(num_samples=16), np.random.SeedSequence(d), tsa_enabled=tsa)
+        _, timelines, _ = evaluate_records(records, model, gt, eval_seed=4)
+        for idx, (rec, tl) in enumerate(zip(records, timelines)):
+            alone = infer_video(rec, model, np.random.default_rng(np.random.SeedSequence((4, idx))))
+            assert tl.video_id == rec.video_id
+            assert tl.snippet_scores.tobytes() == alone.snippet_scores.tobytes(), rec.video_id
+
+    def test_one_forward_pass_per_snippet_count_and_chunk(self, monkeypatch):
+        records, gt = split_of([4, 9, 4, 200, 4, 200, 600, 200, 9, 600], 8)
+        calls, timelined = [], []
+        score_bag, infer_video_ = evaluate.score_bag, evaluate.infer_video
+
+        def counting_score_bag(model, features, bags=1, **kwargs):
+            calls.append((features.shape[0], bags))
+            return score_bag(model, features, bags, **kwargs)
+
+        def counting_infer_video(record, *args, **kwargs):
+            timelined.append(record.video_id)
+            return infer_video_(record, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "score_bag", counting_score_bag)
+        monkeypatch.setattr(evaluate, "infer_video", counting_infer_video)
+        evaluate_records(records, fresh_model(), gt)
+        # snippet counts in the order of their first video; at most 512 rows
+        # a batch, so 200-snippet videos go two at a time and 600 alone
+        assert calls == [(12, 3), (18, 2), (400, 2), (200, 1), (600, 1), (600, 1)]
+        assert sorted(timelined) == sorted(rec.video_id for rec in records)
+
+    def test_width_checked_before_stacking(self):
+        records, gt = split_of([3, 3, 3], 8)
+        records[1] = VideoRecord("wide", 1, 12, 4, np.zeros((3, 12), np.float32))
+        with pytest.raises(ValueError, match="video 'wide' has width 12, checkpoint expects 8"):
+            evaluate_records(records, fresh_model(), {"wide": [(0, 4)]})

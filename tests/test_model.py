@@ -295,8 +295,8 @@ class TestScoreBag:
 
     @pytest.mark.parametrize("tsa_enabled", [True, False])
     def test_stacked_bags_match_one_bag_calls(self, tsa_enabled):
-        """Training's forward over n stacked bags equals n one-bag eval calls
-        drawing from the same rng stream in order."""
+        """The no-grad forward over n stacked bags gives the bits of n one-bag
+        calls drawing from the same rng stream in order."""
         model = small_model(num_samples=16)
         model.tsa_enabled = tsa_enabled
         n, t_len = 3, 7
@@ -305,8 +305,8 @@ class TestScoreBag:
             scores, ctx, sel = score_bag(model, Tensor(x), bags=n, tsa_rng=np.random.default_rng(9))
             rng = np.random.default_rng(9)
             singles = [score_bag(model, Tensor(bag), tsa_rng=rng) for bag in x.reshape(n, t_len, 8)]
-        np.testing.assert_allclose(scores.data, np.concatenate([s.data for s, _, _ in singles]), atol=1e-6)
-        np.testing.assert_allclose(ctx.data, np.concatenate([c.data for _, c, _ in singles]), atol=1e-6)
+        assert np.array_equal(scores.data, np.concatenate([s.data for s, _, _ in singles]))
+        assert np.array_equal(ctx.data, np.concatenate([c.data for _, c, _ in singles]))
         if tsa_enabled:
             assert sel.inclusion.shape == (n, t_len)
             assert np.array_equal(sel.inclusion, np.concatenate([s.inclusion for _, _, s in singles]))
@@ -315,13 +315,15 @@ class TestScoreBag:
 
     @pytest.mark.parametrize("tsa_enabled", [True, False])
     def test_eval_cost_per_video_is_pinned(self, tsa_enabled, monkeypatch):
-        """One no-grad (T, d) bag, as eval scores each video: one op and one
+        """A no-grad forward, as eval scores a batch of videos: one op and one
         check per layer, where the attention branch checks its logits and its
-        output. A change that adds ops or checks to eval's path must change
-        these on purpose."""
+        output, for one (T, d) bag and for three stacked bags alike, so
+        batching adds no op per video. A change that adds ops or checks to
+        eval's path must change these on purpose."""
         model = small_model()
         model.tsa_enabled = tsa_enabled
-        feats = Tensor(np.random.default_rng(5).normal(size=(20, 8)).astype(np.float32))
+        feats = np.random.default_rng(5).normal(size=(60, 8)).astype(np.float32)
+        one, three = Tensor(feats[:20]), Tensor(feats)
         counts = dict(ops=0, checks=0)
         from_op, ensure_finite = ag._from_op, ag._ensure_finite
 
@@ -335,10 +337,13 @@ class TestScoreBag:
         monkeypatch.setattr(ag, "_from_op", counting("ops", from_op))
         monkeypatch.setattr(ag, "_ensure_finite", counting("checks", ensure_finite))
         with no_grad():
-            score_bag(model, feats, tsa_rng=np.random.default_rng(0))
+            score_bag(model, one, tsa_rng=np.random.default_rng(0))
+            one_bag = dict(counts)
+            counts.update(ops=0, checks=0)
+            score_bag(model, three, 3, tsa_rng=[np.random.default_rng(i) for i in range(3)])
         # scorer 3 linear + tsa_select 1 + the residual's row scale 1
         # (attention on only); context module 3 convs + nonlocal_attention
         # (2 checks) + concat (unchecked) + residual add; classifier 3
         # linear (dropout is off)
         attention = 5 if tsa_enabled else 0
-        assert counts == dict(ops=attention + 6 + 3, checks=attention + 6 + 3)
+        assert one_bag == counts == dict(ops=attention + 6 + 3, checks=attention + 6 + 3)
