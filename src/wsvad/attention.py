@@ -212,7 +212,6 @@ def topk_score(
 
 
 def tsa_fuse(
-    features: Tensor,
     omega: Tensor,
     cfg: TsaConfig,
     rng: Rngs | None = None,
@@ -223,29 +222,26 @@ def tsa_fuse(
     """Nominate the top-kappa from precomputed scores; returns each
     snippet's inclusion as a (rows, 1) tensor, and the selection.
 
-    ``features`` holds ``bags`` bags of T snippets stacked along the rows and
-    ``omega`` one score per row. Each bag keeps its own top-kappa, all drawn
-    in one ``topk_score`` call; ``noise`` and the selection have a bag axis.
-    Cloning the selection over feature channels, multiplying elementwise and
-    summing over ranks collapses to scaling each snippet by its inclusion
-    probability, so the fused features are ``inclusion * features``. They are
-    not formed here: the layers after the attention are linear in their
-    input rows, so they apply the inclusion to their own projections
-    (``nn.conv_module_forward``'s ``scale``).
+    ``omega`` (rows, 1) holds one score per snippet of ``bags`` bags of T
+    snippets stacked along the rows. Each bag keeps its own top-kappa, all
+    drawn in one ``topk_score`` call; ``noise`` and the selection have a bag
+    axis. Cloning the selection over feature channels, multiplying
+    elementwise and summing over ranks collapses to scaling each snippet by
+    its inclusion probability, so the fused features are
+    ``inclusion * features``. They are not formed here: the layers after the
+    attention are linear in their input rows, so they apply the inclusion to
+    their own projections (``nn.conv_module_forward``'s ``scale``).
     """
-    if features.ndim != 2:
-        raise ag.ShapeError(f"expected (T, d) features stacked along the rows, got {features.shape}")
-    rows = features.shape[0]
-    if omega.data.size != rows:
-        raise ag.ShapeError(f"expected one score per snippet, got {omega.shape} for {rows} snippets")
-    kappa = kappa_from_ratio(ag.bag_length(rows, bags), cfg.ratio)
+    if omega.ndim != 2 or omega.shape[1] != 1:
+        raise ag.ShapeError(f"expected one score per snippet, (rows, 1), got {omega.shape}")
+    kappa = kappa_from_ratio(ag.bag_length(omega.shape[0], bags), cfg.ratio)
     selection = topk_score(omega.data.reshape(bags, -1), kappa, cfg.num_samples, cfg.sigma_noise, rng, noise=noise)
 
     def vjp(g):
         grad_omega = selection.grad_scores(g.astype(np.float64).reshape(selection.inclusion.shape))
         return (grad_omega.astype(omega.data.dtype).reshape(omega.shape),)
 
-    incl = ag.custom_op("tsa_select", selection.inclusion.reshape(rows, 1), (omega,), vjp)
+    incl = ag.custom_op("tsa_select", selection.inclusion.reshape(omega.shape), (omega,), vjp)
     return incl, selection
 
 
@@ -259,10 +255,10 @@ def tsa_forward(
 ) -> tuple[Tensor, SoftSelection, Tensor]:
     """Score snippets and nominate the top-kappa.
 
-    ``features`` and ``bags`` are as in ``tsa_fuse``. Returns each snippet's
-    inclusion (rows, 1), the soft selection, and the raw scores, one row per
-    input row.
+    ``features`` holds ``bags`` bags of T snippets stacked along the rows.
+    Returns each snippet's inclusion (rows, 1), the soft selection, and the
+    raw scores, one row per input row.
     """
     omega = mlp_forward(scorer, features, bags=bags)
-    incl, selection = tsa_fuse(features, omega, cfg, rng, bags=bags)
+    incl, selection = tsa_fuse(omega, cfg, rng, bags=bags)
     return incl, selection, omega

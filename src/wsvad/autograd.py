@@ -569,6 +569,16 @@ def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _from_op("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
+def _tap_rows(t_len: int, shift: int) -> tuple[slice, slice]:
+    """The rows t of a bag of T rows whose row t + shift lies in the same
+    bag, and those rows t + shift: two slices of one length, both empty when
+    the shift leaves the bag. The stop is clamped at the start, since a
+    negative stop would wrap round the bag's end."""
+    lo = max(0, -shift)
+    hi = max(lo, min(t_len, t_len - shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
 def _taps_of_output_grad(g: np.ndarray, bags: int, k: int, dilation: int) -> np.ndarray:
     """The output gradient g (bags * T, c_out) of a dilated conv laid out by
     tap, (k, bags * T, c_out): tap j, row t holds g[t + pad - j * dilation]
@@ -578,19 +588,10 @@ def _taps_of_output_grad(g: np.ndarray, bags: int, k: int, dilation: int) -> np.
     t_len = rows // bags
     pad = (k - 1) // 2 * dilation
     g3 = g.reshape(bags, t_len, c_out)
-    gy = np.empty((k, bags, t_len, c_out), dtype=g.dtype)
+    gy = np.zeros((k, bags, t_len, c_out), dtype=g.dtype)
     for j in range(k):
-        shift = pad - j * dilation
-        if shift == 0:
-            gy[j] = g3
-        elif 0 < shift < t_len:
-            gy[j, :, : t_len - shift] = g3[:, shift:]
-            gy[j, :, t_len - shift :] = 0
-        elif 0 < -shift < t_len:
-            gy[j, :, -shift:] = g3[:, : t_len + shift]
-            gy[j, :, :-shift] = 0
-        else:  # the tap reads outside the bag for every row
-            gy[j] = 0
+        dst, src = _tap_rows(t_len, pad - j * dilation)
+        gy[j, :, dst] = g3[:, src]
     return gy.reshape(k, rows, c_out)
 
 
@@ -605,11 +606,9 @@ def _sum_of_taps(p: np.ndarray, bags: int, dilation: int) -> np.ndarray:
     p4 = p.reshape(k, bags, t_len, c_out)
     out = p4[k // 2].copy()  # the centre tap reads its own row
     for j in range(k):
-        shift = j * dilation - pad
-        if 0 < shift < t_len:
-            out[:, : t_len - shift] += p4[j, :, shift:]
-        elif 0 < -shift < t_len:
-            out[:, -shift:] += p4[j, :, : t_len + shift]
+        if j != k // 2:
+            dst, src = _tap_rows(t_len, j * dilation - pad)
+            out[:, dst] += p4[j, :, src]
     return out.reshape(rows, c_out)
 
 

@@ -98,26 +98,22 @@ def _generate_split(
     entries: list[ManifestEntry] = []
     intervals: dict[str, list[list[int]]] = {}
 
-    for i in range(cfg.n_normal):
-        video_id = f"{split}_norm_{i:04d}"
-        frames = int(rng.integers(cfg.frame_range[0], cfg.frame_range[1] + 1))
-        feats = _normal_snippets(cfg, rng, frames)
-        entries.append(_write_video(split_dir, video_id, feats, 0, frames))
-        intervals[video_id] = []
-
-    for i in range(cfg.n_abnormal):
-        video_id = f"{split}_anom_{i:04d}"
-        frames = int(rng.integers(cfg.frame_range[0], cfg.frame_range[1] + 1))
-        eps = int(rng.integers(cfg.eps_range[0], cfg.eps_range[1] + 1))
-        # SyntheticConfig guarantees whole >= eps_range[1] >= eps
-        whole = frames // cfg.snippet_len
-        start = int(rng.integers(0, whole - eps + 1))
-        feats = _normal_snippets(cfg, rng, frames)
-        feats[start : start + eps] += (cfg.anomaly_shift * direction).astype(np.float32)
-        entries.append(_write_video(split_dir, video_id, feats, 1, frames))
-        intervals[video_id] = [
-            [start * cfg.snippet_len, (start + eps) * cfg.snippet_len]
-        ]
+    for label, kind, count in ((0, "norm", cfg.n_normal), (1, "anom", cfg.n_abnormal)):
+        for i in range(count):
+            video_id = f"{split}_{kind}_{i:04d}"
+            frames = int(rng.integers(cfg.frame_range[0], cfg.frame_range[1] + 1))
+            anomaly = slice(0, 0)  # a normal video has no anomalous snippets
+            intervals[video_id] = []
+            if label:
+                eps = int(rng.integers(cfg.eps_range[0], cfg.eps_range[1] + 1))
+                # SyntheticConfig guarantees whole >= eps_range[1] >= eps
+                whole = frames // cfg.snippet_len
+                start = int(rng.integers(0, whole - eps + 1))
+                anomaly = slice(start, start + eps)
+                intervals[video_id] = [[start * cfg.snippet_len, (start + eps) * cfg.snippet_len]]
+            feats = _normal_snippets(cfg, rng, frames)
+            feats[anomaly] += (cfg.anomaly_shift * direction).astype(np.float32)
+            entries.append(_write_video(split_dir, video_id, feats, label, frames))
 
     manifest = DatasetManifest(
         version=MANIFEST_VERSION,

@@ -1,5 +1,7 @@
 """Perturbed top-k selection: structure, limits, and its gradient estimator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -206,7 +208,7 @@ class TestTsaForward:
         omega = Tensor(np.linspace(0.9, 0.1, 8).reshape(8, 1))
         cfg = TsaConfig(num_samples=10, ratio=0.5, sigma_noise=0.05, seed=0)
         sel = topk_score(omega.data[:, 0], 4, 10, 0.0)
-        incl, _ = tsa_fuse(feats, omega, cfg, noise=np.zeros((1, 10, 8)))
+        incl, _ = tsa_fuse(omega, cfg, noise=np.zeros((1, 10, 8)))
         assert np.array_equal(incl.data, sel.inclusion[:, None].astype(np.float32))
         assert incl.data[:4].tolist() == [[1.0]] * 4 and incl.data[4:].tolist() == [[0.0]] * 4
         fused = (feats * incl).data
@@ -269,9 +271,8 @@ class TestSelectionGradient:
         grad_incl = rng.normal(size=(6, 1))
         cfg = TsaConfig(num_samples=100, ratio=1.0, sigma_noise=0.2)
         with ag.using_dtype(np.float64):
-            feats = Tensor(rng.normal(size=(6, 4)))
             omega = Tensor(rng.uniform(0, 1, (6, 1)), requires_grad=True)
-            incl, _ = tsa_fuse(feats, omega, cfg, rng)
+            incl, _ = tsa_fuse(omega, cfg, rng)
             ag.backward((incl * Tensor(grad_incl)).sum())
         assert np.all(omega.grad == 0.0)
 
@@ -339,13 +340,12 @@ class TestSelectionGradient:
         assert all(w.grad is not None and np.any(w.grad != 0) for w in scorer.weights)
 
     def test_constant_features_get_no_gradient_computed(self):
-        """The features are not a parent of the selection: its one gradient
-        is the scores'."""
+        """The selection takes only the scores: they are its one parent, and
+        its one gradient is theirs."""
         rng = np.random.default_rng(13)
-        feats = Tensor(rng.normal(size=(10, 6)), requires_grad=True)
         omega = Tensor(rng.uniform(size=(10, 1)), requires_grad=True)
         cfg = TsaConfig(num_samples=8, ratio=0.5, sigma_noise=0.2, seed=0)
-        incl, _ = tsa_fuse(feats, omega, cfg, np.random.default_rng(21))
+        incl, _ = tsa_fuse(omega, cfg, np.random.default_rng(21))
         assert incl._rec.op == "tsa_select" and incl._rec.parents == (omega,)
         (grad_omega,) = incl._rec.vjp(np.ones(incl.shape, np.float32))
         assert grad_omega.shape == omega.shape
@@ -365,14 +365,14 @@ class TestSelectionGradient:
             with ag.using_dtype(np.float64), ag.no_grad():
                 feats = Tensor(f_arr)
                 omega = ag.matmul(feats, Tensor(w_arr)).sigmoid()
-                incl, _ = tsa_fuse(feats, omega, cfg, noise=zeros)
+                incl, _ = tsa_fuse(omega, cfg, noise=zeros)
                 return float(ag.l2_norm(feats * incl).data)
 
         with ag.using_dtype(np.float64):
             feats = Tensor(feats64, requires_grad=True)
             w = Tensor(w64, requires_grad=True)
             omega = ag.matmul(feats, w).sigmoid()
-            incl, _ = tsa_fuse(feats, omega, cfg, noise=zeros)
+            incl, _ = tsa_fuse(omega, cfg, noise=zeros)
             ag.backward(ag.l2_norm(feats * incl))
             analytic_f = feats.grad.copy()
             analytic_w = w.grad if w.grad is not None else np.zeros_like(w64)
@@ -412,14 +412,14 @@ class TestBatchedSelection:
         with ag.using_dtype(np.float64):
             x = Tensor(feats.reshape(n * t_len, d))
             w = Tensor(omega.reshape(n * t_len, 1), requires_grad=True)
-            incl, sel = tsa_fuse(x, w, cfg, np.random.default_rng(5), bags=n)
+            incl, sel = tsa_fuse(w, cfg, np.random.default_rng(5), bags=n)
             ag.backward((x * incl * Tensor(upstream.reshape(n * t_len, d))).sum())
 
             rng = np.random.default_rng(5)
             for i in range(n):
                 xi = Tensor(feats[i])
                 wi = Tensor(omega[i], requires_grad=True)
-                incl_i, si = tsa_fuse(xi, wi, cfg, rng)
+                incl_i, si = tsa_fuse(wi, cfg, rng)
                 ag.backward((xi * incl_i * Tensor(upstream[i])).sum())
                 rows = slice(i * t_len, (i + 1) * t_len)
                 assert np.array_equal(sel.inclusion[i], si.inclusion[0])
@@ -430,7 +430,7 @@ class TestBatchedSelection:
     def test_selection_arrays_carry_the_bag_axis(self):
         feats, omega, _ = self._bags(n=2, t_len=6)
         cfg = TsaConfig(num_samples=16, ratio=0.5, sigma_noise=0.1)
-        _, sel = tsa_fuse(Tensor(feats.reshape(12, 5)), Tensor(omega.reshape(12, 1)), cfg, np.random.default_rng(0), bags=2)
+        _, sel = tsa_fuse(Tensor(omega.reshape(12, 1)), cfg, np.random.default_rng(0), bags=2)
         assert sel.inclusion.shape == (2, 6)
         assert sel.indices.shape == (2, 16, 3)
         assert sel.noise.shape == (2, 16, 6)
@@ -447,7 +447,7 @@ class TestBatchedSelection:
     def test_one_bag_batch_equals_unbatched_call(self):
         feats, omega, _ = self._bags(n=1)
         cfg = TsaConfig(num_samples=20, ratio=0.7, sigma_noise=0.1)
-        incl, s1 = tsa_fuse(Tensor(feats[0]), Tensor(omega[0]), cfg, np.random.default_rng(3))
+        incl, s1 = tsa_fuse(Tensor(omega[0]), cfg, np.random.default_rng(3))
         s0 = topk_score(omega[0, :, 0], 4, 20, 0.1, np.random.default_rng(3))
         assert np.array_equal(incl.data, s0.inclusion[:, None].astype(np.float32))
         assert np.array_equal(s1.inclusion[0], s0.inclusion)
@@ -462,9 +462,10 @@ class TestBatchedSelection:
         cfg = TsaConfig(num_samples=4)
         for bags in (0, 2):
             with pytest.raises(ag.ShapeError, match="equal bags"):
-                tsa_fuse(Tensor(np.ones((7, 2))), Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=bags)
-        with pytest.raises(ag.ShapeError, match="one score per snippet"):
-            tsa_fuse(Tensor(np.ones((6, 2))), Tensor(np.ones((5, 1))), cfg, np.random.default_rng(0), bags=2)
+                tsa_fuse(Tensor(np.ones((7, 1))), cfg, np.random.default_rng(0), bags=bags)
+        for shape in ((6,), (6, 2)):
+            with pytest.raises(ag.ShapeError, match=re.escape(f"one score per snippet, (rows, 1), got {shape}")):
+                tsa_fuse(Tensor(np.ones(shape)), cfg, np.random.default_rng(0), bags=2)
 
     def test_one_generator_per_bag_selects_as_one_bag_calls(self):
         """A list of generators, one per bag, draws each bag's noise from its

@@ -71,6 +71,12 @@ class TestMatmul:
             )
 
 
+# (dilation, kernel size): the padding is (k - 1) / 2 dilations, so k 5 has
+# taps that shift by twice the dilation and k 1 has only the centre tap; a
+# k 3 case keeps the bare dilation as its test id
+DILATION_KERNELS = [pytest.param(d, k, id=str(d) if k == 3 else f"{d}-k{k}") for k in (1, 3, 5) for d in (1, 2, 4)]
+
+
 class TestConv1dDilated:
     def test_identity_kernel(self):
         x = Tensor(np.arange(6, dtype=float).reshape(6, 1))
@@ -118,15 +124,16 @@ class TestConv1dDilated:
                 [w, s],
             )
 
-    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("dilation,k", DILATION_KERNELS)
     @pytest.mark.parametrize("bags", [1, 3])
     @pytest.mark.parametrize("t_len", [1, 2, 5])
-    def test_stacked_bags_match_reference_per_bag(self, dilation, bags, t_len):
-        # at dilation 4 a bag of 1 or 2 snippets is shorter than the padding,
-        # so any tap that crossed a bag boundary would pick up a neighbour
+    def test_stacked_bags_match_reference_per_bag(self, dilation, k, bags, t_len):
+        # a bag of 1 or 2 snippets is shorter than the padding at dilation 4
+        # (k 3) or 2 (k 5), so any tap that crossed a bag boundary would pick
+        # up a neighbour
         rng = np.random.default_rng(dilation * 100 + bags * 10 + t_len)
         x = rng.normal(size=(bags * t_len, 3))
-        w = rng.normal(size=(3, 3, 2))
+        w = rng.normal(size=(k, 3, 2))
         with ag.using_dtype(np.float64):
             got = conv1d_dilated(Tensor(x), Tensor(w), dilation, bags).data
         want = np.concatenate(
@@ -164,17 +171,18 @@ class TestConvBackward:
     conv with the im2col-and-scatter vjp, kept in ``tests/helpers.py``) up
     to rounding, and its forward keeps only the tap products P."""
 
-    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("dilation,k", DILATION_KERNELS)
     @pytest.mark.parametrize("bags", [1, 3])
     @pytest.mark.parametrize("t_len", [1, 2, 5, 16])
     @pytest.mark.parametrize("mask", [(True,) * 3, (False, True, True), (True, False, True), (True, True, False)])
-    def test_matches_the_im2col_vjp(self, dilation, bags, t_len, mask):
-        # the padding is the dilation at k = 3, so T 1 (every dilation) and
-        # T 2 (dilations 2 and 4) put whole taps outside the bag; mask says
-        # which of w, b and the scale require grad
+    def test_matches_the_im2col_vjp(self, dilation, k, bags, t_len, mask):
+        # the padding is the dilation at k = 3 and twice it at k = 5, so T 1
+        # (every dilation) and T 2 (dilations 2 and 4 at k 3, every one at
+        # k 5) put whole taps outside the bag; mask says which of w, b and
+        # the scale require grad
         rng = np.random.default_rng(1000 * dilation + 100 * bags + t_len)
         x = rng.normal(size=(bags * t_len, 6)).astype(np.float32)
-        w = rng.normal(size=(3, 6, 4)).astype(np.float32)
+        w = rng.normal(size=(k, 6, 4)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
         s = rng.uniform(0.0, 1.0, size=(bags * t_len, 1)).astype(np.float32)
         s[0] = 0.0  # a row the selection dropped

@@ -610,7 +610,7 @@ class TestEndToEndGradientIntegrity:
                 for arr in bags64:
                     bag = Tensor(arr)
                     omega = mlp_forward(model.scorer, bag)
-                    incl, _ = tsa_fuse(bag, omega, cfg.tsa, noise=zeros)
+                    incl, _ = tsa_fuse(omega, cfg.tsa, noise=zeros)
                     ctx = conv_module_forward(model.conv, bag, scale=incl)
                     ctx_feats.append(ctx)
                     scores.append(mlp_forward(model.classifier, ctx))
