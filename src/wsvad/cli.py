@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -111,13 +112,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _eval_model(model, test_manifest_path: Path, seed: int, gt_path: Path | None = None):
-    """Returns the report, the timelines and their frame label masks."""
-    manifest = load_manifest(test_manifest_path)
-    ground_truth = load_ground_truth(gt_path or (test_manifest_path.parent / GROUND_TRUTH_FILENAME))
-    return evaluate_manifest(manifest, test_manifest_path.parent, model, ground_truth, eval_seed=seed)
-
-
 def _load_split(manifest_path: Path):
     """A split's records and ground truth, loaded once for repeated evaluation."""
     records = load_records(load_manifest(manifest_path), manifest_path.parent)
@@ -204,14 +198,18 @@ def _cmd_eval(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     model = load_checkpoint(args.checkpoint)
-    gt_path = Path(args.ground_truth) if args.ground_truth else None
-    report, timelines, masks = _eval_model(model, Path(args.manifest), args.seed, gt_path)
+    manifest_path = Path(args.manifest)
+    manifest, base_dir = load_manifest(manifest_path), manifest_path.parent
+    ground_truth = load_ground_truth(Path(args.ground_truth or base_dir / GROUND_TRUTH_FILENAME))
+    started = time.perf_counter()
+    report, timelines, masks = evaluate_manifest(manifest, base_dir, model, ground_truth, eval_seed=args.seed)
+    seconds = time.perf_counter() - started
     out = _out_dir(args)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     write_frame_csv(out / "frame_scores.csv", timelines, masks)
     print(
         f"AUC@ROC {report.auc_roc:.4f}  AUC@PR {report.auc_pr:.4f}  "
-        f"({report.num_frames} frames, {report.wall_clock_sec:.2f}s)"
+        f"({report.num_frames} frames, {seconds:.2f}s)"
     )
     return 0
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +70,11 @@ class EvalReport:
     pr_convention: str
     config: dict
     per_video: list[dict]
-    wall_clock_sec: float = field(default=0.0, repr=False)
 
     def to_json(self) -> str:
-        """Deterministic serialization; timing is deliberately excluded so
+        """Every field, with sorted keys: the report holds no timing, so
         identical runs produce identical bytes."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock_sec"}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def snippet_lengths(num_snippets: int, snippet_len: int, frame_count: int) -> np.ndarray:
@@ -188,15 +185,9 @@ def evaluate_manifest(
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
-    """Load and score every video in manifest order and compute frame-level
-    metrics.
-
-    Returns the report, all timelines, and each video's frame label mask.
-    """
-    started = time.perf_counter()
-    result = evaluate_records(load_records(manifest, base_dir), model, ground_truth, eval_seed)
-    result[0].wall_clock_sec = time.perf_counter() - started
-    return result
+    """``evaluate_records`` over the videos of ``manifest``, loaded from
+    ``base_dir`` in manifest order."""
+    return evaluate_records(load_records(manifest, base_dir), model, ground_truth, eval_seed)
 
 
 def eval_batches(records: list[VideoRecord]) -> list[list[int]]:
@@ -251,7 +242,9 @@ def evaluate_records(
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
-    """``evaluate_manifest`` over records already loaded.
+    """Score every video of ``records`` in order and compute frame-level
+    metrics. Returns the report, all timelines, and each video's frame
+    label mask.
 
     The videos are scored in ``eval_batches``, each batch one ``score_bag``
     call over its videos stacked as bags, and each video's timeline is the

@@ -60,18 +60,18 @@ class TrainConfig:
 
 @dataclass
 class BatchLayout:
-    """2B bags of T snippets stacked along the rows, the B normal bags first."""
+    """2B bags of T snippets stacked along the rows, the B normal bags first
+    and then the B abnormal ones, as ``dmt_loss`` takes them."""
 
     features: Tensor  # (2B * T, d)
-    labels: np.ndarray  # (2B,) of {0, 1}
     videos: np.ndarray  # (2B,) index of each bag's video in the training array
 
 
 def build_batch(
     videos: np.ndarray, labels: np.ndarray, batch_bags: int, rng: np.random.Generator
 ) -> BatchLayout:
-    """Draw B normal and B abnormal bags from ``videos`` (N, T, d), whose
-    classes ``labels`` (N,) gives, and gather them with one ``np.take``.
+    """Draw B normal and then B abnormal bags from ``videos`` (N, T, d),
+    whose classes ``labels`` (N,) gives, and gather them with one ``np.take``.
 
     Sampling is without replacement per class when the class has at least B
     videos, with replacement otherwise.
@@ -86,7 +86,7 @@ def build_batch(
         [pool[rng.choice(pool.size, size=batch_bags, replace=pool.size < batch_bags)] for pool in (normal, abnormal)]
     )
     features = np.take(videos, drawn, axis=0).reshape(-1, videos.shape[-1])
-    return BatchLayout(features=Tensor(features), labels=np.repeat([0, 1], batch_bags), videos=drawn)
+    return BatchLayout(features=Tensor(features), videos=drawn)
 
 
 def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
@@ -139,32 +139,28 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
     return (pos - neg).reshape()
 
 
-def dmt_loss(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) -> Tensor:
+def dmt_loss(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> Tensor:
     """Margin hinge on paired bag separabilities plus video-level BCE."""
-    margin_term, bce_term = dmt_terms(ctx, scores, labels, cfg)
+    margin_term, bce_term = dmt_terms(ctx, scores, bags, cfg)
     return margin_term + bce_term
 
 
-def dmt_terms(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig) -> tuple[Tensor, Tensor]:
+def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple[Tensor, Tensor]:
     """The two terms of ``dmt_loss``: the mean margin hinge and the BCE.
 
-    ``ctx`` (2B * T, d) and ``scores`` (2B * T, 1) hold 2B bags of T snippets
-    stacked along the rows, B normal bags then B abnormal, as ``labels`` (2B,)
-    says; normal bag i is paired with abnormal bag B + i. Each bag's top-alpha
-    snippets by context-feature magnitude give both its magnitude for the
-    margin term and its video score (their mean snippet score, clipped away
-    from {0, 1}) for the BCE term.
+    ``ctx`` (2B * T, d) and ``scores`` (2B * T, 1) hold ``bags`` = 2B bags of
+    T snippets stacked along the rows, B normal bags then B abnormal, as
+    ``build_batch`` lays them out; normal bag i is paired with abnormal bag
+    B + i. Each bag's top-alpha snippets by context-feature magnitude give
+    both its magnitude for the margin term and its video score (their mean
+    snippet score, clipped away from {0, 1}) for the BCE term.
     """
-    labels = np.asarray(labels)
-    n = labels.size
-    b = n // 2
-    if n != 2 * b or b == 0 or scores.shape != (ctx.shape[0], 1):
+    b = bags // 2
+    if bags != 2 * b or b < 1 or scores.shape != (ctx.shape[0], 1):
         raise ValueError(
-            f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {n} labels"
+            f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {bags} bags"
         )
-    if not (np.all(labels[:b] == 0) and np.all(labels[b:] == 1)):
-        raise ValueError("batch layout violated: expected B normal bags then B abnormal")
-    rows = _stacked_top_rows(ctx.data, n, cfg.alpha)
+    rows = _stacked_top_rows(ctx.data, bags, cfg.alpha)
 
     # per pair: margin minus separability (abnormal minus normal magnitude)
     shortfall = ag.matmul(Tensor([[1.0, -1.0]]), _magnitudes(ctx, rows).reshape(2, b)) + cfg.margin
@@ -172,7 +168,7 @@ def dmt_terms(ctx: Tensor, scores: Tensor, labels: np.ndarray, cfg: TrainConfig)
 
     video = _top_alpha_means(scores, rows).clip(BCE_EPS, 1.0 - BCE_EPS)  # (2B, 1)
     # likelihood of each bag's label: s for abnormal, 1 - s for normal
-    y = labels.astype(np.float64)[:, None]
+    y = np.repeat([0.0, 1.0], b)[:, None]
     likelihood = video * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)
     # the BCE term is the negative mean log-likelihood
     return margin_term, -likelihood.log().mean()
@@ -229,7 +225,7 @@ def train(
                 scores, ctx, selection = score_bag(
                     model, batch.features, 2 * cfg.batch_bags, tsa_rng=noise_rng, dropout_rng=drop_rng
                 )
-                loss = dmt_loss(ctx, scores, batch.labels, cfg)
+                loss = dmt_loss(ctx, scores, 2 * cfg.batch_bags, cfg)
                 # backward frees each node it is done with unless it is held here
                 del scores, ctx, selection
                 loss_val = loss.item()

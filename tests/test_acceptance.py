@@ -156,7 +156,7 @@ def test_criterion_05_loss_oracles():
     u_neg = Tensor(np.array([[0.2], [0.6], [0.4], [0.3]]))
     u_pos = Tensor(np.array([[0.9], [0.1], [0.2], [0.5]]))
     cfg = TrainConfig(t_len=4, batch_bags=1, epochs=1, alpha=1, margin=4.0)
-    loss = dmt_loss(ag.concat([ctx_neg, ctx_pos], axis=0), ag.concat([u_neg, u_pos], axis=0), np.array([0, 1]), cfg).item()
+    loss = dmt_loss(ag.concat([ctx_neg, ctx_pos], axis=0), ag.concat([u_neg, u_pos], axis=0), 2, cfg).item()
     expected = 1.0 + (-math.log(1.0 - 0.6) - math.log(0.9)) / 2.0
     fixture_ok = abs(loss - expected) < 1e-6
     report(

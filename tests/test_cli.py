@@ -16,7 +16,7 @@ from wsvad.attention import TsaConfig
 from wsvad.cli import main
 from wsvad.features import load_features, load_manifest, save_features
 from wsvad.model import init_model, save_checkpoint
-from wsvad.synthetic import SyntheticConfig
+from wsvad.synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, load_ground_truth
 from wsvad.trainer import TrainConfig, train
 
 GEN_FLAGS = [
@@ -193,6 +193,19 @@ class TestTrainEval:
             blobs.append((ev / "report.json").read_bytes() + (ev / "frame_scores.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_eval_prints_frames_and_seconds(self, dataset, untrained_checkpoint, tmp_path, capsys):
+        """The summary line gives the split's frame total and the seconds
+        the evaluation took, which no output file holds."""
+        manifest = dataset / "test" / "manifest.json"
+        code = main([
+            "eval", "--manifest", str(manifest), "--checkpoint", str(untrained_checkpoint),
+            "--out", str(tmp_path / "ev"), "--seed", "0",
+        ])
+        assert code == 0
+        frames = sum(v.frame_count for v in load_manifest(manifest).videos)
+        line = r"AUC@ROC \d\.\d{4}  AUC@PR \d\.\d{4}  \(%d frames, \d+\.\d\ds\)\n" % frames
+        assert re.fullmatch(line, capsys.readouterr().out)
+
     def test_missing_checkpoint_exits_one(self, dataset, tmp_path, capsys):
         code = main([
             "eval", "--manifest", str(dataset / "test" / "manifest.json"),
@@ -239,6 +252,26 @@ class TestTrainEval:
         out = tmp_path / "out"
         assert main([*(str(paths.get(a, a)) for a in argv), "--out", str(out)]) == 1
         assert missing in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, split, value", [("train", "train", np.nan), ("eval", "test", np.inf)], ids=["train-nan", "eval-inf"]
+    )
+    def test_non_finite_features_leave_no_out(
+        self, dataset, untrained_checkpoint, tmp_path, capsys, command, split, value
+    ):
+        """A feature file that holds one NaN or one Inf exits 1 naming the
+        file, before --out is made."""
+        corrupt = tmp_path / split
+        shutil.copytree(dataset / split, corrupt)
+        path = corrupt / load_manifest(corrupt / "manifest.json").videos[2].path
+        feats = load_features(path)
+        feats[feats.shape[0] // 2, 0] = value
+        save_features(feats, path)
+        extra = ["--checkpoint", str(untrained_checkpoint)] if command == "eval" else FAST_TRAIN
+        out = tmp_path / "out"
+        assert main([command, "--manifest", str(corrupt / "manifest.json"), *extra, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: FormatError: {path}: feature values hold NaN or Inf\n"
         assert not out.exists()
 
 
@@ -536,7 +569,10 @@ class TestValidation:
         ])
         expected = train(
             load_manifest(dataset / "train" / "manifest.json"), dataset / "train", cli._train_config(args),
-            val_fn=lambda model: cli._eval_model(model, test_dir / "manifest.json", 1)[0].auc_roc,
+            val_fn=lambda model: evaluate.evaluate_manifest(
+                load_manifest(test_dir / "manifest.json"), test_dir, model,
+                load_ground_truth(test_dir / GROUND_TRUTH_FILENAME), eval_seed=1,
+            )[0].auc_roc,
             val_every=1,
         )
 

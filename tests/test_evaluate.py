@@ -205,7 +205,6 @@ class TestEvaluateManifest:
             assert held and all(v.size <= tl.snippet_scores.size for v in held)
         assert r1.to_json() == r2.to_json()
         assert "wall_clock" not in r1.to_json()
-        assert r1.wall_clock_sec > 0
 
     def test_untrained_model_near_chance(self, tmp_path):
         """Null model on a no-signal test set: scores are independent of the

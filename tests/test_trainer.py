@@ -58,8 +58,7 @@ class TestBuildBatch:
         videos, labels = resized(records, 8)
         for seed in range(5):
             batch = build_batch(videos, labels, 4, np.random.default_rng(seed))
-            assert np.all(batch.labels == np.repeat([0, 1], 4))
-            assert np.array_equal(labels[batch.videos], batch.labels)
+            assert np.array_equal(labels[batch.videos], np.repeat([0, 1], 4))
             # six videos per class: four drawn without replacement
             assert len(set(batch.videos[:4])) == 4 and len(set(batch.videos[4:])) == 4
             assert batch.features.shape == (8 * 8, 8)
@@ -180,7 +179,7 @@ class TestDmtLoss:
         ctx_pos = Tensor(np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
         u_neg = Tensor(np.array([[0.2], [0.6], [0.4], [0.3]]))
         u_pos = Tensor(np.array([[0.9], [0.1], [0.2], [0.5]]))
-        loss = dmt_loss(stack([ctx_neg, ctx_pos]), stack([u_neg, u_pos]), np.array([0, 1]), loss_cfg())
+        loss = dmt_loss(stack([ctx_neg, ctx_pos]), stack([u_neg, u_pos]), 2, loss_cfg())
         # top-1 magnitudes: |[0,2]| = 2 and |[3,4]| = 5 -> hinge = 4 - (5-2) = 1
         # video scores (top-1 snippet by magnitude): 0.6 and 0.9
         expected = 1.0 + (-math.log(1.0 - 0.6) - math.log(0.9)) / 2.0
@@ -191,13 +190,13 @@ class TestDmtLoss:
         ctx_pos = Tensor(100.0 * np.ones((4, 2), dtype=np.float32))
         u_neg = Tensor(np.full((4, 1), 1e-7, dtype=np.float32))
         u_pos = Tensor(np.full((4, 1), 1.0 - 1e-7, dtype=np.float32))
-        loss = dmt_loss(stack([ctx_neg, ctx_pos]), stack([u_neg, u_pos]), np.array([0, 1]), loss_cfg())
+        loss = dmt_loss(stack([ctx_neg, ctx_pos]), stack([u_neg, u_pos]), 2, loss_cfg())
         assert 0.0 <= loss.item() < 1e-4
 
     def test_identical_bags_margin_exact(self):
         x = Tensor(np.random.default_rng(5).normal(size=(4, 2)).astype(np.float32))
         u = Tensor(np.full((4, 1), 0.5, dtype=np.float32))
-        margin_term, _ = dmt_terms(stack([x, x]), stack([u, u]), np.array([0, 1]), loss_cfg())
+        margin_term, _ = dmt_terms(stack([x, x]), stack([u, u]), 2, loss_cfg())
         assert margin_term.item() == 4.0
 
     def test_non_negative(self):
@@ -206,7 +205,7 @@ class TestDmtLoss:
             ctx = [Tensor(rng.normal(size=(4, 2)).astype(np.float32)) for _ in range(4)]
             u = [Tensor(rng.uniform(0.01, 0.99, size=(4, 1)).astype(np.float32)) for _ in range(4)]
             cfg = loss_cfg(batch_bags=2, margin=float(rng.uniform(0, 10)))
-            loss = dmt_loss(stack(ctx), stack(u), np.array([0, 0, 1, 1]), cfg)
+            loss = dmt_loss(stack(ctx), stack(u), 4, cfg)
             assert loss.item() >= 0.0
 
     def test_batch_order_invariance(self):
@@ -216,20 +215,22 @@ class TestDmtLoss:
         b = 3
         ctx = [Tensor(rng.normal(size=(5, 3)).astype(np.float32)) for _ in range(2 * b)]
         u = [Tensor(rng.uniform(0.2, 0.8, size=(5, 1)).astype(np.float32)) for _ in range(2 * b)]
-        labels = np.repeat([0, 1], b)
         cfg = loss_cfg(batch_bags=b, margin=1000.0)  # far from saturation
-        base = dmt_loss(stack(ctx), stack(u), labels, cfg).item()
+        base = dmt_loss(stack(ctx), stack(u), 2 * b, cfg).item()
         perm_n = rng.permutation(b)
         perm_a = b + rng.permutation(b)
         order = np.concatenate([perm_n, perm_a])
-        shuffled = dmt_loss(stack([ctx[i] for i in order]), stack([u[i] for i in order]), labels, cfg).item()
+        shuffled = dmt_loss(stack([ctx[i] for i in order]), stack([u[i] for i in order]), 2 * b, cfg).item()
         assert abs(base - shuffled) < 1e-6 * max(1.0, abs(base))
 
-    def test_layout_violation_rejected(self):
-        x = Tensor(np.ones((4, 2), dtype=np.float32))
-        u = Tensor(np.full((4, 1), 0.5, dtype=np.float32))
-        with pytest.raises(ValueError, match="layout"):
-            dmt_loss(stack([x, x]), stack([u, u]), np.array([1, 0]), loss_cfg())
+    def test_odd_bag_count_rejected(self):
+        """Bags pair up as B normal then B abnormal, so the count is even and
+        positive."""
+        x = Tensor(np.ones((12, 2), dtype=np.float32))
+        u = Tensor(np.full((12, 1), 0.5, dtype=np.float32))
+        for bags in (3, 0):
+            with pytest.raises(ValueError, match="2\\*B bags"):
+                dmt_loss(x, u, bags, loss_cfg())
 
 
 class TestStackedLoss:
@@ -247,7 +248,7 @@ class TestStackedLoss:
 
             ctx_s = Tensor(ctx.reshape(-1, d), requires_grad=True)
             u_s = Tensor(u.reshape(-1, 1), requires_grad=True)
-            got = dmt_loss(ctx_s, u_s, labels, cfg)
+            got = dmt_loss(ctx_s, u_s, 2 * b, cfg)
             ag.backward(got)
 
             ctx_b = [Tensor(c, requires_grad=True) for c in ctx]
@@ -268,16 +269,16 @@ class TestStackedLoss:
         u = [Tensor(np.full((5, 1), 0.5, dtype=np.float32)) for _ in range(4)]
         cfg = loss_cfg(t_len=5, batch_bags=2, alpha=2, margin=100.0)
         seps = [separability(ctx[2 + i], ctx[i], 2).item() for i in range(2)]
-        margin_term, _ = dmt_terms(stack(ctx), stack(u), np.array([0, 0, 1, 1]), cfg)
+        margin_term, _ = dmt_terms(stack(ctx), stack(u), 4, cfg)
         assert abs(margin_term.item() - (100.0 - np.mean(seps))) < 1e-5
 
     def test_rows_must_split_into_bags(self):
         x = Tensor(np.ones((7, 2), dtype=np.float32))
         u = Tensor(np.full((7, 1), 0.5, dtype=np.float32))
         with pytest.raises(ag.ShapeError):
-            dmt_loss(x, u, np.array([0, 1]), loss_cfg())
+            dmt_loss(x, u, 2, loss_cfg())
         with pytest.raises(ValueError, match="scores"):
-            dmt_loss(Tensor(np.ones((8, 2))), u, np.array([0, 1]), loss_cfg())
+            dmt_loss(Tensor(np.ones((8, 2))), u, 2, loss_cfg())
 
 
 def conv_module(seed):
@@ -591,7 +592,6 @@ class TestEndToEndGradientIntegrity:
         classifier parameters."""
         rng = np.random.default_rng(8)
         bags64 = [rng.normal(size=(4, 4)) for _ in range(2)]
-        labels = np.array([0, 1])
         cfg = TrainConfig(
             t_len=4,
             batch_bags=1,
@@ -614,7 +614,7 @@ class TestEndToEndGradientIntegrity:
                     ctx = conv_module_forward(model.conv, bag, scale=incl)
                     ctx_feats.append(ctx)
                     scores.append(mlp_forward(model.classifier, ctx))
-                return dmt_loss(stack(ctx_feats), stack(scores), labels, cfg)
+                return dmt_loss(stack(ctx_feats), stack(scores), 2, cfg)
 
             loss = forward()
             ag.backward(loss)
