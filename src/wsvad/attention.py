@@ -46,7 +46,7 @@ class TsaConfig:
     num_samples: int = 100  # Monte-Carlo samples per selection
     ratio: float = 0.7  # fraction of snippets to keep
     sigma_noise: float = 0.05  # scale of the score perturbation
-    seed: int = 0
+    seed: int = 0  # unread: streams come from TrainConfig.seed; kept as benchmark workloads and criteria 9-10 set it
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:

@@ -3,7 +3,7 @@
 Test videos keep their native snippet count (no temporal resizing). The
 videos that share a snippet count are scored as one multi-bag batch
 (``eval_batches``), each drawing its attention noise from its own stream,
-and every video's scores are the bits it gets scored alone. A frame's
+and a video's scores are the same bits in a batch of its own. A frame's
 score is its snippet's score: each snippet covers snippet_len frames and the
 last takes the remainder (``snippet_lengths``), so eval keeps only snippet
 arrays, plus one frame label mask per video. The report's primary metrics
@@ -109,28 +109,10 @@ def unfold_scores(values: np.ndarray, snippet_len: int, frame_count: int) -> np.
     return np.repeat(v, snippet_lengths(v.size, snippet_len, frame_count))
 
 
-def _check_width(record: VideoRecord, model: Model) -> None:
-    if record.features.shape[1] != model.d:
-        raise ValueError(
-            f"video '{record.video_id}' has width {record.features.shape[1]}, "
-            f"checkpoint expects {model.d}"
-        )
-
-
-def infer_video(
-    record: VideoRecord, model: Model, rng: np.random.Generator, *, scores: np.ndarray | None = None
-) -> ScoreTimeline:
-    """One video's timeline at its native snippet count (dropout off).
-
-    ``scores``, the video's T scores from a batch that ``evaluate_records``
-    scored, are used as given; without them the video is scored alone,
-    drawing its attention noise from ``rng``. A video's scores are the same
-    bits either way.
-    """
-    if scores is None:
-        _check_width(record, model)
-        with ag.no_grad():
-            scores = score_bag(model, Tensor(record.features), tsa_rng=rng)[0].data
+def infer_video(record: VideoRecord, scores: np.ndarray) -> ScoreTimeline:
+    """One video's timeline from its T snippet scores, in snippet order, as
+    ``_score_batch`` takes them from its batch's forward pass. A score count
+    other than the video's snippet count is a ValueError naming the video."""
     if scores.size != record.num_snippets:
         raise ValueError(f"video '{record.video_id}': {scores.size} scores for {record.num_snippets} snippets")
     return ScoreTimeline(
@@ -158,9 +140,11 @@ def video_frame_labels(
 ) -> list[np.ndarray]:
     """Frame masks for each video, in order, from the ground-truth intervals.
 
-    A normal video absent from the ground truth is all-normal. An abnormal
-    video without intervals, or a ground-truth id that names no listed
-    video, raises ValueError naming the id.
+    A normal video absent from the ground truth is all-normal. A video's
+    intervals must mark at least one frame exactly when its label is 1: an
+    abnormal video whose intervals mark no frame, a normal video whose
+    intervals mark any, or a ground-truth id that names no listed video,
+    raises ValueError naming the id.
     """
     listed = {v.video_id for v in videos}
     unknown = sorted(set(ground_truth) - listed)
@@ -168,13 +152,14 @@ def video_frame_labels(
         raise ValueError(f"ground truth names video '{unknown[0]}', which is not in the manifest")
     masks = []
     for v in videos:
-        intervals = ground_truth.get(v.video_id, [])
-        if v.label == 1 and not intervals:
-            raise ValueError(f"abnormal video '{v.video_id}' has no ground-truth intervals")
         try:
-            masks.append(frame_labels(v.frame_count, intervals))
+            mask = frame_labels(v.frame_count, ground_truth.get(v.video_id, []))
         except ValueError as exc:
             raise ValueError(f"video '{v.video_id}': {exc}") from None
+        if mask.any() != (v.label == 1):
+            kind, marked = ("abnormal", "no frame") if v.label == 1 else ("normal", f"{np.count_nonzero(mask)} frames")
+            raise ValueError(f"{kind} video '{v.video_id}' has {marked} inside its ground-truth intervals")
+        masks.append(mask)
     return masks
 
 
@@ -215,25 +200,21 @@ def _video_rng(eval_seed: int, idx: int) -> np.random.Generator:
 def _score_batch(records: list[VideoRecord], batch: list[int], model: Model, eval_seed: int) -> list[ScoreTimeline]:
     """Timelines of the videos ``batch`` indexes, all of one snippet count,
     scored as one multi-bag forward pass in which each bag draws its noise
-    from its own video's stream. A ``NumericsError`` scores the videos again
-    one at a time, from fresh streams, and is re-raised with the id of the
-    video that raises it in front."""
+    from its own video's stream; a video scored alone is a batch of one. A
+    ``NumericsError`` in a batch of several scores each video again as a
+    batch of one, from fresh streams; in a batch of one it is re-raised with
+    the video's id in front."""
     recs = [records[i] for i in batch]
     rngs = [_video_rng(eval_seed, i) for i in batch]
     try:
         with ag.no_grad():
             stacked = Tensor(np.concatenate([rec.features for rec in recs]))
             rows = score_bag(model, stacked, len(recs), tsa_rng=rngs)[0].data.reshape(len(recs), -1)
-    except ag.NumericsError:
-        rngs = [_video_rng(eval_seed, i) for i in batch]
-        rows = [None] * len(recs)
-    timelines = []
-    for rec, rng, video_scores in zip(recs, rngs, rows):
-        try:
-            timelines.append(infer_video(rec, model, rng, scores=video_scores))
-        except ag.NumericsError as exc:
-            raise ag.NumericsError(f"video '{rec.video_id}': {exc}") from exc
-    return timelines
+    except ag.NumericsError as exc:
+        if len(batch) == 1:
+            raise ag.NumericsError(f"video '{recs[0].video_id}': {exc}") from exc
+        return [tl for i in batch for tl in _score_batch(records, [i], model, eval_seed)]
+    return [infer_video(rec, video_scores) for rec, video_scores in zip(recs, rows)]
 
 
 def evaluate_records(
@@ -247,12 +228,15 @@ def evaluate_records(
     label mask.
 
     The videos are scored in ``eval_batches``, each batch one ``score_bag``
-    call over its videos stacked as bags, and each video's timeline is the
-    same bits as ``infer_video`` alone with its stream gives. The metrics
+    call over its videos stacked as bags (``_score_batch``), and each
+    video's scores are the same bits as a batch of it alone, with its
+    stream, gives. A video whose width is not the model's is a ValueError
+    naming it, raised before any video is scored. The metrics
     are computed over weighted entries, one per run of frames that share a
     snippet and a label (``frame_runs``), weighted by the run's frame count,
     which scores the same as the unfolded frame arrays. A ``NumericsError``
-    in a video's forward pass is re-raised with the video's id in front.
+    in a video's forward pass is re-raised with the video's id in front
+    (``_score_batch`` finds the video by scoring its batch's videos alone).
     The videos are scored under one ``np.errstate`` that silences overflow
     and invalid-value warnings: the engine checks every value the forward
     pass makes, so nothing warns before that error.
@@ -262,7 +246,10 @@ def evaluate_records(
         raise ValueError("no videos to evaluate: the split is empty")
     masks = video_frame_labels(records, ground_truth)
     for rec in records:
-        _check_width(rec, model)
+        if rec.features.shape[1] != model.d:
+            raise ValueError(
+                f"video '{rec.video_id}' has width {rec.features.shape[1]}, checkpoint expects {model.d}"
+            )
     scored: dict[int, ScoreTimeline] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in eval_batches(records):

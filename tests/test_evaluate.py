@@ -7,6 +7,7 @@ import pytest
 
 from wsvad import evaluate
 from wsvad.attention import TsaConfig
+from wsvad.autograd import Tensor, no_grad
 from wsvad.evaluate import (
     EvalReport,
     ScoreTimeline,
@@ -22,7 +23,7 @@ from wsvad.evaluate import (
 )
 from wsvad.features import VideoRecord, load_records, temporal_normalize
 from wsvad.metrics import auc_pr, auc_roc
-from wsvad.model import init_model
+from wsvad.model import init_model, score_bag
 from wsvad.synthetic import SyntheticConfig, generate_synthetic, load_ground_truth
 
 from helpers import ref_unfold
@@ -137,11 +138,18 @@ def fresh_model(d=8, seed=0, **tsa_kw):
     return init_model(d, TsaConfig(seed=seed, **tsa_kw), np.random.SeedSequence(seed))
 
 
+def scored_alone(rec, model, rng):
+    """``rec``'s timeline from a one-bag forward pass with noise from
+    ``rng``: the reference that batched eval is held to."""
+    with no_grad():
+        return infer_video(rec, score_bag(model, Tensor(rec.features), tsa_rng=rng)[0].data)
+
+
 class TestInferVideo:
     def test_timeline_shapes_and_ranges(self, small_dataset):
         tmp, test_m, _ = small_dataset
         rec = load_records(test_m, tmp / "test")[0]
-        tl = infer_video(rec, fresh_model(), np.random.default_rng(0))
+        tl = scored_alone(rec, fresh_model(), np.random.default_rng(0))
         assert tl.snippet_scores.shape == (rec.num_snippets,)
         assert np.all((tl.snippet_scores > 0) & (tl.snippet_scores < 1))
         assert set(np.unique(tl.snippet_binary)) <= {0, 1}
@@ -151,7 +159,7 @@ class TestInferVideo:
     def test_frame_scores_piecewise_constant(self, small_dataset):
         tmp, test_m, _ = small_dataset
         rec = load_records(test_m, tmp / "test")[0]
-        tl = infer_video(rec, fresh_model(), np.random.default_rng(0))
+        tl = scored_alone(rec, fresh_model(), np.random.default_rng(0))
         for t in range(rec.num_snippets):
             seg = tl.frame_scores[t * 4 : (t + 1) * 4]
             if seg.size:
@@ -161,8 +169,8 @@ class TestInferVideo:
         tmp, test_m, _ = small_dataset
         rec = load_records(test_m, tmp / "test")[0]
         model = fresh_model()
-        a = infer_video(rec, model, np.random.default_rng(5))
-        b = infer_video(rec, model, np.random.default_rng(5))
+        a = scored_alone(rec, model, np.random.default_rng(5))
+        b = scored_alone(rec, model, np.random.default_rng(5))
         assert np.array_equal(a.frame_scores, b.frame_scores)
 
     def test_native_length_equals_normalized_when_lengths_match(self, small_dataset):
@@ -171,19 +179,21 @@ class TestInferVideo:
         tmp, test_m, _ = small_dataset
         rec = load_records(test_m, tmp / "test")[1]
         model = fresh_model()
-        direct = infer_video(rec, model, np.random.default_rng(3))
+        direct = scored_alone(rec, model, np.random.default_rng(3))
         resized = VideoRecord(
             rec.video_id, rec.label, rec.frame_count, rec.snippet_len,
             temporal_normalize(rec.features, rec.num_snippets),
         )
-        routed = infer_video(resized, model, np.random.default_rng(3))
+        routed = scored_alone(resized, model, np.random.default_rng(3))
         assert np.array_equal(direct.frame_scores, routed.frame_scores)
 
-    def test_width_mismatch_rejected(self, small_dataset):
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_score_count_must_match_snippets(self, small_dataset, extra):
         tmp, test_m, _ = small_dataset
         rec = load_records(test_m, tmp / "test")[0]
-        with pytest.raises(ValueError, match="width"):
-            infer_video(rec, fresh_model(d=12), np.random.default_rng(0))
+        t_len = rec.num_snippets
+        with pytest.raises(ValueError, match=f"video '{rec.video_id}': .* scores for {t_len} snippets"):
+            infer_video(rec, np.full(t_len + extra, 0.5))
 
 
 class TestEvaluateManifest:
@@ -237,7 +247,7 @@ class TestEvaluateManifest:
         separated = 0
         abnormal = [r for r in records if r.label == 1]
         for i, rec in enumerate(abnormal):
-            tl = infer_video(rec, trained.model, np.random.default_rng((0, i)))
+            tl = scored_alone(rec, trained.model, np.random.default_rng((0, i)))
             mask = frame_labels(rec.frame_count, gt[rec.video_id]).astype(bool)
             if tl.frame_scores[mask].mean() > tl.frame_scores[~mask].mean():
                 separated += 1
@@ -252,14 +262,19 @@ class TestEvaluateManifest:
         assert [m.tolist() for m in masks] == [m.tolist() for m in video_frame_labels(records, gt)]
         assert not masks[records.index(normal)].any()
 
-    @pytest.mark.parametrize("abnormal_gt", ["missing", "empty"])
+    @pytest.mark.parametrize("abnormal_gt", ["missing", "empty", "zero-length", "normal-marked"])
     def test_abnormal_video_without_intervals_rejected(self, small_dataset, abnormal_gt):
+        """Ground truth that contradicts a video's label names the video: an
+        abnormal video whose intervals mark no frame, or a normal one whose
+        intervals mark some."""
         tmp, test_m, gt = small_dataset
-        vid = next(v.video_id for v in test_m.videos if v.label == 1)
+        label = 0 if abnormal_gt == "normal-marked" else 1
+        vid = next(v.video_id for v in test_m.videos if v.label == label)
         bad = {k: v for k, v in gt.items() if k != vid}
-        if abnormal_gt == "empty":
-            bad[vid] = []
-        with pytest.raises(ValueError, match=f"abnormal video '{vid}'"):
+        if abnormal_gt != "missing":
+            bad[vid] = {"empty": [], "zero-length": [(3, 3)], "normal-marked": [(0, 8)]}[abnormal_gt]
+        kind = "normal" if label == 0 else "abnormal"
+        with pytest.raises(ValueError, match=f"^{kind} video '{vid}'"):
             evaluate_manifest(test_m, tmp / "test", fresh_model(), bad)
 
     def test_out_of_range_interval_names_the_video(self, small_dataset):
@@ -466,7 +481,7 @@ class TestBatchedEval:
         model = init_model(d, TsaConfig(num_samples=16), np.random.SeedSequence(d), tsa_enabled=tsa)
         _, timelines, _ = evaluate_records(records, model, gt, eval_seed=4)
         for idx, (rec, tl) in enumerate(zip(records, timelines)):
-            alone = infer_video(rec, model, np.random.default_rng(np.random.SeedSequence((4, idx))))
+            alone = scored_alone(rec, model, np.random.default_rng(np.random.SeedSequence((4, idx))))
             assert tl.video_id == rec.video_id
             assert tl.snippet_scores.tobytes() == alone.snippet_scores.tobytes(), rec.video_id
 
