@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,12 +59,14 @@ class TsaConfig:
 
 
 def kappa_from_ratio(t_len: int, ratio: float) -> int:
-    """Number of snippets to select: floor(T * ratio), never below 1."""
+    """Number of snippets to select: floor(T * ratio), never below 1, taken
+    exactly for the decimal the ratio prints as (90 * 0.7 keeps 63, where the
+    float product 62.99999999999999 would floor to 62)."""
     if t_len < 1:
         raise ValueError(f"snippet count must be positive, got {t_len}")
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-    return max(1, int(np.floor(t_len * ratio)))
+    return max(1, math.floor(Fraction(repr(float(ratio))) * t_len))
 
 
 @dataclass

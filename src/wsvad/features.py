@@ -70,9 +70,6 @@ class DatasetManifest:
     split: str
     videos: list[ManifestEntry]
 
-    def by_label(self, label: int) -> list[ManifestEntry]:
-        return [v for v in self.videos if v.label == label]
-
 
 def save_features(features: np.ndarray, path: str | Path) -> None:
     """Write a (T_k, d) float32 matrix in the binary feature layout."""
@@ -157,6 +154,10 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
+    """Read a split's manifest; a broken rule is a FormatError naming the file.
+    The rules: UTF-8 JSON; integer version 1, d >= 1 and snippet_len >= 1; a
+    string split; per video a unique string id, a string path, a 0/1 label and
+    an integer frame_count >= 1; at least one normal and one abnormal video."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -200,6 +201,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if v.video_id in seen:
             raise FormatError(f"{path}: duplicate video id '{v.video_id}'")
         seen.add(v.video_id)
+    abnormal = sum(v.label for v in manifest.videos)
+    if not 0 < abnormal < len(manifest.videos):
+        normal = len(manifest.videos) - abnormal
+        raise FormatError(f"{path}: {split} split needs both normal and abnormal videos ({normal} normal, {abnormal} abnormal)")
     return manifest
 
 
@@ -224,11 +229,3 @@ def load_records(manifest: DatasetManifest, base_dir: str | Path) -> list[VideoR
         )
     return records
 
-
-def require_both_classes(manifest: DatasetManifest) -> None:
-    """Weak supervision needs at least one normal and one abnormal video."""
-    if not manifest.by_label(0) or not manifest.by_label(1):
-        raise ValueError(
-            f"{manifest.split} split needs both normal and abnormal videos "
-            f"({len(manifest.by_label(0))} normal, {len(manifest.by_label(1))} abnormal)"
-        )

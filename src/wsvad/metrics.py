@@ -40,14 +40,14 @@ def _validate(scores, labels, weights) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return s, wy, w - wy
 
 
-def _threshold_counts(s: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _threshold_counts(s: np.ndarray, pos_w: np.ndarray, neg_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative true/false positives at each distinct score, descending."""
     order = np.argsort(-s, kind="stable")
     s = s[order]
     tp = np.cumsum(pos_w[order])
     fp = np.cumsum(neg_w[order])
     last_of_group = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    return tp[last_of_group], fp[last_of_group], s[last_of_group]
+    return tp[last_of_group], fp[last_of_group]
 
 
 def auc_roc(scores, labels, weights=None) -> float:
@@ -57,7 +57,7 @@ def auc_roc(scores, labels, weights=None) -> float:
     neg = neg_w.sum()
     if pos == 0 or neg == 0:
         raise ValueError("ROC AUC needs at least one positive and one negative label")
-    tp, fp, _ = _threshold_counts(s, pos_w, neg_w)
+    tp, fp = _threshold_counts(s, pos_w, neg_w)
     tpr = np.concatenate(([0.0], tp / pos))
     fpr = np.concatenate(([0.0], fp / neg))
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
@@ -70,7 +70,7 @@ def auc_pr(scores, labels, weights=None) -> float:
     pos = pos_w.sum()
     if pos == 0:
         raise ValueError("PR AUC needs at least one positive label")
-    tp, fp, _ = _threshold_counts(s, pos_w, neg_w)
+    tp, fp = _threshold_counts(s, pos_w, neg_w)
     precision = tp / (tp + fp)
     recall = np.concatenate(([0.0], tp / pos))
     return float(np.sum(np.diff(recall) * precision))

@@ -20,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .attention import TsaConfig
 from .autograd import Tensor
-from .features import DatasetManifest, load_records, require_both_classes, temporal_normalize
+from .features import DatasetManifest, load_records, temporal_normalize
 from .model import Model, init_model, score_bag
 from .optim import Adam
 
@@ -197,7 +197,6 @@ def train(
     still raises a located ``NumericsError``, and nothing warns before it.
     """
     ag.pin_malloc_thresholds()
-    require_both_classes(manifest)
     # each video is resized once into one (N, T, d) array, then the records
     # and their native-length features are dropped
     records = load_records(manifest, base_dir)

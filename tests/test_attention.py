@@ -49,6 +49,18 @@ class TestKappaFromRatio:
         with pytest.raises(ValueError):
             kappa_from_ratio(8, 1.5)
 
+    def test_nonpositive_snippet_count(self):
+        with pytest.raises(ValueError, match="snippet count must be positive, got 0"):
+            kappa_from_ratio(0, 0.7)
+
+    def test_exact_floor_of_the_printed_ratio(self):
+        """90 * 0.7 is 62.99999999999999 in binary floating point; kappa is
+        floor(T * r) for the decimal r, so T = 90 keeps 63."""
+        assert kappa_from_ratio(90, 0.7) == 63
+        for k in range(1, 11):
+            for t in range(1, 8193):
+                assert kappa_from_ratio(t, k / 10) == max(1, t * k // 10), (t, k)
+
 
 class TestTopkStructure:
     def test_exhaustive_small_cases(self):
@@ -138,6 +150,20 @@ class TestTopkStructure:
     def test_kappa_out_of_range(self):
         with pytest.raises(ValueError):
             topk_score(np.zeros(4), 5, 10, 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(num_samples=0, sigma=0.1), "num_samples must be >= 1"),
+            (dict(num_samples=4, sigma=-0.1), "sigma must be non-negative"),
+            (dict(num_samples=4, sigma=0.1, noise=np.zeros((4, 2))), re.escape("noise must have shape (4, 3), got (4, 2)")),
+            (dict(num_samples=4, sigma=0.1), "an rng is required when sigma > 0 and no noise is supplied"),
+        ],
+        ids=["no-samples", "negative-sigma", "noise-shape", "no-rng"],
+    )
+    def test_bad_arguments_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            topk_score(np.array([0.1, 0.5, 0.3]), 1, **kwargs)
 
     def test_determinism_same_seed(self):
         omega = np.random.default_rng(1).uniform(0, 1, 12)
@@ -288,6 +314,8 @@ class TestSelectionGradient:
         sel = topk_score(np.array([0.9, 0.1, 0.7, 0.3]), 2, 10, 0.0)
         with pytest.raises(ValueError, match="unperturbed"):
             sel.grad_scores(np.ones(4))
+        with pytest.raises(ValueError, match="inclusion_jacobian undefined for unperturbed selection"):
+            sel.inclusion_jacobian()
 
     def test_jacobian_matches_fd_of_expectation(self):
         """Estimator vs central differences of the sampled inclusion under

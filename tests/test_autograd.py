@@ -98,6 +98,14 @@ class TestConv1dDilated:
         with pytest.raises(ShapeError):
             conv1d_dilated(Tensor(np.ones((4, 1))), Tensor(np.ones((2, 1, 1))), 1)
 
+    def test_input_shape_rejected(self):
+        w = Tensor(np.ones((3, 2, 5)))
+        message = re.escape("conv1d_dilated: expected (T,c_in) and (k,c_in,c_out), got (1, 4, 2), (3, 2, 5)")
+        with pytest.raises(ShapeError, match=message):
+            conv1d_dilated(Tensor(np.ones((1, 4, 2))), w)
+        with pytest.raises(ShapeError, match="conv1d_dilated: channel mismatch, x has 3, w expects 2"):
+            conv1d_dilated(Tensor(np.ones((4, 3))), w)
+
     def test_bad_dilation_rejected(self):
         with pytest.raises(ValueError):
             conv1d_dilated(Tensor(np.ones((4, 1))), Tensor(np.ones((3, 1, 1))), 0)
@@ -555,6 +563,10 @@ class TestFusedOps:
             nonlocal_attention(*(Tensor(a) for a in nonlocal_inputs(11, 1)[:4]), scale=Tensor(np.ones((4, 1))))
         with pytest.raises(ShapeError, match="disagree"):
             nonlocal_attention(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+        w = Tensor(np.ones((4, 2)))
+        message = re.escape("nonlocal_attention: expected (rows, d) and (d, c) weights, got (5, 4), (4, 2), (4,), (4, 2)")
+        with pytest.raises(ShapeError, match=message):
+            nonlocal_attention(Tensor(np.ones((5, 4))), w, Tensor(np.ones(4)), w)
 
 
 class TestElementwise:
@@ -624,6 +636,10 @@ class TestBackward:
         x = Tensor(2.0, requires_grad=True)
         backward(x)
         assert x.grad == 1.0
+
+    def test_constant_loss_rejected(self):
+        with pytest.raises(ValueError, match="backward: loss does not require grad"):
+            backward(Tensor(1.0))
 
     def test_analytic_square_sum(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -849,6 +865,23 @@ class TestStructuralOps:
     def test_axis_reduction_out_of_range(self):
         with pytest.raises(ShapeError, match="axis 2"):
             Tensor(np.ones((2, 3))).sum(axis=2)
+
+    @pytest.mark.parametrize("kind", ["sum", "mean"])
+    def test_reduction_over_empty_axis(self, kind):
+        with pytest.raises(ShapeError, match=f"{kind}: empty reduction"):
+            getattr(Tensor(np.ones((0, 3))), kind)(axis=0)
+
+    def test_item_on_non_scalar(self):
+        with pytest.raises(ShapeError, match=re.escape("item() on non-scalar tensor of shape (2,)")):
+            Tensor(np.ones(2)).item()
+
+    def test_gather_rows_on_rank_one(self):
+        with pytest.raises(ShapeError, match=re.escape("gather_rows: expected rank-2 input, got (3,)")):
+            gather_rows(Tensor(np.ones(3)), np.array([0]))
+
+    def test_concat_of_nothing(self):
+        with pytest.raises(ShapeError, match="concat: no operands"):
+            concat([])
 
     def test_row_norm_values_and_grads(self):
         rng = np.random.default_rng(9)

@@ -340,7 +340,11 @@ class TestEvalGroundTruth:
             "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
         ])
         assert code == 1
-        assert "ValueError: no videos to evaluate" in capsys.readouterr().err
+        assert (
+            f"FormatError: {empty / 'manifest.json'}: test split needs both normal and abnormal videos "
+            "(0 normal, 0 abnormal)"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
 
 def poison_one_row(split_dir: Path, video: int = 0) -> str:
@@ -609,6 +613,43 @@ class TestValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert "--val-manifest" in err and "--val-every" in err
+        assert not out.exists()
+
+
+def one_class_manifest(directory: Path, split: str) -> Path:
+    """A manifest of two abnormal videos whose feature files do not exist."""
+    directory.mkdir()
+    videos = [{"id": f"v{i}", "path": f"missing_{i}.vadf", "label": 1, "frame_count": 40} for i in range(2)]
+    doc = {"version": 1, "d": 8, "snippet_len": 4, "split": split, "videos": videos}
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestOneClassSplit:
+    """Every command rejects a one-class split when it loads the manifest,
+    before it reads a feature file or trains, and makes no --out."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep-r", "ablate", "train --val-manifest"])
+    def test_exits_one_before_any_work(self, dataset, untrained_checkpoint, tmp_path, capsys, command):
+        split = "train" if command == "train" else "test"
+        bad = one_class_manifest(tmp_path / "one_class", split)
+        train_manifest = str(dataset / "train" / "manifest.json")
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--manifest", str(bad), *FAST_TRAIN],
+            "eval": ["eval", "--manifest", str(bad), "--checkpoint", str(untrained_checkpoint)],
+            "sweep-r": ["sweep-r", "--manifest", train_manifest, "--test-manifest", str(bad), *FAST_TRAIN],
+            "ablate": ["ablate", "--manifest", train_manifest, "--test-manifest", str(bad), *FAST_TRAIN],
+            "train --val-manifest": [
+                "train", "--manifest", train_manifest, "--val-manifest", str(bad), "--val-every", "1", *FAST_TRAIN,
+            ],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: FormatError: {bad}: {split} split needs both normal and abnormal videos (0 normal, 2 abnormal)\n"
+        )
         assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 """Feature file format, temporal resizing, and manifest integrity."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from wsvad.features import (
     load_features,
     load_manifest,
     load_records,
-    require_both_classes,
     save_features,
     save_manifest,
     temporal_normalize,
@@ -63,6 +64,17 @@ class TestFeatureFile:
         path = tmp_path / "huge.vadf"
         save_features(feats, path)
         assert np.array_equal(load_features(path), feats)
+
+    def test_save_rejects_a_vector(self, tmp_path):
+        with pytest.raises(FormatError, match=re.escape("features must be 2-d, got shape (3,)")):
+            save_features(np.ones(3, dtype=np.float32), tmp_path / "v.vadf")
+
+    def test_save_rejects_a_row_count_past_the_header(self, tmp_path):
+        """(2**32, 0) holds no bytes, but its row count does not fit in a u32."""
+        path = tmp_path / "wide.vadf"
+        with pytest.raises(FormatError, match=re.escape("dimensions (4294967296, 0) overflow the u32 header")):
+            save_features(np.zeros((2**32, 0), dtype=np.float32), path)
+        assert not path.exists()
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.vadf"
@@ -287,9 +299,21 @@ class TestManifest:
 
     def test_single_class_train_split_rejected(self, tmp_path):
         manifest = _write_split(tmp_path)
-        manifest.videos = [v for v in manifest.videos if v.label == 0]
-        with pytest.raises(ValueError, match="both"):
-            require_both_classes(manifest)
+        # each class alone, then an empty split
+        for labels, counts in (({0}, "1 normal, 0 abnormal"), ({1}, "0 normal, 1 abnormal"), (set(), "0 normal, 0 abnormal")):
+            one_class = dataclasses.replace(manifest, videos=[v for v in manifest.videos if v.label in labels])
+            save_manifest(one_class, tmp_path / "manifest.json")
+            message = rf"manifest.json: train split needs both normal and abnormal videos \({counts}\)"
+            with pytest.raises(FormatError, match=message):
+                load_manifest(tmp_path / "manifest.json")
+
+    def test_non_binary_label_reported_before_the_class_count(self, tmp_path):
+        """A label of 2 leaves one class, but the label is what is wrong."""
+        manifest = _write_split(tmp_path)
+        manifest.videos[1].label = 2
+        save_manifest(manifest, tmp_path / "manifest.json")
+        with pytest.raises(FormatError, match="video 'v1' has non-binary label 2"):
+            load_manifest(tmp_path / "manifest.json")
 
 
 class TestVideoRecord:

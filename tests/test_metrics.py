@@ -68,6 +68,10 @@ class TestAucRoc:
         with pytest.raises(ValueError):
             auc_roc([0.1, 0.2], [1, 0, 1])
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty input"):
+            auc_roc([], [])
+
 
 class TestAucPr:
     def test_perfect_ranking(self):

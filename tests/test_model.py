@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -94,6 +95,43 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_other_version_rejected(self, tmp_path):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+        with pytest.raises(FormatError, match="model.vadc: unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
+    def test_other_classifier_layout_rejected(self, tmp_path):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, lambda h: edited(h, "classifier_hidden", value=[64, 32]))
+        with pytest.raises(FormatError, match=re.escape("model.vadc: unsupported classifier layout [64, 32]")):
+            load_checkpoint(path)
+
+    def test_missing_last_tensor_rejected(self, tmp_path):
+        """A table one tensor short that ends at that tensor's boundary has no
+        trailing bytes; the missing parameter is what is named."""
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        count_at = 12 + header_len
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        off = count_at + 4
+        for _ in range(count - 1):  # walk past every tensor but the last
+            (name_len,) = struct.unpack_from("<I", blob, off)
+            off += 4 + name_len
+            (ndim,) = struct.unpack_from("<I", blob, off)
+            shape = struct.unpack_from(f"<{ndim}I", blob, off + 4)
+            off += 4 + 4 * ndim + 4 * int(np.prod(shape))
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        last = blob[off + 4 : off + 4 + name_len].decode("utf-8")
+        path.write_bytes(blob[:count_at] + struct.pack("<I", count - 1) + blob[count_at + 4 : off])
+        with pytest.raises(FormatError, match=re.escape(f"model.vadc: parameter set mismatch, missing ['{last}']")):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

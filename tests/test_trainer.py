@@ -143,6 +143,11 @@ class TestTopAlphaMean:
         with pytest.raises(ValueError):
             top_alpha_mean(Tensor(np.ones((3, 2))), 4)
 
+    def test_rank_three_rejected(self):
+        message = re.escape("expected (T, d) features stacked along the rows, got (2, 3, 4)")
+        with pytest.raises(ag.ShapeError, match=message):
+            top_alpha_mean(Tensor(np.ones((2, 3, 4))), 1)
+
 
 class TestSeparability:
     def test_identical_bags_zero(self):
@@ -291,6 +296,10 @@ def conv_params(mod):
 
 
 class TestConvModule:
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ag.ShapeError, match=re.escape("conv module expects (T, 8), got (5, 4)")):
+            conv_module_forward(conv_module(0), Tensor(np.ones((5, 4), np.float32)))
+
     def test_zero_init_is_identity(self):
         mod = conv_module(0)
         for t in conv_params(mod):
