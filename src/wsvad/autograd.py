@@ -14,12 +14,31 @@ A layer of the detector is one op: `linear` is a dense layer with its bias and
 activation, `conv1d_dilated` takes its branch's bias, and `nonlocal_attention`
 is the embedded-Gaussian attention branch. Each computes in place what it can
 and gives the same values and float32 gradients, bit for bit, as the chain of
-single ops it replaces. The two context-module ops take the constant feature
-batch and an optional (rows, 1) `scale`, the attention's inclusion: they are
-linear in their input rows, so they scale their projections rather than the
-input, and backward gives the scale its gradient from the projections that
-forward made, with no (rows, d) input gradient. A row scale of its own is
-`mul`'s (rows, d) * (rows, 1) form.
+single ops it replaces, up to the regrouped sums of the live-row backward
+below. The two context-module ops take the constant feature batch and an
+optional (rows, 1) `scale`, the attention's inclusion: they are linear in
+their input rows, so they scale their projections rather than the input, and
+backward gives the scale its gradient from the projections that forward
+made, with no (rows, d) input gradient. A row scale of its own is `mul`'s
+(rows, d) * (rows, 1) form.
+
+Backward works over the rows that a gradient reaches. The loss reads only
+each bag's top-alpha rows of the context features and the scores, so the
+gradients of the classifier and of the context module's outputs are zero in
+every other row. `_live_rows` finds the rows of a (rows, n) gradient that
+hold a nonzero, and four vjps take their products over those rows alone:
+`linear` (weight, bias and input gradients), `conv1d_dilated` (weight and
+scale gradients, over the input rows its taps reach from the live output
+rows), `mul`'s row scale, and the theta part of `nonlocal_attention`
+(theta's gradient is zero in the rows where the output's is). The rows they
+skip get exactly +0.0. A dense gradient, such as the scorer's, keeps the
+full products, and so does one of fewer than `_LIVE_ROWS_MIN_SIZE`
+entries. The skipped terms are exact zeros, so only the grouping of a
+weight gradient's sum can change, where OpenBLAS splits the full product
+into two K-blocks: at 256 rows every gradient keeps the full products'
+bits, and at 512 rows (the paper shape) the weight gradients of the
+classifier's first two layers, of the three convs and of the attention's
+theta move at about 1e-7 relative.
 
 No NaN or Inf gets past the engine; the first value to go non-finite raises
 `NumericsError` naming the op that produced it. `Tensor` construction and
@@ -308,6 +327,36 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
     return np.sum(g, axis=0, dtype=np.float64).astype(g.dtype)
 
 
+# A gradient of fewer entries counts as dense: below this, finding and
+# gathering its live rows costs more than the products they cut (the linear,
+# conv and row-scale vjps, timed at widths 32 to 512 over 256 and 512 rows
+# with 48 live).
+_LIVE_ROWS_MIN_SIZE = 1 << 14
+
+
+def _live_rows(g: np.ndarray) -> np.ndarray | None:
+    """The indices of the rows of a (rows, n) gradient that hold a nonzero,
+    or None when every row does or ``g`` has fewer than
+    ``_LIVE_ROWS_MIN_SIZE`` entries. A row of zeros, +0.0 or -0.0, adds
+    nothing to a product over the rows, so a vjp may take its products over
+    the live rows alone."""
+    # a nonzero first column is the cheap proof that every row is live
+    if g.size < _LIVE_ROWS_MIN_SIZE or g[:, 0].all():
+        return None
+    live = np.flatnonzero(g.any(axis=1))
+    return None if live.size == g.shape[0] else live
+
+
+def _scattered(part: np.ndarray, rows: np.ndarray | slice, n_rows: int) -> np.ndarray:
+    """The (n_rows, n) gradient whose rows ``rows`` are ``part`` and whose
+    other rows are +0.0; ``part`` itself when ``rows`` is ``slice(None)``."""
+    if isinstance(rows, slice):
+        return part
+    full = np.zeros((n_rows, part.shape[1]), dtype=part.dtype)
+    full[rows] = part
+    return full
+
+
 def _add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         return _from_op("add", a.data + b.data, (a, b), lambda g: (g, g))
@@ -332,7 +381,9 @@ def _row_scale_grad(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors, or (rows, d) * (rows, 1):
-    each row of a scaled by its entry of b."""
+    each row of a scaled by its entry of b. That row scale's gradient, one
+    float64 sum per row, is taken over the live rows of the product's
+    gradient (``_live_rows``) and is +0.0 in the others."""
     same = a.shape == b.shape
     if not same and not (a.ndim == 2 and b.shape == (a.shape[0], 1)):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -340,8 +391,12 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         if not b.requires_grad:
             gb = None
+        elif same:
+            gb = g * a.data
         else:
-            gb = g * a.data if same else _row_scale_grad(g, a.data)
+            live = _live_rows(g)
+            rows = slice(None) if live is None else live
+            gb = _scattered(_row_scale_grad(g[rows], a.data[rows]), rows, g.shape[0])
         return (g * b.data if a.requires_grad else None, gb)
 
     return _from_op("mul", a.data * b.data, (a, b), vjp)
@@ -401,7 +456,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
     checked there, once: a check after the activation would miss a -inf that
     ReLU turns into 0, and no activation makes a finite value non-finite.
     The values and gradients are those of matmul, bias add and activation
-    run as three ops, bit for bit.
+    run as three ops, bit for bit, but for the weight gradient's grouping
+    when the output gradient has dead rows.
+
+    The backward works over the live rows of the output gradient
+    (``_live_rows``), the top-alpha rows that the loss reads: the weight and
+    bias gradients are ``x[live].T @ g[live]`` and its float64 row sum, and
+    x's gradient is ``g[live] @ w.T`` in the live rows and +0.0 in the rest.
+    The row sums and x's gradient keep the chain's bits. The weight
+    gradient drops only zero terms, but OpenBLAS splits a product over
+    enough rows into two K-blocks and sums the blocks' partial products,
+    while the live rows' product is one block: at 512 rows it moves at
+    about 1e-7 relative, and at 256 rows it keeps its bits (OpenBLAS
+    0.3.31's Haswell SGEMM, 512 x rows x 128, splits from 443 to 450 rows).
+    A one-column layer keeps every row: its weight gradient is a
+    matrix-vector product, which groups its terms by their place in the
+    rows.
     """
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {x.shape}, {w.shape}, {b.shape}")
@@ -417,10 +487,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
         out = s.astype(_DTYPE)
 
     def vjp(g):
+        live = _live_rows(g) if w.shape[1] > 1 else None
+        rows = slice(None) if live is None else live
+        g = g[rows]
         if act == "relu":
-            g = g * (out > 0)  # out > 0 exactly where the pre-activation is
+            g = g * (out[rows] > 0)  # out > 0 exactly where the pre-activation is
         elif act == "sigmoid":
-            g = g * (s * (1.0 - s)).astype(g.dtype)
+            s_rows = s[rows]
+            g = g * (s_rows * (1.0 - s_rows)).astype(g.dtype)
         if not x.requires_grad:
             gx = None
         elif w.shape[1] == 1:
@@ -431,8 +505,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
         else:
             gx = g @ w.data.T
         return (
-            gx,
-            x.data.T @ g if w.requires_grad else None,
+            None if gx is None else _scattered(gx, rows, x.shape[0]),
+            x.data[rows].T @ g if w.requires_grad else None,
             _bias_grad(g) if b.requires_grad else None,
         )
 
@@ -595,6 +669,16 @@ def _taps_of_output_grad(g: np.ndarray, bags: int, k: int, dilation: int) -> np.
     return gy.reshape(k, rows, c_out)
 
 
+def _tap_reach(live: np.ndarray, rows: int, bags: int, k: int, dilation: int) -> np.ndarray:
+    """The input rows, sorted, that the live output rows ``live`` of a
+    dilated conv over ``rows`` rows reach through its taps: the rows where
+    ``_taps_of_output_grad`` is nonzero, found by laying out the live rows'
+    mask by tap."""
+    mask = np.zeros((rows, 1), dtype=bool)
+    mask[live] = True
+    return np.flatnonzero(_taps_of_output_grad(mask, bags, k, dilation).any(axis=0))
+
+
 def _sum_of_taps(p: np.ndarray, bags: int, dilation: int) -> np.ndarray:
     """The dilated conv's output (bags * T, c_out) from its per-tap products
     p (k, bags * T, c_out), the adjoint of ``_taps_of_output_grad``: row t
@@ -655,6 +739,15 @@ def conv1d_dilated(
     gradient is built. A ``bias`` (c_out,) is added into the output in
     place, before the output's check, with the values and gradients of a
     separate bias add.
+
+    When the output gradient has dead rows (``_live_rows``), as the
+    classifier's and the loss's top-alpha rows leave it, gy is nonzero only
+    in the input rows that the live output rows reach through the taps, at
+    most k per live row, and w's GEMM and the scale's sums run over those
+    rows alone; the scale's gradient is +0.0 in the rest. Its per-row sums
+    keep their bits; w's gradient drops only zero terms, but where OpenBLAS
+    splits the full product into two K-blocks, as at 512 rows (see
+    ``linear``), it moves at about 1e-7 relative.
     """
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d_dilated: expected (T,c_in) and (k,c_in,c_out), got {x.shape}, {w.shape}")
@@ -679,11 +772,13 @@ def conv1d_dilated(
     def vjp(g):
         gw = gs = None
         if w.requires_grad or kept is not None:
-            gy = _taps_of_output_grad(g, bags, k, dilation)
+            live = _live_rows(g)
+            rows = slice(None) if live is None else _tap_reach(live, g.shape[0], bags, k, dilation)
+            gy = _taps_of_output_grad(g, bags, k, dilation)[:, rows]
             if w.requires_grad:
-                gw = np.matmul(x.data.T, gy if s is None else gy * s)
+                gw = np.matmul(x.data[rows].T, gy if s is None else gy * s[rows])
             if kept is not None:
-                gs = _row_scale_grad(gy, kept)
+                gs = _scattered(_row_scale_grad(gy, kept[:, rows]), rows, x.shape[0])
         gb = _bias_grad(g) if bias is not None and bias.requires_grad else None
         return tuple(grad for grad, t in zip((gw, gb, gs), (w, bias, scale)) if t is not None)
 
@@ -717,6 +812,15 @@ def nonlocal_attention(
     scaled by its own op, a transpose, two batched products and a softmax),
     bit for bit; the scale's gradient adds its g, phi and theta parts in
     that order.
+
+    A zero row of the output gradient gives a zero row of the softmax
+    gradient and of theta's gradient, so theta's part works over the live
+    rows of the output gradient (``_live_rows``), as ``linear`` does: its
+    weight gradient is ``x[live].T @ (scale * g_theta)[live]``, and its part
+    of the scale's gradient is +0.0 in the other rows. Phi's and g's
+    gradients are dense in every bag that holds a live row. At 512 rows
+    theta's weight gradient moves at about 1e-7 relative, for the reason
+    ``linear`` gives.
     """
     if x.ndim != 2 or any(p.ndim != 2 or p.shape[0] != x.shape[1] for p in (w_theta, w_phi, w_g)):
         raise ShapeError(
@@ -753,8 +857,8 @@ def nonlocal_attention(
         need_s = scale is not None and scale.requires_grad
         gs = g_theta_w = g_phi_w = g_g_w = None
 
-        def weight_grad(gp: np.ndarray) -> np.ndarray:
-            return x.data.T @ (gp if s is None else gp * s)
+        def weight_grad(gp: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+            return x.data[at].T @ (gp if s is None else gp * s[at])
 
         if need_s or w_g.requires_grad:
             gg = (np.swapaxes(attn, -1, -2) @ g3).reshape(rows, -1)
@@ -768,10 +872,13 @@ def nonlocal_attention(
                     gs = gs + _row_scale_grad(gphi, u_phi)
                 g_phi_w = weight_grad(gphi) if w_phi.requires_grad else None
             if need_s or w_theta.requires_grad:
-                gtheta = (g_logits @ np.swapaxes(transposed(u_phi), -1, -2)).reshape(rows, -1)
+                # a zero row of g gives a zero row of g_logits, and so of theta's gradient
+                live = _live_rows(g)
+                at = slice(None) if live is None else live
+                gtheta = (g_logits @ np.swapaxes(transposed(u_phi), -1, -2)).reshape(rows, -1)[at]
                 if need_s:
-                    gs = gs + _row_scale_grad(gtheta, u_theta)
-                g_theta_w = weight_grad(gtheta) if w_theta.requires_grad else None
+                    gs = gs + _scattered(_row_scale_grad(gtheta, u_theta[at]), at, rows)
+                g_theta_w = weight_grad(gtheta, at) if w_theta.requires_grad else None
         return (g_theta_w, g_phi_w, g_g_w, gs)[: len(parents)]
 
     return _from_op("nonlocal_attention", out, parents, vjp)

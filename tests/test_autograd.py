@@ -569,6 +569,172 @@ class TestFusedOps:
             nonlocal_attention(Tensor(np.ones((5, 4))), w, Tensor(np.ones(4)), w)
 
 
+MIN_LIVE_SIZE = ag._LIVE_ROWS_MIN_SIZE
+
+
+def live_row_gradient(rng, rows, n, live, neg_zero):
+    """An output gradient that is zero outside the rows ``live``, whose row
+    ``neg_zero`` holds only -0.0."""
+    g = np.zeros((rows, n), np.float32)
+    g[live] = rng.normal(size=(len(live), n))
+    g[neg_zero] = -0.0
+    return g
+
+
+def assert_plus_zero(a):
+    """Every entry of ``a`` is +0.0, sign bit clear."""
+    assert a.tobytes() == np.zeros_like(a).tobytes()
+
+
+class TestLiveRowVjps:
+    """Given an output gradient that is zero outside a few rows, as the loss
+    leaves the classifier's and the context module's, `linear`, the conv,
+    `mul`'s row scale and the attention's theta work over those rows alone:
+    the rows they skip get exactly +0.0 (a row of -0.0 counts as dead), the
+    weight, bias and scale gradients are numpy's products over the live
+    rows bit for bit, and they stay within float32 rounding of the dense
+    chains."""
+
+    @pytest.fixture(autouse=True)
+    def every_size_restricts(self, monkeypatch):
+        # these gradients are far smaller than the size from which the
+        # engine restricts them; the next test holds that size
+        monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", 0)
+        self.found = []
+        find = ag._live_rows
+        monkeypatch.setattr(ag, "_live_rows", lambda g: self.found.append(find(g)) or self.found[-1])
+
+    def assert_restricted_to(self, live):
+        """The vjp found the rows ``live``, and so took the live-row path."""
+        assert [None if f is None else f.tolist() for f in self.found] == [live]
+
+    def test_live_rows_are_the_rows_with_a_nonzero(self, monkeypatch):
+        g = np.zeros((6, 3), np.float32)
+        g[1, 2], g[3], g[4] = 1e-30, -0.0, [-2.0, 0.0, 2.0]  # row 4 sums to zero
+        assert ag._live_rows(g).tolist() == [1, 4]
+        assert ag._live_rows(np.ones((6, 3), np.float32)) is None
+        g = np.ones((6, 3), np.float32)
+        g[:, 0] = 0.0  # a zero first column, but every row is live
+        assert ag._live_rows(g) is None
+        monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", MIN_LIVE_SIZE)
+        g = np.zeros((MIN_LIVE_SIZE // 8, 8), np.float32)
+        g[3] = 1.0
+        assert ag._live_rows(g).tolist() == [3]
+        assert ag._live_rows(g[1:]) is None  # fewer entries: taken as dense
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    def test_linear(self, act):
+        rng = np.random.default_rng(41)
+        rows, live = 12, [0, 5, 6, 11]
+        x, w, b = linear_inputs(41, rows=rows, k=5, n=4)
+        g = live_row_gradient(rng, rows, 4, live, neg_zero=8)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        backward(inject(linear(*leaves, act), g))
+        self.assert_restricted_to(live)
+        gx, gw, gb = (leaf.grad for leaf in leaves)
+
+        pre = (x @ w + b)[live]
+        if act == "relu":
+            gl = g[live] * (pre > 0)
+        elif act == "sigmoid":
+            z = np.exp(-np.abs(pre.astype(np.float64)))
+            sig = np.where(pre >= 0, 1.0, z) / (1.0 + z)
+            gl = g[live] * (sig * (1.0 - sig)).astype(np.float32)
+        else:
+            gl = g[live]
+        assert gw.tobytes() == (x[live].T @ gl).tobytes()
+        assert gb.tobytes() == np.sum(gl, axis=0, dtype=np.float64).astype(np.float32).tobytes()
+        assert gx[live].tobytes() == (gl @ w.T).tobytes()
+        assert_plus_zero(np.delete(gx, live, axis=0))
+
+        chain = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        backward(inject(unfused_linear(*chain, act), g))
+        for got, want in zip((gx, gw, gb), chain):
+            np.testing.assert_allclose(got, want.grad, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("bags", [1, 3])
+    def test_conv(self, dilation, bags):
+        rng = np.random.default_rng(50 + 10 * dilation + bags)
+        t_len, k, c_in, c_out = 9, 3, 5, 3
+        rows = bags * t_len
+        x = rng.normal(size=(rows, c_in)).astype(np.float32)
+        w = rng.normal(size=(k, c_in, c_out)).astype(np.float32)
+        b = rng.normal(size=c_out).astype(np.float32)
+        s = rng.uniform(size=(rows, 1)).astype(np.float32)
+        s[1] = 0.0  # a row the selection dropped
+        # each bag's first and last rows, and one inside; a -0.0 row in bag 0
+        live = sorted(t + i * t_len for i in range(bags) for t in (0, 4, t_len - 1))
+        g = live_row_gradient(rng, rows, c_out, live, neg_zero=2)
+        leaves = [Tensor(a, requires_grad=True) for a in (w, b, s)]
+        backward(inject(conv1d_dilated(Tensor(x), leaves[0], dilation, bags, bias=leaves[1], scale=leaves[2]), g))
+        self.assert_restricted_to(live)
+        gw, gb, gs = (leaf.grad for leaf in leaves)
+
+        # tap j of output row o reads input row o + shift, in o's bag alone
+        shifts = [j * dilation - (k - 1) // 2 * dilation for j in range(k)]
+        same_bag = lambda r, o: 0 <= r < rows and r // t_len == o // t_len
+        reached = sorted({o + sh for o in live for sh in shifts if same_bag(o + sh, o)})
+        assert len(reached) < rows or dilation == 1 and bags == 1
+        gy = np.zeros((k, len(reached), c_out), np.float32)
+        for i, r in enumerate(reached):
+            for j, sh in enumerate(shifts):
+                if same_bag(r - sh, r):
+                    gy[j, i] = g[r - sh]
+        p = x @ w  # the tap products forward keeps
+        assert gw.tobytes() == np.matmul(x[reached].T, gy * s[reached]).tobytes()
+        assert gb.tobytes() == np.sum(g[live], axis=0, dtype=np.float64).astype(np.float32).tobytes()
+        want_s = np.einsum("kij,kij->i", gy, p[:, reached], dtype=np.float64).astype(np.float32)
+        assert gs[reached, 0].tobytes() == want_s.tobytes()
+        assert_plus_zero(np.delete(gs, reached, axis=0))
+
+        chain = [Tensor(a, requires_grad=True) for a in (w, b, s)]
+        backward(inject(input_scaled_conv(x, chain[0], dilation, bags, chain[1], chain[2]), g))
+        for got, want in zip((gw, gb, gs), chain):
+            np.testing.assert_allclose(got, want.grad, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("bags", [1, 3])
+    def test_nonlocal_theta(self, bags, monkeypatch):
+        """Theta's part of the attention's backward is zero outside the live
+        rows and works over them alone; every gradient keeps the bits of the
+        dense path (the same op with every gradient taken as dense) and stays
+        within float32 rounding of the single-op chain."""
+        t_len = 6
+        rows = bags * t_len
+        x, *arrays = nonlocal_inputs(70 + bags, bags, t_len=t_len)
+        live = [0, 3, 5] if bags == 1 else [0, t_len, 2 * t_len - 1, rows - 1]
+        g = live_row_gradient(np.random.default_rng(70), rows, 3, live, neg_zero=1)
+
+        def grads():
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            backward(inject(nonlocal_attention(Tensor(x), *leaves[:3], bags, scale=leaves[3]), g))
+            return [leaf.grad for leaf in leaves]
+
+        restricted = grads()
+        self.assert_restricted_to(live)
+        monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", np.inf)
+        for got, want in zip(restricted, grads()):
+            assert got.tobytes() == want.tobytes()
+        chain = [Tensor(a, requires_grad=True) for a in arrays]
+        backward(inject(unfused_nonlocal(Tensor(x), *chain[:3], bags, scale=chain[3]), g))
+        for got, want in zip(restricted, chain):
+            np.testing.assert_allclose(got, want.grad, rtol=1e-5, atol=1e-6)
+
+    def test_row_scale(self):
+        rng = np.random.default_rng(60)
+        rows, live = 12, [0, 3, 4, 11]
+        a = rng.normal(size=(rows, 5)).astype(np.float32)
+        s = Tensor(rng.normal(size=(rows, 1)), requires_grad=True)
+        g = live_row_gradient(rng, rows, 5, live, neg_zero=7)
+        backward(inject(Tensor(a) * s, g))
+        self.assert_restricted_to(live)
+        want = np.einsum("ij,ij->i", g[live], a[live], dtype=np.float64).astype(np.float32)
+        assert s.grad[live, 0].tobytes() == want.tobytes()
+        assert_plus_zero(np.delete(s.grad, live, axis=0))
+        dense = np.sum(g.astype(np.float64) * a, axis=1, keepdims=True)
+        np.testing.assert_allclose(s.grad, dense, rtol=1e-6, atol=1e-7)
+
+
 class TestElementwise:
     def test_sigmoid_symmetry_point(self):
         assert Tensor([0.0]).sigmoid().data[0] == 0.5

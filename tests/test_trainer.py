@@ -13,7 +13,7 @@ from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
 from wsvad.features import FormatError, load_features, load_records, save_features, temporal_normalize
-from wsvad.model import init_model
+from wsvad.model import init_model, score_bag
 from wsvad.nn import conv_module_forward, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
@@ -645,6 +645,56 @@ class TestEndToEndGradientIntegrity:
                     p.data.flat[i] = orig
                     fd = (fp - fm) / (2 * h)
                     worst = max(worst, max_rel_err(analytic[name].flat[i], fd))
+        assert worst < 1e-3
+
+
+    def test_batched_step_past_one_k_block_matches_engine_fd(self, monkeypatch):
+        """A whole training step as `train` runs it, `score_bag` over the
+        stacked batch and then `dmt_loss`, with attention on, at the paper
+        shape's 16 bags of 32 rows: 512 rows, where OpenBLAS splits a
+        product over the rows into two K-blocks, so the live-row products
+        group their sums differently from the full ones. Every live-row vjp
+        runs (the size from which the engine restricts is lowered to 0
+        here), the selection is constant (kappa = T) and dropout is off; the
+        float64 gradients of every parameter agree with finite differences."""
+        monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", 0)
+        cfg = TrainConfig(t_len=32, batch_bags=8, tsa=TsaConfig(ratio=1.0))
+        bags = 2 * cfg.batch_bags
+        rng = np.random.default_rng(9)
+        feats = rng.normal(size=(bags * cfg.t_len, 8))
+        feats[bags // 2 * cfg.t_len :] += 1.5  # the abnormal bags
+
+        with ag.using_dtype(np.float64):
+            model = init_model(8, cfg.tsa, np.random.SeedSequence(23), scorer_hidden=(6, 5))
+
+            def loss():
+                scores, ctx, _ = score_bag(model, Tensor(feats), bags, tsa_rng=np.random.default_rng(0))
+                return dmt_loss(ctx, scores, bags, cfg)
+
+            found = []
+            find = ag._live_rows
+            monkeypatch.setattr(ag, "_live_rows", lambda g: found.append(find(g)) or found[-1])
+            ag.backward(loss())
+            # the classifier's two wide layers, the three convs, the residual's
+            # row scale and the attention's theta
+            assert sum(f is not None and f.size == bags * cfg.alpha for f in found) == 7
+            params = model.named_params()
+            analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
+
+            h = 1e-6  # 1e-5 crosses a classifier ReLU kink at this shape
+            worst = 0.0
+            for j, (name, p) in enumerate(params.items()):
+                idx = np.random.default_rng(j).choice(p.data.size, size=min(4, p.data.size), replace=False)
+                for i in idx:
+                    orig = p.data.flat[i]
+                    p.data.flat[i] = orig + h
+                    with ag.no_grad():
+                        fp = loss().item()
+                    p.data.flat[i] = orig - h
+                    with ag.no_grad():
+                        fm = loss().item()
+                    p.data.flat[i] = orig
+                    worst = max(worst, max_rel_err(analytic[name].flat[i], (fp - fm) / (2 * h)))
         assert worst < 1e-3
 
 
