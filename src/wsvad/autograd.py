@@ -32,13 +32,13 @@ scale gradients, over the input rows its taps reach from the live output
 rows), `mul`'s row scale, and the theta part of `nonlocal_attention`
 (theta's gradient is zero in the rows where the output's is). The rows they
 skip get exactly +0.0. A dense gradient, such as the scorer's, keeps the
-full products, and so does one of fewer than `_LIVE_ROWS_MIN_SIZE`
-entries. The skipped terms are exact zeros, so only the grouping of a
-weight gradient's sum can change, where OpenBLAS splits the full product
-into two K-blocks: at 256 rows every gradient keeps the full products'
-bits, and at 512 rows (the paper shape) the weight gradients of the
-classifier's first two layers, of the three convs and of the attention's
-theta move at about 1e-7 relative.
+full products, and so do an all-zero one and one of fewer than
+`_LIVE_ROWS_MIN_SIZE` entries. The skipped terms are exact zeros, so only
+the grouping of a weight gradient's sum can change, where OpenBLAS splits
+the full product into two K-blocks: at 256 rows every gradient keeps the
+full products' bits, and at 512 rows (the paper shape) the weight
+gradients of the classifier's first two layers, of the three convs and of
+the attention's theta move at about 1e-7 relative.
 
 No NaN or Inf gets past the engine; the first value to go non-finite raises
 `NumericsError` naming the op that produced it. `Tensor` construction and
@@ -334,17 +334,19 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 _LIVE_ROWS_MIN_SIZE = 1 << 14
 
 
-def _live_rows(g: np.ndarray) -> np.ndarray | None:
+def _live_rows(g: np.ndarray) -> np.ndarray | slice:
     """The indices of the rows of a (rows, n) gradient that hold a nonzero,
-    or None when every row does or ``g`` has fewer than
-    ``_LIVE_ROWS_MIN_SIZE`` entries. A row of zeros, +0.0 or -0.0, adds
-    nothing to a product over the rows, so a vjp may take its products over
-    the live rows alone."""
+    or ``slice(None)``, every row, when every row does, when none does or
+    when ``g`` has fewer than ``_LIVE_ROWS_MIN_SIZE`` entries. A row of
+    zeros, +0.0 or -0.0, adds nothing to a product over the rows, so a vjp
+    may take its products over the live rows alone. An all-zero gradient
+    takes the dense path, which gives its zero gradients without the
+    empty products."""
     # a nonzero first column is the cheap proof that every row is live
     if g.size < _LIVE_ROWS_MIN_SIZE or g[:, 0].all():
-        return None
+        return slice(None)
     live = np.flatnonzero(g.any(axis=1))
-    return None if live.size == g.shape[0] else live
+    return slice(None) if live.size in (0, g.shape[0]) else live
 
 
 def _scattered(part: np.ndarray, rows: np.ndarray | slice, n_rows: int) -> np.ndarray:
@@ -394,8 +396,7 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
         elif same:
             gb = g * a.data
         else:
-            live = _live_rows(g)
-            rows = slice(None) if live is None else live
+            rows = _live_rows(g)
             gb = _scattered(_row_scale_grad(g[rows], a.data[rows]), rows, g.shape[0])
         return (g * b.data if a.requires_grad else None, gb)
 
@@ -487,8 +488,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
         out = s.astype(_DTYPE)
 
     def vjp(g):
-        live = _live_rows(g) if w.shape[1] > 1 else None
-        rows = slice(None) if live is None else live
+        rows = _live_rows(g) if w.shape[1] > 1 else slice(None)
         g = g[rows]
         if act == "relu":
             g = g * (out[rows] > 0)  # out > 0 exactly where the pre-activation is
@@ -772,8 +772,9 @@ def conv1d_dilated(
     def vjp(g):
         gw = gs = None
         if w.requires_grad or kept is not None:
-            live = _live_rows(g)
-            rows = slice(None) if live is None else _tap_reach(live, g.shape[0], bags, k, dilation)
+            rows = _live_rows(g)
+            if not isinstance(rows, slice):
+                rows = _tap_reach(rows, g.shape[0], bags, k, dilation)
             gy = _taps_of_output_grad(g, bags, k, dilation)[:, rows]
             if w.requires_grad:
                 gw = np.matmul(x.data[rows].T, gy if s is None else gy * s[rows])
@@ -873,8 +874,7 @@ def nonlocal_attention(
                 g_phi_w = weight_grad(gphi) if w_phi.requires_grad else None
             if need_s or w_theta.requires_grad:
                 # a zero row of g gives a zero row of g_logits, and so of theta's gradient
-                live = _live_rows(g)
-                at = slice(None) if live is None else live
+                at = _live_rows(g)
                 gtheta = (g_logits @ np.swapaxes(transposed(u_phi), -1, -2)).reshape(rows, -1)[at]
                 if need_s:
                     gs = gs + _scattered(_row_scale_grad(gtheta, u_theta[at]), at, rows)

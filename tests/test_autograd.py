@@ -606,21 +606,23 @@ class TestLiveRowVjps:
 
     def assert_restricted_to(self, live):
         """The vjp found the rows ``live``, and so took the live-row path."""
-        assert [None if f is None else f.tolist() for f in self.found] == [live]
+        assert [f if isinstance(f, slice) else f.tolist() for f in self.found] == [live]
 
     def test_live_rows_are_the_rows_with_a_nonzero(self, monkeypatch):
         g = np.zeros((6, 3), np.float32)
         g[1, 2], g[3], g[4] = 1e-30, -0.0, [-2.0, 0.0, 2.0]  # row 4 sums to zero
         assert ag._live_rows(g).tolist() == [1, 4]
-        assert ag._live_rows(np.ones((6, 3), np.float32)) is None
+        every = slice(None)
+        assert ag._live_rows(np.ones((6, 3), np.float32)) == every
+        assert ag._live_rows(np.full((6, 3), -0.0, np.float32)) == every  # no live row: dense
         g = np.ones((6, 3), np.float32)
         g[:, 0] = 0.0  # a zero first column, but every row is live
-        assert ag._live_rows(g) is None
+        assert ag._live_rows(g) == every
         monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", MIN_LIVE_SIZE)
         g = np.zeros((MIN_LIVE_SIZE // 8, 8), np.float32)
         g[3] = 1.0
         assert ag._live_rows(g).tolist() == [3]
-        assert ag._live_rows(g[1:]) is None  # fewer entries: taken as dense
+        assert ag._live_rows(g[1:]) == every  # fewer entries: taken as dense
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     def test_linear(self, act):
@@ -733,6 +735,33 @@ class TestLiveRowVjps:
         assert_plus_zero(np.delete(s.grad, live, axis=0))
         dense = np.sum(g.astype(np.float64) * a, axis=1, keepdims=True)
         np.testing.assert_allclose(s.grad, dense, rtol=1e-6, atol=1e-7)
+
+    def test_all_zero_gradient_takes_the_dense_path(self):
+        """A step whose hinge and BCE both pass exactly 0 leaves no live row:
+        the row scale, the conv and the attention then take the dense path,
+        and their weight and scale gradients are +0.0."""
+        rng = np.random.default_rng(80)
+        rows, d = 12, 5
+        g = np.zeros((rows, d), np.float32)
+        g[3] = -0.0
+        s = Tensor(rng.uniform(size=(rows, 1)), requires_grad=True)
+        backward(inject(Tensor(rng.normal(size=(rows, d))) * s, g))
+        assert_plus_zero(s.grad)
+
+        x = Tensor(rng.normal(size=(rows, 4)))
+        w = rng.normal(size=(3, 4, d))
+        leaves = [Tensor(a, requires_grad=True) for a in (w, rng.uniform(size=(rows, 1)))]
+        backward(inject(conv1d_dilated(x, leaves[0], 2, bags=2, scale=leaves[1]), g))
+        for leaf in leaves:
+            assert_plus_zero(leaf.grad)
+
+        x, *arrays = nonlocal_inputs(81, 2, t_len=rows // 2)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = nonlocal_attention(Tensor(x), *leaves[:3], 2, scale=leaves[3])
+        backward(inject(out, np.zeros(out.shape, np.float32)))
+        for leaf in leaves:
+            assert_plus_zero(leaf.grad)
+        assert all(f == slice(None) for f in self.found) and len(self.found) == 3
 
 
 class TestElementwise:
