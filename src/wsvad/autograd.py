@@ -15,7 +15,9 @@ activation, `conv1d_dilated` takes its branch's bias, and `nonlocal_attention`
 is the embedded-Gaussian attention branch. Each computes in place what it can
 and gives the same values and float32 gradients, bit for bit, as the chain of
 single ops it replaces, up to the regrouped sums of the live-row backward
-below. The two context-module ops take the constant feature batch and an
+below. `linear` takes its rows along every axis but the last, so the
+classifier runs on the loss's (bags, alpha, d) gather as it does on (rows,
+d). The two context-module ops take the constant feature batch and an
 optional (rows, 1) `scale`, the attention's inclusion: they are linear in
 their input rows, so they scale their projections rather than the input, and
 backward gives the scale its gradient from the projections that forward
@@ -23,22 +25,21 @@ made, with no (rows, d) input gradient. A row scale of its own is `mul`'s
 (rows, d) * (rows, 1) form.
 
 Backward works over the rows that a gradient reaches. The loss reads only
-each bag's top-alpha rows of the context features and the scores, so the
-gradients of the classifier and of the context module's outputs are zero in
-every other row. `_live_rows` finds the rows of a (rows, n) gradient that
-hold a nonzero, and four vjps take their products over those rows alone:
-`linear` (weight, bias and input gradients), `conv1d_dilated` (weight and
-scale gradients, over the input rows its taps reach from the live output
-rows), `mul`'s row scale, and the theta part of `nonlocal_attention`
-(theta's gradient is zero in the rows where the output's is). The rows they
-skip get exactly +0.0. A dense gradient, such as the scorer's, keeps the
-full products, and so do an all-zero one and one of fewer than
-`_LIVE_ROWS_MIN_SIZE` entries. The skipped terms are exact zeros, so only
-the grouping of a weight gradient's sum can change, where OpenBLAS splits
-the full product into two K-blocks: at 256 rows every gradient keeps the
-full products' bits, and at 512 rows (the paper shape) the weight
-gradients of the classifier's first two layers, of the three convs and of
-the attention's theta move at about 1e-7 relative.
+each bag's top-alpha rows of the context features, and training runs the
+classifier on those rows alone, so the gradient of the context module's
+outputs is zero in every other row. `_live_rows` finds the rows of a
+(rows, n) gradient that hold a nonzero, and three vjps take their products
+over those rows alone: `conv1d_dilated` (weight and scale gradients, over
+the input rows its taps reach from the live output rows), `mul`'s row
+scale, and the theta part of `nonlocal_attention` (theta's gradient is zero
+in the rows where the output's is). The rows they skip get exactly +0.0. A
+dense gradient, such as the scorer's, keeps the full products, and so do an
+all-zero one and one of fewer than `_LIVE_ROWS_MIN_SIZE` entries. The
+skipped terms are exact zeros, so only the grouping of a weight gradient's
+sum can change, where OpenBLAS splits the full product into two K-blocks:
+at 256 rows every gradient keeps the full products' bits, and at 512 rows
+(the paper shape) the weight gradients of the three convs and of the
+attention's theta move at about 1e-7 relative.
 
 No NaN or Inf gets past the engine; the first value to go non-finite raises
 `NumericsError` naming the op that produced it. `Tensor` construction and
@@ -328,9 +329,9 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 
 
 # A gradient of fewer entries counts as dense: below this, finding and
-# gathering its live rows costs more than the products they cut (the linear,
-# conv and row-scale vjps, timed at widths 32 to 512 over 256 and 512 rows
-# with 48 live).
+# gathering its live rows costs more than the products they cut (the conv
+# and row-scale vjps, timed at widths 32 to 512 over 256 and 512 rows with
+# 48 live).
 _LIVE_ROWS_MIN_SIZE = 1 << 14
 
 
@@ -449,36 +450,23 @@ _ACTIVATIONS = (None, "relu", "sigmoid")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 1) -> Tensor:
-    """A dense layer as one op: ``act(x @ w + b)`` for x (rows, k), w (k, n)
-    and b (n,), where ``act`` is "relu", "sigmoid" or None. The rows hold
-    ``bags`` equal bags, which only ``_product`` reads.
+    """A dense layer as one op: ``act(x @ w + b)`` for x (..., k), w (k, n)
+    and b (n,), giving (..., n), where ``act`` is "relu", "sigmoid" or None.
+    The rows are x's entries along every axis but the last, in order; they
+    hold ``bags`` equal bags, which only ``_product`` reads.
 
     The bias is added into the product in place and the pre-activation is
     checked there, once: a check after the activation would miss a -inf that
     ReLU turns into 0, and no activation makes a finite value non-finite.
     The values and gradients are those of matmul, bias add and activation
-    run as three ops, bit for bit, but for the weight gradient's grouping
-    when the output gradient has dead rows.
-
-    The backward works over the live rows of the output gradient
-    (``_live_rows``), the top-alpha rows that the loss reads: the weight and
-    bias gradients are ``x[live].T @ g[live]`` and its float64 row sum, and
-    x's gradient is ``g[live] @ w.T`` in the live rows and +0.0 in the rest.
-    The row sums and x's gradient keep the chain's bits. The weight
-    gradient drops only zero terms, but OpenBLAS splits a product over
-    enough rows into two K-blocks and sums the blocks' partial products,
-    while the live rows' product is one block: at 512 rows it moves at
-    about 1e-7 relative, and at 256 rows it keeps its bits (OpenBLAS
-    0.3.31's Haswell SGEMM, 512 x rows x 128, splits from 443 to 450 rows).
-    A one-column layer keeps every row: its weight gradient is a
-    matrix-vector product, which groups its terms by their place in the
-    rows.
+    run as three ops, bit for bit.
     """
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1 or x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {x.shape}, {w.shape}, {b.shape}")
     if act not in _ACTIVATIONS:
         raise ValueError(f"linear: activation must be one of {_ACTIVATIONS}, got {act!r}")
-    out = np.asarray(_product(x.data, w.data, bags), dtype=_DTYPE)
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = np.asarray(_product(x2, w.data, bags), dtype=_DTYPE)
     out += b.data
     _ensure_finite("linear", out)
     if act == "relu":
@@ -488,13 +476,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
         out = s.astype(_DTYPE)
 
     def vjp(g):
-        rows = _live_rows(g) if w.shape[1] > 1 else slice(None)
-        g = g[rows]
+        g = g.reshape(out.shape)
         if act == "relu":
-            g = g * (out[rows] > 0)  # out > 0 exactly where the pre-activation is
+            g = g * (out > 0)  # out > 0 exactly where the pre-activation is
         elif act == "sigmoid":
-            s_rows = s[rows]
-            g = g * (s_rows * (1.0 - s_rows)).astype(g.dtype)
+            g = g * (s * (1.0 - s)).astype(g.dtype)
         if not x.requires_grad:
             gx = None
         elif w.shape[1] == 1:
@@ -505,12 +491,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
         else:
             gx = g @ w.data.T
         return (
-            None if gx is None else _scattered(gx, rows, x.shape[0]),
-            x.data[rows].T @ g if w.requires_grad else None,
+            None if gx is None else gx.reshape(x.shape),
+            x2.T @ g if w.requires_grad else None,
             _bias_grad(g) if b.requires_grad else None,
         )
 
-    return _from_op("linear", out, (x, w, b), vjp)
+    return _from_op("linear", out.reshape(*x.shape[:-1], w.shape[1]), (x, w, b), vjp)
 
 
 def _relu(a: Tensor) -> Tensor:
@@ -543,14 +529,28 @@ def _clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _from_op("clip", np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+def dropout(
+    a: Tensor, p: float, rng: np.random.Generator | None, rows: np.ndarray | None = None, batch_rows: int = 0
+) -> Tensor:
     """Inverted dropout, drawn from ``rng``; the identity when ``rng`` is None
-    or ``p`` is 0. The mask is saved for backward."""
+    or ``p`` is 0. The mask is saved for backward.
+
+    Given ``rows``, a (..., width) holds the rows ``rows`` (an index array of
+    a's shape but the last axis) of a batch of ``batch_rows`` rows: the mask
+    is drawn at the batch's shape, (batch_rows, width), and taken at
+    ``rows``, so the stream moves on as it does for the whole batch and each
+    row gets the mask the whole batch's draw gives it."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
+    if rows is not None and np.shape(rows) != a.shape[:-1]:
+        raise ShapeError(f"dropout: rows {np.shape(rows)} do not index the rows of {a.shape}")
     if rng is None or p == 0.0:
         return a
-    scale = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    if rows is None:
+        keep = rng.random(a.shape) >= p
+    else:
+        keep = rng.random((batch_rows, a.shape[-1]))[rows] >= p
+    scale = keep.astype(a.data.dtype) / (1.0 - p)
     return _from_op("dropout", a.data * scale, (a,), lambda g: (g * scale,))
 
 
@@ -611,14 +611,21 @@ def l2_norm(a: Tensor, axis: int | None = None) -> Tensor:
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """The rows ``idx`` of a rank-2 tensor, an index array of any shape, as an
-    ``idx.shape + (width,)`` tensor; backward scatter-adds into the source."""
+    ``idx.shape + (width,)`` tensor; backward scatter-adds into the source.
+    Distinct indices, as each bag's top-alpha rows are, scatter by plain
+    assignment, plus 0.0 so that a -0.0 entry lands as the +0.0 that adding
+    it into zeros gives."""
     if a.ndim != 2:
         raise ShapeError(f"gather_rows: expected rank-2 input, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
+        ranked = np.sort(idx, axis=None)
+        if (ranked[1:] != ranked[:-1]).all():
+            out[idx] = g + 0.0
+        else:
+            np.add.at(out, idx, g)
         return (out,)
 
     return _from_op("gather_rows", a.data[idx], (a,), vjp)
@@ -740,14 +747,16 @@ def conv1d_dilated(
     place, before the output's check, with the values and gradients of a
     separate bias add.
 
-    When the output gradient has dead rows (``_live_rows``), as the
-    classifier's and the loss's top-alpha rows leave it, gy is nonzero only
-    in the input rows that the live output rows reach through the taps, at
-    most k per live row, and w's GEMM and the scale's sums run over those
-    rows alone; the scale's gradient is +0.0 in the rest. Its per-row sums
-    keep their bits; w's gradient drops only zero terms, but where OpenBLAS
-    splits the full product into two K-blocks, as at 512 rows (see
-    ``linear``), it moves at about 1e-7 relative.
+    When the output gradient has dead rows (``_live_rows``), as the loss's
+    top-alpha rows leave it, gy is nonzero only in the input rows that the
+    live output rows reach through the taps, at most k per live row, and w's
+    GEMM and the scale's sums run over those rows alone; the scale's
+    gradient is +0.0 in the rest. Its per-row sums keep their bits. w's
+    gradient drops only zero terms, but OpenBLAS splits a product over
+    enough rows into two K-blocks and sums the blocks' partial products,
+    while the live rows' product is one block: at 512 rows it moves at about
+    1e-7 relative, and at 256 rows it keeps its bits (OpenBLAS 0.3.31's
+    Haswell SGEMM, 512 x rows x 128, splits from 443 to 450 rows).
     """
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d_dilated: expected (T,c_in) and (k,c_in,c_out), got {x.shape}, {w.shape}")
@@ -816,12 +825,11 @@ def nonlocal_attention(
 
     A zero row of the output gradient gives a zero row of the softmax
     gradient and of theta's gradient, so theta's part works over the live
-    rows of the output gradient (``_live_rows``), as ``linear`` does: its
-    weight gradient is ``x[live].T @ (scale * g_theta)[live]``, and its part
-    of the scale's gradient is +0.0 in the other rows. Phi's and g's
-    gradients are dense in every bag that holds a live row. At 512 rows
-    theta's weight gradient moves at about 1e-7 relative, for the reason
-    ``linear`` gives.
+    rows of the output gradient (``_live_rows``): its weight gradient is
+    ``x[live].T @ (scale * g_theta)[live]``, and its part of the scale's
+    gradient is +0.0 in the other rows. Phi's and g's gradients are dense in
+    every bag that holds a live row. At 512 rows theta's weight gradient
+    moves at about 1e-7 relative, for the reason ``conv1d_dilated`` gives.
     """
     if x.ndim != 2 or any(p.ndim != 2 or p.shape[0] != x.shape[1] for p in (w_theta, w_phi, w_g)):
         raise ShapeError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ class ScoreTimeline:
     snippet_scores: np.ndarray  # (T_k,) in (0, 1)
     snippet_len: int
     frame_count: int
+    # (mask, the runs' first frames): the cut ``frame_runs`` last made, and the mask it made it by
+    _cut: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def snippet_binary(self) -> np.ndarray:  # (T_k,) in {0, 1}
@@ -74,7 +76,7 @@ class EvalReport:
     def to_json(self) -> str:
         """Every field, with sorted keys: the report holds no timing, so
         identical runs produce identical bytes."""
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
 def snippet_lengths(num_snippets: int, snippet_len: int, frame_count: int) -> np.ndarray:
@@ -315,15 +317,24 @@ def frame_runs(tl: ScoreTimeline, labels: np.ndarray) -> tuple[np.ndarray, np.nd
     """One video's frames cut into runs that share a snippet and a label, in
     frame order: each run's first frame, its stop (one past its last frame)
     and its snippet. ``labels`` is the video's frame mask; a length other
-    than the frame count is a ValueError naming the video."""
+    than the frame count is a ValueError naming the video. The runs' first
+    frames are kept on the timeline with the mask they were cut by, so the
+    metrics and the frame CSV of one eval pass over each video's frames
+    once."""
     n, step, last = tl.frame_count, tl.snippet_len, tl.snippet_scores.size - 1
-    if labels.size != n:
-        raise ValueError(f"video '{tl.video_id}': {n} frames but {labels.size} labels")
-    cut = np.r_[True, labels[1:] != labels[:-1]]
-    cut[: last * step + 1 : step] = True  # snippet starts; a last snippet without frames has none
-    start = np.flatnonzero(cut)
+    if tl._cut is None or tl._cut[0] is not labels:
+        if labels.size != n:
+            raise ValueError(f"video '{tl.video_id}': {n} frames but {labels.size} labels")
+        cut = np.empty(n, dtype=bool)
+        cut[0] = True
+        np.not_equal(labels[1:], labels[:-1], out=cut[1:])
+        cut[: last * step + 1 : step] = True  # snippet starts; a last snippet without frames has none
+        tl._cut = (labels, np.flatnonzero(cut))
+    start = tl._cut[1]
+    stop = np.empty_like(start)
+    stop[:-1], stop[-1] = start[1:], n
     # every snippet but the last covers snippet_len frames
-    return start, np.r_[start[1:], n], np.minimum(start // step, last)
+    return start, stop, np.minimum(start // step, last)
 
 
 def _frame_csv(tl: ScoreTimeline, labels: np.ndarray, idx: list[str]):

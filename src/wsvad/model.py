@@ -1,5 +1,10 @@
 """Full detector: scorer + temporal context module + snippet classifier.
 
+`context_features` runs the first two stages, the scorer with its attention
+and the context module, and `score_bag` adds the classifier over every row,
+as eval scores a video. Training runs the classifier on the rows its loss
+reads alone (`trainer.forward_loss`).
+
 `param_shapes` is the one table of the detector's parameter names and shapes.
 `init_model` fills it with fan-based uniform weights and zero biases,
 `load_checkpoint` with a file's checked arrays, and both build the model from
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import SCORER_HIDDEN, Rngs, TsaConfig, tsa_forward
+from .attention import SCORER_HIDDEN, Rngs, SoftSelection, TsaConfig, tsa_forward
 from .autograd import Tensor, all_finite
 from .features import FormatError
 from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
@@ -113,27 +118,31 @@ def init_model(
     return _assemble(d, arrays, tsa, tsa_enabled, CLASSIFIER_DROPOUT)
 
 
-def score_bag(
-    model: Model,
-    features: Tensor,
-    bags: int = 1,
-    *,
-    tsa_rng: Rngs | None = None,
-    dropout_rng: np.random.Generator | None = None,
-):
-    """The detector's forward pass, for training and eval alike.
-
-    ``features`` holds ``bags`` bags of T snippets stacked along the rows;
-    every stage keeps them apart, and the classifier drops out exactly when
-    ``dropout_rng`` is given. Returns (snippet scores (rows, 1), context
-    features (rows, d), soft selection or None when attention is disabled).
-    """
+def context_features(
+    model: Model, features: Tensor, bags: int = 1, *, tsa_rng: Rngs | None = None
+) -> tuple[Tensor, SoftSelection | None]:
+    """The detector's context stage: the scorer and the attention (when
+    enabled) and the context module, over ``bags`` bags of T snippets
+    stacked along the rows. Returns (context features (rows, d), soft
+    selection or None when attention is disabled)."""
     incl = selection = None
     if model.tsa_enabled:
         incl, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
-    ctx = conv_module_forward(model.conv, features, bags, scale=incl)
-    scores = mlp_forward(model.classifier, ctx, rng=dropout_rng, bags=bags)
-    return scores, ctx, selection
+    return conv_module_forward(model.conv, features, bags, scale=incl), selection
+
+
+def score_bag(model: Model, features: Tensor, bags: int = 1, *, tsa_rng: Rngs | None = None):
+    """The detector's forward pass over every row, as eval runs it: the
+    context stage, then the classifier without dropout.
+
+    ``features`` holds ``bags`` bags of T snippets stacked along the rows;
+    every stage keeps them apart. Returns (snippet scores (rows, 1), context
+    features (rows, d), soft selection or None when attention is disabled).
+    Training runs the same two stages, with the classifier on the rows its
+    loss reads (``trainer.forward_loss``).
+    """
+    ctx, selection = context_features(model, features, bags, tsa_rng=tsa_rng)
+    return mlp_forward(model.classifier, ctx, bags=bags), ctx, selection
 
 
 def save_checkpoint(model: Model, path) -> None:

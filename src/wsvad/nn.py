@@ -37,13 +37,17 @@ def mlp_forward(
     *,
     rng: np.random.Generator | None = None,
     bags: int = 1,
+    rows: np.ndarray | None = None,
+    batch_rows: int = 0,
 ) -> Tensor:
-    """Apply the MLP row-wise to a (rows, d_in) tensor of ``bags`` stacked
-    bags, returning (rows, d_out): one `linear` op per layer, and dropout
-    after each hidden layer given ``rng``."""
+    """Apply the MLP along the last axis of x (..., d_in), whose rows hold
+    ``bags`` stacked bags, returning (..., d_out): one `linear` op per layer,
+    and dropout after each hidden layer given ``rng``. Given ``rows``, x
+    holds those rows of a batch of ``batch_rows`` rows, and each dropout
+    mask is drawn for the whole batch and taken at them (`ag.dropout`)."""
     h = x
     for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        h = ag.dropout(ag.linear(h, w, b, "relu", bags), mlp.dropout_p, rng)
+        h = ag.dropout(ag.linear(h, w, b, "relu", bags), mlp.dropout_p, rng, rows, batch_rows)
     return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid", bags)
 
 

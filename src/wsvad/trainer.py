@@ -2,11 +2,12 @@
 
 Each mini-batch holds B normal bags followed by B abnormal bags, stacked
 along the rows so that a training step is one graph. Bags pass through
-attention (optional), the temporal context module, and the snippet
-classifier; the loss pushes the top-alpha feature magnitude of each abnormal
-bag above its paired normal bag by a margin, plus a binary cross-entropy on
-video scores (each video scored by the mean classifier output of its
-top-alpha snippets, ranked by feature magnitude like the margin term).
+attention (optional) and the temporal context module; the loss pushes the
+top-alpha feature magnitude of each abnormal bag above its paired normal bag
+by a margin, plus a binary cross-entropy on video scores (each video scored
+by the mean classifier output of its top-alpha snippets, ranked by feature
+magnitude like the margin term). Those top-alpha rows are the only ones the
+loss reads, so the snippet classifier runs on them alone (``forward_loss``).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from . import autograd as ag
 from .attention import TsaConfig
 from .autograd import Tensor
 from .features import DatasetManifest, load_records, temporal_normalize
-from .model import Model, init_model, score_bag
+from .model import Model, context_features, init_model
+from .nn import mlp_forward
 from .optim import Adam
 
 # No call site here: benchmarks/spans.py looks these names up on this module.
 from .attention import tsa_fuse  # noqa: F401
-from .nn import conv_module_forward, mlp_forward  # noqa: F401
+from .nn import conv_module_forward  # noqa: F401
 
 BCE_EPS = 1e-6
 
@@ -109,9 +111,9 @@ def _stacked_top_rows(feats: np.ndarray, bags: int, alpha: int) -> np.ndarray:
     return top_alpha_rows(feats.reshape(bags, t_len, -1), alpha) + t_len * np.arange(bags)[:, None]
 
 
-def _top_alpha_means(x: Tensor, rows: np.ndarray) -> Tensor:
-    """(bags, width) mean of each bag's ``rows`` (bags, alpha) of x."""
-    return ag.gather_rows(x, rows).mean(axis=1)
+def _top_alpha_gather(feats: Tensor, alpha: int) -> Tensor:
+    """(1, alpha, d): the top-alpha rows of one (T, d) bag, largest first."""
+    return ag.gather_rows(feats, _stacked_top_rows(feats.data, 1, alpha))
 
 
 def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
@@ -120,12 +122,12 @@ def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
     The selection itself is treated as constant, so gradients flow only into
     the selected rows.
     """
-    return _top_alpha_means(feats, _stacked_top_rows(feats.data, 1, alpha)).reshape(feats.shape[1])
+    return _top_alpha_gather(feats, alpha).mean(axis=1).reshape(feats.shape[1])
 
 
-def _magnitudes(feats: Tensor, rows: np.ndarray) -> Tensor:
-    """(bags,) norm of each bag's top-alpha mean feature."""
-    return ag.l2_norm(_top_alpha_means(feats, rows), axis=-1)
+def _magnitudes(top: Tensor) -> Tensor:
+    """(bags,) norm of each bag's mean top-alpha row, from their (bags, alpha, d) gather."""
+    return ag.l2_norm(top.mean(axis=1), axis=-1)
 
 
 def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
@@ -134,8 +136,8 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
         raise ag.ShapeError(
             f"feature widths disagree: {bag_pos.shape[1]} vs {bag_neg.shape[1]}"
         )
-    pos = _magnitudes(bag_pos, _stacked_top_rows(bag_pos.data, 1, alpha))
-    neg = _magnitudes(bag_neg, _stacked_top_rows(bag_neg.data, 1, alpha))
+    pos = _magnitudes(_top_alpha_gather(bag_pos, alpha))
+    neg = _magnitudes(_top_alpha_gather(bag_neg, alpha))
     return (pos - neg).reshape()
 
 
@@ -154,24 +156,62 @@ def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple
     B + i. Each bag's top-alpha snippets by context-feature magnitude give
     both its magnitude for the margin term and its video score (their mean
     snippet score, clipped away from {0, 1}) for the BCE term.
+
+    ``ctx`` (2B, alpha, d) and ``scores`` (2B, alpha, 1) are those top-alpha
+    rows already gathered, each bag's largest first, as ``forward_loss``
+    hands them on; both terms are then taken from them as they are.
     """
     b = bags // 2
-    if bags != 2 * b or b < 1 or scores.shape != (ctx.shape[0], 1):
+    if ctx.ndim == 2:
+        if bags != 2 * b or b < 1 or scores.shape != (ctx.shape[0], 1):
+            raise ValueError(
+                f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {bags} bags"
+            )
+        rows = _stacked_top_rows(ctx.data, bags, cfg.alpha)
+        ctx, scores = ag.gather_rows(ctx, rows), ag.gather_rows(scores, rows)
+    elif bags != 2 * b or b < 1 or ctx.shape[:2] != (bags, cfg.alpha) or scores.shape != (bags, cfg.alpha, 1):
         raise ValueError(
-            f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {bags} bags"
+            f"expected 2*B bags of top-alpha context features and scores, got {ctx.shape}, {scores.shape} "
+            f"for {bags} bags of alpha {cfg.alpha}"
         )
-    rows = _stacked_top_rows(ctx.data, bags, cfg.alpha)
 
     # per pair: margin minus separability (abnormal minus normal magnitude)
-    shortfall = ag.matmul(Tensor([[1.0, -1.0]]), _magnitudes(ctx, rows).reshape(2, b)) + cfg.margin
+    shortfall = ag.matmul(Tensor([[1.0, -1.0]]), _magnitudes(ctx).reshape(2, b)) + cfg.margin
     margin_term = shortfall.relu().mean()
 
-    video = _top_alpha_means(scores, rows).clip(BCE_EPS, 1.0 - BCE_EPS)  # (2B, 1)
+    video = scores.mean(axis=1).clip(BCE_EPS, 1.0 - BCE_EPS)  # (2B, 1)
     # likelihood of each bag's label: s for abnormal, 1 - s for normal
     y = np.repeat([0.0, 1.0], b)[:, None]
     likelihood = video * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)
     # the BCE term is the negative mean log-likelihood
     return margin_term, -likelihood.log().mean()
+
+
+def forward_loss(
+    model: Model,
+    features: Tensor,
+    bags: int,
+    cfg: TrainConfig,
+    *,
+    tsa_rng: np.random.Generator | None = None,
+    dropout_rng: np.random.Generator | None = None,
+) -> Tensor:
+    """A training step's forward pass and loss over ``bags`` = 2B bags of T
+    snippets stacked along ``features``' rows, laid out as ``dmt_terms``
+    takes them.
+
+    The context stage runs over every row; each bag's top-alpha rows of the
+    context features are then gathered once, (2B, alpha, d), and the
+    classifier runs on those rows alone, since the loss reads no other
+    snippet's score. Its dropout masks are drawn for the whole batch and
+    taken at those rows (``ag.dropout``), so ``dropout_rng`` draws what it
+    draws for a classifier over every row, and each kept row gets its mask.
+    """
+    ctx, _ = context_features(model, features, bags, tsa_rng=tsa_rng)
+    rows = _stacked_top_rows(ctx.data, bags, cfg.alpha)
+    top = ag.gather_rows(ctx, rows)
+    scores = mlp_forward(model.classifier, top, rng=dropout_rng, bags=bags, rows=rows, batch_rows=ctx.shape[0])
+    return dmt_loss(top, scores, bags, cfg)
 
 
 @dataclass
@@ -221,12 +261,10 @@ def train(
             batch = None
             try:
                 batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
-                scores, ctx, selection = score_bag(
-                    model, batch.features, 2 * cfg.batch_bags, tsa_rng=noise_rng, dropout_rng=drop_rng
+                # backward frees each node it is done with: no forward output is held here
+                loss = forward_loss(
+                    model, batch.features, 2 * cfg.batch_bags, cfg, tsa_rng=noise_rng, dropout_rng=drop_rng
                 )
-                loss = dmt_loss(ctx, scores, 2 * cfg.batch_bags, cfg)
-                # backward frees each node it is done with unless it is held here
-                del scores, ctx, selection
                 loss_val = loss.item()
                 ag.backward(loss)
                 opt.step()

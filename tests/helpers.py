@@ -12,6 +12,7 @@ import numpy as np
 
 from wsvad import autograd as ag
 from wsvad.autograd import softmax
+from wsvad.optim import BETA1, BETA2, EPS
 from wsvad.trainer import BCE_EPS
 
 FD_H = 1e-4
@@ -119,6 +120,40 @@ def ref_dmt_loss(ctx_feats: list, scores: list, labels: np.ndarray, cfg) -> ag.T
     margin_term = hinge_sum * (1.0 / b)
     bce_term = bce_sum * (1.0 / (2 * b))
     return margin_term + bce_term
+
+
+class PerParameterAdam:
+    """Adam stepped one parameter at a time, each through its own two-slot
+    scratch array: the ufunc sequence ``optim.Adam`` runs over its packed
+    blocks, kept as the reference its bits are checked against."""
+
+    def __init__(self, params: dict, lr: float, weight_decay: float):
+        self.params, self.lr, self.weight_decay, self.step_count = dict(params), lr, weight_decay, 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self) -> None:
+        self.step_count += 1
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            if not p.data.flags.writeable:
+                p.data = p.data.copy()
+            s, t = np.empty((2, *m.shape), dtype=m.dtype)
+            g = p.grad
+            if self.weight_decay:
+                g = np.add(g, np.multiply(p.data, self.weight_decay, out=t), out=t)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=s)
+            v *= BETA2
+            v += np.multiply(np.square(g, out=s), 1.0 - BETA2, out=s)
+            np.multiply(m, self.lr / bc1, out=s)
+            np.sqrt(np.divide(v, bc2, out=t), out=t)
+            t += EPS
+            p.data -= np.divide(s, t, out=s)
 
 
 # -- batched matrix ops for the unfused chains ----------------------------------

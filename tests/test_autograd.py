@@ -461,8 +461,7 @@ class TestFusedOps:
     def test_one_column_input_gradient_keeps_the_gemm_signed_zeros(self):
         """A zero output gradient times a negative weight is -0.0 in a bare
         broadcast but +0.0 out of the K=1 GEMM; x's gradient has the GEMM's
-        bits, as the classifier's gradient is exactly zero outside the
-        top-alpha rows."""
+        bits."""
         w = np.array([[-1.5], [0.0], [-0.0], [2.0], [3e-30]], np.float32)
         g = np.array([[0.0], [-0.0], [1.0], [-2.5], [1e-20], [0.0]], np.float32)
         x = Tensor(np.ones((6, 5)), requires_grad=True)
@@ -588,12 +587,11 @@ def assert_plus_zero(a):
 
 class TestLiveRowVjps:
     """Given an output gradient that is zero outside a few rows, as the loss
-    leaves the classifier's and the context module's, `linear`, the conv,
-    `mul`'s row scale and the attention's theta work over those rows alone:
-    the rows they skip get exactly +0.0 (a row of -0.0 counts as dead), the
-    weight, bias and scale gradients are numpy's products over the live
-    rows bit for bit, and they stay within float32 rounding of the dense
-    chains."""
+    leaves the context module's, the conv, `mul`'s row scale and the
+    attention's theta work over those rows alone: the rows they skip get
+    exactly +0.0 (a row of -0.0 counts as dead), the weight, bias and scale
+    gradients are numpy's products over the live rows bit for bit, and they
+    stay within float32 rounding of the dense chains."""
 
     @pytest.fixture(autouse=True)
     def every_size_restricts(self, monkeypatch):
@@ -626,33 +624,22 @@ class TestLiveRowVjps:
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     def test_linear(self, act):
+        """`linear` takes every row: training runs the classifier on the
+        loss's rows alone, so its output gradient has no dead row to skip.
+        Given one with dead rows, it looks for none and keeps the chain's
+        bits, +0.0 in the dead rows of x's gradient included."""
         rng = np.random.default_rng(41)
         rows, live = 12, [0, 5, 6, 11]
         x, w, b = linear_inputs(41, rows=rows, k=5, n=4)
         g = live_row_gradient(rng, rows, 4, live, neg_zero=8)
         leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
         backward(inject(linear(*leaves, act), g))
-        self.assert_restricted_to(live)
-        gx, gw, gb = (leaf.grad for leaf in leaves)
-
-        pre = (x @ w + b)[live]
-        if act == "relu":
-            gl = g[live] * (pre > 0)
-        elif act == "sigmoid":
-            z = np.exp(-np.abs(pre.astype(np.float64)))
-            sig = np.where(pre >= 0, 1.0, z) / (1.0 + z)
-            gl = g[live] * (sig * (1.0 - sig)).astype(np.float32)
-        else:
-            gl = g[live]
-        assert gw.tobytes() == (x[live].T @ gl).tobytes()
-        assert gb.tobytes() == np.sum(gl, axis=0, dtype=np.float64).astype(np.float32).tobytes()
-        assert gx[live].tobytes() == (gl @ w.T).tobytes()
-        assert_plus_zero(np.delete(gx, live, axis=0))
-
+        assert self.found == []
         chain = [Tensor(a, requires_grad=True) for a in (x, w, b)]
         backward(inject(unfused_linear(*chain, act), g))
-        for got, want in zip((gx, gw, gb), chain):
-            np.testing.assert_allclose(got, want.grad, rtol=1e-6, atol=1e-7)
+        for got, want in zip(leaves, chain):
+            assert got.grad.tobytes() == want.grad.tobytes()
+        assert_plus_zero(np.delete(leaves[0].grad, live, axis=0))
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("bags", [1, 3])
@@ -820,6 +807,25 @@ class TestElementwise:
         values = set(np.unique(out.data).tolist())
         assert values <= {0.0, np.float32(1.0 / 0.3)}
         assert 0.2 < np.mean(out.data == 0.0) < 0.95
+
+    def test_dropout_at_rows_takes_the_whole_batch_masks(self):
+        """Given rows of a batch, dropout draws the whole batch's mask and
+        takes it at those rows: each row's values and gradient are those
+        dropout over the whole batch gives it, and the stream ends in the
+        same state."""
+        x = np.random.default_rng(2).normal(size=(12, 6)).astype(np.float32)
+        rows = np.array([[3, 0], [7, 11]])
+        whole_rng, rows_rng = np.random.default_rng(5), np.random.default_rng(5)
+        whole, part = Tensor(x, requires_grad=True), Tensor(x[rows], requires_grad=True)
+        out_whole = dropout(whole, 0.7, whole_rng)
+        out_part = dropout(part, 0.7, rows_rng, rows, 12)
+        assert out_part.data.tobytes() == out_whole.data[rows].tobytes()
+        assert rows_rng.bit_generator.state == whole_rng.bit_generator.state
+        backward(out_whole.sum())
+        backward(out_part.sum())
+        assert part.grad.tobytes() == whole.grad[rows].tobytes()
+        with pytest.raises(ShapeError, match="rows"):
+            dropout(part, 0.7, rows_rng, rows[0], 12)
 
     def test_dropout_bad_p(self):
         with pytest.raises(ValueError):
@@ -1019,6 +1025,21 @@ class TestStructuralOps:
         assert out.data.tolist() == [[[0.0, 1.0], [4.0, 5.0]], [[0.0, 1.0], [0.0, 1.0]]]
         backward((out * Tensor(np.arange(1.0, 9.0).reshape(2, 2, 2))).sum())
         assert x.grad.tolist() == [[13.0, 16.0], [0.0, 0.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("idx", [[[4, 0, 2], [1, 5, 3]], [[4, 0, 4], [1, 1, 3]]], ids=["distinct", "repeated"])
+    def test_gather_rows_grad_has_the_scatter_add_bits(self, idx):
+        """Distinct indices, as each bag's top-alpha rows are, scatter by
+        assignment and repeated ones by np.add.at; both give np.add.at's
+        bits, with a -0.0 entry landing as +0.0."""
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        g = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        g[0, 1], g[1, 2, 0] = -0.0, -0.0
+        backward(inject(gather_rows(x, np.array(idx)), g))
+        want = np.zeros((7, 4), np.float32)
+        np.add.at(want, np.array(idx), g)
+        assert x.grad.tobytes() == want.tobytes()
+        assert not np.signbit(x.grad[x.grad == 0]).any()
 
     def test_concat_grad_slices(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)

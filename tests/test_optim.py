@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from wsvad.autograd import ShapeError, Tensor
-from wsvad.optim import Adam
+from wsvad.optim import ADAM_BLOCK, Adam
+
+from helpers import PerParameterAdam
 
 
 def hand_adam_step(p, g, lr, b1, b2, eps, wd, m, v, t):
@@ -145,3 +147,60 @@ def test_read_only_parameter_gets_a_private_copy():
     assert frozen.tolist() == [1.0, -2.0]
     assert p.data is not frozen and p.data.flags.writeable
     assert np.all(p.data < frozen)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.005])
+def test_packed_blocks_match_the_per_parameter_steps(wd):
+    """Parameters packed into blocks and a large one stepped in chunks get
+    the bits of Adam stepped parameter by parameter. The table holds a
+    parameter of more than two blocks, small ones packed together, one that
+    would straddle a block boundary if packed where the last one ends, one
+    that has no gradient for the first steps (its moments stay untouched
+    until it has one), a read-only one and a strided view."""
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(9, 2 * 5000)).astype(np.float32)
+    shapes = {
+        "big": (2 * ADAM_BLOCK + 77,),
+        "w": (40, 30),
+        "b": (30,),
+        "straddle": (ADAM_BLOCK - 1000,),
+        "late": (3, 5),
+        "frozen": (7,),
+        "tail": (1,),
+    }
+
+    def fresh():
+        arrays = {k: rng_arrays[k].copy() for k in shapes}
+        arrays["frozen"].flags.writeable = False
+        params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
+        params["strided"] = Tensor(base.copy()[:, :5000], requires_grad=True)
+        return params
+
+    rng_arrays = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+    params, ref_params = fresh(), fresh()
+    assert not params["strided"].data.flags.c_contiguous
+    strided_base, frozen = params["strided"].data.base, params["frozen"].data
+    opt = Adam(params, lr=0.01, weight_decay=wd)
+    ref = PerParameterAdam(ref_params, lr=0.01, weight_decay=wd)
+    for step in range(1, 5):
+        for name, p in params.items():
+            g = None if name == "late" and step < 3 else rng.normal(size=p.shape).astype(np.float32)
+            p.grad, ref_params[name].grad = g, g
+        opt.step()
+        ref.step()
+        for name, p in params.items():
+            assert p.data.tobytes() == ref_params[name].data.tobytes(), (name, step)
+    # the strided view was written through, and the read-only array was not
+    assert strided_base[:, :5000].tobytes() == ref_params["strided"].data.tobytes()
+    assert frozen.tobytes() == rng_arrays["frozen"].tobytes() and params["frozen"].data is not frozen
+
+
+def test_a_parameter_without_a_gradient_keeps_its_moments():
+    p, q, r = (Tensor(np.ones(n, np.float32), requires_grad=True) for n in (3, 4, 5))
+    opt = Adam({"p": p, "q": q, "r": r}, lr=0.1)
+    for t in (p, r):
+        t.grad = np.ones(t.shape, np.float32)
+    opt.step()
+    assert q.data.tolist() == [1.0] * 4
+    assert not opt._m[3:7].any() and not opt._v[3:7].any()
+    assert opt._m[:3].all() and opt._m[7:].all()

@@ -13,7 +13,7 @@ from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
 from wsvad.features import FormatError, load_features, load_records, save_features, temporal_normalize
-from wsvad.model import init_model, score_bag
+from wsvad.model import context_features, init_model
 from wsvad.nn import conv_module_forward, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
@@ -21,6 +21,7 @@ from wsvad.trainer import (
     build_batch,
     dmt_loss,
     dmt_terms,
+    forward_loss,
     separability,
     theorem1_probe,
     top_alpha_mean,
@@ -236,6 +237,42 @@ class TestDmtLoss:
         for bags in (3, 0):
             with pytest.raises(ValueError, match="2\\*B bags"):
                 dmt_loss(x, u, bags, loss_cfg())
+
+
+class TestForwardLoss:
+    def test_classifier_on_the_loss_rows_matches_one_over_every_row(self):
+        """`forward_loss` runs the classifier on each bag's top-alpha rows
+        alone. Its dropout masks are those a classifier over every row
+        draws, taken at those rows, and the dropout stream ends where that
+        draw leaves it, so the loss and every parameter's gradient are those
+        of the classifier over every row followed by the stacked loss
+        (float64, where only the products' grouping can differ)."""
+        rng = np.random.default_rng(31)
+        cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa=TsaConfig(num_samples=8))
+        bags = 2 * cfg.batch_bags
+        feats = rng.normal(size=(bags * cfg.t_len, 8))
+        feats[bags // 2 * cfg.t_len :] += 1.0
+        drop = [np.random.default_rng(7) for _ in range(2)]
+        with ag.using_dtype(np.float64):
+            model = init_model(8, cfg.tsa, np.random.SeedSequence(3))
+            params = model.named_params()
+
+            def grads(loss):
+                ag.backward(loss)
+                out = {k: p.grad for k, p in params.items()}
+                for p in params.values():
+                    p.grad = None
+                return out
+
+            got = forward_loss(model, Tensor(feats), bags, cfg, tsa_rng=np.random.default_rng(1), dropout_rng=drop[0])
+            got_grads = grads(got)
+            ctx, _ = context_features(model, Tensor(feats), bags, tsa_rng=np.random.default_rng(1))
+            want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, rng=drop[1], bags=bags), bags, cfg)
+            want_grads = grads(want)
+        assert drop[0].bit_generator.state == drop[1].bit_generator.state
+        assert max_rel_err(got.data, want.data) < 1e-12
+        for name, g in want_grads.items():
+            assert max_rel_err(got_grads[name], g, abs_floor=1e-12) < 1e-9, name
 
 
 class TestStackedLoss:
@@ -520,17 +557,19 @@ class TestTrainingStepCost:
         per_step = {key: two[key] - one[key] for key in counts}
         # nodes: scorer 3 linear, attention 1, context module 7 (3 convs
         # with bias, nonlocal_attention, concat, the residual's row scale
-        # and its add), classifier 5 (3 linear, 2 dropout), loss 17.
+        # and its add), classifier 5 (3 linear, 2 dropout), loss 16 (the
+        # classifier runs on the loss's top-alpha gather of the context
+        # features, so its scores need no gather of their own).
         # 32 forward checks: the batch tensor 1, scorer 3, attention 1,
         # context module 7 (3 convs, the attention's logits and output, the
         # residual's row scale and its add), classifier 5 (3 linear, 2
         # dropout), loss 15.
-        # 45 gradient checks: loss 11, classifier 11 (3 per linear, 1 per
+        # 44 gradient checks: loss 10, classifier 11 (3 per linear, 1 per
         # dropout), context module 14 (3 per conv and 4 from
         # nonlocal_attention, their weights, biases and scale, and 1 from
         # the residual's row scale), attention 1, scorer 8 (no gradient for
         # the constant batch).
-        assert per_step == dict(nodes=33, checks=77)
+        assert per_step == dict(nodes=32, checks=76)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
@@ -548,10 +587,12 @@ class TestTrainingStepCost:
         assert (faults(12) - short) / 10 <= 64
 
     def test_paper_shape_step_memory_is_pinned(self, tmp_path, monkeypatch):
-        """Each step at the paper's shape (d=512, T=32, B=8) peaks 13.8 MiB of
+        """Each step at the paper's shape (d=512, T=32, B=8) peaks 12.1 MiB of
         traced memory above what training holds before its first step (the
-        model, the Adam moments and the training array). The peak is the
-        loss's top-alpha ranking, with the whole forward held. Applying the
+        model, the Adam moments and the training array); it read 13.8 MiB
+        before the classifier ran on the loss's rows alone and Adam stepped
+        in blocks. The peak is the loss's top-alpha ranking, with the whole
+        forward held. Applying the
         attention's inclusion after the context module's projections keeps
         each conv branch's tap products P (not scale * P) and the attention
         branch's unscaled projections for the scale's gradient, 3 MiB more
@@ -649,14 +690,15 @@ class TestEndToEndGradientIntegrity:
 
 
     def test_batched_step_past_one_k_block_matches_engine_fd(self, monkeypatch):
-        """A whole training step as `train` runs it, `score_bag` over the
-        stacked batch and then `dmt_loss`, with attention on, at the paper
-        shape's 16 bags of 32 rows: 512 rows, where OpenBLAS splits a
-        product over the rows into two K-blocks, so the live-row products
-        group their sums differently from the full ones. Every live-row vjp
-        runs (the size from which the engine restricts is lowered to 0
-        here), the selection is constant (kappa = T) and dropout is off; the
-        float64 gradients of every parameter agree with finite differences."""
+        """A whole training step as `train` runs it, `forward_loss` over the
+        stacked batch with the classifier on the loss's top-alpha rows, with
+        attention on, at the paper shape's 16 bags of 32 rows: 512 rows,
+        where OpenBLAS splits a product over the rows into two K-blocks, so
+        the live-row products group their sums differently from the full
+        ones. Every live-row vjp runs (the size from which the engine
+        restricts is lowered to 0 here), the selection is constant
+        (kappa = T) and dropout is off; the float64 gradients of every
+        parameter agree with finite differences."""
         monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", 0)
         cfg = TrainConfig(t_len=32, batch_bags=8, tsa=TsaConfig(ratio=1.0))
         bags = 2 * cfg.batch_bags
@@ -668,16 +710,15 @@ class TestEndToEndGradientIntegrity:
             model = init_model(8, cfg.tsa, np.random.SeedSequence(23), scorer_hidden=(6, 5))
 
             def loss():
-                scores, ctx, _ = score_bag(model, Tensor(feats), bags, tsa_rng=np.random.default_rng(0))
-                return dmt_loss(ctx, scores, bags, cfg)
+                return forward_loss(model, Tensor(feats), bags, cfg, tsa_rng=np.random.default_rng(0))
 
             found = []
             find = ag._live_rows
             monkeypatch.setattr(ag, "_live_rows", lambda g: found.append(find(g)) or found[-1])
             ag.backward(loss())
-            # the classifier's two wide layers, the three convs, the residual's
-            # row scale and the attention's theta
-            assert sum(not isinstance(f, slice) and f.size == bags * cfg.alpha for f in found) == 7
+            # the three convs, the residual's row scale and the attention's
+            # theta; the classifier sees only the loss's rows
+            assert sum(not isinstance(f, slice) and f.size == bags * cfg.alpha for f in found) == 5
             params = model.named_params()
             analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
 
