@@ -529,27 +529,14 @@ def _clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _from_op("clip", np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def dropout(
-    a: Tensor, p: float, rng: np.random.Generator | None, rows: np.ndarray | None = None, batch_rows: int = 0
-) -> Tensor:
-    """Inverted dropout, drawn from ``rng``; the identity when ``rng`` is None
-    or ``p`` is 0. The mask is saved for backward.
-
-    Given ``rows``, a (..., width) holds the rows ``rows`` (an index array of
-    a's shape but the last axis) of a batch of ``batch_rows`` rows: the mask
-    is drawn at the batch's shape, (batch_rows, width), and taken at
-    ``rows``, so the stream moves on as it does for the whole batch and each
-    row gets the mask the whole batch's draw gives it."""
+def dropout(a: Tensor, keep: np.ndarray, p: float) -> Tensor:
+    """Inverted dropout at rate ``p`` with the boolean mask ``keep`` of a's
+    shape: kept entries are scaled by 1 / (1 - p), the rest are zero. The
+    caller draws the mask; the scaled mask is saved for backward."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if rows is not None and np.shape(rows) != a.shape[:-1]:
-        raise ShapeError(f"dropout: rows {np.shape(rows)} do not index the rows of {a.shape}")
-    if rng is None or p == 0.0:
-        return a
-    if rows is None:
-        keep = rng.random(a.shape) >= p
-    else:
-        keep = rng.random((batch_rows, a.shape[-1]))[rows] >= p
+    if np.shape(keep) != a.shape:
+        raise ShapeError(f"dropout: mask {np.shape(keep)} does not match {a.shape}")
     scale = keep.astype(a.data.dtype) / (1.0 - p)
     return _from_op("dropout", a.data * scale, (a,), lambda g: (g * scale,))
 

@@ -31,23 +31,16 @@ class MLP:
         return tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
 
 
-def mlp_forward(
-    mlp: MLP,
-    x: Tensor,
-    *,
-    rng: np.random.Generator | None = None,
-    bags: int = 1,
-    rows: np.ndarray | None = None,
-    batch_rows: int = 0,
-) -> Tensor:
+def mlp_forward(mlp: MLP, x: Tensor, *, bags: int = 1, keep: list[np.ndarray] | None = None) -> Tensor:
     """Apply the MLP along the last axis of x (..., d_in), whose rows hold
-    ``bags`` stacked bags, returning (..., d_out): one `linear` op per layer,
-    and dropout after each hidden layer given ``rng``. Given ``rows``, x
-    holds those rows of a batch of ``batch_rows`` rows, and each dropout
-    mask is drawn for the whole batch and taken at them (`ag.dropout`)."""
+    ``bags`` stacked bags, returning (..., d_out): one `linear` op per layer.
+    Given ``keep``, one boolean mask per hidden layer, each of that layer's
+    output shape, dropout at ``mlp.dropout_p`` follows each hidden layer."""
     h = x
-    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-        h = ag.dropout(ag.linear(h, w, b, "relu", bags), mlp.dropout_p, rng, rows, batch_rows)
+    for layer, (w, b) in enumerate(zip(mlp.weights[:-1], mlp.biases[:-1])):
+        h = ag.linear(h, w, b, "relu", bags)
+        if keep is not None:
+            h = ag.dropout(h, keep[layer], mlp.dropout_p)
     return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid", bags)
 
 

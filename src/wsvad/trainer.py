@@ -7,7 +7,8 @@ top-alpha feature magnitude of each abnormal bag above its paired normal bag
 by a margin, plus a binary cross-entropy on video scores (each video scored
 by the mean classifier output of its top-alpha snippets, ranked by feature
 magnitude like the margin term). Those top-alpha rows are the only ones the
-loss reads, so the snippet classifier runs on them alone (``forward_loss``).
+loss reads, so the snippet classifier runs on them alone (``forward_loss``,
+which also draws the classifier's dropout masks).
 """
 
 from __future__ import annotations
@@ -100,20 +101,17 @@ def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
     return np.argsort(-mags, axis=-1, kind="stable")[..., :alpha]
 
 
-def _stacked_top_rows(feats: np.ndarray, bags: int, alpha: int) -> np.ndarray:
-    """(bags, alpha) stacked-row indices of each bag's top-alpha rows, for
-    ``bags`` bags of T rows stacked in a (bags * T, d) array."""
+def _top_alpha_gather(feats: Tensor, bags: int, alpha: int) -> tuple[Tensor, np.ndarray]:
+    """Each bag's top-alpha rows, for ``bags`` bags of T rows stacked in
+    ``feats`` (bags * T, d): their (bags, alpha, d) gather, each bag's largest
+    first, and their (bags, alpha) stacked-row indices."""
     if feats.ndim != 2:
         raise ag.ShapeError(f"expected (T, d) features stacked along the rows, got {feats.shape}")
     t_len = ag.bag_length(feats.shape[0], bags)
     if not 1 <= alpha <= t_len:
         raise ValueError(f"alpha must be in [1, {t_len}], got {alpha}")
-    return top_alpha_rows(feats.reshape(bags, t_len, -1), alpha) + t_len * np.arange(bags)[:, None]
-
-
-def _top_alpha_gather(feats: Tensor, alpha: int) -> Tensor:
-    """(1, alpha, d): the top-alpha rows of one (T, d) bag, largest first."""
-    return ag.gather_rows(feats, _stacked_top_rows(feats.data, 1, alpha))
+    rows = top_alpha_rows(feats.data.reshape(bags, t_len, -1), alpha) + t_len * np.arange(bags)[:, None]
+    return ag.gather_rows(feats, rows), rows
 
 
 def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
@@ -122,7 +120,7 @@ def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
     The selection itself is treated as constant, so gradients flow only into
     the selected rows.
     """
-    return _top_alpha_gather(feats, alpha).mean(axis=1).reshape(feats.shape[1])
+    return _top_alpha_gather(feats, 1, alpha)[0].mean(axis=1).reshape(feats.shape[1])
 
 
 def _magnitudes(top: Tensor) -> Tensor:
@@ -136,8 +134,8 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
         raise ag.ShapeError(
             f"feature widths disagree: {bag_pos.shape[1]} vs {bag_neg.shape[1]}"
         )
-    pos = _magnitudes(_top_alpha_gather(bag_pos, alpha))
-    neg = _magnitudes(_top_alpha_gather(bag_neg, alpha))
+    pos = _magnitudes(_top_alpha_gather(bag_pos, 1, alpha)[0])
+    neg = _magnitudes(_top_alpha_gather(bag_neg, 1, alpha)[0])
     return (pos - neg).reshape()
 
 
@@ -167,8 +165,8 @@ def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple
             raise ValueError(
                 f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {bags} bags"
             )
-        rows = _stacked_top_rows(ctx.data, bags, cfg.alpha)
-        ctx, scores = ag.gather_rows(ctx, rows), ag.gather_rows(scores, rows)
+        ctx, rows = _top_alpha_gather(ctx, bags, cfg.alpha)
+        scores = ag.gather_rows(scores, rows)
     elif bags != 2 * b or b < 1 or ctx.shape[:2] != (bags, cfg.alpha) or scores.shape != (bags, cfg.alpha, 1):
         raise ValueError(
             f"expected 2*B bags of top-alpha context features and scores, got {ctx.shape}, {scores.shape} "
@@ -203,14 +201,17 @@ def forward_loss(
     The context stage runs over every row; each bag's top-alpha rows of the
     context features are then gathered once, (2B, alpha, d), and the
     classifier runs on those rows alone, since the loss reads no other
-    snippet's score. Its dropout masks are drawn for the whole batch and
-    taken at those rows (``ag.dropout``), so ``dropout_rng`` draws what it
-    draws for a classifier over every row, and each kept row gets its mask.
+    snippet's score. Given ``dropout_rng`` and a nonzero dropout rate, each
+    hidden layer's dropout mask is drawn in layer order for the whole batch,
+    (2B * T, width), and taken at those rows, so the stream moves on as for
+    a classifier over every row and each kept row gets that draw's mask.
     """
     ctx, _ = context_features(model, features, bags, tsa_rng=tsa_rng)
-    rows = _stacked_top_rows(ctx.data, bags, cfg.alpha)
-    top = ag.gather_rows(ctx, rows)
-    scores = mlp_forward(model.classifier, top, rng=dropout_rng, bags=bags, rows=rows, batch_rows=ctx.shape[0])
+    top, rows = _top_alpha_gather(ctx, bags, cfg.alpha)
+    p, keep = model.classifier.dropout_p, None
+    if dropout_rng is not None and p > 0.0:
+        keep = [dropout_rng.random((ctx.shape[0], width))[rows] >= p for width in model.classifier.dims[1:-1]]
+    scores = mlp_forward(model.classifier, top, bags=bags, keep=keep)
     return dmt_loss(top, scores, bags, cfg)
 
 

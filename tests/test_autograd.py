@@ -26,6 +26,7 @@ from wsvad.autograd import (
     nonlocal_attention,
     softmax,
 )
+from wsvad.nn import MLP, mlp_forward
 
 from helpers import (
     batched_matmul,
@@ -798,38 +799,48 @@ class TestElementwise:
         check_grads(lambda ta, ts: l2_norm(ta * ts), lambda xa, xs: float(np.linalg.norm(xa * xs)), [a, s])
 
     def test_dropout_eval_is_identity(self):
-        x = Tensor(np.arange(8.0))
-        assert dropout(x, 0.5, rng=None) is x
+        """Without masks, `mlp_forward` records no dropout node, whatever
+        the MLP's rate: its graph is its layers' `linear` ops alone."""
+        rng = np.random.default_rng(3)
+        weights = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 5), (5, 3), (3, 1))]
+        biases = [Tensor(np.zeros(w.shape[1]), requires_grad=True) for w in weights]
+        node = mlp_forward(MLP(weights, biases, dropout_p=0.5), Tensor(rng.normal(size=(6, 4))))
+        ops = []
+        while node._rec is not None:
+            ops.append(node._rec.op)
+            node = node._rec.parents[0]
+        assert ops == ["linear"] * 3
 
     def test_dropout_train_masks_and_rescales(self):
         x = Tensor(np.ones((100, 10)))
-        out = dropout(x, 0.7, rng=np.random.default_rng(0))
+        out = dropout(x, np.random.default_rng(0).random(x.shape) >= 0.7, 0.7)
         values = set(np.unique(out.data).tolist())
         assert values <= {0.0, np.float32(1.0 / 0.3)}
         assert 0.2 < np.mean(out.data == 0.0) < 0.95
 
     def test_dropout_at_rows_takes_the_whole_batch_masks(self):
-        """Given rows of a batch, dropout draws the whole batch's mask and
-        takes it at those rows: each row's values and gradient are those
-        dropout over the whole batch gives it, and the stream ends in the
-        same state."""
+        """A whole batch's mask taken at some of its rows gives each of
+        those rows the values and gradient that dropout over the whole batch
+        gives it; a mask of any other shape than the input's is a
+        `ShapeError`. (`forward_loss` draws the whole batch's masks; the
+        trainer tests check that draw and the stream's end state.)"""
         x = np.random.default_rng(2).normal(size=(12, 6)).astype(np.float32)
         rows = np.array([[3, 0], [7, 11]])
-        whole_rng, rows_rng = np.random.default_rng(5), np.random.default_rng(5)
+        keep = np.random.default_rng(5).random((12, 6)) >= 0.7
         whole, part = Tensor(x, requires_grad=True), Tensor(x[rows], requires_grad=True)
-        out_whole = dropout(whole, 0.7, whole_rng)
-        out_part = dropout(part, 0.7, rows_rng, rows, 12)
+        out_whole = dropout(whole, keep, 0.7)
+        out_part = dropout(part, keep[rows], 0.7)
         assert out_part.data.tobytes() == out_whole.data[rows].tobytes()
-        assert rows_rng.bit_generator.state == whole_rng.bit_generator.state
         backward(out_whole.sum())
         backward(out_part.sum())
         assert part.grad.tobytes() == whole.grad[rows].tobytes()
-        with pytest.raises(ShapeError, match="rows"):
-            dropout(part, 0.7, rows_rng, rows[0], 12)
+        for wrong in (keep[rows[0]], keep, keep[rows][..., :-1]):
+            with pytest.raises(ShapeError, match="mask"):
+                dropout(part, wrong, 0.7)
 
     def test_dropout_bad_p(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, rng=np.random.default_rng(0))
+            dropout(Tensor([1.0]), np.array([True]), 1.0)
 
 
 class TestBackward:
@@ -1438,7 +1449,7 @@ class TestDeterminism:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            h = dropout(matmul(x, w).relu(), 0.5, rng=np.random.default_rng(5))
+            h = dropout(matmul(x, w).relu(), np.random.default_rng(5).random((6, 2)) >= 0.5, 0.5)
             loss = l2_norm(h)
             backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()

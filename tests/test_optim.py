@@ -204,3 +204,27 @@ def test_a_parameter_without_a_gradient_keeps_its_moments():
     assert q.data.tolist() == [1.0] * 4
     assert not opt._m[3:7].any() and not opt._v[3:7].any()
     assert opt._m[:3].all() and opt._m[7:].all()
+
+
+def test_a_zero_size_parameter_first_in_the_table_is_skipped():
+    """A zero-size parameter takes no block, even first in the table, where
+    there is no block yet to pack it into; the rest step as they do alone."""
+    rng = np.random.default_rng(12)
+    arrays = {"empty": np.zeros((0, 4), np.float32), "w": rng.normal(size=(3, 4)).astype(np.float32)}
+    params, ref_params = ({k: Tensor(a.copy(), requires_grad=True) for k, a in arrays.items()} for _ in range(2))
+    opt = Adam(params, lr=0.01, weight_decay=0.005)
+    ref = PerParameterAdam(ref_params, lr=0.01, weight_decay=0.005)
+    for _ in range(3):
+        for name, p in params.items():
+            p.grad = ref_params[name].grad = rng.normal(size=p.shape).astype(np.float32)
+        opt.step()
+        ref.step()
+        assert params["w"].data.tobytes() == ref_params["w"].data.tobytes()
+    assert params["empty"].shape == (0, 4) and opt.step_count == 3
+
+
+def test_an_empty_table_steps_nothing():
+    opt = Adam({}, lr=0.01)
+    opt.step()
+    opt.zero_grad()
+    assert opt.step_count == 1 and opt._m.size == 0 and opt._v.size == 0

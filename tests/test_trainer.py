@@ -242,11 +242,12 @@ class TestDmtLoss:
 class TestForwardLoss:
     def test_classifier_on_the_loss_rows_matches_one_over_every_row(self):
         """`forward_loss` runs the classifier on each bag's top-alpha rows
-        alone. Its dropout masks are those a classifier over every row
-        draws, taken at those rows, and the dropout stream ends where that
-        draw leaves it, so the loss and every parameter's gradient are those
-        of the classifier over every row followed by the stacked loss
-        (float64, where only the products' grouping can differ)."""
+        alone. Its dropout masks are the whole batch's, drawn layer by layer
+        as for a classifier over every row and taken at those rows, and the
+        dropout stream ends where that draw leaves it, so the loss and every
+        parameter's gradient are those of the classifier over every row with
+        the whole batch's masks, followed by the stacked loss (float64, where
+        only the products' grouping can differ)."""
         rng = np.random.default_rng(31)
         cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa=TsaConfig(num_samples=8))
         bags = 2 * cfg.batch_bags
@@ -267,12 +268,31 @@ class TestForwardLoss:
             got = forward_loss(model, Tensor(feats), bags, cfg, tsa_rng=np.random.default_rng(1), dropout_rng=drop[0])
             got_grads = grads(got)
             ctx, _ = context_features(model, Tensor(feats), bags, tsa_rng=np.random.default_rng(1))
-            want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, rng=drop[1], bags=bags), bags, cfg)
+            p = model.classifier.dropout_p
+            keep = [drop[1].random((ctx.shape[0], width)) >= p for width in model.classifier.dims[1:-1]]
+            want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags, keep=keep), bags, cfg)
             want_grads = grads(want)
         assert drop[0].bit_generator.state == drop[1].bit_generator.state
         assert max_rel_err(got.data, want.data) < 1e-12
         for name, g in want_grads.items():
             assert max_rel_err(got_grads[name], g, abs_floor=1e-12) < 1e-9, name
+
+    def test_no_generator_or_zero_rate_draws_nothing(self):
+        """Without a dropout generator, or at rate 0, `forward_loss` runs
+        the classifier without dropout and leaves the generator as it was."""
+        cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa_enabled=False)
+        bags = 2 * cfg.batch_bags
+        feats = Tensor(np.random.default_rng(4).normal(size=(bags * cfg.t_len, 8)))
+        model = init_model(8, cfg.tsa, np.random.SeedSequence(3), tsa_enabled=False)
+        ctx, _ = context_features(model, feats, bags)
+        want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags), bags, cfg).item()
+        got = forward_loss(model, feats, bags, cfg).item()
+        assert abs(got - want) <= 1e-6 * abs(want)
+        drop = np.random.default_rng(7)
+        state = drop.bit_generator.state
+        model.classifier.dropout_p = 0.0
+        assert forward_loss(model, feats, bags, cfg, dropout_rng=drop).item() == got
+        assert drop.bit_generator.state == state
 
 
 class TestStackedLoss:
