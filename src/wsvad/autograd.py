@@ -85,7 +85,6 @@ __all__ = [
     "bag_length",
     "concat",
     "conv1d_dilated",
-    "dropout",
     "gather_rows",
     "l2_norm",
     "linear",
@@ -343,8 +342,7 @@ def _live_rows(g: np.ndarray) -> np.ndarray | slice:
     may take its products over the live rows alone. An all-zero gradient
     takes the dense path, which gives its zero gradients without the
     empty products."""
-    # a nonzero first column is the cheap proof that every row is live
-    if g.size < _LIVE_ROWS_MIN_SIZE or g[:, 0].all():
+    if g.size < _LIVE_ROWS_MIN_SIZE:
         return slice(None)
     live = np.flatnonzero(g.any(axis=1))
     return slice(None) if live.size in (0, g.shape[0]) else live
@@ -527,18 +525,6 @@ def _clip(a: Tensor, lo: float, hi: float) -> Tensor:
         raise NumericsError(f"clip: NaN bound in [{lo}, {hi}]")
     mask = (a.data >= lo) & (a.data <= hi)
     return _from_op("clip", np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
-
-
-def dropout(a: Tensor, keep: np.ndarray, p: float) -> Tensor:
-    """Inverted dropout at rate ``p`` with the boolean mask ``keep`` of a's
-    shape: kept entries are scaled by 1 / (1 - p), the rest are zero. The
-    caller draws the mask; the scaled mask is saved for backward."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout: p must be in [0, 1), got {p}")
-    if np.shape(keep) != a.shape:
-        raise ShapeError(f"dropout: mask {np.shape(keep)} does not match {a.shape}")
-    scale = keep.astype(a.data.dtype) / (1.0 - p)
-    return _from_op("dropout", a.data * scale, (a,), lambda g: (g * scale,))
 
 
 def _softmax_into(out: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:

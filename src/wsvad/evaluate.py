@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +48,6 @@ class ScoreTimeline:
     snippet_scores: np.ndarray  # (T_k,) in (0, 1)
     snippet_len: int
     frame_count: int
-    # (mask, the runs' first frames): the cut ``frame_runs`` last made, and the mask it made it by
-    _cut: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def snippet_binary(self) -> np.ndarray:  # (T_k,) in {0, 1}
@@ -317,20 +315,15 @@ def frame_runs(tl: ScoreTimeline, labels: np.ndarray) -> tuple[np.ndarray, np.nd
     """One video's frames cut into runs that share a snippet and a label, in
     frame order: each run's first frame, its stop (one past its last frame)
     and its snippet. ``labels`` is the video's frame mask; a length other
-    than the frame count is a ValueError naming the video. The runs' first
-    frames are kept on the timeline with the mask they were cut by, so the
-    metrics and the frame CSV of one eval pass over each video's frames
-    once."""
+    than the frame count is a ValueError naming the video."""
     n, step, last = tl.frame_count, tl.snippet_len, tl.snippet_scores.size - 1
-    if tl._cut is None or tl._cut[0] is not labels:
-        if labels.size != n:
-            raise ValueError(f"video '{tl.video_id}': {n} frames but {labels.size} labels")
-        cut = np.empty(n, dtype=bool)
-        cut[0] = True
-        np.not_equal(labels[1:], labels[:-1], out=cut[1:])
-        cut[: last * step + 1 : step] = True  # snippet starts; a last snippet without frames has none
-        tl._cut = (labels, np.flatnonzero(cut))
-    start = tl._cut[1]
+    if labels.size != n:
+        raise ValueError(f"video '{tl.video_id}': {n} frames but {labels.size} labels")
+    cut = np.empty(n, dtype=bool)
+    cut[0] = True
+    np.not_equal(labels[1:], labels[:-1], out=cut[1:])
+    cut[: last * step + 1 : step] = True  # snippet starts; a last snippet without frames has none
+    start = np.flatnonzero(cut)
     stop = np.empty_like(start)
     stop[:-1], stop[-1] = start[1:], n
     # every snippet but the last covers snippet_len frames

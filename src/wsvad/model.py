@@ -15,7 +15,10 @@ header-length u32 | JSON header (architecture + attention settings) |
 tensor count u32 | per tensor: name length u32, name bytes, ndim u32,
 dims u32 each, float32 payload. Same little-endian number layout as the
 feature files. The header's ``tsa.estimator`` field is always "perturbed",
-the only selection gradient there is; it is kept so the format stays fixed.
+the only selection gradient there is, and ``classifier_dropout`` is always
+``CLASSIFIER_DROPOUT``, the rate training draws its masks at; both are kept
+so the format stays fixed. A load checks ``classifier_dropout`` and keeps
+nothing from it, since no forward pass of a loaded model drops out.
 """
 
 from __future__ import annotations
@@ -86,19 +89,19 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def _assemble(d: int, arrays: dict[str, np.ndarray], tsa: TsaConfig, tsa_enabled: bool, dropout: float) -> Model:
+def _assemble(d: int, arrays: dict[str, np.ndarray], tsa: TsaConfig, tsa_enabled: bool) -> Model:
     """Build a model from one array per ``param_shapes`` entry."""
     p = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
 
-    def mlp(prefix: str, dropout_p: float = 0.0) -> MLP:
+    def mlp(prefix: str) -> MLP:
         layers = range(sum(name.startswith(f"{prefix}.") for name in p) // 2)
-        return MLP([p[f"{prefix}.{i}.w"] for i in layers], [p[f"{prefix}.{i}.b"] for i in layers], dropout_p)
+        return MLP([p[f"{prefix}.{i}.w"] for i in layers], [p[f"{prefix}.{i}.b"] for i in layers])
 
     conv = ConvModule(
         [p[f"conv.conv{i}.w"] for i in range(3)], [p[f"conv.conv{i}.b"] for i in range(3)],
         *(p[f"conv.attn.{name}"] for name in ("theta", "phi", "g")),
     )
-    return Model(d, mlp("scorer"), conv, mlp("classifier", dropout), tsa, tsa_enabled, _params=p)
+    return Model(d, mlp("scorer"), conv, mlp("classifier"), tsa, tsa_enabled, _params=p)
 
 
 def init_model(
@@ -115,7 +118,7 @@ def init_model(
         name: np.zeros(shape, np.float32) if len(shape) == 1 else xavier_uniform(rngs[name.split(".")[0]], shape)
         for name, shape in param_shapes(d, scorer_hidden).items()
     }
-    return _assemble(d, arrays, tsa, tsa_enabled, CLASSIFIER_DROPOUT)
+    return _assemble(d, arrays, tsa, tsa_enabled)
 
 
 def context_features(
@@ -151,7 +154,7 @@ def save_checkpoint(model: Model, path) -> None:
         "d": model.d,
         "scorer_hidden": list(model.scorer.dims[1:-1]),
         "classifier_hidden": list(model.classifier.dims[1:-1]),
-        "classifier_dropout": model.classifier.dropout_p,
+        "classifier_dropout": CLASSIFIER_DROPOUT,
         "conv_kernel": model.conv.kernel,
         "tsa": {**tsa, "estimator": CHECKPOINT_ESTIMATOR},
         "tsa_enabled": model.tsa_enabled,
@@ -200,7 +203,7 @@ def _init_args(header: dict, path) -> dict:
         raise FormatError(f"{path}: unsupported classifier layout {header['classifier_hidden']}")
     if _typed(header, "conv_kernel", int, path) != CONV_KERNEL:
         raise FormatError(f"{path}: unsupported conv kernel {header['conv_kernel']!r}")
-    dropout = _typed(header, "classifier_dropout", float, path)
+    dropout = _typed(header, "classifier_dropout", float, path)  # checked, not kept
     if not 0.0 <= dropout < 1.0:
         raise FormatError(f"{path}: header field 'classifier_dropout' must be in [0, 1), got {dropout!r}")
     tsa_fields = dict(header["tsa"])
@@ -216,7 +219,6 @@ def _init_args(header: dict, path) -> dict:
         d=_typed(header, "d", int, path),
         tsa=TsaConfig(**tsa_fields),
         tsa_enabled=_typed(header, "tsa_enabled", bool, path),
-        dropout=float(dropout),
         scorer_hidden=_int_list(header["scorer_hidden"], "scorer_hidden"),
     )
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autograd as ag
 from .autograd import Tensor
 
@@ -20,27 +18,29 @@ CONV_DILATIONS = (1, 2, 4)  # one parallel conv branch each
 
 @dataclass
 class MLP:
-    """Fully-connected net: ReLU hidden layers (optionally dropped out), sigmoid output."""
+    """Fully-connected net: ReLU hidden layers (optionally dropped out by
+    `mlp_forward`'s masks), sigmoid output."""
 
     weights: list[Tensor]
     biases: list[Tensor]
-    dropout_p: float = 0.0
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(w.shape[0] for w in self.weights) + (self.weights[-1].shape[1],)
 
 
-def mlp_forward(mlp: MLP, x: Tensor, *, bags: int = 1, keep: list[np.ndarray] | None = None) -> Tensor:
+def mlp_forward(mlp: MLP, x: Tensor, *, bags: int = 1, masks: list[Tensor] | None = None) -> Tensor:
     """Apply the MLP along the last axis of x (..., d_in), whose rows hold
     ``bags`` stacked bags, returning (..., d_out): one `linear` op per layer.
-    Given ``keep``, one boolean mask per hidden layer, each of that layer's
-    output shape, dropout at ``mlp.dropout_p`` follows each hidden layer."""
+    Given ``masks``, one per hidden layer, each of that layer's output shape,
+    each hidden layer's output is multiplied by its mask (a same-shape
+    `mul`): inverted dropout, with the kept units' 1 / (1 - p) scale already
+    in the mask (``trainer.forward_loss`` draws them)."""
     h = x
     for layer, (w, b) in enumerate(zip(mlp.weights[:-1], mlp.biases[:-1])):
         h = ag.linear(h, w, b, "relu", bags)
-        if keep is not None:
-            h = ag.dropout(h, keep[layer], mlp.dropout_p)
+        if masks is not None:
+            h = h * masks[layer]
     return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid", bags)
 
 

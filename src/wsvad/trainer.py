@@ -8,7 +8,8 @@ by a margin, plus a binary cross-entropy on video scores (each video scored
 by the mean classifier output of its top-alpha snippets, ranked by feature
 magnitude like the margin term). Those top-alpha rows are the only ones the
 loss reads, so the snippet classifier runs on them alone (``forward_loss``,
-which also draws the classifier's dropout masks).
+which also draws the classifier's dropout masks and is the one place that
+applies its rate, ``model.CLASSIFIER_DROPOUT``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import autograd as ag
 from .attention import TsaConfig
 from .autograd import Tensor
 from .features import DatasetManifest, load_records, temporal_normalize
-from .model import Model, context_features, init_model
+from .model import CLASSIFIER_DROPOUT, Model, context_features, init_model
 from .nn import mlp_forward
 from .optim import Adam
 
@@ -201,17 +202,24 @@ def forward_loss(
     The context stage runs over every row; each bag's top-alpha rows of the
     context features are then gathered once, (2B, alpha, d), and the
     classifier runs on those rows alone, since the loss reads no other
-    snippet's score. Given ``dropout_rng`` and a nonzero dropout rate, each
-    hidden layer's dropout mask is drawn in layer order for the whole batch,
-    (2B * T, width), and taken at those rows, so the stream moves on as for
-    a classifier over every row and each kept row gets that draw's mask.
+    snippet's score. Given ``dropout_rng``, each hidden layer's dropout
+    mask at rate p = ``CLASSIFIER_DROPOUT`` is drawn in layer order for the
+    whole batch, (2B * T, width), and taken at those rows, so the stream
+    moves on as for a classifier over every row and each kept row gets that
+    draw's mask. The classifier gets each mask scaled, 1 / (1 - p) where a
+    unit is kept and 0 where it drops. Without a generator there is no
+    dropout.
     """
     ctx, _ = context_features(model, features, bags, tsa_rng=tsa_rng)
     top, rows = _top_alpha_gather(ctx, bags, cfg.alpha)
-    p, keep = model.classifier.dropout_p, None
-    if dropout_rng is not None and p > 0.0:
-        keep = [dropout_rng.random((ctx.shape[0], width))[rows] >= p for width in model.classifier.dims[1:-1]]
-    scores = mlp_forward(model.classifier, top, bags=bags, keep=keep)
+    masks = None
+    if dropout_rng is not None:
+        p = CLASSIFIER_DROPOUT
+        masks = [
+            Tensor((dropout_rng.random((ctx.shape[0], width))[rows] >= p).astype(ctx.data.dtype) / (1.0 - p))
+            for width in model.classifier.dims[1:-1]
+        ]
+    scores = mlp_forward(model.classifier, top, bags=bags, masks=masks)
     return dmt_loss(top, scores, bags, cfg)
 
 

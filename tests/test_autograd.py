@@ -18,7 +18,6 @@ from wsvad.autograd import (
     backward,
     concat,
     conv1d_dilated,
-    dropout,
     gather_rows,
     l2_norm,
     linear,
@@ -799,12 +798,12 @@ class TestElementwise:
         check_grads(lambda ta, ts: l2_norm(ta * ts), lambda xa, xs: float(np.linalg.norm(xa * xs)), [a, s])
 
     def test_dropout_eval_is_identity(self):
-        """Without masks, `mlp_forward` records no dropout node, whatever
-        the MLP's rate: its graph is its layers' `linear` ops alone."""
+        """Without masks, `mlp_forward` records no dropout node: its graph
+        is its layers' `linear` ops alone."""
         rng = np.random.default_rng(3)
         weights = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 5), (5, 3), (3, 1))]
         biases = [Tensor(np.zeros(w.shape[1]), requires_grad=True) for w in weights]
-        node = mlp_forward(MLP(weights, biases, dropout_p=0.5), Tensor(rng.normal(size=(6, 4))))
+        node = mlp_forward(MLP(weights, biases), Tensor(rng.normal(size=(6, 4))))
         ops = []
         while node._rec is not None:
             ops.append(node._rec.op)
@@ -812,35 +811,49 @@ class TestElementwise:
         assert ops == ["linear"] * 3
 
     def test_dropout_train_masks_and_rescales(self):
-        x = Tensor(np.ones((100, 10)))
-        out = dropout(x, np.random.default_rng(0).random(x.shape) >= 0.7, 0.7)
-        values = set(np.unique(out.data).tolist())
-        assert values <= {0.0, np.float32(1.0 / 0.3)}
-        assert 0.2 < np.mean(out.data == 0.0) < 0.95
+        """A mask scaled as `forward_loss` scales it zeroes the dropped
+        units and rescales the kept ones by 1 / (1 - p); `mlp_forward`
+        applies it to its hidden layer's output as one same-shape `mul`."""
+        rng = np.random.default_rng(0)
+        weights = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 10), (10, 1))]
+        biases = [Tensor(np.zeros(w.shape[1]), requires_grad=True) for w in weights]
+        x = Tensor(rng.normal(size=(100, 4)))
+        mask = Tensor((np.random.default_rng(0).random((100, 10)) >= 0.7).astype(np.float32) / (1.0 - 0.7))
+        assert set(np.unique(mask.data).tolist()) <= {0.0, np.float32(1.0 / 0.3)}
+        assert 0.2 < np.mean(mask.data == 0.0) < 0.95
+        dropped = mlp_forward(MLP(weights, biases), x, masks=[mask])._rec.parents[0]
+        assert dropped._rec.op == "mul"
+        hidden = linear(x, weights[0], biases[0], "relu")
+        assert dropped.data.tobytes() == (hidden.data * mask.data).tobytes()
 
     def test_dropout_at_rows_takes_the_whole_batch_masks(self):
-        """A whole batch's mask taken at some of its rows gives each of
-        those rows the values and gradient that dropout over the whole batch
-        gives it; a mask of any other shape than the input's is a
+        """A whole batch's scaled mask taken at some of its rows gives each
+        of those rows the values and gradient that the mask over the whole
+        batch gives it; a mask of any other shape than the input's is a
         `ShapeError`. (`forward_loss` draws the whole batch's masks; the
         trainer tests check that draw and the stream's end state.)"""
         x = np.random.default_rng(2).normal(size=(12, 6)).astype(np.float32)
         rows = np.array([[3, 0], [7, 11]])
-        keep = np.random.default_rng(5).random((12, 6)) >= 0.7
+        scale = (np.random.default_rng(5).random((12, 6)) >= 0.7).astype(np.float32) / (1.0 - 0.7)
         whole, part = Tensor(x, requires_grad=True), Tensor(x[rows], requires_grad=True)
-        out_whole = dropout(whole, keep, 0.7)
-        out_part = dropout(part, keep[rows], 0.7)
+        out_whole = whole * Tensor(scale)
+        out_part = part * Tensor(scale[rows])
         assert out_part.data.tobytes() == out_whole.data[rows].tobytes()
         backward(out_whole.sum())
         backward(out_part.sum())
         assert part.grad.tobytes() == whole.grad[rows].tobytes()
-        for wrong in (keep[rows[0]], keep, keep[rows][..., :-1]):
-            with pytest.raises(ShapeError, match="mask"):
-                dropout(part, wrong, 0.7)
+        for wrong in (scale[rows[0]], scale, scale[rows][..., :-1]):
+            with pytest.raises(ShapeError, match="mul"):
+                part * Tensor(wrong)
 
     def test_dropout_bad_p(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), np.array([True]), 1.0)
+        """A mask scaled at rate 1 divides by zero; the engine refuses its
+        Inf and NaN as a tensor, so no such mask reaches a layer."""
+        keep = np.array([True, False])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = keep.astype(np.float32) / (1.0 - 1.0)
+        with pytest.raises(NumericsError, match="tensor"):
+            Tensor(scaled)
 
 
 class TestBackward:
@@ -1449,7 +1462,8 @@ class TestDeterminism:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            h = dropout(matmul(x, w).relu(), np.random.default_rng(5).random((6, 2)) >= 0.5, 0.5)
+            mask = (np.random.default_rng(5).random((6, 2)) >= 0.5).astype(np.float32) / (1.0 - 0.5)
+            h = matmul(x, w).relu() * Tensor(mask)
             loss = l2_norm(h)
             backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()

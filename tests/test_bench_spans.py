@@ -56,7 +56,7 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
     # one graph over the stacked batch: scorer 3 nodes (one linear per
     # layer), attention 1, context module 7 (3 convs with bias,
     # nonlocal_attention, concat, the residual's row scale and its add),
-    # classifier 5 (3 linear, 2 dropout) on the loss's top-alpha gather,
+    # classifier 5 (3 linear, 2 dropout masks' mul) on the loss's top-alpha gather,
     # loss 16
     assert tracer.epoch_nodes == [32]
 

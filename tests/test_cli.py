@@ -193,6 +193,25 @@ class TestTrainEval:
             blobs.append((ev / "report.json").read_bytes() + (ev / "frame_scores.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("rate", [b"0.0", b"0.5"])
+    def test_checkpoint_dropout_rate_leaves_eval_unchanged(self, dataset, untrained_checkpoint, tmp_path, rate):
+        """Eval runs no dropout and a load keeps nothing of the header's
+        classifier_dropout, so a checkpoint with that rate rewritten
+        evaluates to the same report and frame CSV bytes."""
+        edited = tmp_path / "edited.vadc"
+        blob = untrained_checkpoint.read_bytes()
+        edited.write_bytes(blob.replace(b'"classifier_dropout":0.7', b'"classifier_dropout":' + rate, 1))
+        assert edited.read_bytes() != blob
+        blobs = []
+        for name, checkpoint in (("e1", untrained_checkpoint), ("e2", edited)):
+            ev = tmp_path / name
+            assert main([
+                "eval", "--manifest", str(dataset / "test" / "manifest.json"),
+                "--checkpoint", str(checkpoint), "--out", str(ev), "--seed", "3",
+            ]) == 0
+            blobs.append([(ev / "report.json").read_bytes(), (ev / "frame_scores.csv").read_bytes()])
+        assert blobs[0] == blobs[1]
+
     def test_eval_prints_frames_and_seconds(self, dataset, untrained_checkpoint, tmp_path, capsys):
         """The summary line gives the split's frame total and the seconds
         the evaluation took, which no output file holds."""

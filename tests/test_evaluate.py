@@ -15,7 +15,6 @@ from wsvad.evaluate import (
     evaluate_manifest,
     evaluate_records,
     frame_labels,
-    frame_runs,
     infer_video,
     snippet_lengths,
     unfold_scores,
@@ -449,20 +448,6 @@ class TestFrameCsvBytes:
         short = ScoreTimeline("short-mask", 0, np.full(1, 0.2), 4, 4)
         with pytest.raises(ValueError, match="video 'short-mask': 4 frames but 3 labels"):
             write_frame_csv(tmp_path / "fast.csv", [ok, short], [np.zeros(4, np.uint8), np.zeros(3, np.uint8)])
-
-    def test_runs_are_cut_once_per_mask(self, small_dataset, monkeypatch):
-        """evaluate_records cuts each video's frames into runs, and the frame
-        CSV reuses that cut for the same mask; a different mask is cut
-        anew."""
-        tmp, test_m, gt = small_dataset
-        _, timelines, masks = evaluate_manifest(test_m, tmp / "test", fresh_model(), gt)
-        cuts = []
-        flatnonzero = np.flatnonzero
-        monkeypatch.setattr(evaluate.np, "flatnonzero", lambda a: cuts.append(a.size) or flatnonzero(a))
-        write_frame_csv(tmp / "frames.csv", timelines, masks)
-        assert cuts == []
-        frame_runs(timelines[0], masks[0].copy())
-        assert cuts == [timelines[0].frame_count]
 
 
 def split_of(counts: list[int], d: int, snippet_len: int = 4):

@@ -13,7 +13,7 @@ from wsvad import autograd as ag
 from wsvad.attention import TsaConfig
 from wsvad.autograd import Tensor, no_grad
 from wsvad.features import FormatError
-from wsvad.model import init_model, load_checkpoint, param_shapes, save_checkpoint, score_bag
+from wsvad.model import CLASSIFIER_DROPOUT, init_model, load_checkpoint, param_shapes, save_checkpoint, score_bag
 
 
 def small_model(seed=0, **tsa_kw):
@@ -214,7 +214,10 @@ class TestCheckpoint:
         save_checkpoint(small_model(), path)
         rewrite_header(path, lambda h: edited(edited(h, "classifier_dropout", value=0), "tsa", "ratio", value=1))
         loaded = load_checkpoint(path)
-        assert loaded.classifier.dropout_p == 0.0 and loaded.tsa.ratio == 1
+        assert loaded.tsa.ratio == 1
+        # the file's rate is checked, not kept: a save writes the training rate
+        save_checkpoint(loaded, path)
+        assert read_header(path)["classifier_dropout"] == CLASSIFIER_DROPOUT
 
     def test_header_estimator_is_fixed(self, tmp_path):
         path = tmp_path / "model.vadc"
@@ -382,6 +385,6 @@ class TestScoreBag:
         # scorer 3 linear + tsa_select 1 + the residual's row scale 1
         # (attention on only); context module 3 convs + nonlocal_attention
         # (2 checks) + concat (unchecked) + residual add; classifier 3
-        # linear (dropout is off)
+        # linear (no dropout masks)
         attention = 5 if tsa_enabled else 0
         assert one_bag == counts == dict(ops=attention + 6 + 3, checks=attention + 6 + 3)

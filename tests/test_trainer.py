@@ -13,7 +13,7 @@ from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
 from wsvad.features import FormatError, load_features, load_records, save_features, temporal_normalize
-from wsvad.model import context_features, init_model
+from wsvad.model import CLASSIFIER_DROPOUT, context_features, init_model
 from wsvad.nn import conv_module_forward, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
@@ -243,10 +243,11 @@ class TestForwardLoss:
     def test_classifier_on_the_loss_rows_matches_one_over_every_row(self):
         """`forward_loss` runs the classifier on each bag's top-alpha rows
         alone. Its dropout masks are the whole batch's, drawn layer by layer
-        as for a classifier over every row and taken at those rows, and the
-        dropout stream ends where that draw leaves it, so the loss and every
-        parameter's gradient are those of the classifier over every row with
-        the whole batch's masks, followed by the stacked loss (float64, where
+        at `CLASSIFIER_DROPOUT` as for a classifier over every row, scaled by
+        1 / (1 - p) and taken at those rows, and the dropout stream ends
+        where that draw leaves it, so the loss and every parameter's
+        gradient are those of the classifier over every row with the whole
+        batch's scaled masks, followed by the stacked loss (float64, where
         only the products' grouping can differ)."""
         rng = np.random.default_rng(31)
         cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa=TsaConfig(num_samples=8))
@@ -268,18 +269,24 @@ class TestForwardLoss:
             got = forward_loss(model, Tensor(feats), bags, cfg, tsa_rng=np.random.default_rng(1), dropout_rng=drop[0])
             got_grads = grads(got)
             ctx, _ = context_features(model, Tensor(feats), bags, tsa_rng=np.random.default_rng(1))
-            p = model.classifier.dropout_p
-            keep = [drop[1].random((ctx.shape[0], width)) >= p for width in model.classifier.dims[1:-1]]
-            want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags, keep=keep), bags, cfg)
+            p = CLASSIFIER_DROPOUT
+            masks = [
+                Tensor((drop[1].random((ctx.shape[0], width)) >= p).astype(np.float64) / (1.0 - p))
+                for width in model.classifier.dims[1:-1]
+            ]
+            want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags, masks=masks), bags, cfg)
             want_grads = grads(want)
         assert drop[0].bit_generator.state == drop[1].bit_generator.state
         assert max_rel_err(got.data, want.data) < 1e-12
         for name, g in want_grads.items():
             assert max_rel_err(got_grads[name], g, abs_floor=1e-12) < 1e-9, name
 
-    def test_no_generator_or_zero_rate_draws_nothing(self):
-        """Without a dropout generator, or at rate 0, `forward_loss` runs
-        the classifier without dropout and leaves the generator as it was."""
+    def test_no_generator_draws_nothing_and_zero_rate_keeps_every_unit(self, monkeypatch):
+        """Without a dropout generator `forward_loss` runs the classifier
+        without dropout and draws nothing. The draw does not depend on the
+        rate: at rate 0 every mask keeps every unit at scale 1, so the loss
+        is the loss without dropout, and the stream moves on by the whole
+        batch's draw."""
         cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa_enabled=False)
         bags = 2 * cfg.batch_bags
         feats = Tensor(np.random.default_rng(4).normal(size=(bags * cfg.t_len, 8)))
@@ -288,11 +295,12 @@ class TestForwardLoss:
         want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags), bags, cfg).item()
         got = forward_loss(model, feats, bags, cfg).item()
         assert abs(got - want) <= 1e-6 * abs(want)
-        drop = np.random.default_rng(7)
-        state = drop.bit_generator.state
-        model.classifier.dropout_p = 0.0
+        drop, reference = np.random.default_rng(7), np.random.default_rng(7)
+        monkeypatch.setattr(trainer_module, "CLASSIFIER_DROPOUT", 0.0)
         assert forward_loss(model, feats, bags, cfg, dropout_rng=drop).item() == got
-        assert drop.bit_generator.state == state
+        for width in model.classifier.dims[1:-1]:
+            reference.random((ctx.shape[0], width))
+        assert drop.bit_generator.state == reference.bit_generator.state
 
 
 class TestStackedLoss:
@@ -577,19 +585,20 @@ class TestTrainingStepCost:
         per_step = {key: two[key] - one[key] for key in counts}
         # nodes: scorer 3 linear, attention 1, context module 7 (3 convs
         # with bias, nonlocal_attention, concat, the residual's row scale
-        # and its add), classifier 5 (3 linear, 2 dropout), loss 16 (the
-        # classifier runs on the loss's top-alpha gather of the context
-        # features, so its scores need no gather of their own).
-        # 32 forward checks: the batch tensor 1, scorer 3, attention 1,
+        # and its add), classifier 5 (3 linear, and the `mul` by each of
+        # the 2 dropout masks), loss 16 (the classifier runs on the loss's
+        # top-alpha gather of the context features, so its scores need no
+        # gather of their own).
+        # 34 forward checks: the batch tensor 1, scorer 3, attention 1,
         # context module 7 (3 convs, the attention's logits and output, the
-        # residual's row scale and its add), classifier 5 (3 linear, 2
-        # dropout), loss 15.
+        # residual's row scale and its add), classifier 7 (the 2 scaled
+        # mask tensors, 3 linear, 2 mask `mul`), loss 15.
         # 44 gradient checks: loss 10, classifier 11 (3 per linear, 1 per
-        # dropout), context module 14 (3 per conv and 4 from
+        # mask `mul`), context module 14 (3 per conv and 4 from
         # nonlocal_attention, their weights, biases and scale, and 1 from
         # the residual's row scale), attention 1, scorer 8 (no gradient for
         # the constant batch).
-        assert per_step == dict(nodes=32, checks=76)
+        assert per_step == dict(nodes=32, checks=78)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
