@@ -457,7 +457,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
     checked there, once: a check after the activation would miss a -inf that
     ReLU turns into 0, and no activation makes a finite value non-finite.
     The values and gradients are those of matmul, bias add and activation
-    run as three ops, bit for bit.
+    run as three ops, bit for bit. The vjp always forms w's and b's
+    gradients and skips x's product when x needs no gradient, as for the
+    scorer's first layer, which reads the constant feature batch.
     """
     if x.ndim < 2 or w.ndim != 2 or b.ndim != 1 or x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {x.shape}, {w.shape}, {b.shape}")
@@ -488,11 +490,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 
             gx += 0.0
         else:
             gx = g @ w.data.T
-        return (
-            None if gx is None else gx.reshape(x.shape),
-            x2.T @ g if w.requires_grad else None,
-            _bias_grad(g) if b.requires_grad else None,
-        )
+        return None if gx is None else gx.reshape(x.shape), x2.T @ g, _bias_grad(g)
 
     return _from_op("linear", out.reshape(*x.shape[:-1], w.shape[1]), (x, w, b), vjp)
 
@@ -718,7 +716,9 @@ def conv1d_dilated(
     channels, from the P that forward keeps for it; no (rows, c_in) input
     gradient is built. A ``bias`` (c_out,) is added into the output in
     place, before the output's check, with the values and gradients of a
-    separate bias add.
+    separate bias add. The vjp returns w's gradient, the bias's when there
+    is a bias and the scale's when there is a scale, whether or not each
+    requires grad; P is kept only when there is a scale.
 
     When the output gradient has dead rows (``_live_rows``), as the loss's
     top-alpha rows leave it, gy is nonzero only in the input rows that the
@@ -745,25 +745,23 @@ def conv1d_dilated(
     s = _row_scale("conv1d_dilated", x, scale)
     p = np.asarray(_product(x.data, w.data, bags), dtype=_DTYPE)  # checks that the rows split into bags
     out = _sum_of_taps(p if s is None else p * s, bags, dilation)
-    # only the scale's gradient reads P
-    kept = p if scale is not None and scale.requires_grad else None
+    # only the scale's gradient reads P; without a scale the vjp must not hold it
+    kept = None if s is None else p
     parents = tuple(t for t in (w, bias, scale) if t is not None)
     if bias is not None:
         out += bias.data
 
     def vjp(g):
-        gw = gs = None
-        if w.requires_grad or kept is not None:
-            rows = _live_rows(g)
-            if not isinstance(rows, slice):
-                rows = _tap_reach(rows, g.shape[0], bags, k, dilation)
-            gy = _taps_of_output_grad(g, bags, k, dilation)[:, rows]
-            if w.requires_grad:
-                gw = np.matmul(x.data[rows].T, gy if s is None else gy * s[rows])
-            if kept is not None:
-                gs = _scattered(_row_scale_grad(gy, kept[:, rows]), rows, x.shape[0])
-        gb = _bias_grad(g) if bias is not None and bias.requires_grad else None
-        return tuple(grad for grad, t in zip((gw, gb, gs), (w, bias, scale)) if t is not None)
+        rows = _live_rows(g)
+        if not isinstance(rows, slice):
+            rows = _tap_reach(rows, g.shape[0], bags, k, dilation)
+        gy = _taps_of_output_grad(g, bags, k, dilation)[:, rows]
+        grads = [np.matmul(x.data[rows].T, gy if s is None else gy * s[rows])]
+        if bias is not None:
+            grads.append(_bias_grad(g))
+        if kept is not None:
+            grads.append(_scattered(_row_scale_grad(gy, kept[:, rows]), rows, x.shape[0]))
+        return grads
 
     return _from_op("conv1d_dilated", out, parents, vjp)
 
@@ -794,7 +792,8 @@ def nonlocal_attention(
     ``unfused_nonlocal`` in ``tests/helpers.py`` (three projections, each
     scaled by its own op, a transpose, two batched products and a softmax),
     bit for bit; the scale's gradient adds its g, phi and theta parts in
-    that order.
+    that order. The vjp returns the three weights' gradients, and the
+    scale's when there is a scale, whether or not each requires grad.
 
     A zero row of the output gradient gives a zero row of the softmax
     gradient and of theta's gradient, so theta's part works over the live
@@ -836,31 +835,21 @@ def nonlocal_attention(
 
     def vjp(g):
         g3 = g.reshape(bags, t_len, -1)
-        need_s = scale is not None and scale.requires_grad
-        gs = g_theta_w = g_phi_w = g_g_w = None
 
         def weight_grad(gp: np.ndarray, at: np.ndarray | slice = slice(None)) -> np.ndarray:
             return x.data[at].T @ (gp if s is None else gp * s[at])
 
-        if need_s or w_g.requires_grad:
-            gg = (np.swapaxes(attn, -1, -2) @ g3).reshape(rows, -1)
-            gs = _row_scale_grad(gg, u_g) if need_s else None
-            g_g_w = weight_grad(gg) if w_g.requires_grad else None
-        if need_s or w_theta.requires_grad or w_phi.requires_grad:
-            g_logits = _softmax_grad(attn, g3 @ np.swapaxes(scaled(u_g), -1, -2), -1)
-            if need_s or w_phi.requires_grad:
-                gphi = np.swapaxes(np.swapaxes(scaled(u_theta), -1, -2) @ g_logits, -1, -2).reshape(rows, -1)
-                if need_s:
-                    gs = gs + _row_scale_grad(gphi, u_phi)
-                g_phi_w = weight_grad(gphi) if w_phi.requires_grad else None
-            if need_s or w_theta.requires_grad:
-                # a zero row of g gives a zero row of g_logits, and so of theta's gradient
-                at = _live_rows(g)
-                gtheta = (g_logits @ np.swapaxes(transposed(u_phi), -1, -2)).reshape(rows, -1)[at]
-                if need_s:
-                    gs = gs + _scattered(_row_scale_grad(gtheta, u_theta[at]), at, rows)
-                g_theta_w = weight_grad(gtheta, at) if w_theta.requires_grad else None
-        return (g_theta_w, g_phi_w, g_g_w, gs)[: len(parents)]
+        gg = (np.swapaxes(attn, -1, -2) @ g3).reshape(rows, -1)
+        g_logits = _softmax_grad(attn, g3 @ np.swapaxes(scaled(u_g), -1, -2), -1)
+        gphi = np.swapaxes(np.swapaxes(scaled(u_theta), -1, -2) @ g_logits, -1, -2).reshape(rows, -1)
+        # a zero row of g gives a zero row of g_logits, and so of theta's gradient
+        at = _live_rows(g)
+        gtheta = (g_logits @ np.swapaxes(transposed(u_phi), -1, -2)).reshape(rows, -1)[at]
+        grads = (weight_grad(gtheta, at), weight_grad(gphi), weight_grad(gg))
+        if scale is None:
+            return grads
+        gs = _row_scale_grad(gg, u_g) + _row_scale_grad(gphi, u_phi)
+        return grads + (gs + _scattered(_row_scale_grad(gtheta, u_theta[at]), at, rows),)
 
     return _from_op("nonlocal_attention", out, parents, vjp)
 
@@ -872,9 +861,9 @@ def custom_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Calla
     per parent. No gradient is written into once set, by the engine or by a
     vjp: the engine hands gradients on without copying, so the array a vjp
     receives may also be another tensor's gradient, and the array it returns
-    may become a parent's gradient as it is. Return None for a parent that
-    needs no gradient (``requires_grad`` false) rather than computing one
-    nobody reads.
+    may become a parent's gradient as it is. ``backward`` drops the gradient
+    of a parent that needs none (``requires_grad`` false), so returning None
+    for it only saves work.
     The output and every gradient are checked for NaN and Inf, so ``op`` may
     not reuse the name of a built-in op that skips a check.
     """

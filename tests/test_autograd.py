@@ -1,5 +1,6 @@
 """Engine ops: frozen hand values, gradient soundness, graph discipline."""
 
+import itertools
 import re
 import tracemalloc
 import types
@@ -537,16 +538,28 @@ class TestFusedOps:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_unneeded_products_skipped(self):
-        x, *arrays = nonlocal_inputs(8, 2)
-        for mask in grad_masks(4)[1:]:
-            leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, mask)]
-            y = nonlocal_attention(Tensor(x), *leaves[:3], 2, scale=leaves[3])
-            grads = y._rec.vjp(np.ones(y.shape, np.float32))
-            assert [g is None for g in grads] == [not r for r in mask]
-        for mask in grad_masks(3)[1:]:
-            y = linear(*[Tensor(a, requires_grad=r) for a, r in zip(linear_inputs(9), mask)], "relu")
-            grads = y._rec.vjp(np.ones(y.shape, np.float32))
-            assert [g is None for g in grads] == [not r for r in mask]
+        """`linear` skips x's product when x is a constant, as the scorer's
+        first layer reads the feature batch; the weight and bias gradients
+        are always formed."""
+        x, w, b = linear_inputs(9)
+        y = linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), "relu")
+        grads = y._rec.vjp(np.ones(y.shape, np.float32))
+        assert grads[0] is None
+        assert [g.shape for g in grads[1:]] == [w.shape, b.shape]
+
+    def test_conv_without_scale_keeps_no_tap_products(self):
+        """Only the scale's gradient reads the per-tap products P (k, rows,
+        c_out), so a conv with no scale, as under --no-tsa, lets them go."""
+        x = Tensor(np.ones((8, 3)))
+        w = Tensor(np.ones((3, 3, 2)), requires_grad=True)
+
+        def held_tap_products(y):
+            cells = [c.cell_contents for c in y._rec.vjp.__closure__]
+            return [v for v in cells if isinstance(v, np.ndarray) and v.shape == (3, 8, 2)]
+
+        assert held_tap_products(conv1d_dilated(x, w, 2, 2)) == []
+        scale = Tensor(np.ones((8, 1)), requires_grad=True)
+        assert len(held_tap_products(conv1d_dilated(x, w, 2, 2, scale=scale))) == 1
 
     def test_shapes_and_activation_checked(self):
         x, w, b = (Tensor(a) for a in linear_inputs(10))
@@ -1357,8 +1370,10 @@ class TestChecksThatStay:
             nonlocal_attention(Tensor(np.ones((23, 1))), zero, zero, Tensor([[top]]))
 
     def test_nonlocal_gradient_overflow_rejected(self):
+        """Only g's weight gradient overflows: with g this small the softmax
+        gradient, and so theta's and phi's, stay finite."""
         x = Tensor([[1.0], [2.0]])
-        w_g = Tensor([[1.0]], requires_grad=True)
+        w_g = Tensor([[1e-30]], requires_grad=True)
         y = nonlocal_attention(x, Tensor([[1.0]]), Tensor([[1.0]]), w_g)
         with pytest.raises(NumericsError, match=r"grad\[nonlocal_attention\]"), np.errstate(over="ignore"):
             backward(inject(y, np.full((2, 1), BIG, np.float32)))
@@ -1410,7 +1425,9 @@ class TestFinalGradientChecks:
 
 
 class TestUnneededProducts:
-    """A vjp returns None for an operand that needs no gradient."""
+    """`matmul` and `mul` return None for an operand that needs no gradient:
+    the program hands them constants, such as the residual's input, the
+    dropout masks and the loss's labels."""
 
     @pytest.mark.parametrize("const", [0, 1])
     @pytest.mark.parametrize(
@@ -1419,10 +1436,6 @@ class TestUnneededProducts:
             pytest.param(matmul, (2, 3), (3, 4), id="matmul"),
             pytest.param(batched_matmul, (2, 2, 3), (2, 3, 4), id="batched_matmul"),
             pytest.param(shared_matmul, (2, 2, 3), (3, 4), id="shared_matmul"),
-            pytest.param(
-                lambda w, s: conv1d_dilated(Tensor(np.ones((4, 2))), w, 2, scale=s), (3, 2, 2), (4, 1),
-                id="conv1d_dilated",
-            ),
             pytest.param(lambda a, b: a * b, (2, 3), (2, 3), id="mul"),
             pytest.param(lambda a, b: a * b, (2, 3), (2, 1), id="mul_rows"),
         ],
@@ -1434,6 +1447,56 @@ class TestUnneededProducts:
         grads = y._rec.vjp(np.ones(y.shape, np.float32))
         assert grads[const] is None
         assert grads[1 - const].shape == (b_shape, a_shape)[const]
+
+
+def frozen_case(op):
+    """A layer op over its operands, and float32 arrays for them: linear's
+    x, w and b; the conv's w, bias and scale; the attention's w_theta,
+    w_phi, w_g and scale."""
+    if op == "linear":
+        return lambda x, w, b: linear(x, w, b, "relu"), linear_inputs(17)
+    if op == "conv1d_dilated":
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(8, 3)).astype(np.float32))
+        arrays = [rng.normal(size=(3, 3, 2)), rng.normal(size=2), rng.uniform(size=(8, 1))]
+        return lambda w, b, s: conv1d_dilated(x, w, 2, 2, bias=b, scale=s), [a.astype(np.float32) for a in arrays]
+    x, *arrays = nonlocal_inputs(18, 2)
+    return lambda *t: nonlocal_attention(Tensor(x), *t[:3], 2, scale=t[3]), arrays
+
+
+class TestFrozenOperands:
+    """The layer ops' vjps return every weight's gradient, and `backward`
+    drops those of the operands that need none: whatever subset is frozen,
+    exactly the frozen tensors end with ``.grad`` None, and every other
+    gradient has the bytes it gets when nothing is frozen."""
+
+    @pytest.mark.parametrize("dead_rows", [False, True])
+    @pytest.mark.parametrize("op", ["linear", "conv1d_dilated", "nonlocal_attention"])
+    def test_frozen_operands_get_no_gradient(self, op, dead_rows, monkeypatch):
+        if dead_rows:
+            # every size takes the live-row path
+            monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", 0)
+        build, arrays = frozen_case(op)
+        with ag.no_grad():
+            shape = build(*[Tensor(a) for a in arrays]).shape
+        upstream = np.random.default_rng(19).normal(size=shape).astype(np.float32)
+        if dead_rows:
+            upstream[1::2] = 0.0
+
+        def grads(frozen):
+            leaves = [Tensor(a, requires_grad=not f) for a, f in zip(arrays, frozen)]
+            backward(inject(build(*leaves), upstream))
+            return [t.grad for t in leaves]
+
+        want = grads((False,) * len(arrays))
+        for frozen in itertools.product((False, True), repeat=len(arrays)):
+            if all(frozen):
+                continue  # nothing to differentiate: the output is a constant
+            for i, (g, w) in enumerate(zip(grads(frozen), want)):
+                if frozen[i]:
+                    assert g is None, (frozen, i)
+                else:
+                    assert g.tobytes() == w.tobytes(), (frozen, i)
 
 
 class TestVjpsLeaveTheirGradientAlone:
