@@ -19,7 +19,6 @@ from .model import Model, init_model, load_checkpoint, save_checkpoint
 from .optim import Adam
 from .synthetic import SyntheticConfig, generate_synthetic, load_ground_truth
 from .trainer import (
-    BatchLayout,
     TrainConfig,
     build_batch,
     dmt_loss,

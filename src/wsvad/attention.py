@@ -38,7 +38,7 @@ from .nn import MLP, mlp_forward
 
 SCORER_HIDDEN = (512, 256)
 
-# one generator for a whole call, or one per bag (see ``topk_score``)
+# one generator that serves every bag in turn, or one per bag (see ``topk_score``)
 Rngs = np.random.Generator | Sequence[np.random.Generator]
 
 
@@ -157,11 +157,12 @@ def topk_score(
     snippet was selected.
 
     ``omega`` (..., T) holds one bag's T scores along its last axis; any
-    leading axes are bags, which the selection's arrays keep in front. One
-    generator draws the noise as one (..., M, T) array, the same stream as
-    one-bag draws in order; a sequence of generators, one per bag in C
-    order, draws each bag's (M, T) from its own, as a one-bag call with that
-    generator would (a length other than the bag count is a ValueError).
+    leading axes are bags, which the selection's arrays keep in front. The
+    bags draw their (M, T) noise in C order, each from its generator: a
+    sequence gives one per bag (a length other than the bag count is a
+    ValueError), and a single generator serves every bag in turn, which is
+    the stream of one (..., M, T) draw. Each bag draws what a one-bag call
+    with its generator would.
     """
     w = np.asarray(omega, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] < 1:
@@ -176,9 +177,9 @@ def topk_score(
 
     shape = (*w.shape[:-1], num_samples, t_len)
     bags = math.prod(w.shape[:-1])
-    per_bag = rng is not None and not isinstance(rng, np.random.Generator)
-    if per_bag and len(rng) != bags:
-        raise ValueError(f"expected one generator per bag ({bags}), got {len(rng)}")
+    rngs = [rng] * bags if isinstance(rng, np.random.Generator) else rng
+    if rngs is not None and len(rngs) != bags:
+        raise ValueError(f"expected one generator per bag ({bags}), got {len(rngs)}")
     if noise is not None:
         z = np.asarray(noise, dtype=np.float64)
         if z.shape != shape:
@@ -186,14 +187,11 @@ def topk_score(
     elif sigma == 0.0:
         z = np.zeros(shape)
     else:
-        if rng is None:
+        if rngs is None:
             raise ValueError("an rng is required when sigma > 0 and no noise is supplied")
-        if per_bag:
-            z = np.empty(shape)
-            for bag_rng, bag in zip(rng, z.reshape(bags, num_samples, t_len)):
-                bag_rng.standard_normal(out=bag)
-        else:
-            z = rng.standard_normal(shape)
+        z = np.empty(shape)
+        for bag_rng, bag in zip(rngs, z.reshape(bags, num_samples, t_len)):
+            bag_rng.standard_normal(out=bag)
 
     perturbed = _perturb(w, z, sigma)
     # the set a stable descending sort puts first, without the sort: every score

@@ -239,8 +239,11 @@ def evaluate_records(
     (``_score_batch`` finds the video by scoring its batch's videos alone).
     The videos are scored under one ``np.errstate`` that silences overflow
     and invalid-value warnings: the engine checks every value the forward
-    pass makes, so nothing warns before that error.
+    pass makes, so nothing warns before that error. A negative
+    ``eval_seed`` is a ValueError, raised before anything else.
     """
+    if eval_seed < 0:
+        raise ValueError(f"eval_seed must be non-negative, got {eval_seed}")
     ag.pin_malloc_thresholds()
     if not records:
         raise ValueError("no videos to evaluate: the split is empty")

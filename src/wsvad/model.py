@@ -155,7 +155,7 @@ def save_checkpoint(model: Model, path) -> None:
         "scorer_hidden": list(model.scorer.dims[1:-1]),
         "classifier_hidden": list(model.classifier.dims[1:-1]),
         "classifier_dropout": CLASSIFIER_DROPOUT,
-        "conv_kernel": model.conv.kernel,
+        "conv_kernel": CONV_KERNEL,
         "tsa": {**tsa, "estimator": CHECKPOINT_ESTIMATOR},
         "tsa_enabled": model.tsa_enabled,
     }
@@ -177,9 +177,11 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(data.tobytes())
 
 
-def _int_list(value, what: str) -> tuple[int, ...]:
+def _int_list(fields_: dict, key: str, path) -> tuple[int, ...]:
+    """``fields_[key]`` as a tuple if it is a JSON list of positive integers."""
+    value = fields_[key]
     if not isinstance(value, list) or not all(type(v) is int and v > 0 for v in value):
-        raise ValueError(f"{what} must be a list of positive integers, got {value!r}")
+        raise FormatError(f"{path}: header field '{key}' must be a list of positive integers, got {value!r}")
     return tuple(value)
 
 
@@ -199,7 +201,7 @@ def _typed(fields_: dict, key: str, kind: type, path, where: str = ""):
 def _init_args(header: dict, path) -> dict:
     """Validate a checkpoint header; returns ``_assemble``'s arguments other
     than the arrays, plus ``scorer_hidden``."""
-    if _int_list(header["classifier_hidden"], "classifier_hidden") != CLASSIFIER_HIDDEN:
+    if _int_list(header, "classifier_hidden", path) != CLASSIFIER_HIDDEN:
         raise FormatError(f"{path}: unsupported classifier layout {header['classifier_hidden']}")
     if _typed(header, "conv_kernel", int, path) != CONV_KERNEL:
         raise FormatError(f"{path}: unsupported conv kernel {header['conv_kernel']!r}")
@@ -219,7 +221,7 @@ def _init_args(header: dict, path) -> dict:
         d=_typed(header, "d", int, path),
         tsa=TsaConfig(**tsa_fields),
         tsa_enabled=_typed(header, "tsa_enabled", bool, path),
-        scorer_hidden=_int_list(header["scorer_hidden"], "scorer_hidden"),
+        scorer_hidden=_int_list(header, "scorer_hidden", path),
     )
 
 

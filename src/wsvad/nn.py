@@ -62,10 +62,6 @@ class ConvModule:
     def width(self) -> int:
         return self.conv_w[0].shape[1]
 
-    @property
-    def kernel(self) -> int:
-        return self.conv_w[0].shape[0]
-
 
 def conv_module_forward(mod: ConvModule, x: Tensor, bags: int = 1, scale: Tensor | None = None) -> Tensor:
     """Apply the context block to ``scale * x``: ``bags`` bags of T snippets

@@ -111,9 +111,11 @@ def _generate_split(
                 start = int(rng.integers(0, whole - eps + 1))
                 anomaly = slice(start, start + eps)
                 intervals[video_id] = [[start * cfg.snippet_len, (start + eps) * cfg.snippet_len]]
-            feats = _normal_snippets(cfg, rng, frames)
+            feats = rng.normal(0.0, cfg.noise_std, size=(math.ceil(frames / cfg.snippet_len), cfg.d)).astype(np.float32)
             feats[anomaly] += (cfg.anomaly_shift * direction).astype(np.float32)
-            entries.append(_write_video(split_dir, video_id, feats, label, frames))
+            path = f"{video_id}.vadf"
+            save_features(feats, split_dir / path)
+            entries.append(ManifestEntry(video_id=video_id, path=path, label=label, frame_count=frames))
 
     manifest = DatasetManifest(
         version=MANIFEST_VERSION,
@@ -128,19 +130,6 @@ def _generate_split(
             json.dump(intervals, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return manifest
-
-
-def _normal_snippets(cfg: SyntheticConfig, rng: np.random.Generator, frames: int) -> np.ndarray:
-    t_k = math.ceil(frames / cfg.snippet_len)
-    return rng.normal(0.0, cfg.noise_std, size=(t_k, cfg.d)).astype(np.float32)
-
-
-def _write_video(
-    split_dir: Path, video_id: str, feats: np.ndarray, label: int, frames: int
-) -> ManifestEntry:
-    path = f"{video_id}.vadf"
-    save_features(feats, split_dir / path)
-    return ManifestEntry(video_id=video_id, path=path, label=label, frame_count=frames)
 
 
 def load_ground_truth(path: str | Path) -> dict[str, list[tuple[int, int]]]:

@@ -62,23 +62,17 @@ class TrainConfig:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
-@dataclass
-class BatchLayout:
-    """2B bags of T snippets stacked along the rows, the B normal bags first
-    and then the B abnormal ones, as ``dmt_loss`` takes them."""
-
-    features: Tensor  # (2B * T, d)
-    videos: np.ndarray  # (2B,) index of each bag's video in the training array
-
-
 def build_batch(
     videos: np.ndarray, labels: np.ndarray, batch_bags: int, rng: np.random.Generator
-) -> BatchLayout:
+) -> tuple[Tensor, np.ndarray]:
     """Draw B normal and then B abnormal bags from ``videos`` (N, T, d),
     whose classes ``labels`` (N,) gives, and gather them with one ``np.take``.
 
-    Sampling is without replacement per class when the class has at least B
-    videos, with replacement otherwise.
+    Returns the (2B * T, d) features, the 2B bags of T snippets stacked
+    along the rows, normal bags first, as ``dmt_loss`` takes them, and the
+    (2B,) index of each bag's video in ``videos``. Sampling is without
+    replacement per class when the class has at least B videos, with
+    replacement otherwise.
     """
     labels = np.asarray(labels)
     normal, abnormal = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
@@ -89,8 +83,7 @@ def build_batch(
     drawn = np.concatenate(
         [pool[rng.choice(pool.size, size=batch_bags, replace=pool.size < batch_bags)] for pool in (normal, abnormal)]
     )
-    features = np.take(videos, drawn, axis=0).reshape(-1, videos.shape[-1])
-    return BatchLayout(features=Tensor(features), videos=drawn)
+    return Tensor(np.take(videos, drawn, axis=0).reshape(-1, videos.shape[-1])), drawn
 
 
 def top_alpha_rows(feats: np.ndarray, alpha: int) -> np.ndarray:
@@ -267,13 +260,11 @@ def train(
     log: list[dict] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            batch = None
+            drawn = None
             try:
-                batch = build_batch(videos, labels, cfg.batch_bags, batch_rng)
+                features, drawn = build_batch(videos, labels, cfg.batch_bags, batch_rng)
                 # backward frees each node it is done with: no forward output is held here
-                loss = forward_loss(
-                    model, batch.features, 2 * cfg.batch_bags, cfg, tsa_rng=noise_rng, dropout_rng=drop_rng
-                )
+                loss = forward_loss(model, features, 2 * cfg.batch_bags, cfg, tsa_rng=noise_rng, dropout_rng=drop_rng)
                 loss_val = loss.item()
                 ag.backward(loss)
                 opt.step()
@@ -284,8 +275,8 @@ def train(
                     row["val_auc"] = float(val_fn(model))
             except ag.NumericsError as exc:
                 where = f"epoch {epoch}"
-                if batch is not None:
-                    where += ": batch videos " + ", ".join(f"'{ids[i]}'" for i in batch.videos)
+                if drawn is not None:
+                    where += ": batch videos " + ", ".join(f"'{ids[i]}'" for i in drawn)
                 raise ag.NumericsError(f"{where}: {exc}") from exc
             log.append(row)
     return TrainResult(model=model, log=log)

@@ -507,6 +507,19 @@ class TestBatchedSelection:
             assert np.array_equal(got.selected[i], one.selected)
             assert np.array_equal(got.inclusion[i], one.inclusion)
 
+    def test_one_generator_serves_every_bag_in_turn(self):
+        """One generator and a list naming it once per bag draw the same
+        noise, the stream of one (bags, M, T) draw, and leave it in the same
+        state."""
+        scores = np.random.default_rng(17).uniform(size=(16, 32))
+        g, g2, g3 = (np.random.default_rng(21) for _ in range(3))
+        one = topk_score(scores, 22, 100, 0.05, g)
+        listed = topk_score(scores, 22, 100, 0.05, [g2] * 16)
+        assert np.array_equal(one.noise, listed.noise)
+        assert np.array_equal(one.noise, g3.standard_normal((16, 100, 32)))
+        assert np.array_equal(one.selected, listed.selected)
+        assert g.bit_generator.state == g2.bit_generator.state == g3.bit_generator.state
+
     @pytest.mark.parametrize("count", [0, 2, 4])
     def test_generator_list_needs_one_per_bag(self, count):
         scores = np.zeros((3, 5))

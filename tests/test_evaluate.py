@@ -485,6 +485,14 @@ class TestBatchedEval:
             assert tl.video_id == rec.video_id
             assert tl.snippet_scores.tobytes() == alone.snippet_scores.tobytes(), rec.video_id
 
+    def test_negative_eval_seed_rejected_before_any_work(self, monkeypatch):
+        records, gt = split_of([4, 9], 8)
+        model = fresh_model()
+        monkeypatch.setattr(evaluate, "_score_batch", None)  # scoring anything would be a TypeError
+        for recs in (records, []):
+            with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
+                evaluate_records(recs, model, gt, eval_seed=-1)
+
     def test_one_forward_pass_per_snippet_count_and_chunk(self, monkeypatch):
         records, gt = split_of([4, 9, 4, 200, 4, 200, 600, 200, 9, 600], 8)
         calls, timelined = [], []

@@ -7,6 +7,8 @@ bare UnicodeDecodeError, struct.error, KeyError, ...) fails the test and
 names the corruption.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from wsvad.features import (
     save_manifest,
 )
 from wsvad.model import init_model, load_checkpoint, save_checkpoint
+from wsvad.synthetic import load_ground_truth
 
 FLIPS = 3000
 SPLICES = 500
@@ -38,6 +41,13 @@ def _vadf(path, seed):
 def _manifest(path, seed):
     videos = [ManifestEntry(f"vid{i}", f"feats/vid{i}.vadf", i % 2, 40 + 7 * i) for i in range(4 + seed)]
     save_manifest(DatasetManifest(version=1, d=8, snippet_len=4, split="train", videos=videos), path)
+
+
+def _ground_truth(path, seed):
+    """A test split's intervals, written as ``generate_synthetic`` writes them."""
+    intervals = {f"test_norm_{i:04d}": [] for i in range(2 + seed)}
+    intervals.update({f"test_anom_{i:04d}": [[16 * i, 16 * i + 32 + seed]] for i in range(2 + seed)})
+    path.write_text(json.dumps(intervals, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _corruptions(blob: bytes, other: bytes, seed: int):
@@ -63,8 +73,9 @@ def _corruptions(blob: bytes, other: bytes, seed: int):
         (_vadc, load_checkpoint, "model.vadc"),
         (_vadf, load_features, "feats.vadf"),
         (_manifest, load_manifest, "manifest.json"),
+        (_ground_truth, load_ground_truth, "ground_truth.json"),
     ],
-    ids=["checkpoint", "features", "manifest"],
+    ids=["checkpoint", "features", "manifest", "ground_truth"],
 )
 def test_corrupt_file_loads_or_raises_format_error(tmp_path, write, load, name):
     path = tmp_path / name

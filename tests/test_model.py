@@ -209,6 +209,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=rf"model\.vadc: header field '{'.'.join(keys)}' must be"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [5, [12, -6], [12.0, 6]], ids=["int", "negative", "float"])
+    @pytest.mark.parametrize("key", ["scorer_hidden", "classifier_hidden"])
+    def test_layout_field_not_a_positive_int_list_named(self, tmp_path, key, value):
+        path = tmp_path / "model.vadc"
+        save_checkpoint(small_model(), path)
+        rewrite_header(path, lambda h: edited(h, key, value=value))
+        message = f"model.vadc: header field '{key}' must be a list of positive integers, got {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
     def test_integer_header_values_load_as_numbers(self, tmp_path):
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)

@@ -58,20 +58,20 @@ class TestBuildBatch:
         records, _ = make_records(tmp_path)
         videos, labels = resized(records, 8)
         for seed in range(5):
-            batch = build_batch(videos, labels, 4, np.random.default_rng(seed))
-            assert np.array_equal(labels[batch.videos], np.repeat([0, 1], 4))
+            features, drawn = build_batch(videos, labels, 4, np.random.default_rng(seed))
+            assert np.array_equal(labels[drawn], np.repeat([0, 1], 4))
             # six videos per class: four drawn without replacement
-            assert len(set(batch.videos[:4])) == 4 and len(set(batch.videos[4:])) == 4
-            assert batch.features.shape == (8 * 8, 8)
-            assert np.array_equal(batch.features.data, videos[batch.videos].reshape(64, 8))
+            assert len(set(drawn[:4])) == 4 and len(set(drawn[4:])) == 4
+            assert features.shape == (8 * 8, 8)
+            assert np.array_equal(features.data, videos[drawn].reshape(64, 8))
 
     def test_single_pair_is_deterministic(self, tmp_path):
         records, _ = make_records(tmp_path, n_normal=1, n_abnormal=1)
         videos, labels = resized(records, 6)
-        a = build_batch(videos, labels, 1, np.random.default_rng(0))
-        b = build_batch(videos, labels, 1, np.random.default_rng(123))
-        assert np.array_equal(a.videos, b.videos)
-        assert np.array_equal(a.features.data, b.features.data)
+        a_features, a_drawn = build_batch(videos, labels, 1, np.random.default_rng(0))
+        b_features, b_drawn = build_batch(videos, labels, 1, np.random.default_rng(123))
+        assert np.array_equal(a_drawn, b_drawn)
+        assert np.array_equal(a_features.data, b_features.data)
 
     def test_replayed_stream_matches(self, tmp_path):
         records, _ = make_records(tmp_path)
@@ -79,7 +79,7 @@ class TestBuildBatch:
 
         def draws(seed, n=500):
             rng = np.random.default_rng(seed)
-            return [tuple(build_batch(videos, labels, 2, rng).videos) for _ in range(n)]
+            return [tuple(build_batch(videos, labels, 2, rng)[1]) for _ in range(n)]
 
         assert draws(42) == draws(42)
 
@@ -105,10 +105,10 @@ class TestBuildBatch:
     def test_sampling_with_replacement_when_scarce(self, tmp_path):
         records, _ = make_records(tmp_path, n_normal=1, n_abnormal=1)
         videos, labels = resized(records, 8)
-        batch = build_batch(videos, labels, 4, np.random.default_rng(0))
+        features, drawn = build_batch(videos, labels, 4, np.random.default_rng(0))
         # 1 video per class reused
-        assert batch.videos.tolist() == [np.flatnonzero(labels == 0)[0]] * 4 + [np.flatnonzero(labels == 1)[0]] * 4
-        assert batch.features.shape == (8 * 8, 8)
+        assert drawn.tolist() == [np.flatnonzero(labels == 0)[0]] * 4 + [np.flatnonzero(labels == 1)[0]] * 4
+        assert features.shape == (8 * 8, 8)
 
 
 class TestTopAlphaMean:
