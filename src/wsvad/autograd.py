@@ -605,14 +605,11 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     if not parts:
         raise ShapeError("concat: no operands")
-    sizes = [p.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def vjp(g):
-        return tuple(
-            np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
+        # each part's gradient is its own copy: a view would keep all of g alive
+        return tuple(part.copy() for part in np.split(g, bounds, axis))
 
     return _from_op("concat", np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
 

@@ -163,6 +163,11 @@ def video_frame_labels(
     return masks
 
 
+def _check_eval_seed(eval_seed: int) -> None:
+    if eval_seed < 0:
+        raise ValueError(f"eval_seed must be non-negative, got {eval_seed}")
+
+
 def evaluate_manifest(
     manifest: DatasetManifest,
     base_dir: str | Path,
@@ -171,7 +176,9 @@ def evaluate_manifest(
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
     """``evaluate_records`` over the videos of ``manifest``, loaded from
-    ``base_dir`` in manifest order."""
+    ``base_dir`` in manifest order. A negative ``eval_seed`` is rejected
+    before any feature file is read."""
+    _check_eval_seed(eval_seed)
     return evaluate_records(load_records(manifest, base_dir), model, ground_truth, eval_seed)
 
 
@@ -242,8 +249,7 @@ def evaluate_records(
     pass makes, so nothing warns before that error. A negative
     ``eval_seed`` is a ValueError, raised before anything else.
     """
-    if eval_seed < 0:
-        raise ValueError(f"eval_seed must be non-negative, got {eval_seed}")
+    _check_eval_seed(eval_seed)
     ag.pin_malloc_thresholds()
     if not records:
         raise ValueError("no videos to evaluate: the split is empty")

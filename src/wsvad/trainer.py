@@ -9,7 +9,8 @@ by the mean classifier output of its top-alpha snippets, ranked by feature
 magnitude like the margin term). Those top-alpha rows are the only ones the
 loss reads, so the snippet classifier runs on them alone (``forward_loss``,
 which also draws the classifier's dropout masks and is the one place that
-applies its rate, ``model.CLASSIFIER_DROPOUT``).
+applies its rate, ``model.CLASSIFIER_DROPOUT``). The loss over those rows is
+one engine op with the bits of the single-op chain it replaces (``dmt_terms``).
 """
 
 from __future__ import annotations
@@ -134,24 +135,35 @@ def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
 
 
 def dmt_loss(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> Tensor:
-    """Margin hinge on paired bag separabilities plus video-level BCE."""
-    margin_term, bce_term = dmt_terms(ctx, scores, bags, cfg)
-    return margin_term + bce_term
+    """Margin hinge on paired bag separabilities plus video-level BCE, as one op."""
+    return dmt_terms(ctx, scores, bags, cfg)[0]
 
 
-def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple[Tensor, Tensor]:
-    """The two terms of ``dmt_loss``: the mean margin hinge and the BCE.
+def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple[Tensor, float, float]:
+    """The loss of ``dmt_loss`` as one op, and the values of its two terms,
+    the mean margin hinge and the BCE: ``(loss, margin_term, bce_term)``,
+    the loss their sum.
 
     ``ctx`` (2B * T, d) and ``scores`` (2B * T, 1) hold ``bags`` = 2B bags of
     T snippets stacked along the rows, B normal bags then B abnormal, as
     ``build_batch`` lays them out; normal bag i is paired with abnormal bag
     B + i. Each bag's top-alpha snippets by context-feature magnitude give
     both its magnitude for the margin term and its video score (their mean
-    snippet score, clipped away from {0, 1}) for the BCE term.
+    snippet score, clipped away from {0, 1}) for the BCE term: their rows
+    are gathered from both, then handed to the op.
 
     ``ctx`` (2B, alpha, d) and ``scores`` (2B, alpha, 1) are those top-alpha
     rows already gathered, each bag's largest first, as ``forward_loss``
-    hands them on; both terms are then taken from them as they are.
+    hands them on; the op takes them as they are.
+
+    The op's forward and vjp replay, in the inputs' dtype, the numpy
+    expressions of the single-op chain that ``unfused_dmt_terms`` in
+    ``tests/helpers.py`` keeps: float64-accumulated means and norms cast
+    back, the ``[[1, -1]]`` product that pairs the bags, the hinge, the
+    clipped likelihoods and their log. The loss, both terms and both
+    gradients are the chain's bits. The op checks its output and both
+    gradients, and the magnitudes too: an abnormal bag's magnitude that
+    overflows in its cast would meet a zero hinge and leave the loss finite.
     """
     b = bags // 2
     if ctx.ndim == 2:
@@ -166,17 +178,39 @@ def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple
             f"expected 2*B bags of top-alpha context features and scores, got {ctx.shape}, {scores.shape} "
             f"for {bags} bags of alpha {cfg.alpha}"
         )
+    dt, alpha = ctx.data.dtype, cfg.alpha
 
+    # margin term: each bag's magnitude is the norm of its mean top-alpha row
+    mean = np.asarray(np.sum(ctx.data, axis=1, dtype=np.float64) / alpha, dtype=dt)  # (2B, d)
+    norm = np.sqrt(np.sum(np.square(mean, dtype=np.float64), axis=-1, keepdims=True))  # (2B, 1)
+    mags = ag._ensure_finite("dmt_loss", np.asarray(norm, dtype=dt).reshape(2, b))
     # per pair: margin minus separability (abnormal minus normal magnitude)
-    shortfall = ag.matmul(Tensor([[1.0, -1.0]]), _magnitudes(ctx).reshape(2, b)) + cfg.margin
-    margin_term = shortfall.relu().mean()
+    pair = np.array([[1.0, -1.0]], dtype=dt)
+    shortfall = pair @ mags + np.asarray(cfg.margin, dtype=dt)  # (1, B)
+    margin_term = np.asarray(np.sum(np.maximum(shortfall, 0), dtype=np.float64) / b, dtype=dt)
 
-    video = scores.mean(axis=1).clip(BCE_EPS, 1.0 - BCE_EPS)  # (2B, 1)
-    # likelihood of each bag's label: s for abnormal, 1 - s for normal
+    # BCE term: the negative mean log-likelihood of each bag's label, its
+    # video score s for abnormal and 1 - s for normal
+    video = np.asarray(np.sum(scores.data, axis=1, dtype=np.float64) / alpha, dtype=dt)  # (2B, 1)
+    kept = (video >= BCE_EPS) & (video <= 1.0 - BCE_EPS)
     y = np.repeat([0.0, 1.0], b)[:, None]
-    likelihood = video * Tensor(2.0 * y - 1.0) + Tensor(1.0 - y)
-    # the BCE term is the negative mean log-likelihood
-    return margin_term, -likelihood.log().mean()
+    sign = np.asarray(2.0 * y - 1.0, dtype=dt)
+    likelihood = np.clip(video, BCE_EPS, 1.0 - BCE_EPS) * sign + np.asarray(1.0 - y, dtype=dt)
+    bce_term = -np.asarray(np.sum(np.log(likelihood), dtype=np.float64) / bags, dtype=dt)
+
+    def vjp(g):
+        g_short = np.full(shortfall.shape, g * (1.0 / b), dtype=dt) * (shortfall > 0)
+        g_mags = (pair.T @ g_short).reshape(norm.shape)
+        unit = np.divide(mean, norm, out=np.zeros(mean.shape), where=norm > 0)
+        g_ctx = (g_mags * unit).astype(dt) * (1.0 / alpha)
+        g_scores = np.full(video.shape, -g * (1.0 / bags), dtype=dt) / likelihood * sign * kept * (1.0 / alpha)
+        return (
+            np.broadcast_to(g_ctx[:, None], ctx.shape).astype(dt),
+            np.broadcast_to(g_scores[:, None], scores.shape).astype(dt),
+        )
+
+    loss = ag.custom_op("dmt_loss", margin_term + bce_term, (ctx, scores), vjp)
+    return loss, float(margin_term), float(bce_term)
 
 
 def forward_loss(
@@ -195,13 +229,14 @@ def forward_loss(
     The context stage runs over every row; each bag's top-alpha rows of the
     context features are then gathered once, (2B, alpha, d), and the
     classifier runs on those rows alone, since the loss reads no other
-    snippet's score. Given ``dropout_rng``, each hidden layer's dropout
-    mask at rate p = ``CLASSIFIER_DROPOUT`` is drawn in layer order for the
-    whole batch, (2B * T, width), and taken at those rows, so the stream
-    moves on as for a classifier over every row and each kept row gets that
-    draw's mask. The classifier gets each mask scaled, 1 / (1 - p) where a
-    unit is kept and 0 where it drops. Without a generator there is no
-    dropout.
+    snippet's score. The gather and the scores go to ``dmt_loss`` as they
+    are, so the loss adds two nodes to the step's graph: the gather and the
+    loss op. Given ``dropout_rng``, each hidden layer's dropout mask at rate
+    p = ``CLASSIFIER_DROPOUT`` is drawn in layer order for the whole batch,
+    (2B * T, width), and taken at those rows, so the stream moves on as for
+    a classifier over every row and each kept row gets that draw's mask.
+    The classifier gets each mask scaled, 1 / (1 - p) where a unit is kept
+    and 0 where it drops. Without a generator there is no dropout.
     """
     ctx, _ = context_features(model, features, bags, tsa_rng=tsa_rng)
     top, rows = _top_alpha_gather(ctx, bags, cfg.alpha)

@@ -95,6 +95,24 @@ def stack(bags: list) -> ag.Tensor:
     return ag.concat(bags, axis=0)
 
 
+def unfused_dmt_terms(top: ag.Tensor, scores: ag.Tensor, margin: float) -> tuple[ag.Tensor, ag.Tensor]:
+    """The loss's two terms as single ops, from the (2B, alpha, d) top-alpha
+    rows and their (2B, alpha, 1) scores: the mean margin hinge and the BCE,
+    whose sum is the loss. ``trainer.dmt_loss`` runs them as one op with
+    these bits."""
+    bags = top.shape[0]
+    b = bags // 2
+    magnitudes = ag.l2_norm(top.mean(axis=1), axis=-1)
+    # per pair: margin minus separability (abnormal minus normal magnitude)
+    shortfall = ag.matmul(ag.Tensor([[1.0, -1.0]]), magnitudes.reshape(2, b)) + margin
+    margin_term = shortfall.relu().mean()
+    video = scores.mean(axis=1).clip(BCE_EPS, 1.0 - BCE_EPS)
+    # likelihood of each bag's label: s for abnormal, 1 - s for normal
+    y = np.repeat([0.0, 1.0], b)[:, None]
+    likelihood = video * ag.Tensor(2.0 * y - 1.0) + ag.Tensor(1.0 - y)
+    return margin_term, -likelihood.log().mean()
+
+
 def ref_dmt_loss(ctx_feats: list, scores: list, labels: np.ndarray, cfg) -> ag.Tensor:
     """The loss written bag by bag: a Python loop over the pairs for the
     margin hinge and over the bags for the BCE, each bag's top-alpha rows

@@ -1086,6 +1086,19 @@ class TestStructuralOps:
         backward((out * 2.0).sum())
         assert np.all(a.grad == 2.0) and np.all(b.grad == 2.0)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_concat_grads_are_owned_copies_of_the_slices(self, axis):
+        """Each part gets its slice of the gradient as a contiguous array of
+        its own: a view would keep the whole gradient alive."""
+        rng = np.random.default_rng(axis)
+        widths = [3, 1, 4]
+        parts = [Tensor(rng.normal(size=(5, w) if axis else (w, 5)), requires_grad=True) for w in widths]
+        g = rng.normal(size=(5, 8) if axis else (8, 5)).astype(np.float32)
+        backward(inject(concat(parts, axis=axis), g))
+        for part, want in zip(parts, np.split(g, np.cumsum(widths)[:-1], axis)):
+            assert part.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert part.grad.flags.owndata and part.grad.flags.c_contiguous
+
     def test_transpose_and_reshape_grads(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 4))

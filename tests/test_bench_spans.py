@@ -56,9 +56,9 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
     # one graph over the stacked batch: scorer 3 nodes (one linear per
     # layer), attention 1, context module 7 (3 convs with bias,
     # nonlocal_attention, concat, the residual's row scale and its add),
-    # classifier 5 (3 linear, 2 dropout masks' mul) on the loss's top-alpha gather,
-    # loss 16
-    assert tracer.epoch_nodes == [32]
+    # classifier 5 (3 linear, 2 dropout masks' mul) on the loss's top-alpha
+    # gather, loss 2 (that gather and the `dmt_loss` op)
+    assert tracer.epoch_nodes == [18]
 
 
 def test_traced_eval_counts_match_the_manifest(spans, tmp_path):

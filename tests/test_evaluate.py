@@ -493,6 +493,16 @@ class TestBatchedEval:
             with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
                 evaluate_records(recs, model, gt, eval_seed=-1)
 
+    def test_negative_eval_seed_rejected_before_any_file_is_read(self, monkeypatch, tmp_path):
+        _, test_m = generate_synthetic(SyntheticConfig(n_normal=2, n_abnormal=2, d=8, seed=2), tmp_path)
+
+        def load_records(*args):
+            raise AssertionError("evaluate_manifest read the feature files")
+
+        monkeypatch.setattr(evaluate, "load_records", load_records)
+        with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
+            evaluate_manifest(test_m, tmp_path / "test", fresh_model(), {}, eval_seed=-1)
+
     def test_one_forward_pass_per_snippet_count_and_chunk(self, monkeypatch):
         records, gt = split_of([4, 9, 4, 200, 4, 200, 600, 200, 9, 600], 8)
         calls, timelined = [], []

@@ -4,7 +4,9 @@ Each file is truncated at every byte offset, hit with seeded single-bit
 flips, and spliced with a second valid file of its kind (a prefix of one
 joined to a suffix of the other). Any exception other than FormatError (a
 bare UnicodeDecodeError, struct.error, KeyError, ...) fails the test and
-names the corruption.
+names the corruption. Every truncation is rejected, except that a JSON file
+cut just before its trailing newline is still the whole document and loads
+as the original.
 """
 
 import json
@@ -51,10 +53,8 @@ def _ground_truth(path, seed):
 
 
 def _corruptions(blob: bytes, other: bytes, seed: int):
-    """Every truncation, FLIPS seeded single-bit flips, then SPLICES seeded
-    splices of ``blob`` with ``other``."""
-    for cut in range(len(blob)):
-        yield f"truncated to {cut} bytes", blob[:cut]
+    """FLIPS seeded single-bit flips, then SPLICES seeded splices of ``blob``
+    with ``other``."""
     rng = np.random.default_rng(seed)
     for _ in range(FLIPS):
         pos = int(rng.integers(len(blob)))
@@ -83,16 +83,25 @@ def test_corrupt_file_loads_or_raises_format_error(tmp_path, write, load, name):
     other = path.read_bytes()
     write(path, 0)
     blob = path.read_bytes()
-    loaded = rejected = 0
-    for what, corrupt in _corruptions(blob, other, seed=len(blob)):
+    original = load(path)
+
+    def outcome(what, corrupt):
+        """The loaded value, or None when the loader rejects the bytes."""
         path.write_bytes(corrupt)
         try:
-            load(path)
+            return load(path)
         except FormatError:
-            rejected += 1
+            return None
         except Exception as exc:  # noqa: BLE001 - any other type is the failure under test
             pytest.fail(f"{name} {what}: {type(exc).__name__}: {exc}")
-        else:
-            loaded += 1
-    assert rejected >= len(blob)  # no truncation loads
+
+    cuts = {cut: outcome(f"truncated to {cut} bytes", blob[:cut]) for cut in range(len(blob))}
+    loaded_cuts = sorted(cut for cut, value in cuts.items() if value is not None)
+    if name.endswith(".json"):
+        # only the cut that drops the trailing newline keeps the whole document
+        assert blob.endswith(b"\n") and loaded_cuts == [len(blob) - 1]
+        assert cuts[len(blob) - 1] == original
+    else:
+        assert loaded_cuts == []
+    loaded = sum(outcome(what, corrupt) is not None for what, corrupt in _corruptions(blob, other, seed=len(blob)))
     assert loaded > 0  # some flips hit payload bytes and still load

@@ -25,10 +25,11 @@ from wsvad.trainer import (
     separability,
     theorem1_probe,
     top_alpha_mean,
+    top_alpha_rows,
     train,
 )
 
-from helpers import engine_grads, max_rel_err, read_only_gradients, ref_dmt_loss, stack
+from helpers import engine_grads, max_rel_err, read_only_gradients, ref_dmt_loss, stack, unfused_dmt_terms
 
 
 def make_records(tmp_path, **kw):
@@ -202,8 +203,8 @@ class TestDmtLoss:
     def test_identical_bags_margin_exact(self):
         x = Tensor(np.random.default_rng(5).normal(size=(4, 2)).astype(np.float32))
         u = Tensor(np.full((4, 1), 0.5, dtype=np.float32))
-        margin_term, _ = dmt_terms(stack([x, x]), stack([u, u]), 2, loss_cfg())
-        assert margin_term.item() == 4.0
+        _, margin_term, _ = dmt_terms(stack([x, x]), stack([u, u]), 2, loss_cfg())
+        assert margin_term == 4.0
 
     def test_non_negative(self):
         rng = np.random.default_rng(6)
@@ -339,8 +340,8 @@ class TestStackedLoss:
         u = [Tensor(np.full((5, 1), 0.5, dtype=np.float32)) for _ in range(4)]
         cfg = loss_cfg(t_len=5, batch_bags=2, alpha=2, margin=100.0)
         seps = [separability(ctx[2 + i], ctx[i], 2).item() for i in range(2)]
-        margin_term, _ = dmt_terms(stack(ctx), stack(u), 4, cfg)
-        assert abs(margin_term.item() - (100.0 - np.mean(seps))) < 1e-5
+        _, margin_term, _ = dmt_terms(stack(ctx), stack(u), 4, cfg)
+        assert abs(margin_term - (100.0 - np.mean(seps))) < 1e-5
 
     def test_rows_must_split_into_bags(self):
         x = Tensor(np.ones((7, 2), dtype=np.float32))
@@ -349,6 +350,89 @@ class TestStackedLoss:
             dmt_loss(x, u, 2, loss_cfg())
         with pytest.raises(ValueError, match="scores"):
             dmt_loss(Tensor(np.ones((8, 2))), u, 2, loss_cfg())
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# (B, T, alpha, d, dtype, kind): the kinds pick the margin and the scores
+LOSS_OP_CASES = {
+    "mixed_hinges": (3, 7, 3, 6, np.float32, "mixed"),
+    "every_hinge_active": (2, 5, 2, 4, np.float32, "active"),
+    "every_hinge_inactive": (3, 6, 2, 5, np.float32, "inactive"),
+    "scores_clipped_both_ends": (2, 6, 3, 4, np.float32, "clipped"),
+    "alpha_is_t": (2, 4, 4, 3, np.float32, "mixed"),
+    "one_pair": (1, 5, 2, 8, np.float32, "mixed"),
+    "paper_widths": (8, 32, 3, 512, np.float32, "mixed"),
+    "float64": (3, 6, 3, 5, np.float64, "mixed"),
+}
+
+
+class TestLossOp:
+    """`dmt_loss` is one op whose forward and vjp replay the single-op chain
+    (`unfused_dmt_terms` in helpers): the loss, both terms and both inputs'
+    gradients are its bits, in the stacked form and the gathered one."""
+
+    @staticmethod
+    def inputs(case, seed):
+        b, t_len, alpha, d, dtype, kind = LOSS_OP_CASES[case]
+        rng = np.random.default_rng([seed, b, t_len, d])
+        ctx = rng.normal(size=(2 * b, t_len, d)) * rng.uniform(0.1, 10.0)
+        scores = rng.uniform(0.0, 1.0, size=(2 * b, t_len, 1))
+        if kind == "inactive":  # every abnormal bag far above its normal one
+            ctx[b:] *= 100.0
+        if kind == "clipped":  # a normal bag scored 0 and an abnormal one 1
+            scores[0], scores[-1] = 0.0, 1.0
+        margin = {"active": 1e4, "inactive": 0.0}.get(kind, float(rng.uniform(0.0, 2.0 * np.sqrt(d))))
+        cfg = loss_cfg(t_len=t_len, batch_bags=b, alpha=alpha, margin=margin)
+        return ctx.astype(dtype), scores.astype(dtype), cfg
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("case", list(LOSS_OP_CASES))
+    def test_loss_terms_and_gradients_are_the_chains_bits(self, case, seed):
+        ctx, scores, cfg = self.inputs(case, seed)
+        bags, t_len, d = ctx.shape
+        rows = top_alpha_rows(ctx, cfg.alpha) + t_len * np.arange(bags)[:, None]
+        with ag.using_dtype(ctx.dtype):
+            # stacked, against the chain over the same gather
+            ctx_s, u_s = Tensor(ctx.reshape(-1, d), requires_grad=True), Tensor(scores.reshape(-1, 1), requires_grad=True)
+            loss, margin_term, bce_term = dmt_terms(ctx_s, u_s, bags, cfg)
+            ag.backward(loss)
+            ctx_r, u_r = Tensor(ctx.reshape(-1, d), requires_grad=True), Tensor(scores.reshape(-1, 1), requires_grad=True)
+            want_margin, want_bce = unfused_dmt_terms(ag.gather_rows(ctx_r, rows), ag.gather_rows(u_r, rows), cfg.margin)
+            want = want_margin + want_bce
+            ag.backward(want)
+            # gathered, as forward_loss hands the rows on
+            top = [Tensor(ctx.reshape(-1, d)[rows], requires_grad=True) for _ in range(2)]
+            u_top = [Tensor(scores.reshape(-1, 1)[rows], requires_grad=True) for _ in range(2)]
+            ag.backward(dmt_loss(top[0], u_top[0], bags, cfg))
+            chain_margin, chain_bce = unfused_dmt_terms(top[1], u_top[1], cfg.margin)
+            ag.backward(chain_margin + chain_bce)
+        assert same_bits(loss.data, want.data)
+        assert (margin_term, bce_term) == (want_margin.item(), want_bce.item())
+        assert same_bits(ctx_s.grad, ctx_r.grad) and same_bits(u_s.grad, u_r.grad)
+        assert same_bits(top[0].grad, top[1].grad) and same_bits(u_top[0].grad, u_top[1].grad)
+        kind = LOSS_OP_CASES[case][-1]
+        if kind == "inactive":
+            assert margin_term == 0.0 and not top[0].grad.any()
+        if kind == "active":
+            assert margin_term > 0.0 and top[0].grad.all()
+        if kind == "clipped":  # the clipped bags' scores get no gradient
+            assert not u_top[0].grad[[0, -1]].any() and u_top[0].grad[1:-1].all()
+
+    def test_overflowing_magnitude_is_located(self):
+        """An abnormal bag whose magnitude overflows float32 in its cast
+        would meet a zero hinge and leave the loss finite; the op raises, as
+        the chain's `l2_norm` does."""
+        ctx = np.ones((4, 2, 4), dtype=np.float32)
+        ctx[3] = 3e38
+        scores = np.full((4, 2, 1), 0.5, dtype=np.float32)
+        cfg = loss_cfg(t_len=2, batch_bags=2, alpha=2)
+        with pytest.raises(ag.NumericsError, match="'dmt_loss'"), np.errstate(over="ignore"):
+            dmt_loss(Tensor(ctx, requires_grad=True), Tensor(scores), 4, cfg)
+        with pytest.raises(ag.NumericsError, match="'l2_norm'"), np.errstate(over="ignore"):
+            unfused_dmt_terms(Tensor(ctx, requires_grad=True), Tensor(scores), cfg.margin)
 
 
 def conv_module(seed):
@@ -586,19 +670,21 @@ class TestTrainingStepCost:
         # nodes: scorer 3 linear, attention 1, context module 7 (3 convs
         # with bias, nonlocal_attention, concat, the residual's row scale
         # and its add), classifier 5 (3 linear, and the `mul` by each of
-        # the 2 dropout masks), loss 16 (the classifier runs on the loss's
-        # top-alpha gather of the context features, so its scores need no
-        # gather of their own).
-        # 34 forward checks: the batch tensor 1, scorer 3, attention 1,
+        # the 2 dropout masks), loss 2 (the top-alpha gather of the context
+        # features, which the classifier runs on, so its scores need no
+        # gather of their own, and the `dmt_loss` op).
+        # 21 forward checks: the batch tensor 1, scorer 3, attention 1,
         # context module 7 (3 convs, the attention's logits and output, the
         # residual's row scale and its add), classifier 7 (the 2 scaled
-        # mask tensors, 3 linear, 2 mask `mul`), loss 15.
-        # 44 gradient checks: loss 10, classifier 11 (3 per linear, 1 per
-        # mask `mul`), context module 14 (3 per conv and 4 from
+        # mask tensors, 3 linear, 2 mask `mul`), loss 2 (the op's
+        # magnitudes and its output).
+        # 37 gradient checks: loss 3 (the op's two gradients and the
+        # gather's scatter), classifier 11 (3 per linear, 1 per mask
+        # `mul`), context module 14 (3 per conv and 4 from
         # nonlocal_attention, their weights, biases and scale, and 1 from
         # the residual's row scale), attention 1, scorer 8 (no gradient for
         # the constant batch).
-        assert per_step == dict(nodes=32, checks=78)
+        assert per_step == dict(nodes=18, checks=58)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
