@@ -163,6 +163,13 @@ def topk_score(
     ValueError), and a single generator serves every bag in turn, which is
     the stream of one (..., M, T) draw. Each bag draws what a one-bag call
     with its generator would.
+
+    A sample first keeps every snippet at or above its kappa-th largest
+    perturbed score, so each of the ``...`` x M samples keeps at least kappa
+    (for scores and noise that hold no NaN). Some sample overfills exactly
+    when the count over the whole array is above kappa per sample, kappa x
+    samples; only then are the per-sample counts taken, and each overfilled
+    sample cut to its lowest-index ties.
     """
     w = np.asarray(omega, dtype=np.float64)
     if w.ndim == 0 or w.shape[-1] < 1:
@@ -197,11 +204,12 @@ def topk_score(
     # the set a stable descending sort puts first, without the sort: every score
     # at or above the sample's kappa-th largest, and where ties at the kappa-th
     # overfill that, only the lowest-index ties that fit (an int32 running count
-    # is a third of the cost of the default int64 one)
+    # is a third of the cost of the default int64 one). One count over the
+    # whole array finds whether any sample overfills (see the docstring)
     kth = np.partition(perturbed, t_len - kappa, axis=-1)[..., t_len - kappa, None]
     selected = perturbed >= kth
-    over = np.count_nonzero(selected, axis=-1) > kappa
-    if over.any():
+    if np.count_nonzero(selected) > kappa * (selected.size // t_len):
+        over = np.count_nonzero(selected, axis=-1) > kappa
         p, k = perturbed[over], kth[over]
         above, tied = p > k, p == k
         room = kappa - np.count_nonzero(above, axis=-1, keepdims=True)

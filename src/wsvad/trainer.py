@@ -8,9 +8,10 @@ by a margin, plus a binary cross-entropy on video scores (each video scored
 by the mean classifier output of its top-alpha snippets, ranked by feature
 magnitude like the margin term). Those top-alpha rows are the only ones the
 loss reads, so the snippet classifier runs on them alone (``forward_loss``,
-which also draws the classifier's dropout masks and is the one place that
-applies its rate, ``model.CLASSIFIER_DROPOUT``). The loss over those rows is
-one engine op with the bits of the single-op chain it replaces (``dmt_terms``).
+which also draws the classifier's dropout masks at those rows only and is
+the one place that applies its rate, ``model.CLASSIFIER_DROPOUT``). The loss
+over those rows is one engine op with the bits of the single-op chain it
+replaces (``dmt_terms``).
 """
 
 from __future__ import annotations
@@ -232,11 +233,11 @@ def forward_loss(
     snippet's score. The gather and the scores go to ``dmt_loss`` as they
     are, so the loss adds two nodes to the step's graph: the gather and the
     loss op. Given ``dropout_rng``, each hidden layer's dropout mask at rate
-    p = ``CLASSIFIER_DROPOUT`` is drawn in layer order for the whole batch,
-    (2B * T, width), and taken at those rows, so the stream moves on as for
-    a classifier over every row and each kept row gets that draw's mask.
-    The classifier gets each mask scaled, 1 / (1 - p) where a unit is kept
-    and 0 where it drops. Without a generator there is no dropout.
+    p = ``CLASSIFIER_DROPOUT`` is drawn in layer order at those rows alone,
+    (2B, alpha, width) in C order, so a step uses the same amount of the
+    stream whatever T is. The classifier gets each mask scaled, 1 / (1 - p)
+    where a unit is kept and 0 where it drops. Without a generator there is
+    no dropout.
     """
     ctx, _ = context_features(model, features, bags, tsa_rng=tsa_rng)
     top, rows = _top_alpha_gather(ctx, bags, cfg.alpha)
@@ -244,7 +245,7 @@ def forward_loss(
     if dropout_rng is not None:
         p = CLASSIFIER_DROPOUT
         masks = [
-            Tensor((dropout_rng.random((ctx.shape[0], width))[rows] >= p).astype(ctx.data.dtype) / (1.0 - p))
+            Tensor((dropout_rng.random((*rows.shape, width)) >= p).astype(ctx.data.dtype) / (1.0 - p))
             for width in model.classifier.dims[1:-1]
         ]
     scores = mlp_forward(model.classifier, top, bags=bags, masks=masks)

@@ -130,22 +130,42 @@ class TestTopkStructure:
 
     def test_tie_fixup_touches_only_overfilled_samples(self):
         """One batched call mixes samples whose exact ties at the kappa-th score
-        overfill kappa with tie-free samples; both kinds match the stable argsort."""
+        overfill kappa with tie-free samples; both kinds match the stable argsort.
+        So does a call where a single sample ties there, overfilling by one: the
+        whole array then keeps one snippet more than kappa per sample, and the
+        fix-up must still run, keeping that sample's lower-index tie."""
+
+        def check(omega, kappa, m, sigma, z):
+            sel = topk_score(omega, kappa, m, sigma, noise=z)
+            indices, inclusion, v, _ = ref_topk(omega, kappa, z, sigma)
+            assert np.array_equal(sel.selected, v.astype(bool))
+            assert np.array_equal(sel.inclusion, inclusion)
+            assert np.array_equal(sel.indices, indices)
+            return sel
+
+        def kept(omega, kappa, sigma, z):
+            perturbed = omega[:, None, :] + sigma * z
+            kth = -np.sort(-perturbed, axis=-1)[..., kappa - 1, None]
+            return np.count_nonzero(perturbed >= kth, axis=-1)
+
         rng = np.random.default_rng(41)
         bags, m, t_len, kappa, sigma = 3, 16, 9, 4, 0.25
         omega = np.round(rng.uniform(0, 1, (bags, t_len)) * 4) / 4
         z = rng.standard_normal((bags, m, t_len))
         z[:, ::2] = rng.integers(-2, 3, (bags, m // 2, t_len))  # quarter steps: exact ties
-        perturbed = omega[:, None, :] + sigma * z
-        kth = -np.sort(-perturbed, axis=-1)[..., kappa - 1, None]
-        overfilled = np.count_nonzero(perturbed >= kth, axis=-1) > kappa
+        overfilled = kept(omega, kappa, sigma, z) > kappa
         assert overfilled.any() and not overfilled.all()
+        check(omega, kappa, m, sigma, z)
 
-        sel = topk_score(omega, kappa, m, sigma, noise=z)
-        indices, inclusion, v, _ = ref_topk(omega, kappa, z, sigma)
-        assert np.array_equal(sel.selected, v.astype(bool))
-        assert np.array_equal(sel.inclusion, inclusion)
-        assert np.array_equal(sel.indices, indices)
+        bags, m, t_len, kappa = 3, 8, 7, 3
+        omega = rng.uniform(0, 1, (bags, t_len))
+        omega[1] = [0.1, 0.9, 0.5, 0.7, 0.5, 0.2, 0.3]  # third largest tied at 2 and 4
+        z = rng.standard_normal((bags, m, t_len))
+        z[1, 5] = 0.0
+        counts = kept(omega, kappa, sigma, z)
+        assert counts[1, 5] == kappa + 1 and counts.sum() == kappa * bags * m + 1
+        sel = check(omega, kappa, m, sigma, z)
+        assert np.flatnonzero(sel.selected[1, 5]).tolist() == [1, 2, 3]
 
     def test_kappa_out_of_range(self):
         with pytest.raises(ValueError):

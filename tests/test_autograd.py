@@ -843,8 +843,8 @@ class TestElementwise:
         """A whole batch's scaled mask taken at some of its rows gives each
         of those rows the values and gradient that the mask over the whole
         batch gives it; a mask of any other shape than the input's is a
-        `ShapeError`. (`forward_loss` draws the whole batch's masks; the
-        trainer tests check that draw and the stream's end state.)"""
+        `ShapeError`. (`forward_loss` draws its masks at the gathered rows
+        alone; the trainer tests check that draw and the stream's end state.)"""
         x = np.random.default_rng(2).normal(size=(12, 6)).astype(np.float32)
         rows = np.array([[3, 0], [7, 11]])
         scale = (np.random.default_rng(5).random((12, 6)) >= 0.7).astype(np.float32) / (1.0 - 0.7)

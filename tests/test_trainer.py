@@ -241,21 +241,36 @@ class TestDmtLoss:
 
 
 class TestForwardLoss:
-    def test_classifier_on_the_loss_rows_matches_one_over_every_row(self):
+    @staticmethod
+    def _recording_masks(monkeypatch):
+        """Record the masks `forward_loss` hands the classifier, one list per call."""
+        calls = []
+
+        def recording(mlp, x, *, bags=1, masks=None):
+            calls.append(masks)
+            return mlp_forward(mlp, x, bags=bags, masks=masks)
+
+        monkeypatch.setattr(trainer_module, "mlp_forward", recording)
+        return calls
+
+    def test_classifier_on_the_loss_rows_matches_one_over_every_row(self, monkeypatch):
         """`forward_loss` runs the classifier on each bag's top-alpha rows
-        alone. Its dropout masks are the whole batch's, drawn layer by layer
-        at `CLASSIFIER_DROPOUT` as for a classifier over every row, scaled by
-        1 / (1 - p) and taken at those rows, and the dropout stream ends
-        where that draw leaves it, so the loss and every parameter's
-        gradient are those of the classifier over every row with the whole
-        batch's scaled masks, followed by the stacked loss (float64, where
-        only the products' grouping can differ)."""
+        alone, with dropout masks drawn at those rows: layer by layer at
+        `CLASSIFIER_DROPOUT`, `random((2B, alpha, 128))` and then
+        `random((2B, alpha, 32))`, each scaled by 1 / (1 - p), so the stream
+        ends where those two draws leave a reference generator and each
+        gathered row's mask is that row of the draw. The loss and every
+        parameter's gradient are those of the classifier over every row whose
+        masks hold the draw at the gathered rows (no other row's score reaches
+        the loss, so their masks are never read), followed by the stacked loss
+        (float64, where only the products' grouping can differ)."""
         rng = np.random.default_rng(31)
         cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa=TsaConfig(num_samples=8))
         bags = 2 * cfg.batch_bags
         feats = rng.normal(size=(bags * cfg.t_len, 8))
         feats[bags // 2 * cfg.t_len :] += 1.0
-        drop = [np.random.default_rng(7) for _ in range(2)]
+        drop, reference = np.random.default_rng(7), np.random.default_rng(7)
+        calls = self._recording_masks(monkeypatch)
         with ag.using_dtype(np.float64):
             model = init_model(8, cfg.tsa, np.random.SeedSequence(3))
             params = model.named_params()
@@ -267,41 +282,64 @@ class TestForwardLoss:
                     p.grad = None
                 return out
 
-            got = forward_loss(model, Tensor(feats), bags, cfg, tsa_rng=np.random.default_rng(1), dropout_rng=drop[0])
+            got = forward_loss(model, Tensor(feats), bags, cfg, tsa_rng=np.random.default_rng(1), dropout_rng=drop)
             got_grads = grads(got)
             ctx, _ = context_features(model, Tensor(feats), bags, tsa_rng=np.random.default_rng(1))
+            rows = top_alpha_rows(ctx.data.reshape(bags, cfg.t_len, -1), cfg.alpha) + cfg.t_len * np.arange(bags)[:, None]
             p = CLASSIFIER_DROPOUT
-            masks = [
-                Tensor((drop[1].random((ctx.shape[0], width)) >= p).astype(np.float64) / (1.0 - p))
-                for width in model.classifier.dims[1:-1]
-            ]
+            assert model.classifier.dims[1:-1] == (128, 32)
+            masks = []
+            for width, mask in zip((128, 32), calls[0], strict=True):
+                draw = (reference.random((bags, cfg.alpha, width)) >= p).astype(np.float64) / (1.0 - p)
+                assert mask.data.tobytes() == draw.tobytes()
+                whole = np.zeros((ctx.shape[0], width))  # rows the loss does not read
+                whole[rows] = draw
+                masks.append(Tensor(whole))
             want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags, masks=masks), bags, cfg)
             want_grads = grads(want)
-        assert drop[0].bit_generator.state == drop[1].bit_generator.state
+        assert drop.bit_generator.state == reference.bit_generator.state
         assert max_rel_err(got.data, want.data) < 1e-12
         for name, g in want_grads.items():
             assert max_rel_err(got_grads[name], g, abs_floor=1e-12) < 1e-9, name
 
     def test_no_generator_draws_nothing_and_zero_rate_keeps_every_unit(self, monkeypatch):
-        """Without a dropout generator `forward_loss` runs the classifier
-        without dropout and draws nothing. The draw does not depend on the
-        rate: at rate 0 every mask keeps every unit at scale 1, so the loss
-        is the loss without dropout, and the stream moves on by the whole
-        batch's draw."""
+        """Without a dropout generator `forward_loss` hands the classifier no
+        masks, so it runs without dropout and draws nothing. The draw does
+        not depend on the rate: at rate 0 every mask keeps every unit at
+        scale 1, so the loss is the loss without dropout, and the stream
+        moves on by the loss rows' draw, (2B, alpha, width) per layer."""
         cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa_enabled=False)
         bags = 2 * cfg.batch_bags
         feats = Tensor(np.random.default_rng(4).normal(size=(bags * cfg.t_len, 8)))
         model = init_model(8, cfg.tsa, np.random.SeedSequence(3), tsa_enabled=False)
         ctx, _ = context_features(model, feats, bags)
         want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags), bags, cfg).item()
+        calls = self._recording_masks(monkeypatch)
         got = forward_loss(model, feats, bags, cfg).item()
+        assert calls == [None]
         assert abs(got - want) <= 1e-6 * abs(want)
         drop, reference = np.random.default_rng(7), np.random.default_rng(7)
         monkeypatch.setattr(trainer_module, "CLASSIFIER_DROPOUT", 0.0)
         assert forward_loss(model, feats, bags, cfg, dropout_rng=drop).item() == got
-        for width in model.classifier.dims[1:-1]:
-            reference.random((ctx.shape[0], width))
+        for width, mask in zip(model.classifier.dims[1:-1], calls[1], strict=True):
+            assert mask.shape == (bags, cfg.alpha, width) and np.all(mask.data == 1.0)
+            reference.random((bags, cfg.alpha, width))
         assert drop.bit_generator.state == reference.bit_generator.state
+
+    def test_dropout_stream_does_not_depend_on_the_snippet_count(self):
+        """A step draws its masks at the 2B * alpha loss rows only, so batches
+        of 16 and of 64 snippets per bag, with the same B and alpha, leave
+        the dropout generator in the same state."""
+        states = []
+        for t_len in (16, 64):
+            cfg = TrainConfig(t_len=t_len, batch_bags=2, alpha=3, tsa_enabled=False)
+            bags = 2 * cfg.batch_bags
+            feats = Tensor(np.random.default_rng(t_len).normal(size=(bags * t_len, 8)))
+            model = init_model(8, cfg.tsa, np.random.SeedSequence(3), tsa_enabled=False)
+            drop = np.random.default_rng(7)
+            forward_loss(model, feats, bags, cfg, dropout_rng=drop)
+            states.append(drop.bit_generator.state)
+        assert states[0] == states[1] != np.random.default_rng(7).bit_generator.state
 
 
 class TestStackedLoss:
