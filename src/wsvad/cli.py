@@ -112,9 +112,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_split(manifest_path: Path):
-    """A split's records and ground truth, loaded once for repeated evaluation."""
-    records = load_records(load_manifest(manifest_path), manifest_path.parent)
+def _load_split(manifest_path: Path, flag: str, d: int):
+    """A split's records and ground truth, loaded once for repeated
+    evaluation by models trained on ``--manifest``'s ``d`` features."""
+    manifest = load_manifest(manifest_path)
+    if manifest.d != d:
+        raise ValueError(f"{flag} has width {manifest.d}, --manifest has width {d}")
+    records = load_records(manifest, manifest_path.parent)
     return records, load_ground_truth(manifest_path.parent / GROUND_TRUTH_FILENAME)
 
 
@@ -124,7 +128,7 @@ def _train_and_eval(args, cfgs: list[TrainConfig]):
     of that model on the test split, evaluated with the run's seed."""
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
-    test_records, test_truth = _load_split(Path(args.test_manifest))
+    test_records, test_truth = _load_split(Path(args.test_manifest), "--test-manifest", manifest.d)
 
     def reports():
         for cfg in cfgs:
@@ -169,7 +173,7 @@ def _cmd_train(args) -> int:
 
     val_fn = None
     if args.val_manifest:
-        val_records, val_truth = _load_split(Path(args.val_manifest))
+        val_records, val_truth = _load_split(Path(args.val_manifest), "--val-manifest", manifest.d)
 
         def val_fn(model):
             report, _, _ = evaluate_records(val_records, model, val_truth, eval_seed=args.seed)

@@ -1,4 +1,9 @@
-"""CLI surface: subcommands, outputs, exit codes, reproducibility."""
+"""CLI surface: subcommands, outputs, exit codes, reproducibility.
+
+Two tables hold the console script's contract: RERUNS, each command of
+which writes the same bytes when run again with the same flags, and
+BAD_INPUTS, each of which exits 1 with one located error line before it
+makes --out. CI runs this module against the installed package too."""
 
 import argparse
 import dataclasses
@@ -13,7 +18,7 @@ import pytest
 
 from wsvad import cli, evaluate
 from wsvad.attention import TsaConfig
-from wsvad.cli import main
+from wsvad.cli import CHECKPOINT_FILENAME, main
 from wsvad.features import load_features, load_manifest, save_features
 from wsvad.model import init_model, save_checkpoint
 from wsvad.synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, load_ground_truth
@@ -24,6 +29,11 @@ GEN_FLAGS = [
     "--frames", "40", "80", "--eps", "2", "3", "--shift", "3.0",
 ]
 FAST_TRAIN = ["--epochs", "8", "--batch", "2", "--t", "8", "--samples", "16"]
+# 2 x 8 bags of 32 snippets: 512 rows a step, of which the loss's top-alpha
+# rows make 48. At d=128, unlike d=8, the gradients are large enough for the
+# engine to restrict them to the rows the loss reaches
+WIDE = ["--epochs", "4", "--batch", "8", "--t", "32", "--samples", "16"]
+TRAIN_FLAGS_AT = {8: FAST_TRAIN, 128: WIDE}
 # a valid value for each gen flag, none of them the default
 GEN_FLAG_VALUES = {
     "seed": 4, "d": 12, "snippet_len": 8, "n_normal": 3, "n_abnormal": 5,
@@ -31,14 +41,195 @@ GEN_FLAG_VALUES = {
 }
 
 
-def gen(tmp_path, name, seed="9"):
+def gen(tmp_path, name, seed="9", *flags):
     out = tmp_path / name
-    assert main(["gen", "--out", str(out), "--seed", seed, *GEN_FLAGS]) == 0
+    assert main(["gen", "--out", str(out), "--seed", seed, *GEN_FLAGS, *flags]) == 0
+    return out
+
+
+def train_run(out: Path, data: Path, *flags) -> Path:
+    manifest = data / "train" / "manifest.json"
+    assert main(["train", "--manifest", str(manifest), "--out", str(out), "--seed", "1", *flags]) == 0
     return out
 
 
 def all_files(root: Path):
     return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+def assert_rejected(capsys, argv, out: Path, line: str) -> None:
+    """Bad input exits 1 with the one stderr line ``line`` (a regex), before
+    it makes ``out``, which the command gets as --out."""
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(line + "\n", err), err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """The d=8 dataset most tests read, and a d=128 one for WIDE training."""
+    tmp = tmp_path_factory.mktemp("cli_ds")
+    return {8: gen(tmp, "ds"), 128: gen(tmp, "wide", "1", "--d", "128")}
+
+
+@pytest.fixture(scope="module")
+def dataset(datasets):
+    return datasets[8]
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_ckpt") / CHECKPOINT_FILENAME
+    save_checkpoint(init_model(8, TsaConfig(), np.random.SeedSequence(0)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def tsa_run(tmp_path_factory, dataset):
+    return train_run(tmp_path_factory.mktemp("tsa") / "run", dataset, *FAST_TRAIN)
+
+
+@pytest.fixture(scope="module")
+def no_tsa_runs(tmp_path_factory, datasets):
+    """A --no-tsa training at each width, shared by the reruns and the --r 1.0 ablation."""
+    tmp = tmp_path_factory.mktemp("no_tsa")
+    return {d: train_run(tmp / str(d), data, *TRAIN_FLAGS_AT[d], "--no-tsa") for d, data in datasets.items()}
+
+
+TRAIN = ["train", "--manifest", "TRAIN", "--seed", "1"]
+EVAL_TEST = ["eval", "--manifest", "TEST", "--seed", "1", "--checkpoint"]
+SPLITS = ["--manifest", "TRAIN", "--test-manifest", "TEST"]
+RUN_FILES, EVAL_FILES = [CHECKPOINT_FILENAME, "train_log.csv"], ["report.json", "frame_scores.csv"]
+# (id, dataset width, argv, files compared); RUN and RUN_OFF are the
+# checkpoints of a training with the attention on and off
+RERUNS = [
+    ("eval", 8, [*EVAL_TEST, "RUN"], EVAL_FILES),
+    ("eval-no-tsa", 8, [*EVAL_TEST, "RUN_OFF"], EVAL_FILES),
+    ("train", 8, [*TRAIN, *FAST_TRAIN], RUN_FILES),
+    ("train-wide", 128, [*TRAIN, *WIDE], RUN_FILES),
+    ("train-wide-no-tsa", 128, [*TRAIN, *WIDE, "--no-tsa"], RUN_FILES),
+    ("train-val", 8, [*TRAIN, *FAST_TRAIN, "--val-manifest", "TEST", "--val-every", "2"], RUN_FILES),
+    ("sweep-r", 8, ["sweep-r", *SPLITS, "--seed", "1", "--r-grid", "0.5,1.0", *FAST_TRAIN], ["sweep_r.csv"]),
+    ("ablate", 8, ["ablate", *SPLITS, "--seeds", "0,1", *FAST_TRAIN], ["ablate.csv"]),
+]
+
+
+class TestReruns:
+    @pytest.mark.parametrize("d, argv, files", [row[1:] for row in RERUNS], ids=[row[0] for row in RERUNS])
+    def test_rerun_writes_the_same_bytes(self, datasets, tsa_run, no_tsa_runs, tmp_path, d, argv, files):
+        paths = {
+            "TRAIN": datasets[d] / "train" / "manifest.json",
+            "TEST": datasets[d] / "test" / "manifest.json",
+            "RUN": tsa_run / CHECKPOINT_FILENAME,
+            "RUN_OFF": no_tsa_runs[d] / CHECKPOINT_FILENAME,
+        }
+        for out in ("a", "b"):
+            assert main([*(str(paths.get(a, a)) for a in argv), "--out", str(tmp_path / out)]) == 0
+        for name in files:
+            blob = (tmp_path / "a" / name).read_bytes()
+            assert blob and blob == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("d", [8, 128])
+    def test_full_ratio_matches_no_tsa(self, datasets, no_tsa_runs, tmp_path, d):
+        """At --r 1.0 the attention keeps every snippet with inclusion exactly
+        1, so both arms of the ablation train and score the same model."""
+        off = no_tsa_runs[d]
+        full = train_run(tmp_path / "full", datasets[d], *TRAIN_FLAGS_AT[d], "--r", "1.0")
+        assert (full / "train_log.csv").read_bytes() == (off / "train_log.csv").read_bytes()
+        scores = []
+        for run in (full, off):
+            ev = tmp_path / f"ev_{run.name}"
+            assert main([
+                "eval", "--manifest", str(datasets[d] / "test" / "manifest.json"),
+                "--checkpoint", str(run / CHECKPOINT_FILENAME), "--out", str(ev), "--seed", "1",
+            ]) == 0
+            scores.append((ev / "frame_scores.csv").read_bytes())
+        assert scores[0] == scores[1]
+
+
+def set_feature(path, index, value) -> None:
+    feats = load_features(path)
+    feats[index] = value
+    save_features(feats, path)
+
+
+def keep_one_class(monkeypatch) -> None:
+    """Drop the abnormal videos from the test manifest and its ground truth."""
+    manifest, truth = Path("data/test/manifest.json"), Path("data/test/ground_truth.json")
+    doc = json.loads(manifest.read_text())
+    doc["videos"] = [v for v in doc["videos"] if v["label"] == 0]
+    manifest.write_text(json.dumps(doc))
+    keep = {v["id"] for v in doc["videos"]}
+    truth.write_text(json.dumps({k: s for k, s in json.loads(truth.read_text()).items() if k in keep}))
+
+
+def set_dropout(monkeypatch) -> None:
+    """Eval applies no dropout, but still rejects a rate outside [0, 1)."""
+    blob = Path("ckpt.vadc").read_bytes()
+    edited = blob.replace(b'"classifier_dropout":0.7', b'"classifier_dropout":1.5', 1)
+    assert edited != blob
+    Path("ckpt.vadc").write_bytes(edited)
+
+
+def d12_split_and_no_training(monkeypatch) -> None:
+    """A d=12 dataset, and a train that fails the row: the width check
+    comes before any epoch."""
+    gen(Path("."), "d12", "9", "--d", "12")
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained before the width check"))
+
+
+TRAIN_8, TEST_12 = "data/train/manifest.json", "d12/test/manifest.json"
+EVAL = ["eval", "--manifest", "data/test/manifest.json", "--checkpoint", "ckpt.vadc"]
+# (id, set-up, argv, the stderr line as a regex). Each runs in a directory
+# that holds a copy of the d=8 dataset at data/ and an untrained checkpoint
+# at ckpt.vadc, which the set-up may edit first.
+BAD_INPUTS = [
+    ("gen-delta", None, ["gen", "--delta", "0"], r"error: ValueError: --delta must be positive, got 0"),
+    ("gen-eps", None, ["gen", *GEN_FLAGS, "--eps", "50", "60"],
+     r"error: ValueError: --eps \(50, 60\) cannot fit: 40 frames give only 10 complete snippets of length 4"),
+    ("train-t", None, ["train", "--manifest", TRAIN_8, "--t", "0"], r"error: ValueError: --t must be positive, got 0"),
+    ("missing-manifest", None, ["eval", "--manifest", "missing.json", "--checkpoint", "ckpt.vadc"],
+     r"error: FileNotFoundError: \[Errno 2\] No such file or directory: 'missing\.json'"),
+    ("missing-checkpoint", None, ["eval", "--manifest", "data/test/manifest.json", "--checkpoint", "nope.vadc"],
+     r"error: FileNotFoundError: \[Errno 2\] No such file or directory: 'nope\.vadc'"),
+    ("nan-feature", lambda _: set_feature("data/train/train_anom_0002.vadf", (0, 0), np.nan),
+     ["train", "--manifest", TRAIN_8, *FAST_TRAIN],
+     r"error: FormatError: data/train/train_anom_0002\.vadf: feature values hold NaN or Inf"),
+    # test_anom_0005 is last of the three 15-snippet test videos that eval
+    # scores as one batch, then again one by one once that batch overflows
+    ("overflow-last-of-three", lambda _: set_feature("data/test/test_anom_0005.vadf", 8, 3e37), EVAL,
+     r"error: NumericsError: video 'test_anom_0005': non-finite values produced by '\w+'.*"),
+    ("one-class-test", keep_one_class, EVAL,
+     r"error: FormatError: data/test/manifest\.json: test split needs both normal and abnormal videos "
+     r"\(6 normal, 0 abnormal\)"),
+    ("fractional-ground-truth",
+     lambda _: Path("data/test/ground_truth.json").write_text('{"test_anom_0000": [[0, 1.5]]}'), EVAL,
+     r"error: FormatError: data/test/ground_truth\.json: video 'test_anom_0000' needs a list of \[start, end\] "
+     r"integer pairs, got \[\[0, 1\.5\]\]"),
+    ("checkpoint-dropout", set_dropout, EVAL,
+     r"error: FormatError: ckpt\.vadc: header field 'classifier_dropout' must be in \[0, 1\), got 1\.5"),
+    ("sweep-r-width", d12_split_and_no_training, ["sweep-r", "--manifest", TRAIN_8, "--test-manifest", TEST_12],
+     r"error: ValueError: --test-manifest has width 12, --manifest has width 8"),
+    ("ablate-width", d12_split_and_no_training, ["ablate", "--manifest", TRAIN_8, "--test-manifest", TEST_12],
+     r"error: ValueError: --test-manifest has width 12, --manifest has width 8"),
+    ("train-val-width", d12_split_and_no_training,
+     ["train", "--manifest", TRAIN_8, "--val-manifest", TEST_12, "--val-every", "20"],
+     r"error: ValueError: --val-manifest has width 12, --manifest has width 8"),
+]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("set_up, argv, line", [row[1:] for row in BAD_INPUTS], ids=[row[0] for row in BAD_INPUTS])
+    def test_exits_one_naming_the_input_before_out(
+        self, dataset, untrained_checkpoint, tmp_path, monkeypatch, capsys, set_up, argv, line
+    ):
+        shutil.copytree(dataset, tmp_path / "data")
+        shutil.copy(untrained_checkpoint, tmp_path / "ckpt.vadc")
+        monkeypatch.chdir(tmp_path)
+        if set_up:
+            set_up(monkeypatch)
+        assert_rejected(capsys, argv, tmp_path / "out", line)
 
 
 class TestGen:
@@ -57,13 +248,6 @@ class TestGen:
         assert [p.relative_to(a) for p in fa] == [p.relative_to(b) for p in fb]
         assert all(filecmp.cmp(x, y, shallow=False) for x, y in zip(fa, fb))
 
-    def test_invalid_config_exits_one(self, tmp_path, capsys):
-        code = main([
-            "gen", "--out", str(tmp_path / "x"), *GEN_FLAGS, "--eps", "50", "60",
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flag, values, message",
         [
@@ -79,10 +263,8 @@ class TestGen:
         ],
     )
     def test_option_error_names_the_flag(self, tmp_path, capsys, flag, values, message):
-        out = tmp_path / "x"
-        assert main(["gen", "--out", str(out), *GEN_FLAGS, flag, *values]) == 1
-        assert capsys.readouterr().err == f"error: ValueError: {flag} {message}\n"
-        assert not out.exists()
+        line = re.escape(f"error: ValueError: {flag} {message}")
+        assert_rejected(capsys, ["gen", *GEN_FLAGS, flag, *values], tmp_path / "x", line)
 
     @pytest.mark.parametrize("flag, field", [row[:2] for row in cli.GEN_FLAGS], ids=[row[1] for row in cli.GEN_FLAGS])
     def test_flag_reaches_the_config(self, tmp_path, monkeypatch, capsys, flag, field):
@@ -125,47 +307,18 @@ class TestDefaults:
         assert cli._train_config(args, seed=TrainConfig().seed) == TrainConfig()
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("cli_ds")
-    return gen(tmp, "ds")
-
-
 class TestTrainEval:
-    def test_train_writes_checkpoint_and_log(self, dataset, tmp_path):
-        out = tmp_path / "run"
-        code = main([
-            "train", "--manifest", str(dataset / "train" / "manifest.json"),
-            "--out", str(out), "--seed", "1", *FAST_TRAIN,
-        ])
-        assert code == 0
-        assert (out / "checkpoint.vadc").exists()
-        log = (out / "train_log.csv").read_text().strip().splitlines()
+    def test_train_writes_checkpoint_and_log(self, tsa_run):
+        assert (tsa_run / CHECKPOINT_FILENAME).exists()
+        log = (tsa_run / "train_log.csv").read_text().strip().splitlines()
         assert log[0] == "epoch,loss,val_auc"
         assert len(log) == 9
 
-    def test_train_checkpoint_reproducible(self, dataset, tmp_path):
-        outs = []
-        for name in ("r1", "r2"):
-            out = tmp_path / name
-            main([
-                "train", "--manifest", str(dataset / "train" / "manifest.json"),
-                "--out", str(out), "--seed", "7", *FAST_TRAIN,
-            ])
-            outs.append(out)
-        assert (outs[0] / "checkpoint.vadc").read_bytes() == (outs[1] / "checkpoint.vadc").read_bytes()
-        assert (outs[0] / "train_log.csv").read_text() == (outs[1] / "train_log.csv").read_text()
-
-    def test_eval_outputs_report_and_csv(self, dataset, tmp_path):
-        run = tmp_path / "run"
-        main([
-            "train", "--manifest", str(dataset / "train" / "manifest.json"),
-            "--out", str(run), "--seed", "1", *FAST_TRAIN,
-        ])
+    def test_eval_outputs_report_and_csv(self, dataset, tsa_run, tmp_path):
         ev = tmp_path / "ev"
         code = main([
             "eval", "--manifest", str(dataset / "test" / "manifest.json"),
-            "--checkpoint", str(run / "checkpoint.vadc"),
+            "--checkpoint", str(tsa_run / CHECKPOINT_FILENAME),
             "--out", str(ev), "--seed", "3",
         ])
         assert code == 0
@@ -175,23 +328,6 @@ class TestTrainEval:
         assert report["pr_convention"] == "average_precision"
         header = (ev / "frame_scores.csv").read_text().splitlines()[0]
         assert header == "video_id,frame_idx,score,binary,label"
-
-    def test_eval_reports_byte_identical(self, dataset, tmp_path):
-        run = tmp_path / "run"
-        main([
-            "train", "--manifest", str(dataset / "train" / "manifest.json"),
-            "--out", str(run), "--seed", "1", *FAST_TRAIN,
-        ])
-        blobs = []
-        for name in ("e1", "e2"):
-            ev = tmp_path / name
-            main([
-                "eval", "--manifest", str(dataset / "test" / "manifest.json"),
-                "--checkpoint", str(run / "checkpoint.vadc"),
-                "--out", str(ev), "--seed", "3",
-            ])
-            blobs.append((ev / "report.json").read_bytes() + (ev / "frame_scores.csv").read_bytes())
-        assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("rate", [b"0.0", b"0.5"])
     def test_checkpoint_dropout_rate_leaves_eval_unchanged(self, dataset, untrained_checkpoint, tmp_path, rate):
@@ -224,16 +360,6 @@ class TestTrainEval:
         frames = sum(v.frame_count for v in load_manifest(manifest).videos)
         line = r"AUC@ROC \d\.\d{4}  AUC@PR \d\.\d{4}  \(%d frames, \d+\.\d\ds\)\n" % frames
         assert re.fullmatch(line, capsys.readouterr().out)
-
-    def test_missing_checkpoint_exits_one(self, dataset, tmp_path, capsys):
-        code = main([
-            "eval", "--manifest", str(dataset / "test" / "manifest.json"),
-            "--checkpoint", str(tmp_path / "nope.vadc"),
-            "--out", str(tmp_path / "ev"), "--seed", "0",
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize(
         "argv",
@@ -281,38 +407,24 @@ class TestTrainEval:
     ):
         """A feature file that holds one NaN or one Inf exits 1 naming the
         file, before --out is made."""
-        corrupt = tmp_path / split
-        shutil.copytree(dataset / split, corrupt)
+        corrupt = shutil.copytree(dataset / split, tmp_path / split)
         path = corrupt / load_manifest(corrupt / "manifest.json").videos[2].path
-        feats = load_features(path)
-        feats[feats.shape[0] // 2, 0] = value
-        save_features(feats, path)
+        set_feature(path, (len(load_features(path)) // 2, 0), value)
         extra = ["--checkpoint", str(untrained_checkpoint)] if command == "eval" else FAST_TRAIN
-        out = tmp_path / "out"
-        assert main([command, "--manifest", str(corrupt / "manifest.json"), *extra, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: FormatError: {path}: feature values hold NaN or Inf\n"
-        assert not out.exists()
-
-
-@pytest.fixture(scope="module")
-def untrained_checkpoint(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli_ckpt") / "checkpoint.vadc"
-    save_checkpoint(init_model(8, TsaConfig(), np.random.SeedSequence(0)), path)
-    return path
+        argv = [command, "--manifest", str(corrupt / "manifest.json"), *extra]
+        line = re.escape(f"error: FormatError: {path}: feature values hold NaN or Inf")
+        assert_rejected(capsys, argv, tmp_path / "out", line)
 
 
 class TestEvalGroundTruth:
-    def _eval(self, dataset, checkpoint, out, *extra):
-        return main([
-            "eval", "--manifest", str(dataset / "test" / "manifest.json"),
-            "--checkpoint", str(checkpoint), "--out", str(out), "--seed", "0", *extra,
-        ])
+    def _eval(self, dataset, checkpoint, *extra):
+        return ["eval", "--manifest", str(dataset / "test" / "manifest.json"), "--checkpoint", str(checkpoint), *extra]
 
     def test_ground_truth_read_once(self, dataset, untrained_checkpoint, tmp_path, monkeypatch):
         calls = []
         real = cli.load_ground_truth
         monkeypatch.setattr(cli, "load_ground_truth", lambda path: calls.append(path) or real(path))
-        assert self._eval(dataset, untrained_checkpoint, tmp_path / "ev") == 0
+        assert main([*self._eval(dataset, untrained_checkpoint), "--out", str(tmp_path / "ev")]) == 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("defect", ["abnormal_without_intervals", "unknown_id"])
@@ -321,15 +433,15 @@ class TestEvalGroundTruth:
         if defect == "unknown_id":
             vid = "ghost_0000"
             gt[vid] = [[0, 4]]
+            line = f"ground truth names video '{vid}', which is not in the manifest"
         else:
             vid = next(k for k, spans in sorted(gt.items()) if spans)
             del gt[vid]
+            line = f"abnormal video '{vid}' has no frame inside its ground-truth intervals"
         gt_path = tmp_path / "gt.json"
         gt_path.write_text(json.dumps(gt))
-        code = self._eval(dataset, untrained_checkpoint, tmp_path / "ev", "--ground-truth", str(gt_path))
-        assert code == 1
-        assert f"'{vid}'" in capsys.readouterr().err
-
+        argv = self._eval(dataset, untrained_checkpoint, "--ground-truth", str(gt_path))
+        assert_rejected(capsys, argv, tmp_path / "ev", re.escape(f"error: ValueError: {line}"))
 
     @pytest.mark.parametrize("intervals", [5, [[1, 2, 3]], [[0, 100000]]])
     def test_malformed_ground_truth_exits_one_naming_the_video(
@@ -340,39 +452,34 @@ class TestEvalGroundTruth:
         gt[vid] = intervals
         gt_path = tmp_path / "gt.json"
         gt_path.write_text(json.dumps(gt))
-        code = self._eval(dataset, untrained_checkpoint, tmp_path / "ev", "--ground-truth", str(gt_path))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"video '{vid}'" in err
-        if intervals != [[0, 100000]]:
-            assert "gt.json" in err
+        if intervals == [[0, 100000]]:
+            line = re.escape(f"error: ValueError: video '{vid}': interval [0, 100000) outside 0..") + r"\d+"
+        else:
+            line = re.escape(f"error: FormatError: {gt_path}: video '{vid}' needs a list of [start, end] integer "
+                             f"pairs, got {intervals}")
+        argv = self._eval(dataset, untrained_checkpoint, "--ground-truth", str(gt_path))
+        assert_rejected(capsys, argv, tmp_path / "ev", line)
 
     def test_empty_split_exits_one_saying_so(self, dataset, untrained_checkpoint, tmp_path, capsys):
         manifest = json.loads((dataset / "test" / "manifest.json").read_text())
         manifest["videos"] = []
         empty = tmp_path / "empty"
-        empty.mkdir()
-        (empty / "manifest.json").write_text(json.dumps(manifest))
-        (empty / "ground_truth.json").write_text("{}")
-        code = main([
-            "eval", "--manifest", str(empty / "manifest.json"),
-            "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / "ev"), "--seed", "0",
-        ])
-        assert code == 1
-        assert (
-            f"FormatError: {empty / 'manifest.json'}: test split needs both normal and abnormal videos "
+        (empty / "test").mkdir(parents=True)
+        (empty / "test" / "manifest.json").write_text(json.dumps(manifest))
+        (empty / "test" / "ground_truth.json").write_text("{}")
+        line = re.escape(
+            f"error: FormatError: {empty / 'test' / 'manifest.json'}: test split needs both normal and abnormal videos "
             "(0 normal, 0 abnormal)"
-        ) in capsys.readouterr().err
-        assert not (tmp_path / "ev").exists()
+        )
+        assert_rejected(capsys, self._eval(empty, untrained_checkpoint), tmp_path / "ev", line)
 
 
 def poison_one_row(split_dir: Path, video: int = 0) -> str:
     """Set one feature row of a video to 3e37, a finite float32 the loader
     accepts but the forward pass overflows on; returns the video's id."""
     entry = load_manifest(split_dir / "manifest.json").videos[video]
-    feats = load_features(split_dir / entry.path)
-    feats[feats.shape[0] // 2] = 3e37
-    save_features(feats, split_dir / entry.path)
+    path = split_dir / entry.path
+    set_feature(path, len(load_features(path)) // 2, 3e37)
     return entry.video_id
 
 
@@ -381,22 +488,18 @@ class TestLocatedNumericsErrors:
     the epoch and the batch's videos in training. No numpy warning comes
     first (pytest turns every RuntimeWarning into an error)."""
 
-    def test_eval_names_the_video(self, tmp_path, untrained_checkpoint, capsys):
+    def test_eval_names_the_video(self, dataset, tmp_path, untrained_checkpoint, capsys):
         """Eval scores the videos of one snippet count as one batch; a batch
         that overflows is scored again one video at a time, so the error
         names the video whether it is first or last in its batch or alone."""
         for video, batch_size in [(3, 2), (11, 3), (1, 1)]:
-            data = gen(tmp_path, f"ds{video}")
-            counts = [-(-v.frame_count // 4) for v in load_manifest(data / "test" / "manifest.json").videos]
+            split = shutil.copytree(dataset / "test", tmp_path / f"test{video}")
+            counts = [-(-v.frame_count // 4) for v in load_manifest(split / "manifest.json").videos]
             assert counts.count(counts[video]) == batch_size  # --delta 4
-            vid = poison_one_row(data / "test", video=video)
-            code = main([
-                "eval", "--manifest", str(data / "test" / "manifest.json"),
-                "--checkpoint", str(untrained_checkpoint), "--out", str(tmp_path / f"ev{video}"), "--seed", "0",
-            ])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: NumericsError: video '{vid}': non-finite values produced by ")
+            vid = poison_one_row(split, video=video)
+            argv = ["eval", "--manifest", str(split / "manifest.json"), "--checkpoint", str(untrained_checkpoint)]
+            line = rf"error: NumericsError: video '{vid}': non-finite values produced by '\w+'.*"
+            assert_rejected(capsys, argv, tmp_path / f"ev{video}", line)
 
     def test_train_names_the_epoch_and_the_batch(self, tmp_path, capsys):
         data = gen(tmp_path, "ds")
@@ -459,13 +562,10 @@ class TestBadOptions:
         ],
     )
     def test_option_error_names_the_flag(self, dataset, tmp_path, capsys, command, flag, value, message):
-        out = tmp_path / "run"
-        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out)]
+        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), *FAST_TRAIN, flag, value]
         if command != "train":
             argv += ["--test-manifest", str(dataset / "test" / "manifest.json")]
-        assert main([*argv, *FAST_TRAIN, flag, value]) == 1
-        assert capsys.readouterr().err == f"error: ValueError: {flag} {message}\n"
-        assert not out.exists()
+        assert_rejected(capsys, argv, tmp_path / "run", re.escape(f"error: ValueError: {flag} {message}"))
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -482,32 +582,25 @@ class TestBadOptions:
     def test_bad_list_exits_one_naming_the_flag(self, dataset, tmp_path, capsys, command, flag, value):
         """An empty or malformed list is an error before any run, not a
         mean over no seeds or a header-only CSV."""
-        out = tmp_path / "run"
-        code = main([
+        argv = [
             command, "--manifest", str(dataset / "train" / "manifest.json"),
-            "--test-manifest", str(dataset / "test" / "manifest.json"), "--out", str(out),
-            *FAST_TRAIN, flag, value,
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == f"error: ValueError: {flag} takes a non-empty comma-separated list of " + (
-            f"{'int' if flag == '--seeds' else 'float'} values, got {value!r}\n"
-        ), err
-        assert not out.exists()
+            "--test-manifest", str(dataset / "test" / "manifest.json"), *FAST_TRAIN, flag, value,
+        ]
+        kind = "int" if flag == "--seeds" else "float"
+        line = f"error: ValueError: {flag} takes a non-empty comma-separated list of {kind} values, got {value!r}"
+        assert_rejected(capsys, argv, tmp_path / "run", re.escape(line))
 
     @pytest.mark.parametrize("command, flag", [("eval", "--seed"), ("ablate", "--seeds")])
     def test_negative_seed_names_the_flag(self, dataset, untrained_checkpoint, tmp_path, capsys, command, flag):
         """A negative seed is an error naming the flag before anything is
         written, not numpy's unlocated one from the first generator it seeds."""
-        out = tmp_path / "run"
-        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out), flag, "-1"]
+        argv = [command, "--manifest", str(dataset / "train" / "manifest.json"), flag, "-1"]
         if command == "eval":
             argv += ["--checkpoint", str(untrained_checkpoint)]
         else:
             argv += ["--test-manifest", str(dataset / "test" / "manifest.json"), *FAST_TRAIN]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: ValueError: {flag} must be non-negative, got -1\n"
-        assert not out.exists()
+        line = re.escape(f"error: ValueError: {flag} must be non-negative, got -1")
+        assert_rejected(capsys, argv, tmp_path / "run", line)
 
     @pytest.mark.parametrize("command, flag", [("sweep-r", "--r"), ("sweep-r", "--no-tsa"), ("ablate", "--no-tsa")])
     def test_flag_the_command_would_ignore_is_a_usage_error(self, capsys, command, flag):
@@ -521,15 +614,12 @@ class TestBadOptions:
     def test_out_of_range_grid_ratio_names_the_grid(self, dataset, tmp_path, capsys):
         """Each ratio of the grid is checked before the first run, and an
         error names --r-grid, not --r."""
-        out = tmp_path / "run"
-        code = main([
+        argv = [
             "sweep-r", "--manifest", str(dataset / "train" / "manifest.json"),
-            "--test-manifest", str(dataset / "test" / "manifest.json"), "--out", str(out),
-            *FAST_TRAIN, "--r-grid", "0.5,1.5",
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == "error: ValueError: --r-grid must be in (0, 1], got 1.5\n"
-        assert not out.exists()
+            "--test-manifest", str(dataset / "test" / "manifest.json"), *FAST_TRAIN, "--r-grid", "0.5,1.5",
+        ]
+        line = re.escape("error: ValueError: --r-grid must be in (0, 1], got 1.5")
+        assert_rejected(capsys, argv, tmp_path / "run", line)
 
 
 SUBCOMMANDS = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -654,7 +744,6 @@ class TestOneClassSplit:
         split = "train" if command == "train" else "test"
         bad = one_class_manifest(tmp_path / "one_class", split)
         train_manifest = str(dataset / "train" / "manifest.json")
-        out = tmp_path / "out"
         argv = {
             "train": ["train", "--manifest", str(bad), *FAST_TRAIN],
             "eval": ["eval", "--manifest", str(bad), "--checkpoint", str(untrained_checkpoint)],
@@ -664,12 +753,8 @@ class TestOneClassSplit:
                 "train", "--manifest", train_manifest, "--val-manifest", str(bad), "--val-every", "1", *FAST_TRAIN,
             ],
         }[command]
-        assert main([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            f"error: FormatError: {bad}: {split} split needs both normal and abnormal videos (0 normal, 2 abnormal)\n"
-        )
-        assert not out.exists()
+        line = f"error: FormatError: {bad}: {split} split needs both normal and abnormal videos (0 normal, 2 abnormal)"
+        assert_rejected(capsys, argv, tmp_path / "out", re.escape(line))
 
 
 class TestSweepAndAblate:
