@@ -10,14 +10,15 @@ Without gradients, an op over stacked bags gives each bag the bits it gets
 alone (`_product`): eval scores a batch of videos and each video's scores are
 those it gets on its own.
 
-A layer of the detector is one op: `linear` is a dense layer with its bias and
-activation, `conv1d_dilated` takes its branch's bias, and `nonlocal_attention`
-is the embedded-Gaussian attention branch. Each computes in place what it can
-and gives the same values and float32 gradients, bit for bit, as the chain of
-single ops it replaces, up to the regrouped sums of the live-row backward
-below. `linear` takes its rows along every axis but the last, so the
-classifier runs on the loss's (bags, alpha, d) gather as it does on (rows,
-d). The two context-module ops take the constant feature batch and an
+A layer of the detector is one op, and so is each of its MLPs: `mlp` runs
+every dense layer with its bias and activation and the dropout masks between
+them (`linear` is one layer), `conv1d_dilated` takes its branch's bias, and
+`nonlocal_attention` is the embedded-Gaussian attention branch. Each computes
+in place what it can and gives the same values and float32 gradients, bit
+for bit, as the chain of single ops it replaces, up to the regrouped sums of
+the live-row backward below. `mlp` takes its rows along every axis but the
+last, so the classifier runs on the loss's (bags, alpha, d) gather as it
+does on (rows, d). The two context-module ops take the constant feature batch and an
 optional (rows, 1) `scale`, the attention's inclusion: they are linear in
 their input rows, so they scale their projections rather than the input, and
 backward gives the scale its gradient from the projections that forward
@@ -46,11 +47,13 @@ No NaN or Inf gets past the engine; the first value to go non-finite raises
 every op output are checked, except where `_SKIPS` says the value is finite
 by construction: an op in it that receives checked inputs and needs no cast
 to the storage dtype (structural moves, relu, clip, and sigmoid and softmax,
-whose values lie in [0, 1]) cannot make a non-finite value. `linear` is in it
-because it checks its pre-activation itself, and no activation makes a finite
-value non-finite. A fused op checks one value where its chain checked several,
-a value that any earlier non-finite one reaches: the conv output after the
-bias, and the attention logits, which cover theta and phi. Every gradient is
+whose values lie in [0, 1]) cannot make a non-finite value. `linear`, the
+record of `mlp`, is in it because it checks each layer's pre-activation
+itself, and no activation makes a finite value non-finite. A fused op checks
+one value where its chain checked several, a value that any earlier
+non-finite one reaches: the conv output after the bias, the attention
+logits, which cover theta and phi, and the next layer's pre-activation,
+which covers a hidden output times its mask. Every gradient is
 checked once it is final in its tensor's dtype, after the cast and after
 accumulation, except a single uncast contribution from a vjp that only moves
 or masks its own, already checked, incoming gradient.
@@ -89,6 +92,7 @@ __all__ = [
     "l2_norm",
     "linear",
     "matmul",
+    "mlp",
     "no_grad",
     "nonlocal_attention",
     "pin_malloc_thresholds",
@@ -196,7 +200,7 @@ def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
 # construction: (its forward output, the gradients its vjp hands on). Every op
 # not listed, and every custom op, is checked both ways.
 _SKIPS: dict[str, tuple[bool, bool]] = {
-    "linear": (True, False),  # checks its pre-activation, before the activation
+    "linear": (True, False),  # checks each pre-activation, before the activation
     "reshape": (True, True),
     "concat": (True, True),
     "relu": (True, True),
@@ -450,49 +454,111 @@ _ACTIVATIONS = (None, "relu", "sigmoid")
 def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 1) -> Tensor:
     """A dense layer as one op: ``act(x @ w + b)`` for x (..., k), w (k, n)
     and b (n,), giving (..., n), where ``act`` is "relu", "sigmoid" or None.
-    The rows are x's entries along every axis but the last, in order; they
-    hold ``bags`` equal bags, which only ``_product`` reads.
+    It is `mlp` with one layer."""
+    return mlp(x, [w], [b], act, bags)
 
-    The bias is added into the product in place and the pre-activation is
-    checked there, once: a check after the activation would miss a -inf that
-    ReLU turns into 0, and no activation makes a finite value non-finite.
-    The values and gradients are those of matmul, bias add and activation
-    run as three ops, bit for bit. The vjp always forms w's and b's
-    gradients and skips x's product when x needs no gradient, as for the
-    scorer's first layer, which reads the constant feature batch.
+
+def mlp(
+    x: Tensor,
+    weights: Sequence[Tensor],
+    biases: Sequence[Tensor],
+    act: str | None = None,
+    bags: int = 1,
+    masks: Sequence[Tensor] | None = None,
+) -> Tensor:
+    """A stack of dense layers as one op, recorded as "linear": each layer
+    is ``x @ w + b``, with ReLU after every layer but the last and ``act``
+    ("relu", "sigmoid" or None) after the last. x is (..., k) and the output
+    (..., n) for the last layer's n. The rows are x's entries along every
+    axis but the last, in order; they hold ``bags`` equal bags, which only
+    ``_product`` reads. Given ``masks``, constants one per hidden layer of
+    that layer's output shape (..., width), each hidden layer's output is
+    multiplied by its mask before the next layer reads it: inverted dropout.
+
+    Each layer adds its bias into the product in place and checks the
+    pre-activation there, once: a check after the activation would miss a
+    -inf that ReLU turns into 0, and no activation makes a finite value
+    non-finite. A mask's product is not checked on its own: the next layer's
+    pre-activation reaches every entry of it. The values and gradients are
+    those of one `linear` per layer and a same-shape `mul` per mask run as
+    single ops, bit for bit (``unfused_mlp`` in ``tests/helpers.py``). The
+    vjp forms every weight's and bias's gradient and skips x's product when
+    x needs no gradient, as for the scorer's first layer, which reads the
+    constant feature batch; the hidden layers' gradients are not checked on
+    their own, since each reaches its layer's weight gradient. Without
+    gradients no layer's output is kept past the next layer.
     """
-    if x.ndim < 2 or w.ndim != 2 or b.ndim != 1 or x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {x.shape}, {w.shape}, {b.shape}")
+    if not weights or len(weights) != len(biases):
+        raise ShapeError(f"linear: expected as many biases as weights, at least one; got {len(weights)}, {len(biases)}")
+    lead, k = x.shape[:-1], x.shape[-1]
+    for w, b in zip(weights, biases):
+        if x.ndim < 2 or w.ndim != 2 or b.ndim != 1 or k != w.shape[0] or w.shape[1] != b.shape[0]:
+            raise ShapeError(f"linear: expected (rows, k), (k, n) and (n,), got {(*lead, k)}, {w.shape}, {b.shape}")
+        k = w.shape[1]
     if act not in _ACTIVATIONS:
         raise ValueError(f"linear: activation must be one of {_ACTIVATIONS}, got {act!r}")
-    x2 = x.data.reshape(-1, w.shape[0])
-    out = np.asarray(_product(x2, w.data, bags), dtype=_DTYPE)
-    out += b.data
-    _ensure_finite("linear", out)
-    if act == "relu":
-        np.maximum(out, 0, out=out)
-    elif act == "sigmoid":
-        s = _sigmoid64(out)
-        out = s.astype(_DTYPE)
+    if masks is not None:
+        widths = [(*lead, w.shape[1]) for w in weights[:-1]]
+        if [m.shape for m in masks] != widths:
+            raise ShapeError(f"linear: masks must be {widths}")
+        if any(m.requires_grad for m in masks):
+            raise ValueError("linear: masks must be constants")
+    parents = (x, *weights, *biases)
+    keep = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    acts = ["relu"] * (len(weights) - 1) + [act]
+    # per layer, for backward: its input rows, and its ReLU output or its
+    # float64 sigmoid
+    kept: list[tuple[np.ndarray, np.ndarray | None]] = []
+    h = x.data.reshape(-1, weights[0].shape[0])
+    for layer, (w, b, a) in enumerate(zip(weights, biases, acts)):
+        out = np.asarray(_product(h, w.data, bags), dtype=_DTYPE)
+        out += b.data
+        _ensure_finite("linear", out)
+        s = None
+        if a == "relu":
+            np.maximum(out, 0, out=out)
+            s = out
+        elif a == "sigmoid":
+            s = _sigmoid64(out)
+            out = s.astype(_DTYPE)
+        if keep:
+            kept.append((h, s))
+        h = out
+        if masks is not None and layer < len(masks):
+            h = np.asarray(h * masks[layer].data.reshape(h.shape), dtype=_DTYPE)
 
     def vjp(g):
-        g = g.reshape(out.shape)
-        if act == "relu":
-            g = g * (out > 0)  # out > 0 exactly where the pre-activation is
-        elif act == "sigmoid":
-            g = g * (s * (1.0 - s)).astype(g.dtype)
-        if not x.requires_grad:
-            gx = None
-        elif w.shape[1] == 1:
-            # a one-column layer's K=1 GEMM is an outer product; the broadcast
-            # is 4-5x faster, and adding 0.0 turns its -0.0 into the GEMM's +0.0
-            gx = g * w.data.T
-            gx += 0.0
-        else:
-            gx = g @ w.data.T
-        return None if gx is None else gx.reshape(x.shape), x2.T @ g, _bias_grad(g)
+        g = g.reshape(h.shape)
+        grads_w, grads_b = [], []
+        for layer in reversed(range(len(weights))):
+            inp, s = kept[layer]
+            w = weights[layer].data
+            if layer < len(weights) - 1:
+                g *= s > 0  # g is this vjp's own; s > 0 where the pre-activation is
+            elif acts[layer] == "relu":
+                g = g * (s > 0)
+            elif acts[layer] == "sigmoid":
+                g = g * (s * (1.0 - s)).astype(g.dtype)
+            if layer == 0 and not x.requires_grad:
+                gx = None
+            elif w.shape[1] == 1:
+                # a one-column layer's K=1 GEMM is an outer product; the broadcast
+                # is 4-5x faster, and adding 0.0 turns its -0.0 into the GEMM's +0.0
+                gx = g * w.T
+                gx += 0.0
+            else:
+                gx = g @ w.T
+            grads_w.append(inp.T @ g)
+            grads_b.append(_bias_grad(g))
+            if layer > 0:
+                # the hidden output's gradient, cast as backward casts it
+                g = gx.astype(inp.dtype, copy=False)
+                if masks is not None:
+                    g *= masks[layer - 1].data.reshape(g.shape)
+        gx = None if gx is None else gx.reshape(x.shape)
+        return gx, *reversed(grads_w), *reversed(grads_b)
 
-    return _from_op("linear", out.reshape(*x.shape[:-1], w.shape[1]), (x, w, b), vjp)
+    return _from_op("linear", h.reshape(*lead, weights[-1].shape[1]), parents, vjp)
 
 
 def _relu(a: Tensor) -> Tensor:

@@ -31,17 +31,12 @@ class MLP:
 
 def mlp_forward(mlp: MLP, x: Tensor, *, bags: int = 1, masks: list[Tensor] | None = None) -> Tensor:
     """Apply the MLP along the last axis of x (..., d_in), whose rows hold
-    ``bags`` stacked bags, returning (..., d_out): one `linear` op per layer.
-    Given ``masks``, one per hidden layer, each of that layer's output shape,
-    each hidden layer's output is multiplied by its mask (a same-shape
-    `mul`): inverted dropout, with the kept units' 1 / (1 - p) scale already
-    in the mask (``trainer.forward_loss`` draws them)."""
-    h = x
-    for layer, (w, b) in enumerate(zip(mlp.weights[:-1], mlp.biases[:-1])):
-        h = ag.linear(h, w, b, "relu", bags)
-        if masks is not None:
-            h = h * masks[layer]
-    return ag.linear(h, mlp.weights[-1], mlp.biases[-1], "sigmoid", bags)
+    ``bags`` stacked bags, returning (..., d_out): one `autograd.mlp` op for
+    every layer. Given ``masks``, one per hidden layer, each of that layer's
+    output shape, each hidden layer's output is multiplied by its mask:
+    inverted dropout, with the kept units' 1 / (1 - p) scale already in the
+    mask (``trainer.forward_loss`` draws them)."""
+    return ag.mlp(x, mlp.weights, mlp.biases, "sigmoid", bags, masks)
 
 
 @dataclass

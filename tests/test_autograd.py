@@ -23,9 +23,12 @@ from wsvad.autograd import (
     l2_norm,
     linear,
     matmul,
+    mlp,
     nonlocal_attention,
     softmax,
 )
+from wsvad.attention import SCORER_HIDDEN
+from wsvad.model import CLASSIFIER_DROPOUT, CLASSIFIER_HIDDEN
 from wsvad.nn import MLP, mlp_forward
 
 from helpers import (
@@ -42,6 +45,7 @@ from helpers import (
     ref_softmax,
     shared_matmul,
     swap_last_axes,
+    unfused_mlp,
     unfused_nonlocal,
 )
 
@@ -581,6 +585,130 @@ class TestFusedOps:
             nonlocal_attention(Tensor(np.ones((5, 4))), w, Tensor(np.ones(4)), w)
 
 
+MLP_HIDDEN = {"scorer": SCORER_HIDDEN, "classifier": CLASSIFIER_HIDDEN}
+
+
+def mlp_case(seed, d, hidden, lead, masked):
+    """float32 arrays for an MLP of dims (d, *hidden, 1), drawn at about the
+    init's scale: x of shape ``lead + (d,)``, the weights, the biases, and,
+    when ``masked``, the dropout masks ``trainer.forward_loss`` draws at
+    those rows (else None)."""
+    rng = np.random.default_rng(seed)
+    dims = (d, *hidden, 1)
+    weights = [(rng.normal(size=io) / np.sqrt(io[0])).astype(np.float32) for io in zip(dims[:-1], dims[1:])]
+    biases = [(rng.normal(size=n) * 0.1).astype(np.float32) for n in dims[1:]]
+    x = rng.normal(size=(*lead, d)).astype(np.float32)
+    p = CLASSIFIER_DROPOUT
+    masks = [(rng.random((*lead, n)) >= p).astype(np.float32) / (1.0 - p) for n in hidden] if masked else None
+    return x, weights, biases, masks
+
+
+def mlp_run(build, case, x_grad, upstream, bags):
+    """``build`` (x, weights, biases, act, bags, masks) over fresh leaves of
+    ``case``, with ``upstream`` backpropagated into its output: the output,
+    and the gradients of x (None when constant), every weight and every bias."""
+    x, weights, biases, masks = case
+    leaves = [Tensor(x, requires_grad=x_grad)] + [Tensor(a, requires_grad=True) for a in (*weights, *biases)]
+    n = len(weights)
+    ms = None if masks is None else [Tensor(m) for m in masks]
+    out = build(leaves[0], leaves[1 : 1 + n], leaves[1 + n :], "sigmoid", bags, ms)
+    backward(inject(out, upstream))
+    return out, [t.grad for t in leaves]
+
+
+class TestMlpOp:
+    """`mlp` runs a whole MLP as one op with the values and gradients of its
+    single-op chain (``unfused_mlp``: a one-layer `linear` per layer and a
+    `mul` per mask), bit for bit. The shapes are a training step's: 16 bags
+    at the acceptance width (d=32, T=16: 256 rows) and at the paper's
+    (d=512, T=32: 512 rows), every row as the scorer reads them or the
+    loss's (2B, alpha, d) gather as the classifier does."""
+
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x-constant", "x-grad"])
+    @pytest.mark.parametrize("gathered", [False, True], ids=["rows", "gather"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])
+    @pytest.mark.parametrize("layout", ["scorer", "classifier"])
+    @pytest.mark.parametrize("d, t_len", [(32, 16), (512, 32)])
+    def test_same_bits_as_the_chain(self, d, t_len, layout, masked, gathered, x_grad):
+        bags = 16
+        lead = (bags, 3) if gathered else (bags * t_len,)
+        case = mlp_case(d + t_len, d, MLP_HIDDEN[layout], lead, masked)
+        upstream = np.random.default_rng(d).normal(size=(*lead, 1)).astype(np.float32)
+        out, grads = mlp_run(mlp, case, x_grad, upstream, bags)
+        want, want_grads = mlp_run(unfused_mlp, case, x_grad, upstream, bags)
+        assert out.data.tobytes() == want.data.tobytes()
+        assert (grads[0] is None) == (not x_grad)
+        for i, (g, w) in enumerate(zip(grads, want_grads)):
+            assert (g is None) == (w is None), i
+            if g is not None:
+                assert g.dtype == np.float32 and g.tobytes() == w.tobytes(), i
+
+    def test_one_node_over_the_leaves(self):
+        """The op records one node whose parents are x, the weights and the
+        biases: neither a mask nor a hidden layer is a node."""
+        x, weights, biases, masks = mlp_case(1, 8, CLASSIFIER_HIDDEN, (6,), True)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, *weights, *biases)]
+        out = mlp(leaves[0], leaves[1:4], leaves[4:], "sigmoid", masks=[Tensor(m) for m in masks])
+        assert out._rec.op == "linear" and out._rec.parents == tuple(leaves)
+
+    def test_same_bits_as_the_chain_in_float64(self):
+        case = mlp_case(3, 32, CLASSIFIER_HIDDEN, (16, 3), True)
+        upstream = np.random.default_rng(4).normal(size=(16, 3, 1))
+        with ag.using_dtype(np.float64):
+            out, grads = mlp_run(mlp, case, True, upstream, 16)
+            want, want_grads = mlp_run(unfused_mlp, case, True, upstream, 16)
+        assert out.data.dtype == np.float64 and out.data.tobytes() == want.data.tobytes()
+        for g, w in zip(grads, want_grads):
+            assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("layout", ["scorer", "classifier"])
+    @pytest.mark.parametrize("d, t_len", [(32, 16), (512, 32)])
+    def test_stacked_bags_under_no_grad_match_each_bag_alone(self, d, t_len, layout):
+        bags = 16
+        x, weights, biases, _ = mlp_case(d * t_len, d, MLP_HIDDEN[layout], (bags * t_len,), False)
+        ws, bs = [Tensor(w, requires_grad=True) for w in weights], [Tensor(b, requires_grad=True) for b in biases]
+        with ag.no_grad():
+            stacked = mlp(Tensor(x), ws, bs, "sigmoid", bags)
+            alone = [mlp(Tensor(bag), ws, bs, "sigmoid").data for bag in x.reshape(bags, t_len, d)]
+            chain = unfused_mlp(Tensor(x), ws, bs, "sigmoid", bags).data
+        assert not stacked.requires_grad
+        assert stacked.data.tobytes() == np.concatenate(alone).tobytes() == chain.tobytes()
+
+    def test_no_grad_keeps_no_layer_past_the_next(self):
+        """Without gradients the op holds one layer's input and output at a
+        time, as the chain does: its peak memory is no higher."""
+        x, weights, biases, _ = mlp_case(5, 32, SCORER_HIDDEN, (2048,), False)
+        ws, bs = [Tensor(w, requires_grad=True) for w in weights], [Tensor(b, requires_grad=True) for b in biases]
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                with ag.no_grad():
+                    build(Tensor(x), ws, bs, "sigmoid")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first_layer = 2048 * SCORER_HIDDEN[0] * 4
+        assert peak(mlp) <= peak(unfused_mlp) < 3 * first_layer
+
+    def test_layers_and_masks_checked(self):
+        x, weights, biases, masks = mlp_case(2, 4, (5, 3), (6,), True)
+        ws, bs = [Tensor(w) for w in weights], [Tensor(b) for b in biases]
+        with pytest.raises(ShapeError, match="as many biases"):
+            mlp(Tensor(x), ws, bs[:-1])
+        with pytest.raises(ShapeError, match="as many biases"):
+            mlp(Tensor(x), [], [])
+        with pytest.raises(ShapeError, match=re.escape("got (6, 5), (3, 1), (3,)")):
+            mlp(Tensor(x), [ws[0], ws[2], ws[1]], bs)
+        with pytest.raises(ShapeError, match=re.escape("masks must be [(6, 5), (6, 3)]")):
+            mlp(Tensor(x), ws, bs, masks=[Tensor(masks[0])])
+        with pytest.raises(ShapeError, match="masks must be"):
+            mlp(Tensor(x), ws, bs, masks=[Tensor(masks[1]), Tensor(masks[0])])
+        with pytest.raises(ValueError, match="masks must be constants"):
+            mlp(Tensor(x), ws, bs, masks=[Tensor(masks[0], requires_grad=True), Tensor(masks[1])])
+
+
 MIN_LIVE_SIZE = ag._LIVE_ROWS_MIN_SIZE
 
 
@@ -811,22 +939,25 @@ class TestElementwise:
         check_grads(lambda ta, ts: l2_norm(ta * ts), lambda xa, xs: float(np.linalg.norm(xa * xs)), [a, s])
 
     def test_dropout_eval_is_identity(self):
-        """Without masks, `mlp_forward` records no dropout node: its graph
-        is its layers' `linear` ops alone."""
+        """Without masks, `mlp_forward` records one `linear` node over x,
+        the weights and the biases, with the values of its layers' one-layer
+        `linear` ops."""
         rng = np.random.default_rng(3)
         weights = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 5), (5, 3), (3, 1))]
         biases = [Tensor(np.zeros(w.shape[1]), requires_grad=True) for w in weights]
-        node = mlp_forward(MLP(weights, biases), Tensor(rng.normal(size=(6, 4))))
-        ops = []
-        while node._rec is not None:
-            ops.append(node._rec.op)
-            node = node._rec.parents[0]
-        assert ops == ["linear"] * 3
+        x = Tensor(rng.normal(size=(6, 4)))
+        node = mlp_forward(MLP(weights, biases), x)
+        assert node._rec.op == "linear" and node._rec.parents == (x, *weights, *biases)
+        h = x
+        for w, b, act in zip(weights, biases, ("relu", "relu", "sigmoid")):
+            h = linear(h, w, b, act)
+        assert node.data.tobytes() == h.data.tobytes()
 
     def test_dropout_train_masks_and_rescales(self):
         """A mask scaled as `forward_loss` scales it zeroes the dropped
         units and rescales the kept ones by 1 / (1 - p); `mlp_forward`
-        applies it to its hidden layer's output as one same-shape `mul`."""
+        multiplies its hidden layer's output by it inside its one node, and
+        the mask is no parent of that node."""
         rng = np.random.default_rng(0)
         weights = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((4, 10), (10, 1))]
         biases = [Tensor(np.zeros(w.shape[1]), requires_grad=True) for w in weights]
@@ -834,10 +965,12 @@ class TestElementwise:
         mask = Tensor((np.random.default_rng(0).random((100, 10)) >= 0.7).astype(np.float32) / (1.0 - 0.7))
         assert set(np.unique(mask.data).tolist()) <= {0.0, np.float32(1.0 / 0.3)}
         assert 0.2 < np.mean(mask.data == 0.0) < 0.95
-        dropped = mlp_forward(MLP(weights, biases), x, masks=[mask])._rec.parents[0]
-        assert dropped._rec.op == "mul"
+        out = mlp_forward(MLP(weights, biases), x, masks=[mask])
+        assert out._rec.op == "linear" and out._rec.parents == (x, *weights, *biases)
         hidden = linear(x, weights[0], biases[0], "relu")
-        assert dropped.data.tobytes() == (hidden.data * mask.data).tobytes()
+        dropped = Tensor(hidden.data * mask.data)
+        assert out.data.tobytes() == linear(dropped, weights[1], biases[1], "sigmoid").data.tobytes()
+        assert out.data.tobytes() != mlp_forward(MLP(weights, biases), x).data.tobytes()
 
     def test_dropout_at_rows_takes_the_whole_batch_masks(self):
         """A whole batch's scaled mask taken at some of its rows gives each

@@ -53,12 +53,12 @@ def test_traced_epoch_counts_match_the_shapes(spans, tmp_path):
     for name in ("attention.tsa_fuse", "attention.scorer", "nn.classifier"):
         assert calls[name] == 1, name
     assert calls["autograd.conv1d_dilated"] == 3
-    # one graph over the stacked batch: scorer 3 nodes (one linear per
-    # layer), attention 1, context module 7 (3 convs with bias,
+    # one graph over the stacked batch: scorer 1 node (one `linear` op for
+    # its three layers), attention 1, context module 7 (3 convs with bias,
     # nonlocal_attention, concat, the residual's row scale and its add),
-    # classifier 5 (3 linear, 2 dropout masks' mul) on the loss's top-alpha
-    # gather, loss 2 (that gather and the `dmt_loss` op)
-    assert tracer.epoch_nodes == [18]
+    # classifier 1 (its layers and dropout masks, one op) on the loss's
+    # top-alpha gather, loss 2 (that gather and the `dmt_loss` op)
+    assert tracer.epoch_nodes == [12]
 
 
 def test_traced_eval_counts_match_the_manifest(spans, tmp_path):

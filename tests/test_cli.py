@@ -20,7 +20,7 @@ from wsvad import cli, evaluate
 from wsvad.attention import TsaConfig
 from wsvad.cli import CHECKPOINT_FILENAME, main
 from wsvad.features import load_features, load_manifest, save_features
-from wsvad.model import init_model, save_checkpoint
+from wsvad.model import init_model, load_checkpoint, save_checkpoint
 from wsvad.synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, load_ground_truth
 from wsvad.trainer import TrainConfig, train
 
@@ -154,14 +154,51 @@ def set_feature(path, index, value) -> None:
     save_features(feats, path)
 
 
-def keep_one_class(monkeypatch) -> None:
-    """Drop the abnormal videos from the test manifest and its ground truth."""
-    manifest, truth = Path("data/test/manifest.json"), Path("data/test/ground_truth.json")
-    doc = json.loads(manifest.read_text())
-    doc["videos"] = [v for v in doc["videos"] if v["label"] == 0]
-    manifest.write_text(json.dumps(doc))
-    keep = {v["id"] for v in doc["videos"]}
-    truth.write_text(json.dumps({k: s for k, s in json.loads(truth.read_text()).items() if k in keep}))
+def no_training(monkeypatch) -> None:
+    """A train that fails the row: the command's checks come before any epoch."""
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained before the check"))
+
+
+def keep_one_class(split: str, train_too: bool = False):
+    """A set-up that drops the abnormal videos from the split's manifest (and
+    from its ground truth, where it has one) and deletes the feature files of
+    the rest, so that the row fails unless the command rejects the split
+    before it reads a feature file; with ``train_too`` a training first also
+    fails the row."""
+
+    def set_up(monkeypatch) -> None:
+        split_dir = Path("data") / split
+        doc = json.loads((split_dir / "manifest.json").read_text())
+        doc["videos"] = [v for v in doc["videos"] if v["label"] == 0]
+        (split_dir / "manifest.json").write_text(json.dumps(doc))
+        for video in doc["videos"]:
+            (split_dir / video["path"]).unlink()
+        truth = split_dir / GROUND_TRUTH_FILENAME
+        if truth.exists():
+            keep = {v["id"] for v in doc["videos"]}
+            truth.write_text(json.dumps({k: s for k, s in json.loads(truth.read_text()).items() if k in keep}))
+        if train_too:
+            no_training(monkeypatch)
+
+    return set_up
+
+
+def poison_last_of_three(monkeypatch) -> None:
+    """test_anom_0005 is last of the three 15-snippet test videos that eval
+    scores as one batch, then again one by one once that batch overflows:
+    one row of it set to 3e37, a finite float32 the loader accepts."""
+    batch = [v.video_id for v in load_manifest(TEST_8).videos if -(-v.frame_count // 4) == 15]  # --delta 4
+    assert len(batch) == 3 and batch[-1] == "test_anom_0005"
+    set_feature("data/test/test_anom_0005.vadf", 8, 3e37)
+
+
+def huge_classifier_weights(monkeypatch) -> None:
+    """Every classifier weight 1e30: finite, so the checkpoint loads, but the
+    classifier's second hidden layer overflows its pre-activation."""
+    model = load_checkpoint("ckpt.vadc")
+    for w in model.classifier.weights:
+        w.data[...] = 1e30
+    save_checkpoint(model, "ckpt.vadc")
 
 
 def set_dropout(monkeypatch) -> None:
@@ -176,11 +213,16 @@ def d12_split_and_no_training(monkeypatch) -> None:
     """A d=12 dataset, and a train that fails the row: the width check
     comes before any epoch."""
     gen(Path("."), "d12", "9", "--d", "12")
-    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained before the width check"))
+    no_training(monkeypatch)
 
 
-TRAIN_8, TEST_12 = "data/train/manifest.json", "d12/test/manifest.json"
-EVAL = ["eval", "--manifest", "data/test/manifest.json", "--checkpoint", "ckpt.vadc"]
+TRAIN_8, TEST_8, TEST_12 = "data/train/manifest.json", "data/test/manifest.json", "d12/test/manifest.json"
+EVAL = ["eval", "--manifest", TEST_8, "--checkpoint", "ckpt.vadc"]
+# a split of keep_one_class
+ONE_CLASS = (
+    r"error: FormatError: data/{0}/manifest\.json: {0} split needs both normal and abnormal videos "
+    r"\(6 normal, 0 abnormal\)"
+)
 # (id, set-up, argv, the stderr line as a regex). Each runs in a directory
 # that holds a copy of the d=8 dataset at data/ and an untrained checkpoint
 # at ckpt.vadc, which the set-up may edit first.
@@ -196,13 +238,26 @@ BAD_INPUTS = [
     ("nan-feature", lambda _: set_feature("data/train/train_anom_0002.vadf", (0, 0), np.nan),
      ["train", "--manifest", TRAIN_8, *FAST_TRAIN],
      r"error: FormatError: data/train/train_anom_0002\.vadf: feature values hold NaN or Inf"),
-    # test_anom_0005 is last of the three 15-snippet test videos that eval
-    # scores as one batch, then again one by one once that batch overflows
-    ("overflow-last-of-three", lambda _: set_feature("data/test/test_anom_0005.vadf", 8, 3e37), EVAL,
+    ("overflow-last-of-three", poison_last_of_three, EVAL,
      r"error: NumericsError: video 'test_anom_0005': non-finite values produced by '\w+'.*"),
-    ("one-class-test", keep_one_class, EVAL,
-     r"error: FormatError: data/test/manifest\.json: test split needs both normal and abnormal videos "
-     r"\(6 normal, 0 abnormal\)"),
+    # the one MLP op names itself, and the layer by its output's shape
+    ("overflow-classifier-weight", huge_classifier_weights, EVAL,
+     r"error: NumericsError: video 'test_norm_0000': non-finite values produced by 'linear' \(shape \(17, 32\)\)"),
+    # the first Adam step puts every weight near 1e30, and the scorer's
+    # second layer overflows in the next epoch
+    ("overflow-lr", None, ["train", "--manifest", TRAIN_8, *FAST_TRAIN, "--lr", "1e30"],
+     r"error: NumericsError: epoch 2: batch videos 'train_norm_0002', 'train_norm_0000', 'train_anom_0004', "
+     r"'train_anom_0005': non-finite values produced by 'linear' \(shape \(32, 256\)\)"),
+    ("one-class-train", keep_one_class("train"), ["train", "--manifest", TRAIN_8, *FAST_TRAIN],
+     ONE_CLASS.format("train")),
+    ("one-class-test", keep_one_class("test"), EVAL, ONE_CLASS.format("test")),
+    ("one-class-train-val", keep_one_class("test", train_too=True),
+     ["train", "--manifest", TRAIN_8, "--val-manifest", TEST_8, "--val-every", "1", *FAST_TRAIN],
+     ONE_CLASS.format("test")),
+    ("one-class-sweep-r", keep_one_class("test", train_too=True),
+     ["sweep-r", "--manifest", TRAIN_8, "--test-manifest", TEST_8, *FAST_TRAIN], ONE_CLASS.format("test")),
+    ("one-class-ablate", keep_one_class("test", train_too=True),
+     ["ablate", "--manifest", TRAIN_8, "--test-manifest", TEST_8, *FAST_TRAIN], ONE_CLASS.format("test")),
     ("fractional-ground-truth",
      lambda _: Path("data/test/ground_truth.json").write_text('{"test_anom_0000": [[0, 1.5]]}'), EVAL,
      r"error: FormatError: data/test/ground_truth\.json: video 'test_anom_0000' needs a list of \[start, end\] "
@@ -254,7 +309,7 @@ class TestGen:
             ("--n-normal", ["0"], "must be positive, got 0"),
             ("--n-abnormal", ["0"], "must be positive, got 0"),
             ("--d", ["0"], "must be positive, got 0"),
-            ("--delta", ["0"], "must be positive, got 0"),
+            ("--shift", ["nan"], "must be non-negative and finite, got nan"),
             ("--frames", ["50", "10"], "must satisfy 1 <= LO <= HI, got (50, 10)"),
             ("--eps", ["3", "1"], "must satisfy 1 <= LO <= HI, got (3, 1)"),
             ("--shift", ["-1"], "must be non-negative and finite, got -1.0"),
@@ -364,7 +419,6 @@ class TestTrainEval:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eval", "--manifest", "MISSING", "--checkpoint", "CKPT"],
             ["eval", "--manifest", "TEST", "--checkpoint", "CKPT", "--ground-truth", "MISSING"],
             ["train", "--manifest", "MISSING"],
             ["train", "--manifest", "TRAIN", "--val-manifest", "MISSING", "--val-every", "1"],
@@ -374,13 +428,14 @@ class TestTrainEval:
             ["sweep-r", "--manifest", "BROKEN", "--test-manifest", "TEST"],
             ["ablate", "--manifest", "BROKEN", "--test-manifest", "TEST"],
         ],
-        ids=["eval", "eval-ground-truth", "train", "train-val", "sweep-r", "ablate", "train-features",
+        ids=["eval-ground-truth", "train", "train-val", "sweep-r", "ablate", "train-features",
              "sweep-r-features", "ablate-features"],
     )
     def test_missing_input_leaves_no_out(self, dataset, untrained_checkpoint, tmp_path, capsys, argv):
-        """A command that cannot read its inputs exits 1 before it makes --out.
-        BROKEN is a training split whose manifest names a feature file that
-        is not there; only training reads it."""
+        """A command that cannot read its inputs exits 1 before it makes --out
+        (eval's missing manifest is BAD_INPUTS[missing-manifest]). BROKEN is
+        a training split whose manifest names a feature file that is not
+        there; only training reads it."""
         paths = {
             "TRAIN": dataset / "train" / "manifest.json",
             "TEST": dataset / "test" / "manifest.json",
@@ -399,19 +454,15 @@ class TestTrainEval:
         assert missing in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, split, value", [("train", "train", np.nan), ("eval", "test", np.inf)], ids=["train-nan", "eval-inf"]
-    )
-    def test_non_finite_features_leave_no_out(
-        self, dataset, untrained_checkpoint, tmp_path, capsys, command, split, value
-    ):
-        """A feature file that holds one NaN or one Inf exits 1 naming the
-        file, before --out is made."""
-        corrupt = shutil.copytree(dataset / split, tmp_path / split)
+    @pytest.mark.parametrize("value", [np.inf], ids=["eval-inf"])
+    def test_non_finite_features_leave_no_out(self, dataset, untrained_checkpoint, tmp_path, capsys, value):
+        """An eval feature file that holds one Inf exits 1 naming the file,
+        before --out is made (a training one that holds a NaN is
+        BAD_INPUTS[nan-feature])."""
+        corrupt = shutil.copytree(dataset / "test", tmp_path / "test")
         path = corrupt / load_manifest(corrupt / "manifest.json").videos[2].path
         set_feature(path, (len(load_features(path)) // 2, 0), value)
-        extra = ["--checkpoint", str(untrained_checkpoint)] if command == "eval" else FAST_TRAIN
-        argv = [command, "--manifest", str(corrupt / "manifest.json"), *extra]
+        argv = ["eval", "--manifest", str(corrupt / "manifest.json"), "--checkpoint", str(untrained_checkpoint)]
         line = re.escape(f"error: FormatError: {path}: feature values hold NaN or Inf")
         assert_rejected(capsys, argv, tmp_path / "out", line)
 
@@ -491,8 +542,9 @@ class TestLocatedNumericsErrors:
     def test_eval_names_the_video(self, dataset, tmp_path, untrained_checkpoint, capsys):
         """Eval scores the videos of one snippet count as one batch; a batch
         that overflows is scored again one video at a time, so the error
-        names the video whether it is first or last in its batch or alone."""
-        for video, batch_size in [(3, 2), (11, 3), (1, 1)]:
+        names the video whether it is first in its batch or alone (last of
+        three is BAD_INPUTS[overflow-last-of-three])."""
+        for video, batch_size in [(3, 2), (1, 1)]:
             split = shutil.copytree(dataset / "test", tmp_path / f"test{video}")
             counts = [-(-v.frame_count // 4) for v in load_manifest(split / "manifest.json").videos]
             assert counts.count(counts[video]) == batch_size  # --delta 4
@@ -551,14 +603,15 @@ class TestBadOptions:
         assert not out.exists()
 
     # sweep-r takes its ratios from --r-grid, so --r is checked by train and
-    # ablate only; ablate takes --seeds, checked with eval's --seed below
+    # ablate only; ablate takes --seeds, checked with eval's --seed below;
+    # train's --t is BAD_INPUTS[train-t]
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
             (command, *case)
             for command in ("train", "sweep-r", "ablate")
             for case in OPTION_ERRORS
-            if (command, case[0]) not in {("sweep-r", "--r"), ("ablate", "--seed")}
+            if (command, case[0]) not in {("sweep-r", "--r"), ("ablate", "--seed"), ("train", "--t")}
         ],
     )
     def test_option_error_names_the_flag(self, dataset, tmp_path, capsys, command, flag, value, message):
@@ -723,38 +776,6 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "--val-manifest" in err and "--val-every" in err
         assert not out.exists()
-
-
-def one_class_manifest(directory: Path, split: str) -> Path:
-    """A manifest of two abnormal videos whose feature files do not exist."""
-    directory.mkdir()
-    videos = [{"id": f"v{i}", "path": f"missing_{i}.vadf", "label": 1, "frame_count": 40} for i in range(2)]
-    doc = {"version": 1, "d": 8, "snippet_len": 4, "split": split, "videos": videos}
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-class TestOneClassSplit:
-    """Every command rejects a one-class split when it loads the manifest,
-    before it reads a feature file or trains, and makes no --out."""
-
-    @pytest.mark.parametrize("command", ["train", "eval", "sweep-r", "ablate", "train --val-manifest"])
-    def test_exits_one_before_any_work(self, dataset, untrained_checkpoint, tmp_path, capsys, command):
-        split = "train" if command == "train" else "test"
-        bad = one_class_manifest(tmp_path / "one_class", split)
-        train_manifest = str(dataset / "train" / "manifest.json")
-        argv = {
-            "train": ["train", "--manifest", str(bad), *FAST_TRAIN],
-            "eval": ["eval", "--manifest", str(bad), "--checkpoint", str(untrained_checkpoint)],
-            "sweep-r": ["sweep-r", "--manifest", train_manifest, "--test-manifest", str(bad), *FAST_TRAIN],
-            "ablate": ["ablate", "--manifest", train_manifest, "--test-manifest", str(bad), *FAST_TRAIN],
-            "train --val-manifest": [
-                "train", "--manifest", train_manifest, "--val-manifest", str(bad), "--val-every", "1", *FAST_TRAIN,
-            ],
-        }[command]
-        line = f"error: FormatError: {bad}: {split} split needs both normal and abnormal videos (0 normal, 2 abnormal)"
-        assert_rejected(capsys, argv, tmp_path / "out", re.escape(line))
 
 
 class TestSweepAndAblate:

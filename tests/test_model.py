@@ -366,11 +366,12 @@ class TestScoreBag:
 
     @pytest.mark.parametrize("tsa_enabled", [True, False])
     def test_eval_cost_per_video_is_pinned(self, tsa_enabled, monkeypatch):
-        """A no-grad forward, as eval scores a batch of videos: one op and one
-        check per layer, where the attention branch checks its logits and its
-        output, for one (T, d) bag and for three stacked bags alike, so
-        batching adds no op per video. A change that adds ops or checks to
-        eval's path must change these on purpose."""
+        """A no-grad forward, as eval scores a batch of videos: one op per
+        MLP and per context branch, and one check per layer, where the
+        attention branch checks its logits and its output, for one (T, d)
+        bag and for three stacked bags alike, so batching adds no op per
+        video. A change that adds ops or checks to eval's path must change
+        these on purpose."""
         model = small_model()
         model.tsa_enabled = tsa_enabled
         feats = np.random.default_rng(5).normal(size=(60, 8)).astype(np.float32)
@@ -392,9 +393,9 @@ class TestScoreBag:
             one_bag = dict(counts)
             counts.update(ops=0, checks=0)
             score_bag(model, three, 3, tsa_rng=[np.random.default_rng(i) for i in range(3)])
-        # scorer 3 linear + tsa_select 1 + the residual's row scale 1
-        # (attention on only); context module 3 convs + nonlocal_attention
-        # (2 checks) + concat (unchecked) + residual add; classifier 3
-        # linear (no dropout masks)
-        attention = 5 if tsa_enabled else 0
-        assert one_bag == counts == dict(ops=attention + 6 + 3, checks=attention + 6 + 3)
+        # attention on only: scorer 1 op (its 3 layers, 3 checks) +
+        # tsa_select 1 + the residual's row scale 1; context module 3 convs
+        # + nonlocal_attention (2 checks) + concat (unchecked) + residual
+        # add; classifier 1 op (its 3 layers, no dropout masks, 3 checks)
+        ops, checks = (3, 5) if tsa_enabled else (0, 0)
+        assert one_bag == counts == dict(ops=ops + 6 + 1, checks=checks + 6 + 3)

@@ -705,24 +705,25 @@ class TestTrainingStepCost:
 
         one, two = run(1), run(2)
         per_step = {key: two[key] - one[key] for key in counts}
-        # nodes: scorer 3 linear, attention 1, context module 7 (3 convs
-        # with bias, nonlocal_attention, concat, the residual's row scale
-        # and its add), classifier 5 (3 linear, and the `mul` by each of
-        # the 2 dropout masks), loss 2 (the top-alpha gather of the context
-        # features, which the classifier runs on, so its scores need no
-        # gather of their own, and the `dmt_loss` op).
-        # 21 forward checks: the batch tensor 1, scorer 3, attention 1,
-        # context module 7 (3 convs, the attention's logits and output, the
-        # residual's row scale and its add), classifier 7 (the 2 scaled
-        # mask tensors, 3 linear, 2 mask `mul`), loss 2 (the op's
-        # magnitudes and its output).
-        # 37 gradient checks: loss 3 (the op's two gradients and the
-        # gather's scatter), classifier 11 (3 per linear, 1 per mask
-        # `mul`), context module 14 (3 per conv and 4 from
+        # nodes: scorer 1 (the one `linear` op of its three layers),
+        # attention 1, context module 7 (3 convs with bias,
+        # nonlocal_attention, concat, the residual's row scale and its add),
+        # classifier 1 (its three layers and the `mul` by each of its 2
+        # dropout masks, one op), loss 2 (the top-alpha gather of the
+        # context features, which the classifier runs on, so its scores need
+        # no gather of their own, and the `dmt_loss` op).
+        # 19 forward checks: the batch tensor 1, scorer 3 (each layer's
+        # pre-activation), attention 1, context module 7 (3 convs, the
+        # attention's logits and output, the residual's row scale and its
+        # add), classifier 5 (the 2 scaled mask tensors, and each layer's
+        # pre-activation), loss 2 (the op's magnitudes and its output).
+        # 31 gradient checks: loss 3 (the op's two gradients and the
+        # gather's scatter), classifier 7 (its input, 3 weights and 3
+        # biases), context module 14 (3 per conv and 4 from
         # nonlocal_attention, their weights, biases and scale, and 1 from
-        # the residual's row scale), attention 1, scorer 8 (no gradient for
-        # the constant batch).
-        assert per_step == dict(nodes=18, checks=58)
+        # the residual's row scale), attention 1, scorer 6 (3 weights and 3
+        # biases; no gradient for the constant batch).
+        assert per_step == dict(nodes=12, checks=50)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
     def test_steps_do_not_page_fault(self, manifest):
