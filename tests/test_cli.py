@@ -309,12 +309,13 @@ class TestGen:
             ("--n-normal", ["0"], "must be positive, got 0"),
             ("--n-abnormal", ["0"], "must be positive, got 0"),
             ("--d", ["0"], "must be positive, got 0"),
-            ("--shift", ["nan"], "must be non-negative and finite, got nan"),
+            ("--delta", ["0"], "must be positive, got 0"),
             ("--frames", ["50", "10"], "must satisfy 1 <= LO <= HI, got (50, 10)"),
             ("--eps", ["3", "1"], "must satisfy 1 <= LO <= HI, got (3, 1)"),
             ("--shift", ["-1"], "must be non-negative and finite, got -1.0"),
             ("--noise-std", ["0"], "must be positive and finite, got 0.0"),
             ("--seed", ["-1"], "must be non-negative, got -1"),
+            ("--shift", ["nan"], "must be non-negative and finite, got nan"),
         ],
     )
     def test_option_error_names_the_flag(self, tmp_path, capsys, flag, values, message):
@@ -419,6 +420,7 @@ class TestTrainEval:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["eval", "--manifest", "MISSING", "--checkpoint", "CKPT"],
             ["eval", "--manifest", "TEST", "--checkpoint", "CKPT", "--ground-truth", "MISSING"],
             ["train", "--manifest", "MISSING"],
             ["train", "--manifest", "TRAIN", "--val-manifest", "MISSING", "--val-every", "1"],
@@ -428,14 +430,13 @@ class TestTrainEval:
             ["sweep-r", "--manifest", "BROKEN", "--test-manifest", "TEST"],
             ["ablate", "--manifest", "BROKEN", "--test-manifest", "TEST"],
         ],
-        ids=["eval-ground-truth", "train", "train-val", "sweep-r", "ablate", "train-features",
+        ids=["eval", "eval-ground-truth", "train", "train-val", "sweep-r", "ablate", "train-features",
              "sweep-r-features", "ablate-features"],
     )
     def test_missing_input_leaves_no_out(self, dataset, untrained_checkpoint, tmp_path, capsys, argv):
-        """A command that cannot read its inputs exits 1 before it makes --out
-        (eval's missing manifest is BAD_INPUTS[missing-manifest]). BROKEN is
-        a training split whose manifest names a feature file that is not
-        there; only training reads it."""
+        """A command that cannot read its inputs exits 1 before it makes --out.
+        BROKEN is a training split whose manifest names a feature file that
+        is not there; only training reads it."""
         paths = {
             "TRAIN": dataset / "train" / "manifest.json",
             "TEST": dataset / "test" / "manifest.json",
@@ -454,15 +455,19 @@ class TestTrainEval:
         assert missing in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", [np.inf], ids=["eval-inf"])
-    def test_non_finite_features_leave_no_out(self, dataset, untrained_checkpoint, tmp_path, capsys, value):
-        """An eval feature file that holds one Inf exits 1 naming the file,
-        before --out is made (a training one that holds a NaN is
-        BAD_INPUTS[nan-feature])."""
-        corrupt = shutil.copytree(dataset / "test", tmp_path / "test")
+    @pytest.mark.parametrize(
+        "command, split, value", [("train", "train", np.nan), ("eval", "test", np.inf)], ids=["train-nan", "eval-inf"]
+    )
+    def test_non_finite_features_leave_no_out(
+        self, dataset, untrained_checkpoint, tmp_path, capsys, command, split, value
+    ):
+        """A feature file that holds one NaN or one Inf exits 1 naming the
+        file, before --out is made."""
+        corrupt = shutil.copytree(dataset / split, tmp_path / split)
         path = corrupt / load_manifest(corrupt / "manifest.json").videos[2].path
         set_feature(path, (len(load_features(path)) // 2, 0), value)
-        argv = ["eval", "--manifest", str(corrupt / "manifest.json"), "--checkpoint", str(untrained_checkpoint)]
+        extra = ["--checkpoint", str(untrained_checkpoint)] if command == "eval" else FAST_TRAIN
+        argv = [command, "--manifest", str(corrupt / "manifest.json"), *extra]
         line = re.escape(f"error: FormatError: {path}: feature values hold NaN or Inf")
         assert_rejected(capsys, argv, tmp_path / "out", line)
 
@@ -603,15 +608,14 @@ class TestBadOptions:
         assert not out.exists()
 
     # sweep-r takes its ratios from --r-grid, so --r is checked by train and
-    # ablate only; ablate takes --seeds, checked with eval's --seed below;
-    # train's --t is BAD_INPUTS[train-t]
+    # ablate only; ablate takes --seeds, checked with eval's --seed below
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
             (command, *case)
             for command in ("train", "sweep-r", "ablate")
             for case in OPTION_ERRORS
-            if (command, case[0]) not in {("sweep-r", "--r"), ("ablate", "--seed"), ("train", "--t")}
+            if (command, case[0]) not in {("sweep-r", "--r"), ("ablate", "--seed")}
         ],
     )
     def test_option_error_names_the_flag(self, dataset, tmp_path, capsys, command, flag, value, message):
@@ -776,6 +780,23 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "--val-manifest" in err and "--val-every" in err
         assert not out.exists()
+
+
+class TestOneClassSplit:
+    """BAD_INPUTS' one-class rows drop a split's abnormal videos; eval
+    rejects a split with no normal video the same way, before it reads a
+    feature file (this one names two that do not exist), and makes no
+    --out."""
+
+    @pytest.mark.parametrize("command", ["eval"])
+    def test_exits_one_before_any_work(self, untrained_checkpoint, tmp_path, capsys, command):
+        bad = tmp_path / "one_class" / "manifest.json"
+        bad.parent.mkdir()
+        videos = [{"id": f"v{i}", "path": f"missing_{i}.vadf", "label": 1, "frame_count": 40} for i in range(2)]
+        bad.write_text(json.dumps({"version": 1, "d": 8, "snippet_len": 4, "split": "test", "videos": videos}))
+        argv = [command, "--manifest", str(bad), "--checkpoint", str(untrained_checkpoint)]
+        line = f"error: FormatError: {bad}: test split needs both normal and abnormal videos (0 normal, 2 abnormal)"
+        assert_rejected(capsys, argv, tmp_path / "out", re.escape(line))
 
 
 class TestSweepAndAblate:
