@@ -36,8 +36,6 @@ from . import autograd as ag
 from .autograd import Tensor
 from .nn import MLP, mlp_forward
 
-SCORER_HIDDEN = (512, 256)
-
 # one generator that serves every bag in turn, or one per bag (see ``topk_score``)
 Rngs = np.random.Generator | Sequence[np.random.Generator]
 

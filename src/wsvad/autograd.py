@@ -12,13 +12,14 @@ those it gets on its own.
 
 A layer of the detector is one op, and so is each of its MLPs: `mlp` runs
 every dense layer with its bias and activation and the dropout masks between
-them (`linear` is one layer), `conv1d_dilated` takes its branch's bias, and
-`nonlocal_attention` is the embedded-Gaussian attention branch. Each computes
-in place what it can and gives the same values and float32 gradients, bit
-for bit, as the chain of single ops it replaces, up to the regrouped sums of
-the live-row backward below. `mlp` takes its rows along every axis but the
-last, so the classifier runs on the loss's (bags, alpha, d) gather as it
-does on (rows, d). The two context-module ops take the constant feature batch and an
+them (a single dense layer is `mlp` with one weight and one bias),
+`conv1d_dilated` takes its branch's bias, and `nonlocal_attention` is the
+embedded-Gaussian attention branch. Each computes in place what it can and
+gives the same values and float32 gradients, bit for bit, as the chain of
+single ops it replaces, up to the regrouped sums of the live-row backward
+below. `mlp` takes its rows along every axis but the last, so the
+classifier runs on the loss's (bags, alpha, d) gather as it does on
+(rows, d). The two context-module ops take the constant feature batch and an
 optional (rows, 1) `scale`, the attention's inclusion: they are linear in
 their input rows, so they scale their projections rather than the input, and
 backward gives the scale its gradient from the projections that forward
@@ -90,7 +91,6 @@ __all__ = [
     "conv1d_dilated",
     "gather_rows",
     "l2_norm",
-    "linear",
     "matmul",
     "mlp",
     "no_grad",
@@ -233,10 +233,14 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=_DTYPE)
         _ensure_finite("tensor", arr)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
+        self._init(arr, bool(requires_grad), None)
+
+    def _init(self, data: np.ndarray, requires_grad: bool, rec: _Record | None) -> None:
+        """Set every field of a new tensor: its checked value, no gradient yet."""
+        self.data = data
+        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._rec: _Record | None = None
+        self._rec = rec
         self._consumed = False
         self._id = next(_ids)
 
@@ -314,12 +318,8 @@ def _from_op(op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callab
     # a cast to the storage dtype can overflow whatever the op computed
     if arr is not data or not _SKIPS.get(op, _CHECK_ALL)[0]:
         _ensure_finite(op, arr)
-    out.data = arr
-    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out.grad = None
-    out._rec = _Record(op, parents, vjp) if out.requires_grad else None
-    out._consumed = False
-    out._id = next(_ids)
+    requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out._init(arr, requires_grad, _Record(op, parents, vjp) if requires_grad else None)
     return out
 
 
@@ -451,13 +451,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _ACTIVATIONS = (None, "relu", "sigmoid")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None, bags: int = 1) -> Tensor:
-    """A dense layer as one op: ``act(x @ w + b)`` for x (..., k), w (k, n)
-    and b (n,), giving (..., n), where ``act`` is "relu", "sigmoid" or None.
-    It is `mlp` with one layer."""
-    return mlp(x, [w], [b], act, bags)
-
-
 def mlp(
     x: Tensor,
     weights: Sequence[Tensor],
@@ -480,13 +473,14 @@ def mlp(
     -inf that ReLU turns into 0, and no activation makes a finite value
     non-finite. A mask's product is not checked on its own: the next layer's
     pre-activation reaches every entry of it. The values and gradients are
-    those of one `linear` per layer and a same-shape `mul` per mask run as
-    single ops, bit for bit (``unfused_mlp`` in ``tests/helpers.py``). The
-    vjp forms every weight's and bias's gradient and skips x's product when
-    x needs no gradient, as for the scorer's first layer, which reads the
-    constant feature batch; the hidden layers' gradients are not checked on
-    their own, since each reaches its layer's weight gradient. Without
-    gradients no layer's output is kept past the next layer.
+    those of one one-layer `mlp` per layer and a same-shape `mul` per mask
+    run as single ops, bit for bit (``unfused_mlp`` in
+    ``tests/helpers.py``). The vjp forms every weight's and bias's gradient
+    and skips x's product when x needs no gradient, as for the scorer's
+    first layer, which reads the constant feature batch; the hidden layers'
+    gradients are not checked on their own, since each reaches its layer's
+    weight gradient. Without gradients no layer's output is kept past the
+    next layer.
     """
     if not weights or len(weights) != len(biases):
         raise ShapeError(f"linear: expected as many biases as weights, at least one; got {len(weights)}, {len(biases)}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import SCORER_HIDDEN, Rngs, SoftSelection, TsaConfig, tsa_forward
+from .attention import Rngs, SoftSelection, TsaConfig, tsa_forward
 from .autograd import Tensor, all_finite
 from .features import FormatError
 from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
@@ -39,6 +39,7 @@ CHECKPOINT_MAGIC = b"VADC"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_ESTIMATOR = "perturbed"
 
+SCORER_HIDDEN = (512, 256)
 CLASSIFIER_HIDDEN = (128, 32)
 CONV_KERNEL = 3
 CLASSIFIER_DROPOUT = 0.7

@@ -119,20 +119,13 @@ def top_alpha_mean(feats: Tensor, alpha: int) -> Tensor:
     return _top_alpha_gather(feats, 1, alpha)[0].mean(axis=1).reshape(feats.shape[1])
 
 
-def _magnitudes(top: Tensor) -> Tensor:
-    """(bags,) norm of each bag's mean top-alpha row, from their (bags, alpha, d) gather."""
-    return ag.l2_norm(top.mean(axis=1), axis=-1)
-
-
 def separability(bag_pos: Tensor, bag_neg: Tensor, alpha: int) -> Tensor:
     """Difference of top-alpha mean-feature magnitudes (abnormal minus normal)."""
     if bag_pos.shape[1] != bag_neg.shape[1]:
         raise ag.ShapeError(
             f"feature widths disagree: {bag_pos.shape[1]} vs {bag_neg.shape[1]}"
         )
-    pos = _magnitudes(_top_alpha_gather(bag_pos, 1, alpha)[0])
-    neg = _magnitudes(_top_alpha_gather(bag_neg, 1, alpha)[0])
-    return (pos - neg).reshape()
+    return ag.l2_norm(top_alpha_mean(bag_pos, alpha)) - ag.l2_norm(top_alpha_mean(bag_neg, alpha))
 
 
 def dmt_loss(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> Tensor:
@@ -155,7 +148,8 @@ def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple
 
     ``ctx`` (2B, alpha, d) and ``scores`` (2B, alpha, 1) are those top-alpha
     rows already gathered, each bag's largest first, as ``forward_loss``
-    hands them on; the op takes them as they are.
+    hands them on; the op takes them as they are. Any other shapes, or an
+    odd or zero bag count, raise one ``ValueError``.
 
     The op's forward and vjp replay, in the inputs' dtype, the numpy
     expressions of the single-op chain that ``unfused_dmt_terms`` in
@@ -166,20 +160,17 @@ def dmt_terms(ctx: Tensor, scores: Tensor, bags: int, cfg: TrainConfig) -> tuple
     gradients, and the magnitudes too: an abnormal bag's magnitude that
     overflows in its cast would meet a zero hinge and leave the loss finite.
     """
-    b = bags // 2
-    if ctx.ndim == 2:
-        if bags != 2 * b or b < 1 or scores.shape != (ctx.shape[0], 1):
-            raise ValueError(
-                f"expected 2*B bags of context features and scores, got {ctx.shape}, {scores.shape} for {bags} bags"
-            )
-        ctx, rows = _top_alpha_gather(ctx, bags, cfg.alpha)
+    b, alpha = bags // 2, cfg.alpha
+    paired = bags == 2 * b and b >= 1
+    if paired and ctx.ndim == 2 and scores.shape == (ctx.shape[0], 1):
+        ctx, rows = _top_alpha_gather(ctx, bags, alpha)
         scores = ag.gather_rows(scores, rows)
-    elif bags != 2 * b or b < 1 or ctx.shape[:2] != (bags, cfg.alpha) or scores.shape != (bags, cfg.alpha, 1):
+    if not paired or ctx.ndim != 3 or ctx.shape[:2] != (bags, alpha) or scores.shape != (bags, alpha, 1):
         raise ValueError(
-            f"expected 2*B bags of top-alpha context features and scores, got {ctx.shape}, {scores.shape} "
-            f"for {bags} bags of alpha {cfg.alpha}"
+            f"expected 2*B bags of context features and scores, stacked or their top-alpha rows, "
+            f"got {ctx.shape}, {scores.shape} for {bags} bags of alpha {alpha}"
         )
-    dt, alpha = ctx.data.dtype, cfg.alpha
+    dt = ctx.data.dtype
 
     # margin term: each bag's magnitude is the norm of its mean top-alpha row
     mean = np.asarray(np.sum(ctx.data, axis=1, dtype=np.float64) / alpha, dtype=dt)  # (2B, d)

@@ -96,15 +96,15 @@ def stack(bags: list) -> ag.Tensor:
 
 
 def unfused_mlp(x, weights, biases, act, bags=1, masks=None) -> ag.Tensor:
-    """An MLP as one op per layer: a one-layer `linear` for each layer, ReLU
+    """An MLP as one op per layer: a one-layer `mlp` for each layer, ReLU
     on the hidden ones and ``act`` on the last, and a same-shape `mul` by each
     hidden layer's mask. ``autograd.mlp`` runs it as one op with these bits."""
     h = x
     for layer, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-        h = ag.linear(h, w, b, "relu", bags)
+        h = ag.mlp(h, [w], [b], "relu", bags)
         if masks is not None:
             h = h * masks[layer]
-    return ag.linear(h, weights[-1], biases[-1], act, bags)
+    return ag.mlp(h, weights[-1:], biases[-1:], act, bags)
 
 
 def unfused_dmt_terms(top: ag.Tensor, scores: ag.Tensor, margin: float) -> tuple[ag.Tensor, ag.Tensor]:

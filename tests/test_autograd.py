@@ -21,14 +21,12 @@ from wsvad.autograd import (
     conv1d_dilated,
     gather_rows,
     l2_norm,
-    linear,
     matmul,
     mlp,
     nonlocal_attention,
     softmax,
 )
-from wsvad.attention import SCORER_HIDDEN
-from wsvad.model import CLASSIFIER_DROPOUT, CLASSIFIER_HIDDEN
+from wsvad.model import CLASSIFIER_DROPOUT, CLASSIFIER_HIDDEN, SCORER_HIDDEN
 from wsvad.nn import MLP, mlp_forward
 
 from helpers import (
@@ -48,6 +46,12 @@ from helpers import (
     unfused_mlp,
     unfused_nonlocal,
 )
+
+
+def test_every_exported_name_is_defined():
+    """A name left in ``__all__`` after its function is gone fails here, not
+    only at ``from wsvad.autograd import *``."""
+    assert [name for name in ag.__all__ if not hasattr(ag, name)] == []
 
 
 class TestMatmul:
@@ -339,10 +343,10 @@ class TestBagLocalProducts:
         x = self.stack(t_len + k + n, t_len, k)
         w, b = Tensor(np.random.default_rng(k).normal(size=(k, n))), Tensor(np.linspace(-1, 1, n))
         with ag.no_grad():
-            stacked = linear(Tensor(x), w, b, "relu", self.BAGS).data
-            alone = [linear(Tensor(bag), w, b, "relu").data for bag in x.reshape(self.BAGS, t_len, k)]
+            stacked = mlp(Tensor(x), [w], [b], "relu", self.BAGS).data
+            alone = [mlp(Tensor(bag), [w], [b], "relu").data for bag in x.reshape(self.BAGS, t_len, k)]
         assert stacked.tobytes() == np.concatenate(alone).tobytes()
-        assert np.array_equal(linear(Tensor(x), w, b, "relu", self.BAGS).data, linear(Tensor(x), w, b, "relu").data)
+        assert np.array_equal(mlp(Tensor(x), [w], [b], "relu", self.BAGS).data, mlp(Tensor(x), [w], [b], "relu").data)
 
     @pytest.mark.parametrize("t_len", [1, 5])
     def test_context_ops(self, t_len):
@@ -366,7 +370,7 @@ class TestBagLocalProducts:
 
     def test_linear_rows_must_split_into_bags(self):
         with pytest.raises(ShapeError, match="equal bags"):
-            linear(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)), bags=2)
+            mlp(Tensor(np.ones((5, 2))), [Tensor(np.ones((2, 3)))], [Tensor(np.ones(3))], bags=2)
 
 
 # -- fused ops against the single-op chains they replace ------------------------
@@ -451,7 +455,7 @@ class TestFusedOps:
         arrays = linear_inputs(1)
         arrays[0][0, :] = 0.0  # a row with pre-activation exactly the bias
         assert_same_bits(
-            lambda x, w, b: linear(x, w, b, act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, mask, "linear"
+            lambda x, w, b: mlp(x, [w], [b], act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, mask, "linear"
         )
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
@@ -459,7 +463,7 @@ class TestFusedOps:
         arrays = linear_inputs(12, rows=9, k=6, n=1)
         arrays[0][0, :] = 0.0
         assert_same_bits(
-            lambda x, w, b: linear(x, w, b, act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, (True,) * 3,
+            lambda x, w, b: mlp(x, [w], [b], act), lambda x, w, b: unfused_linear(x, w, b, act), arrays, (True,) * 3,
             "linear",
         )
 
@@ -470,14 +474,14 @@ class TestFusedOps:
         w = np.array([[-1.5], [0.0], [-0.0], [2.0], [3e-30]], np.float32)
         g = np.array([[0.0], [-0.0], [1.0], [-2.5], [1e-20], [0.0]], np.float32)
         x = Tensor(np.ones((6, 5)), requires_grad=True)
-        backward(inject(linear(x, Tensor(w), Tensor(np.zeros(1))), g))
+        backward(inject(mlp(x, [Tensor(w)], [Tensor(np.zeros(1))]), g))
         assert x.grad.tobytes() == (g @ w.T).tobytes()
         assert not np.signbit(x.grad[0]).any() and not np.signbit(x.grad[1]).any()
 
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     def test_linear_gradcheck(self, act):
         check_grads(
-            lambda x, w, b: l2_norm(linear(x, w, b, act)),
+            lambda x, w, b: l2_norm(mlp(x, [w], [b], act)),
             lambda x, w, b: float(np.linalg.norm(ref_linear(x, w, b, act))),
             [a.astype(np.float64) for a in linear_inputs(2)],
         )
@@ -546,7 +550,7 @@ class TestFusedOps:
         first layer reads the feature batch; the weight and bias gradients
         are always formed."""
         x, w, b = linear_inputs(9)
-        y = linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), "relu")
+        y = mlp(Tensor(x), [Tensor(w, requires_grad=True)], [Tensor(b, requires_grad=True)], "relu")
         grads = y._rec.vjp(np.ones(y.shape, np.float32))
         assert grads[0] is None
         assert [g.shape for g in grads[1:]] == [w.shape, b.shape]
@@ -568,11 +572,11 @@ class TestFusedOps:
     def test_shapes_and_activation_checked(self):
         x, w, b = (Tensor(a) for a in linear_inputs(10))
         with pytest.raises(ShapeError):
-            linear(x, w, Tensor(np.ones(3)))
+            mlp(x, [w], [Tensor(np.ones(3))])
         with pytest.raises(ShapeError):
-            linear(x, Tensor(w.data.T), b)
+            mlp(x, [Tensor(w.data.T)], [b])
         with pytest.raises(ValueError, match="tanh"):
-            linear(x, w, b, "tanh")
+            mlp(x, [w], [b], "tanh")
         with pytest.raises(ShapeError, match="bags"):
             nonlocal_attention(*(Tensor(a) for a in nonlocal_inputs(11, 1)[:4]), 2)
         with pytest.raises(ShapeError, match="scale must be"):
@@ -774,7 +778,7 @@ class TestLiveRowVjps:
         x, w, b = linear_inputs(41, rows=rows, k=5, n=4)
         g = live_row_gradient(rng, rows, 4, live, neg_zero=8)
         leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        backward(inject(linear(*leaves, act), g))
+        backward(inject(mlp(leaves[0], [leaves[1]], [leaves[2]], act), g))
         assert self.found == []
         chain = [Tensor(a, requires_grad=True) for a in (x, w, b)]
         backward(inject(unfused_linear(*chain, act), g))
@@ -913,6 +917,18 @@ class TestElementwise:
         assert np.array_equal(t.grad, (x > 0).astype(np.float32))
         assert np.all(t.grad[x == 0] == 0.0)
 
+    def test_scalar_subtraction_on_either_side(self):
+        """`t - c` adds -c to t and `c - t` adds c to -t, each an `add_scalar`."""
+        x = np.array([[1.5, -2.0], [0.25, 3.0]], np.float32)
+        left, right = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        below, above = left - 0.75, 0.75 - right
+        assert below.data.tobytes() == (x - np.float32(0.75)).tobytes()
+        assert above.data.tobytes() == (np.float32(0.75) - x).tobytes()
+        assert below._rec.op == above._rec.op == "add_scalar"
+        backward(below.sum())
+        backward(above.sum())
+        assert np.array_equal(left.grad, np.ones_like(x)) and np.array_equal(right.grad, -np.ones_like(x))
+
     def test_l2_norm_hand_value(self):
         assert l2_norm(Tensor([3.0, 4.0])).item() == 5.0
 
@@ -950,7 +966,7 @@ class TestElementwise:
         assert node._rec.op == "linear" and node._rec.parents == (x, *weights, *biases)
         h = x
         for w, b, act in zip(weights, biases, ("relu", "relu", "sigmoid")):
-            h = linear(h, w, b, act)
+            h = mlp(h, [w], [b], act)
         assert node.data.tobytes() == h.data.tobytes()
 
     def test_dropout_train_masks_and_rescales(self):
@@ -967,9 +983,9 @@ class TestElementwise:
         assert 0.2 < np.mean(mask.data == 0.0) < 0.95
         out = mlp_forward(MLP(weights, biases), x, masks=[mask])
         assert out._rec.op == "linear" and out._rec.parents == (x, *weights, *biases)
-        hidden = linear(x, weights[0], biases[0], "relu")
+        hidden = mlp(x, weights[:1], biases[:1], "relu")
         dropped = Tensor(hidden.data * mask.data)
-        assert out.data.tobytes() == linear(dropped, weights[1], biases[1], "sigmoid").data.tobytes()
+        assert out.data.tobytes() == mlp(dropped, weights[1:], biases[1:], "sigmoid").data.tobytes()
         assert out.data.tobytes() != mlp_forward(MLP(weights, biases), x).data.tobytes()
 
     def test_dropout_at_rows_takes_the_whole_batch_masks(self):
@@ -1350,7 +1366,7 @@ def inject(t, grad):
 # every op whose forward value the engine does not check, on extreme input
 FINITE_OUTPUT = {
     # the pre-activation, checked inside the op, is +-BIG here
-    "linear": lambda t: linear(t, Tensor(np.eye(3)), Tensor(np.zeros(3)), "relu"),
+    "linear": lambda t: mlp(t, [Tensor(np.eye(3))], [Tensor(np.zeros(3))], "relu"),
     "reshape": lambda t: t.reshape(3, 2),
     "gather_rows": lambda t: gather_rows(t, np.array([1, 0, 1, 1])),
     "concat": lambda t: concat([t, t], axis=0),
@@ -1454,11 +1470,11 @@ class TestChecksThatStay:
         sigmoid would turn +-inf into 1 or 0."""
         w = Tensor([[2.0 * sign], [2.0 * sign]])
         with pytest.raises(NumericsError, match="'linear'"), np.errstate(over="ignore"):
-            linear(Tensor([[BIG, BIG]]), w, Tensor([0.0]), act)
+            mlp(Tensor([[BIG, BIG]]), [w], [Tensor([0.0])], act)
 
     def test_linear_bias_overflow_rejected(self):
         with pytest.raises(NumericsError, match="'linear'"), np.errstate(over="ignore"):
-            linear(Tensor([[BIG]]), Tensor([[1.0]]), Tensor([BIG]), "relu")
+            mlp(Tensor([[BIG]]), [Tensor([[1.0]])], [Tensor([BIG])], "relu")
 
     @pytest.mark.parametrize("operand", [0, 1, 2])
     def test_linear_gradient_overflow_rejected(self, operand):
@@ -1466,7 +1482,7 @@ class TestChecksThatStay:
         overflows on its own here."""
         arrays = [np.full((2, 2), 4.0, np.float32), np.full((2, 1), 4.0, np.float32), np.zeros(1, np.float32)]
         leaves = [Tensor(a, requires_grad=i == operand) for i, a in enumerate(arrays)]
-        y = linear(*leaves)
+        y = mlp(leaves[0], [leaves[1]], [leaves[2]])
         with pytest.raises(NumericsError, match=r"grad\[linear\]"), np.errstate(over="ignore"):
             backward(inject(y, np.full((2, 1), BIG, np.float32)))
 
@@ -1600,7 +1616,7 @@ def frozen_case(op):
     x, w and b; the conv's w, bias and scale; the attention's w_theta,
     w_phi, w_g and scale."""
     if op == "linear":
-        return lambda x, w, b: linear(x, w, b, "relu"), linear_inputs(17)
+        return lambda x, w, b: mlp(x, [w], [b], "relu"), linear_inputs(17)
     if op == "conv1d_dilated":
         rng = np.random.default_rng(16)
         x = Tensor(rng.normal(size=(8, 3)).astype(np.float32))

@@ -239,6 +239,23 @@ class TestDmtLoss:
             with pytest.raises(ValueError, match="2\\*B bags"):
                 dmt_loss(x, u, bags, loss_cfg())
 
+    @pytest.mark.parametrize(
+        "ctx_shape, scores_shape, bags",
+        [
+            pytest.param((4, 3, 3), (4, 2, 1), 4, id="gathered-second-axis-not-alpha"),
+            pytest.param((4, 2, 3), (4, 2, 2), 4, id="gathered-scores-two-columns"),
+            pytest.param((3, 2, 3), (3, 2, 1), 3, id="gathered-odd-bag-count"),
+            pytest.param((4, 2), (4, 2, 1), 4, id="two-dimensional-bags-by-alpha"),
+        ],
+    )
+    def test_malformed_top_alpha_rows_rejected(self, ctx_shape, scores_shape, bags):
+        """Top-alpha rows are (2B, alpha, d) with (2B, alpha, 1) scores; any
+        other pair gets the loss's one input error, the stacked form's."""
+        ctx, u = Tensor(np.ones(ctx_shape)), Tensor(np.full(scores_shape, 0.5))
+        with pytest.raises(ValueError, match="2\\*B bags of context features and scores") as err:
+            dmt_loss(ctx, u, bags, loss_cfg(alpha=2))
+        assert err.type is ValueError
+
 
 class TestForwardLoss:
     @staticmethod
