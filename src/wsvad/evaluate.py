@@ -10,6 +10,12 @@ arrays, plus one frame label mask per video. The report's primary metrics
 are frame-level ROC/PR areas of the continuous scores; rounded binary scores
 are kept as the detection artifact and scored separately.
 
+``evaluate_manifest`` reads the feature files one chunk of batches at a time
+(``load_chunks``) and lets each chunk go once it is scored, so it holds about
+one chunk of features however long the split. A file that fails to load
+raises when its chunk is reached, after the chunks before it were scored,
+and nothing is returned or written.
+
 The metrics are computed over runs of frames rather than frames: each run of
 frames that share a snippet and a label is one entry, weighted by its frame
 count. The counts are exact integers, so the areas are bit-identical to the
@@ -22,14 +28,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .features import DatasetManifest, VideoRecord, load_records
+from .features import DatasetManifest, ManifestEntry, VideoRecord, load_records, snippet_count
 from .metrics import auc_pr, auc_roc
 from .model import Model, score_bag
 
@@ -37,6 +44,10 @@ BINARY_THRESHOLD = 0.5
 # most rows eval stacks into one forward pass: a paper-shape training batch,
 # 2 * 8 bags of 32 snippets
 EVAL_BATCH_ROWS = 512
+# most feature bytes evaluate_manifest loads at once; a larger batch is
+# loaded alone. On train_small's test split (200 videos, 25 batches) one
+# batch per load took a median 2.5% longer than 1 MiB chunks.
+EVAL_LOAD_BYTES = 1 << 20
 
 
 @dataclass
@@ -135,7 +146,7 @@ def frame_labels(frame_count: int, intervals: list[tuple[int, int]]) -> np.ndarr
 
 
 def video_frame_labels(
-    videos: list[VideoRecord],
+    videos: Sequence[VideoRecord | ManifestEntry],
     ground_truth: dict[str, list[tuple[int, int]]],
 ) -> list[np.ndarray]:
     """Frame masks for each video, in order, from the ground-truth intervals.
@@ -175,23 +186,41 @@ def evaluate_manifest(
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
-    """``evaluate_records`` over the videos of ``manifest``, loaded from
-    ``base_dir`` in manifest order. A negative ``eval_seed`` is rejected
-    before any feature file is read."""
+    """``evaluate_records`` over the videos of ``manifest``, read from
+    ``base_dir`` one chunk at a time, with the same report, timelines and
+    masks.
+
+    The batches are planned from the manifest's frame counts, and runs of
+    consecutive batches of at most ``EVAL_LOAD_BYTES`` feature bytes
+    (``load_chunks``) are each loaded through ``load_records``, scored and
+    released before the next is read. A feature file that fails to load
+    raises when its chunk is reached, after the chunks before it were
+    scored, and nothing is returned, so ``wsvad eval`` writes no output. A
+    negative ``eval_seed`` is rejected before any feature file is read.
+    """
     _check_eval_seed(eval_seed)
-    return evaluate_records(load_records(manifest, base_dir), model, ground_truth, eval_seed)
+    videos = manifest.videos
+    counts = [snippet_count(v.frame_count, manifest.snippet_len) for v in videos]
+    chunks = load_chunks(eval_batches(counts), [t * manifest.d * 4 for t in counts])
+
+    def load(chunk: list[list[int]]) -> dict[int, VideoRecord]:
+        picked = [i for batch in chunk for i in batch]
+        return dict(zip(picked, load_records(replace(manifest, videos=[videos[i] for i in picked]), base_dir)))
+
+    return _evaluate(videos, chunks, load, model, ground_truth, eval_seed)
 
 
-def eval_batches(records: list[VideoRecord]) -> list[list[int]]:
-    """The record indices of each batch eval scores in one forward pass.
+def eval_batches(snippet_counts: list[int]) -> list[list[int]]:
+    """The video indices of each batch eval scores in one forward pass,
+    given each video's snippet count.
 
     The videos of one snippet count, in manifest order, are cut into batches
     of at most ``EVAL_BATCH_ROWS`` rows and at least one video; the counts
     come in the order of their first video.
     """
     groups: dict[int, list[int]] = {}
-    for idx, rec in enumerate(records):
-        groups.setdefault(rec.num_snippets, []).append(idx)
+    for idx, t_len in enumerate(snippet_counts):
+        groups.setdefault(t_len, []).append(idx)
     batches = []
     for t_len, group in groups.items():
         size = max(1, EVAL_BATCH_ROWS // t_len)
@@ -199,18 +228,36 @@ def eval_batches(records: list[VideoRecord]) -> list[list[int]]:
     return batches
 
 
+def load_chunks(batches: list[list[int]], nbytes: list[int]) -> list[list[list[int]]]:
+    """``batches`` cut, in order, into chunks of consecutive batches whose
+    videos hold at most ``EVAL_LOAD_BYTES`` feature bytes together, where
+    ``nbytes[i]`` is video i's; a batch over the budget is a chunk alone."""
+    chunks: list[list[list[int]]] = []
+    held = 0
+    for batch in batches:
+        size = sum(nbytes[i] for i in batch)
+        if not chunks or held + size > EVAL_LOAD_BYTES:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(batch)
+        held += size
+    return chunks
+
+
 def _video_rng(eval_seed: int, idx: int) -> np.random.Generator:
     """The attention noise stream of the ``idx``-th video of a split."""
     return np.random.default_rng(np.random.SeedSequence((eval_seed, idx)))
 
 
-def _score_batch(records: list[VideoRecord], batch: list[int], model: Model, eval_seed: int) -> list[ScoreTimeline]:
-    """Timelines of the videos ``batch`` indexes, all of one snippet count,
-    scored as one multi-bag forward pass in which each bag draws its noise
-    from its own video's stream; a video scored alone is a batch of one. A
-    ``NumericsError`` in a batch of several scores each video again as a
-    batch of one, from fresh streams; in a batch of one it is re-raised with
-    the video's id in front."""
+def _score_batch(
+    records: dict[int, VideoRecord], batch: list[int], model: Model, eval_seed: int
+) -> list[ScoreTimeline]:
+    """Timelines of the videos ``batch`` indexes, by split index, all of one
+    snippet count, scored as one multi-bag forward pass in which each bag
+    draws its noise from its own video's stream; a video scored alone is a
+    batch of one. A ``NumericsError`` in a batch of several scores each
+    video again as a batch of one, from fresh streams; in a batch of one it
+    is re-raised with the video's id in front."""
     recs = [records[i] for i in batch]
     rngs = [_video_rng(eval_seed, i) for i in batch]
     try:
@@ -222,6 +269,19 @@ def _score_batch(records: list[VideoRecord], batch: list[int], model: Model, eva
             raise ag.NumericsError(f"video '{recs[0].video_id}': {exc}") from exc
         return [tl for i in batch for tl in _score_batch(records, [i], model, eval_seed)]
     return [infer_video(rec, video_scores) for rec, video_scores in zip(recs, rows)]
+
+
+def _score_chunk(
+    records: dict[int, VideoRecord], chunk: list[list[int]], model: Model, eval_seed: int
+) -> list[tuple[int, ScoreTimeline]]:
+    """Each video of ``chunk``'s batches with its timeline, the widths of
+    all of them checked against the model's before any is scored."""
+    for rec in (records[i] for batch in chunk for i in batch):
+        if rec.features.shape[1] != model.d:
+            raise ValueError(
+                f"video '{rec.video_id}' has width {rec.features.shape[1]}, checkpoint expects {model.d}"
+            )
+    return [pair for batch in chunk for pair in zip(batch, _score_batch(records, batch, model, eval_seed))]
 
 
 def evaluate_records(
@@ -250,20 +310,32 @@ def evaluate_records(
     ``eval_seed`` is a ValueError, raised before anything else.
     """
     _check_eval_seed(eval_seed)
+    chunks = [eval_batches([rec.num_snippets for rec in records])]
+    return _evaluate(records, chunks, lambda chunk: dict(enumerate(records)), model, ground_truth, eval_seed)
+
+
+def _evaluate(
+    videos: Sequence[VideoRecord | ManifestEntry],
+    chunks: list[list[list[int]]],
+    load: Callable[[list[list[int]]], dict[int, VideoRecord]],
+    model: Model,
+    ground_truth: dict[str, list[tuple[int, int]]],
+    eval_seed: int,
+) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
+    """The core of ``evaluate_records`` and ``evaluate_manifest``: score
+    each chunk of batches of ``videos`` from ``load(chunk)``, the chunk's
+    records by split index, which no name here holds, so they are freed
+    once scored and before the next chunk loads; then build the report
+    from the timelines and masks."""
     ag.pin_malloc_thresholds()
-    if not records:
+    if not videos:
         raise ValueError("no videos to evaluate: the split is empty")
-    masks = video_frame_labels(records, ground_truth)
-    for rec in records:
-        if rec.features.shape[1] != model.d:
-            raise ValueError(
-                f"video '{rec.video_id}' has width {rec.features.shape[1]}, checkpoint expects {model.d}"
-            )
+    masks = video_frame_labels(videos, ground_truth)
     scored: dict[int, ScoreTimeline] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch in eval_batches(records):
-            scored.update(zip(batch, _score_batch(records, batch, model, eval_seed)))
-    timelines = [scored[idx] for idx in range(len(records))]
+        for chunk in chunks:
+            scored.update(_score_chunk(load(chunk), chunk, model, eval_seed))
+    timelines = [scored[idx] for idx in range(len(videos))]
     runs: list[tuple[np.ndarray, ...]] = []  # (score, label, weight) per entry
     per_video: list[dict] = []
     for tl, labels in zip(timelines, masks):
@@ -284,7 +356,7 @@ def evaluate_records(
         auc_roc=auc_roc(scores, run_labels, weights),
         auc_pr=auc_pr(scores, run_labels, weights),
         auc_roc_binary=binary_auc_roc(scores >= BINARY_THRESHOLD, run_labels, weights),
-        num_videos=len(records),
+        num_videos=len(videos),
         num_frames=sum(m.size for m in masks),
         positive_frames=sum(int(np.count_nonzero(m)) for m in masks),
         eval_seed=eval_seed,

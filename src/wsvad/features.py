@@ -9,7 +9,7 @@ ids, relative feature paths, video-level labels, and frame counts.
 from __future__ import annotations
 
 import json
-import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +30,12 @@ class FormatError(ValueError):
     """A feature file or manifest does not match the documented layout."""
 
 
+def snippet_count(frame_count: int, snippet_len: int) -> int:
+    """Snippets in a video of ``frame_count`` frames at ``snippet_len`` frames
+    each: the last snippet covers the remainder."""
+    return -(-frame_count // snippet_len)
+
+
 @dataclass
 class VideoRecord:
     """One video's snippet features plus its weak label."""
@@ -41,7 +47,7 @@ class VideoRecord:
     features: np.ndarray  # (T_k, d) float32
 
     def __post_init__(self) -> None:
-        expected = math.ceil(self.frame_count / self.snippet_len)
+        expected = snippet_count(self.frame_count, self.snippet_len)
         if self.features.shape[0] != expected:
             raise FormatError(
                 f"video '{self.video_id}': {self.features.shape[0]} snippets but "
@@ -85,8 +91,10 @@ def save_features(features: np.ndarray, path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Read a feature file back into a (T_k, d) float32 matrix; a NaN or Inf
-    value is a FormatError naming the file."""
+    """Read a feature file back into a (T_k, d) float32 matrix. The file's
+    size must match its header before anything is allocated, and the payload
+    is read straight into the returned array; a NaN or Inf value is a
+    FormatError naming the file."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -96,13 +104,17 @@ def load_features(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != FEATURE_VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
-        payload = fh.read()
-    expected = t_k * d * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
-        )
-    feats = np.frombuffer(payload, dtype="<f4").reshape(t_k, d).astype(np.float32)
+        expected = t_k * d * 4
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held == expected:
+            feats = np.empty((t_k, d), dtype="<f4")
+            buf = memoryview(feats).cast("B")
+            held = 0
+            while held < expected and (n := fh.readinto(buf[held:])):
+                held += n
+    if held != expected:
+        raise FormatError(f"{path}: payload holds {held} bytes, header implies {expected}")
+    feats = feats.astype(np.float32, copy=False)  # a no-op on little-endian hosts
     if not all_finite(feats):
         raise FormatError(f"{path}: feature values hold NaN or Inf")
     return feats

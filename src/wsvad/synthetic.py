@@ -22,6 +22,7 @@ from .features import (
     ManifestEntry,
     save_features,
     save_manifest,
+    snippet_count,
 )
 
 GROUND_TRUTH_FILENAME = "ground_truth.json"
@@ -111,7 +112,7 @@ def _generate_split(
                 start = int(rng.integers(0, whole - eps + 1))
                 anomaly = slice(start, start + eps)
                 intervals[video_id] = [[start * cfg.snippet_len, (start + eps) * cfg.snippet_len]]
-            feats = rng.normal(0.0, cfg.noise_std, size=(math.ceil(frames / cfg.snippet_len), cfg.d)).astype(np.float32)
+            feats = rng.normal(0.0, cfg.noise_std, size=(snippet_count(frames, cfg.snippet_len), cfg.d)).astype(np.float32)
             feats[anomaly] += (cfg.anomaly_shift * direction).astype(np.float32)
             path = f"{video_id}.vadf"
             save_features(feats, split_dir / path)

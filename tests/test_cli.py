@@ -19,7 +19,7 @@ import pytest
 from wsvad import cli, evaluate
 from wsvad.attention import TsaConfig
 from wsvad.cli import CHECKPOINT_FILENAME, main
-from wsvad.features import load_features, load_manifest, save_features
+from wsvad.features import load_features, load_manifest, save_features, snippet_count
 from wsvad.model import init_model, load_checkpoint, save_checkpoint
 from wsvad.synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, load_ground_truth
 from wsvad.trainer import TrainConfig, train
@@ -192,6 +192,26 @@ def poison_last_of_three(monkeypatch) -> None:
     set_feature("data/test/test_anom_0005.vadf", 8, 3e37)
 
 
+def delete_last_scored(monkeypatch) -> None:
+    """Eval loads one batch at a time, and the feature file of
+    test_anom_0003, the one video of the last of its eight batches, is gone:
+    the row fails unless the seven batches before it are scored first."""
+    videos = load_manifest(TEST_8).videos
+    batches = evaluate.eval_batches([snippet_count(v.frame_count, 4) for v in videos])  # --delta 4
+    assert len(batches) == 8 and batches[-1] == [9] and videos[9].video_id == "test_anom_0003"
+    Path("data/test/test_anom_0003.vadf").unlink()
+    monkeypatch.setattr(evaluate, "EVAL_LOAD_BYTES", 1)
+    scored, score_bag, load_records = [], evaluate.score_bag, evaluate.load_records
+    monkeypatch.setattr(evaluate, "score_bag", lambda *args, **kwargs: scored.append(1) or score_bag(*args, **kwargs))
+
+    def load_after_scoring(manifest, base_dir):
+        if "test_anom_0003" in [v.video_id for v in manifest.videos] and len(scored) != 7:
+            pytest.fail(f"{len(scored)} batches scored before the last one's load")
+        return load_records(manifest, base_dir)
+
+    monkeypatch.setattr(evaluate, "load_records", load_after_scoring)
+
+
 def huge_classifier_weights(monkeypatch) -> None:
     """Every classifier weight 1e30: finite, so the checkpoint loads, but the
     classifier's second hidden layer overflows its pre-activation."""
@@ -240,6 +260,8 @@ BAD_INPUTS = [
      r"error: FormatError: data/train/train_anom_0002\.vadf: feature values hold NaN or Inf"),
     ("overflow-last-of-three", poison_last_of_three, EVAL,
      r"error: NumericsError: video 'test_anom_0005': non-finite values produced by '\w+'.*"),
+    ("missing-last-scored-feature", delete_last_scored, EVAL,
+     r"error: FileNotFoundError: \[Errno 2\] No such file or directory: 'data/test/test_anom_0003\.vadf'"),
     # the one MLP op names itself, and the layer by its output's shape
     ("overflow-classifier-weight", huge_classifier_weights, EVAL,
      r"error: NumericsError: video 'test_norm_0000': non-finite values produced by 'linear' \(shape \(17, 32\)\)"),

@@ -1,6 +1,7 @@
 """Inference at native length, score unfolding, and report assembly."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from wsvad.evaluate import (
     video_frame_labels,
     write_frame_csv,
 )
-from wsvad.features import VideoRecord, load_records, temporal_normalize
+from wsvad.features import (
+    MANIFEST_VERSION,
+    DatasetManifest,
+    ManifestEntry,
+    VideoRecord,
+    load_records,
+    save_features,
+    temporal_normalize,
+)
 from wsvad.metrics import auc_pr, auc_roc
 from wsvad.model import init_model, score_bag
 from wsvad.synthetic import SyntheticConfig, generate_synthetic, load_ground_truth
@@ -529,3 +538,86 @@ class TestBatchedEval:
         records[1] = VideoRecord("wide", 1, 12, 4, np.zeros((3, 12), np.float32))
         with pytest.raises(ValueError, match="video 'wide' has width 12, checkpoint expects 8"):
             evaluate_records(records, fresh_model(), {"wide": [(0, 4)]})
+
+
+def saved_split(records: list[VideoRecord], directory) -> DatasetManifest:
+    """``records`` written as a split's feature files in ``directory``,
+    and the split's manifest."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for rec in records:
+        save_features(rec.features, directory / f"{rec.video_id}.vadf")
+    return DatasetManifest(
+        MANIFEST_VERSION,
+        records[0].features.shape[1],
+        records[0].snippet_len,
+        "test",
+        [ManifestEntry(rec.video_id, f"{rec.video_id}.vadf", rec.label, rec.frame_count) for rec in records],
+    )
+
+
+def recorded_loads(monkeypatch) -> list[list[VideoRecord]]:
+    """The records of each ``load_records`` call ``evaluate`` makes, in order."""
+    calls, real = [], evaluate.load_records
+    monkeypatch.setattr(evaluate, "load_records", lambda m, base: calls.append(real(m, base)) or calls[-1])
+    return calls
+
+
+class TestChunkedManifestEval:
+    """``evaluate_manifest`` loads, scores and releases consecutive batches
+    of at most ``EVAL_LOAD_BYTES`` feature bytes at a time, and gives what
+    ``evaluate_records`` gives on the whole split loaded at once."""
+
+    # d=512: a 600-snippet video (1.2 MB) is a batch over the budget; the
+    # 200-snippet ones go two to a batch, the 4- and 9-snippet ones share one
+    COUNTS = [200, 4, 600, 200, 9, 200, 4, 600, 9, 200, 1]
+
+    def test_each_load_holds_one_chunk_and_the_loads_cover_the_split_once(self, tmp_path, monkeypatch):
+        records, gt = split_of(self.COUNTS, 512)
+        manifest = saved_split(records, tmp_path)
+        calls = recorded_loads(monkeypatch)
+        evaluate_manifest(manifest, tmp_path, fresh_model(512, num_samples=4), gt)
+        batches = evaluate.eval_batches(self.COUNTS)
+        batch_of = {i: tuple(batch) for batch in batches for i in batch}
+        assert len(calls) > 1
+        for recs in calls:
+            held = sum(rec.features.nbytes for rec in recs)
+            in_calls = {batch_of[int(rec.video_id[1:])] for rec in recs}
+            assert held <= evaluate.EVAL_LOAD_BYTES or len(in_calls) == 1, [rec.video_id for rec in recs]
+        loaded = [rec.video_id for recs in calls for rec in recs]
+        assert loaded == [f"v{i}" for batch in batches for i in batch]
+
+    def test_peak_memory_does_not_grow_with_the_split(self, tmp_path):
+        """Eight 64-snippet videos at d=512 are one batch of 512 rows and
+        1 MiB of features; four times as many are four chunks of that."""
+        model = fresh_model(512, num_samples=4)
+        peaks = []
+        for n in (8, 32):
+            records, gt = split_of([64] * n, 512)
+            manifest = saved_split(records, tmp_path / str(n))
+            evaluate_manifest(manifest, tmp_path / str(n), model, gt)  # warm-up
+            tracemalloc.start()
+            try:
+                evaluate_manifest(manifest, tmp_path / str(n), model, gt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.3 * peaks[0], peaks
+
+    @pytest.mark.parametrize("budget", ["one-batch", "mid-split", "whole-split"])
+    def test_any_budget_gives_the_whole_split_result(self, tmp_path, monkeypatch, budget):
+        counts = [4, 9, 4, 200, 4, 200, 600, 200, 9, 600, 1]
+        records, gt = split_of(counts, 32)
+        manifest = saved_split(records, tmp_path)
+        model = fresh_model(32, num_samples=8)
+        whole = evaluate_records(load_records(manifest, tmp_path), model, gt, eval_seed=3)
+        total = sum(rec.features.nbytes for rec in records)
+        limit = {"one-batch": 1, "mid-split": total // 2, "whole-split": total}[budget]
+        monkeypatch.setattr(evaluate, "EVAL_LOAD_BYTES", limit)
+        calls = recorded_loads(monkeypatch)
+        report, timelines, masks = evaluate_manifest(manifest, tmp_path, model, gt, eval_seed=3)
+        # seven batches: the 4s, the 9s, two of the 200s, the third, each 600
+        # and the 1; half the bytes cut them into 4+1+2
+        assert len(calls) == {"one-batch": 7, "mid-split": 3, "whole-split": 1}[budget]
+        assert report.to_json() == whole[0].to_json()
+        assert [tl.snippet_scores.tobytes() for tl in timelines] == [tl.snippet_scores.tobytes() for tl in whole[1]]
+        assert [m.tobytes() for m in masks] == [m.tobytes() for m in whole[2]]

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsvad.features import (
+    FEATURE_MAGIC,
+    FEATURE_VERSION,
     DatasetManifest,
     FormatError,
     ManifestEntry,
@@ -75,6 +79,31 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match=re.escape("dimensions (4294967296, 0) overflow the u32 header")):
             save_features(np.zeros((2**32, 0), dtype=np.float32), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "t_k, d, payload",
+        [
+            (3, 2, 20),
+            (1024, 1024, 8),
+            (2**32 - 1, 2**32 - 1, 8),  # 7.4e19 bytes claimed
+            (2, 2, 20),  # longer than claimed
+            (0, 7, 4 << 20),  # 4 MiB where none is claimed
+        ],
+    )
+    def test_payload_size_checked_before_any_allocation(self, tmp_path, t_k, d, payload):
+        """The file's size is checked against its header before the loader
+        allocates the claimed array or reads the payload."""
+        path = tmp_path / "claim.vadf"
+        path.write_bytes(struct.pack("<4sIII", FEATURE_MAGIC, FEATURE_VERSION, t_k, d) + bytes(payload))
+        line = f"claim.vadf: payload holds {payload} bytes, header implies {t_k * d * 4}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(line)):
+                load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.vadf"
