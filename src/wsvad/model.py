@@ -11,14 +11,14 @@ reads alone (`trainer.forward_loss`).
 it through `_assemble`.
 
 Checkpoints are a versioned binary: magic ``VADC`` | version u32 |
-header-length u32 | JSON header (architecture + attention settings) |
-tensor count u32 | per tensor: name length u32, name bytes, ndim u32,
-dims u32 each, float32 payload. Same little-endian number layout as the
-feature files. The header's ``tsa.estimator`` field is always "perturbed",
-the only selection gradient there is, and ``classifier_dropout`` is always
-``CLASSIFIER_DROPOUT``, the rate training draws its masks at; both are kept
-so the format stays fixed. A load checks ``classifier_dropout`` and keeps
-nothing from it, since no forward pass of a loaded model drops out.
+header-length u32 | JSON header | tensor count u32 | per tensor: name length
+u32, name bytes, ndim u32, dims u32 each, float32 payload. Same little-endian
+number layout as the feature files. The version 2 header holds what a load
+builds the model from: ``d``, ``scorer_hidden``, the ``tsa`` block
+(``TsaConfig``'s fields) and ``tsa_enabled``. Of these, ``tsa.seed`` is read
+by nothing; it stays while callers still set ``TsaConfig.seed``. The
+classifier widths and the conv kernel are constants of ``param_shapes``, so
+the tensor table's shape checks reject a file laid out with any other.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,13 +37,11 @@ from .features import FormatError
 from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
 
 CHECKPOINT_MAGIC = b"VADC"
-CHECKPOINT_VERSION = 1
-CHECKPOINT_ESTIMATOR = "perturbed"
+CHECKPOINT_VERSION = 2
 
 SCORER_HIDDEN = (512, 256)
 CLASSIFIER_HIDDEN = (128, 32)
 CONV_KERNEL = 3
-CLASSIFIER_DROPOUT = 0.7
 
 
 @dataclass
@@ -150,14 +149,10 @@ def score_bag(model: Model, features: Tensor, bags: int = 1, *, tsa_rng: Rngs | 
 
 
 def save_checkpoint(model: Model, path) -> None:
-    tsa = {f.name: getattr(model.tsa, f.name) for f in fields(TsaConfig)}  # the fields _init_args reads back
     header = {
         "d": model.d,
         "scorer_hidden": list(model.scorer.dims[1:-1]),
-        "classifier_hidden": list(model.classifier.dims[1:-1]),
-        "classifier_dropout": CLASSIFIER_DROPOUT,
-        "conv_kernel": CONV_KERNEL,
-        "tsa": {**tsa, "estimator": CHECKPOINT_ESTIMATOR},
+        "tsa": {f.name: getattr(model.tsa, f.name) for f in fields(TsaConfig)},
         "tsa_enabled": model.tsa_enabled,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -191,31 +186,29 @@ _JSON_KINDS = {int: "an integer", bool: "a boolean", float: "a finite number"}
 
 def _typed(fields_: dict, key: str, kind: type, path, where: str = ""):
     """``fields_[key]`` if it has JSON type ``kind``: an int for int, a bool
-    for bool, and a finite int or float (never a bool) for float."""
+    for bool, and an int or float (never a bool) within float range for
+    float."""
     value = fields_[key]
-    ok = type(value) in (int, float) and math.isfinite(value) if kind is float else type(value) is kind
+    ok = type(value) in (int, float) and abs(value) <= sys.float_info.max if kind is float else type(value) is kind
     if not ok:
         raise FormatError(f"{path}: header field '{where}{key}' must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
-def _init_args(header: dict, path) -> dict:
+def _object(doc, names: list[str], path, what: str) -> dict:
+    """``doc`` if it is a JSON object whose fields are exactly ``names``."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    if sorted(doc) != sorted(names):
+        raise FormatError(f"{path}: {what} has fields {sorted(doc)}, expected {sorted(names)}")
+    return doc
+
+
+def _init_args(header, path) -> dict:
     """Validate a checkpoint header; returns ``_assemble``'s arguments other
     than the arrays, plus ``scorer_hidden``."""
-    if _int_list(header, "classifier_hidden", path) != CLASSIFIER_HIDDEN:
-        raise FormatError(f"{path}: unsupported classifier layout {header['classifier_hidden']}")
-    if _typed(header, "conv_kernel", int, path) != CONV_KERNEL:
-        raise FormatError(f"{path}: unsupported conv kernel {header['conv_kernel']!r}")
-    dropout = _typed(header, "classifier_dropout", float, path)  # checked, not kept
-    if not 0.0 <= dropout < 1.0:
-        raise FormatError(f"{path}: header field 'classifier_dropout' must be in [0, 1), got {dropout!r}")
-    tsa_fields = dict(header["tsa"])
-    estimator = tsa_fields.pop("estimator", CHECKPOINT_ESTIMATOR)
-    if estimator != CHECKPOINT_ESTIMATOR:
-        raise FormatError(f"{path}: unsupported selection estimator {estimator!r}")
-    expected = sorted(f.name for f in fields(TsaConfig))
-    if sorted(tsa_fields) != expected:
-        raise FormatError(f"{path}: attention header fields {sorted(tsa_fields)}, expected {expected}")
+    _object(header, ["d", "scorer_hidden", "tsa", "tsa_enabled"], path, "checkpoint header")
+    tsa_fields = _object(header["tsa"], [f.name for f in fields(TsaConfig)], path, "header field 'tsa'")
     for f in fields(TsaConfig):
         _typed(tsa_fields, f.name, type(f.default), path, "tsa.")
     return dict(
@@ -281,8 +274,8 @@ def load_checkpoint(path) -> Model:
         shapes = param_shapes(args["d"], args.pop("scorer_hidden"))
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or malformed header field ({exc!r})") from exc
+    except ValueError as exc:  # a range check of TsaConfig or param_shapes
+        raise FormatError(f"{path}: header field out of range: {exc}") from exc
     try:
         arrays = _read_tensors(view, 12 + header_len, shapes, path)
     except FormatError:

@@ -9,7 +9,7 @@ by the mean classifier output of its top-alpha snippets, ranked by feature
 magnitude like the margin term). Those top-alpha rows are the only ones the
 loss reads, so the snippet classifier runs on them alone (``forward_loss``,
 which also draws the classifier's dropout masks at those rows only and is
-the one place that applies its rate, ``model.CLASSIFIER_DROPOUT``). The loss
+the one place that applies its rate, ``CLASSIFIER_DROPOUT``). The loss
 over those rows is one engine op with the bits of the single-op chain it
 replaces (``dmt_terms``).
 """
@@ -26,7 +26,7 @@ from . import autograd as ag
 from .attention import TsaConfig
 from .autograd import Tensor
 from .features import DatasetManifest, load_records, temporal_normalize
-from .model import CLASSIFIER_DROPOUT, Model, context_features, init_model
+from .model import Model, context_features, init_model
 from .nn import mlp_forward
 from .optim import Adam
 
@@ -35,6 +35,7 @@ from .attention import tsa_fuse  # noqa: F401
 from .nn import conv_module_forward  # noqa: F401
 
 BCE_EPS = 1e-6
+CLASSIFIER_DROPOUT = 0.7
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ from wsvad.autograd import (
     nonlocal_attention,
     softmax,
 )
-from wsvad.model import CLASSIFIER_DROPOUT, CLASSIFIER_HIDDEN, SCORER_HIDDEN
+from wsvad.model import CLASSIFIER_HIDDEN, SCORER_HIDDEN
 from wsvad.nn import MLP, mlp_forward
+from wsvad.trainer import CLASSIFIER_DROPOUT
 
 from helpers import (
     batched_matmul,

@@ -221,12 +221,10 @@ def huge_classifier_weights(monkeypatch) -> None:
     save_checkpoint(model, "ckpt.vadc")
 
 
-def set_dropout(monkeypatch) -> None:
-    """Eval applies no dropout, but still rejects a rate outside [0, 1)."""
+def version_one_checkpoint(monkeypatch) -> None:
+    """The checkpoint relabelled as format version 1, which no loader reads."""
     blob = Path("ckpt.vadc").read_bytes()
-    edited = blob.replace(b'"classifier_dropout":0.7', b'"classifier_dropout":1.5', 1)
-    assert edited != blob
-    Path("ckpt.vadc").write_bytes(edited)
+    Path("ckpt.vadc").write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
 
 
 def d12_split_and_no_training(monkeypatch) -> None:
@@ -284,8 +282,8 @@ BAD_INPUTS = [
      lambda _: Path("data/test/ground_truth.json").write_text('{"test_anom_0000": [[0, 1.5]]}'), EVAL,
      r"error: FormatError: data/test/ground_truth\.json: video 'test_anom_0000' needs a list of \[start, end\] "
      r"integer pairs, got \[\[0, 1\.5\]\]"),
-    ("checkpoint-dropout", set_dropout, EVAL,
-     r"error: FormatError: ckpt\.vadc: header field 'classifier_dropout' must be in \[0, 1\), got 1\.5"),
+    ("checkpoint-version-1", version_one_checkpoint, EVAL,
+     r"error: FormatError: ckpt\.vadc: unsupported checkpoint version 1"),
     ("sweep-r-width", d12_split_and_no_training, ["sweep-r", "--manifest", TRAIN_8, "--test-manifest", TEST_12],
      r"error: ValueError: --test-manifest has width 12, --manifest has width 8"),
     ("ablate-width", d12_split_and_no_training, ["ablate", "--manifest", TRAIN_8, "--test-manifest", TEST_12],
@@ -406,25 +404,6 @@ class TestTrainEval:
         assert report["pr_convention"] == "average_precision"
         header = (ev / "frame_scores.csv").read_text().splitlines()[0]
         assert header == "video_id,frame_idx,score,binary,label"
-
-    @pytest.mark.parametrize("rate", [b"0.0", b"0.5"])
-    def test_checkpoint_dropout_rate_leaves_eval_unchanged(self, dataset, untrained_checkpoint, tmp_path, rate):
-        """Eval runs no dropout and a load keeps nothing of the header's
-        classifier_dropout, so a checkpoint with that rate rewritten
-        evaluates to the same report and frame CSV bytes."""
-        edited = tmp_path / "edited.vadc"
-        blob = untrained_checkpoint.read_bytes()
-        edited.write_bytes(blob.replace(b'"classifier_dropout":0.7', b'"classifier_dropout":' + rate, 1))
-        assert edited.read_bytes() != blob
-        blobs = []
-        for name, checkpoint in (("e1", untrained_checkpoint), ("e2", edited)):
-            ev = tmp_path / name
-            assert main([
-                "eval", "--manifest", str(dataset / "test" / "manifest.json"),
-                "--checkpoint", str(checkpoint), "--out", str(ev), "--seed", "3",
-            ]) == 0
-            blobs.append([(ev / "report.json").read_bytes(), (ev / "frame_scores.csv").read_bytes()])
-        assert blobs[0] == blobs[1]
 
     def test_eval_prints_frames_and_seconds(self, dataset, untrained_checkpoint, tmp_path, capsys):
         """The summary line gives the split's frame total and the seconds

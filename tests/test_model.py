@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wsvad import autograd as ag
 from wsvad.attention import TsaConfig
 from wsvad.autograd import Tensor, no_grad
 from wsvad.features import FormatError
-from wsvad.model import CLASSIFIER_DROPOUT, init_model, load_checkpoint, param_shapes, save_checkpoint, score_bag
+from wsvad.model import init_model, load_checkpoint, param_shapes, save_checkpoint, score_bag
 
 
 def small_model(seed=0, **tsa_kw):
@@ -34,6 +35,15 @@ def rewrite_header(path, edit):
     (header_len,) = struct.unpack_from("<I", blob, 8)
     new = json.dumps(edit(read_header(path))).encode("utf-8")
     path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len :])
+
+
+def save_with_tensor(tmp_path, name, shape):
+    """A small model's checkpoint with tensor ``name`` saved at ``shape``."""
+    model = small_model()
+    model.named_params()[name].data = np.zeros(shape, np.float32)
+    path = tmp_path / "model.vadc"
+    save_checkpoint(model, path)
+    return path
 
 
 def edited(doc, *keys, value=None):
@@ -98,18 +108,27 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_other_version_rejected(self, tmp_path):
+        """No version 1 reader is kept: its header carried fields that no
+        forward pass reads."""
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
-        with pytest.raises(FormatError, match="model.vadc: unsupported checkpoint version 2"):
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(FormatError, match="model.vadc: unsupported checkpoint version 1"):
             load_checkpoint(path)
 
     def test_other_classifier_layout_rejected(self, tmp_path):
-        path = tmp_path / "model.vadc"
-        save_checkpoint(small_model(), path)
-        rewrite_header(path, lambda h: edited(h, "classifier_hidden", value=[64, 32]))
-        with pytest.raises(FormatError, match=re.escape("model.vadc: unsupported classifier layout [64, 32]")):
+        """The classifier widths are not in the header; the tensor table's
+        shape check names the first tensor laid out for other widths."""
+        path = save_with_tensor(tmp_path, "classifier.0.w", (8, 64))
+        message = "model.vadc: tensor 'classifier.0.w' has shape (8, 64), expected (8, 128)"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    def test_other_conv_kernel_rejected(self, tmp_path):
+        path = save_with_tensor(tmp_path, "conv.conv0.w", (5, 8, 2))
+        message = "model.vadc: tensor 'conv.conv0.w' has shape (5, 8, 2), expected (3, 8, 2)"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_missing_last_tensor_rejected(self, tmp_path):
@@ -151,55 +170,55 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda h: edited(h, "d"),
-            lambda h: edited(h, "classifier_hidden"),
-            lambda h: edited(h, "tsa"),
-            lambda h: edited(h, "tsa", "ratio"),
-            lambda h: edited(h, "tsa_enabled"),
-            lambda h: edited(h, "tsa", "bogus", value=1),
-            lambda h: edited(h, "d", value="wide"),
-            lambda h: edited(h, "scorer_hidden", value=5),
-            lambda h: edited(h, "tsa", value=[1, 2]),
-            lambda h: edited(h, "tsa", "num_samples", value="many"),
-            lambda h: edited(h, "tsa", "sigma_noise", value=-0.5),
-            lambda h: [h],
+            (lambda h: edited(h, "d"), "checkpoint header has fields ['scorer_hidden', 'tsa', 'tsa_enabled']"),
+            (lambda h: edited(h, "tsa"), "checkpoint header has fields ['d', 'scorer_hidden', 'tsa_enabled']"),
+            (lambda h: edited(h, "tsa", "ratio"),
+             "header field 'tsa' has fields ['num_samples', 'seed', 'sigma_noise']"),
+            (lambda h: edited(h, "tsa_enabled"), "checkpoint header has fields ['d', 'scorer_hidden', 'tsa']"),
+            (lambda h: edited(h, "tsa", "bogus", value=1), "header field 'tsa' has fields ['bogus', 'num_samples',"),
+            (lambda h: edited(h, "d", value="wide"), "header field 'd' must be an integer, got 'wide'"),
+            (lambda h: edited(h, "scorer_hidden", value=5), "header field 'scorer_hidden' must be a list"),
+            (lambda h: edited(h, "tsa", value=[1, 2]), "header field 'tsa' must be a JSON object, got list"),
+            (lambda h: edited(h, "tsa", "num_samples", value="many"),
+             "header field 'tsa.num_samples' must be an integer"),
+            (lambda h: edited(h, "tsa", "sigma_noise", value=-0.5),
+             "header field out of range: sigma_noise must be positive"),
+            (lambda h: [h], "checkpoint header must be a JSON object, got list"),
+            (lambda h: edited(h, "tsa", value=[[k, v] for k, v in h["tsa"].items()]),
+             "header field 'tsa' must be a JSON object, got list"),
+            (lambda h: edited(h, "bogus", value=1), "checkpoint header has fields ['bogus', 'd',"),
         ],
         ids=[
-            "no-d", "no-classifier_hidden", "no-tsa", "no-tsa.ratio", "no-tsa_enabled",
-            "extra-tsa-field", "d-not-int", "scorer_hidden-not-list", "tsa-not-object",
-            "num_samples-not-int", "negative-sigma", "header-not-object",
+            "no-d", "no-tsa", "no-tsa.ratio", "no-tsa_enabled", "extra-tsa-field", "d-not-int",
+            "scorer_hidden-not-list", "tsa-not-object", "num_samples-not-int", "negative-sigma",
+            "header-not-object", "tsa-list-of-pairs", "extra-field",
         ],
     )
-    def test_missing_or_malformed_header_rejected(self, tmp_path, edit):
+    def test_missing_or_malformed_header_rejected(self, tmp_path, edit, message):
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
         rewrite_header(path, edit)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"model.vadc: {message}")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "keys, value",
         [
-            (("classifier_dropout",), float("nan")),
-            (("classifier_dropout",), 1.5),
-            (("classifier_dropout",), -0.25),
-            (("classifier_dropout",), True),
             (("tsa", "num_samples"), 1.5),
             (("tsa", "num_samples"), True),
             (("tsa", "seed"), "a"),
             (("tsa", "ratio"), True),
             (("tsa", "sigma_noise"), float("inf")),
+            (("tsa", "sigma_noise"), 10**400),
             (("tsa_enabled",), "no"),
             (("tsa_enabled",), 1),
-            (("conv_kernel",), 3.0),
             (("d",), 8.0),
         ],
         ids=[
-            "dropout-nan", "dropout-1.5", "dropout-negative", "dropout-bool", "num_samples-float",
-            "num_samples-bool", "seed-string", "ratio-bool", "sigma-inf", "tsa_enabled-string",
-            "tsa_enabled-int", "kernel-float", "d-float",
+            "num_samples-float", "num_samples-bool", "seed-string", "ratio-bool", "sigma-inf",
+            "sigma-past-float-range", "tsa_enabled-string", "tsa_enabled-int", "d-float",
         ],
     )
     def test_header_field_of_wrong_json_type_named(self, tmp_path, keys, value):
@@ -210,7 +229,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [5, [12, -6], [12.0, 6]], ids=["int", "negative", "float"])
-    @pytest.mark.parametrize("key", ["scorer_hidden", "classifier_hidden"])
+    @pytest.mark.parametrize("key", ["scorer_hidden"])
     def test_layout_field_not_a_positive_int_list_named(self, tmp_path, key, value):
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
@@ -222,28 +241,25 @@ class TestCheckpoint:
     def test_integer_header_values_load_as_numbers(self, tmp_path):
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
-        rewrite_header(path, lambda h: edited(edited(h, "classifier_dropout", value=0), "tsa", "ratio", value=1))
+        rewrite_header(path, lambda h: edited(edited(h, "tsa", "sigma_noise", value=2), "tsa", "ratio", value=1))
         loaded = load_checkpoint(path)
-        assert loaded.tsa.ratio == 1
-        # the file's rate is checked, not kept: a save writes the training rate
-        save_checkpoint(loaded, path)
-        assert read_header(path)["classifier_dropout"] == CLASSIFIER_DROPOUT
+        assert (loaded.tsa.ratio, loaded.tsa.sigma_noise) == (1, 2)
 
     def test_header_estimator_is_fixed(self, tmp_path):
+        """There is one selection gradient, so the header names none: a
+        ``tsa.estimator`` key is an extra attention field."""
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
-        rewrite_header(path, lambda h: edited(h, "tsa", "estimator", value="straight_through"))
-        with pytest.raises(FormatError, match="estimator"):
+        rewrite_header(path, lambda h: edited(h, "tsa", "estimator", value="perturbed"))
+        with pytest.raises(FormatError, match=re.escape("model.vadc: header field 'tsa' has fields ['estimator',")):
             load_checkpoint(path)
 
-    def test_header_without_estimator_loads(self, tmp_path):
-        model = small_model(seed=2)
+    def test_header_holds_only_what_a_load_builds_from(self, tmp_path):
         path = tmp_path / "model.vadc"
-        save_checkpoint(model, path)
-        assert read_header(path)["tsa"]["estimator"] == "perturbed"
-        rewrite_header(path, lambda h: edited(h, "tsa", "estimator"))
-        assert load_checkpoint(path).tsa == model.tsa
-
+        save_checkpoint(small_model(), path)
+        header = read_header(path)
+        assert set(header) == {"d", "scorer_hidden", "tsa", "tsa_enabled"}
+        assert set(header["tsa"]) == {f.name for f in fields(TsaConfig)}
 
     @pytest.mark.parametrize("d,hidden", [(8, (12, 6)), (16, (5,)), (4, ())])
     def test_param_shapes_match_init_model(self, d, hidden):
@@ -311,11 +327,9 @@ class TestCheckpoint:
         [
             lambda h: edited(h, "d", value=6),
             lambda h: edited(h, "d", value=0),
-            lambda h: edited(h, "conv_kernel", value=5),
-            lambda h: edited(h, "conv_kernel"),
             lambda h: edited(h, "scorer_hidden", value=[12, -6]),
         ],
-        ids=["d-not-multiple-of-4", "d-zero", "other-kernel", "no-kernel", "negative-hidden"],
+        ids=["d-not-multiple-of-4", "d-zero", "negative-hidden"],
     )
     def test_header_layout_rejected(self, tmp_path, edit):
         path = tmp_path / "model.vadc"

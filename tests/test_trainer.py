@@ -13,10 +13,11 @@ from wsvad.attention import TsaConfig, tsa_fuse
 from wsvad.autograd import Tensor
 from wsvad import trainer as trainer_module
 from wsvad.features import FormatError, load_features, load_records, save_features, temporal_normalize
-from wsvad.model import CLASSIFIER_DROPOUT, context_features, init_model
+from wsvad.model import context_features, init_model
 from wsvad.nn import conv_module_forward, mlp_forward
 from wsvad.synthetic import SyntheticConfig, generate_synthetic
 from wsvad.trainer import (
+    CLASSIFIER_DROPOUT,
     TrainConfig,
     build_batch,
     dmt_loss,
