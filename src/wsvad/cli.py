@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .attention import TsaConfig
-from .evaluate import evaluate_manifest, evaluate_records, write_frame_csv
-from .features import load_manifest, load_records
+from .evaluate import evaluate_manifest, write_frame_csv
+from .features import load_manifest
 from .model import load_checkpoint, save_checkpoint
 from .synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, generate_synthetic, load_ground_truth
 from .trainer import TrainConfig, train
@@ -113,27 +113,28 @@ def _out_dir(args) -> Path:
 
 
 def _load_split(manifest_path: Path, flag: str, d: int):
-    """A split's records and ground truth, loaded once for repeated
-    evaluation by models trained on ``--manifest``'s ``d`` features."""
+    """A split's manifest, directory and ground truth, read once and checked
+    for models trained on ``--manifest``'s ``d`` features; each evaluation
+    reads the feature files anew, one chunk at a time."""
     manifest = load_manifest(manifest_path)
     if manifest.d != d:
         raise ValueError(f"{flag} has width {manifest.d}, --manifest has width {d}")
-    records = load_records(manifest, manifest_path.parent)
-    return records, load_ground_truth(manifest_path.parent / GROUND_TRUTH_FILENAME)
+    return manifest, manifest_path.parent, load_ground_truth(manifest_path.parent / GROUND_TRUTH_FILENAME)
 
 
 def _train_and_eval(args, cfgs: list[TrainConfig]):
-    """Load ``--manifest`` and the ``--test-manifest`` split now, and return
-    a generator that trains with each config in turn and yields the report
-    of that model on the test split, evaluated with the run's seed."""
+    """Read the ``--manifest`` and ``--test-manifest`` manifests and the test
+    ground truth now, and return a generator that trains with each config in
+    turn and yields the report of that model on the test split, evaluated
+    with the run's seed."""
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
-    test_records, test_truth = _load_split(Path(args.test_manifest), "--test-manifest", manifest.d)
+    test_manifest, test_dir, test_truth = _load_split(Path(args.test_manifest), "--test-manifest", manifest.d)
 
     def reports():
         for cfg in cfgs:
             model = train(manifest, manifest_path.parent, cfg).model
-            yield evaluate_records(test_records, model, test_truth, eval_seed=cfg.seed)[0]
+            yield evaluate_manifest(test_manifest, test_dir, model, test_truth, eval_seed=cfg.seed)[0]
 
     return reports()
 
@@ -173,11 +174,10 @@ def _cmd_train(args) -> int:
 
     val_fn = None
     if args.val_manifest:
-        val_records, val_truth = _load_split(Path(args.val_manifest), "--val-manifest", manifest.d)
+        val_manifest, val_dir, val_truth = _load_split(Path(args.val_manifest), "--val-manifest", manifest.d)
 
         def val_fn(model):
-            report, _, _ = evaluate_records(val_records, model, val_truth, eval_seed=args.seed)
-            return report.auc_roc
+            return evaluate_manifest(val_manifest, val_dir, model, val_truth, eval_seed=args.seed)[0].auc_roc
 
     result = train(
         manifest,

@@ -10,11 +10,13 @@ arrays, plus one frame label mask per video. The report's primary metrics
 are frame-level ROC/PR areas of the continuous scores; rounded binary scores
 are kept as the detection artifact and scored separately.
 
-``evaluate_manifest`` reads the feature files one chunk of batches at a time
-(``load_chunks``) and lets each chunk go once it is scored, so it holds about
-one chunk of features however long the split. A file that fails to load
-raises when its chunk is reached, after the chunks before it were scored,
-and nothing is returned or written.
+``evaluate_manifest`` is the one entry point: ``wsvad eval``, validation
+during training, ``sweep-r`` and ``ablate`` all score through it. It reads
+the feature files one chunk of batches at a time (``load_chunks``) and lets
+each chunk go once it is scored, so it holds about one chunk of features
+however long the split. A file that fails to load raises when its chunk is
+reached, after the chunks before it were scored, and nothing is returned or
+written.
 
 The metrics are computed over runs of frames rather than frames: each run of
 frames that share a snippet and a label is one entry, weighted by its frame
@@ -28,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -174,42 +176,6 @@ def video_frame_labels(
     return masks
 
 
-def _check_eval_seed(eval_seed: int) -> None:
-    if eval_seed < 0:
-        raise ValueError(f"eval_seed must be non-negative, got {eval_seed}")
-
-
-def evaluate_manifest(
-    manifest: DatasetManifest,
-    base_dir: str | Path,
-    model: Model,
-    ground_truth: dict[str, list[tuple[int, int]]],
-    eval_seed: int = 0,
-) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
-    """``evaluate_records`` over the videos of ``manifest``, read from
-    ``base_dir`` one chunk at a time, with the same report, timelines and
-    masks.
-
-    The batches are planned from the manifest's frame counts, and runs of
-    consecutive batches of at most ``EVAL_LOAD_BYTES`` feature bytes
-    (``load_chunks``) are each loaded through ``load_records``, scored and
-    released before the next is read. A feature file that fails to load
-    raises when its chunk is reached, after the chunks before it were
-    scored, and nothing is returned, so ``wsvad eval`` writes no output. A
-    negative ``eval_seed`` is rejected before any feature file is read.
-    """
-    _check_eval_seed(eval_seed)
-    videos = manifest.videos
-    counts = [snippet_count(v.frame_count, manifest.snippet_len) for v in videos]
-    chunks = load_chunks(eval_batches(counts), [t * manifest.d * 4 for t in counts])
-
-    def load(chunk: list[list[int]]) -> dict[int, VideoRecord]:
-        picked = [i for batch in chunk for i in batch]
-        return dict(zip(picked, load_records(replace(manifest, videos=[videos[i] for i in picked]), base_dir)))
-
-    return _evaluate(videos, chunks, load, model, ground_truth, eval_seed)
-
-
 def eval_batches(snippet_counts: list[int]) -> list[list[int]]:
     """The video indices of each batch eval scores in one forward pass,
     given each video's snippet count.
@@ -271,70 +237,46 @@ def _score_batch(
     return [infer_video(rec, video_scores) for rec, video_scores in zip(recs, rows)]
 
 
-def _score_chunk(
-    records: dict[int, VideoRecord], chunk: list[list[int]], model: Model, eval_seed: int
-) -> list[tuple[int, ScoreTimeline]]:
-    """Each video of ``chunk``'s batches with its timeline, the widths of
-    all of them checked against the model's before any is scored."""
-    for rec in (records[i] for batch in chunk for i in batch):
-        if rec.features.shape[1] != model.d:
-            raise ValueError(
-                f"video '{rec.video_id}' has width {rec.features.shape[1]}, checkpoint expects {model.d}"
-            )
-    return [pair for batch in chunk for pair in zip(batch, _score_batch(records, batch, model, eval_seed))]
-
-
-def evaluate_records(
-    records: list[VideoRecord],
+def evaluate_manifest(
+    manifest: DatasetManifest,
+    base_dir: str | Path,
     model: Model,
     ground_truth: dict[str, list[tuple[int, int]]],
     eval_seed: int = 0,
 ) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
-    """Score every video of ``records`` in order and compute frame-level
-    metrics. Returns the report, all timelines, and each video's frame
-    label mask.
+    """Score every video of ``manifest``, read from ``base_dir``, and compute
+    frame-level metrics. Returns the report, the timelines in manifest
+    order, and each video's frame label mask.
 
-    The videos are scored in ``eval_batches``, each batch one ``score_bag``
-    call over its videos stacked as bags (``_score_batch``), and each
-    video's scores are the same bits as a batch of it alone, with its
-    stream, gives. A video whose width is not the model's is a ValueError
-    naming it, raised before any video is scored. The metrics
-    are computed over weighted entries, one per run of frames that share a
-    snippet and a label (``frame_runs``), weighted by the run's frame count,
-    which scores the same as the unfolded frame arrays. A ``NumericsError``
-    in a video's forward pass is re-raised with the video's id in front
-    (``_score_batch`` finds the video by scoring its batch's videos alone).
-    The videos are scored under one ``np.errstate`` that silences overflow
-    and invalid-value warnings: the engine checks every value the forward
-    pass makes, so nothing warns before that error. A negative
-    ``eval_seed`` is a ValueError, raised before anything else.
+    A negative ``eval_seed``, a split with no videos, a manifest width other
+    than the model's and ground truth that does not fit the videos are each
+    a ValueError raised before any feature file is read; ``load_records``
+    rejects a file whose width is not the manifest's. Each chunk of
+    ``eval_batches`` (``load_chunks``) is loaded, scored batch by batch
+    (``_score_batch``) and released before the next is read. A
+    ``NumericsError`` in a video's forward pass is re-raised with the
+    video's id in front. The videos are scored under one ``np.errstate``
+    that silences overflow and invalid-value warnings: the engine checks
+    every value the forward pass makes, so nothing warns before that error.
     """
-    _check_eval_seed(eval_seed)
-    chunks = [eval_batches([rec.num_snippets for rec in records])]
-    return _evaluate(records, chunks, lambda chunk: dict(enumerate(records)), model, ground_truth, eval_seed)
-
-
-def _evaluate(
-    videos: Sequence[VideoRecord | ManifestEntry],
-    chunks: list[list[list[int]]],
-    load: Callable[[list[list[int]]], dict[int, VideoRecord]],
-    model: Model,
-    ground_truth: dict[str, list[tuple[int, int]]],
-    eval_seed: int,
-) -> tuple[EvalReport, list[ScoreTimeline], list[np.ndarray]]:
-    """The core of ``evaluate_records`` and ``evaluate_manifest``: score
-    each chunk of batches of ``videos`` from ``load(chunk)``, the chunk's
-    records by split index, which no name here holds, so they are freed
-    once scored and before the next chunk loads; then build the report
-    from the timelines and masks."""
-    ag.pin_malloc_thresholds()
+    if eval_seed < 0:
+        raise ValueError(f"eval_seed must be non-negative, got {eval_seed}")
+    videos = manifest.videos
     if not videos:
         raise ValueError("no videos to evaluate: the split is empty")
+    if manifest.d != model.d:
+        raise ValueError(f"{manifest.split} split has width {manifest.d}, checkpoint expects {model.d}")
     masks = video_frame_labels(videos, ground_truth)
+    ag.pin_malloc_thresholds()
+    counts = [snippet_count(v.frame_count, manifest.snippet_len) for v in videos]
     scored: dict[int, ScoreTimeline] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in chunks:
-            scored.update(_score_chunk(load(chunk), chunk, model, eval_seed))
+        for chunk in load_chunks(eval_batches(counts), [t * manifest.d * 4 for t in counts]):
+            picked = [i for batch in chunk for i in batch]
+            records = dict(zip(picked, load_records(replace(manifest, videos=[videos[i] for i in picked]), base_dir)))
+            for batch in chunk:
+                scored.update(zip(batch, _score_batch(records, batch, model, eval_seed)))
+            del records  # released before the next chunk loads
     timelines = [scored[idx] for idx in range(len(videos))]
     runs: list[tuple[np.ndarray, ...]] = []  # (score, label, weight) per entry
     per_video: list[dict] = []
@@ -432,7 +374,7 @@ def _frame_csv(tl: ScoreTimeline, labels: np.ndarray, idx: list[str]):
 def write_frame_csv(path: str | Path, timelines: list[ScoreTimeline], masks: list[np.ndarray]) -> None:
     """Per-frame scores as CSV: video_id, frame_idx, score, binary, label.
 
-    ``masks`` are the timelines' frame labels, as ``evaluate_records`` returns
+    ``masks`` are the timelines' frame labels, as ``evaluate_manifest`` returns
     them; a mask whose length is not its video's frame count is a ValueError
     naming the video.
     """

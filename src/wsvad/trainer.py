@@ -264,7 +264,9 @@ def train(
     value is logged as ``val_auc`` every ``val_every`` epochs. The epochs run
     under one ``np.errstate`` that silences overflow and invalid-value
     warnings: the engine checks every value they make, so a non-finite one
-    still raises a located ``NumericsError``, and nothing warns before it.
+    still raises a located ``NumericsError``, and nothing warns before it:
+    one from a training step names the epoch and the batch's videos, one
+    from ``val_fn`` the epoch and the word validation in front of its own.
     """
     ag.pin_malloc_thresholds()
     # each video is resized once into one (N, T, d) array, then the records
@@ -297,15 +299,17 @@ def train(
                 ag.backward(loss)
                 opt.step()
                 opt.zero_grad()
-
-                row = {"epoch": epoch, "loss": loss_val}
-                if val_fn is not None and val_every > 0 and epoch % val_every == 0:
-                    row["val_auc"] = float(val_fn(model))
             except ag.NumericsError as exc:
                 where = f"epoch {epoch}"
                 if drawn is not None:
                     where += ": batch videos " + ", ".join(f"'{ids[i]}'" for i in drawn)
                 raise ag.NumericsError(f"{where}: {exc}") from exc
+            row = {"epoch": epoch, "loss": loss_val}
+            if val_fn is not None and val_every > 0 and epoch % val_every == 0:
+                try:
+                    row["val_auc"] = float(val_fn(model))
+                except ag.NumericsError as exc:  # the validation split's, not the batch's
+                    raise ag.NumericsError(f"epoch {epoch}: validation: {exc}") from exc
             log.append(row)
     return TrainResult(model=model, log=log)
 

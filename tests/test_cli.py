@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsvad import cli, evaluate
+from wsvad import cli, evaluate, features
 from wsvad.attention import TsaConfig
 from wsvad.cli import CHECKPOINT_FILENAME, main
 from wsvad.features import load_features, load_manifest, save_features, snippet_count
@@ -227,6 +227,12 @@ def version_one_checkpoint(monkeypatch) -> None:
     Path("ckpt.vadc").write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
 
 
+def poison_val_video(monkeypatch) -> None:
+    """Every feature of test_anom_0002 set to 3e38, a finite float32 the
+    loader accepts but the first validation's forward pass overflows on."""
+    set_feature("data/test/test_anom_0002.vadf", ..., 3e38)
+
+
 def d12_split_and_no_training(monkeypatch) -> None:
     """A d=12 dataset, and a train that fails the row: the width check
     comes before any epoch."""
@@ -291,6 +297,18 @@ BAD_INPUTS = [
     ("train-val-width", d12_split_and_no_training,
      ["train", "--manifest", TRAIN_8, "--val-manifest", TEST_12, "--val-every", "20"],
      r"error: ValueError: --val-manifest has width 12, --manifest has width 8"),
+    ("eval-width", d12_split_and_no_training, ["eval", "--manifest", TEST_12, "--checkpoint", "ckpt.vadc"],
+     r"error: ValueError: test split has width 12, checkpoint expects 8"),
+    # validation reads its feature files, so a missing one fails the first
+    # validation, after epoch 1 trained
+    ("missing-val-feature", lambda _: Path("data/test/test_norm_0001.vadf").unlink(),
+     ["train", "--manifest", TRAIN_8, "--val-manifest", TEST_8, "--val-every", "1", *FAST_TRAIN],
+     r"error: FileNotFoundError: \[Errno 2\] No such file or directory: 'data/test/test_norm_0001\.vadf'"),
+    # the epoch and the validation video, and no training video
+    ("overflow-val", poison_val_video,
+     ["train", "--manifest", TRAIN_8, "--val-manifest", TEST_8, "--val-every", "1", *FAST_TRAIN],
+     r"error: NumericsError: epoch 1: validation: video 'test_anom_0002': non-finite values produced by "
+     r"'conv1d_dilated' \(shape \(14, 2\)\)"),
 ]
 
 
@@ -542,7 +560,8 @@ def poison_one_row(split_dir: Path, video: int = 0) -> str:
 
 class TestLocatedNumericsErrors:
     """A forward pass that overflows exits 1 naming where: the video in eval,
-    the epoch and the batch's videos in training. No numpy warning comes
+    the epoch and the batch's videos in training, and the epoch and the
+    video in validation (BAD_INPUTS[overflow-val]). No numpy warning comes
     first (pytest turns every RuntimeWarning into an error)."""
 
     def test_eval_names_the_video(self, dataset, tmp_path, untrained_checkpoint, capsys):
@@ -729,10 +748,48 @@ class TestFlagsReachTheConfig:
         capsys.readouterr()
 
 
+def recorded_eval_loads(monkeypatch, split_dir: Path) -> list[list[str]]:
+    """Eval loads one batch at a time (``EVAL_LOAD_BYTES`` = 1); returns the
+    video ids of each ``evaluate.load_records`` call, and fails the test
+    when a feature file of ``split_dir`` is read outside one."""
+    calls, inside = [], []
+    load_records, load_features = evaluate.load_records, features.load_features
+
+    def recorded_load_records(manifest, base_dir):
+        calls.append([v.video_id for v in manifest.videos])
+        inside.append(True)
+        try:
+            return load_records(manifest, base_dir)
+        finally:
+            inside.pop()
+
+    def checked_load_features(path):
+        if Path(path).parent == split_dir and not inside:
+            pytest.fail(f"{path} read outside evaluate.load_records")
+        return load_features(path)
+
+    monkeypatch.setattr(evaluate, "EVAL_LOAD_BYTES", 1)
+    monkeypatch.setattr(evaluate, "load_records", recorded_load_records)
+    monkeypatch.setattr(features, "load_features", checked_load_features)
+    return calls
+
+
+def one_batch_loads(split_dir: Path, evaluations: int) -> list[list[str]]:
+    """The video ids of each load ``evaluations`` evaluations of the split
+    make at one batch a load."""
+    manifest = load_manifest(split_dir / "manifest.json")
+    counts = [snippet_count(v.frame_count, manifest.snippet_len) for v in manifest.videos]
+    batches = evaluate.eval_batches(counts)
+    assert len(batches) > 1
+    return [[manifest.videos[i].video_id for i in batch] for batch in batches] * evaluations
+
+
 class TestValidation:
     def test_validation_split_loaded_once(self, dataset, tmp_path, monkeypatch):
-        """Each validation scores records loaded once up front; the logged
-        AUCs equal a fresh evaluation of the model at that epoch."""
+        """The manifest and ground truth are read once; each validation reads
+        the feature files through ``evaluate_manifest``, one chunk a load,
+        and ``cli`` reads none itself. The logged AUCs equal a fresh
+        evaluation of the model at that epoch."""
         test_dir = dataset / "test"
         args = cli.build_parser().parse_args([
             "train", "--manifest", str(dataset / "train" / "manifest.json"),
@@ -747,12 +804,10 @@ class TestValidation:
             val_every=1,
         )
 
-        loads = []
-        for module in (cli, evaluate):
-            real = module.load_records
-            monkeypatch.setattr(
-                module, "load_records", lambda m, base, real=real: loads.append(Path(base)) or real(m, base)
-            )
+        loads = recorded_eval_loads(monkeypatch, test_dir)
+        gt_reads = []
+        real_gt = cli.load_ground_truth
+        monkeypatch.setattr(cli, "load_ground_truth", lambda path: gt_reads.append(path) or real_gt(path))
         out = tmp_path / "run"
         code = main([
             "train", "--manifest", str(dataset / "train" / "manifest.json"), "--out", str(out),
@@ -760,7 +815,7 @@ class TestValidation:
             "--val-manifest", str(test_dir / "manifest.json"), "--val-every", "1",
         ])
         assert code == 0
-        assert loads == [test_dir]
+        assert loads == one_batch_loads(test_dir, 5) and len(gt_reads) == 1
         rows = (out / "train_log.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == [repr(r["val_auc"]) for r in expected.log]
 
@@ -829,14 +884,21 @@ class TestSweepAndAblate:
 
     @pytest.mark.parametrize("command", ["sweep-r", "ablate"])
     def test_test_split_loaded_once(self, dataset, tmp_path, monkeypatch, capsys, command):
-        """Every run is evaluated on records and ground truth loaded once."""
+        """The test manifest and ground truth are read once; each run's
+        evaluation reads the feature files through ``evaluate_manifest``,
+        one chunk a load, and ``cli`` reads none itself. The logged AUCs
+        equal a fresh evaluation of each run's model."""
         flags = ["--r-grid", "0.5,1.0"] if command == "sweep-r" else ["--seeds", "0,1"]
-        loads = []
-        for module in (cli, evaluate):
-            real = module.load_records
-            monkeypatch.setattr(
-                module, "load_records", lambda m, base, real=real: loads.append(Path(base)) or real(m, base)
-            )
+        test_dir = dataset / "test"
+        runs = []  # (model, seed) per run
+
+        def recorded_train(manifest, base_dir, cfg):
+            result = train(manifest, base_dir, cfg)
+            runs.append((result.model, cfg.seed))
+            return result
+
+        monkeypatch.setattr(cli, "train", recorded_train)
+        loads = recorded_eval_loads(monkeypatch, test_dir)
         gt_reads = []
         real_gt = cli.load_ground_truth
         monkeypatch.setattr(cli, "load_ground_truth", lambda path: gt_reads.append(path) or real_gt(path))
@@ -847,7 +909,18 @@ class TestSweepAndAblate:
         ])
         assert code == 0
         capsys.readouterr()
-        assert loads == [dataset / "test"] and len(gt_reads) == 1
+        assert len(runs) == (2 if command == "sweep-r" else 4)
+        assert loads == one_batch_loads(test_dir, len(runs)) and len(gt_reads) == 1
+        monkeypatch.undo()
+        manifest, truth = load_manifest(test_dir / "manifest.json"), load_ground_truth(test_dir / GROUND_TRUTH_FILENAME)
+        expected = [
+            repr(evaluate.evaluate_manifest(manifest, test_dir, model, truth, eval_seed=seed)[0].auc_roc)
+            for model, seed in runs
+        ]
+        rows = (tmp_path / "run" / f"{command.replace('-', '_')}.csv").read_text().split()[1:]
+        # sweep-r logs one AUC a run, ablate two a seed, attention on then off
+        logged = [v for row in rows for v in row.split(",")[1 : 2 if command == "sweep-r" else 3]]
+        assert logged == expected
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from wsvad.evaluate import (
     ScoreTimeline,
     binary_auc_roc,
     evaluate_manifest,
-    evaluate_records,
     frame_labels,
     infer_video,
     snippet_lengths,
@@ -25,6 +25,7 @@ from wsvad.evaluate import (
 from wsvad.features import (
     MANIFEST_VERSION,
     DatasetManifest,
+    FormatError,
     ManifestEntry,
     VideoRecord,
     load_records,
@@ -339,11 +340,11 @@ class TestSnippetRunMetrics:
         return records, gt
 
     @pytest.mark.parametrize("tsa", [True, False])
-    def test_report_equals_frame_level_oracle(self, tsa):
+    def test_report_equals_frame_level_oracle(self, tmp_path, tsa):
         records, gt = self.records_and_truth()
         assert any(frames % self.DELTA for frames, _, _ in self.VIDEOS)
         model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=tsa)
-        report, timelines, masks = evaluate_records(records, model, gt, eval_seed=2)
+        report, timelines, masks = evaluate_manifest(saved_split(records, tmp_path), tmp_path, model, gt, eval_seed=2)
         scores = np.concatenate([ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count) for tl in timelines])
         binary = (scores >= 0.5).astype(np.uint8)
         oracle_labels = np.concatenate([frame_labels(f, iv) for f, _, iv in self.VIDEOS])
@@ -354,7 +355,7 @@ class TestSnippetRunMetrics:
         assert report.num_frames == oracle_labels.size
         assert report.positive_frames == int(oracle_labels.sum())
 
-    def test_tied_snippet_scores_across_videos(self):
+    def test_tied_snippet_scores_across_videos(self, tmp_path):
         """Copies of one video score alike under attention off, so a tie group
         holds entries of several snippets, videos and labels at once."""
         records, gt = self.records_and_truth()
@@ -362,7 +363,8 @@ class TestSnippetRunMetrics:
         twins = [VideoRecord(f"t{k}", 1, base.frame_count, self.DELTA, base.features) for k in range(3)]
         twin_gt = {"t0": [(0, 2)], "t1": [(2, 30)], "t2": [(5, 6), (9, 11)]}
         model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=False)
-        report, timelines, masks = evaluate_records(records + twins, model, {**gt, **twin_gt})
+        manifest = saved_split(records + twins, tmp_path)
+        report, timelines, masks = evaluate_manifest(manifest, tmp_path, model, {**gt, **twin_gt})
         scores = np.concatenate([ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count) for tl in timelines])
         labels = np.concatenate(masks)
         assert np.unique(scores).size < scores.size // self.DELTA
@@ -382,10 +384,6 @@ class TestSnippetRunMetrics:
             assert binary_auc_roc(binary, labels, weights) == auc_roc(binary, labels, weights), case
         with pytest.raises(ValueError, match="one positive and one negative"):
             binary_auc_roc(np.array([0, 1], np.uint8), np.array([1, 1], np.uint8), np.array([3, 4]))
-
-    def test_empty_split_rejected(self):
-        with pytest.raises(ValueError, match="no videos to evaluate"):
-            evaluate_records([], fresh_model(), {})
 
 
 def ref_write_frame_csv(path, timelines, masks):
@@ -473,7 +471,7 @@ def split_of(counts: list[int], d: int, snippet_len: int = 4):
 
 
 class TestBatchedEval:
-    """``evaluate_records`` scores the videos of one snippet count as one
+    """``evaluate_manifest`` scores the videos of one snippet count as one
     multi-bag forward pass, and no video's scores can tell."""
 
     @pytest.mark.parametrize("tsa", [True, False])
@@ -485,35 +483,37 @@ class TestBatchedEval:
             (512, [1, 5, 12, 33, 5, 1, 12, 33, 12, 5]),
         ],
     )
-    def test_every_timeline_is_the_video_alone(self, d, counts, tsa):
+    def test_every_timeline_is_the_video_alone(self, tmp_path, d, counts, tsa):
         records, gt = split_of(counts, d)
         model = init_model(d, TsaConfig(num_samples=16), np.random.SeedSequence(d), tsa_enabled=tsa)
-        _, timelines, _ = evaluate_records(records, model, gt, eval_seed=4)
+        _, timelines, _ = evaluate_manifest(saved_split(records, tmp_path), tmp_path, model, gt, eval_seed=4)
         for idx, (rec, tl) in enumerate(zip(records, timelines)):
             alone = scored_alone(rec, model, np.random.default_rng(np.random.SeedSequence((4, idx))))
             assert tl.video_id == rec.video_id
             assert tl.snippet_scores.tobytes() == alone.snippet_scores.tobytes(), rec.video_id
 
-    def test_negative_eval_seed_rejected_before_any_work(self, monkeypatch):
-        records, gt = split_of([4, 9], 8)
-        model = fresh_model()
-        monkeypatch.setattr(evaluate, "_score_batch", None)  # scoring anything would be a TypeError
-        for recs in (records, []):
-            with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
-                evaluate_records(recs, model, gt, eval_seed=-1)
+    # (id, manifest change, eval seed, message)
+    UP_FRONT = [
+        ("negative-seed", {}, -1, r"^eval_seed must be non-negative, got -1$"),
+        ("other-width", {"d": 12}, 0, r"^test split has width 12, checkpoint expects 8$"),
+        ("no-videos", {"videos": []}, 0, r"^no videos to evaluate: the split is empty$"),
+    ]
 
-    def test_negative_eval_seed_rejected_before_any_file_is_read(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("change, seed, message", [c[1:] for c in UP_FRONT], ids=[c[0] for c in UP_FRONT])
+    def test_bad_input_rejected_before_any_file_is_read(self, monkeypatch, tmp_path, change, seed, message):
         _, test_m = generate_synthetic(SyntheticConfig(n_normal=2, n_abnormal=2, d=8, seed=2), tmp_path)
+        gt = load_ground_truth(tmp_path / "test" / "ground_truth.json")
 
         def load_records(*args):
             raise AssertionError("evaluate_manifest read the feature files")
 
         monkeypatch.setattr(evaluate, "load_records", load_records)
-        with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
-            evaluate_manifest(test_m, tmp_path / "test", fresh_model(), {}, eval_seed=-1)
+        with pytest.raises(ValueError, match=message):
+            evaluate_manifest(replace(test_m, **change), tmp_path / "test", fresh_model(), gt, eval_seed=seed)
 
-    def test_one_forward_pass_per_snippet_count_and_chunk(self, monkeypatch):
+    def test_one_forward_pass_per_snippet_count_and_chunk(self, monkeypatch, tmp_path):
         records, gt = split_of([4, 9, 4, 200, 4, 200, 600, 200, 9, 600], 8)
+        manifest = saved_split(records, tmp_path)
         calls, timelined = [], []
         score_bag, infer_video_ = evaluate.score_bag, evaluate.infer_video
 
@@ -527,17 +527,25 @@ class TestBatchedEval:
 
         monkeypatch.setattr(evaluate, "score_bag", counting_score_bag)
         monkeypatch.setattr(evaluate, "infer_video", counting_infer_video)
-        evaluate_records(records, fresh_model(), gt)
+        evaluate_manifest(manifest, tmp_path, fresh_model(), gt)
         # snippet counts in the order of their first video; at most 512 rows
         # a batch, so 200-snippet videos go two at a time and 600 alone
         assert calls == [(12, 3), (18, 2), (400, 2), (200, 1), (600, 1), (600, 1)]
         assert sorted(timelined) == sorted(rec.video_id for rec in records)
 
-    def test_width_checked_before_stacking(self):
-        records, gt = split_of([3, 3, 3], 8)
+    def test_width_checked_before_stacking(self, monkeypatch, tmp_path):
+        """A file whose width is not the manifest's fails its load, and a
+        manifest whose width is not the model's fails before any load."""
+        monkeypatch.setattr(evaluate, "score_bag", lambda *args, **kwargs: pytest.fail("stacked a batch"))
+        records, _ = split_of([3, 3, 3], 8)
         records[1] = VideoRecord("wide", 1, 12, 4, np.zeros((3, 12), np.float32))
-        with pytest.raises(ValueError, match="video 'wide' has width 12, checkpoint expects 8"):
-            evaluate_records(records, fresh_model(), {"wide": [(0, 4)]})
+        manifest = saved_split(records, tmp_path / "file")
+        with pytest.raises(FormatError, match=r"^video 'wide': feature width 12 != manifest d 8$"):
+            evaluate_manifest(manifest, tmp_path / "file", fresh_model(), {"wide": [(0, 4)]})
+        records, gt = split_of([3, 3, 3], 12)
+        manifest = saved_split(records, tmp_path / "split")
+        with pytest.raises(ValueError, match=r"^test split has width 12, checkpoint expects 8$"):
+            evaluate_manifest(manifest, tmp_path / "split", fresh_model(), gt)
 
 
 def saved_split(records: list[VideoRecord], directory) -> DatasetManifest:
@@ -565,7 +573,7 @@ def recorded_loads(monkeypatch) -> list[list[VideoRecord]]:
 class TestChunkedManifestEval:
     """``evaluate_manifest`` loads, scores and releases consecutive batches
     of at most ``EVAL_LOAD_BYTES`` feature bytes at a time, and gives what
-    ``evaluate_records`` gives on the whole split loaded at once."""
+    it gives with the whole split loaded at once."""
 
     # d=512: a 600-snippet video (1.2 MB) is a batch over the budget; the
     # 200-snippet ones go two to a batch, the 4- and 9-snippet ones share one
@@ -609,11 +617,15 @@ class TestChunkedManifestEval:
         records, gt = split_of(counts, 32)
         manifest = saved_split(records, tmp_path)
         model = fresh_model(32, num_samples=8)
-        whole = evaluate_records(load_records(manifest, tmp_path), model, gt, eval_seed=3)
         total = sum(rec.features.nbytes for rec in records)
+        monkeypatch.setattr(evaluate, "EVAL_LOAD_BYTES", total)
+        calls = recorded_loads(monkeypatch)
+        whole = evaluate_manifest(manifest, tmp_path, model, gt, eval_seed=3)
+        # the reference is one load_records call over every file
+        assert [len(recs) for recs in calls] == [len(records)]
+        calls.clear()
         limit = {"one-batch": 1, "mid-split": total // 2, "whole-split": total}[budget]
         monkeypatch.setattr(evaluate, "EVAL_LOAD_BYTES", limit)
-        calls = recorded_loads(monkeypatch)
         report, timelines, masks = evaluate_manifest(manifest, tmp_path, model, gt, eval_seed=3)
         # seven batches: the 4s, the 9s, two of the 200s, the third, each 600
         # and the 1; half the bytes cut them into 4+1+2
