@@ -492,15 +492,35 @@ class TestBatchedEval:
             assert tl.video_id == rec.video_id
             assert tl.snippet_scores.tobytes() == alone.snippet_scores.tobytes(), rec.video_id
 
-    # (id, manifest change, eval seed, message)
+    def test_negative_eval_seed_rejected_before_any_work(self, monkeypatch, tmp_path):
+        """The seed is checked first: an empty split and ground truth that
+        fits no video still give the seed's error."""
+        _, test_m = generate_synthetic(SyntheticConfig(n_normal=2, n_abnormal=2, d=8, seed=2), tmp_path)
+        monkeypatch.setattr(evaluate, "load_records", None)  # reading anything would be a TypeError
+        monkeypatch.setattr(evaluate, "_score_batch", None)  # scoring anything would be a TypeError
+        for manifest in (test_m, replace(test_m, videos=[])):
+            with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
+                evaluate_manifest(manifest, tmp_path / "test", fresh_model(), {"nowhere": [(0, 4)]}, eval_seed=-1)
+
+    def test_negative_eval_seed_rejected_before_any_file_is_read(self, monkeypatch, tmp_path):
+        _, test_m = generate_synthetic(SyntheticConfig(n_normal=2, n_abnormal=2, d=8, seed=2), tmp_path)
+        gt = load_ground_truth(tmp_path / "test" / "ground_truth.json")
+
+        def load_records(*args):
+            raise AssertionError("evaluate_manifest read the feature files")
+
+        monkeypatch.setattr(evaluate, "load_records", load_records)
+        with pytest.raises(ValueError, match=r"^eval_seed must be non-negative, got -1$"):
+            evaluate_manifest(test_m, tmp_path / "test", fresh_model(), gt, eval_seed=-1)
+
+    # (id, manifest change, message)
     UP_FRONT = [
-        ("negative-seed", {}, -1, r"^eval_seed must be non-negative, got -1$"),
-        ("other-width", {"d": 12}, 0, r"^test split has width 12, checkpoint expects 8$"),
-        ("no-videos", {"videos": []}, 0, r"^no videos to evaluate: the split is empty$"),
+        ("other-width", {"d": 12}, r"^test split has width 12, checkpoint expects 8$"),
+        ("no-videos", {"videos": []}, r"^no videos to evaluate: the split is empty$"),
     ]
 
-    @pytest.mark.parametrize("change, seed, message", [c[1:] for c in UP_FRONT], ids=[c[0] for c in UP_FRONT])
-    def test_bad_input_rejected_before_any_file_is_read(self, monkeypatch, tmp_path, change, seed, message):
+    @pytest.mark.parametrize("change, message", [c[1:] for c in UP_FRONT], ids=[c[0] for c in UP_FRONT])
+    def test_bad_input_rejected_before_any_file_is_read(self, monkeypatch, tmp_path, change, message):
         _, test_m = generate_synthetic(SyntheticConfig(n_normal=2, n_abnormal=2, d=8, seed=2), tmp_path)
         gt = load_ground_truth(tmp_path / "test" / "ground_truth.json")
 
@@ -509,7 +529,7 @@ class TestBatchedEval:
 
         monkeypatch.setattr(evaluate, "load_records", load_records)
         with pytest.raises(ValueError, match=message):
-            evaluate_manifest(replace(test_m, **change), tmp_path / "test", fresh_model(), gt, eval_seed=seed)
+            evaluate_manifest(replace(test_m, **change), tmp_path / "test", fresh_model(), gt)
 
     def test_one_forward_pass_per_snippet_count_and_chunk(self, monkeypatch, tmp_path):
         records, gt = split_of([4, 9, 4, 200, 4, 200, 600, 200, 9, 600], 8)
