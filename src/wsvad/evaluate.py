@@ -147,33 +147,34 @@ def frame_labels(frame_count: int, intervals: list[tuple[int, int]]) -> np.ndarr
     return mask
 
 
-def video_frame_labels(
+def check_ground_truth(
     videos: Sequence[VideoRecord | ManifestEntry],
     ground_truth: dict[str, list[tuple[int, int]]],
-) -> list[np.ndarray]:
-    """Frame masks for each video, in order, from the ground-truth intervals.
+) -> None:
+    """Check the ground-truth intervals against the videos, counting each
+    video's marked frames from its merged intervals rather than a mask.
 
     A normal video absent from the ground truth is all-normal. A video's
     intervals must mark at least one frame exactly when its label is 1: an
-    abnormal video whose intervals mark no frame, a normal video whose
-    intervals mark any, or a ground-truth id that names no listed video,
-    raises ValueError naming the id.
+    interval outside the video's frames, an abnormal video whose intervals
+    mark no frame, a normal video whose intervals mark any, or a
+    ground-truth id that names no listed video, raises ValueError naming the
+    id.
     """
     listed = {v.video_id for v in videos}
     unknown = sorted(set(ground_truth) - listed)
     if unknown:
         raise ValueError(f"ground truth names video '{unknown[0]}', which is not in the manifest")
-    masks = []
     for v in videos:
-        try:
-            mask = frame_labels(v.frame_count, ground_truth.get(v.video_id, []))
-        except ValueError as exc:
-            raise ValueError(f"video '{v.video_id}': {exc}") from None
-        if mask.any() != (v.label == 1):
-            kind, marked = ("abnormal", "no frame") if v.label == 1 else ("normal", f"{np.count_nonzero(mask)} frames")
-            raise ValueError(f"{kind} video '{v.video_id}' has {marked} inside its ground-truth intervals")
-        masks.append(mask)
-    return masks
+        marked = reach = 0
+        for start, end in sorted(ground_truth.get(v.video_id, [])):
+            if not 0 <= start <= end <= v.frame_count:
+                raise ValueError(f"video '{v.video_id}': interval [{start}, {end}) outside 0..{v.frame_count}")
+            marked += max(0, end - max(start, reach))
+            reach = max(reach, end)
+        if (marked > 0) != (v.label == 1):
+            kind, what = ("abnormal", "no frame") if v.label == 1 else ("normal", f"{marked} frames")
+            raise ValueError(f"{kind} video '{v.video_id}' has {what} inside its ground-truth intervals")
 
 
 def eval_batches(snippet_counts: list[int]) -> list[list[int]]:
@@ -249,11 +250,13 @@ def evaluate_manifest(
     order, and each video's frame label mask.
 
     A negative ``eval_seed``, a split with no videos, a manifest width other
-    than the model's and ground truth that does not fit the videos are each
-    a ValueError raised before any feature file is read; ``load_records``
-    rejects a file whose width is not the manifest's. Each chunk of
-    ``eval_batches`` (``load_chunks``) is loaded, scored batch by batch
-    (``_score_batch``) and released before the next is read. A
+    than the model's and ground truth that does not fit the videos
+    (``check_ground_truth``) are each a ValueError raised before any feature
+    file is read; ``load_records`` rejects a file whose width is not the
+    manifest's. Each chunk of ``eval_batches`` (``load_chunks``) is loaded,
+    scored batch by batch (``_score_batch``) and released before the next
+    is read; a video's frame mask is built once its file has confirmed its
+    frame count. A
     ``NumericsError`` in a video's forward pass is re-raised with the
     video's id in front. The videos are scored under one ``np.errstate``
     that silences overflow and invalid-value warnings: the engine checks
@@ -266,18 +269,19 @@ def evaluate_manifest(
         raise ValueError("no videos to evaluate: the split is empty")
     if manifest.d != model.d:
         raise ValueError(f"{manifest.split} split has width {manifest.d}, checkpoint expects {model.d}")
-    masks = video_frame_labels(videos, ground_truth)
+    check_ground_truth(videos, ground_truth)
     ag.pin_malloc_thresholds()
     counts = [snippet_count(v.frame_count, manifest.snippet_len) for v in videos]
-    scored: dict[int, ScoreTimeline] = {}
+    scored: dict[int, tuple[ScoreTimeline, np.ndarray]] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in load_chunks(eval_batches(counts), [t * manifest.d * 4 for t in counts]):
             picked = [i for batch in chunk for i in batch]
             records = dict(zip(picked, load_records(replace(manifest, videos=[videos[i] for i in picked]), base_dir)))
             for batch in chunk:
-                scored.update(zip(batch, _score_batch(records, batch, model, eval_seed)))
+                for idx, tl in zip(batch, _score_batch(records, batch, model, eval_seed)):
+                    scored[idx] = tl, frame_labels(tl.frame_count, ground_truth.get(tl.video_id, []))
             del records  # released before the next chunk loads
-    timelines = [scored[idx] for idx in range(len(videos))]
+    timelines, masks = (list(col) for col in zip(*(scored[idx] for idx in range(len(videos)))))
     runs: list[tuple[np.ndarray, ...]] = []  # (score, label, weight) per entry
     per_video: list[dict] = []
     for tl, labels in zip(timelines, masks):

@@ -4,6 +4,9 @@ Feature file layout (little-endian): magic ``VADF`` | format version u32 |
 snippet count u32 | feature width u32 | count*width IEEE-754 float32,
 row-major. A dataset split is described by a JSON manifest listing video
 ids, relative feature paths, video-level labels, and frame counts.
+``json_object`` and ``json_field`` check the manifest, the ground truth and
+the checkpoint header alike: each rejection names the file, where the field
+sits, the field, the JSON kind expected and the value found.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +31,36 @@ _MAX_DIM = 2**32 - 1
 
 
 class FormatError(ValueError):
-    """A feature file or manifest does not match the documented layout."""
+    """An input file does not match its documented layout."""
+
+
+_JSON_KINDS = {int: "an integer", bool: "a boolean", float: "a finite number", str: "a string", list: "a list"}
+
+
+def json_object(doc, path, what: str, names: list[str] | None = None) -> dict:
+    """``doc`` if it is a JSON object, whose fields are exactly ``names``
+    when they are given; otherwise a FormatError naming the file and
+    ``what``, the object as the message calls it."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    if names is not None and sorted(doc) != sorted(names):
+        raise FormatError(f"{path}: {what} has fields {sorted(doc)}, expected {sorted(names)}")
+    return doc
+
+
+def json_field(obj: dict, key: str, kind: type, path, what: str = ""):
+    """``obj[key]`` if it has JSON type ``kind``: that exact type, or for
+    float an int or float (never a bool) within float range. A missing key or
+    another type is a FormatError naming the file, ``what`` (the field as the
+    message calls it, ``field '<key>'`` by default) and the value found."""
+    what = what or f"field '{key}'"
+    if key not in obj:
+        raise FormatError(f"{path}: {what} is missing")
+    value = obj[key]
+    ok = type(value) in (int, float) and abs(value) <= sys.float_info.max if kind is float else type(value) is kind
+    if not ok:
+        raise FormatError(f"{path}: {what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def snippet_count(frame_count: int, snippet_len: int) -> int:
@@ -166,58 +199,48 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Read a split's manifest; a broken rule is a FormatError naming the file.
-    The rules: UTF-8 JSON; integer version 1, d >= 1 and snippet_len >= 1; a
-    string split; per video a unique string id, a string path, a 0/1 label and
-    an integer frame_count >= 1; at least one normal and one abnormal video."""
+    """Read a split's manifest; a broken rule is a FormatError naming the file
+    and, for a video's field, the video (by id, or by index if the id is bad).
+    The rules: a UTF-8 JSON object with integer version 1, d >= 1 and
+    snippet_len >= 1, a string split and a videos list of objects, each a
+    unique string id, a string path, a 0/1 label and an integer frame_count
+    >= 1; at least one normal and one abnormal video. Other keys are ignored."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-
-    def integer(obj: dict, key: str, where: str = "") -> int:
-        value = obj[key]
-        if type(value) is not int:  # not a float, a bool or a string
-            raise FormatError(f"{path}: {where}non-integer {key} {value!r}")
-        return value
-
-    try:
-        version, d, snippet_len = (integer(doc, key) for key in ("version", "d", "snippet_len"))
-        split = doc["split"]
-        if version != MANIFEST_VERSION:
-            raise FormatError(f"{path}: unsupported manifest version {version}")
-        for key, value in (("d", d), ("snippet_len", snippet_len)):
-            if value < 1:
-                raise FormatError(f"{path}: {key} {value} < 1")
-        if not isinstance(split, str):
-            raise FormatError(f"{path}: split {split!r} is not a string")
-        videos = []
-        for v in doc["videos"]:
-            if not isinstance(v["id"], str):
-                raise FormatError(f"{path}: video id {v['id']!r} is not a string")
-            where = f"video '{v['id']}' has "
-            videos.append(ManifestEntry(v["id"], v["path"], integer(v, "label", where), integer(v, "frame_count", where)))
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: missing or malformed manifest field ({exc})") from exc
-    manifest = DatasetManifest(version=version, d=d, snippet_len=snippet_len, split=split, videos=videos)
+    json_object(doc, path, "manifest")
+    version, d, snippet_len = (json_field(doc, key, int, path) for key in ("version", "d", "snippet_len"))
+    if version != MANIFEST_VERSION:
+        raise FormatError(f"{path}: unsupported manifest version {version}")
+    for key, value in (("d", d), ("snippet_len", snippet_len)):
+        if value < 1:
+            raise FormatError(f"{path}: {key} {value} < 1")
+    split = json_field(doc, "split", str, path)
+    videos: list[ManifestEntry] = []
     seen: set[str] = set()
-    for v in manifest.videos:
-        if not isinstance(v.path, str):
-            raise FormatError(f"{path}: video '{v.video_id}' has non-string path {v.path!r}")
-        if v.label not in (0, 1):
-            raise FormatError(f"{path}: video '{v.video_id}' has non-binary label {v.label}")
-        if v.frame_count < 1:
-            raise FormatError(f"{path}: video '{v.video_id}' has frame_count {v.frame_count} < 1")
-        if v.video_id in seen:
-            raise FormatError(f"{path}: duplicate video id '{v.video_id}'")
-        seen.add(v.video_id)
-    abnormal = sum(v.label for v in manifest.videos)
-    if not 0 < abnormal < len(manifest.videos):
-        normal = len(manifest.videos) - abnormal
+    for i, v in enumerate(json_field(doc, "videos", list, path)):
+        video_id = json_field(json_object(v, path, f"video {i}"), "id", str, path, f"video {i} field 'id'")
+        at = f"video '{video_id}'"
+        entry = ManifestEntry(video_id, *(
+            json_field(v, key, kind, path, f"{at} field '{key}'")
+            for key, kind in (("path", str), ("label", int), ("frame_count", int))
+        ))
+        if entry.label not in (0, 1):
+            raise FormatError(f"{path}: {at} has non-binary label {entry.label}")
+        if entry.frame_count < 1:
+            raise FormatError(f"{path}: {at} has frame_count {entry.frame_count} < 1")
+        if video_id in seen:
+            raise FormatError(f"{path}: duplicate video id '{video_id}'")
+        seen.add(video_id)
+        videos.append(entry)
+    abnormal = sum(v.label for v in videos)
+    if not 0 < abnormal < len(videos):
+        normal = len(videos) - abnormal
         raise FormatError(f"{path}: {split} split needs both normal and abnormal videos ({normal} normal, {abnormal} abnormal)")
-    return manifest
+    return DatasetManifest(version=version, d=d, snippet_len=snippet_len, split=split, videos=videos)
 
 
 def load_records(manifest: DatasetManifest, base_dir: str | Path) -> list[VideoRecord]:

@@ -16,9 +16,10 @@ u32, name bytes, ndim u32, dims u32 each, float32 payload. Same little-endian
 number layout as the feature files. The version 2 header holds what a load
 builds the model from: ``d``, ``scorer_hidden``, the ``tsa`` block
 (``TsaConfig``'s fields) and ``tsa_enabled``. Of these, ``tsa.seed`` is read
-by nothing; it stays while callers still set ``TsaConfig.seed``. The
-classifier widths and the conv kernel are constants of ``param_shapes``, so
-the tensor table's shape checks reject a file laid out with any other.
+by nothing; it stays while callers still set ``TsaConfig.seed``. The header
+is checked by ``features.json_object`` and ``json_field``. The classifier
+widths and the conv kernel are constants of ``param_shapes``, so the tensor
+table's shape checks reject a file laid out with any other.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .attention import Rngs, SoftSelection, TsaConfig, tsa_forward
 from .autograd import Tensor, all_finite
-from .features import FormatError
+from .features import FormatError, json_field, json_object
 from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
 
 CHECKPOINT_MAGIC = b"VADC"
@@ -173,50 +173,22 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(data.tobytes())
 
 
-def _int_list(fields_: dict, key: str, path) -> tuple[int, ...]:
-    """``fields_[key]`` as a tuple if it is a JSON list of positive integers."""
-    value = fields_[key]
-    if not isinstance(value, list) or not all(type(v) is int and v > 0 for v in value):
-        raise FormatError(f"{path}: header field '{key}' must be a list of positive integers, got {value!r}")
-    return tuple(value)
-
-
-_JSON_KINDS = {int: "an integer", bool: "a boolean", float: "a finite number"}
-
-
-def _typed(fields_: dict, key: str, kind: type, path, where: str = ""):
-    """``fields_[key]`` if it has JSON type ``kind``: an int for int, a bool
-    for bool, and an int or float (never a bool) within float range for
-    float."""
-    value = fields_[key]
-    ok = type(value) in (int, float) and abs(value) <= sys.float_info.max if kind is float else type(value) is kind
-    if not ok:
-        raise FormatError(f"{path}: header field '{where}{key}' must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _object(doc, names: list[str], path, what: str) -> dict:
-    """``doc`` if it is a JSON object whose fields are exactly ``names``."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
-    if sorted(doc) != sorted(names):
-        raise FormatError(f"{path}: {what} has fields {sorted(doc)}, expected {sorted(names)}")
-    return doc
-
-
 def _init_args(header, path) -> dict:
     """Validate a checkpoint header; returns ``_assemble``'s arguments other
     than the arrays, plus ``scorer_hidden``."""
-    _object(header, ["d", "scorer_hidden", "tsa", "tsa_enabled"], path, "checkpoint header")
-    tsa_fields = _object(header["tsa"], [f.name for f in fields(TsaConfig)], path, "header field 'tsa'")
+    json_object(header, path, "checkpoint header", ["d", "scorer_hidden", "tsa", "tsa_enabled"])
+    tsa_fields = json_object(header["tsa"], path, "header field 'tsa'", [f.name for f in fields(TsaConfig)])
     for f in fields(TsaConfig):
-        _typed(tsa_fields, f.name, type(f.default), path, "tsa.")
-    return dict(
-        d=_typed(header, "d", int, path),
+        json_field(tsa_fields, f.name, type(f.default), path, f"header field 'tsa.{f.name}'")
+    args = dict(
+        d=json_field(header, "d", int, path, "header field 'd'"),
         tsa=TsaConfig(**tsa_fields),
-        tsa_enabled=_typed(header, "tsa_enabled", bool, path),
-        scorer_hidden=_int_list(header, "scorer_hidden", path),
+        tsa_enabled=json_field(header, "tsa_enabled", bool, path, "header field 'tsa_enabled'"),
     )
+    hidden = header["scorer_hidden"]
+    if not isinstance(hidden, list) or not all(type(v) is int and v > 0 for v in hidden):
+        raise FormatError(f"{path}: header field 'scorer_hidden' must be a list of positive integers, got {hidden!r}")
+    return {**args, "scorer_hidden": tuple(hidden)}
 
 
 def _read_tensors(view: memoryview, off: int, shapes: dict[str, tuple[int, ...]], path) -> dict[str, np.ndarray]:

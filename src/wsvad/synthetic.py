@@ -20,6 +20,7 @@ from .features import (
     DatasetManifest,
     FormatError,
     ManifestEntry,
+    json_object,
     save_features,
     save_manifest,
     snippet_count,
@@ -137,18 +138,17 @@ def load_ground_truth(path: str | Path) -> dict[str, list[tuple[int, int]]]:
     """Read the per-video [start, end) abnormal frame intervals.
 
     The file is a JSON object mapping each video id to a list of
-    [start, end] integer pairs; anything else raises FormatError naming the
-    file and, where there is one, the video.
+    [start, end] integer pairs. A file that is not a JSON object is a
+    FormatError from ``features.json_object``; a video whose value is not
+    such a list is a FormatError naming the file, the video and the value.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected an object mapping video ids to intervals")
     out: dict[str, list[tuple[int, int]]] = {}
-    for vid, spans in doc.items():
+    for vid, spans in json_object(doc, path, "ground truth").items():
         if not isinstance(spans, list) or not all(
             isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)
             for span in spans

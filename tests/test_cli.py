@@ -233,6 +233,15 @@ def poison_val_video(monkeypatch) -> None:
     set_feature("data/test/test_anom_0002.vadf", ..., 3e38)
 
 
+def trillion_frame_video(monkeypatch) -> None:
+    """test_norm_0001 listed at 10**12 frames while its file holds the
+    snippets of its real frame count: eval must reach the file's error
+    without building a frame mask of that length first."""
+    doc = json.loads(Path(TEST_8).read_text())
+    next(v for v in doc["videos"] if v["id"] == "test_norm_0001")["frame_count"] = 10**12
+    Path(TEST_8).write_text(json.dumps(doc))
+
+
 def d12_split_and_no_training(monkeypatch) -> None:
     """A d=12 dataset, and a train that fails the row: the width check
     comes before any epoch."""
@@ -288,6 +297,9 @@ BAD_INPUTS = [
      lambda _: Path("data/test/ground_truth.json").write_text('{"test_anom_0000": [[0, 1.5]]}'), EVAL,
      r"error: FormatError: data/test/ground_truth\.json: video 'test_anom_0000' needs a list of \[start, end\] "
      r"integer pairs, got \[\[0, 1\.5\]\]"),
+    ("eval-frame-count-unconfirmed", trillion_frame_video, EVAL,
+     r"error: FormatError: video 'test_norm_0001': \d+ snippets but 1000000000000 frames at snippet length 4 "
+     r"imply 250000000000"),
     ("checkpoint-version-1", version_one_checkpoint, EVAL,
      r"error: FormatError: ckpt\.vadc: unsupported checkpoint version 1"),
     ("sweep-r-width", d12_split_and_no_training, ["sweep-r", "--manifest", TRAIN_8, "--test-manifest", TEST_12],

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,12 @@ from wsvad.evaluate import (
     EvalReport,
     ScoreTimeline,
     binary_auc_roc,
+    check_ground_truth,
     evaluate_manifest,
     frame_labels,
     infer_video,
     snippet_lengths,
     unfold_scores,
-    video_frame_labels,
     write_frame_csv,
 )
 from wsvad.features import (
@@ -130,6 +131,26 @@ class TestFrameLabels:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             frame_labels(10, [(8, 12)])
+
+    def test_ground_truth_check_counts_the_merged_intervals(self):
+        """A normal video's marked frames are counted from its merged
+        intervals, as many as its mask would hold."""
+        rng = np.random.default_rng(0)
+        cases = [(10, [(2, 5), (4, 9), (9, 9), (0, 1), (7, 8)])]
+        for _ in range(200):
+            frames = int(rng.integers(1, 40))
+            spans = [tuple(sorted(rng.integers(0, frames + 1, 2).tolist())) for _ in range(rng.integers(1, 5))]
+            cases.append((frames, spans))
+        for frames, spans in cases:
+            marked = np.count_nonzero(frame_labels(frames, spans))
+            video = ManifestEntry("v", "v.vadf", 0, frames)
+            if marked:
+                with pytest.raises(ValueError, match=f"^normal video 'v' has {marked} frames inside"):
+                    check_ground_truth([video], {"v": spans})
+            else:
+                check_ground_truth([video], {"v": spans})
+                with pytest.raises(ValueError, match="^abnormal video 'v' has no frame inside"):
+                    check_ground_truth([replace(video, label=1)], {"v": spans})
 
 
 @pytest.fixture(scope="module")
@@ -265,12 +286,11 @@ class TestEvaluateManifest:
 
     def test_normal_video_absent_from_ground_truth_is_all_normal(self, small_dataset):
         tmp, test_m, gt = small_dataset
-        records = load_records(test_m, tmp / "test")
-        normal = next(r for r in records if r.label == 0)
-        trimmed = {vid: spans for vid, spans in gt.items() if vid != normal.video_id}
-        masks = video_frame_labels(records, trimmed)
-        assert [m.tolist() for m in masks] == [m.tolist() for m in video_frame_labels(records, gt)]
-        assert not masks[records.index(normal)].any()
+        normal = next(i for i, v in enumerate(test_m.videos) if v.label == 0)
+        trimmed = {vid: spans for vid, spans in gt.items() if vid != test_m.videos[normal].video_id}
+        masks, full = (evaluate_manifest(test_m, tmp / "test", fresh_model(), labels)[2] for labels in (trimmed, gt))
+        assert [m.tolist() for m in masks] == [m.tolist() for m in full]
+        assert not masks[normal].any()
 
     @pytest.mark.parametrize("abnormal_gt", ["missing", "empty", "zero-length", "normal-marked"])
     def test_abnormal_video_without_intervals_rejected(self, small_dataset, abnormal_gt):
@@ -630,6 +650,42 @@ class TestChunkedManifestEval:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.3 * peaks[0], peaks
+
+    def test_each_chunk_is_released_before_the_next_loads(self, tmp_path, monkeypatch):
+        """At each ``load_records`` call, no feature array that an earlier
+        call returned is still alive."""
+        records, gt = split_of(self.COUNTS, 512)
+        manifest = saved_split(records, tmp_path)
+        del records
+        loaded, real = [], evaluate.load_records
+
+        def load(m, base):
+            held = [ref().shape for ref in loaded if ref() is not None]
+            assert not held, f"features of an earlier chunk still alive: {held}"
+            recs = real(m, base)
+            loaded.extend(weakref.ref(rec.features) for rec in recs)
+            return recs
+
+        monkeypatch.setattr(evaluate, "load_records", load)
+        evaluate_manifest(manifest, tmp_path, fresh_model(512, num_samples=4), gt)
+        assert len(loaded) == len(self.COUNTS) and all(ref() is None for ref in loaded)
+
+    def test_no_mask_for_a_frame_count_no_file_confirmed(self, tmp_path):
+        """A normal video listed at 3e9 frames whose file holds 4 snippets is
+        the file's FormatError, raised without a 3 GB frame mask built
+        first."""
+        records, gt = split_of([4, 4, 4], 8)
+        manifest = saved_split(records, tmp_path)
+        manifest.videos[0].frame_count = 3 * 10**9
+        model = fresh_model(8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="^video 'v0': 4 snippets but 3000000000 frames"):
+                evaluate_manifest(manifest, tmp_path, model, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, peak
 
     @pytest.mark.parametrize("budget", ["one-batch", "mid-split", "whole-split"])
     def test_any_budget_gives_the_whole_split_result(self, tmp_path, monkeypatch, budget):

@@ -260,7 +260,8 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["videos"][0]["path"] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="'v0' has non-string path"):
+        message = f"manifest.json: video 'v0' field 'path' must be a string, got {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_manifest(path)
 
     @pytest.mark.parametrize(
@@ -273,7 +274,8 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["videos"][1][field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=rf"manifest.json: video 'v1' has non-integer {field} "):
+        message = f"manifest.json: video 'v1' field '{field}' must be an integer, got {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_manifest(path)
 
     @pytest.mark.parametrize(
@@ -285,7 +287,8 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc[field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=rf"manifest.json: non-integer {field} "):
+        message = f"manifest.json: field '{field}' must be an integer, got {value!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_manifest(path)
 
     @pytest.mark.parametrize(
@@ -296,8 +299,8 @@ class TestManifest:
             ("snippet_len", 0, "snippet_len 0 < 1"),
             ("d", 0, "d 0 < 1"),
             ("d", -4, "d -4 < 1"),
-            ("split", [1, 2], r"split \[1, 2\] is not a string"),
-            ("split", None, "split None is not a string"),
+            ("split", [1, 2], r"field 'split' must be a string, got \[1, 2\]"),
+            ("split", None, "field 'split' must be a string, got None"),
         ],
         ids=["version-2", "version-0", "snippet_len-0", "d-0", "d-negative", "split-list", "split-null"],
     )
