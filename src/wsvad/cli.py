@@ -38,7 +38,7 @@ TRAIN_FLAGS = (
     ("--epochs", "epochs", {}),
     ("--batch", "batch_bags", dict(metavar="B", help="bags per class; the batch holds 2*B")),
     ("--t", "t_len", dict(help="snippets per bag after resizing")),
-    ("--r", "ratio", dict(help="fraction of snippets the attention keeps")),
+    ("--r", "ratio", dict(help="fraction of snippets the attention keeps; 1.0 turns it off")),
     ("--alpha", "alpha", {}),
     ("--margin", "margin", {}),
     ("--sigma-noise", "sigma_noise", {}),
@@ -80,16 +80,17 @@ def _flag_error(exc: ValueError, table, **named: str) -> ValueError:
     return ValueError(f"{flags[field]} {rest}") if field in flags else exc
 
 
-def _train_config(args, *, seed: int | None = None, ratio: float | None = None, tsa_enabled: bool = True) -> TrainConfig:
+def _train_config(args, *, seed: int | None = None, ratio: float | None = None) -> TrainConfig:
     """The training config the flags ask for; a ``seed`` or ``ratio`` given
-    here comes from ``--seeds`` or ``--r-grid``, and an error names it so."""
+    here comes from ``--seeds`` or ``--r-grid`` (or is ablate's 1.0, which is
+    always valid), and an error names it so."""
     use_seed = args.seed if seed is None else seed
     values = _flag_values(args, TRAIN_FLAGS)
     if ratio is not None:
         values["ratio"] = ratio
     tsa = {name: values.pop(name) for name in TSA_FIELDS & values.keys()}
     try:
-        return TrainConfig(**values, tsa=TsaConfig(**tsa, seed=use_seed), tsa_enabled=tsa_enabled, seed=use_seed)
+        return TrainConfig(**values, tsa=TsaConfig(**tsa, seed=use_seed), seed=use_seed)
     except ValueError as exc:
         named = dict(seed="--seed" if seed is None else "--seeds", ratio="--r" if ratio is None else "--r-grid")
         raise _flag_error(exc, TRAIN_FLAGS, **named) from None
@@ -169,7 +170,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"--val-manifest needs --val-every >= 1, got {args.val_every}")
     if args.val_every and not args.val_manifest:
         raise ValueError(f"--val-every {args.val_every} needs --val-manifest")
-    cfg = _train_config(args, tsa_enabled=not args.no_tsa)
+    cfg = _train_config(args)
     manifest = load_manifest(Path(args.manifest))
 
     val_fn = None
@@ -236,8 +237,8 @@ def _cmd_sweep_r(args) -> int:
 
 def _cmd_ablate(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
-    # every config is checked before the first run; each seed trains with the attention on, then off
-    cfgs = [_train_config(args, seed=seed, tsa_enabled=on) for seed in seeds for on in (True, False)]
+    # every config is checked before the first run; each seed trains with the attention on, then off (ratio 1.0)
+    cfgs = [_train_config(args, seed=seed, ratio=r) for seed in seeds for r in (None, 1.0)]
     reports = _train_and_eval(args, cfgs)
     rows = []
     for seed in seeds:
@@ -271,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-manifest", default=None)
     p.add_argument("--val-every", type=int, default=0, help="epochs between validations; needs --val-manifest")
     _add_flags(p, TRAIN_FLAGS, train_defaults)
-    p.add_argument("--no-tsa", action="store_true", help="disable the attention stage")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score a test split against frame ground truth")

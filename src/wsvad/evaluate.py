@@ -308,7 +308,6 @@ def evaluate_manifest(
         eval_seed=eval_seed,
         pr_convention="average_precision",
         config={
-            "tsa_enabled": model.tsa_enabled,
             "num_samples": model.tsa.num_samples,
             "ratio": model.tsa.ratio,
             "sigma_noise": model.tsa.sigma_noise,

@@ -35,6 +35,8 @@ class FormatError(ValueError):
 
 
 _JSON_KINDS = {int: "an integer", bool: "a boolean", float: "a finite number", str: "a string", list: "a list"}
+# the JSON kind of each type json.loads makes, looked up by exact type: a bool is never a number
+_JSON_NAMES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "list"}
 
 
 def json_object(doc, path, what: str, names: list[str] | None = None) -> dict:
@@ -42,7 +44,8 @@ def json_object(doc, path, what: str, names: list[str] | None = None) -> dict:
     when they are given; otherwise a FormatError naming the file and
     ``what``, the object as the message calls it."""
     if not isinstance(doc, dict):
-        raise FormatError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+        kind = _JSON_NAMES.get(type(doc), type(doc).__name__)
+        raise FormatError(f"{path}: {what} must be a JSON object, got {kind}")
     if names is not None and sorted(doc) != sorted(names):
         raise FormatError(f"{path}: {what} has fields {sorted(doc)}, expected {sorted(names)}")
     return doc
@@ -244,23 +247,18 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def load_records(manifest: DatasetManifest, base_dir: str | Path) -> list[VideoRecord]:
-    """Load every referenced feature file, enforcing header consistency."""
-    base = Path(base_dir)
+    """Load every referenced feature file, enforcing header consistency; a
+    file that disagrees with its manifest entry is a FormatError naming the
+    file and the video."""
     records = []
     for entry in manifest.videos:
-        feats = load_features(base / entry.path)
+        path = Path(base_dir) / entry.path
+        feats = load_features(path)
         if feats.shape[1] != manifest.d:
-            raise FormatError(
-                f"video '{entry.video_id}': feature width {feats.shape[1]} != manifest d {manifest.d}"
-            )
-        records.append(
-            VideoRecord(
-                video_id=entry.video_id,
-                label=entry.label,
-                frame_count=entry.frame_count,
-                snippet_len=manifest.snippet_len,
-                features=feats,
-            )
-        )
+            raise FormatError(f"{path}: video '{entry.video_id}': feature width {feats.shape[1]} != manifest d {manifest.d}")
+        try:
+            records.append(VideoRecord(entry.video_id, entry.label, entry.frame_count, manifest.snippet_len, feats))
+        except FormatError as exc:  # the snippet count, which names the video
+            raise FormatError(f"{path}: {exc}") from None
     return records
 

@@ -3,7 +3,9 @@
 `context_features` runs the first two stages, the scorer with its attention
 and the context module, and `score_bag` adds the classifier over every row,
 as eval scores a video. Training runs the classifier on the rows its loss
-reads alone (`trainer.forward_loss`).
+reads alone (`trainer.forward_loss`). A ratio of 1.0 (`--r 1.0`) turns the
+attention off: the context module then reads the features unscaled, and the
+scorer is neither run nor trained.
 
 `param_shapes` is the one table of the detector's parameter names and shapes.
 `init_model` fills it with fan-based uniform weights and zero biases,
@@ -13,13 +15,13 @@ it through `_assemble`.
 Checkpoints are a versioned binary: magic ``VADC`` | version u32 |
 header-length u32 | JSON header | tensor count u32 | per tensor: name length
 u32, name bytes, ndim u32, dims u32 each, float32 payload. Same little-endian
-number layout as the feature files. The version 2 header holds what a load
-builds the model from: ``d``, ``scorer_hidden``, the ``tsa`` block
-(``TsaConfig``'s fields) and ``tsa_enabled``. Of these, ``tsa.seed`` is read
-by nothing; it stays while callers still set ``TsaConfig.seed``. The header
-is checked by ``features.json_object`` and ``json_field``. The classifier
-widths and the conv kernel are constants of ``param_shapes``, so the tensor
-table's shape checks reject a file laid out with any other.
+number layout as the feature files. The version 3 header holds what a load
+builds the model from: ``d``, ``scorer_hidden`` and the ``tsa`` block
+(``TsaConfig``'s fields). Of these, ``tsa.seed`` is read by nothing; it stays
+while callers still set ``TsaConfig.seed``. The header is checked by
+``features.json_object`` and ``json_field``. The classifier widths and the
+conv kernel are constants of ``param_shapes``, so the tensor table's shape
+checks reject a file laid out with any other.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .features import FormatError, json_field, json_object
 from .nn import MLP, ConvModule, conv_module_forward, mlp_forward
 
 CHECKPOINT_MAGIC = b"VADC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 SCORER_HIDDEN = (512, 256)
 CLASSIFIER_HIDDEN = (128, 32)
@@ -51,7 +53,6 @@ class Model:
     conv: ConvModule
     classifier: MLP
     tsa: TsaConfig
-    tsa_enabled: bool = True
     _params: dict[str, Tensor] = field(kw_only=True, repr=False, compare=False)
 
     def named_params(self) -> dict[str, Tensor]:
@@ -89,7 +90,7 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def _assemble(d: int, arrays: dict[str, np.ndarray], tsa: TsaConfig, tsa_enabled: bool) -> Model:
+def _assemble(d: int, arrays: dict[str, np.ndarray], tsa: TsaConfig) -> Model:
     """Build a model from one array per ``param_shapes`` entry."""
     p = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
 
@@ -101,14 +102,13 @@ def _assemble(d: int, arrays: dict[str, np.ndarray], tsa: TsaConfig, tsa_enabled
         [p[f"conv.conv{i}.w"] for i in range(3)], [p[f"conv.conv{i}.b"] for i in range(3)],
         *(p[f"conv.attn.{name}"] for name in ("theta", "phi", "g")),
     )
-    return Model(d, mlp("scorer"), conv, mlp("classifier"), tsa, tsa_enabled, _params=p)
+    return Model(d, mlp("scorer"), conv, mlp("classifier"), tsa, _params=p)
 
 
 def init_model(
     d: int,
     tsa: TsaConfig,
     seed_seq: np.random.SeedSequence,
-    tsa_enabled: bool = True,
     scorer_hidden: tuple[int, ...] = SCORER_HIDDEN,
 ) -> Model:
     """A fresh detector. The scorer, the context module and the classifier
@@ -118,18 +118,22 @@ def init_model(
         name: np.zeros(shape, np.float32) if len(shape) == 1 else xavier_uniform(rngs[name.split(".")[0]], shape)
         for name, shape in param_shapes(d, scorer_hidden).items()
     }
-    return _assemble(d, arrays, tsa, tsa_enabled)
+    return _assemble(d, arrays, tsa)
 
 
 def context_features(
     model: Model, features: Tensor, bags: int = 1, *, tsa_rng: Rngs | None = None
 ) -> tuple[Tensor, SoftSelection | None]:
-    """The detector's context stage: the scorer and the attention (when
-    enabled) and the context module, over ``bags`` bags of T snippets
-    stacked along the rows. Returns (context features (rows, d), soft
-    selection or None when attention is disabled)."""
+    """The detector's context stage: the scorer and the attention, then the
+    context module, over ``bags`` bags of T snippets stacked along the rows.
+    Returns (context features (rows, d), soft selection or None when the
+    attention is off).
+
+    At ``model.tsa.ratio`` 1.0 the attention is off: every sample keeps
+    every snippet, so each inclusion is exactly 1 and its score gradient
+    exactly 0, and the scorer and the selection are skipped."""
     incl = selection = None
-    if model.tsa_enabled:
+    if model.tsa.ratio < 1.0:
         incl, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
     return conv_module_forward(model.conv, features, bags, scale=incl), selection
 
@@ -140,7 +144,7 @@ def score_bag(model: Model, features: Tensor, bags: int = 1, *, tsa_rng: Rngs | 
 
     ``features`` holds ``bags`` bags of T snippets stacked along the rows;
     every stage keeps them apart. Returns (snippet scores (rows, 1), context
-    features (rows, d), soft selection or None when attention is disabled).
+    features (rows, d), soft selection or None when the attention is off).
     Training runs the same two stages, with the classifier on the rows its
     loss reads (``trainer.forward_loss``).
     """
@@ -153,7 +157,6 @@ def save_checkpoint(model: Model, path) -> None:
         "d": model.d,
         "scorer_hidden": list(model.scorer.dims[1:-1]),
         "tsa": {f.name: getattr(model.tsa, f.name) for f in fields(TsaConfig)},
-        "tsa_enabled": model.tsa_enabled,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     params = model.named_params()
@@ -176,15 +179,11 @@ def save_checkpoint(model: Model, path) -> None:
 def _init_args(header, path) -> dict:
     """Validate a checkpoint header; returns ``_assemble``'s arguments other
     than the arrays, plus ``scorer_hidden``."""
-    json_object(header, path, "checkpoint header", ["d", "scorer_hidden", "tsa", "tsa_enabled"])
+    json_object(header, path, "checkpoint header", ["d", "scorer_hidden", "tsa"])
     tsa_fields = json_object(header["tsa"], path, "header field 'tsa'", [f.name for f in fields(TsaConfig)])
     for f in fields(TsaConfig):
         json_field(tsa_fields, f.name, type(f.default), path, f"header field 'tsa.{f.name}'")
-    args = dict(
-        d=json_field(header, "d", int, path, "header field 'd'"),
-        tsa=TsaConfig(**tsa_fields),
-        tsa_enabled=json_field(header, "tsa_enabled", bool, path, "header field 'tsa_enabled'"),
-    )
+    args = dict(d=json_field(header, "d", int, path, "header field 'd'"), tsa=TsaConfig(**tsa_fields))
     hidden = header["scorer_hidden"]
     if not isinstance(hidden, list) or not all(type(v) is int and v > 0 for v in hidden):
         raise FormatError(f"{path}: header field 'scorer_hidden' must be a list of positive integers, got {hidden!r}")

@@ -2,16 +2,16 @@
 
 Each mini-batch holds B normal bags followed by B abnormal bags, stacked
 along the rows so that a training step is one graph. Bags pass through
-attention (optional) and the temporal context module; the loss pushes the
-top-alpha feature magnitude of each abnormal bag above its paired normal bag
-by a margin, plus a binary cross-entropy on video scores (each video scored
-by the mean classifier output of its top-alpha snippets, ranked by feature
-magnitude like the margin term). Those top-alpha rows are the only ones the
-loss reads, so the snippet classifier runs on them alone (``forward_loss``,
-which also draws the classifier's dropout masks at those rows only and is
-the one place that applies its rate, ``CLASSIFIER_DROPOUT``). The loss
-over those rows is one engine op with the bits of the single-op chain it
-replaces (``dmt_terms``).
+attention (off at ratio 1.0) and the temporal context module; the loss
+pushes the top-alpha feature magnitude of each abnormal bag above its paired
+normal bag by a margin, plus a binary cross-entropy on video scores (each
+video scored by the mean classifier output of its top-alpha snippets, ranked
+by feature magnitude like the margin term). Those top-alpha rows are the
+only ones the loss reads, so the snippet classifier runs on them alone
+(``forward_loss``, which also draws the classifier's dropout masks at those
+rows only and is the one place that applies its rate,
+``CLASSIFIER_DROPOUT``). The loss over those rows is one engine op with the
+bits of the single-op chain it replaces (``dmt_terms``).
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ class TrainConfig:
     weight_decay: float = 0.005
     alpha: int = 3  # top instances per bag in the loss
     margin: float = 100.0
-    tsa: TsaConfig = field(default_factory=TsaConfig)
-    tsa_enabled: bool = True
+    tsa: TsaConfig = field(default_factory=TsaConfig)  # ratio 1.0 turns the attention off
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -281,7 +280,7 @@ def train(
 
     root = np.random.SeedSequence(cfg.seed)
     init_seq, batch_seq, noise_seq, drop_seq = root.spawn(4)
-    model = init_model(manifest.d, cfg.tsa, init_seq, tsa_enabled=cfg.tsa_enabled)
+    model = init_model(manifest.d, cfg.tsa, init_seq)
     batch_rng = np.random.default_rng(batch_seq)
     noise_rng = np.random.default_rng(noise_seq)
     drop_rng = np.random.default_rng(drop_seq)

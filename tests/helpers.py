@@ -11,7 +11,9 @@ import contextlib
 import numpy as np
 
 from wsvad import autograd as ag
+from wsvad.attention import tsa_forward
 from wsvad.autograd import softmax
+from wsvad.nn import conv_module_forward
 from wsvad.optim import BETA1, BETA2, EPS
 from wsvad.trainer import BCE_EPS
 
@@ -88,6 +90,25 @@ def read_only_gradients():
 
 
 # -- independent numpy references for the engine ops ---------------------------
+
+
+def attention_always_on(model, features, bags=1, *, tsa_rng=None):
+    """``model.context_features`` without its ratio-1.0 skip: the scorer and
+    the selection run at every ratio, and the context module reads the
+    features scaled by their inclusion, which is exactly 1 at ratio 1.0."""
+    incl, selection, _ = tsa_forward(features, model.scorer, model.tsa, tsa_rng, bags=bags)
+    return conv_module_forward(model.conv, features, bags, scale=incl), selection
+
+
+def graph_nodes(loss: ag.Tensor) -> int:
+    """The op records reachable from ``loss``: the nodes its backward visits."""
+    seen, pending = set(), [loss]
+    while pending:
+        t = pending.pop()
+        if id(t) not in seen and t._rec is not None:
+            seen.add(id(t))
+            pending.extend(t._rec.parents)
+    return len(seen)
 
 
 def stack(bags: list) -> ag.Tensor:

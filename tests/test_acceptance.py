@@ -249,8 +249,9 @@ def test_criterion_10_attention_ablation_direction(tmp_path):
     deltas = []
     for seed in range(5):
         aucs = {}
-        for enabled in (True, False):
-            tcfg = TrainConfig(t_len=16, tsa=TsaConfig(seed=seed), seed=seed, tsa_enabled=enabled)
+        for enabled in (True, False):  # off is ratio 1.0
+            tsa = TsaConfig(seed=seed) if enabled else TsaConfig(seed=seed, ratio=1.0)
+            tcfg = TrainConfig(t_len=16, tsa=tsa, seed=seed)
             trained = train(train_m, tmp_path / "train", tcfg)
             rep, _, _ = evaluate_manifest(test_m, tmp_path / "test", trained.model, gt, eval_seed=0)
             aucs[enabled] = rep.auc_roc

@@ -10,12 +10,14 @@ import dataclasses
 import filecmp
 import json
 import re
+import shlex
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wsvad import autograd as ag
 from wsvad import cli, evaluate, features
 from wsvad.attention import TsaConfig
 from wsvad.cli import CHECKPOINT_FILENAME, main
@@ -23,6 +25,8 @@ from wsvad.features import load_features, load_manifest, save_features, snippet_
 from wsvad.model import init_model, load_checkpoint, save_checkpoint
 from wsvad.synthetic import GROUND_TRUTH_FILENAME, SyntheticConfig, load_ground_truth
 from wsvad.trainer import TrainConfig, train
+
+from helpers import graph_nodes
 
 GEN_FLAGS = [
     "--d", "8", "--delta", "4", "--n-normal", "6", "--n-abnormal", "6",
@@ -92,9 +96,9 @@ def tsa_run(tmp_path_factory, dataset):
 
 @pytest.fixture(scope="module")
 def no_tsa_runs(tmp_path_factory, datasets):
-    """A --no-tsa training at each width, shared by the reruns and the --r 1.0 ablation."""
+    """A training with the attention off (--r 1.0) at each width, for the reruns."""
     tmp = tmp_path_factory.mktemp("no_tsa")
-    return {d: train_run(tmp / str(d), data, *TRAIN_FLAGS_AT[d], "--no-tsa") for d, data in datasets.items()}
+    return {d: train_run(tmp / str(d), data, *TRAIN_FLAGS_AT[d], "--r", "1.0") for d, data in datasets.items()}
 
 
 TRAIN = ["train", "--manifest", "TRAIN", "--seed", "1"]
@@ -102,13 +106,13 @@ EVAL_TEST = ["eval", "--manifest", "TEST", "--seed", "1", "--checkpoint"]
 SPLITS = ["--manifest", "TRAIN", "--test-manifest", "TEST"]
 RUN_FILES, EVAL_FILES = [CHECKPOINT_FILENAME, "train_log.csv"], ["report.json", "frame_scores.csv"]
 # (id, dataset width, argv, files compared); RUN and RUN_OFF are the
-# checkpoints of a training with the attention on and off
+# checkpoints of a training with the attention on and off (--r 1.0)
 RERUNS = [
     ("eval", 8, [*EVAL_TEST, "RUN"], EVAL_FILES),
     ("eval-no-tsa", 8, [*EVAL_TEST, "RUN_OFF"], EVAL_FILES),
     ("train", 8, [*TRAIN, *FAST_TRAIN], RUN_FILES),
     ("train-wide", 128, [*TRAIN, *WIDE], RUN_FILES),
-    ("train-wide-no-tsa", 128, [*TRAIN, *WIDE, "--no-tsa"], RUN_FILES),
+    ("train-wide-no-tsa", 128, [*TRAIN, *WIDE, "--r", "1.0"], RUN_FILES),
     ("train-val", 8, [*TRAIN, *FAST_TRAIN, "--val-manifest", "TEST", "--val-every", "2"], RUN_FILES),
     ("sweep-r", 8, ["sweep-r", *SPLITS, "--seed", "1", "--r-grid", "0.5,1.0", *FAST_TRAIN], ["sweep_r.csv"]),
     ("ablate", 8, ["ablate", *SPLITS, "--seeds", "0,1", *FAST_TRAIN], ["ablate.csv"]),
@@ -131,21 +135,25 @@ class TestReruns:
             assert blob and blob == (tmp_path / "b" / name).read_bytes(), name
 
     @pytest.mark.parametrize("d", [8, 128])
-    def test_full_ratio_matches_no_tsa(self, datasets, no_tsa_runs, tmp_path, d):
+    def test_full_ratio_leaves_the_scorer_untouched(self, datasets, tmp_path, monkeypatch, d):
         """At --r 1.0 the attention keeps every snippet with inclusion exactly
-        1, so both arms of the ablation train and score the same model."""
-        off = no_tsa_runs[d]
-        full = train_run(tmp_path / "full", datasets[d], *TRAIN_FLAGS_AT[d], "--r", "1.0")
-        assert (full / "train_log.csv").read_bytes() == (off / "train_log.csv").read_bytes()
-        scores = []
-        for run in (full, off):
-            ev = tmp_path / f"ev_{run.name}"
-            assert main([
-                "eval", "--manifest", str(datasets[d] / "test" / "manifest.json"),
-                "--checkpoint", str(run / CHECKPOINT_FILENAME), "--out", str(ev), "--seed", "1",
-            ]) == 0
-            scores.append((ev / "frame_scores.csv").read_bytes())
-        assert scores[0] == scores[1]
+        1, so it is off: a step's graph is the 9 nodes of the context module,
+        the classifier and the loss, with no scorer, selection or row scale,
+        and the checkpoint's scorer is its initial draw, untouched even by
+        weight decay."""
+        nodes, backward = [], ag.backward
+
+        def counting_backward(loss):
+            nodes.append(graph_nodes(loss))
+            backward(loss)
+
+        monkeypatch.setattr(ag, "backward", counting_backward)
+        run = train_run(tmp_path / "full", datasets[d], *TRAIN_FLAGS_AT[d], "--r", "1.0")
+        assert nodes == [9] * int(TRAIN_FLAGS_AT[d][1])  # one step an epoch
+        model = load_checkpoint(run / CHECKPOINT_FILENAME)
+        initial = init_model(d, model.tsa, np.random.SeedSequence(1).spawn(4)[0]).named_params()
+        scorer = [name for name in initial if name.startswith("scorer.")]
+        assert scorer and all(np.array_equal(model.named_params()[n].data, initial[n].data) for n in scorer)
 
 
 def set_feature(path, index, value) -> None:
@@ -298,8 +306,8 @@ BAD_INPUTS = [
      r"error: FormatError: data/test/ground_truth\.json: video 'test_anom_0000' needs a list of \[start, end\] "
      r"integer pairs, got \[\[0, 1\.5\]\]"),
     ("eval-frame-count-unconfirmed", trillion_frame_video, EVAL,
-     r"error: FormatError: video 'test_norm_0001': \d+ snippets but 1000000000000 frames at snippet length 4 "
-     r"imply 250000000000"),
+     r"error: FormatError: data/test/test_norm_0001\.vadf: video 'test_norm_0001': \d+ snippets but 1000000000000 "
+     r"frames at snippet length 4 imply 250000000000"),
     ("checkpoint-version-1", version_one_checkpoint, EVAL,
      r"error: FormatError: ckpt\.vadc: unsupported checkpoint version 1"),
     ("sweep-r-width", d12_split_and_no_training, ["sweep-r", "--manifest", TRAIN_8, "--test-manifest", TEST_12],
@@ -691,12 +699,16 @@ class TestBadOptions:
         line = re.escape(f"error: ValueError: {flag} must be non-negative, got -1")
         assert_rejected(capsys, argv, tmp_path / "run", line)
 
-    @pytest.mark.parametrize("command, flag", [("sweep-r", "--r"), ("sweep-r", "--no-tsa"), ("ablate", "--no-tsa")])
+    @pytest.mark.parametrize(
+        "command, flag", [("sweep-r", "--r"), ("sweep-r", "--no-tsa"), ("ablate", "--no-tsa"), ("train", "--no-tsa")]
+    )
     def test_flag_the_command_would_ignore_is_a_usage_error(self, capsys, command, flag):
         """sweep-r takes its ratios from --r-grid and ablate runs the attention
         both on and off, so neither accepts a flag it would drop; nor may
-        `--r` pass as an abbreviation of `--r-grid`."""
-        argv = [command, "--manifest", "m", "--test-manifest", "t", "--out", "o", flag]
+        `--r` pass as an abbreviation of `--r-grid`. No command has
+        `--no-tsa`: `--r 1.0` turns the attention off."""
+        splits = ["--manifest", "m"] + (["--test-manifest", "t"] if command != "train" else [])
+        argv = [command, *splits, "--out", "o", flag]
         assert main(argv + (["0.5"] if flag == "--r" else [])) == 2
         assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
@@ -754,10 +766,6 @@ class TestFlagsReachTheConfig:
         owner, default = (cfg, TrainConfig()) if hasattr(cfg, field) else (cfg.tsa, TrainConfig().tsa)
         value = getattr(owner, field)
         assert value == type(value)(FLAG_VALUES[field]) != getattr(default, field)
-
-    def test_no_tsa_reaches_the_config(self, dataset, tmp_path, monkeypatch, capsys):
-        assert not self.first_config(dataset, tmp_path, monkeypatch, "train", "--no-tsa").tsa_enabled
-        capsys.readouterr()
 
 
 def recorded_eval_loads(monkeypatch, split_dir: Path) -> list[list[str]]:
@@ -947,3 +955,20 @@ class TestUsageErrors:
     def test_no_args_exits_two(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+class TestReadme:
+    def test_quickstart_commands_parse(self):
+        """Each `wsvad` command of README's CLI quickstart, its `\\`
+        continuations joined, parses with the CLI's own parser, so a README
+        that names a removed or renamed flag fails here."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI quickstart", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("wsvad ")]
+        parser = cli.build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README quickstart command does not parse: {line}")
+        assert sorted(shlex.split(line)[1] for line in commands) == sorted(SUBCOMMANDS)

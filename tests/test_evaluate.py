@@ -1,6 +1,7 @@
 """Inference at native length, score unfolding, and report assembly."""
 
 import csv
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -363,7 +364,7 @@ class TestSnippetRunMetrics:
     def test_report_equals_frame_level_oracle(self, tmp_path, tsa):
         records, gt = self.records_and_truth()
         assert any(frames % self.DELTA for frames, _, _ in self.VIDEOS)
-        model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=tsa)
+        model = init_model(8, TsaConfig(seed=0, ratio=0.7 if tsa else 1.0), np.random.SeedSequence(0))
         report, timelines, masks = evaluate_manifest(saved_split(records, tmp_path), tmp_path, model, gt, eval_seed=2)
         scores = np.concatenate([ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count) for tl in timelines])
         binary = (scores >= 0.5).astype(np.uint8)
@@ -382,7 +383,7 @@ class TestSnippetRunMetrics:
         base = records[0]
         twins = [VideoRecord(f"t{k}", 1, base.frame_count, self.DELTA, base.features) for k in range(3)]
         twin_gt = {"t0": [(0, 2)], "t1": [(2, 30)], "t2": [(5, 6), (9, 11)]}
-        model = init_model(8, TsaConfig(seed=0), np.random.SeedSequence(0), tsa_enabled=False)
+        model = init_model(8, TsaConfig(seed=0, ratio=1.0), np.random.SeedSequence(0))
         manifest = saved_split(records + twins, tmp_path)
         report, timelines, masks = evaluate_manifest(manifest, tmp_path, model, {**gt, **twin_gt})
         scores = np.concatenate([ref_unfold(tl.snippet_scores, tl.snippet_len, tl.frame_count) for tl in timelines])
@@ -505,7 +506,7 @@ class TestBatchedEval:
     )
     def test_every_timeline_is_the_video_alone(self, tmp_path, d, counts, tsa):
         records, gt = split_of(counts, d)
-        model = init_model(d, TsaConfig(num_samples=16), np.random.SeedSequence(d), tsa_enabled=tsa)
+        model = init_model(d, TsaConfig(num_samples=16, ratio=0.7 if tsa else 1.0), np.random.SeedSequence(d))
         _, timelines, _ = evaluate_manifest(saved_split(records, tmp_path), tmp_path, model, gt, eval_seed=4)
         for idx, (rec, tl) in enumerate(zip(records, timelines)):
             alone = scored_alone(rec, model, np.random.default_rng(np.random.SeedSequence((4, idx))))
@@ -580,7 +581,8 @@ class TestBatchedEval:
         records, _ = split_of([3, 3, 3], 8)
         records[1] = VideoRecord("wide", 1, 12, 4, np.zeros((3, 12), np.float32))
         manifest = saved_split(records, tmp_path / "file")
-        with pytest.raises(FormatError, match=r"^video 'wide': feature width 12 != manifest d 8$"):
+        message = f"{tmp_path / 'file' / 'wide.vadf'}: video 'wide': feature width 12 != manifest d 8"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             evaluate_manifest(manifest, tmp_path / "file", fresh_model(), {"wide": [(0, 4)]})
         records, gt = split_of([3, 3, 3], 12)
         manifest = saved_split(records, tmp_path / "split")
@@ -680,7 +682,8 @@ class TestChunkedManifestEval:
         model = fresh_model(8)
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="^video 'v0': 4 snippets but 3000000000 frames"):
+            message = f"{tmp_path / 'v0.vadf'}: video 'v0': 4 snippets but 3000000000 frames"
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
                 evaluate_manifest(manifest, tmp_path, model, gt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

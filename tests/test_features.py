@@ -201,13 +201,15 @@ class TestManifest:
     def test_width_mismatch_rejected(self, tmp_path):
         manifest = _write_split(tmp_path)
         save_features(np.zeros((4, 9), dtype=np.float32), tmp_path / "v0.vadf")
-        with pytest.raises(FormatError, match="width"):
+        message = f"{tmp_path / 'v0.vadf'}: video 'v0': feature width 9 != manifest d 4"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_records(manifest, tmp_path)
 
     def test_snippet_count_mismatch_rejected(self, tmp_path):
         manifest = _write_split(tmp_path)
         save_features(np.zeros((2, 4), dtype=np.float32), tmp_path / "v0.vadf")
-        with pytest.raises(FormatError):
+        message = f"{tmp_path / 'v0.vadf'}: video 'v0': 2 snippets but 30 frames at snippet length 8 imply 4"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_records(manifest, tmp_path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -350,7 +352,8 @@ class TestManifest:
 
 class TestVideoRecord:
     def test_snippet_count_validated(self):
-        with pytest.raises(FormatError):
+        """Built directly, a record names its video; ``load_records`` adds the file."""
+        with pytest.raises(FormatError, match="^video 'x': 3 snippets but 100 frames at snippet length 16 imply 7$"):
             VideoRecord("x", 0, 100, 16, np.zeros((3, 4), dtype=np.float32))
 
     def test_valid_record(self):

@@ -122,6 +122,8 @@ def test_corrupt_file_loads_or_raises_format_error(tmp_path, write, load, name):
 DELETE = object()
 # a value of every JSON type
 JSON_VALUES = {"null": None, "bool": True, "int": 7, "float": 2.5, "string": "x", "list": [1, 2], "object": {"a": 1}}
+# the kind a message names for each value of JSON_VALUES but the object
+JSON_KIND_OF = {"null": "null", "bool": "boolean", "int": "number", "float": "number", "string": "string", "list": "list"}
 PYTHON_TEXT = ("indices must be", "KeyError", "TypeError", "not subscriptable", "has no attribute", "not iterable")
 
 
@@ -157,11 +159,13 @@ def _field_cases(doc, keys: tuple):
 
 
 def _non_object_cases(doc, keys: tuple):
-    """(case id, mutated document) with the object at ``keys`` replaced by a
-    value of every other JSON type."""
+    """(case id, ``got <kind>`` as the message names the value, mutated
+    document) with the object at ``keys`` replaced by a value of every other
+    JSON type."""
     for kind, new in JSON_VALUES.items():
         if kind != "object":
-            yield f"{'.'.join(map(str, keys)) or 'document'}-{kind}", _edited(doc, keys, new)
+            case = f"{'.'.join(map(str, keys)) or 'document'}-{kind}"
+            yield case, f"got {JSON_KIND_OF[kind]}", _edited(doc, keys, new)
 
 
 def _check_mutations(path, write, load, cases, loads):
@@ -198,9 +202,9 @@ def test_every_manifest_mutation_names_its_video_and_field(tmp_path):
     doc = json.loads(path.read_text())
     vid = doc["videos"][1]["id"]
     cases = [
-        *[(case, None, ["manifest"], d) for case, d in _non_object_cases(doc, ())],
+        *[(case, None, ["manifest", got], d) for case, got, d in _non_object_cases(doc, ())],
         *[(case, field, [], d) for case, field, d in _field_cases(doc, ())],
-        *[(case, None, ["video 1"], d) for case, d in _non_object_cases(doc, ("videos", 1))],
+        *[(case, None, ["video 1", got], d) for case, got, d in _non_object_cases(doc, ("videos", 1))],
         # a video is named by its id, and by its index when the id is the broken field
         *[(case, field, ["video 1" if field == "id" else f"video '{vid}'"], d)
           for case, field, d in _field_cases(doc, ("videos", 1))],
@@ -215,7 +219,7 @@ def test_every_ground_truth_mutation_names_its_video(tmp_path):
     _ground_truth(path, 0)
     doc = json.loads(path.read_text())
     cases = [
-        *[(case, None, ["ground truth"], d) for case, d in _non_object_cases(doc, ())],
+        *[(case, None, ["ground truth", got], d) for case, got, d in _non_object_cases(doc, ())],
         *[(case, None, [f"video '{vid}'"], d) for case, vid, d in _field_cases(doc, ())],
     ]
 
@@ -245,7 +249,7 @@ def test_every_checkpoint_header_mutation_names_its_field(tmp_path):
         )
 
     cases = [
-        *[(case, None, ["checkpoint header"], d) for case, d in _non_object_cases(header, ())],
+        *[(case, None, ["checkpoint header", got], d) for case, got, d in _non_object_cases(header, ())],
         *[(case, field, [], d) for keys in ((), ("tsa",)) for case, field, d in _field_cases(header, keys)],
     ]
     # an integer in a float field loads as that number (7 is out of range

@@ -68,7 +68,6 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.d == model.d
         assert loaded.tsa == model.tsa
-        assert loaded.tsa_enabled == model.tsa_enabled
         a, b = model.named_params(), loaded.named_params()
         assert set(a) == set(b)
         for name in a:
@@ -108,14 +107,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_other_version_rejected(self, tmp_path):
-        """No version 1 reader is kept: its header carried fields that no
-        forward pass reads."""
+        """No version 1 or 2 reader is kept: their headers carried fields
+        that no forward pass reads (version 2's ``tsa_enabled`` is ratio 1.0
+        now)."""
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
-        with pytest.raises(FormatError, match="model.vadc: unsupported checkpoint version 1"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+            with pytest.raises(FormatError, match=f"model.vadc: unsupported checkpoint version {version}"):
+                load_checkpoint(path)
 
     def test_other_classifier_layout_rejected(self, tmp_path):
         """The classifier widths are not in the header; the tensor table's
@@ -172,15 +173,19 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda h: edited(h, "d"), "checkpoint header has fields ['scorer_hidden', 'tsa', 'tsa_enabled']"),
-            (lambda h: edited(h, "tsa"), "checkpoint header has fields ['d', 'scorer_hidden', 'tsa_enabled']"),
+            (lambda h: edited(h, "d"), "checkpoint header has fields ['scorer_hidden', 'tsa']"),
+            (lambda h: edited(h, "tsa"), "checkpoint header has fields ['d', 'scorer_hidden']"),
             (lambda h: edited(h, "tsa", "ratio"),
              "header field 'tsa' has fields ['num_samples', 'seed', 'sigma_noise']"),
-            (lambda h: edited(h, "tsa_enabled"), "checkpoint header has fields ['d', 'scorer_hidden', 'tsa']"),
+            (lambda h: edited(h, "tsa_enabled", value=False),
+             "checkpoint header has fields ['d', 'scorer_hidden', 'tsa', 'tsa_enabled'], "
+             "expected ['d', 'scorer_hidden', 'tsa']"),
             (lambda h: edited(h, "tsa", "bogus", value=1), "header field 'tsa' has fields ['bogus', 'num_samples',"),
             (lambda h: edited(h, "d", value="wide"), "header field 'd' must be an integer, got 'wide'"),
             (lambda h: edited(h, "scorer_hidden", value=5), "header field 'scorer_hidden' must be a list"),
             (lambda h: edited(h, "tsa", value=[1, 2]), "header field 'tsa' must be a JSON object, got list"),
+            (lambda h: {**h, "tsa": None}, "header field 'tsa' must be a JSON object, got null"),
+            (lambda h: edited(h, "tsa", value="off"), "header field 'tsa' must be a JSON object, got string"),
             (lambda h: edited(h, "tsa", "num_samples", value="many"),
              "header field 'tsa.num_samples' must be an integer"),
             (lambda h: edited(h, "tsa", "sigma_noise", value=-0.5),
@@ -191,9 +196,9 @@ class TestCheckpoint:
             (lambda h: edited(h, "bogus", value=1), "checkpoint header has fields ['bogus', 'd',"),
         ],
         ids=[
-            "no-d", "no-tsa", "no-tsa.ratio", "no-tsa_enabled", "extra-tsa-field", "d-not-int",
-            "scorer_hidden-not-list", "tsa-not-object", "num_samples-not-int", "negative-sigma",
-            "header-not-object", "tsa-list-of-pairs", "extra-field",
+            "no-d", "no-tsa", "no-tsa.ratio", "extra-tsa_enabled", "extra-tsa-field", "d-not-int",
+            "scorer_hidden-not-list", "tsa-not-object", "tsa-null", "tsa-string", "num_samples-not-int",
+            "negative-sigma", "header-not-object", "tsa-list-of-pairs", "extra-field",
         ],
     )
     def test_missing_or_malformed_header_rejected(self, tmp_path, edit, message):
@@ -212,13 +217,11 @@ class TestCheckpoint:
             (("tsa", "ratio"), True),
             (("tsa", "sigma_noise"), float("inf")),
             (("tsa", "sigma_noise"), 10**400),
-            (("tsa_enabled",), "no"),
-            (("tsa_enabled",), 1),
             (("d",), 8.0),
         ],
         ids=[
             "num_samples-float", "num_samples-bool", "seed-string", "ratio-bool", "sigma-inf",
-            "sigma-past-float-range", "tsa_enabled-string", "tsa_enabled-int", "d-float",
+            "sigma-past-float-range", "d-float",
         ],
     )
     def test_header_field_of_wrong_json_type_named(self, tmp_path, keys, value):
@@ -258,7 +261,7 @@ class TestCheckpoint:
         path = tmp_path / "model.vadc"
         save_checkpoint(small_model(), path)
         header = read_header(path)
-        assert set(header) == {"d", "scorer_hidden", "tsa", "tsa_enabled"}
+        assert set(header) == {"d", "scorer_hidden", "tsa"}
         assert set(header["tsa"]) == {f.name for f in fields(TsaConfig)}
 
     @pytest.mark.parametrize("d,hidden", [(8, (12, 6)), (16, (5,)), (4, ())])
@@ -341,8 +344,8 @@ class TestCheckpoint:
 
 class TestScoreBag:
     def test_tsa_disabled_skips_attention(self):
-        model = small_model()
-        model.tsa_enabled = False
+        """At ratio 1.0 the attention is off: no selection, and no rng needed."""
+        model = small_model(ratio=1.0)
         feats = Tensor(np.random.default_rng(2).normal(size=(6, 8)).astype(np.float32))
         with no_grad():
             scores, ctx, selection = score_bag(model, feats)
@@ -361,9 +364,9 @@ class TestScoreBag:
     @pytest.mark.parametrize("tsa_enabled", [True, False])
     def test_stacked_bags_match_one_bag_calls(self, tsa_enabled):
         """The no-grad forward over n stacked bags gives the bits of n one-bag
-        calls drawing from the same rng stream in order."""
-        model = small_model(num_samples=16)
-        model.tsa_enabled = tsa_enabled
+        calls drawing from the same rng stream in order; the attention is
+        off at ratio 1.0."""
+        model = small_model(num_samples=16, ratio=0.7 if tsa_enabled else 1.0)
         n, t_len = 3, 7
         x = np.random.default_rng(4).normal(size=(n * t_len, 8)).astype(np.float32)
         with no_grad():
@@ -385,9 +388,8 @@ class TestScoreBag:
         attention branch checks its logits and its output, for one (T, d)
         bag and for three stacked bags alike, so batching adds no op per
         video. A change that adds ops or checks to eval's path must change
-        these on purpose."""
-        model = small_model()
-        model.tsa_enabled = tsa_enabled
+        these on purpose. The attention is off at ratio 1.0."""
+        model = small_model(ratio=0.7 if tsa_enabled else 1.0)
         feats = np.random.default_rng(5).normal(size=(60, 8)).astype(np.float32)
         one, three = Tensor(feats[:20]), Tensor(feats)
         counts = dict(ops=0, checks=0)

@@ -30,7 +30,16 @@ from wsvad.trainer import (
     train,
 )
 
-from helpers import engine_grads, max_rel_err, read_only_gradients, ref_dmt_loss, stack, unfused_dmt_terms
+from helpers import (
+    attention_always_on,
+    engine_grads,
+    graph_nodes,
+    max_rel_err,
+    read_only_gradients,
+    ref_dmt_loss,
+    stack,
+    unfused_dmt_terms,
+)
 
 
 def make_records(tmp_path, **kw):
@@ -326,10 +335,10 @@ class TestForwardLoss:
         not depend on the rate: at rate 0 every mask keeps every unit at
         scale 1, so the loss is the loss without dropout, and the stream
         moves on by the loss rows' draw, (2B, alpha, width) per layer."""
-        cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa_enabled=False)
+        cfg = TrainConfig(t_len=6, batch_bags=2, alpha=2, tsa=TsaConfig(ratio=1.0))
         bags = 2 * cfg.batch_bags
         feats = Tensor(np.random.default_rng(4).normal(size=(bags * cfg.t_len, 8)))
-        model = init_model(8, cfg.tsa, np.random.SeedSequence(3), tsa_enabled=False)
+        model = init_model(8, cfg.tsa, np.random.SeedSequence(3))
         ctx, _ = context_features(model, feats, bags)
         want = dmt_loss(ctx, mlp_forward(model.classifier, ctx, bags=bags), bags, cfg).item()
         calls = self._recording_masks(monkeypatch)
@@ -350,10 +359,10 @@ class TestForwardLoss:
         the dropout generator in the same state."""
         states = []
         for t_len in (16, 64):
-            cfg = TrainConfig(t_len=t_len, batch_bags=2, alpha=3, tsa_enabled=False)
+            cfg = TrainConfig(t_len=t_len, batch_bags=2, alpha=3, tsa=TsaConfig(ratio=1.0))
             bags = 2 * cfg.batch_bags
             feats = Tensor(np.random.default_rng(t_len).normal(size=(bags * t_len, 8)))
-            model = init_model(8, cfg.tsa, np.random.SeedSequence(3), tsa_enabled=False)
+            model = init_model(8, cfg.tsa, np.random.SeedSequence(3))
             drop = np.random.default_rng(7)
             forward_loss(model, feats, bags, cfg, dropout_rng=drop)
             states.append(drop.bit_generator.state)
@@ -585,9 +594,7 @@ class TestTrainLoop:
         records, manifest = make_records(tmp_path)
         cfg = TrainConfig(t_len=8, batch_bags=2, epochs=3, lr=0.0, seed=3)
         result = train(manifest, tmp_path / "train", cfg)
-        reference = init_model(
-            manifest.d, cfg.tsa, np.random.SeedSequence(3).spawn(4)[0], tsa_enabled=True
-        )
+        reference = init_model(manifest.d, cfg.tsa, np.random.SeedSequence(3).spawn(4)[0])
         got = result.model.named_params()
         want = reference.named_params()
         for name in want:
@@ -627,23 +634,23 @@ class TestTrainLoop:
         last = np.mean([r["loss"] for r in result.log[-5:]])
         assert last < first
 
-    def test_full_selection_matches_disabled_attention(self, tmp_path):
+    def test_full_selection_matches_disabled_attention(self, tmp_path, monkeypatch):
         """kappa = T makes the attention stage exactly transparent, so the
-        loss trajectory must match a run with the stage disabled."""
+        ratio-1.0 run, which skips it, must match a run that makes every
+        selection: the same losses, and the same context and classifier
+        weights. Only the scorer's weights move in the latter, by weight decay
+        alone (its zero biases stay zero)."""
         _, manifest = make_records(tmp_path)
-        losses = {}
-        for enabled in (True, False):
-            cfg = TrainConfig(
-                t_len=8,
-                batch_bags=2,
-                epochs=5,
-                tsa=TsaConfig(num_samples=8, ratio=1.0, sigma_noise=0.3, seed=0),
-                tsa_enabled=enabled,
-                seed=9,
-            )
-            result = train(manifest, tmp_path / "train", cfg)
-            losses[enabled] = [r["loss"] for r in result.log]
-        assert losses[True] == losses[False]
+        cfg = TrainConfig(
+            t_len=8, batch_bags=2, epochs=5, tsa=TsaConfig(num_samples=8, ratio=1.0, sigma_noise=0.3, seed=0), seed=9
+        )
+        skipped = train(manifest, tmp_path / "train", cfg)
+        monkeypatch.setattr(trainer_module, "context_features", attention_always_on)
+        selected = train(manifest, tmp_path / "train", cfg)
+        assert skipped.log == selected.log
+        for name, p in skipped.model.named_params().items():
+            same = np.array_equal(p.data, selected.model.named_params()[name].data)
+            assert same != (name.startswith("scorer.") and name.endswith(".w")), name
 
     def test_seed_reproducibility(self, tmp_path):
         _, manifest = make_records(tmp_path)
@@ -704,13 +711,7 @@ class TestTrainingStepCost:
             return wrapper
 
         def counting_backward(loss):
-            seen, stack_ = set(), [loss]
-            while stack_:
-                t = stack_.pop()
-                if id(t) not in seen and t._rec is not None:
-                    seen.add(id(t))
-                    stack_.extend(t._rec.parents)
-            counts["nodes"] += len(seen)
+            counts["nodes"] += graph_nodes(loss)
             backward(loss)
 
         monkeypatch.setattr(ag, "_ensure_finite", counting("checks", ensure_finite))
@@ -872,6 +873,8 @@ class TestEndToEndGradientIntegrity:
         (kappa = T) and dropout is off; the float64 gradients of every
         parameter agree with finite differences."""
         monkeypatch.setattr(ag, "_LIVE_ROWS_MIN_SIZE", 0)
+        # ratio 1.0 skips the attention; the step runs it here all the same
+        monkeypatch.setattr(trainer_module, "context_features", attention_always_on)
         cfg = TrainConfig(t_len=32, batch_bags=8, tsa=TsaConfig(ratio=1.0))
         bags = 2 * cfg.batch_bags
         rng = np.random.default_rng(9)
